@@ -1,31 +1,19 @@
-"""Engine scaling: events/sec vs client count, heap vs timer wheel.
+"""Engine scaling: events/sec vs client count, and object vs batch.
 
-The large-N fast path's acceptance gate.  Each cell runs one scenario
-under the :class:`~repro.obs.engineprof.EngineProfiler` and records two
+Each scaling cell runs one scenario under the
+:class:`~repro.obs.engineprof.EngineProfiler` and records two
 throughputs from the profile:
 
 * ``loop ev/s``  -- events per second of end-to-end run-loop wall time
   (what a sweep user experiences);
 * ``sched ev/s`` -- events per second of *engine overhead*
   (``run_wall_time - callback time``): the scheduler's own throughput,
-  with the scheduler-independent callback work factored out.
+  with the callback work factored out.
 
-The table contrasts the reference binary-heap scheduler with the timer
-wheel as ``n_clients`` grows.  The heap pays O(log n) Python-level
-``Event.__lt__`` calls per push/pop; the wheel does integer bucket
-arithmetic with C-level tuple comparisons, so its advantage shows up in
-``sched ev/s`` and the gate asserts the wheel delivers at least
-``REPRO_BENCH_WHEEL_SPEEDUP`` (default 2.0) times the heap's scheduler
-throughput at ``n_clients=500`` under Reno/FIFO.  (End-to-end the same
-cell runs ~1.3-1.7x faster; callback execution -- identical under both
-schedulers -- dominates total wall time, so the end-to-end ratio is not
-a scheduler property and is reported, not gated.)
+The table shows how both hold up as ``n_clients`` grows; it is
+information, not a gate.
 
-Because both schedulers execute the identical event sequence, each cell
-also cross-checks ``events_executed`` between them -- a free
-differential test at benchmark scale.
-
-The second gate in this module compares the two *flow-state engines*
+The gate in this module compares the two *flow-state engines*
 (``engine="object"`` vs ``engine="batch"``, see ``repro.engine``) on the
 paper's heavy-multiplexing overload regime: 500 clients offering well
 above bottleneck capacity, where the object engine burns most of its
@@ -43,9 +31,8 @@ Environment knobs:
 * ``REPRO_BENCH_SCALING_DURATION`` -- simulated seconds per cell
   (default 8).
 * ``REPRO_BENCH_SCALING_REPS``     -- runs per cell; the fastest is
-  kept (default 2).
-* ``REPRO_BENCH_WHEEL_SPEEDUP``    -- minimum wheel/heap scheduler
-  throughput ratio at the gate cell (default 2.0; 0 disables the gate).
+  kept (default 3).
+* ``REPRO_BENCH_SCALING_JSON``     -- write the scaling rows here.
 * ``REPRO_BENCH_BATCH_SPEEDUP``    -- minimum batch/object end-to-end
   speedup at the engine gate cell (default 5.0; 0 disables the gate;
   CI's bench-smoke lane relaxes it to 3.0 for noisy shared runners).
@@ -60,23 +47,18 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.analysis.tables import format_table
 from repro.experiments.config import paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import Scenario, run_scenario
-from repro.sim.engine import SCHEDULERS
 
 from conftest import bench_seed, emit
 
 #: The (protocol, queue) pairs swept: the uncontrolled baseline and the
 #: paper's default TCP.
 SCALING_PROTOCOLS: Tuple[Tuple[str, str], ...] = (("udp", "fifo"), ("reno", "fifo"))
-
-#: The gate cell: Reno/FIFO at 500 clients.
-GATE_CLIENTS = 500
-GATE_PROTOCOL = "reno"
 
 #: The engine gate cell: 500 Reno/FIFO clients each offering a packet
 #: every 50 ms against a 0.8 Mb/s bottleneck -- aggregate offered load
@@ -102,10 +84,6 @@ def scaling_duration() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALING_DURATION", "8"))
 
 
-def wheel_speedup_floor() -> float:
-    return float(os.environ.get("REPRO_BENCH_WHEEL_SPEEDUP", "2.0"))
-
-
 def scaling_reps() -> int:
     return int(os.environ.get("REPRO_BENCH_SCALING_REPS", "3"))
 
@@ -118,7 +96,7 @@ def batch_large_n() -> int:
     return int(os.environ.get("REPRO_BENCH_BATCH_LARGE_N", "0"))
 
 
-def _run_cell(protocol: str, queue: str, n_clients: int, scheduler: str) -> dict:
+def _run_cell(protocol: str, queue: str, n_clients: int) -> dict:
     """One cell: best-of-``reps`` profiled scenario runs."""
     config = paper_config(
         protocol=protocol,
@@ -127,7 +105,6 @@ def _run_cell(protocol: str, queue: str, n_clients: int, scheduler: str) -> dict
         duration=scaling_duration(),
         seed=bench_seed(),
         obs_profile=True,
-        scheduler=scheduler,
     )
     # Best-of-k per metric: noise only ever inflates a wall-clock
     # measurement, so the minimum over reps is the cleanest estimate.
@@ -146,7 +123,6 @@ def _run_cell(protocol: str, queue: str, n_clients: int, scheduler: str) -> dict
     return {
         "protocol": protocol,
         "n_clients": n_clients,
-        "scheduler": scheduler,
         "events": events,
         "loop_events_per_sec": events / best_loop if best_loop > 0 else 0.0,
         "overhead_events_per_sec": (
@@ -157,64 +133,29 @@ def _run_cell(protocol: str, queue: str, n_clients: int, scheduler: str) -> dict
 
 
 def run_scaling_sweep() -> List[dict]:
-    """The full (protocol x n_clients x scheduler) grid, as flat rows."""
-    rows: List[dict] = []
-    for protocol, queue in SCALING_PROTOCOLS:
-        for n_clients in scaling_clients():
-            for scheduler in SCHEDULERS:
-                rows.append(_run_cell(protocol, queue, n_clients, scheduler))
-    return rows
-
-
-def _group_cells(rows: List[dict]) -> Dict[Tuple[str, int], Dict[str, dict]]:
-    by_cell: Dict[Tuple[str, int], Dict[str, dict]] = {}
-    for row in rows:
-        by_cell.setdefault((row["protocol"], row["n_clients"]), {})[
-            row["scheduler"]
-        ] = row
-    return by_cell
-
-
-def _ratio(cells: Dict[str, dict], key: str) -> float:
-    heap = cells.get("heap")
-    wheel = cells.get("wheel")
-    if not heap or not wheel or not heap[key]:
-        return float("nan")
-    return wheel[key] / heap[key]
+    """The full (protocol x n_clients) grid, as flat rows."""
+    return [
+        _run_cell(protocol, queue, n_clients)
+        for protocol, queue in SCALING_PROTOCOLS
+        for n_clients in scaling_clients()
+    ]
 
 
 def scaling_table(rows: List[dict]) -> str:
-    """Loop and scheduler throughput per cell plus wheel/heap speedups."""
-    table_rows = []
-    for (protocol, n_clients), cells in sorted(_group_cells(rows).items()):
-        heap = cells.get("heap")
-        wheel = cells.get("wheel")
-        table_rows.append(
-            [
-                protocol,
-                n_clients,
-                heap["events"] if heap else 0,
-                round(heap["loop_events_per_sec"]) if heap else 0,
-                round(wheel["loop_events_per_sec"]) if wheel else 0,
-                round(_ratio(cells, "loop_events_per_sec"), 2),
-                round(heap["overhead_events_per_sec"]) if heap else 0,
-                round(wheel["overhead_events_per_sec"]) if wheel else 0,
-                round(_ratio(cells, "overhead_events_per_sec"), 2),
-            ]
-        )
+    """Loop and scheduler throughput per cell."""
     return format_table(
+        ["protocol", "clients", "events", "loop ev/s", "sched ev/s", "sched us/ev"],
         [
-            "protocol",
-            "clients",
-            "events",
-            "heap loop ev/s",
-            "wheel loop ev/s",
-            "loop x",
-            "heap sched ev/s",
-            "wheel sched ev/s",
-            "sched x",
+            [
+                row["protocol"],
+                row["n_clients"],
+                row["events"],
+                round(row["loop_events_per_sec"]),
+                round(row["overhead_events_per_sec"]),
+                round(row["overhead_us_per_event"], 2),
+            ]
+            for row in rows
         ],
-        table_rows,
         title=(
             f"Engine scaling, {scaling_duration():g}s simulated per cell, "
             f"best of {scaling_reps()} (events/sec, higher is better)"
@@ -345,8 +286,8 @@ def test_batch_engine_speedup():
         )
 
 
-def test_engine_scaling_wheel_speedup():
-    """The sweep, the table, and the >=2x gate at Reno/FIFO, N=500."""
+def test_engine_scaling_table():
+    """The sweep and the table (ungated; reruns must be deterministic)."""
     rows = run_scaling_sweep()
     emit(scaling_table(rows))
     json_path = os.environ.get("REPRO_BENCH_SCALING_JSON")
@@ -354,24 +295,6 @@ def test_engine_scaling_wheel_speedup():
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(rows, handle, indent=2)
         emit(f"wrote {json_path}")
-
-    by_cell = _group_cells(rows)
-
-    # Differential cross-check: identical event counts per cell.
-    for (protocol, n_clients), cells in by_cell.items():
-        counts = {s: c["events"] for s, c in cells.items()}
-        assert len(set(counts.values())) == 1, (
-            f"schedulers diverged at {protocol}/{n_clients}: {counts}"
-        )
-
-    floor = wheel_speedup_floor()
-    gate = by_cell.get((GATE_PROTOCOL, GATE_CLIENTS))
-    if floor > 0 and gate and "heap" in gate and "wheel" in gate:
-        speedup = _ratio(gate, "overhead_events_per_sec")
-        assert speedup >= floor, (
-            f"wheel scheduler throughput at {GATE_PROTOCOL}/{GATE_CLIENTS} "
-            f"clients is {speedup:.2f}x the heap's, below the {floor:g}x floor"
-        )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

@@ -91,7 +91,6 @@ def _run_cell(backend: str, n_clients: int) -> dict:
         n_clients=n_clients,
         duration=fluid_duration(),
         seed=bench_seed(),
-        scheduler="wheel" if backend == "packet" else "heap",
     )
     best_wall = float("inf")
     cov = float("nan")

@@ -99,7 +99,6 @@ def _run_cell(backend: str, n_clients: int) -> dict:
         n_clients=n_clients,
         duration=hybrid_duration(),
         seed=bench_seed(),
-        scheduler="wheel" if backend == "packet" else "heap",
     )
     if backend == "hybrid":
         config = config.with_(hybrid_foreground_flows=hybrid_foreground())

@@ -47,7 +47,6 @@ from repro.core.theory import (
 from repro.core.fluid import (
     reno_fluid_throughput,
     reno_ideal_sawtooth_cov,
-    reno_sawtooth_cov,
     vegas_equilibrium_window,
 )
 from repro.core.fluid_backend import FluidSolver, run_fluid_scenario
@@ -77,7 +76,6 @@ __all__ = [
     "FluidSolver",
     "reno_fluid_throughput",
     "reno_ideal_sawtooth_cov",
-    "reno_sawtooth_cov",
     "run_fluid_scenario",
     "variance_time_plot",
     "vegas_equilibrium_window",

@@ -54,16 +54,6 @@ def reno_ideal_sawtooth_cov() -> float:
     return 4.0 / (3.0 * math.sqrt(48.0))
 
 
-def reno_sawtooth_cov() -> float:
-    """Deprecated alias of :func:`reno_ideal_sawtooth_cov`.
-
-    Kept for backward compatibility; the rename makes the "ideal
-    sawtooth only" validity explicit now that a fluid *backend* also
-    reports a (very different) rate c.o.v.
-    """
-    return reno_ideal_sawtooth_cov()
-
-
 def reno_sawtooth_period(rtt: float, window_peak: float) -> float:
     """Duration of one W/2 -> W additive-increase ramp, in seconds.
 

@@ -22,7 +22,7 @@ imports :mod:`repro.engine.transitions` while ``flowbatch``/``batch``
 import the transport layer, so an eager re-export here would be a cycle.
 """
 
-#: The engine knob's legal values (mirrors ``repro.sim.engine.SCHEDULERS``).
+#: The engine knob's legal values.
 ENGINES = ("object", "batch")
 
 __all__ = ["BatchScenario", "ENGINES", "FlowBatch"]

@@ -164,7 +164,7 @@ class BatchScenario:
         config.validate()
         config.validate_batch_engine()
         self.config = config
-        self.sim = Simulator(scheduler=config.scheduler)
+        self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
 
         if config.obs_trace:
@@ -275,7 +275,7 @@ class BatchScenario:
 
         # Poisson arrival machinery (open loop): chunk-buffered pre-draws
         # plus an armed-arrival cohort sharing one horizon event, so the
-        # heap stays a handful of entries regardless of N.
+        # calendar stays a handful of entries regardless of N.
         self._arr_rng = [
             self.streams.stream(f"client-{i}/poisson") for i in range(n)
         ] if self._open_mode else []

@@ -7,8 +7,7 @@
 * :mod:`repro.experiments.sweep` -- runs grids of scenarios, optionally
   across processes.
 * :mod:`repro.experiments.runner` -- fault-tolerant sweep executor:
-  persistent worker pool (or per-task processes), timeouts, retries,
-  and crash isolation.
+  persistent worker pool, timeouts, retries, and crash isolation.
 * :mod:`repro.experiments.costmodel` -- learned per-cell wall-time
   model behind the longest-expected-first sweep schedule.
 * :mod:`repro.experiments.cache` -- content-addressed on-disk result

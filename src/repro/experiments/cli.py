@@ -9,10 +9,8 @@ Subcommands regenerate each paper artifact from the terminal::
     repro-tcp cwnd --protocol vegas --clients 30
 
 Sweeps accept ``--csv PATH`` / ``--json PATH`` to persist results, plus
-execution-backbone flags: ``--jobs/-j`` (worker count), ``--pool``
-(``persistent`` long-lived workers, the default, or ``per-task``
-processes), ``--schedule`` (``cost`` longest-expected-first or
-``fifo``), ``--cache-dir`` / ``--resume`` (content-addressed result
+execution-backbone flags: ``--jobs/-j`` (worker count), ``--schedule``
+(``cost`` longest-expected-first or ``fifo``), ``--cache-dir`` / ``--resume`` (content-addressed result
 cache; interrupted sweeps pick up where they stopped), ``--timeout`` /
 ``--retries`` (kill and retry hung or crashed workers), and
 ``--run-log`` / ``--progress`` (JSONL telemetry / live counters).
@@ -156,13 +154,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(default 0 = every RK4 step)",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=["heap", "wheel"],
-        default=None,
-        help="engine scheduler: the reference binary heap (default) or "
-        "the large-N timer-wheel fast path; results are identical",
-    )
-    parser.add_argument(
         "--engine",
         choices=["object", "batch"],
         default=None,
@@ -179,13 +170,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker count (alias for --processes)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=["persistent", "per-task"],
-        default="persistent",
-        help="sweep executor: long-lived workers draining the grid "
-        "(default) or one process per attempt",
     )
     parser.add_argument(
         "--schedule",
@@ -242,7 +226,6 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
         "cache": cache_dir,
         "timeout": args.timeout,
         "retries": args.retries,
-        "pool": getattr(args, "pool", "persistent"),
         "schedule": getattr(args, "schedule", "cost"),
     }
     if args.run_log or args.progress:
@@ -329,8 +312,6 @@ def _base_config(args: argparse.Namespace):
         overrides["duration"] = args.duration
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "scheduler", None) is not None:
-        overrides["scheduler"] = args.scheduler
     if getattr(args, "engine", None) is not None:
         overrides["engine"] = args.engine
     if getattr(args, "backend", None) is not None:
@@ -675,7 +656,6 @@ def _cmd_largen(args: argparse.Namespace) -> int:
         args.clients,
         base=base,
         processes=args.processes,
-        scheduler=args.scheduler or "wheel",
         **_runner_kwargs(args),
     )
     _emit_figure(figure_largen_cov(sweep, base), args)

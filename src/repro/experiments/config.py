@@ -56,10 +56,8 @@ _DIGEST_EXCLUDED_FIELDS = frozenset(
         "forensics_burst_exit",
         "forensics_sync_fraction",
         "forensics_sketch",
-        # The engine scheduler is an implementation choice, not physics:
-        # both schedulers execute the exact same event sequence
-        # (tests/test_engine_differential.py), so results cached under
-        # one are valid under the other.
+        # Single-valued (see the field): never was physics, so caches
+        # written when it read "heap" stay valid.
         "scheduler",
         # Likewise the flow-state engine: the batch engine produces
         # bit-identical ScenarioMetrics, obs and forensics streams on
@@ -274,11 +272,9 @@ class ScenarioConfig:
     # benchmarks/bench_forensics_sketch.py for the trade-off curves).
     forensics_sketch: str = "spacesaving"
 
-    # Engine scheduler: "heap" (the reference binary heap) or "wheel"
-    # (the large-N timer-wheel fast path).  Digest-excluded: both pop
-    # events in the exact same order, so every ScenarioMetrics value is
-    # identical either way -- the knob trades wall-clock time only.
-    scheduler: str = "heap"
+    # Single-valued enumeration shim: the performance ledger builds its
+    # variant rows with config.with_(scheduler=s).  It selects nothing.
+    scheduler: str = "wheel"
 
     # Flow-state engine: "object" (one sender object per flow, the
     # differential reference) or "batch" (struct-of-arrays FlowBatch
@@ -504,7 +500,8 @@ class ScenarioConfig:
 
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; choose from {SCHEDULERS}"
+                f"unknown scheduler {self.scheduler!r}; the timer wheel is "
+                f"the only scheduler (choose from {SCHEDULERS})"
             )
         from repro.engine import ENGINES
 

@@ -227,22 +227,16 @@ def run_largen_sweep(
     base: Optional[ScenarioConfig] = None,
     protocols: Mapping[str, Tuple[str, str]] = LARGEN_PROTOCOLS,
     processes: Optional[int] = None,
-    scheduler: str = "wheel",
     **runner_kwargs,
 ) -> SweepData:
     """Figure 2's c.o.v.-vs-N sweep pushed out to N=500.
 
     The paper stops at 60 clients; this grid probes the large-N regime
     where mean-field models predict the interesting aggregate behavior.
-    Cells run on the timer-wheel scheduler by default -- at N=500 the
-    binary heap's per-pop comparisons dominate the run -- and since the
-    scheduler knob is digest-excluded, cached results from either
-    scheduler satisfy both.
     """
-    base = base or paper_config()
     return run_protocol_sweep(
         client_counts,
-        base=base.with_(scheduler=scheduler),
+        base=base or paper_config(),
         protocols=protocols,
         processes=processes,
         **runner_kwargs,

@@ -1,23 +1,19 @@
 """Fault-tolerant, resumable sweep execution.
 
 The paper's figures aggregate hundreds of seed-deterministic scenario
-runs — an embarrassingly parallel, perfectly cacheable workload.  Two
-executors share one robustness contract (per-cell wall-clock deadline,
-capped-backoff retry, crash isolation via error-tagged
-:class:`ScenarioMetrics` placeholders, content-addressed resume):
+runs — an embarrassingly parallel, perfectly cacheable workload.  The
+executor is a pool of long-lived workers that import once, drain the
+task queue over a duplex pipe, and heartbeat while running, under one
+robustness contract: per-cell wall-clock deadline, capped-backoff
+retry, crash isolation via error-tagged :class:`ScenarioMetrics`
+placeholders, content-addressed resume.  A worker that crashes or blows
+its deadline is killed and respawned *individually* — the rest of the
+pool keeps draining.  Workers persist successful results into the
+:class:`ResultCache` themselves (same atomic-rename, digest-keyed
+writes) and send only a slim ack over the pipe, so result payloads
+never serialize through the parent when a cache is configured.
 
-* ``pool="persistent"`` (default): a pool of long-lived workers that
-  import once, drain the task queue over a duplex pipe, and heartbeat
-  while running.  A worker that crashes or blows its deadline is killed
-  and respawned *individually* — the rest of the pool keeps draining.
-  Workers persist successful results into the :class:`ResultCache`
-  themselves (same atomic-rename, digest-keyed writes) and send only a
-  slim ack over the pipe, so result payloads never serialize through
-  the parent when a cache is configured.
-* ``pool="per-task"``: the PR-1 executor — one worker process per
-  attempt.  Maximum isolation, pays a fork/spawn per cell.
-
-Both executors reap events with :func:`multiprocessing.connection.wait`
+The parent reaps events with :func:`multiprocessing.connection.wait`
 over the worker pipes (the wake-up is a pipe write, not a poll loop),
 with the wait timeout derived from the nearest deadline or retry
 backoff.
@@ -42,7 +38,7 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -58,8 +54,9 @@ DEFAULT_BACKOFF = 0.25
 DEFAULT_MAX_BACKOFF = 5.0
 #: Liveness beat period of a busy pool worker.
 DEFAULT_HEARTBEAT = 0.5
-#: The executor flavours ``SweepRunner(pool=...)`` accepts.
-POOLS = ("persistent", "per-task")
+#: Single-valued enumeration shim: the performance ledger lists its
+#: pool rows from this tuple and passes ``pool=`` back.  It selects nothing.
+POOLS = ("persistent",)
 
 TaskFn = Callable[[ScenarioConfig], ScenarioMetrics]
 
@@ -83,22 +80,8 @@ def pick_start_method(preferred: Optional[str] = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module level: picklable under spawn)
+# Worker entry point (module level: picklable under spawn)
 # ----------------------------------------------------------------------
-def _worker_entry(task: TaskFn, config: ScenarioConfig, conn: Connection) -> None:
-    """Per-task child entry: run the task, ship (status, payload) back."""
-    try:
-        metrics = task(config)
-        conn.send(("ok", metrics))
-    except BaseException as exc:  # noqa: BLE001 - report, don't crash silently
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass  # parent will see the exit as a crash
-    finally:
-        conn.close()
-
-
 def _pool_heartbeats(send, index: int, stop: threading.Event, interval: float) -> None:
     """Beat until ``stop`` is set (runs on a daemon thread in the worker)."""
     while not stop.wait(interval):
@@ -112,7 +95,7 @@ def _pool_worker_main(
     conn: Connection,
     heartbeat: float,
 ) -> None:
-    """Persistent-pool child entry: import once, drain tasks until told
+    """Pool child entry: import once, drain tasks until told
     to stop.
 
     Protocol (worker -> parent): ``("ready", id)`` once after startup,
@@ -193,17 +176,6 @@ class _Task:
 
 
 @dataclass
-class _Running:
-    """A per-task worker process and the cell it is attempting."""
-
-    task: _Task
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
-    started: float
-    deadline: Optional[float] = field(default=None)
-
-
-@dataclass
 class _PoolWorker:
     """A persistent worker and its parent-side bookkeeping."""
 
@@ -227,8 +199,8 @@ class SweepRunner:
             ``timeout`` is set, which forces one killable worker so
             hangs can be killed.
         timeout: per-scenario wall-clock limit in seconds (None = no
-            limit).  Enforced by terminating the worker process (and,
-            under the persistent pool, respawning only that worker).
+            limit).  Enforced by terminating the worker process and
+            respawning only that worker.
         retries: extra attempts per cell after the first failure.
         backoff / max_backoff: capped exponential delay between attempts.
         cache: a :class:`ResultCache`, a cache directory path, or None.
@@ -237,8 +209,7 @@ class SweepRunner:
             picklable under the chosen start method.
         start_method: multiprocessing start method override (None = fork
             where available, else spawn).
-        pool: ``"persistent"`` (long-lived workers draining a queue;
-            default) or ``"per-task"`` (one process per attempt).
+        pool: ``"persistent"``, the only executor (see ``POOLS``).
         schedule: ``"cost"`` (longest-expected-first via the cost
             model; default) or ``"fifo"`` (submission order).
         heartbeat: liveness beat period of busy pool workers, seconds.
@@ -264,7 +235,10 @@ class SweepRunner:
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         if pool not in POOLS:
-            raise ValueError(f"unknown pool {pool!r}; choose from {POOLS}")
+            raise ValueError(
+                f"unknown pool {pool!r}; the persistent pool is the only "
+                f"executor (choose from {POOLS})"
+            )
         if schedule not in SCHEDULES:
             raise ValueError(
                 f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
@@ -326,10 +300,8 @@ class SweepRunner:
         if pending:
             if workers <= 1 and self.timeout is None:
                 self._run_in_process(pending, results, cost)
-            elif self.pool == "persistent":
-                self._run_pool(pending, results, max(workers, 1), cost)
             else:
-                self._run_subprocess(pending, results, max(workers, 1), cost)
+                self._run_pool(pending, results, max(workers, 1), cost)
         self.log.sweep_end()
         assert all(m is not None for m in results)
         return results  # type: ignore[return-value]
@@ -480,55 +452,8 @@ class SweepRunner:
                     break
 
     # ------------------------------------------------------------------
-    # Per-task execution: one worker process per attempt
+    # Pool execution: long-lived workers drain the queue
     # ------------------------------------------------------------------
-    def _launch(self, context, task: _Task) -> _Running:
-        recv_conn, send_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_worker_entry,
-            args=(self.task, task.config, send_conn),
-            daemon=True,
-        )
-        self.log.task_start(
-            task.index, task.digest, task.config.label, task.attempt,
-            backend=task.config.backend,
-        )
-        process.start()
-        send_conn.close()  # keep only the child's copy of the write end
-        started = time.monotonic()
-        deadline = started + self.timeout if self.timeout is not None else None
-        return _Running(task, process, recv_conn, started, deadline)
-
-    def _reap(self, running: _Running) -> Optional[tuple]:
-        """(status, payload) if this worker is finished, else None.
-
-        Status is ``"ok"`` (payload = metrics), ``"error"`` (payload =
-        message), ``"crash"`` (died without reporting), or ``"timeout"``
-        (deadline exceeded; the worker was terminated).
-        """
-        if running.conn.poll():
-            try:
-                status, payload = running.conn.recv()
-            except (EOFError, OSError):
-                # The pipe closed with nothing in it: the worker died
-                # before reporting (hard crash, os._exit, OOM kill).
-                running.process.join(timeout=5.0)
-                code = running.process.exitcode
-                return ("crash", f"worker crashed (exit code {code})")
-            running.process.join(timeout=5.0)
-            return (status, payload)
-        if not running.process.is_alive():
-            # It may have sent the result in the instant between the
-            # poll above and the liveness check — look once more.
-            if running.conn.poll():
-                return self._reap(running)
-            code = running.process.exitcode
-            return ("crash", f"worker crashed (exit code {code})")
-        if running.deadline is not None and time.monotonic() > running.deadline:
-            self._terminate(running.process)
-            return ("timeout", f"timeout after {self.timeout:g}s")
-        return None
-
     @staticmethod
     def _terminate(process: multiprocessing.process.BaseProcess) -> None:
         process.terminate()
@@ -536,73 +461,6 @@ class SweepRunner:
         if process.is_alive():  # pragma: no cover - SIGTERM was ignored
             process.kill()
             process.join(timeout=2.0)
-
-    def _run_subprocess(
-        self,
-        tasks: List[_Task],
-        results: List,
-        workers: int,
-        cost: Optional[CostModel],
-    ) -> None:
-        context = multiprocessing.get_context(pick_start_method(self.start_method))
-        pending: List[_Task] = list(tasks)
-        running: List[_Running] = []
-        try:
-            while pending or running:
-                now = time.monotonic()
-                # Launch every ready task for which a worker slot exists;
-                # re-check the cache at launch so duplicate cells and
-                # concurrent sweeps sharing a directory coalesce.
-                while len(running) < workers:
-                    task = self._pick_next(pending, cost, now)
-                    if task is None:
-                        break
-                    cached = self.cache.get(task.config) if self.cache else None
-                    if cached is not None:
-                        results[task.index] = cached
-                        self.log.cache_hit(task.index, task.digest)
-                        if cost is not None:
-                            cost.observe_metrics(task.config, cached)
-                    else:
-                        running.append(self._launch(context, task))
-                if not running:
-                    if pending:  # everything is backing off; sleep to the first
-                        wake = min(task.ready_at for task in pending)
-                        time.sleep(max(wake - time.monotonic(), 0.0) + 1e-4)
-                    continue
-                # Event-driven reap: block on the worker pipes until one
-                # reports (or dies — EOF is readable too), waking early
-                # only for the nearest deadline or retry backoff.
-                timeout = self._wait_timeout(
-                    (w.deadline for w in running),
-                    pending if len(running) < workers else (),
-                )
-                wait([w.conn for w in running], timeout=timeout)
-                still_running: List[_Running] = []
-                for worker in running:
-                    outcome = self._reap(worker)
-                    if outcome is None:
-                        still_running.append(worker)
-                        continue
-                    worker.conn.close()
-                    status, payload = outcome
-                    if status == "ok":
-                        elapsed = time.monotonic() - worker.started
-                        if cost is not None:
-                            cost.observe(worker.task.config, elapsed)
-                        self._record_success(
-                            worker.task, payload, results, elapsed
-                        )
-                    else:
-                        error = payload if isinstance(payload, str) else str(payload)
-                        delay = self._record_failure(worker.task, error, results)
-                        if delay is not None:
-                            self._requeue(worker.task, delay, pending)
-                running = still_running
-        finally:
-            for worker in running:  # interrupted: leave no orphans behind
-                self._terminate(worker.process)
-                worker.conn.close()
 
     @staticmethod
     def _wait_timeout(deadlines, pending) -> Optional[float]:
@@ -615,9 +473,6 @@ class SweepRunner:
             return None
         return max(min(candidates) - time.monotonic(), 0.0)
 
-    # ------------------------------------------------------------------
-    # Persistent-pool execution: long-lived workers drain the queue
-    # ------------------------------------------------------------------
     def _spawn_worker(self, context, cache_dir: Optional[str]) -> _PoolWorker:
         worker_id = next(self._worker_seq)
         parent_conn, child_conn = context.Pipe(duplex=True)

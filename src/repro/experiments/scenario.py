@@ -175,7 +175,7 @@ class Scenario:
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
-        self.sim = Simulator(scheduler=config.scheduler)
+        self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
 
         # Flight recorder: a category-gated registry shared by every

@@ -1,7 +1,7 @@
 """Running grids of scenarios, optionally in parallel.
 
 This module is the stable, minimal sweep API; the heavy lifting —
-per-scenario worker processes, wall-clock timeouts, retries with capped
+the worker pool, wall-clock timeouts, retries with capped
 backoff, crash isolation, content-addressed result caching, and JSONL
 progress telemetry — lives in :mod:`repro.experiments.runner`.
 
@@ -40,7 +40,7 @@ def run_many(
         configs: the grid to run.
         processes: worker processes; None picks ``min(cpu, len(configs))``,
             and values <= 1 run everything in-process (easier debugging)
-            unless ``timeout`` forces a killable worker subprocess.
+            unless ``timeout`` forces a killable pool worker.
         timeout: per-scenario wall-clock limit, seconds (None = none).
         retries: extra attempts per cell after a crash or timeout.
         cache: a :class:`ResultCache` or cache directory path; finished
@@ -49,9 +49,7 @@ def run_many(
         run_log: optional :class:`RunLog` for JSONL progress telemetry.
         start_method: multiprocessing start method (None = ``fork``
             where available, ``spawn`` elsewhere, e.g. macOS/Windows).
-        pool: ``"persistent"`` (long-lived workers that import once and
-            drain the grid; default) or ``"per-task"`` (one process per
-            attempt).
+        pool: ``"persistent"``, the only executor (see ``runner.POOLS``).
         schedule: ``"cost"`` (longest-expected-first, minimizing
             makespan on heterogeneous grids; default) or ``"fifo"``
             (submission order).

@@ -6,7 +6,7 @@ the wall time to a *category* derived from the callback itself (class
 and method name for bound methods, qualified name otherwise).  The
 summary answers the questions that matter when sweeps scale: where does
 the simulator spend its time, how many events per second does it
-sustain, how deep does the calendar heap get, and how much faster than
+sustain, how deep does the calendar queue get, and how much faster than
 real time does the model run.
 
 Profiling costs two ``perf_counter`` calls per event, so it is opt-in;
@@ -56,9 +56,10 @@ class EngineProfile:
     Two wall-time totals are tracked: ``wall_time`` is the sum of the
     timed callback executions, while ``run_wall_time`` is the run
     loop's end-to-end wall clock.  Their difference is the *engine
-    overhead* -- pop/dispatch/recycle work between callbacks -- which is
-    the number that separates the ``heap`` and ``wheel`` schedulers
-    (the callbacks themselves are scheduler-independent).
+    overhead* -- pop/dispatch/recycle work between callbacks, i.e. the
+    scheduler's own cost.  ``max_heap_depth`` is the deepest pending-event
+    count seen; the name predates the timer wheel and the performance
+    ledger reads it.
     """
 
     events_executed: int

@@ -8,11 +8,10 @@ original experiments.
 
 Public API:
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop (binary-heap
-  or timer-wheel scheduler, selected per instance).
+* :class:`~repro.sim.engine.Simulator` -- the event loop.
 * :class:`~repro.sim.events.Event` -- a scheduled callback.
-* :class:`~repro.sim.wheel.TimerWheel` -- the large-N fast-path
-  pending-event store.
+* :class:`~repro.sim.wheel.TimerWheel` -- the simulator's pending-event
+  store.
 * :class:`~repro.sim.timers.Timer` -- a restartable one-shot timer.
 * :class:`~repro.sim.rng.RandomStreams` -- named, reproducible random
   number streams derived from a single root seed.

@@ -1,21 +1,15 @@
 """The discrete-event simulator (event loop).
 
-The engine offers two interchangeable pending-event stores behind one
-``scheduler=`` knob:
-
-* ``"heap"`` (default) -- a classic binary heap of
-  :class:`~repro.sim.events.Event` objects ordered by
-  ``(time, priority, seq)``.  Simple, and the reference semantics.
-* ``"wheel"`` -- a hierarchical timer wheel
-  (:class:`~repro.sim.wheel.TimerWheel`) for the large-N fast path:
-  O(1) scheduling at integer-arithmetic cost instead of O(log n)
-  Python-level comparisons per operation.
-
-Both schedulers pop events in exactly the same order -- same times,
-same priority and FIFO tie-breaks -- so every simulation produces
-identical results under either; ``tests/test_engine_differential.py``
-enforces this.  Components schedule callbacks; the loop pops them in
-time order and invokes them.  All model time is in seconds.
+Components schedule callbacks; the loop pops them in ascending
+``(time, priority, seq)`` order -- a total order, since ``seq`` is
+unique -- and invokes them.  All model time is in seconds.  Pending
+events live in a hierarchical timer wheel
+(:class:`~repro.sim.wheel.TimerWheel`): O(1) scheduling at
+integer-arithmetic cost, and every ordering decision a C-level tuple
+comparison.  The order itself is specified by a sorted list of the
+same keys; ``tests/test_timer_wheel.py`` and
+``tests/test_engine_differential.py`` check the wheel and the kernel
+against that model.
 
 To cut allocation churn the engine free-lists :class:`Event` objects
 (and, via :meth:`Simulator.set_arg_recycler`, the caller's payload
@@ -29,10 +23,9 @@ Observability: an :class:`~repro.obs.engineprof.EngineProfiler` can be
 attached with :meth:`Simulator.attach_profiler`, after which every
 executed callback is timed and attributed to a category.  With no
 profiler attached, :meth:`Simulator.run` takes a fast loop that carries
-no timing code at all (``benchmarks/bench_obs_overhead.py`` keeps the
-disabled-path cost honest).  Constructing with ``debug=True`` swaps in
-a slow loop that recounts the live/pending-event invariants after
-every event (see :meth:`Simulator.check_invariants`).
+no timing code at all.  Constructing with ``debug=True`` swaps in a
+slow loop that recounts the live/pending-event invariants after every
+event (see :meth:`Simulator.check_invariants`).
 """
 
 from __future__ import annotations
@@ -50,8 +43,9 @@ _getrefcount = getattr(sys, "getrefcount", None)
 #: an unbounded pile of dead objects.
 _POOL_CAP = 4096
 
-#: The scheduler knob's legal values.
-SCHEDULERS = ("heap", "wheel")
+#: Single-valued enumeration shim: the performance ledger lists its
+#: variant rows from this tuple.  It selects nothing.
+SCHEDULERS = ("wheel",)
 
 
 def _frame_local_refcount() -> Optional[int]:
@@ -95,7 +89,7 @@ class Simulator:
 
     Usage::
 
-        sim = Simulator()                  # or Simulator(scheduler="wheel")
+        sim = Simulator()
         sim.schedule(1.0, callback, arg1, arg2)
         sim.run(until=10.0)
 
@@ -104,27 +98,15 @@ class Simulator:
     * events fire in non-decreasing time order;
     * events scheduled for the same time fire in (priority, insertion)
       order, which makes runs deterministic;
-    * cancelled events never fire;
-    * the guarantees (and the exact event order) are identical under
-      both schedulers.
+    * cancelled events never fire.
+
+    ``start_time`` must be non-negative (the wheel hashes absolute
+    ticks); a negative one raises ``ValueError``.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        scheduler: str = "heap",
-        debug: bool = False,
-    ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
-            )
+    def __init__(self, start_time: float = 0.0, debug: bool = False) -> None:
         self._now = float(start_time)
-        self._queue: List[Event] = []
-        self._wheel: Optional[TimerWheel] = (
-            TimerWheel(start_time=self._now) if scheduler == "wheel" else None
-        )
-        self._scheduler = scheduler
+        self._wheel = TimerWheel(start_time=self._now)
         self._debug = bool(debug)
         self._seq = 0
         self._events_executed = 0
@@ -144,11 +126,6 @@ class Simulator:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Which pending-event store this kernel runs on."""
-        return self._scheduler
-
-    @property
     def events_executed(self) -> int:
         """Number of events executed so far (diagnostics)."""
         return self._events_executed
@@ -162,9 +139,7 @@ class Simulator:
         (O(1) cancellation), so this over-counts the events that will
         actually fire; use :attr:`live_events` for that.
         """
-        if self._wheel is not None:
-            return self._wheel.size
-        return len(self._queue)
+        return self._wheel.size
 
     @property
     def live_events(self) -> int:
@@ -264,11 +239,7 @@ class Simulator:
             # owner passed positionally: keyword calls cost ~10x more per
             # Event and this is the hottest allocation in the simulator.
             event = Event(time, seq, callback, args, priority, self)
-        wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._queue, event)
-        else:
-            wheel.push((time, priority, seq, event))
+        self._wheel.push((time, priority, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -280,28 +251,17 @@ class Simulator:
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is drained."""
-        if self._wheel is not None:
-            entry = self._wheel_head_live()
-            return None if entry is None else entry[0]
-        self._drop_cancelled()
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        entry = self._head_live()
+        return None if entry is None else entry[0]
 
     def step(self) -> bool:
         """Execute the next live event.  Returns False if none remain."""
-        if self._wheel is not None:
-            entry = self._wheel_head_live()
-            if entry is None:
-                return False
-            self._wheel.pop()
-            event = entry[3]
-            entry = None
-        else:
-            self._drop_cancelled()
-            if not self._queue:
-                return False
-            event = heapq.heappop(self._queue)
+        entry = self._head_live()
+        if entry is None:
+            return False
+        self._wheel.pop()
+        event = entry[3]
+        entry = None  # drop the tuple's reference before the refcount check
         event.owner = None
         self._now = event.time
         self._events_executed += 1
@@ -352,10 +312,6 @@ class Simulator:
         try:
             if self._debug:
                 return self._run_debug(until, max_events)
-            if self._wheel is not None:
-                if self._profiler is None:
-                    return self._run_fast_wheel(until, max_events)
-                return self._run_profiled_wheel(until, max_events)
             if self._profiler is None:
                 return self._run_fast(until, max_events)
             return self._run_profiled(until, max_events)
@@ -363,137 +319,10 @@ class Simulator:
             self._running = False
 
     # ------------------------------------------------------------------
-    # Heap loops
+    # Run loops
     # ------------------------------------------------------------------
     def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """The un-instrumented loop: no timing code on the hot path."""
-        queue = self._queue
-        pool = self._event_pool
-        getrefcount = _getrefcount
-        baseline = _POOL_BASELINE
-        arg_baseline = _ARG_BASELINE
-        recycle_type = self._recycle_type
-        recycle = self._recycle_fn
-        heappop = heapq.heappop
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            while queue and queue[0].cancelled:
-                dead = heappop(queue)
-                self._cancelled_pending -= 1
-                if (
-                    baseline is not None
-                    and len(pool) < _POOL_CAP
-                    and getrefcount(dead) == baseline
-                ):
-                    dead.callback = None
-                    dead.args = None
-                    pool.append(dead)
-            if not queue:
-                if until is not None and until > self._now:
-                    self._now = until
-                break
-            event = queue[0]
-            if until is not None and event.time > until:
-                self._now = until
-                break
-            heappop(queue)
-            event.owner = None
-            self._now = event.time
-            self._events_executed += 1
-            event.callback(*event.args)
-            if recycle_type is not None:
-                for arg in event.args:
-                    if type(arg) is recycle_type and getrefcount(arg) == arg_baseline:
-                        recycle(arg)
-            if (
-                baseline is not None
-                and len(pool) < _POOL_CAP
-                and getrefcount(event) == baseline
-            ):
-                event.callback = None
-                event.args = None
-                pool.append(event)
-            executed += 1
-        return self._now
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> float:
-        """The profiled loop: every callback timed and categorized."""
-        profiler = self._profiler
-        clock = profiler.clock
-        queue = self._queue
-        pool = self._event_pool
-        getrefcount = _getrefcount
-        baseline = _POOL_BASELINE
-        arg_baseline = _ARG_BASELINE
-        recycle_type = self._recycle_type
-        recycle = self._recycle_fn
-        heappop = heapq.heappop
-        executed = 0
-        profiler.begin_run(self._now)
-        loop_start = clock()
-        try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                while queue and queue[0].cancelled:
-                    dead = heappop(queue)
-                    self._cancelled_pending -= 1
-                    if (
-                        baseline is not None
-                        and len(pool) < _POOL_CAP
-                        and getrefcount(dead) == baseline
-                    ):
-                        dead.callback = None
-                        dead.args = None
-                        pool.append(dead)
-                if not queue:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                event = queue[0]
-                if until is not None and event.time > until:
-                    self._now = until
-                    break
-                heappop(queue)
-                event.owner = None
-                self._now = event.time
-                self._events_executed += 1
-                depth = len(queue)
-                start = clock()
-                event.callback(*event.args)
-                profiler.note_event(event.callback, clock() - start, depth)
-                if recycle_type is not None:
-                    for arg in event.args:
-                        if (
-                            type(arg) is recycle_type
-                            and getrefcount(arg) == arg_baseline
-                        ):
-                            recycle(arg)
-                if (
-                    baseline is not None
-                    and len(pool) < _POOL_CAP
-                    and getrefcount(event) == baseline
-                ):
-                    event.callback = None
-                    event.args = None
-                    pool.append(event)
-                executed += 1
-        finally:
-            profiler.add_run_wall(clock() - loop_start)
-            profiler.end_run(self._now)
-        return self._now
-
-    # ------------------------------------------------------------------
-    # Wheel loops
-    # ------------------------------------------------------------------
-    def _run_fast_wheel(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> float:
-        """Un-instrumented loop over the timer wheel.
+        """The un-instrumented loop: no timing code on the hot path.
 
         The wheel's peek/pop fast path is inlined: whenever the ready
         heap is non-empty its head *is* the global minimum (entries
@@ -571,11 +400,11 @@ class Simulator:
             executed += 1
         return self._now
 
-    def _run_profiled_wheel(
+    def _run_profiled(
         self, until: Optional[float], max_events: Optional[int]
     ) -> float:
-        """Profiled loop over the timer wheel (same inlined fast path
-        as :meth:`_run_fast_wheel`)."""
+        """The profiled loop: every callback timed and categorized
+        (same inlined wheel fast path as :meth:`_run_fast`)."""
         profiler = self._profiler
         clock = profiler.clock
         wheel = self._wheel
@@ -694,10 +523,7 @@ class Simulator:
         tests, far too slow for real runs -- the ``debug=True`` loop
         calls it after every event.
         """
-        if self._wheel is not None:
-            queued = [entry[3] for entry in self._wheel.entries()]
-        else:
-            queued = list(self._queue)
+        queued = [entry[3] for entry in self._wheel.entries()]
         live = sum(1 for event in queued if not event.cancelled)
         if len(queued) != self.pending_events:
             raise SimulationError(
@@ -724,9 +550,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _wheel_head_live(self) -> Optional[Any]:
-        """The wheel's head entry, discarding cancelled ones (with the
-        same lazy-pop accounting as the heap's :meth:`_drop_cancelled`)."""
+    def _head_live(self) -> Optional[Any]:
+        """The wheel's head entry, lazily discarding (and pooling)
+        cancelled ones on the way."""
         wheel = self._wheel
         pool = self._event_pool
         entry = wheel.peek()
@@ -745,18 +571,3 @@ class Simulator:
                 pool.append(dead)
             entry = wheel.peek()
         return entry
-
-    def _drop_cancelled(self) -> None:
-        queue = self._queue
-        pool = self._event_pool
-        while queue and queue[0].cancelled:
-            dead = heapq.heappop(queue)
-            self._cancelled_pending -= 1
-            if (
-                _POOL_BASELINE is not None
-                and len(pool) < _POOL_CAP
-                and _getrefcount(dead) == _POOL_BASELINE
-            ):
-                dead.callback = None
-                dead.args = None
-                pool.append(dead)

@@ -8,10 +8,12 @@ from typing import Any, Callable, Tuple
 class Event:
     """A callback scheduled to fire at a simulated time.
 
-    Events are ordered by ``(time, priority, seq)``.  The sequence number
-    is assigned by the simulator at scheduling time, which makes the
-    execution order of same-time events deterministic (FIFO within a
-    priority class) -- essential for reproducible runs.
+    Events fire in ``(time, priority, seq)`` order; the simulator queues
+    that key as a tuple beside the event, so events themselves are
+    never compared.  The sequence number is assigned by the simulator
+    at scheduling time, which makes the execution order of same-time
+    events deterministic (FIFO within a priority class) -- essential
+    for reproducible runs.
 
     Events support O(1) cancellation: :meth:`cancel` marks the event dead
     and the simulator discards it when it reaches the head of the queue.
@@ -67,13 +69,6 @@ class Event:
     def pending(self) -> bool:
         """True if the event has not been cancelled."""
         return not self.cancelled
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Total ordering used by the calendar queue."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -1,13 +1,11 @@
-"""Hierarchical timer wheel: the large-N pending-event store.
+"""Hierarchical timer wheel: the simulator's pending-event store.
 
-With hundreds of clients the simulator's schedule/cancel traffic is
-dominated by near-future events -- transmission completions, pacing
-ticks, source ticks, and TCP retransmission timers a few RTTs out.  A
-binary heap pays O(log n) *Python-level* ``Event.__lt__`` calls per
-pop; at n_clients=500 the heap holds thousands of events and those
-comparisons dominate the run.  The timer wheel replaces them with O(1)
-list appends at integer-arithmetic cost, falling back to a heap only
-for far-future events beyond the wheel horizon.
+The simulator's schedule/cancel traffic is dominated by near-future
+events -- transmission completions, pacing ticks, source ticks, and
+TCP retransmission timers a few RTTs out -- and with hundreds of
+clients thousands of them are pending at once.  The wheel files them
+with O(1) list appends at integer-arithmetic cost, falling back to a
+heap only for far-future events beyond the wheel horizon.
 
 Layout (classic two-level hashed wheel, Varghese & Lauck 1987):
 
@@ -24,12 +22,12 @@ decision is a C-level tuple comparison (``seq`` is unique, so the
 ``event`` field never participates).  When a bucket's tick is reached
 the bucket is sorted and becomes the ready heap; because the sort key
 is the engine's full ``(time, priority, seq)`` key, the wheel pops
-events in *exactly* the order the binary heap would -- same times,
-same FIFO tie-breaks -- which is what makes the two schedulers
-differentially testable (see tests/test_engine_differential.py).
+entries in *exactly* the order a sorted list of them would -- same
+times, same FIFO tie-breaks (tests/test_timer_wheel.py checks it
+against that model).
 
-Cancellation stays O(1) and lazy exactly as with the heap: cancelled
-entries are discarded when they surface at the head of ``_ready``.
+Cancellation is O(1) and lazy: cancelled entries are discarded when
+they surface at the head of ``_ready``.
 """
 
 from __future__ import annotations

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.experiments.results import ScenarioMetrics
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketFactory
 from repro.sim.engine import Simulator
+
+
+def physics_payload(metrics: ScenarioMetrics) -> Dict[str, Any]:
+    """The record minus wall-clock telemetry (nondeterministic)."""
+    return {
+        key: value
+        for key, value in metrics.as_dict().items()
+        if key not in ScenarioMetrics._WALL_CLOCK_FIELDS
+    }
 
 
 class CaptureNode(Node):

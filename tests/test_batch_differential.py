@@ -5,15 +5,13 @@ the scenario hot path as struct-of-arrays state plus fused transport
 events.  Its correctness claim is not "close" but *bit-identical*: on
 every supported cell it must produce the same :class:`ScenarioMetrics`,
 the same per-flow observability series, the same registry counters and
-the same forensics report as the per-flow object engine, under both
-calendar-queue schedulers.
+the same forensics report as the per-flow object engine.
 
 The matrix below covers Reno/Vegas x droptail/RED x open-loop/RPC plus
 stress cells chosen to exercise the regimes where an unfaithful fusion
 would diverge: deep overload (same-time event ties at the bottleneck
 port), tiny buffers (timeout/fast-retransmit storms) and RED's averaged
-occupancy.  Every cell runs {object,batch} x {heap,wheel}; the object
-engine on the reference heap scheduler is the oracle.
+occupancy.  The object engine is the oracle.
 """
 
 from __future__ import annotations
@@ -153,28 +151,19 @@ def canonical_forensics(result) -> str:
     "overrides", [cell for _, cell in MATRIX], ids=[label for label, _ in MATRIX]
 )
 def test_batch_matches_object_everywhere(overrides):
-    """{object,batch} x {heap,wheel}: identical metrics, obs, forensics."""
+    """object vs batch: identical metrics, obs, forensics."""
     config = _cell_config(overrides)
-    reference = run_scenario(config.with_(engine="object", scheduler="heap"))
-    ref_metrics = ScenarioMetrics.from_result(reference)
-    ref_obs = canonical_obs(reference)
-    ref_forensics = canonical_forensics(reference)
-    for engine in ("object", "batch"):
-        for scheduler in ("heap", "wheel"):
-            if engine == "object" and scheduler == "heap":
-                continue
-            run = run_scenario(config.with_(engine=engine, scheduler=scheduler))
-            tag = f"{engine}/{scheduler}"
-            assert ScenarioMetrics.from_result(run) == ref_metrics, tag
-            assert canonical_obs(run) == ref_obs, tag
-            assert canonical_forensics(run) == ref_forensics, tag
-            if engine == "batch":
-                # The fusion claim itself: same physics from fewer events.
-                assert run.events_executed < reference.events_executed, tag
+    reference = run_scenario(config.with_(engine="object"))
+    run = run_scenario(config.with_(engine="batch"))
+    assert ScenarioMetrics.from_result(run) == ScenarioMetrics.from_result(reference)
+    assert canonical_obs(run) == canonical_obs(reference)
+    assert canonical_forensics(run) == canonical_forensics(reference)
+    # The fusion claim itself: same physics from fewer events.
+    assert run.events_executed < reference.events_executed
 
 
 def test_engine_knob_is_digest_excluded():
-    """Engine choice must not invalidate cached metrics (like scheduler)."""
+    """Engine choice must not invalidate cached metrics."""
     config = paper_config(n_clients=4, duration=2.0, seed=5)
     assert (
         config.with_(engine="batch").config_digest()

@@ -342,14 +342,13 @@ class TestObservabilityFlags:
 
 
 class TestExecutorFlags:
-    """The sweep-executor CLI surface: --jobs, --pool, --schedule."""
+    """The sweep-executor CLI surface: --jobs, --schedule."""
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
-            ["fig2", "--jobs", "4", "--pool", "per-task", "--schedule", "fifo"]
+            ["fig2", "--jobs", "4", "--schedule", "fifo"]
         )
         assert args.processes == 4
-        assert args.pool == "per-task"
         assert args.schedule == "fifo"
 
     def test_jobs_short_flag_aliases_processes(self):
@@ -358,21 +357,34 @@ class TestExecutorFlags:
 
     def test_defaults(self):
         args = build_parser().parse_args(["fig2"])
-        assert args.pool == "persistent"
         assert args.schedule == "cost"
 
     def test_unknown_pool_rejected(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig2", "--pool", "threads"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2", "--pool", "per-task"],
+            ["fig2", "--pool", "persistent"],
+            ["run", "--scheduler", "heap"],
+            ["largen", "--scheduler", "wheel"],
+        ],
+    )
+    def test_deleted_knob_flags_rejected(self, argv, capsys):
+        """One pool, one scheduler: the flags that chose are gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_runner_kwargs_carry_executor_knobs(self):
         from repro.experiments.cli import _runner_kwargs
 
-        args = build_parser().parse_args(
-            ["fig2", "--pool", "per-task", "--schedule", "fifo"]
-        )
+        args = build_parser().parse_args(["fig2", "--schedule", "fifo"])
         kwargs = _runner_kwargs(args)
-        assert kwargs["pool"] == "per-task"
+        assert "pool" not in kwargs
         assert kwargs["schedule"] == "fifo"
 
 

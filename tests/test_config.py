@@ -117,10 +117,9 @@ def test_table1_rows_cover_every_paper_parameter():
 class TestDigestCompleteness:
     # The only fields allowed to be missing from the content digest:
     # pure observation knobs that can never change a physics-derived
-    # ScenarioMetrics value, plus the engine scheduler (both schedulers
-    # execute the identical event sequence -- enforced by
-    # tests/test_engine_differential.py -- so results cached under one
-    # are valid under the other).  Anything else added to ScenarioConfig
+    # ScenarioMetrics value, plus the single-valued ``scheduler`` shim and
+    # the ``engine`` knob (bit-identical physics, enforced by
+    # tests/test_batch_differential.py).  Anything else added to ScenarioConfig
     # MUST land in the digest automatically, or cached results would
     # silently alias.  (The obs_* knobs do affect the obs_* sample
     # counters, but those are bookkeeping about the recording itself.)

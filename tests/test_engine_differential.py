@@ -1,30 +1,46 @@
-"""Differential tests: the heap and wheel schedulers are equivalent.
+"""Differential tests: the kernel against its spec, the wheel against the heap.
 
-The timer wheel (``scheduler="wheel"``) is a pure performance
-substitute for the binary heap: both pop events in exactly the same
-``(time, priority, seq)`` order, so every simulation must produce
-*identical* results -- the same :class:`ScenarioMetrics`, the same
-event count, and byte-identical ns trace files.  This suite drives a
-matrix of small congested scenarios (every transport x FIFO/RED x
-open-loop/RPC) under both schedulers and diffs everything; it is the
-evidence behind excluding ``scheduler`` from the config digest.
+The simulator pops events in ascending ``(time, priority, seq)`` order,
+a total order, so its whole scheduling contract is stated by a sorted
+list of those keys.  The kernel-level test replays deterministic
+pseudo-random schedule and cancel traffic (far beyond the wheel
+horizon) through each of the three run loops and diffs the execution
+order against that model; the wheel-vs-model property tests live in
+tests/test_timer_wheel.py.
 
-A kernel-level differential (deterministic pseudo-random schedule and
-cancel traffic, far beyond the wheel horizon, run with debug-mode
-invariant checking) complements the scenario matrix; the wheel-vs-model
-property tests live in tests/test_timer_wheel.py.
+The binary-heap scheduler the wheel replaced survives as a frozen
+oracle: ``goldens/scheduler/heap_oracle.json`` holds, for a matrix of
+small congested scenarios (every transport x FIFO/RED x open-loop/RPC,
+plus a buffer-depth sweep), the event count and the digests of the
+:class:`ScenarioMetrics` and the ns trace file the heap produced at the
+last commit that had it.  Every cell must still reproduce them byte
+for byte, and ``goldens/scheduler/heap_cache`` -- a result cache
+written under ``scheduler="heap"`` -- must still be a 100 % hit, which
+is the evidence behind ``scheduler`` never having entered the config
+digest.
 """
 
+import hashlib
 import io
+import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import PROTOCOLS, paper_config
+from repro.experiments.config import CONFIG_SCHEMA_VERSION, PROTOCOLS, paper_config
 from repro.experiments.results import ScenarioMetrics
+from repro.experiments.runlog import RunLog
+from repro.experiments.runner import SweepRunner, run_one
 from repro.experiments.scenario import Scenario
 from repro.net.tracefile import NsTraceWriter
+from repro.obs.engineprof import EngineProfiler
 from repro.sim.engine import SCHEDULERS, Simulator
+from tests.helpers import physics_payload
+
+ORACLE_DIR = Path(__file__).parent / "goldens" / "scheduler"
+ORACLE_PATH = ORACLE_DIR / "heap_oracle.json"
 
 # Every transport x {fifo, red} x {open, rpc}; reno_ecn needs an
 # ECN-marking gateway so its FIFO cells are invalid by construction.
@@ -37,9 +53,9 @@ MATRIX = [
 ]
 
 
-def _differential_config(protocol, queue, workload, scheduler, **overrides):
+def _differential_config(protocol, queue, workload, **overrides):
     # Small but congested: a 0.4 Mb/s bottleneck keeps 3 senders in
-    # loss/retransmission territory so the schedulers are exercised on
+    # loss/retransmission territory so the scheduler is exercised on
     # cancels, timers, and queue dynamics, not just happy-path sends.
     return paper_config(
         protocol=protocol,
@@ -49,93 +65,150 @@ def _differential_config(protocol, queue, workload, scheduler, **overrides):
         duration=6.0,
         seed=11,
         bottleneck_rate_bps=0.4e6,
-        scheduler=scheduler,
         **overrides,
     )
 
 
-def _run_with_trace(config):
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _fingerprint(config):
+    """Event count plus digests of the metrics record and the ns trace."""
     scenario = Scenario(config)
     stream = io.StringIO()
     NsTraceWriter(stream).attach(scenario.network.bottleneck_interface)
     result = scenario.run()
-    return ScenarioMetrics.from_result(result), result.events_executed, stream.getvalue()
+    trace = stream.getvalue()
+    assert trace  # the cell actually pushed traffic through
+    physics = physics_payload(ScenarioMetrics.from_result(result))
+    return {
+        "events": result.events_executed,
+        "metrics_sha256": _sha256(json.dumps(physics, sort_keys=True)),
+        # Byte-identical ns trace: same packets, same uids, same times,
+        # in the same order -- the strongest equivalence the scenario
+        # exposes.
+        "trace_sha256": _sha256(trace),
+    }
+
+
+def _check_against_heap_oracle(cell, config, request):
+    oracle = json.loads(ORACLE_PATH.read_text())
+    fingerprint = _fingerprint(config)
+    if request.config.getoption("--update-goldens"):
+        oracle[cell] = fingerprint
+        ORACLE_PATH.write_text(json.dumps(oracle, indent=1, sort_keys=True) + "\n")
+        return
+    assert fingerprint == oracle[cell], (
+        f"{cell} no longer reproduces what the heap scheduler produced "
+        "(see tests/goldens/README.md before regenerating)"
+    )
 
 
 @pytest.mark.parametrize("protocol,queue,workload", MATRIX)
-def test_schedulers_produce_identical_results(protocol, queue, workload):
-    runs = {
-        scheduler: _run_with_trace(
-            _differential_config(protocol, queue, workload, scheduler)
-        )
-        for scheduler in SCHEDULERS
-    }
-    heap_metrics, heap_events, heap_trace = runs["heap"]
-    wheel_metrics, wheel_events, wheel_trace = runs["wheel"]
-    assert heap_events == wheel_events
-    assert heap_metrics == wheel_metrics
-    # Byte-identical ns trace: same packets, same uids, same times, in
-    # the same order -- the strongest equivalence the scenario exposes.
-    assert heap_trace == wheel_trace
-    assert heap_trace  # the cell actually pushed traffic through
+def test_schedulers_produce_identical_results(protocol, queue, workload, request):
+    _check_against_heap_oracle(
+        f"{protocol}-{queue}-{workload}",
+        _differential_config(protocol, queue, workload),
+        request,
+    )
 
 
 # Buffer depth moves the loss pattern between the three regimes the
 # paper sweeps -- shallow (drop-dominated), the paper default, and deep
-# (delay-dominated) -- and with it the mix of cancels and timer churn
-# the schedulers must agree on.  Both queue disciplines are swept: RED's
-# averaged occupancy makes its drop decisions state-dependent in a way
-# droptail's are not.
+# (delay-dominated) -- and with it the mix of cancels and timer churn.
+# Both queue disciplines are swept: RED's averaged occupancy makes its
+# drop decisions state-dependent in a way droptail's are not.
 @pytest.mark.parametrize("queue", ["fifo", "red"])
 @pytest.mark.parametrize("buffer_capacity", [20, 50, 200])
-def test_schedulers_identical_across_buffer_depths(buffer_capacity, queue):
-    runs = {
-        scheduler: _run_with_trace(
-            _differential_config(
-                "reno", queue, "open", scheduler, buffer_capacity=buffer_capacity
-            )
-        )
-        for scheduler in SCHEDULERS
-    }
-    heap_metrics, heap_events, heap_trace = runs["heap"]
-    wheel_metrics, wheel_events, wheel_trace = runs["wheel"]
-    assert heap_events == wheel_events
-    assert heap_metrics == wheel_metrics
-    assert heap_trace == wheel_trace
-    assert heap_trace
+def test_schedulers_identical_across_buffer_depths(buffer_capacity, queue, request):
+    _check_against_heap_oracle(
+        f"buffer{buffer_capacity}-{queue}",
+        _differential_config("reno", queue, "open", buffer_capacity=buffer_capacity),
+        request,
+    )
 
 
-def test_scheduler_does_not_change_config_digest():
-    base = _differential_config("reno", "fifo", "open", "heap")
-    assert (
-        base.config_digest()
-        == base.with_(scheduler="wheel").config_digest()
-    ), "scheduler must stay digest-excluded: results are identical"
+def _heap_cache_configs():
+    return [
+        paper_config(protocol=protocol, n_clients=2, duration=3.0, seed=seed)
+        for protocol, seed in (("udp", 1), ("reno", 2))
+    ]
+
+
+def _never_run(config):
+    raise AssertionError(f"cache miss: {config.label} was re-run")
+
+
+def test_scheduler_does_not_change_config_digest(tmp_path):
+    """A cache populated under ``scheduler="heap"`` (by the last commit
+    that had it) is a 100 % hit today: the digest never saw the knob and
+    the schema version was not bumped when the heap was deleted."""
+    assert CONFIG_SCHEMA_VERSION == 5
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(ORACLE_DIR / "heap_cache", cache_dir)
+    configs = _heap_cache_configs()
+    log = RunLog()
+    cached = SweepRunner(
+        processes=1, retries=0, cache=str(cache_dir), task=_never_run, run_log=log
+    ).run(configs)
+    assert log.progress.cached == len(configs)
+    assert not any(metrics.failed for metrics in cached)
+    # ...and what the heap computed is what the wheel computes.
+    assert cached == [run_one(config) for config in configs]
 
 
 # ----------------------------------------------------------------------
 # Kernel-level differential
 # ----------------------------------------------------------------------
+_CHAIN_DELAY = 0.0305
+
+
+def _chains(tag):
+    # Bounded re-scheduling from inside callbacks: chains stop once the
+    # tag leaves the original range.
+    return tag % 7 == 0 and tag < 4000
+
+
 def _drive(sim, ops, log):
     """Replay a pre-generated op sequence against one simulator."""
     handles = {}
 
     def fire(tag):
-        log.append((round(sim.now, 9), tag))
-        # Bounded re-scheduling from inside callbacks: chains stop once
-        # the tag leaves the original range.
-        if tag % 7 == 0 and tag < 4000:
-            handles[tag + 4000] = sim.schedule(0.0305, fire, tag + 4000)
+        log.append((sim.now, tag))
+        if _chains(tag):
+            sim.schedule(_CHAIN_DELAY, fire, tag + 4000)
 
     for op, payload in ops:
         if op == "at":
             tag, time, priority = payload
             handles[tag] = sim.schedule_at(time, fire, tag, priority=priority)
+        elif payload in handles:
+            sim.cancel(handles[payload])
+
+
+def _model_order(ops):
+    """The spec: live entries fire in sorted ``(time, priority, seq)``
+    order, ``seq`` counting every schedule call."""
+    pending = {}
+    seq = 0
+    for op, payload in ops:
+        if op == "at":
+            tag, time, priority = payload
+            pending[tag] = (time, priority, seq, tag)
+            seq += 1
         else:
-            tag = payload
-            if tag in handles:
-                sim.cancel(handles[tag])
-    return handles
+            pending.pop(payload, None)
+    calendar = sorted(pending.values())
+    log = []
+    while calendar:
+        time, _, _, tag = calendar.pop(0)
+        log.append((time, tag))
+        if _chains(tag):
+            calendar.append((time + _CHAIN_DELAY, 0, seq, tag + 4000))
+            calendar.sort()
+            seq += 1
+    return log
 
 
 def _op_sequence(seed):
@@ -158,27 +231,35 @@ def _op_sequence(seed):
     return ops
 
 
+def _simulator(loop):
+    sim = Simulator(debug=(loop == "debug"))
+    if loop == "profiled":
+        sim.attach_profiler(EngineProfiler())
+    return sim
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_kernel_event_order_identical(seed):
     ops = _op_sequence(seed)
-    logs = {}
-    sims = {}
-    for scheduler in SCHEDULERS:
-        sim = Simulator(scheduler=scheduler, debug=True)
+    expected = _model_order(ops)
+    for loop in ("fast", "profiled", "debug"):
+        sim = _simulator(loop)
         log = []
         _drive(sim, ops, log)
         sim.run(until=150.0)
         sim.run()  # drain the far-future tail
-        logs[scheduler] = log
-        sims[scheduler] = sim
-    assert logs["heap"] == logs["wheel"]
-    assert sims["heap"].now == sims["wheel"].now
-    assert sims["heap"].events_executed == sims["wheel"].events_executed
-    assert sims["heap"].live_events == sims["wheel"].live_events == 0
+        assert log == expected, f"{loop} loop diverged from the sorted-list model"
+        assert sim.now == max(150.0, expected[-1][0])
+        assert sim.events_executed == len(expected)
+        assert sim.live_events == 0
 
 
 def test_unknown_scheduler_rejected_everywhere():
-    with pytest.raises(ValueError):
-        Simulator(scheduler="calendar")
-    with pytest.raises(ValueError):
-        paper_config(scheduler="calendar").validate()
+    assert SCHEDULERS == ("wheel",)
+    for scheduler in ("heap", "calendar"):
+        with pytest.raises(ValueError, match="wheel"):
+            paper_config(scheduler=scheduler).validate()
+        with pytest.raises(TypeError):
+            Simulator(scheduler=scheduler)
+    with pytest.raises(ValueError, match="non-negative"):
+        Simulator(start_time=-1.0)

@@ -13,13 +13,22 @@ per-event check) is itself tested against hand-corrupted state.
 import pytest
 
 from repro.net.packet import Packet, PacketFactory
-from repro.sim.engine import _POOL_CAP, SCHEDULERS, SimulationError, Simulator
+from repro.sim.engine import _POOL_CAP, SimulationError, Simulator
 from repro.sim.events import Event
+from repro.sim.wheel import TimerWheel
 
 
-@pytest.fixture(params=SCHEDULERS)
+@pytest.fixture(params=["heap", "wheel"])
 def sim(request):
-    return Simulator(scheduler=request.param)
+    """A kernel whose events ride the wheel's slots (``wheel``, the
+    default geometry) or its overflow heap (``heap``: a 2x2-slot wheel
+    spans 2 ms, so nearly every event below starts in the overflow heap
+    and cascades down) -- pooling and the invariant recount must not
+    care which tier an event travelled through."""
+    sim = Simulator()
+    if request.param == "heap":
+        sim._wheel = TimerWheel(l0_slots=2, l1_slots=2)
+    return sim
 
 
 # ----------------------------------------------------------------------
@@ -149,16 +158,15 @@ def test_check_invariants_catches_counter_divergence(sim):
 
 
 def test_debug_loop_runs_invariants_clean():
-    for scheduler in SCHEDULERS:
-        sim = Simulator(scheduler=scheduler, debug=True)
-        keep = sim.schedule(3.0, lambda: None)
-        for i in range(40):
-            event = sim.schedule(i * 0.1, lambda: None)
-            if i % 3 == 0:
-                event.cancel()
-        sim.run()
-        assert sim.live_events == 0
-        assert keep.owner is None
+    sim = Simulator(debug=True)
+    keep = sim.schedule(3.0, lambda: None)
+    for i in range(40):
+        event = sim.schedule(i * 0.1, lambda: None)
+        if i % 3 == 0:
+            event.cancel()
+    sim.run()
+    assert sim.live_events == 0
+    assert keep.owner is None
 
 
 # ----------------------------------------------------------------------

@@ -61,10 +61,6 @@ def _cell_config(protocol, queue, n_clients, backend):
         backend=backend,
         duration=DURATION,
         warmup=WARMUP,
-        # The wheel scheduler makes the N=500 packet cells affordable;
-        # it executes the same event sequence as the reference heap
-        # (digest-excluded), so it does not change what we validate.
-        scheduler="wheel" if backend == "packet" else "heap",
     )
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.fluid import (
     reno_fluid_throughput,
     reno_ideal_sawtooth_cov,
-    reno_sawtooth_cov,
     reno_sawtooth_period,
     vegas_equilibrium_queue,
     vegas_equilibrium_window,
@@ -39,9 +38,6 @@ class TestRenoFluid:
     def test_sawtooth_cov_value(self):
         # Uniform ramp on [W/2, W]: cov = 4 / (3*sqrt(48)) ~ 0.19245.
         assert reno_ideal_sawtooth_cov() == pytest.approx(0.19245, abs=1e-4)
-
-    def test_deprecated_alias_matches_renamed_function(self):
-        assert reno_sawtooth_cov() == reno_ideal_sawtooth_cov()
 
     def test_ideal_sawtooth_is_not_the_backend_cov(self):
         """The renamed closed form is valid only for one backlogged flow

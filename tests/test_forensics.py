@@ -527,18 +527,9 @@ class TestRedSmoothing:
 
 
 # ----------------------------------------------------------------------
-# Integration: breadth (schedulers, protocols, AQMs, export)
+# Integration: breadth (protocols, AQMs, export)
 # ----------------------------------------------------------------------
 class TestForensicsBreadth:
-    def test_schedulers_agree(self, droptail_report):
-        config = paper_config(**BASE, forensics=True, scheduler="wheel")
-        wheel = run_scenario(config)
-        heap_payload = droptail_report.forensics.as_dict()
-        wheel_payload = wheel.forensics.as_dict()
-        assert json.dumps(heap_payload, sort_keys=True) == json.dumps(
-            wheel_payload, sort_keys=True
-        )
-
     @pytest.mark.parametrize(
         "protocol", ["tahoe", "reno", "newreno", "sack"]
     )

@@ -5,11 +5,10 @@ Each golden file in tests/goldens/ pins the full (wall-clock-free)
 paper's congestion knee -- the three Figure 2 curves (UDP, Reno,
 Reno/RED) plus Vegas/RED.  Any change to simulation physics, metric
 derivation, RNG consumption order, or scheduler behavior shows up as a
-field-level diff against the stored record.
-
-Both schedulers are run for every point and must match the same golden,
-so the fixtures double as end-to-end scheduler-equivalence evidence at
-paper-realistic load.
+field-level diff against the stored record.  The stored records were
+produced on the binary-heap scheduler the timer wheel replaced, so the
+fixtures double as end-to-end evidence, at paper-realistic load, that
+the replacement changed nothing.
 
 To regenerate after an *intentional* behavior change::
 
@@ -27,7 +26,7 @@ import pytest
 from repro.experiments.config import paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import Scenario
-from repro.sim.engine import SCHEDULERS
+from tests.helpers import physics_payload
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -42,15 +41,6 @@ GOLDEN_POINTS = {
     "fig2_reno_red_n40": dict(protocol="reno", queue="red"),
     "fig3_vegas_red_n40": dict(protocol="vegas", queue="red"),
 }
-
-
-def _golden_payload(metrics):
-    """The record minus wall-clock telemetry (nondeterministic)."""
-    return {
-        key: value
-        for key, value in metrics.as_dict().items()
-        if key not in ScenarioMetrics._WALL_CLOCK_FIELDS
-    }
 
 
 def _values_equal(expected, actual):
@@ -80,35 +70,23 @@ def diff_payloads(expected, actual):
 @pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
 def test_metrics_match_golden(name, request):
     config = paper_config(**BASE, **GOLDEN_POINTS[name])
-    payloads = {}
-    for scheduler in SCHEDULERS:
-        result = Scenario(config.with_(scheduler=scheduler)).run()
-        payloads[scheduler] = _golden_payload(ScenarioMetrics.from_result(result))
-
-    # Scheduler equivalence at paper-realistic load, independent of the
-    # stored golden.
-    scheduler_diffs = diff_payloads(payloads["heap"], payloads["wheel"])
-    assert not scheduler_diffs, "heap/wheel diverged:\n" + "\n".join(scheduler_diffs)
+    payload = physics_payload(ScenarioMetrics.from_result(Scenario(config).run()))
 
     path = GOLDEN_DIR / f"{name}.json"
     if request.config.getoption("--update-goldens"):
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(
-            json.dumps(payloads["heap"], indent=2, sort_keys=True) + "\n"
-        )
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     assert path.exists(), (
         f"golden {path.name} missing; generate it with "
         "pytest tests/test_goldens.py --update-goldens"
     )
     golden = json.loads(path.read_text())
-    for scheduler, payload in payloads.items():
-        diffs = diff_payloads(golden, payload)
-        assert not diffs, (
-            f"{name} under scheduler={scheduler} diverged from the golden "
-            f"(if intentional, rerun with --update-goldens):\n"
-            + "\n".join(diffs)
-        )
+    diffs = diff_payloads(golden, payload)
+    assert not diffs, (
+        f"{name} diverged from the golden "
+        f"(if intentional, rerun with --update-goldens):\n" + "\n".join(diffs)
+    )
 
 
 def test_goldens_have_no_orphan_files():

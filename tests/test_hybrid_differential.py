@@ -84,10 +84,8 @@ def _cell_config(protocol, queue, backend):
     if backend == "hybrid":
         return config.with_(hybrid_foreground_flows=FOREGROUND)
     # The packet reference records per-flow arrival times so the same
-    # ten foreground flows can be binned into their own c.o.v.; the
-    # wheel scheduler keeps the 50-client cells cheap (digest-excluded,
-    # identical event sequence).
-    return config.with_(record_flow_arrivals=True, scheduler="wheel")
+    # ten foreground flows can be binned into their own c.o.v.
+    return config.with_(record_flow_arrivals=True)
 
 
 def _foreground_cov(result):

@@ -8,9 +8,9 @@ Three layers:
   knots' bounds, clamp at the filled end, and respect the physical
   ranges (queue >= 0, drop probability in [0, 1]);
 * determinism and invariance: a hybrid run is bit-identical across
-  repeated runs at the same seed, across ``scheduler="heap"|"wheel"``,
-  and across ``engine="object"|"batch"`` (the batch request is an
-  accepted no-op: the foreground always runs the object engine);
+  repeated runs at the same seed and across every scheduler and engine
+  value the code exports (the batch request is an accepted no-op: the
+  foreground always runs the object engine);
 * the per-backend capability table: every rejected feature combo
   raises a ValueError naming the backend and the feature, the hybrid
   backend accepts the observability features the pure fluid limit
@@ -26,10 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hybrid_backend import FluidTrajectory, run_hybrid_scenario
+from repro.engine import ENGINES
 from repro.experiments.config import paper_config
 from repro.experiments.costmodel import CostModel, cell_units
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import run_scenario
+from repro.sim import SCHEDULERS
 
 # ----------------------------------------------------------------------
 # FluidTrajectory interpolation properties
@@ -146,8 +148,8 @@ def test_hybrid_rerun_is_bit_identical():
 @pytest.mark.parametrize("queue", ["fifo", "red"])
 def test_hybrid_identical_across_scheduler_and_engine(queue):
     baseline = None
-    for scheduler in ("heap", "wheel"):
-        for engine in ("object", "batch"):
+    for scheduler in SCHEDULERS:
+        for engine in ENGINES:
             config = _hybrid_config(queue=queue, scheduler=scheduler, engine=engine)
             metrics = ScenarioMetrics.from_result(run_scenario(config))
             if baseline is None:
@@ -260,7 +262,7 @@ def test_hybrid_knobs_are_digest_included():
     )
     # Execution strategy stays digest-excluded for hybrid too.
     assert (
-        base.config_digest() == base.with_(scheduler="wheel").config_digest()
+        base.config_digest() == base.with_(engine="batch").config_digest()
     )
     assert base.config_digest() != base.with_(backend="packet").config_digest()
 

@@ -2,12 +2,11 @@
 
 Every behaviour of the robustness contract — crash isolation, deadline
 kill-and-respawn of only the stuck worker, retry-then-placeholder,
-KeyboardInterrupt draining, cache-hit resume — is asserted for
-``pool="persistent"`` and (where the scenario applies) shown identical
-to ``pool="per-task"``.  The differential matrix proves both executors
-and both schedules produce byte-identical :class:`ScenarioMetrics`
-(same config digests, same metric values, stable after a
-``from_dict`` round-trip).
+KeyboardInterrupt draining, cache-hit resume — is asserted for every
+pool the runner exports.  The differential matrix proves the pool and
+the in-process path, under both schedules, produce byte-identical
+:class:`ScenarioMetrics` (same config digests, same metric values,
+stable after a ``from_dict`` round-trip).
 """
 
 import os
@@ -21,6 +20,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.config import paper_config
 from repro.experiments.costmodel import CostModel, cell_units, make_cost_model
 from repro.experiments.results import ScenarioMetrics
+from repro.experiments.cli import main as cli_main
 from repro.experiments.runlog import RunLog, read_runlog, summarize_runlog
 from repro.experiments.runner import POOLS, SweepRunner, run_one
 from repro.experiments.sweep import run_many
@@ -30,7 +30,7 @@ pytestmark = pytest.mark.skipif(
     reason="the misbehaving task stubs rely on POSIX process semantics",
 )
 
-BOTH_POOLS = pytest.mark.parametrize("pool", list(POOLS))
+EVERY_POOL = pytest.mark.parametrize("pool", list(POOLS))
 
 
 def tiny(**overrides):
@@ -69,10 +69,10 @@ def _flaky_once(config):
 
 
 class TestFailureMatrix:
-    @BOTH_POOLS
+    @EVERY_POOL
     def test_worker_crash_mid_cell(self, pool):
         """A hard crash yields a placeholder; the rest of the grid and
-        (persistent pool) the surviving worker finish normally."""
+        the surviving worker finish normally."""
         configs = [tiny(seed=s) for s in (1, 2, 3, 4)]
         log = RunLog()
         runner = SweepRunner(
@@ -87,10 +87,10 @@ class TestFailureMatrix:
         assert log.progress.completed == 3
         assert log.progress.failed == 1
 
-    @BOTH_POOLS
+    @EVERY_POOL
     def test_deadline_kills_only_the_stuck_worker(self, pool, tmp_path):
         """One hanging cell is killed at its deadline while the other
-        worker keeps draining; under the pool, exactly one respawn."""
+        worker keeps draining; exactly one respawn."""
         hang = tiny(seed=99, n_clients=2, duration=500.0)  # biggest estimate
         normal = [tiny(seed=s, n_clients=20, duration=10.0) for s in range(1, 25)]
         path = str(tmp_path / "run.jsonl")
@@ -110,20 +110,19 @@ class TestFailureMatrix:
         assert "timeout after 2" in results[0].error
         assert all(not m.failed for m in results[1:])
         events = read_runlog(path)
-        if pool == "persistent":
-            respawns = [e for e in events if e["event"] == "worker_respawn"]
-            assert len(respawns) == 1
-            assert respawns[0]["reason"] == "timeout"
-            assert respawns[0]["index"] == 0
-            # The other worker was never replaced: every cell completed
-            # on a worker that is not the replaced one.
-            replaced = respawns[0]["replaced"]
-            done_workers = {
-                e["worker"] for e in events if e["event"] == "task_done"
-            }
-            assert replaced not in done_workers
+        respawns = [e for e in events if e["event"] == "worker_respawn"]
+        assert len(respawns) == 1
+        assert respawns[0]["reason"] == "timeout"
+        assert respawns[0]["index"] == 0
+        # The other worker was never replaced: every cell completed
+        # on a worker that is not the replaced one.
+        replaced = respawns[0]["replaced"]
+        done_workers = {
+            e["worker"] for e in events if e["event"] == "task_done"
+        }
+        assert replaced not in done_workers
 
-    @BOTH_POOLS
+    @EVERY_POOL
     def test_retry_then_placeholder(self, pool):
         """retries=2 means three attempts, then an error placeholder."""
         log = RunLog()
@@ -139,7 +138,7 @@ class TestFailureMatrix:
         # An in-worker exception is not a worker death: no respawns.
         assert log.progress.respawned == 0
 
-    @BOTH_POOLS
+    @EVERY_POOL
     def test_retry_attempt_recorded_in_task_done(self, pool, tmp_path, monkeypatch):
         """The attempt count of the eventual success is auditable."""
         monkeypatch.setenv(
@@ -158,7 +157,7 @@ class TestFailureMatrix:
         assert done[0]["attempt"] == 1  # one failed attempt preceded it
         assert done[0]["lane"] == "cost"
 
-    @BOTH_POOLS
+    @EVERY_POOL
     def test_keyboard_interrupt_drains_workers(self, pool, tmp_path):
         """SIGINT mid-sweep propagates KeyboardInterrupt and leaves no
         orphan worker processes behind."""
@@ -201,7 +200,7 @@ class TestFailureMatrix:
         )
         assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
-    @BOTH_POOLS
+    @EVERY_POOL
     def test_cache_hit_resume_after_failures(self, pool, tmp_path):
         """Completed cells resume from the cache; failed cells (never
         cached) are re-attempted on the next run."""
@@ -262,32 +261,23 @@ class TestDifferentialMatrix:
         ]
 
     def test_executors_and_schedules_agree(self):
-        """in-process, per-task, and persistent pool — under both
-        schedules — produce byte-identical metrics per cell."""
+        """In-process and pooled — under both schedules — produce
+        byte-identical metrics per cell."""
         configs = self.grid()
         reference = run_many(configs, processes=1)
-        variants = {
-            "per-task/cost": run_many(
-                configs, processes=2, timeout=120, pool="per-task"
-            ),
-            "per-task/fifo": run_many(
-                configs, processes=2, timeout=120, pool="per-task",
-                schedule="fifo",
-            ),
-            "persistent/cost": run_many(
-                configs, processes=2, timeout=120, pool="persistent"
-            ),
-            "persistent/fifo": run_many(
-                configs, processes=2, timeout=120, pool="persistent",
-                schedule="fifo",
-            ),
-        }
-        for name, metrics in variants.items():
-            assert metrics == reference, f"{name} diverged from in-process"
+        for pool in POOLS:
+            for schedule in ("cost", "fifo"):
+                metrics = run_many(
+                    configs, processes=2, timeout=120, pool=pool,
+                    schedule=schedule,
+                )
+                assert metrics == reference, (
+                    f"{pool}/{schedule} diverged from in-process"
+                )
 
     def test_round_trip_and_digests(self):
-        """Results survive a from_dict round-trip byte-equal, and both
-        executors agree on every cell's config digest."""
+        """Results survive a from_dict round-trip byte-equal, and every
+        cell's config digest is stable."""
         configs = self.grid()
         results = run_many(configs, processes=2, timeout=120, pool="persistent")
         for config, metrics in zip(configs, results):
@@ -362,8 +352,10 @@ class TestCostModel:
 
 class TestValidationAndKnobs:
     def test_runner_rejects_unknown_pool_and_schedule(self):
-        with pytest.raises(ValueError):
-            SweepRunner(pool="threads")
+        assert POOLS == ("persistent",)
+        for pool in ("threads", "per-task"):
+            with pytest.raises(ValueError, match="persistent"):
+                SweepRunner(pool=pool)
         with pytest.raises(ValueError):
             SweepRunner(schedule="random")
         with pytest.raises(ValueError):
@@ -391,3 +383,24 @@ class TestValidationAndKnobs:
         assert summary["pool"] == "persistent"
         assert summary["workers"] == 2
         assert summary["per_worker"]
+
+    def test_runlog_from_an_older_checkout_still_reads(self, tmp_path, capsys):
+        """Version skew: a log written by the last checkout that had the
+        one-process-per-attempt executor (``"pool": "per-task"``, no
+        worker ids, no spawn events) still reads, summarizes and
+        renders."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(_PER_TASK_ERA_RUNLOG)
+        summary = summarize_runlog(read_runlog(str(path)))
+        assert summary["pool"] == "per-task"
+        assert summary["completed"] == 1
+        assert cli_main(["sweeplog", str(path)]) == 0
+        assert "pool=per-task" in capsys.readouterr().out
+
+
+_PER_TASK_ERA_RUNLOG = """\
+{"cache_dir": null, "event": "sweep_start", "pool": "per-task", "retries": 1, "schedule": "cost", "t": 1790771121.751471, "timeout": 60, "total": 1, "workers": 1}
+{"attempt": 0, "backend": "packet", "digest": "60d736bbba29a85c1eb6e129a915deaab9ff0fbe7c7d6e5ee785eebb9d72c93f", "event": "task_start", "index": 0, "label": "Reno", "t": 1790771121.7519014}
+{"attempt": 0, "backend": "packet", "digest": "60d736bbba29a85c1eb6e129a915deaab9ff0fbe7c7d6e5ee785eebb9d72c93f", "elapsed": 0.013992221996886656, "event": "task_done", "events_executed": 457, "index": 0, "lane": "cost", "peak_rss_kb": 27872.0, "sim_wall_ratio": 700.609, "t": 1790771121.7676232}
+{"busy": 0.013992, "cached": 0, "completed": 1, "event": "sweep_end", "failed": 0, "makespan": 0.016284, "respawned": 0, "retried": 0, "t": 1790771121.7677598, "total": 1, "utilization": 0.8593}
+"""

@@ -203,7 +203,7 @@ def test_live_events_excludes_cancelled_but_unpopped():
     sim = Simulator()
     events = [sim.schedule(float(i), lambda: None) for i in range(1, 5)]
     events[2].cancel()
-    # The cancelled event stays in the heap (O(1) cancellation)...
+    # The cancelled event stays queued (O(1) cancellation)...
     assert sim.pending_events == 4
     # ...but the live counter already excludes it.
     assert sim.live_events == 3

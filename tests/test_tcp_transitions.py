@@ -13,8 +13,9 @@ in milliseconds, with a minimal counterexample.
 from __future__ import annotations
 
 import math
+import sys
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.engine import transitions
@@ -92,13 +93,15 @@ def test_rtt_init_seeds_variance_at_half(sample):
 
 
 @given(srtt=positive, rttvar=st.floats(min_value=0.0, max_value=1e6), sample=positive)
+@example(srtt=1.0, rttvar=5e-324, sample=1.0)  # 0.75 * 5e-324 rounds back to 5e-324
 def test_rtt_update_moves_toward_sample(srtt, rttvar, sample):
     new_srtt, new_rttvar = transitions.rtt_update(srtt, rttvar, sample)
     lo, hi = min(srtt, sample), max(srtt, sample)
     assert lo <= new_srtt <= hi
     assert new_rttvar >= 0.0
-    # A repeated identical sample decays the variance estimate.
-    if sample == srtt and rttvar > 0:
+    # A repeated identical sample decays the variance estimate --
+    # strictly so only above the subnormals, where 0.75x can round back.
+    if sample == srtt and rttvar >= sys.float_info.min:
         assert new_rttvar < rttvar
 
 

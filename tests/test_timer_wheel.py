@@ -6,9 +6,12 @@ to a sorted list of the same entries.  Hypothesis drives the wheel with
 generated push/pop interleavings whose times deliberately straddle all
 four tiers (ready, level 0, level 1, overflow) and cross block
 boundaries, then diffs every pop against the model.  Engine-level
-``live_events`` accounting under cancels is checked the same way, with
-debug-mode invariant recounts enabled.
+``live_events`` accounting under cancels is checked against a plain
+binary heap of the same keys, with debug-mode invariant recounts
+enabled.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,24 +100,33 @@ def test_fifo_tie_break_is_insertion_order(n, time):
 )
 @settings(deadline=None)
 def test_engine_live_events_accounting_matches_heap(schedule, horizon):
-    """Random schedule/cancel traffic: both schedulers agree on the
-    fired set and the live/pending counters, with invariant recounts
-    (``debug=True``) after every event."""
-    fired = {}
-    for scheduler in ("heap", "wheel"):
-        sim = Simulator(scheduler=scheduler, debug=True)
-        log = []
-        handles = []
-        for time, cancel_it in schedule:
-            handles.append(sim.schedule_at(time, log.append, (time, len(handles))))
-            if cancel_it and len(handles) >= 2:
-                sim.cancel(handles[len(handles) // 2])
-        sim.run(until=horizon)
-        at_horizon = (list(log), sim.events_executed, sim.now, sim.live_events)
-        sim.run()  # drain the tail beyond the horizon
-        assert sim.live_events == 0
-        fired[scheduler] = (at_horizon, log, sim.events_executed, sim.now)
-    assert fired["heap"] == fired["wheel"]
+    """Random schedule/cancel traffic: the engine and a plain binary
+    heap of ``(time, seq)`` keys agree on the fired sequence and the
+    live counter, with invariant recounts (``debug=True``) after every
+    event."""
+    sim = Simulator(debug=True)
+    log = []
+    handles = []
+    cancelled = set()
+    for time, cancel_it in schedule:
+        handles.append(sim.schedule_at(time, log.append, (time, len(handles))))
+        if cancel_it and len(handles) >= 2:
+            sim.cancel(handles[len(handles) // 2])
+            cancelled.add(len(handles) // 2)
+    heap = [(time, seq) for seq, (time, _) in enumerate(schedule)]
+    heapq.heapify(heap)
+    expected = [heapq.heappop(heap) for _ in range(len(heap))]
+    expected = [key for key in expected if key[1] not in cancelled]
+    due = [key for key in expected if key[0] <= horizon]
+
+    sim.run(until=horizon)
+    assert log == due
+    assert sim.events_executed == len(due)
+    assert sim.now == horizon
+    assert sim.live_events == len(expected) - len(due)
+    sim.run()  # drain the tail beyond the horizon
+    assert log == expected
+    assert sim.live_events == 0
 
 
 def test_constructor_validation():
