@@ -151,10 +151,18 @@ class AppWorkload:
     def _drain(self, time: float) -> None:
         while self._pending and self._pending[0].boundary <= self.delivered + self._credit:
             unit = self._pending.popleft()
-            if unit.timeout_event is not None:
-                unit.timeout_event.cancel()
+            self._disarm(unit)
             self.units_completed += 1
             self._on_unit_complete(unit, time)
+
+    @staticmethod
+    def _disarm(unit: WorkUnit) -> None:
+        """Cancel the unit's deadline and let go of the handle: the
+        event carries the unit as its argument, so a kept handle is a
+        unit <-> event cycle left for the cyclic collector."""
+        if unit.timeout_event is not None:
+            unit.timeout_event.cancel()
+            unit.timeout_event = None
 
     def _unit_timeout(self, unit: WorkUnit) -> None:
         """Write off an expired unit (and any stuck ahead of it)."""
@@ -165,8 +173,7 @@ class AppWorkload:
         # timeout, so they are expired too; fail them head-first.
         while self._pending:
             head = self._pending.popleft()
-            if head.timeout_event is not None:
-                head.timeout_event.cancel()
+            self._disarm(head)
             self.units_failed += 1
             self._on_unit_failed(head, now)
             if head is unit:

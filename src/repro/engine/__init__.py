@@ -1,6 +1,8 @@
-"""The vectorized flow-batch engine (``engine="batch"``).
+"""The vectorized flow-batch engine.
 
-This package holds the large-N fast path for homogeneous TCP scenarios:
+This package holds the fast path for homogeneous TCP scenarios, which
+``run_scenario`` takes by default for every cell inside the batch
+envelope (``ScenarioConfig.batch_envelope_violation``):
 
 * :mod:`repro.engine.transitions` -- the pure TCP window/RTT arithmetic,
   shared verbatim by the per-flow object senders
@@ -22,7 +24,7 @@ imports :mod:`repro.engine.transitions` while ``flowbatch``/``batch``
 import the transport layer, so an eager re-export here would be a cycle.
 """
 
-#: The engine knob's legal values.
+#: The engine knob's forcing values (unset = pick per cell).
 ENGINES = ("object", "batch")
 
 __all__ = ["BatchScenario", "ENGINES", "FlowBatch"]

@@ -38,35 +38,39 @@ a handful of fused events per delivered packet:
   single lazily-maintained horizon event fires the due cohort and
   reschedules at the new minimum.
 
-Per-flow TCP state lives in :class:`repro.engine.flowbatch.FlowBatch`;
-metric collection is shared verbatim with the object engine
-(``Scenario._collect``), so both engines produce the same
-:class:`ScenarioResult` shape from the same attribute names.
+* **Same-instant gateway arrivals.**  Fusing the access hop moves the
+  push of a ``GW_ARRIVAL`` from the access link's finish time to the
+  sender's trigger time, so FIFO-by-push no longer reproduces the
+  object engine's order when two flows' packets reach the gateway at
+  the identical float time.  Every arrival therefore carries the push
+  times of the object-engine events that would have started it
+  (:meth:`BatchScenario.transmit`), and a tied group is enqueued in
+  the order those histories sort (:meth:`BatchScenario._pop_tied`);
+  a group they cannot order raises :class:`BatchTieError`.
+
+Per-flow TCP state lives in :class:`repro.engine.flowbatch.FlowBatch`.
+:class:`BatchScenario` is a :class:`Scenario` subclass: construction
+order, ``run()`` (profiler, timing) and metric collection are the base
+class's, so both engines produce the same :class:`ScenarioResult` shape
+from the same attribute names.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from math import log as _log
-from typing import Dict, List, Optional
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.apps.base import AppWorkload
 from repro.apps.rpc import RpcClientWorkload
 from repro.engine.flowbatch import FLOW_BATCHES, VegasFlowBatch
-from repro.experiments.config import ScenarioConfig
-from repro.experiments.scenario import Scenario, ScenarioResult
-from repro.forensics.probe import ForensicsParams, ForensicsProbe
-from repro.net.monitor import ArrivalMonitor, FlowArrivalMonitor
+from repro.experiments.scenario import Scenario
 from repro.net.packet import Packet, PacketFactory
-from repro.obs.engineprof import EngineProfiler
-from repro.obs.probes import FlowProbe, QueueProbe
-from repro.obs.registry import NULL_REGISTRY, MetricRegistry
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.rng import RandomStreams
-from repro.traffic.recorder import OfferedTrafficRecorder
+from repro.net.queues import PacketQueue
+from repro.obs.probes import FlowProbe
+from repro.sim.engine import SimulationError
 from repro.transport.sink import TcpSink
 from repro.transport.vegas import VegasParams
 
@@ -83,6 +87,13 @@ ARRIVAL_CHUNK = 64
 #: envelope requires min_rto > client_delay), so at a time tie the
 #: timer's seq is smaller and it runs first.
 _PRIO_TIMER = -2
+
+
+class BatchTieError(SimulationError):
+    """Simultaneous events whose object-engine order the batch engine's
+    tie model cannot decide.  Under the default engine dispatch
+    :func:`~repro.experiments.scenario.run_scenario` answers it by
+    running the cell on the object engine."""
 
 
 class _SinkClock:
@@ -114,6 +125,33 @@ class _BatchServerNode:
 
     def send(self, packet: Packet) -> None:
         self.outbox.append(packet)
+
+
+class _BatchGateway:
+    """The fused dumbbell as the instrumentation sees it.
+
+    Stands in for both the :class:`DumbbellNetwork` and its bottleneck
+    :class:`Interface`: monitors attach through ``add_send_hook`` and
+    ``queue``, metric collection reads ``bottleneck_queue``.
+    """
+
+    __slots__ = ("queue", "packet_factory", "send_hooks")
+
+    def __init__(self, queue: PacketQueue) -> None:
+        self.queue = queue
+        self.packet_factory = PacketFactory()
+        self.send_hooks: List[Callable[[Packet, float], None]] = []
+
+    def add_send_hook(self, hook: Callable[[Packet, float], None]) -> None:
+        self.send_hooks.append(hook)
+
+    @property
+    def bottleneck_interface(self) -> "_BatchGateway":
+        return self
+
+    @property
+    def bottleneck_queue(self) -> PacketQueue:
+        return self.queue
 
 
 class _BatchSenderView:
@@ -148,34 +186,31 @@ class _BatchSenderView:
 
     def app_arrival(self, n_packets: int = 1) -> None:
         scenario = self._scenario
+        # A workload event: pushed a think-time draw ago (see transmit).
+        scenario._trigger_pushed = None
         scenario.flows.app_arrival(self.flow_id, n_packets, scenario.sim.now)
 
 
-class BatchScenario:
+class BatchScenario(Scenario):
     """A fully wired batch-engine simulation, ready to run.
 
-    Exposes the same attribute surface as :class:`Scenario` (``sim``,
-    ``monitor``, ``senders``, ``sinks``, ``apps``, ``flow_probes``,
-    ``queue_probe``, ``profiler``, ``forensics_probe``, ``network``)
-    so metric collection and the obs bundle are shared verbatim.
+    Construction, ``run()`` and collection are :class:`Scenario`'s;
+    this class substitutes the fused gateway for the topology
+    (:meth:`_build_network`), the struct-of-arrays flows for the sender
+    objects (:meth:`_build_flows`) and adds the end-of-horizon
+    catch-up to the timed part of the run (:meth:`_execute`).
     """
 
-    def __init__(self, config: ScenarioConfig) -> None:
-        config.validate()
-        config.validate_batch_engine()
-        self.config = config
-        self.sim = Simulator()
-        self.streams = RandomStreams(config.seed)
+    engine_name = "batch"
 
-        if config.obs_trace:
-            self.registry = MetricRegistry(categories=config.obs_trace)
-        else:
-            self.registry = NULL_REGISTRY
-        self.flow_probes: Dict[int, FlowProbe] = {}
-        self.queue_probe: Optional[QueueProbe] = None
-        self.profiler: Optional[EngineProfiler] = None
-        if config.obs_profile:
-            self.profiler = EngineProfiler()
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    def _build_network(self) -> _BatchGateway:
+        config = self.config
+        # First hook after Scenario's own validate(): refuse anything
+        # the fusions below would not reproduce bit for bit.
+        config.validate_batch_engine()
 
         # --- physics constants (exact Interface expressions) -----------
         n = config.n_clients
@@ -188,55 +223,15 @@ class BatchScenario:
         self._duration = config.duration
         self._client_names = [f"client-{i}" for i in range(n)]
 
-        factory = PacketFactory()
-        self.packet_factory = factory
-        # Shared with the object engine verbatim; it reads
-        # ``params.buffer_capacity``, which this class exposes.
-        queue = Scenario._make_bottleneck_queue(self, self, None)
-        self.bottleneck_queue = queue
-        # Duck-typed stand-in for Scenario's DumbbellNetwork: metric
-        # collection only dereferences ``network.bottleneck_queue``.
-        self.network = self
-
-        # Instrumentation, registered in Scenario's construction order
-        # (gateway monitor, flow monitor, queue probe, forensics).
-        self.monitor = ArrivalMonitor(
-            bin_width=config.effective_bin_width, start_time=config.warmup
-        )
-        self._gw_send_hooks = [self.monitor.on_packet]
-        queue.add_drop_hook(self.monitor.on_drop)
-
-        self.offered_recorder: Optional[OfferedTrafficRecorder] = None
-        if config.record_offered:
-            self.offered_recorder = OfferedTrafficRecorder(start_time=config.warmup)
-
-        self.flow_monitor: Optional[FlowArrivalMonitor] = None
-        if config.record_flow_arrivals:
-            self.flow_monitor = FlowArrivalMonitor(start_time=config.warmup)
-            self._gw_send_hooks.append(self.flow_monitor.on_packet)
-
-        self.senders: List[_BatchSenderView] = []
-        self.sinks: List[TcpSink] = []
-        self.sources: List = []  # batch flows are all TCP; kept for shape
-        self.apps: List[AppWorkload] = []
-        self.bsp_coordinator = None
-        if self.registry.enabled("queue") or self.registry.enabled("drops"):
-            self.queue_probe = QueueProbe(
-                self.registry,
-                queue,
-                sample_interval=config.obs_queue_sample_interval,
-            )
-        self.forensics_probe: Optional[ForensicsProbe] = None
-        if config.forensics:
-            self.forensics_probe = ForensicsProbe(
-                ForensicsParams.from_config(config),
-                n_flows=config.n_clients,
-                queue=queue,
-                sketch_kind=config.forensics_sketch,
-            )
+        gateway = _BatchGateway(self._make_bottleneck_queue(config, None))
+        self.bottleneck_queue = gateway.queue
+        self.packet_factory = gateway.packet_factory
+        self._gw_send_hooks = gateway.send_hooks
 
         # --- per-flow transport state ----------------------------------
-        self._busy_fwd = [0.0] * n  # client->gateway access serializer
+        # Client->gateway access serializer: when it frees up (-inf =
+        # never used, so the first packet is not mistaken for a tie).
+        self._busy_fwd = [-_INF] * n
         self._busy_rev_client = [0.0] * n  # gateway->client ACK serializer
         self._busy_rev_server = 0.0  # server->gateway ACK serializer
         self._bn_busy = False
@@ -250,18 +245,31 @@ class BatchScenario:
         # the object engine's outcome as a priority class instead:
         #  * bottleneck enqueue (lag = access propagation delay) vs
         #    dequeue (lag = bottleneck serialization time): whichever
-        #    lag is larger runs first -- validate_batch_engine rejects
-        #    exact equality;
+        #    lag is larger runs first -- batch_envelope_violation
+        #    rejects exact equality;
         #  * retransmit timers (lag = RTO >= min_rto, envelope-checked
         #    to exceed the access delay) precede every same-time
         #    network event.
-        # Ties within one class keep FIFO order automatically: both
-        # engines process the originating sends in the same order, so
-        # the batch engine pushes same-class events in the object
-        # engine's relative order.
+        # Ties within one class keep FIFO order automatically -- both
+        # engines process the originating sends in the same order --
+        # with one exception: two gateway arrivals, which ``transmit``
+        # orders explicitly.
         tx_bn = config.packet_size * 8.0 / self._bn_rate
         self._prio_txdone = -1 if tx_bn > self._client_delay else 0
         self._prio_arrival = -1 if self._client_delay > tx_bn else 0
+
+        # Gateway arrivals in flight: arrival time -> (history, packet),
+        # or a list of those when several share the time.  A packet's
+        # history is the chain of object-engine push times behind its
+        # arrival (see transmit); ``_chain[i]`` is the history of flow
+        # i's latest packet.
+        self._gw_due: Dict[float, object] = {}
+        self._chain: List[tuple] = [()] * n
+        self._chain_counter = 0
+        # When the object engine pushed the event whose handler is
+        # running (None = not modelled: a Poisson tick or a workload
+        # event, pushed a random draw earlier).
+        self._trigger_pushed: Optional[float] = None
 
         # Timer-cohort horizon (lazy: <= every armed rtx deadline).
         self._horizon_time = _INF
@@ -269,9 +277,10 @@ class BatchScenario:
         # Arming order, for firing same-deadline cohorts in the order
         # the object engine's per-flow timer events would sort (each
         # Timer.start is a fresh push, so ties resolve by last-arm
-        # order, not flow index).
+        # order, not flow index), and arming time: that push's time.
         self._arm_seq = [0] * n
         self._arm_counter = 0
+        self._arm_time = [0.0] * n
 
         # Poisson arrival machinery (open loop): chunk-buffered pre-draws
         # plus an armed-arrival cohort sharing one horizon event, so the
@@ -285,18 +294,7 @@ class BatchScenario:
         self._armed_at = np.full(n if self._open_mode else 0, _INF)
         self._arr_horizon_time = _INF
         self._arr_horizon_event = None
-
-        self._build_flows()
-        self.sim.set_arg_recycler(Packet, factory.recycle)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @property
-    def buffer_capacity(self) -> int:
-        # _make_bottleneck_queue (shared with Scenario) reads
-        # ``params.buffer_capacity``; we pass ourselves as params.
-        return self.config.buffer_capacity
+        return gateway
 
     def _build_flows(self) -> None:
         config = self.config
@@ -310,7 +308,7 @@ class BatchScenario:
             )
         self.flows = batch_cls(
             config.n_clients,
-            Scenario._tcp_params(self),
+            self._tcp_params(),
             driver=self,
             trace_flows=config.trace_cwnd_flows,
             **kwargs,
@@ -387,22 +385,67 @@ class BatchScenario:
         )
 
     def transmit(self, i: int, packet: Packet, now: float) -> None:
-        """Client access hop, fused: the exact Interface arithmetic."""
+        """Client access hop, fused: the exact Interface arithmetic.
+
+        Also builds the packet's *history*, which orders it against
+        another flow's packet reaching the gateway at the identical
+        time.  The object engine runs same-time events in push order,
+        and the arrival is the last link of a chain of events each
+        pushed while its predecessor ran: access-link finish (pushed
+        at the packet's serialization start), and before that whatever
+        started the serialization -- the previous packet's finish when
+        the packet waited behind a busy link (pushed at *its* start,
+        and so on back through the burst), else the sender's trigger
+        (an ACK delivery, pushed when the ACK left the gateway; a
+        timer expiry, pushed when it was armed).  The history is that
+        chain of push times, latest first, as nested pairs ``(start,
+        (previous start, ... (trigger push, burst number)))``: of two
+        simultaneous arrivals, the one whose history sorts lower was
+        pushed first at the first level where they differ.
+        """
         busy = self._busy_fwd[i]
-        start = busy if busy > now else now
+        waits = busy > now
+        if busy == now:
+            # The link frees up at this very instant.  Whichever of the
+            # trigger and the previous packet's finish was pushed later
+            # runs second, and is the event that starts this packet.
+            pushed = self._trigger_pushed
+            previous_start = self._chain[i][0]
+            if pushed is None or pushed == previous_start:
+                raise BatchTieError(
+                    f"flow {i} sends at t={now!r}, the instant its access "
+                    "link frees up, from an event whose push time is "
+                    "unknown or equal to the finishing packet's"
+                )
+            waits = pushed < previous_start
+        if waits:
+            start = busy
+            history = (start, self._chain[i])
+        else:
+            start = now
+            history = (start, (self._trigger_pushed, self._chain_counter))
+            self._chain_counter += 1
+        self._chain[i] = history
         finish = start + packet.size * 8.0 / self._client_rate
         self._busy_fwd[i] = finish
+        at = finish + self._client_delay
+        due = self._gw_due
+        other = due.get(at)
+        if other is None:
+            due[at] = (history, packet)
+        elif other.__class__ is list:
+            other.append((history, packet))
+        else:
+            due[at] = [other, (history, packet)]
         self.sim.schedule_at(
-            finish + self._client_delay,
-            self._gw_arrival,
-            packet,
-            priority=self._prio_arrival,
+            at, self._gw_arrival, packet, priority=self._prio_arrival
         )
 
     def timer_arm(self, i: int, deadline: float) -> None:
         self.flows.rtx_deadline[i] = deadline
         self._arm_seq[i] = self._arm_counter
         self._arm_counter += 1
+        self._arm_time[i] = self.sim.now
         if self._horizon_event is None or deadline < self._horizon_time:
             if self._horizon_event is not None:
                 self._horizon_event.cancel()
@@ -416,10 +459,34 @@ class BatchScenario:
     # ------------------------------------------------------------------
     def _gw_arrival(self, packet: Packet) -> None:
         now = self.sim.now
+        due = self._gw_due.pop(now)
+        if due.__class__ is list:
+            # One event per tied packet; each serves the next in order.
+            packet = self._pop_tied(now, due)
         for hook in self._gw_send_hooks:
             hook(packet, now)
         if self.bottleneck_queue.enqueue(packet, now) and not self._bn_busy:
             self._bn_pull(now)
+
+    def _pop_tied(self, now: float, tied: list) -> Packet:
+        """The next of several packets arriving at ``now``, in the
+        order the object engine would have pushed their arrivals."""
+        if tied[0].__class__ is tuple:  # still (history, packet) pairs
+            try:
+                tied.sort(key=itemgetter(0))
+            except (TypeError, RecursionError) as exc:
+                # Equal as far back as they are known: a trigger push
+                # compared with None, or with a longer burst's pair.
+                raise BatchTieError(
+                    f"{len(tied)} gateway arrivals at t={now!r} from flows "
+                    f"{[entry[1].flow_id for entry in tied]} have histories "
+                    "the tie model cannot order"
+                ) from exc
+            tied[:] = [entry[1] for entry in tied]
+        packet = tied.pop(0)
+        if tied:
+            self._gw_due[now] = tied
+        return packet
 
     def _bn_pull(self, now: float) -> None:
         packet = self.bottleneck_queue.dequeue(now)
@@ -482,15 +549,19 @@ class BatchScenario:
                 f"until {self._busy_rev_client[i]} > ACK arrival {at_gateway}"
             )
         tx_client = ack.size * 8.0 / self._client_rate
-        self._busy_rev_client[i] = at_gateway + tx_client
+        left_gateway = at_gateway + tx_client
+        self._busy_rev_client[i] = left_gateway
         self.sim.schedule_at(
-            (at_gateway + tx_client) + self._client_delay, self._ack_arrival, ack
+            left_gateway + self._client_delay, self._ack_arrival, ack, left_gateway
         )
 
-    def _ack_arrival(self, ack: Packet) -> None:
+    def _ack_arrival(self, ack: Packet, left_gateway: float) -> None:
         now = self.sim.now
         i = ack.flow_id
         self._catch_up(i, now)
+        # The object engine pushes the client's delivery as the ACK
+        # finishes serializing at the gateway.
+        self._trigger_pushed = left_gateway
         self.flows.on_ack(i, ack.ackno, now)
         self._rearm_arrival(i)
 
@@ -509,6 +580,7 @@ class BatchScenario:
         for i in due:
             deadlines[i] = _INF
             self._catch_up(i, now)
+            self._trigger_pushed = self._arm_time[i]
             flows.on_timeout(i, now)
             self._rearm_arrival(i)
         # Re-aim at the earliest remaining deadline (timer_arm calls in
@@ -555,6 +627,8 @@ class BatchScenario:
         # Mirrors TrafficSource._emit: recorder hook, then app_arrival.
         if self.offered_recorder is not None:
             self.offered_recorder.on_generate(at, 1)
+        # A Poisson tick: pushed a random gap ago (see transmit).
+        self._trigger_pushed = None
         self.flows.app_arrival(i, 1, at)
 
     def _catch_up(self, i: int, now: float) -> None:
@@ -653,28 +727,14 @@ class BatchScenario:
         self._aim_arrival_horizon(at)
 
     # ------------------------------------------------------------------
-    # Execution (collection shared verbatim with the object engine)
+    # Execution
     # ------------------------------------------------------------------
-    attach_forensics_stream = Scenario.attach_forensics_stream
-    obs_bundle = Scenario.obs_bundle
-    _collect = Scenario._collect
-
-    def run(self) -> ScenarioResult:
-        """Run to the configured duration and collect all metrics."""
+    def _execute(self) -> None:
         config = self.config
-        if self.profiler is not None:
-            self.sim.attach_profiler(self.profiler)
-        start = time.perf_counter()
-        try:
-            self.sim.run(until=config.duration)
-            # Backlogged (lazy) flows still owe their bookkeeping ticks
-            # up to the horizon; the object engine executed those as
-            # real events.  Their send_much is a no-op (window shut).
-            if self._open_mode:
-                for i in range(config.n_clients):
-                    self._catch_up(i, config.duration)
-        finally:
-            wall_time = time.perf_counter() - start
-            if self.profiler is not None:
-                self.sim.detach_profiler()
-        return self._collect(wall_time)
+        self.sim.run(until=config.duration)
+        # Backlogged (lazy) flows still owe their bookkeeping ticks
+        # up to the horizon; the object engine executed those as
+        # real events.  Their send_much is a no-op (window shut).
+        if self._open_mode:
+            for i in range(config.n_clients):
+                self._catch_up(i, config.duration)

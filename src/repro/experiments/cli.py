@@ -157,10 +157,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--engine",
         choices=["object", "batch"],
         default=None,
-        help="flow-state engine: per-flow objects (default) or the "
-        "struct-of-arrays batch engine with fused transport events; "
-        "results are identical inside the batch envelope "
-        "(reno/vegas, open poisson or rpc, packet backend)",
+        help="force a flow-state engine: per-flow objects (the "
+        "reference) or the struct-of-arrays batch engine with fused "
+        "transport events.  Default: batch for cells inside its "
+        "envelope (reno/vegas, open poisson or rpc, packet backend), "
+        "where results are identical, and objects for the rest",
     )
     parser.add_argument("--processes", type=int, default=None, help="worker count")
     parser.add_argument(
@@ -410,6 +411,21 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _engine_line(config, result, by_hand: bool = False) -> str:
+    """Which flow engine the numbers came from, and why."""
+    if not result.engine:
+        return f"engine: none (the {config.backend} backend has no flows)"
+    if config.engine is not None:
+        why = "forced by --engine"
+    elif by_hand:
+        why = "attachments need the per-hop events; --engine batch to force"
+    elif result.engine != config.resolved_engine():
+        why = "fallback: the batch engine met a tie it cannot order"
+    else:
+        why = f"default: {config.batch_envelope_violation() or 'inside the batch envelope'}"
+    return f"engine: {result.engine} ({why})"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     stream_path = getattr(args, "forensics_stream", None)
     config = _base_config(args).with_(
@@ -420,7 +436,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs_profile=bool(args.obs_dir),
         forensics=bool(getattr(args, "forensics", False)) or bool(stream_path),
     )
-    stream = None
+    stream = scenario = None
     if args.trace_file and config.engine == "batch":
         print(
             "error: --trace-file requires the object engine (the batch "
@@ -432,7 +448,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.obs_dir or args.trace_file or stream_path:
         # Build the scenario by hand so pre-run attachments (the ns
         # tracefile writer, the forensics stream) and post-run exports
-        # can reach inside it.
+        # can reach inside it.  By hand means the object engine unless
+        # batch was asked for by name.
         if config.engine == "batch":
             from repro.engine.batch import BatchScenario
 
@@ -464,6 +481,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = run_scenario(config)
     metrics = ScenarioMetrics.from_result(result)
     print(metrics_table([metrics], title=f"Scenario: {config.label}, {config.n_clients} clients"))
+    print(_engine_line(config, result, by_hand=scenario is not None))
     if result.modulation is not None:
         print()
         print(result.modulation.describe())
@@ -510,6 +528,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"Scenario: {config.label}, {config.n_clients} clients, "
         f"{config.duration:g}s simulated"
     )
+    print(_engine_line(config, result))
     print(profile.render_table())
     if args.json:
         payload = profile.as_dict()

@@ -62,7 +62,8 @@ _DIGEST_EXCLUDED_FIELDS = frozenset(
         # Likewise the flow-state engine: the batch engine produces
         # bit-identical ScenarioMetrics, obs and forensics streams on
         # every supported cell (tests/test_batch_differential.py), so
-        # results cached under one engine are valid under the other.
+        # results cached under one engine are valid under the other --
+        # and under the default, which picks between them per cell.
         "engine",
     }
 )
@@ -276,14 +277,17 @@ class ScenarioConfig:
     # variant rows with config.with_(scheduler=s).  It selects nothing.
     scheduler: str = "wheel"
 
-    # Flow-state engine: "object" (one sender object per flow, the
-    # differential reference) or "batch" (struct-of-arrays FlowBatch
-    # with fused transport events; see repro.engine).  Digest-excluded
-    # for the same reason as ``scheduler``: the batch engine is pinned
-    # bit-identical to the object engine on every cell it accepts
-    # (tests/test_batch_differential.py), so it trades wall-clock time
-    # only.  The batch envelope is checked in validate_batch_engine().
-    engine: str = "object"
+    # Flow-state engine.  Unset (the default), run_scenario picks per
+    # cell: "batch" (struct-of-arrays FlowBatch with fused transport
+    # events; see repro.engine) when batch_envelope_violation() finds
+    # nothing to object to, else "object" (one sender object per flow:
+    # the full feature set, and the differential reference).  Setting
+    # it forces one -- "object" to run the oracle, "batch" to get an
+    # error rather than a silent fallback outside the envelope.
+    # Digest-excluded: batch is pinned bit-identical to object on every
+    # cell it accepts (tests/test_batch_differential.py), so the choice
+    # trades wall-clock time only.
+    engine: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -505,9 +509,10 @@ class ScenarioConfig:
             )
         from repro.engine import ENGINES
 
-        if self.engine not in ENGINES:
+        if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
+                f"unknown engine {self.engine!r}; choose from {ENGINES} "
+                "(or leave it unset to pick per cell)"
             )
         # The hybrid backend runs its foreground through the object-flow
         # scenario machinery regardless of the (digest-excluded) engine
@@ -519,72 +524,107 @@ class ScenarioConfig:
         if self.protocol == "reno_ecn" and self.queue == "fifo":
             raise ValueError("reno_ecn requires an ECN-marking (RED) gateway")
 
-    def validate_batch_engine(self) -> None:
-        """Raise ValueError when the batch engine cannot pin this cell.
+    def batch_envelope_violation(self) -> Optional[str]:
+        """Why the batch engine cannot pin this cell, or None if it can.
 
         The struct-of-arrays engine fuses the access hop and the reverse
         ACK path into closed-form arithmetic; those fusions are only
         bit-identical to the object engine inside this envelope
-        (see DESIGN.md section 15).  Outside it, refuse loudly rather
-        than silently diverge from the differential reference.
+        (see DESIGN.md section 15).  run_scenario's default dispatch
+        sends every cell with a violation to the object engine;
+        validate_batch_engine() raises it for an explicit
+        ``engine="batch"``.
         """
         if self.protocol not in ("reno", "vegas"):
-            raise ValueError(
+            return (
                 "the batch engine supports reno/vegas only; "
                 f"got protocol {self.protocol!r}"
             )
         if self.workload not in ("open", "rpc"):
-            raise ValueError(
+            return (
                 "the batch engine supports open/rpc workloads only; "
                 f"got workload {self.workload!r}"
             )
         if self.workload == "open" and self.traffic != "poisson":
-            raise ValueError(
+            return (
                 "the batch engine models poisson open-loop sources only; "
                 f"got traffic {self.traffic!r}"
             )
         if self.pacing:
-            raise ValueError("the batch engine does not model pacing")
+            return "the batch engine does not model pacing"
         if self.backend != "packet":
-            raise ValueError("engine='batch' applies to the packet backend")
+            return "engine='batch' applies to the packet backend"
         if self.client_rate_bps < self.bottleneck_rate_bps:
-            raise ValueError(
+            return (
                 "the batch engine assumes access links at least as fast "
                 "as the bottleneck (no reverse-path queueing)"
             )
         if self.packet_size < 40:
-            raise ValueError(
+            return (
                 "the batch engine assumes data packets no smaller than "
                 "ACKs (packet_size >= 40)"
             )
         if self.advertised_window >= 1000:
-            raise ValueError(
+            return (
                 "the batch engine assumes the access queue never "
                 "overflows (advertised_window < 1000)"
             )
         # Same-time tie-breaking (DESIGN.md section 15): the object
-        # engine orders simultaneous events by scheduling order, which
-        # for the two events that contend for the bottleneck queue --
-        # an arriving packet's enqueue and the transmitter's dequeue --
-        # reduces to comparing two config constants: each event is
-        # pushed a fixed lag before it fires (the access propagation
-        # delay and the bottleneck serialization time respectively).
-        # The batch engine replicates that order with a priority class,
-        # which requires the comparison to be decidable.
+        # engine orders simultaneous events by scheduling order, and
+        # each of its events is pushed a fixed lag before it fires, so
+        # a tie between two event kinds reduces to comparing two config
+        # constants.  The batch engine replicates that order from the
+        # same constants, which requires every comparison it relies on
+        # to be decidable:
+        #  * the bottleneck port's enqueue (lag = access propagation
+        #    delay) against its dequeue (lag = bottleneck serialization
+        #    time);
+        #  * a burst head's trigger -- the ACK delivery, same lag as
+        #    above -- against another flow's access-link finish (lag =
+        #    access serialization time), which decides which of two
+        #    simultaneous gateway arrivals was started first;
+        #  * a retransmit timer (lag = RTO >= min_rto) against an ACK
+        #    delivery.
         if self.packet_size * 8.0 / self.bottleneck_rate_bps == self.client_delay:
-            raise ValueError(
+            return (
                 "the batch engine cannot replicate the object engine's "
                 "tie-break when the bottleneck serialization time equals "
                 "the access propagation delay exactly; perturb "
                 "packet_size, bottleneck_rate_bps or client_delay"
             )
+        if self.packet_size * 8.0 / self.client_rate_bps == self.client_delay:
+            return (
+                "the batch engine cannot replicate the object engine's "
+                "tie-break when the access serialization time equals "
+                "the access propagation delay exactly; perturb "
+                "packet_size, client_rate_bps or client_delay"
+            )
         if self.min_rto <= self.client_delay:
-            raise ValueError(
+            return (
                 "the batch engine assumes retransmit timers are armed "
                 "further ahead than the access propagation delay "
                 "(min_rto > client_delay), so a timer always precedes a "
                 "same-time ACK arrival, as it does in the object engine"
             )
+        return None
+
+    def validate_batch_engine(self) -> None:
+        """Raise ValueError when the batch engine cannot pin this cell."""
+        violation = self.batch_envelope_violation()
+        if violation is not None:
+            raise ValueError(violation)
+
+    def resolved_engine(self) -> str:
+        """The flow engine run_scenario runs this cell on: the forced
+        one if ``engine`` is set, else batch inside its envelope.  The
+        hybrid backend's foreground is always object flows, and a fluid
+        cell -- which has no flows at all -- reads "object" too, as its
+        rows did before the run log named engines."""
+        if self.backend != "packet":
+            return "object"
+        if self.engine is not None:
+            return self.engine
+        return "object" if self.batch_envelope_violation() else "batch"
 
     def with_(self, **overrides) -> "ScenarioConfig":
         """A copy with the given fields replaced."""

@@ -43,6 +43,15 @@ SCHEDULES = ("cost", "fifo")
 _Lane = Tuple[str, str, str, str]
 
 
+def _same_engine(config: ScenarioConfig, recorded: str) -> bool:
+    """Whether a wall time recorded on flow engine ``recorded`` speaks
+    for ``config``.  The engine is digest-excluded, so a digest match
+    alone lets an old log's object-engine seconds stand in for a cell
+    that now runs on batch, 2-5x faster; a record without the tag
+    predates the default dispatch, when every cell ran on object."""
+    return (recorded or "object") == config.resolved_engine()
+
+
 def cell_units(config: ScenarioConfig) -> float:
     """The size proxy a cost estimate scales with.
 
@@ -89,9 +98,15 @@ class CostModel:
 
     def observe_metrics(self, config: ScenarioConfig, metrics) -> None:
         """Observe a cached :class:`ScenarioMetrics` record, if it
-        carries a finite recorded wall time (``perf_wall_time``)."""
+        carries a finite recorded wall time (``perf_wall_time``) taken
+        on the engine this cell would run on now."""
         wall = getattr(metrics, "perf_wall_time", None)
-        if wall is not None and wall == wall and wall > 0.0:
+        if (
+            wall is not None
+            and wall == wall
+            and wall > 0.0
+            and _same_engine(config, getattr(metrics, "perf_engine", ""))
+        ):
             self.observe(config, float(wall))
 
     def seed_from_runlog(
@@ -109,6 +124,8 @@ class CostModel:
             config = configs_by_digest.get(event.get("digest", ""))
             elapsed = event.get("elapsed")
             if config is None or not isinstance(elapsed, (int, float)):
+                continue
+            if not _same_engine(config, event.get("engine", "")):
                 continue
             self.observe(config, float(elapsed))
             seeded += 1

@@ -38,10 +38,12 @@ class ScenarioMetrics:
     #: count joins them because it measures the engine, not the
     #: physics: the batch engine fuses several object-engine events
     #: into one, so identical simulated outcomes legitimately differ
-    #: in events executed (tests/test_batch_differential.py).
+    #: in events executed (tests/test_batch_differential.py) -- and
+    #: the name of that engine joins for the same reason.
     _WALL_CLOCK_FIELDS = frozenset(
         {
             "perf_wall_time",
+            "perf_engine",
             "perf_events_executed",
             "perf_events_per_sec",
             "perf_sim_wall_ratio",
@@ -104,6 +106,9 @@ class ScenarioMetrics:
     # the enabled trace categories captured.  Defaults cover records
     # written by pre-observability code.
     perf_wall_time: float = float("nan")
+    #: The flow engine that ran the cell ("object"/"batch"; empty for
+    #: fluid cells and records written before the default dispatch).
+    perf_engine: str = ""
     perf_events_executed: int = 0
     perf_events_per_sec: float = float("nan")
     perf_sim_wall_ratio: float = float("nan")
@@ -264,6 +269,7 @@ class ScenarioMetrics:
             mean_latency=result.mean_latency,
             max_latency=result.max_latency,
             perf_wall_time=wall,
+            perf_engine=result.engine,
             perf_events_executed=result.events_executed,
             perf_events_per_sec=events_per_sec,
             perf_sim_wall_ratio=sim_wall_ratio,

@@ -16,10 +16,15 @@ Events (all carry ``t`` = wall-clock seconds and ``event``):
   pool) the ``worker`` id it was dispatched to.
 * ``task_done``      -- ``index``, ``digest``, ``elapsed``, ``attempt``
   count, scheduling ``lane`` (``cost``/``fifo``), the scenario
-  ``backend``, ``worker`` id, plus engine telemetry when available:
+  ``backend``, ``worker`` id, the flow ``engine`` that actually ran
+  the cell (``object``/``batch``; absent on fluid cells and in logs
+  written before the default dispatch, when every cell was object),
+  ``engine_fallback: true`` when that was the object engine answering
+  a batch tie-guard trip, plus engine telemetry when available:
   ``events_executed``, ``sim_wall_ratio``, ``peak_rss_kb``.  The
   backend tag lets a later sweep's cost model learn separate
-  wall-time alphas for packet vs fluid vs hybrid cells from this log.
+  wall-time alphas for packet vs fluid vs hybrid cells from this log,
+  and the engine tag lets it skip rows timed on the other engine.
 * ``task_retry``     -- ``index``, ``digest``, ``attempt``, ``error``,
   ``delay``.
 * ``task_failed``    -- ``index``, ``digest``, ``error`` (retries
@@ -180,6 +185,8 @@ class RunLog:
         forensic_sync_linked: Optional[int] = None,
         forensic_burst_rate: Optional[float] = None,
         forensic_sync_linked_fraction: Optional[float] = None,
+        engine: str = "",
+        engine_fallback: bool = False,
     ) -> None:
         """Record one completed cell, with optional engine telemetry.
 
@@ -189,7 +196,9 @@ class RunLog:
         auditable from the JSONL log.  ``backend`` tags the row with
         the solver that produced it (``packet``/``fluid``/``hybrid``)
         so cost models seeded from this log keep the wall-time regimes
-        apart.  The
+        apart; ``engine`` is the flow engine the numbers came from and
+        ``engine_fallback`` marks a cell the batch engine gave up on
+        (see the module docstring).  The
         engine extras (events executed, simulated-seconds per wall
         second, peak RSS) come from the flight recorder's ``perf_*``
         metrics; None (or NaN) values are simply omitted from the
@@ -212,6 +221,10 @@ class RunLog:
             extras["worker"] = worker
         if backend:
             extras["backend"] = backend
+        if engine:
+            extras["engine"] = engine
+        if engine_fallback:
+            extras["engine_fallback"] = True
         if forensic_bursts is not None:
             extras["forensic_bursts"] = forensic_bursts
         if forensic_sync_linked is not None:
@@ -318,7 +331,8 @@ def summarize_runlog(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     Returns totals, makespan, worker utilization, the scheduling lane,
     per-worker busy time / cell counts, a per-backend breakdown
     (cells, busy/mean/max seconds, failures -- failures attribute via
-    the backend tag their ``task_start`` carried), respawns, and the
+    the backend tag their ``task_start`` carried), the same per flow
+    engine (with tie-guard fallbacks in place of failures), respawns, and the
     slowest cells — everything needed to audit a sweep's makespan from
     its JSONL log alone (``repro-tcp sweeplog``).  A killed run (no
     ``sweep_end``) still summarizes from the per-task events; makespan
@@ -341,6 +355,7 @@ def summarize_runlog(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "per_worker": {},
         "lanes": {},
         "backends": {},
+        "engines": {},
         "forensics": {
             "cells": 0,
             "bursts": 0,
@@ -365,6 +380,11 @@ def summarize_runlog(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         return summary["backends"].setdefault(
             backend, {"cells": 0, "busy": 0.0, "max": 0.0, "failed": 0}
         )
+
+    def note_done(stats: Dict[str, Any], elapsed: float) -> None:
+        stats["cells"] += 1
+        stats["busy"] += elapsed
+        stats["max"] = max(stats["max"], elapsed)
 
     for event in events:
         kind = event.get("event")
@@ -393,10 +413,14 @@ def summarize_runlog(events: List[Dict[str, Any]]) -> Dict[str, Any]:
                 summary["lanes"][lane] = summary["lanes"].get(lane, 0) + 1
             backend = event.get("backend", "")
             if backend:
-                stats = backend_stats(backend)
-                stats["cells"] += 1
-                stats["busy"] += elapsed
-                stats["max"] = max(stats["max"], elapsed)
+                note_done(backend_stats(backend), elapsed)
+            engine = event.get("engine", "")
+            if engine:
+                stats = summary["engines"].setdefault(
+                    engine, {"cells": 0, "busy": 0.0, "max": 0.0, "fallbacks": 0}
+                )
+                note_done(stats, elapsed)
+                stats["fallbacks"] += bool(event.get("engine_fallback"))
             worker = event.get("worker")
             stats = per_worker.setdefault(
                 worker, {"cells": 0, "busy": 0.0}
@@ -435,7 +459,7 @@ def summarize_runlog(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         summary["utilization"] = summary["busy"] / (
             summary["makespan"] * summary["workers"]
         )
-    for stats in summary["backends"].values():
+    for stats in [*summary["backends"].values(), *summary["engines"].values()]:
         stats["mean"] = stats["busy"] / stats["cells"] if stats["cells"] else 0.0
     if rate_sum:
         summary["forensics"]["burst_rate_mean"] = sum(rate_sum) / len(rate_sum)
@@ -490,24 +514,29 @@ def render_runlog_summary(events: List[Dict[str, Any]]) -> str:
             + (f", mean burst rate {rate:.3f}/s" if rate == rate else "")
             + (f", mean sync-linked {100.0 * linked:.0f}%" if linked == linked else "")
         )
-    if summary["backends"]:
+    for key, first, last, title in (
+        ("backends", "backend", "failed", "Per-backend breakdown"),
+        ("engines", "engine", "fallbacks", "Per-engine breakdown"),
+    ):
+        if not summary[key]:
+            continue
         rows = [
             [
-                backend,
+                name,
                 int(stats["cells"]),
                 round(stats["busy"], 3),
                 round(stats.get("mean", 0.0), 3),
                 round(stats.get("max", 0.0), 3),
-                int(stats.get("failed", 0)),
+                int(stats.get(last, 0)),
             ]
-            for backend, stats in sorted(summary["backends"].items())
+            for name, stats in sorted(summary[key].items())
         ]
         lines.append("")
         lines.append(
             format_table(
-                ["backend", "cells", "busy s", "mean s", "max s", "failed"],
+                [first, "cells", "busy s", "mean s", "max s", last],
                 rows,
-                title="Per-backend breakdown",
+                title=title,
             )
         )
     if summary["per_worker"]:

@@ -361,6 +361,11 @@ class SweepRunner:
             lane=self.schedule,
             worker=worker,
             backend=task.config.backend,
+            engine=metrics.perf_engine,
+            engine_fallback=(
+                metrics.perf_engine == "object"
+                and task.config.resolved_engine() == "batch"
+            ),
             **forensic_extras,
         )
 

@@ -133,6 +133,10 @@ class ScenarioResult:
     # Burst forensics report (see repro.forensics); populated when the
     # config enabled ``forensics``.
     forensics: Optional[ForensicsReport] = None
+    # The flow engine that produced this result ("object" or "batch";
+    # empty for the fluid backend, which has no flows).  Differs from
+    # ``config.resolved_engine()`` only after a tie-guard fallback.
+    engine: str = ""
 
     def dependence(self) -> Optional[DependenceReport]:
         """Cross-stream dependence diagnostics (requires the scenario to
@@ -172,6 +176,9 @@ class ScenarioResult:
 class Scenario:
     """A fully wired simulation, ready to run."""
 
+    #: The flow engine this class is (``ScenarioResult.engine``).
+    engine_name = "object"
+
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
@@ -192,18 +199,7 @@ class Scenario:
         if config.obs_profile:
             self.profiler = EngineProfiler()
 
-        dumbbell_params = DumbbellParams(
-            n_clients=config.n_clients,
-            client_rate_bps=config.client_rate_bps,
-            client_delay=config.client_delay,
-            bottleneck_rate_bps=config.bottleneck_rate_bps,
-            bottleneck_delay=config.bottleneck_delay,
-            buffer_capacity=config.buffer_capacity,
-            queue_factory=self._make_bottleneck_queue,
-        )
-        self.network = DumbbellNetwork(
-            self.sim, dumbbell_params, self.streams.stream("topology")
-        )
+        self.network = self._build_network()
         # Subclass hook: runs after the topology exists but before any
         # monitor attaches or any flow is built, so a backend can swap
         # gateway machinery (the hybrid backend replaces the bottleneck
@@ -262,6 +258,24 @@ class Scenario:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _build_network(self):
+        """The topology: anything with ``bottleneck_interface``,
+        ``bottleneck_queue`` and ``packet_factory`` (the batch engine
+        substitutes its fused gateway)."""
+        config = self.config
+        dumbbell_params = DumbbellParams(
+            n_clients=config.n_clients,
+            client_rate_bps=config.client_rate_bps,
+            client_delay=config.client_delay,
+            bottleneck_rate_bps=config.bottleneck_rate_bps,
+            bottleneck_delay=config.bottleneck_delay,
+            buffer_capacity=config.buffer_capacity,
+            queue_factory=self._make_bottleneck_queue,
+        )
+        return DumbbellNetwork(
+            self.sim, dumbbell_params, self.streams.stream("topology")
+        )
+
     def _make_bottleneck_queue(
         self, params: DumbbellParams, rng: random.Random
     ) -> PacketQueue:
@@ -471,12 +485,42 @@ class Scenario:
             self.sim.attach_profiler(self.profiler)
         start = time.perf_counter()
         try:
-            self.sim.run(until=config.duration)
+            self._execute()
         finally:
             wall_time = time.perf_counter() - start
             if self.profiler is not None:
                 self.sim.detach_profiler()
         return self._collect(wall_time)
+
+    def _execute(self) -> None:
+        """Advance the simulation to the horizon (the timed part of
+        :meth:`run`; engine subclasses override)."""
+        self.sim.run(until=self.config.duration)
+
+    def release(self) -> None:
+        """Drop every reference this finished scenario's parts hold.
+
+        The wired graph is cyclic many times over (pending calendar
+        events -> bound methods -> components -> simulator; node <->
+        interface; sender <-> timer; sink hook <-> workload), so
+        without this it is garbage only a full collection frees --
+        tens of MB per large cell, piling up across a sweep.  Emptied
+        here, plain reference counting frees it when the caller lets
+        go.  A :class:`ScenarioResult` already collected stays valid:
+        it holds the logs, probes and reports themselves, not the
+        components that filled them.  The scenario is unusable
+        afterwards; :func:`run_scenario` calls this on the scenarios it
+        builds, and nothing else does.
+        """
+        self.sim.shutdown()
+        network = self.network
+        parts = [self, *self.senders, *self.sinks, *self.sources, *self.apps]
+        if isinstance(network, DumbbellNetwork):
+            parts += [network.gateway, network.server, *network.clients]
+        for part in parts:
+            state = getattr(part, "__dict__", None)
+            if state is not None:
+                state.clear()
 
     def obs_bundle(self) -> Optional[ObsBundle]:
         """The run's flight-recorder bundle (None when nothing enabled)."""
@@ -639,6 +683,7 @@ class Scenario:
                 if self.forensics_probe is not None
                 else None
             ),
+            engine=self.engine_name,
         )
 
 
@@ -650,11 +695,18 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     (:func:`repro.core.fluid_backend.run_fluid_scenario`), or the
     hybrid fluid/packet co-simulation
     (:func:`repro.core.hybrid_backend.run_hybrid_scenario`), all
-    returning the same :class:`ScenarioResult` shape.  Within the
-    packet backend, ``config.engine`` selects the per-flow object
-    engine (default) or the vectorized flow-batch engine
-    (:class:`repro.engine.batch.BatchScenario`), which is pinned
-    bit-identical by tests/test_batch_differential.py.  The hybrid
+    returning the same :class:`ScenarioResult` shape.
+
+    Within the packet backend the flow engine follows from the input
+    (``config.resolved_engine()``): a cell inside the batch envelope
+    runs on :class:`repro.engine.batch.BatchScenario`, which is pinned
+    bit-identical to the object engine by
+    tests/test_batch_differential.py; every other cell runs on
+    :class:`Scenario`.  If the batch run meets a same-time tie its
+    order model cannot decide (:class:`~repro.engine.batch.BatchTieError`),
+    the cell is run again on the object engine -- ``result.engine``
+    says which engine the numbers came from -- unless the config forced
+    ``engine="batch"``, in which case the error propagates.  The hybrid
     backend uses the object machinery for its K foreground flows
     regardless of ``engine`` (the knob is digest-excluded and accepted
     as a no-op there).
@@ -667,8 +719,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         from repro.core.hybrid_backend import run_hybrid_scenario
 
         return run_hybrid_scenario(config)
-    if config.engine == "batch":
-        from repro.engine.batch import BatchScenario
+    if config.resolved_engine() == "batch":
+        from repro.engine.batch import BatchScenario, BatchTieError
 
-        return BatchScenario(config).run()
-    return Scenario(config).run()
+        try:
+            return _run_and_release(BatchScenario(config))
+        except BatchTieError:
+            if config.engine is not None:
+                raise
+    return _run_and_release(Scenario(config))
+
+
+def _run_and_release(scenario: Scenario) -> ScenarioResult:
+    try:
+        return scenario.run()
+    finally:
+        scenario.release()

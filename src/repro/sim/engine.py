@@ -196,6 +196,25 @@ class Simulator:
         self._recycle_type = arg_type
         self._recycle_fn = recycle
 
+    def shutdown(self) -> None:
+        """Discard everything still scheduled, and every free list.
+
+        Pending events are disarmed in place, not merely dropped:
+        components keep handles to their own events (a timer to its
+        expiry, a work unit to its deadline) and an armed event points
+        back at its component through the bound callback, so every
+        held handle closes a reference cycle that only the cyclic
+        collector could free.  For a run that is over and about to be
+        thrown away (see ``Scenario.release``).
+        """
+        for entry in self._wheel.entries():
+            event = entry[3]
+            event.callback = event.args = event.owner = None
+        self._wheel = TimerWheel(start_time=self._now)
+        self._cancelled_pending = 0
+        del self._event_pool[:]
+        self._recycle_type = self._recycle_fn = None
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

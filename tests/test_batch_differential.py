@@ -12,11 +12,18 @@ stress cells chosen to exercise the regimes where an unfaithful fusion
 would diverge: deep overload (same-time event ties at the bottleneck
 port), tiny buffers (timeout/fast-retransmit storms) and RED's averaged
 occupancy.  The object engine is the oracle.
+
+Paper-scale cells follow: the three cells on which the batch engine
+once *did* differ (two flows' packets reaching the gateway at the
+identical float time; DESIGN.md section 15), and a seeded random RED
+matrix around them -- RED because its per-arrival RNG draw turns one
+swapped pair of arrivals into a different run.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -99,6 +106,32 @@ MATRIX = [
 ]
 
 
+#: (seed, protocol, n_clients) at ``paper_config(duration=40,
+#: queue="red")``: the same-instant gateway-arrival reproducers.  In
+#: each, a burst head that started serializing at its trigger meets a
+#: packet that waited behind its own flow's busy access link, at
+#: t=13.149994282487972 (flows 57/17), 26.423541032497056 (26/59) and
+#: 35.265433716155385 (9/14); the first moved only ``mean_latency``
+#: (it is cell vegas_red/N60 of the ledger's fig2_sweep), the others
+#: cov, throughput, drops and timeouts.
+TIE_REPRODUCERS = [(1, "vegas", 60), (5, "vegas", 60), (7, "reno", 45)]
+
+
+def _random_red_matrix(count: int = 24, seed: int = 20260930) -> list:
+    rng = random.Random(seed)
+    return [
+        dict(
+            protocol=rng.choice(("reno", "vegas")),
+            queue="red",
+            workload=rng.choice(("open", "rpc")),
+            n_clients=rng.randint(40, 64),
+            seed=rng.randint(1, 10_000),
+            duration=20.0,
+        )
+        for _ in range(count)
+    ]
+
+
 def _cell_config(overrides: dict) -> ScenarioConfig:
     return paper_config(
         obs_trace=ALL_TRACE,
@@ -162,6 +195,34 @@ def test_batch_matches_object_everywhere(overrides):
     assert run.events_executed < reference.events_executed
 
 
+def _assert_same_metrics(config: ScenarioConfig) -> None:
+    reference = ScenarioMetrics.from_result(run_scenario(config.with_(engine="object")))
+    run = ScenarioMetrics.from_result(run_scenario(config.with_(engine="batch")))
+    assert run == reference
+
+
+@pytest.mark.parametrize(
+    "seed,protocol,n_clients",
+    TIE_REPRODUCERS,
+    ids=[f"seed{s}-{p}-N{n}" for s, p, n in TIE_REPRODUCERS],
+)
+def test_same_instant_gateway_arrivals_keep_object_order(seed, protocol, n_clients):
+    _assert_same_metrics(
+        paper_config(
+            duration=40, queue="red", seed=seed, protocol=protocol, n_clients=n_clients
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    _random_red_matrix(),
+    ids=lambda cell: "{protocol}-{workload}-N{n_clients}-seed{seed}".format(**cell),
+)
+def test_random_red_matrix_matches_object(overrides):
+    _assert_same_metrics(paper_config(**overrides))
+
+
 def test_engine_knob_is_digest_excluded():
     """Engine choice must not invalidate cached metrics."""
     config = paper_config(n_clients=4, duration=2.0, seed=5)
@@ -191,6 +252,9 @@ def test_unknown_engine_rejected():
         # the object engine's same-time tie-break becomes ambiguous.
         (dict(packet_size=1000, bottleneck_rate_bps=8e6, client_delay=0.001), "tie"),
         (dict(min_rto=0.001), "min_rto"),
+        # Access serialization time == access propagation delay: so is
+        # which of two simultaneous gateway arrivals started first.
+        (dict(client_delay=0.0008), "access serialization time"),
     ],
 )
 def test_batch_envelope_rejections(overrides, match):

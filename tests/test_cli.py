@@ -262,7 +262,11 @@ class TestObservabilityFlags:
             ]
         )
         assert code == 0
-        assert str(trace_path) in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert str(trace_path) in out
+        # No --engine given: this cell's default is batch, which has no
+        # per-hop events to trace, so the hand-built path stays object.
+        assert "engine: object (attachments" in out
         records = read_trace(str(trace_path))
         assert records  # lines written and parse back cleanly
         ops = {record.op for record in records}
@@ -319,6 +323,13 @@ class TestObservabilityFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert "ev/s" in out
+        # The engine the dispatcher picked, and its callback categories.
+        assert "engine: batch (default: inside the batch envelope)" in out
+        assert "BatchScenario._gw_arrival" in out
+        main(["profile", "--clients", "2", "--duration", "3", "--engine", "object"])
+        out = capsys.readouterr().out
+        assert "engine: object (forced by --engine)" in out
+        assert "Interface._finish" in out
 
     def test_profile_json_output(self, tmp_path):
         import json

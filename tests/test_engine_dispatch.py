@@ -1,0 +1,252 @@
+"""Default engine dispatch: the engine follows from the input.
+
+``ScenarioConfig.engine`` is unset by default and ``run_scenario`` picks
+per cell: the batch engine inside its envelope, the object engine
+everywhere else, and the object engine again when the batch engine's
+tie guard gives a cell up.  Forcing either engine still works, and a
+forced ``"batch"`` still refuses loudly outside the envelope.  Pinned
+here: which way every kind of cell the performance ledger builds goes,
+that the choice never changes a number or a cache key, what the
+fallback leaves behind in the run log, and that ``run_scenario`` frees
+what it built.
+"""
+
+from __future__ import annotations
+
+import gc
+from types import SimpleNamespace
+
+import pytest
+
+from repro.engine import ENGINES
+from repro.engine.batch import BatchScenario, BatchTieError
+from repro.experiments.cache import ResultCache
+from repro.experiments.config import CONFIG_SCHEMA_VERSION, ScenarioConfig, paper_config
+from repro.experiments.results import ScenarioMetrics
+from repro.experiments.runlog import (
+    RunLog,
+    read_runlog,
+    render_runlog_summary,
+    summarize_runlog,
+)
+from repro.experiments.scenario import Scenario, run_scenario
+from repro.experiments.sweep import run_many
+
+#: One short cell of every kind the six ledger workloads build
+#: (benchmarks/ledger/workloads.py), with the engine each must resolve
+#: to.  Figure 2's legend contributes udp / reno / reno_delack / vegas
+#: over fifo and red; apps_closed the three closed-loop workloads;
+#: meanfield the fluid and hybrid backends; the pacing ablation rides
+#: along as the remaining envelope boundary.
+SHORT = dict(n_clients=6, duration=4.0, seed=3)
+LEDGER_CELLS = [
+    ("reno-fifo-open", dict(protocol="reno"), "batch"),
+    ("reno-red-open", dict(protocol="reno", queue="red"), "batch"),
+    ("vegas-fifo-open", dict(protocol="vegas"), "batch"),
+    ("vegas-red-open", dict(protocol="vegas", queue="red"), "batch"),
+    ("reno-fifo-rpc", dict(protocol="reno", workload="rpc"), "batch"),
+    ("vegas-red-rpc", dict(protocol="vegas", queue="red", workload="rpc"), "batch"),
+    ("udp", dict(protocol="udp"), "object"),
+    ("reno-delack", dict(protocol="reno_delack"), "object"),
+    ("reno-bsp", dict(protocol="reno", workload="bsp"), "object"),
+    ("vegas-red-bulk", dict(protocol="vegas", queue="red", workload="bulk"), "object"),
+    ("reno-paced", dict(protocol="reno", pacing=True), "object"),
+    ("fluid", dict(backend="fluid"), "object"),
+    ("hybrid", dict(backend="hybrid", hybrid_foreground_flows=3), "object"),
+]
+
+#: A cell the batch tie model gives up on: equal access and bottleneck
+#: rates put every burst on one serialization grid, and a zero think
+#: time issues requests at grid instants too, so two flows' packets
+#: reach the gateway together with nothing modelled to order them.
+TIE_CELL = dict(
+    workload="rpc", rpc_think_time=0.0, client_rate_bps=3e6, n_clients=4,
+    duration=3.0, seed=3,
+)
+
+
+def test_the_knob_did_not_grow():
+    """Two forcing values, unset by default, no new schema."""
+    assert ENGINES == ("object", "batch")
+    assert ScenarioConfig().engine is None
+    assert CONFIG_SCHEMA_VERSION == 5
+
+
+@pytest.mark.parametrize(
+    "overrides,expected",
+    [(cell, engine) for _, cell, engine in LEDGER_CELLS],
+    ids=[label for label, _, _ in LEDGER_CELLS],
+)
+def test_ledger_cells_resolve_and_match_the_oracle(overrides, expected):
+    """Each kind of ledger cell goes the expected way, never raises,
+    and the default's metrics equal the forced object engine's."""
+    config = paper_config(**SHORT, **overrides)
+    assert config.resolved_engine() == expected
+    result = run_scenario(config)
+    # The fluid backend has no flows, hence no flow engine.
+    assert result.engine == ("" if config.backend == "fluid" else expected)
+    metrics = ScenarioMetrics.from_result(result)
+    assert metrics.perf_engine == result.engine
+    oracle = ScenarioMetrics.from_result(run_scenario(config.with_(engine="object")))
+    assert metrics == oracle
+
+
+def test_forcing_still_forces():
+    config = paper_config(**SHORT)
+    assert run_scenario(config.with_(engine="object")).engine == "object"
+    assert run_scenario(config.with_(engine="batch")).engine == "batch"
+    # Outside the envelope the default falls through silently, the
+    # forced engine refuses, and the message is the validator's.
+    udp = paper_config(protocol="udp", **SHORT)
+    assert udp.batch_envelope_violation() == (
+        "the batch engine supports reno/vegas only; got protocol 'udp'"
+    )
+    with pytest.raises(ValueError, match="reno/vegas only"):
+        run_scenario(udp.with_(engine="batch"))
+    with pytest.raises(ValueError, match="reno/vegas only"):
+        udp.validate_batch_engine()
+    assert paper_config(**SHORT).batch_envelope_violation() is None
+
+
+def test_hand_built_scenario_is_the_object_engine():
+    """``Scenario(config)`` -- what the obs-dir / trace-file / stream
+    paths and the observed_n40 workload call -- ignores the dispatch."""
+    config = paper_config(**SHORT)
+    assert config.resolved_engine() == "batch"
+    scenario = Scenario(config)
+    assert type(scenario) is Scenario
+    assert scenario.run().engine == "object"
+
+
+def test_batch_scenario_shares_scenario_run():
+    """One ``run()``: the ledger's tracer wraps ``Scenario.run`` and the
+    ``__init__`` overriders only, so a batch run is seen only if it
+    goes through both."""
+    assert issubclass(BatchScenario, Scenario)
+    assert "run" not in vars(BatchScenario)
+    assert "_collect" not in vars(BatchScenario)
+    result = run_scenario(paper_config(obs_profile=True, **SHORT))
+    profile = result.obs.engine
+    assert profile.events_executed == result.events_executed > 0
+    assert any(
+        stat["category"].startswith("BatchScenario.")
+        for stat in profile.as_dict()["categories"]
+    )
+
+
+# ----------------------------------------------------------------------
+# Cache identity
+# ----------------------------------------------------------------------
+def test_digest_is_what_it_was():
+    """Literal digests computed at the parent commit, where the engine
+    field defaulted to "object": making it unset moved no cache key."""
+    assert ScenarioConfig().config_digest() == (
+        "928e667a6b401e1edc5702a4405b49b70f72cfe94b060b30984450a9280f83c6"
+    )
+    rpc = paper_config(workload="rpc", n_clients=7)
+    for engine in (None, "object", "batch"):
+        assert rpc.with_(engine=engine).config_digest() == (
+            "7faf02577592881f542318f40f67793926ec7692eb40641918e5553fdb022867"
+        )
+
+
+def test_object_era_cache_is_a_full_hit_under_the_default(tmp_path):
+    configs = [paper_config(**dict(SHORT, seed=s)) for s in (1, 2, 3)]
+    cache = str(tmp_path / "cache")
+    written = run_many(
+        [c.with_(engine="object") for c in configs], processes=1, cache=cache
+    )
+    log_path = str(tmp_path / "run.jsonl")
+    with RunLog(log_path) as log:
+        read = run_many(configs, processes=1, cache=cache, run_log=log)
+    assert read == written
+    assert [m.perf_engine for m in read] == ["object"] * 3  # not re-run
+    events = [e["event"] for e in read_runlog(log_path)]
+    assert events.count("cache_hit") == 3 and "task_start" not in events
+    assert ResultCache(cache).get(configs[0].with_(engine="batch")) == written[0]
+
+
+# ----------------------------------------------------------------------
+# The tie guard
+# ----------------------------------------------------------------------
+def test_guard_trip_falls_back_or_propagates(tmp_path):
+    config = paper_config(**TIE_CELL)
+    assert config.resolved_engine() == "batch"
+    with pytest.raises(BatchTieError, match="cannot order"):
+        run_scenario(config.with_(engine="batch"))
+    result = run_scenario(config)
+    assert result.engine == "object"
+    assert ScenarioMetrics.from_result(result) == ScenarioMetrics.from_result(
+        run_scenario(config.with_(engine="object"))
+    )
+
+    # ... and the run log says so, beside a cell that did not trip.
+    log_path = str(tmp_path / "run.jsonl")
+    with RunLog(log_path) as log:
+        run_many([config, paper_config(**SHORT)], processes=1, retries=0, run_log=log)
+    done = {e["index"]: e for e in read_runlog(log_path) if e["event"] == "task_done"}
+    assert done[0]["engine"] == "object" and done[0]["engine_fallback"] is True
+    assert done[1]["engine"] == "batch" and "engine_fallback" not in done[1]
+    engines = summarize_runlog(read_runlog(log_path))["engines"]
+    assert engines["object"]["cells"] == 1 and engines["object"]["fallbacks"] == 1
+    assert engines["batch"]["cells"] == 1 and engines["batch"]["fallbacks"] == 0
+    assert "Per-engine breakdown" in render_runlog_summary(read_runlog(log_path))
+
+
+def test_same_instant_arrivals_pop_in_history_order():
+    """The tie model itself, on hand-made histories: of two arrivals
+    at one instant, the one whose chain of push times sorts lower goes
+    first -- here a burst head whose trigger (an ACK that left the
+    gateway 2 ms ago) was pushed before the other flow's previous
+    packet started serializing (0.8 ms ago)."""
+    scenario = BatchScenario(paper_config(**SHORT))
+    now = 5.0
+    a, b = SimpleNamespace(flow_id=0), SimpleNamespace(flow_id=1)
+    waited = (4.9972, (4.9964, (4.9956, (4.9936, 7))))  # third of its burst
+    head = (4.9972, (4.9952, 9))  # started at its trigger
+    scenario._gw_due[now] = [(waited, a), (head, b)]
+    assert scenario._pop_tied(now, scenario._gw_due.pop(now)) is b
+    assert scenario._pop_tied(now, scenario._gw_due.pop(now)) is a
+    assert now not in scenario._gw_due
+    # Same start, same push time, and one history runs out: undecidable.
+    longer = (4.9972, (4.9952, (4.99, 3)))
+    with pytest.raises(BatchTieError, match=r"flows \[0, 1\]"):
+        scenario._pop_tied(now, [(head, a), (longer, b)])
+    # A Poisson- or workload-triggered head (push time unknown) against
+    # a modelled one: undecidable too.
+    with pytest.raises(BatchTieError):
+        scenario._pop_tied(now, [((4.9972, (None, 9)), a), (head, b)])
+
+
+# ----------------------------------------------------------------------
+# Teardown
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINES)
+def test_run_scenario_leaves_nothing_for_the_cyclic_collector(engine):
+    """A finished scenario graph is cyclic many times over; left to the
+    generational collector it piles up tens of MB per large cell across
+    a sweep.  ``run_scenario`` releases what it built, so with the
+    collector off nothing is left for it to find."""
+    config = paper_config(n_clients=60, duration=5.0, engine=engine)
+    run_scenario(config.with_(seed=9))  # first-call imports make their own garbage
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed in (1, 2, 3):
+            result = run_scenario(config.with_(seed=seed))
+            assert result.throughput_packets > 0  # the result outlives the release
+            assert gc.collect() < 100
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_hand_built_scenarios_are_not_released():
+    """``run()`` itself releases nothing: callers that build a scenario
+    by hand go on reading it (senders, network, sim) afterwards."""
+    scenario = Scenario(paper_config(**SHORT))
+    scenario.run()
+    assert len(scenario.senders) == SHORT["n_clients"]
+    assert scenario.network.bottleneck_queue.stats.arrivals > 0
+    assert scenario.sim.events_executed > 0

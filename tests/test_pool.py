@@ -92,10 +92,14 @@ class TestFailureMatrix:
         """One hanging cell is killed at its deadline while the other
         worker keeps draining; exactly one respawn."""
         hang = tiny(seed=99, n_clients=2, duration=500.0)  # biggest estimate
-        normal = [tiny(seed=s, n_clients=20, duration=10.0) for s in range(1, 25)]
+        normal = [
+            tiny(seed=s, n_clients=20, duration=10.0, engine="object")
+            for s in range(1, 25)
+        ]
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
-            # Deadline calibration: a normal cell takes ~0.2 s alone but
+            # Deadline calibration: a normal cell takes ~0.2 s alone (on
+            # the object engine, hence the pin; batch is ~3x quicker) but
             # two workers timeslicing one loaded CI core can push it
             # well past that, so the deadline needs contention headroom;
             # it must also fire while normal cells are still queued
@@ -320,15 +324,27 @@ class TestCostModel:
     def test_seed_from_runlog(self):
         config = tiny()
         digest = config.config_digest()
+        assert config.resolved_engine() == "batch"
         events = [
-            {"event": "task_done", "digest": digest, "elapsed": 1.2},
+            {"event": "task_done", "digest": digest, "elapsed": 1.2, "engine": "batch"},
             {"event": "task_done", "digest": "unknown", "elapsed": 9.9},
             {"event": "cache_hit", "digest": digest},
+            # Timed on the other engine (the engine is digest-excluded,
+            # so the digest still matches): says nothing about this cell.
+            {"event": "task_done", "digest": digest, "elapsed": 5.0, "engine": "object"},
+            # No tag: written before the default dispatch, i.e. object.
+            {"event": "task_done", "digest": digest, "elapsed": 6.0},
         ]
         model = CostModel()
         seeded = model.seed_from_runlog(events, {digest: config})
         assert seeded == 1
         assert model.estimate(config) == pytest.approx(1.2)
+        # The same log read for the forced-object cell keeps exactly
+        # the rows the batch cell skipped.
+        oracle = config.with_(engine="object")
+        model = CostModel()
+        assert model.seed_from_runlog(events, {digest: oracle}) == 2
+        assert model.estimate(oracle) == pytest.approx(5.5)
 
     def test_make_cost_model(self):
         assert make_cost_model("fifo") is None
