@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
 """Randomized engine cross-differential: object vs batch, in-envelope.
 
-The fixed matrix in ``tests/test_batch_differential.py`` pins the batch
+The fixed matrices in ``tests/test_batch_differential.py`` pin the batch
 engine on cells chosen by hand; this script looks for cells nobody
-chose.  It runs a seeded grid of paper-scale cells inside the batch
-envelope -- seeds x {reno, vegas} x {fifo, red} x clients x {open, rpc}
--- once with ``engine="object"`` and once with ``engine="batch"`` and
-compares the full :class:`ScenarioMetrics` of each pair.  (It is the
-grid that found the same-instant gateway-arrival bug of DESIGN.md
-section 15: 3 of its 128 default cells differed.)
+chose.  It runs a seeded grid of paper-scale cells over the whole batch
+envelope -- seeds x {reno, vegas, reno_delack, udp} x {fifo, red} x
+clients x {open, rpc, bsp, bulk}, 512 cells by default -- once with
+``engine="object"`` and once with ``engine="batch"`` and compares the
+full :class:`ScenarioMetrics` of each pair.  (Its reno/vegas x open/rpc
+quarter is the grid that found the same-instant gateway-arrival bug of
+DESIGN.md section 15: 3 of those 128 cells differed.)
 
-A forced ``engine="batch"`` propagates a ``BatchTieError`` instead of
-falling back, so a cell the tie model gives up on shows here as a
+``--set FIELD=VALUE`` moves every cell off the paper's parameters: a
+slice for putting an envelope row to the question (lift the row, run
+the slice that violates it, count the differing cells -- how DESIGN.md
+section 15 decided ``packet_size >= 40`` and
+``client_rate_bps >= bottleneck_rate_bps``).
+
+A forced ``engine="batch"`` propagates a ``BatchGuardError`` instead of
+falling back, so a cell a runtime guard gives up on shows here as a
 failed batch cell, not as a silent pass.
 
 Exit status 1 if any pair differs; ``--out`` receives the differing
@@ -28,12 +35,14 @@ import json
 import sys
 from typing import Any, Dict, List
 
-from repro.experiments.config import paper_config
+from repro.experiments.config import BATCH_ENVELOPE, paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.sweep import run_many
 
 
-def grid(seeds: int, clients: List[int], duration: float) -> List[Dict[str, Any]]:
+def grid(
+    seeds: int, clients: List[int], duration: float, overrides: Dict[str, Any]
+) -> List[Dict[str, Any]]:
     return [
         dict(
             seed=seed,
@@ -42,12 +51,13 @@ def grid(seeds: int, clients: List[int], duration: float) -> List[Dict[str, Any]
             n_clients=n,
             workload=workload,
             duration=duration,
+            **overrides,
         )
         for seed in range(1, seeds + 1)
-        for protocol in ("reno", "vegas")
+        for protocol in BATCH_ENVELOPE["protocols"]
         for queue in ("fifo", "red")
         for n in clients
-        for workload in ("open", "rpc")
+        for workload in BATCH_ENVELOPE["workloads"]
     ]
 
 
@@ -67,11 +77,29 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=8, help="seeds 1..N (default 8)")
     parser.add_argument("--clients", default="45,60", help="comma list (default 45,60)")
     parser.add_argument("--duration", type=float, default=40.0, help="simulated s per cell")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="FIELD=VALUE",
+        help="override a ScenarioConfig field on every cell (repeatable): a "
+        "slice of the grid off the paper's parameters, e.g. "
+        "--set client_rate_bps=1e5 or --set packet_size=32 --set mean_gap=0.003",
+    )
     parser.add_argument("--jobs", "-j", type=int, default=1, help="worker processes")
     parser.add_argument("--out", help="write the differing cells here as JSON")
     args = parser.parse_args(argv)
 
-    cells = grid(args.seeds, [int(n) for n in args.clients.split(",")], args.duration)
+    overrides = {}
+    for item in args.set:
+        name, value = item.split("=", 1)
+        try:
+            overrides[name] = json.loads(value)  # numbers, true/false
+        except ValueError:
+            overrides[name] = value  # a bare word: queue=ared
+    cells = grid(
+        args.seeds, [int(n) for n in args.clients.split(",")], args.duration, overrides
+    )
     configs = [paper_config(**cell) for cell in cells]
     results = run_many(
         [c.with_(engine=engine) for c in configs for engine in ("object", "batch")],

@@ -1,8 +1,8 @@
 """The vectorized flow-batch engine.
 
-This package holds the fast path for homogeneous TCP scenarios, which
-``run_scenario`` takes by default for every cell inside the batch
-envelope (``ScenarioConfig.batch_envelope_violation``):
+This package holds the fast path for homogeneous TCP and UDP scenarios,
+which ``run_scenario`` takes by default for every cell inside the batch
+envelope (``repro.experiments.config.BATCH_ENVELOPE``):
 
 * :mod:`repro.engine.transitions` -- the pure TCP window/RTT arithmetic,
   shared verbatim by the per-flow object senders
@@ -10,7 +10,7 @@ envelope (``ScenarioConfig.batch_envelope_violation``):
   implementations cannot drift apart expression by expression;
 * :mod:`repro.engine.flowbatch` -- the struct-of-arrays per-flow state
   (:class:`~repro.engine.flowbatch.FlowBatch`) plus the Reno/Vegas batch
-  policies operating on it;
+  policies operating on it, and the UDP counters;
 * :mod:`repro.engine.batch` -- :class:`~repro.engine.batch.BatchScenario`,
   the fused event graph that replays the object engine's physics with a
   fraction of its simulator events.

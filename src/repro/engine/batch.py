@@ -7,33 +7,43 @@ and probes -- but collapses the object engine's per-hop event graph into
 a handful of fused events per delivered packet:
 
 * **Access-hop fusion.**  A client's access link never drops within the
-  batch envelope (in-flight is bounded by the advertised window, far
-  below the 1000-packet access queue), so its store-and-forward chain
+  batch envelope (TCP's in-flight is bounded by the advertised window,
+  far below the 1000-packet access queue; a UDP burst is checked against
+  it, :meth:`BatchScenario.access_room`), so its store-and-forward chain
   ``enqueue -> pull -> finish -> receive`` reduces to per-flow busy-time
   arithmetic: ``start = max(now, busy); finish = start + tx`` -- the
   exact additions :class:`repro.net.link.Interface` performs -- and one
   ``GW_ARRIVAL`` event at ``finish + delay``.
-* **Reverse-path fusion.**  ACKs cannot queue on the reverse path when
-  ``packet_size >= 40`` bytes and ``client_rate >= bottleneck_rate``
-  (ACK spacing is bounded below by the data serialization time, which
-  bounds the ACK serialization time above), so the four reverse hops
-  become four sequential float additions, guarded at runtime: a strictly
-  busy reverse link raises :class:`~repro.sim.engine.SimulationError`
-  instead of silently diverging from the object engine.
-* **Inline sink processing (open loop).**  With no application objects
-  at the server, the sink's ACK generation commutes with any event
-  between the gateway transmission and the server delivery time, so the
-  sink runs inline under a virtual clock.  Closed-loop (RPC) runs keep a
-  real ``SERVER_ARRIVAL`` event because workload unit-timeouts may fire
-  in that window.
-* **Lazy Poisson arrivals.**  A per-flow arrival event is armed only
-  while the flow has no send-buffer backlog.  A backlogged flow's
+* **Reverse-path fusion.**  The two reverse output ports an ACK crosses
+  (server to gateway, shared by all flows; gateway to its client) are
+  FIFO links whose 1000-packet queues never overflow, so each is the
+  same busy-time arithmetic -- queueing included -- and the four
+  reverse hops become sequential float additions
+  (:meth:`BatchScenario._route_ack`).  ACKs do queue there: delayed-ACK
+  timers of different flows expire within one ACK serialization of each
+  other and collide on the shared link.  The gateway's client ports
+  never queue (``client_rate >= bottleneck_rate`` in the envelope: ACKs
+  leave the shared link spaced at least their serialization time on a
+  faster one), which is what rules out two clients' ACKs being
+  delivered at the same instant.
+* **Inline sink processing.**  When nothing at the server acts on its
+  own -- open loop, no delayed-ACK timer -- the sink's processing
+  commutes with any event between the gateway transmission and the
+  server delivery time, so the sink (TCP or UDP) runs inline under a
+  virtual clock.  Closed-loop runs and delayed-ACK sinks keep a real
+  ``SERVER_ARRIVAL`` event -- a workload's unit timeout or the sink's
+  ACK timer may fire in that window -- and the sinks get the real
+  simulator, on which the timer schedules itself.
+* **Lazy Poisson arrivals (TCP).**  A per-flow arrival event is armed
+  only while the flow has no send-buffer backlog.  A backlogged flow's
   window is shut (``send_much`` drains until window or buffer runs
   out), so its ticks are pure bookkeeping; they are replayed -- with
   their original timestamps, consuming the same per-flow RNG stream --
   at the next event that touches the flow ("catch-up", always first in
   a handler).  This removes the dominant event class of the object
-  engine at large N.
+  engine at large N.  A UDP flow never backlogs, so laziness buys it
+  nothing and the cohort's vector scan per arrival costs: it gets one
+  plain tick event per arrival, fed by the same chunked pre-draws.
 * **Timer cohort.**  Retransmit deadlines live in one numpy array; a
   single lazily-maintained horizon event fires the due cohort and
   reschedules at the new minimum.
@@ -48,11 +58,13 @@ a handful of fused events per delivered packet:
   the order those histories sort (:meth:`BatchScenario._pop_tied`);
   a group they cannot order raises :class:`BatchTieError`.
 
-Per-flow TCP state lives in :class:`repro.engine.flowbatch.FlowBatch`.
+Per-flow TCP state lives in :class:`repro.engine.flowbatch.FlowBatch`,
+per-flow UDP state in :class:`repro.engine.flowbatch.UdpFlowBatch`.
 :class:`BatchScenario` is a :class:`Scenario` subclass: construction
-order, ``run()`` (profiler, timing) and metric collection are the base
-class's, so both engines produce the same :class:`ScenarioResult` shape
-from the same attribute names.
+order, workload construction (``_make_workload``), ``run()`` (profiler,
+timing) and metric collection are the base class's, so both engines
+produce the same :class:`ScenarioResult` shape from the same attribute
+names.
 """
 
 from __future__ import annotations
@@ -64,14 +76,14 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.apps.rpc import RpcClientWorkload
-from repro.engine.flowbatch import FLOW_BATCHES, VegasFlowBatch
+from repro.engine.flowbatch import FLOW_BATCHES, UdpFlowBatch, VegasFlowBatch
 from repro.experiments.scenario import Scenario
 from repro.net.packet import Packet, PacketFactory
 from repro.net.queues import PacketQueue
+from repro.net.topology import DumbbellParams
 from repro.obs.probes import FlowProbe
 from repro.sim.engine import SimulationError
-from repro.transport.sink import TcpSink
+from repro.transport.sink import TcpSink, UdpSink
 from repro.transport.vegas import VegasParams
 
 _INF = float("inf")
@@ -89,19 +101,24 @@ ARRIVAL_CHUNK = 64
 _PRIO_TIMER = -2
 
 
-class BatchTieError(SimulationError):
-    """Simultaneous events whose object-engine order the batch engine's
-    tie model cannot decide.  Under the default engine dispatch
+class BatchGuardError(SimulationError):
+    """The run met, part-way, a case the fusions do not reproduce bit
+    for bit.  Under the default engine dispatch
     :func:`~repro.experiments.scenario.run_scenario` answers it by
-    running the cell on the object engine."""
+    running the cell on the object engine; a forced ``engine="batch"``
+    lets it propagate."""
+
+
+class BatchTieError(BatchGuardError):
+    """Simultaneous events whose object-engine order the batch engine's
+    tie model cannot decide."""
 
 
 class _SinkClock:
     """Settable ``.now`` facade standing in for the Simulator.
 
-    The sinks only read ``sim.now`` (their delayed-ACK timer is not
-    constructed when ``delayed_ack=False``), so the driver can run them
-    inline at a virtual server-arrival time.
+    A sink without a delayed-ACK timer only reads ``sim.now``, so the
+    driver can run it inline at a virtual server-arrival time.
     """
 
     __slots__ = ("now",)
@@ -111,20 +128,23 @@ class _SinkClock:
 
 
 class _BatchServerNode:
-    """Node facade for the sinks: collects emitted ACKs for routing."""
+    """Node facade for the sinks: an ACK a sink emits -- from a
+    delivery or from its delayed-ACK timer -- goes straight onto the
+    fused reverse path, stamped with the sinks' clock."""
 
-    __slots__ = ("name", "agents", "outbox")
+    __slots__ = ("name", "agents", "_clock", "_route")
 
-    def __init__(self) -> None:
+    def __init__(self, clock, route: Callable[[Packet, float], None]) -> None:
         self.name = "server"
         self.agents: Dict[int, object] = {}
-        self.outbox: List[Packet] = []
+        self._clock = clock
+        self._route = route
 
     def bind_flow(self, flow_id: int, agent) -> None:
         self.agents[flow_id] = agent
 
     def send(self, packet: Packet) -> None:
-        self.outbox.append(packet)
+        self._route(packet, self._clock.now)
 
 
 class _BatchGateway:
@@ -154,19 +174,28 @@ class _BatchGateway:
         return self.queue
 
 
-class _BatchSenderView:
-    """Per-flow facade over the FlowBatch arrays.
-
-    Quacks like a TCP sender for the pieces the rest of the system
-    touches: ``.stats`` / ``.cwnd_log`` for metric collection and
-    ``.app_arrival`` as the workload agent interface.
-    """
+class _FlowView:
+    """Per-flow facade over the flow-batch arrays: ``.app_arrival``,
+    the agent interface workloads drive."""
 
     __slots__ = ("_scenario", "flow_id")
 
     def __init__(self, scenario: "BatchScenario", flow_id: int) -> None:
         self._scenario = scenario
         self.flow_id = flow_id
+
+    def app_arrival(self, n_packets: int = 1) -> None:
+        scenario = self._scenario
+        # A workload event: pushed a think-time draw ago (see transmit).
+        scenario._trigger_pushed = None
+        scenario.flows.app_arrival(self.flow_id, n_packets, scenario.sim.now)
+
+
+class _BatchSenderView(_FlowView):
+    """Quacks like a TCP sender for the pieces metric collection
+    touches: ``.stats`` / ``.cwnd_log`` (and the window, for tests)."""
+
+    __slots__ = ()
 
     @property
     def stats(self):
@@ -184,11 +213,20 @@ class _BatchSenderView:
     def ssthresh(self) -> float:
         return float(self._scenario.flows.ssthresh[self.flow_id])
 
-    def app_arrival(self, n_packets: int = 1) -> None:
-        scenario = self._scenario
-        # A workload event: pushed a think-time draw ago (see transmit).
-        scenario._trigger_pushed = None
-        scenario.flows.app_arrival(self.flow_id, n_packets, scenario.sim.now)
+
+class _UdpSenderView(_FlowView):
+    """Quacks like a ``UdpSender`` (``.packets_sent``) and, open loop,
+    like the traffic source feeding it (``.generated``)."""
+
+    __slots__ = ()
+
+    @property
+    def packets_sent(self) -> int:
+        return self._scenario.flows.packets_sent[self.flow_id]
+
+    @property
+    def generated(self) -> int:
+        return self._scenario.flows.generated[self.flow_id]
 
 
 class BatchScenario(Scenario):
@@ -218,7 +256,15 @@ class BatchScenario(Scenario):
         self._bn_rate = float(config.bottleneck_rate_bps)
         self._client_delay = config.client_delay
         self._bn_delay = config.bottleneck_delay
+        udp = config.protocol == "udp"
         self._open_mode = config.workload == "open"
+        # Open-loop TCP arrivals are lazy (armed only while the flow is
+        # idle, replayed otherwise); a UDP flow never backlogs, so it
+        # gets a plain tick per arrival instead.
+        self._lazy_arrivals = self._open_mode and not udp
+        # The sinks run inline at the bottleneck's tx-done when nothing
+        # at the server can act in between: no workload, no ACK timer.
+        self._inline_sink = self._open_mode and config.protocol != "reno_delack"
         self._mean_gap = config.mean_gap
         self._duration = config.duration
         self._client_names = [f"client-{i}" for i in range(n)]
@@ -232,6 +278,14 @@ class BatchScenario(Scenario):
         # Client->gateway access serializer: when it frees up (-inf =
         # never used, so the first packet is not mistaken for a tie).
         self._busy_fwd = [-_INF] * n
+        # Seconds of serialization a UDP flow may have queued on it
+        # before the access queue, which transmit treats as lossless,
+        # would be full (access_room; two packets of slack for the one
+        # in service and for rounding).
+        self._access_tx = config.packet_size * 8.0 / self._client_rate
+        self._access_backlog_cap = (
+            DumbbellParams.access_queue_capacity - 2
+        ) * self._access_tx
         self._busy_rev_client = [0.0] * n  # gateway->client ACK serializer
         self._busy_rev_server = 0.0  # server->gateway ACK serializer
         self._bn_busy = False
@@ -283,89 +337,98 @@ class BatchScenario(Scenario):
         self._arm_time = [0.0] * n
 
         # Poisson arrival machinery (open loop): chunk-buffered pre-draws
-        # plus an armed-arrival cohort sharing one horizon event, so the
-        # calendar stays a handful of entries regardless of N.
+        # plus, for lazy arrivals, an armed-arrival cohort sharing one
+        # horizon event, so the calendar stays a handful of entries
+        # regardless of N.
         self._arr_rng = [
             self.streams.stream(f"client-{i}/poisson") for i in range(n)
         ] if self._open_mode else []
         self._arr_buf: List[List[float]] = [[] for _ in range(n)]
         self._arr_pos = [0] * n
         self._arr_last = [0.0] * n  # last drawn absolute arrival time
-        self._armed_at = np.full(n if self._open_mode else 0, _INF)
+        self._armed_at = np.full(n if self._lazy_arrivals else 0, _INF)
         self._arr_horizon_time = _INF
         self._arr_horizon_event = None
         return gateway
 
     def _build_flows(self) -> None:
         config = self.config
-        batch_cls = FLOW_BATCHES[config.protocol]
-        kwargs = {}
-        if batch_cls is VegasFlowBatch:
-            kwargs["vegas_params"] = VegasParams(
-                alpha=config.vegas_alpha,
-                beta=config.vegas_beta,
-                gamma=config.vegas_gamma,
+        udp = config.protocol == "udp"
+        if udp:
+            self.flows = UdpFlowBatch(config.n_clients, driver=self)
+        else:
+            batch_cls = FLOW_BATCHES[config.protocol]
+            kwargs = {}
+            if batch_cls is VegasFlowBatch:
+                kwargs["vegas_params"] = VegasParams(
+                    alpha=config.vegas_alpha,
+                    beta=config.vegas_beta,
+                    gamma=config.vegas_gamma,
+                )
+            self.flows = batch_cls(
+                config.n_clients,
+                self._tcp_params(),
+                driver=self,
+                trace_flows=config.trace_cwnd_flows,
+                **kwargs,
             )
-        self.flows = batch_cls(
-            config.n_clients,
-            self._tcp_params(),
-            driver=self,
-            trace_flows=config.trace_cwnd_flows,
-            **kwargs,
-        )
-        if self.forensics_probe is not None:
-            self.flows.forensics = self.forensics_probe
+            if self.forensics_probe is not None:
+                self.flows.forensics = self.forensics_probe
 
-        self._server_node = _BatchServerNode()
-        self._sink_clock = _SinkClock()
+        # The sinks' clock: virtual when they run inline, else the
+        # simulator itself (which a delayed-ACK timer schedules on).
+        self._sink_clock = _SinkClock() if self._inline_sink else self.sim
+        self._server_node = _BatchServerNode(self._sink_clock, self._route_ack)
         registry = self.registry
-        probe_flows = (
+        probe_flows = not udp and (
             registry.enabled("cwnd")
             or registry.enabled("rtt")
             or registry.enabled("state")
         )
         for index in range(config.n_clients):
-            view = _BatchSenderView(self, index)
-            sink = TcpSink(
-                self._sink_clock,
-                self._server_node,
-                index,
-                self._client_names[index],
-                self.packet_factory,
-                delayed_ack=False,
-                ack_delay=config.ack_delay,
-                sack=False,
-            )
+            if udp:
+                view = _UdpSenderView(self, index)
+                sink = UdpSink(
+                    self._sink_clock,
+                    self._server_node,
+                    index,
+                    self._client_names[index],
+                    self.packet_factory,
+                )
+            else:
+                view = _BatchSenderView(self, index)
+                sink = TcpSink(
+                    self._sink_clock,
+                    self._server_node,
+                    index,
+                    self._client_names[index],
+                    self.packet_factory,
+                    delayed_ack=(config.protocol == "reno_delack"),
+                    ack_delay=config.ack_delay,
+                    sack=False,
+                )
             if probe_flows:
                 self.flow_probes[index] = self.flows.attach_probe(
                     index, FlowProbe(registry, index)
                 )
-            if self._open_mode:
-                # Lazy arrival: arm the first Poisson arrival (the flow
-                # starts with an empty send buffer).
+            if self._lazy_arrivals:
+                # Arm the first Poisson arrival (the flow starts with
+                # an empty send buffer).
                 self._armed_at[index] = self._peek_arrival(index)
-            else:
-                app = RpcClientWorkload(
-                    self.sim,
-                    view,
-                    sink,
-                    rng=self.streams.stream(f"client-{index}/app"),
-                    request_packets=config.rpc_request_packets,
-                    response_delay=config.reverse_path_delay(
-                        config.rpc_response_packets
-                    ),
-                    think_time=config.rpc_think_time,
-                    outstanding=config.rpc_outstanding,
-                    name=f"rpc-{index}",
-                    unit_timeout=config.workload_timeout,
+            elif self._open_mode:
+                self.sim.schedule_at(
+                    self._peek_arrival(index), self._udp_tick, index
                 )
+                self.sources.append(view)
+            else:
+                app = self._make_workload(index, view, sink)
                 if self.offered_recorder is not None:
                     self.offered_recorder.attach(app)
                 app.start(at=0.0, stop_at=config.duration)
                 self.apps.append(app)
             self.senders.append(view)
             self.sinks.append(sink)
-        if self._open_mode and config.n_clients:
+        if self._lazy_arrivals and config.n_clients:
             self.flows.next_arrival[:] = self._armed_at
             self._aim_arrival_horizon(float(self._armed_at.min()))
 
@@ -381,8 +444,22 @@ class BatchScenario(Scenario):
             seqno=seqno,
             now=now,
             is_retransmit=is_retransmit,
-            ecn_capable=self.flows.params.ecn,
         )
+
+    def access_room(self, i: int, n_packets: int, now: float) -> None:
+        """Refuse a burst the object engine's access queue would start
+        dropping from (asked by UDP flows; TCP's window, capped by the
+        envelope, makes the check static)."""
+        queued = self._busy_fwd[i] - now
+        if queued < 0.0:
+            queued = 0.0
+        if queued + n_packets * self._access_tx > self._access_backlog_cap:
+            raise BatchGuardError(
+                f"flow {i} hands the access link {n_packets} packets at "
+                f"t={now!r} on top of {queued:.6g}s already queued: "
+                "the access queue would overflow, and the batch engine's "
+                "access-hop fusion has no drops"
+            )
 
     def transmit(self, i: int, packet: Packet, now: float) -> None:
         """Client access hop, fused: the exact Interface arithmetic.
@@ -503,53 +580,42 @@ class BatchScenario(Scenario):
     def _gw_tx_done(self, packet: Packet) -> None:
         now = self.sim.now
         arrival = now + self._bn_delay
-        if self._open_mode:
-            # No server-side application: sink processing commutes with
-            # everything between now and the delivery time, so run it
-            # inline under a virtual clock.  Guard on the horizon: the
-            # object engine only delivers when the server-arrival event
-            # actually executes, i.e. at times <= duration.
+        if self._inline_sink:
+            # Nothing at the server acts on its own: sink processing
+            # commutes with everything between now and the delivery
+            # time, so run it inline under a virtual clock.  Guard on
+            # the horizon: the object engine only delivers when the
+            # server-arrival event actually executes, i.e. at times
+            # <= duration.
             if arrival <= self._duration:
-                self._deliver_at_server(packet, arrival)
+                self._sink_clock.now = arrival
+                self.sinks[packet.flow_id].receive(packet)
         else:
-            # Closed loop: workload unit-timeouts may fire in this
-            # window, so the delivery needs a real event.
+            # A workload's unit timeout or the sink's own delayed-ACK
+            # timer may fire in this window, so the delivery needs a
+            # real event.
             self.sim.schedule_at(arrival, self._server_arrival, packet)
         self._bn_busy = False
         if len(self.bottleneck_queue):
             self._bn_pull(now)
 
     def _server_arrival(self, packet: Packet) -> None:
-        self._deliver_at_server(packet, self.sim.now)
-
-    def _deliver_at_server(self, packet: Packet, arrival: float) -> None:
-        self._sink_clock.now = arrival
         self.sinks[packet.flow_id].receive(packet)
-        outbox = self._server_node.outbox
-        if outbox:
-            for ack in outbox:
-                self._route_ack(ack, arrival)
-            outbox.clear()
 
     def _route_ack(self, ack: Packet, now: float) -> None:
-        """Reverse path, fused: four sequential additions, no queueing
-        possible within the validated envelope (guarded, not assumed)."""
-        if self._busy_rev_server > now:
-            raise SimulationError(
-                "batch engine invariant violated: reverse bottleneck busy "
-                f"until {self._busy_rev_server} > ACK arrival {now}"
-            )
-        tx_server = ack.size * 8.0 / self._bn_rate
-        self._busy_rev_server = now + tx_server
-        at_gateway = (now + tx_server) + self._bn_delay
+        """Reverse path, fused: the two reverse output ports (server to
+        gateway, shared; gateway to client) are FIFO links that never
+        overflow, so each is the busy-time arithmetic of ``transmit``
+        -- queueing included -- and the four hops are additions."""
+        busy = self._busy_rev_server
+        finish = (busy if busy > now else now) + ack.size * 8.0 / self._bn_rate
+        self._busy_rev_server = finish
+        at_gateway = finish + self._bn_delay
         i = ack.flow_id
-        if self._busy_rev_client[i] > at_gateway:
-            raise SimulationError(
-                "batch engine invariant violated: reverse access link busy "
-                f"until {self._busy_rev_client[i]} > ACK arrival {at_gateway}"
-            )
-        tx_client = ack.size * 8.0 / self._client_rate
-        left_gateway = at_gateway + tx_client
+        busy = self._busy_rev_client[i]
+        left_gateway = (
+            busy if busy > at_gateway else at_gateway
+        ) + ack.size * 8.0 / self._client_rate
         self._busy_rev_client[i] = left_gateway
         self.sim.schedule_at(
             left_gateway + self._client_delay, self._ack_arrival, ack, left_gateway
@@ -623,6 +689,15 @@ class BatchScenario(Scenario):
             self._refill(i)
         return self._arr_buf[i][self._arr_pos[i]]
 
+    def _udp_tick(self, i: int) -> None:
+        # One plain event per arrival, fed by the same chunked pre-draws:
+        # TrafficSource._tick's emit, then the push of the next tick.
+        now = self.sim.now
+        self._arr_pos[i] += 1
+        self.flows.generated[i] += 1
+        self._emit_arrival(i, now)
+        self.sim.schedule_at(self._peek_arrival(i), self._udp_tick, i)
+
     def _emit_arrival(self, i: int, at: float) -> None:
         # Mirrors TrafficSource._emit: recorder hook, then app_arrival.
         if self.offered_recorder is not None:
@@ -645,7 +720,7 @@ class BatchScenario(Scenario):
         arrival landing on an *empty* send buffer (the armed-event
         case) takes the full app_arrival path and may transmit.
         """
-        if not self._open_mode:
+        if not self._lazy_arrivals:
             return
         buf = self._arr_buf[i]
         pos = self._arr_pos[i]
@@ -716,7 +791,7 @@ class BatchScenario(Scenario):
 
     def _rearm_arrival(self, i: int) -> None:
         if (
-            not self._open_mode
+            not self._lazy_arrivals
             or self._armed_at[i] < _INF
             or self.flows.backlog(i) != 0
         ):
@@ -735,6 +810,6 @@ class BatchScenario(Scenario):
         # Backlogged (lazy) flows still owe their bookkeeping ticks
         # up to the horizon; the object engine executed those as
         # real events.  Their send_much is a no-op (window shut).
-        if self._open_mode:
+        if self._lazy_arrivals:
             for i in range(config.n_clients):
                 self._catch_up(i, config.duration)

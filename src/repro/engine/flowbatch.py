@@ -23,6 +23,9 @@ timers and arrivals are scheduled) is delegated to a driver object
 (:class:`repro.engine.batch.BatchScenario`) through three callbacks:
 ``transmit(i, packet)``, ``timer_arm(i, deadline)`` and the shared
 simulator clock.
+
+:class:`UdpFlowBatch` is the same idea for the transparent baseline:
+what is left of a flow once window, timers and ACKs are gone.
 """
 
 from __future__ import annotations
@@ -505,7 +508,38 @@ class VegasFlowBatch(FlowBatch):
         self.driver.timer_arm(i, now + self.rto(i))
 
 
+class UdpFlowBatch:
+    """N UDP flows (mirrors :class:`repro.transport.udp.UdpSender`).
+
+    A sequence counter and two tallies per flow: no window, no timers,
+    no ACK path, so nothing of :class:`FlowBatch` applies.  ``generated``
+    is the open-loop source's count (``TrafficSource.generated``), kept
+    here because a UDP flow's sender view doubles as its source.
+    """
+
+    def __init__(self, n_flows: int, driver) -> None:
+        self.driver = driver  # supplies .mint_data, .transmit, .access_room
+        self.next_seq: List[int] = [0] * n_flows
+        self.packets_sent: List[int] = [0] * n_flows
+        self.generated: List[int] = [0] * n_flows
+
+    def app_arrival(self, i: int, n_packets: int, now: float) -> None:
+        driver = self.driver
+        # No window bounds what a UDP flow has in flight, so the access
+        # queue the driver treats as lossless has to be asked.
+        driver.access_room(i, n_packets, now)
+        for _ in range(n_packets):
+            seqno = self.next_seq[i]
+            packet = driver.mint_data(i, seqno, now, False)
+            self.next_seq[i] = seqno + 1
+            self.packets_sent[i] += 1
+            driver.transmit(i, packet, now)
+
+
+#: Config protocol -> TCP flow-batch class (delayed ACKs are a sink
+#: policy: the sender is plain Reno).
 FLOW_BATCHES = {
     "reno": RenoFlowBatch,
+    "reno_delack": RenoFlowBatch,
     "vegas": VegasFlowBatch,
 }

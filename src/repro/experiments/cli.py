@@ -47,6 +47,7 @@ the per-window series).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -411,19 +412,42 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_line(config, result, by_hand: bool = False) -> str:
+def _engine_line(config, result, traced: bool = False) -> str:
     """Which flow engine the numbers came from, and why."""
     if not result.engine:
         return f"engine: none (the {config.backend} backend has no flows)"
     if config.engine is not None:
         why = "forced by --engine"
-    elif by_hand:
-        why = "attachments need the per-hop events; --engine batch to force"
-    elif result.engine != config.resolved_engine():
-        why = "fallback: the batch engine met a tie it cannot order"
-    else:
+    elif result.engine == config.resolved_engine():
         why = f"default: {config.batch_envelope_violation() or 'inside the batch envelope'}"
+    elif traced:
+        why = "attachments need the per-hop events; --trace-file is object-only"
+    else:
+        why = "fallback: the batch engine met a case it does not reproduce"
     return f"engine: {result.engine} ({why})"
+
+
+def _run_attached(scenario_cls, config, args):
+    """Build ``scenario_cls(config)``, attach what ``args`` asks for --
+    the ns-2 trace writer, the forensics stream, each (re)starting its
+    file -- and run it: ``(result, trace writer, stream)``."""
+    scenario = scenario_cls(config)
+    stream_path = getattr(args, "forensics_stream", None)
+    writer = stream = None
+    with contextlib.ExitStack() as files:
+        if args.trace_file:
+            from repro.net.tracefile import NsTraceWriter
+
+            handle = files.enter_context(open(args.trace_file, "w", encoding="utf-8"))
+            writer = NsTraceWriter(handle).attach(
+                scenario.network.bottleneck_interface
+            )
+        if stream_path:
+            handle = files.enter_context(open(stream_path, "w", encoding="utf-8"))
+            stream = scenario.attach_forensics_stream(
+                handle, interval=args.forensics_stream_interval
+            )
+        return scenario.run(), writer, stream
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -436,7 +460,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs_profile=bool(args.obs_dir),
         forensics=bool(getattr(args, "forensics", False)) or bool(stream_path),
     )
-    stream = scenario = None
+    stream = writer = None
     if args.trace_file and config.engine == "batch":
         print(
             "error: --trace-file requires the object engine (the batch "
@@ -448,40 +472,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.obs_dir or args.trace_file or stream_path:
         # Build the scenario by hand so pre-run attachments (the ns
         # tracefile writer, the forensics stream) and post-run exports
-        # can reach inside it.  By hand means the object engine unless
-        # batch was asked for by name.
-        if config.engine == "batch":
-            from repro.engine.batch import BatchScenario
+        # can reach inside it.  The engine is the one run_scenario
+        # would pick, with the same fallback -- except that an ns-2
+        # trace needs the bottleneck interface's per-hop events, which
+        # only the object engine has.
+        from repro.engine.batch import BatchGuardError, BatchScenario
 
-            scenario = BatchScenario(config)
-        else:
-            scenario = Scenario(config)
-        trace_handle = None
-        stream_handle = None
-        if args.trace_file:
-            from repro.net.tracefile import NsTraceWriter
-
-            trace_handle = open(args.trace_file, "w", encoding="utf-8")
-            writer = NsTraceWriter(trace_handle).attach(
-                scenario.network.bottleneck_interface
-            )
-        if stream_path:
-            stream_handle = open(stream_path, "w", encoding="utf-8")
-            stream = scenario.attach_forensics_stream(
-                stream_handle, interval=args.forensics_stream_interval
-            )
+        scenario_cls = Scenario
+        if not args.trace_file and config.resolved_engine() == "batch":
+            scenario_cls = BatchScenario
         try:
-            result = scenario.run()
-        finally:
-            if trace_handle is not None:
-                trace_handle.close()
-            if stream_handle is not None:
-                stream_handle.close()
+            result, writer, stream = _run_attached(scenario_cls, config, args)
+        except BatchGuardError:
+            if config.engine is not None:
+                raise
+            result, writer, stream = _run_attached(Scenario, config, args)
     else:
         result = run_scenario(config)
     metrics = ScenarioMetrics.from_result(result)
     print(metrics_table([metrics], title=f"Scenario: {config.label}, {config.n_clients} clients"))
-    print(_engine_line(config, result, by_hand=scenario is not None))
+    print(_engine_line(config, result, traced=bool(args.trace_file)))
     if result.modulation is not None:
         print()
         print(result.modulation.describe())

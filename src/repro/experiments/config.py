@@ -129,6 +129,128 @@ _BACKEND_CAPABILITIES = {
 # distributed-computing jobs of :mod:`repro.apps`.
 WORKLOADS = ("open", "rpc", "bsp", "bulk")
 
+#: The batch engine's envelope (DESIGN.md section 15), in the shape of
+#: a ``_BACKEND_CAPABILITIES`` row: the packet-backend cells whose
+#: per-hop event graph ``repro.engine.batch`` fuses into arithmetic
+#: bit-identically.  ``traffic`` applies to the open-loop workload
+#: only (closed-loop workloads have no source).  Everything that reads
+#: the envelope -- the dispatcher, the validator, the CLI's ``engine:``
+#: line, the README sentence tests/test_docs.py checks -- reads it
+#: from here and from the rows below.
+BATCH_ENVELOPE = {
+    "backends": ("packet",),
+    "protocols": ("reno", "vegas", "reno_delack", "udp"),
+    "workloads": WORKLOADS,
+    "traffic": ("poisson",),
+    "pacing": False,
+}
+
+#: The feature lists as the messages below spell them.
+_BATCH_ENVELOPE_WORDS = {
+    feature: "/".join(allowed)
+    for feature, allowed in BATCH_ENVELOPE.items()
+    if isinstance(allowed, tuple)
+}
+
+#: The envelope's rows, in the order they are reported: (name, whether
+#: the config violates it, the message -- formatted with ``c`` = the
+#: config and ``_BATCH_ENVELOPE_WORDS``).
+#: The first five read the table above; the rest are numeric.  The tie
+#: rows exist because the object engine orders simultaneous events by
+#: scheduling order, and each of its events is pushed a fixed lag
+#: before it fires, so a tie between two event kinds reduces to
+#: comparing two config constants.  The batch engine replicates that
+#: order from the same constants, which requires every comparison it
+#: relies on to be decidable:
+#:  * the bottleneck port's enqueue (lag = access propagation delay)
+#:    against its dequeue (lag = bottleneck serialization time);
+#:  * a burst head's trigger -- the ACK delivery, same lag as above --
+#:    against another flow's access-link finish (lag = access
+#:    serialization time), which decides which of two simultaneous
+#:    gateway arrivals was started first;
+#:  * a retransmit timer (lag = RTO >= min_rto) against an ACK
+#:    delivery;
+#:  * a sink's delayed-ACK timer (lag = ack_delay) against a data
+#:    delivery at the server (lag = bottleneck propagation delay).
+_BATCH_ENVELOPE_ROWS = (
+    (
+        "protocols",
+        lambda c: c.protocol not in BATCH_ENVELOPE["protocols"],
+        "the batch engine supports {protocols} only; "
+        "got protocol {c.protocol!r}",
+    ),
+    (
+        "workloads",
+        lambda c: c.workload not in BATCH_ENVELOPE["workloads"],
+        "the batch engine supports {workloads} workloads only; "
+        "got workload {c.workload!r}",
+    ),
+    (
+        "traffic",
+        lambda c: c.workload == "open"
+        and c.traffic not in BATCH_ENVELOPE["traffic"],
+        "the batch engine models {traffic} open-loop sources only; "
+        "got traffic {c.traffic!r}",
+    ),
+    (
+        "pacing",
+        lambda c: c.pacing and not BATCH_ENVELOPE["pacing"],
+        "the batch engine does not model pacing",
+    ),
+    (
+        "backends",
+        lambda c: c.backend not in BATCH_ENVELOPE["backends"],
+        "engine='batch' applies to the {backends} backend",
+    ),
+    (
+        "access_rate",
+        lambda c: c.client_rate_bps < c.bottleneck_rate_bps,
+        "the batch engine assumes access links at least as fast "
+        "as the bottleneck (ACKs then never queue at the gateway's "
+        "client ports, so two clients' ACKs are never delivered at "
+        "the same instant, an order it does not model)",
+    ),
+    (
+        "access_queue",
+        lambda c: c.advertised_window >= 1000,
+        "the batch engine assumes the access queue never "
+        "overflows (advertised_window < 1000)",
+    ),
+    (
+        "tie_bottleneck_serialization",
+        lambda c: c.packet_size * 8.0 / c.bottleneck_rate_bps == c.client_delay,
+        "the batch engine cannot replicate the object engine's "
+        "tie-break when the bottleneck serialization time equals "
+        "the access propagation delay exactly; perturb "
+        "packet_size, bottleneck_rate_bps or client_delay",
+    ),
+    (
+        "tie_access_serialization",
+        lambda c: c.packet_size * 8.0 / c.client_rate_bps == c.client_delay,
+        "the batch engine cannot replicate the object engine's "
+        "tie-break when the access serialization time equals "
+        "the access propagation delay exactly; perturb "
+        "packet_size, client_rate_bps or client_delay",
+    ),
+    (
+        "tie_timer",
+        lambda c: c.min_rto <= c.client_delay,
+        "the batch engine assumes retransmit timers are armed "
+        "further ahead than the access propagation delay "
+        "(min_rto > client_delay), so a timer always precedes a "
+        "same-time ACK arrival, as it does in the object engine",
+    ),
+    (
+        "tie_delayed_ack",
+        lambda c: c.protocol == "reno_delack"
+        and c.ack_delay == c.bottleneck_delay,
+        "the batch engine cannot replicate the object engine's "
+        "tie-break when the delayed-ACK timer equals the bottleneck "
+        "propagation delay exactly; perturb ack_delay or "
+        "bottleneck_delay",
+    ),
+)
+
 
 @dataclass
 class ScenarioConfig:
@@ -529,83 +651,16 @@ class ScenarioConfig:
 
         The struct-of-arrays engine fuses the access hop and the reverse
         ACK path into closed-form arithmetic; those fusions are only
-        bit-identical to the object engine inside this envelope
-        (see DESIGN.md section 15).  run_scenario's default dispatch
-        sends every cell with a violation to the object engine;
-        validate_batch_engine() raises it for an explicit
-        ``engine="batch"``.
+        bit-identical to the object engine inside the envelope that
+        ``BATCH_ENVELOPE`` and ``_BATCH_ENVELOPE_ROWS`` spell out
+        (see DESIGN.md section 15): this is the first row the config
+        violates.  run_scenario's default dispatch sends every cell
+        with a violation to the object engine; validate_batch_engine()
+        raises it for an explicit ``engine="batch"``.
         """
-        if self.protocol not in ("reno", "vegas"):
-            return (
-                "the batch engine supports reno/vegas only; "
-                f"got protocol {self.protocol!r}"
-            )
-        if self.workload not in ("open", "rpc"):
-            return (
-                "the batch engine supports open/rpc workloads only; "
-                f"got workload {self.workload!r}"
-            )
-        if self.workload == "open" and self.traffic != "poisson":
-            return (
-                "the batch engine models poisson open-loop sources only; "
-                f"got traffic {self.traffic!r}"
-            )
-        if self.pacing:
-            return "the batch engine does not model pacing"
-        if self.backend != "packet":
-            return "engine='batch' applies to the packet backend"
-        if self.client_rate_bps < self.bottleneck_rate_bps:
-            return (
-                "the batch engine assumes access links at least as fast "
-                "as the bottleneck (no reverse-path queueing)"
-            )
-        if self.packet_size < 40:
-            return (
-                "the batch engine assumes data packets no smaller than "
-                "ACKs (packet_size >= 40)"
-            )
-        if self.advertised_window >= 1000:
-            return (
-                "the batch engine assumes the access queue never "
-                "overflows (advertised_window < 1000)"
-            )
-        # Same-time tie-breaking (DESIGN.md section 15): the object
-        # engine orders simultaneous events by scheduling order, and
-        # each of its events is pushed a fixed lag before it fires, so
-        # a tie between two event kinds reduces to comparing two config
-        # constants.  The batch engine replicates that order from the
-        # same constants, which requires every comparison it relies on
-        # to be decidable:
-        #  * the bottleneck port's enqueue (lag = access propagation
-        #    delay) against its dequeue (lag = bottleneck serialization
-        #    time);
-        #  * a burst head's trigger -- the ACK delivery, same lag as
-        #    above -- against another flow's access-link finish (lag =
-        #    access serialization time), which decides which of two
-        #    simultaneous gateway arrivals was started first;
-        #  * a retransmit timer (lag = RTO >= min_rto) against an ACK
-        #    delivery.
-        if self.packet_size * 8.0 / self.bottleneck_rate_bps == self.client_delay:
-            return (
-                "the batch engine cannot replicate the object engine's "
-                "tie-break when the bottleneck serialization time equals "
-                "the access propagation delay exactly; perturb "
-                "packet_size, bottleneck_rate_bps or client_delay"
-            )
-        if self.packet_size * 8.0 / self.client_rate_bps == self.client_delay:
-            return (
-                "the batch engine cannot replicate the object engine's "
-                "tie-break when the access serialization time equals "
-                "the access propagation delay exactly; perturb "
-                "packet_size, client_rate_bps or client_delay"
-            )
-        if self.min_rto <= self.client_delay:
-            return (
-                "the batch engine assumes retransmit timers are armed "
-                "further ahead than the access propagation delay "
-                "(min_rto > client_delay), so a timer always precedes a "
-                "same-time ACK arrival, as it does in the object engine"
-            )
+        for _name, violated, message in _BATCH_ENVELOPE_ROWS:
+            if violated(self):
+                return message.format(c=self, **_BATCH_ENVELOPE_WORDS)
         return None
 
     def validate_batch_engine(self) -> None:

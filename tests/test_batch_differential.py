@@ -11,7 +11,11 @@ The matrix below covers Reno/Vegas x droptail/RED x open-loop/RPC plus
 stress cells chosen to exercise the regimes where an unfaithful fusion
 would diverge: deep overload (same-time event ties at the bottleneck
 port), tiny buffers (timeout/fast-retransmit storms) and RED's averaged
-occupancy.  The object engine is the oracle.
+occupancy.  A second matrix covers what the envelope gained after
+that: UDP and delayed-ACK Reno under all four workloads, BSP and bulk
+under Reno/Vegas, closed-loop UDP whose work units time out, and a
+delayed-ACK cell whose timer and arrival instants share one 10 ms
+grid.  The object engine is the oracle.
 
 Paper-scale cells follow: the three cells on which the batch engine
 once *did* differ (two flows' packets reaching the gateway at the
@@ -27,6 +31,7 @@ import random
 
 import pytest
 
+from repro.engine.batch import BatchGuardError
 from repro.experiments.config import ScenarioConfig, paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import run_scenario
@@ -106,6 +111,79 @@ MATRIX = [
 ]
 
 
+#: Closed-loop jobs small enough to finish several times in 5 s.
+_SMALL_JOBS = dict(
+    bsp_shuffle_packets=10, bsp_compute_time=0.1, bulk_job_packets=15, bulk_job_gap=0.2
+)
+
+#: What the envelope gained in PR 16, same moderate load as above.
+WIDENED_MATRIX = [
+    (
+        f"{protocol}-{queue}-{workload}",
+        dict(
+            protocol=protocol,
+            queue=queue,
+            workload=workload,
+            n_clients=8,
+            duration=5.0,
+            seed=11,
+            bottleneck_rate_bps=0.4e6,
+            mean_gap=0.05,
+            **_SMALL_JOBS,
+        ),
+    )
+    for protocol in ("udp", "reno_delack")
+    for queue in ("fifo", "red")
+    for workload in ("open", "rpc", "bsp", "bulk")
+] + [
+    (
+        f"{protocol}-{queue}-{workload}",
+        dict(
+            protocol=protocol,
+            queue=queue,
+            workload=workload,
+            n_clients=8,
+            duration=5.0,
+            seed=11,
+            bottleneck_rate_bps=0.4e6,
+            **_SMALL_JOBS,
+        ),
+    )
+    for protocol, queue, workload in (
+        ("reno", "fifo", "bsp"),
+        ("reno", "red", "bulk"),
+        ("vegas", "red", "bsp"),
+        ("vegas", "fifo", "bulk"),
+    )
+] + [
+    (
+        # Serialization 10 ms: ack_delay = 100 ms is an exact multiple,
+        # so a delayed-ACK timer can expire at the very instant the
+        # next packet is delivered.
+        "delack-timer-on-the-arrival-grid",
+        dict(
+            protocol="reno_delack",
+            queue="fifo",
+            n_clients=20,
+            duration=10.0,
+            seed=4,
+            bottleneck_rate_bps=0.8e6,
+        ),
+    ),
+]
+
+#: Closed-loop UDP under overload with a deadline short enough that
+#: work units are written off (nothing repairs a UDP loss), one cell
+#: per workload.
+UDP_TIMEOUT_CELLS = [
+    dict(workload="rpc", n_clients=60, rpc_think_time=0.01, rpc_request_packets=8,
+         rpc_outstanding=3, workload_timeout=0.3),
+    dict(workload="bsp", n_clients=30, bsp_compute_time=0.05, bsp_shuffle_packets=60,
+         workload_timeout=0.4),
+    dict(workload="bulk", n_clients=20, bulk_job_gap=0.2, workload_timeout=0.5),
+]
+
+
 #: (seed, protocol, n_clients) at ``paper_config(duration=40,
 #: queue="red")``: the same-instant gateway-arrival reproducers.  In
 #: each, a burst head that started serializing at its trigger meets a
@@ -181,7 +259,9 @@ def canonical_forensics(result) -> str:
 
 
 @pytest.mark.parametrize(
-    "overrides", [cell for _, cell in MATRIX], ids=[label for label, _ in MATRIX]
+    "overrides",
+    [cell for _, cell in MATRIX + WIDENED_MATRIX],
+    ids=[label for label, _ in MATRIX + WIDENED_MATRIX],
 )
 def test_batch_matches_object_everywhere(overrides):
     """object vs batch: identical metrics, obs, forensics."""
@@ -193,6 +273,38 @@ def test_batch_matches_object_everywhere(overrides):
     assert canonical_forensics(run) == canonical_forensics(reference)
     # The fusion claim itself: same physics from fewer events.
     assert run.events_executed < reference.events_executed
+
+
+@pytest.mark.parametrize(
+    "overrides", UDP_TIMEOUT_CELLS, ids=lambda cell: f"udp-{cell['workload']}"
+)
+def test_closed_loop_udp_unit_timeouts_match_object(overrides):
+    config = _cell_config(dict(protocol="udp", duration=8.0, seed=2, **overrides))
+    reference = run_scenario(config.with_(engine="object"))
+    run = run_scenario(config.with_(engine="batch"))
+    assert reference.app.units_failed > 0  # the deadline did fire
+    assert run.app == reference.app
+    assert ScenarioMetrics.from_result(run) == ScenarioMetrics.from_result(reference)
+    assert canonical_obs(run) == canonical_obs(reference)
+    assert canonical_forensics(run) == canonical_forensics(reference)
+
+
+def test_udp_burst_beyond_the_access_queue_is_guarded():
+    """No window bounds a UDP flow: a job larger than the access queue
+    would be dropped from there, which the fused access hop cannot do,
+    so the run gives up (and the default dispatch falls back)."""
+    config = paper_config(
+        protocol="udp", workload="bulk", bulk_job_packets=1200, n_clients=3, duration=3.0
+    )
+    with pytest.raises(BatchGuardError, match="access queue would overflow"):
+        run_scenario(config.with_(engine="batch"))
+    result = run_scenario(config)
+    assert result.engine == "object"
+    assert ScenarioMetrics.from_result(result) == ScenarioMetrics.from_result(
+        run_scenario(config.with_(engine="object"))
+    )
+    # Just under the queue's capacity it runs, and matches.
+    _assert_same_metrics(config.with_(bulk_job_packets=990))
 
 
 def _assert_same_metrics(config: ScenarioConfig) -> None:
@@ -240,13 +352,16 @@ def test_unknown_engine_rejected():
 @pytest.mark.parametrize(
     "overrides,match",
     [
-        (dict(protocol="udp"), "reno/vegas"),
+        (dict(protocol="newreno"), "reno/vegas"),
         (dict(protocol="tahoe"), "reno/vegas"),
         (dict(traffic="pareto_onoff"), "poisson"),
         (dict(pacing=True), "pacing"),
         (dict(backend="fluid", queue="red"), "packet backend"),
         (dict(client_rate_bps=1e5), "access links"),
-        (dict(packet_size=39), "40"),
+        # Delayed-ACK timer == bottleneck propagation delay: a timer
+        # and the delivery that would pre-empt it are pushed at one
+        # instant, by handlers the two engines order differently.
+        (dict(protocol="reno_delack", ack_delay=0.2), "delayed-ACK timer"),
         (dict(advertised_window=1000), "access queue"),
         # Bottleneck serialization time == access propagation delay:
         # the object engine's same-time tie-break becomes ambiguous.
@@ -265,7 +380,7 @@ def test_batch_envelope_rejections(overrides, match):
 
 def test_batch_accepts_the_paper_grid():
     """The paper's own sweep cells all validate under the batch engine."""
-    for protocol in ("reno", "vegas"):
+    for protocol in ("reno", "vegas", "reno_delack", "udp"):
         for queue in ("fifo", "red"):
             for n_clients in (10, 100, 500):
                 paper_config(

@@ -4,6 +4,7 @@ import argparse
 
 import pytest
 
+from repro.engine.batch import BatchGuardError
 from repro.experiments.cli import build_parser, main, parse_range
 
 
@@ -472,6 +473,59 @@ class TestForensicsStreamFlag:
             line + "\n" for line in offline_stream_lines(offline.forensics)
         )
         assert stream_path.read_text() == expected
+
+    @pytest.mark.parametrize("protocol", ["reno", "reno_delack", "udp"])
+    def test_observed_run_takes_the_dispatcher(self, protocol, tmp_path, capsys):
+        """``--obs-dir`` / ``--forensics-stream`` no longer mean the
+        object engine: an in-envelope cell runs on batch, and every
+        file it writes is byte-identical to the forced oracle's (all
+        but the engine profile, which is *about* the engine)."""
+
+        def observed(tag, *extra):
+            obs_dir, stream = tmp_path / f"obs-{tag}", tmp_path / f"{tag}.jsonl"
+            assert main(
+                [
+                    "run", "--protocol", protocol, "--clients", "45",
+                    "--duration", "6", "--seed", "3", "--trace", "all",
+                    "--obs-dir", str(obs_dir), "--forensics-stream", str(stream),
+                    *extra,
+                ]
+            ) == 0
+            files = {
+                path.name: path.read_bytes()
+                for path in obs_dir.iterdir()
+                if path.name != "engine_profile.json"
+            }
+            files["stream"] = stream.read_bytes()
+            return capsys.readouterr().out, files
+
+        out, default = observed("default")
+        assert "engine: batch (default: inside the batch envelope)" in out
+        assert "BatchScenario._gw_arrival" in out  # the exported profile
+        out, forced = observed("object", "--engine", "object")
+        assert "engine: object (forced by --engine)" in out
+        assert default.keys() == forced.keys() and len(default) >= 4
+        assert default == forced
+
+    def test_observed_run_falls_back_and_restarts_the_stream(self, tmp_path, capsys):
+        """A guard trip part-way re-runs the cell on the object engine,
+        and the stream file holds that run only."""
+        # A UDP job larger than the access queue: the batch engine's
+        # overflow guard trips on the first job, some way into the run.
+        argv = [
+            "run", "--protocol", "udp", "--workload", "bulk",
+            "--bulk-job-packets", "1200", "--bulk-job-gap", "0.5",
+            "--clients", "3", "--duration", "3", "--forensics-stream-interval", "0.1",
+        ]
+        streams = {}
+        for tag, extra in (("default", []), ("object", ["--engine", "object"])):
+            stream = tmp_path / f"{tag}.jsonl"
+            assert main(argv + ["--forensics-stream", str(stream)] + extra) == 0
+            streams[tag] = (stream.read_bytes(), capsys.readouterr().out)
+        assert "engine: object (fallback:" in streams["default"][1]
+        assert streams["default"][0] == streams["object"][0] != b""
+        with pytest.raises(BatchGuardError):
+            main(argv + ["--forensics-stream", str(stream), "--engine", "batch"])
 
     def test_stream_implies_forensics(self):
         args = build_parser().parse_args(

@@ -31,6 +31,20 @@ class TestReadme:
             assert example.name in text, f"README does not mention {example.name}"
 
 
+    def test_batch_envelope_sentence_matches_the_table(self):
+        """The README says in words what ``BATCH_ENVELOPE`` says as
+        data; widening one without the other fails here."""
+        from repro.experiments.config import BATCH_ENVELOPE
+
+        section = read("README.md").split("## Vectorized flow-batch engine")[1]
+        section = " ".join(section.split("\n## ")[0].split())
+        for feature in ("protocols", "workloads", "traffic"):
+            assert "/".join(BATCH_ENVELOPE[feature]) in section, feature
+        for backend in BATCH_ENVELOPE["backends"]:
+            assert f"the {backend} backend" in section
+        assert BATCH_ENVELOPE["pacing"] is False and "no pacing" in section
+
+
 class TestDesign:
     def test_has_experiment_index_for_every_figure(self):
         text = read("DESIGN.md")

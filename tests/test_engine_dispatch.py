@@ -5,21 +5,24 @@ per cell: the batch engine inside its envelope, the object engine
 everywhere else, and the object engine again when the batch engine's
 tie guard gives a cell up.  Forcing either engine still works, and a
 forced ``"batch"`` still refuses loudly outside the envelope.  Pinned
-here: which way every kind of cell the performance ledger builds goes,
-that the choice never changes a number or a cache key, what the
-fallback leaves behind in the run log, and that ``run_scenario`` frees
-what it built.
+here: which way every kind of cell the performance ledger builds goes
+(and that every cell of its two paper-artefact workloads, ``fig2_sweep``
+and ``apps_closed``, finishes on the batch engine), that the choice
+never changes a number or a cache key, what the fallback leaves behind
+in the run log, and that ``run_scenario`` frees what it built.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.engine import ENGINES
-from repro.engine.batch import BatchScenario, BatchTieError
+from repro.engine.batch import BatchGuardError, BatchScenario, BatchTieError
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, ScenarioConfig, paper_config
 from repro.experiments.results import ScenarioMetrics
@@ -36,8 +39,8 @@ from repro.experiments.sweep import run_many
 #: (benchmarks/ledger/workloads.py), with the engine each must resolve
 #: to.  Figure 2's legend contributes udp / reno / reno_delack / vegas
 #: over fifo and red; apps_closed the three closed-loop workloads;
-#: meanfield the fluid and hybrid backends; the pacing ablation rides
-#: along as the remaining envelope boundary.
+#: meanfield the fluid and hybrid backends; the pacing and Tahoe
+#: ablations ride along as the remaining envelope boundary.
 SHORT = dict(n_clients=6, duration=4.0, seed=3)
 LEDGER_CELLS = [
     ("reno-fifo-open", dict(protocol="reno"), "batch"),
@@ -46,11 +49,12 @@ LEDGER_CELLS = [
     ("vegas-red-open", dict(protocol="vegas", queue="red"), "batch"),
     ("reno-fifo-rpc", dict(protocol="reno", workload="rpc"), "batch"),
     ("vegas-red-rpc", dict(protocol="vegas", queue="red", workload="rpc"), "batch"),
-    ("udp", dict(protocol="udp"), "object"),
-    ("reno-delack", dict(protocol="reno_delack"), "object"),
-    ("reno-bsp", dict(protocol="reno", workload="bsp"), "object"),
-    ("vegas-red-bulk", dict(protocol="vegas", queue="red", workload="bulk"), "object"),
+    ("udp", dict(protocol="udp"), "batch"),
+    ("reno-delack", dict(protocol="reno_delack"), "batch"),
+    ("reno-bsp", dict(protocol="reno", workload="bsp"), "batch"),
+    ("vegas-red-bulk", dict(protocol="vegas", queue="red", workload="bulk"), "batch"),
     ("reno-paced", dict(protocol="reno", pacing=True), "object"),
+    ("tahoe", dict(protocol="tahoe"), "object"),
     ("fluid", dict(backend="fluid"), "object"),
     ("hybrid", dict(backend="hybrid", hybrid_foreground_flows=3), "object"),
 ]
@@ -97,15 +101,45 @@ def test_forcing_still_forces():
     assert run_scenario(config.with_(engine="batch")).engine == "batch"
     # Outside the envelope the default falls through silently, the
     # forced engine refuses, and the message is the validator's.
-    udp = paper_config(protocol="udp", **SHORT)
-    assert udp.batch_envelope_violation() == (
-        "the batch engine supports reno/vegas only; got protocol 'udp'"
+    tahoe = paper_config(protocol="tahoe", **SHORT)
+    assert tahoe.batch_envelope_violation() == (
+        "the batch engine supports reno/vegas/reno_delack/udp only; "
+        "got protocol 'tahoe'"
     )
-    with pytest.raises(ValueError, match="reno/vegas only"):
-        run_scenario(udp.with_(engine="batch"))
-    with pytest.raises(ValueError, match="reno/vegas only"):
-        udp.validate_batch_engine()
+    with pytest.raises(ValueError, match="reno_delack/udp only"):
+        run_scenario(tahoe.with_(engine="batch"))
+    with pytest.raises(ValueError, match="reno_delack/udp only"):
+        tahoe.validate_batch_engine()
     assert paper_config(**SHORT).batch_envelope_violation() is None
+
+
+def _paper_artefact_cells(seed: int) -> dict:
+    """Every config the ledger's ``Fig2Sweep`` and ``AppsClosed`` build
+    for ``seed``, shortened to 6 simulated seconds."""
+    ledger = str(Path(__file__).resolve().parents[1] / "benchmarks" / "ledger")
+    sys.path.insert(0, ledger)  # workloads.py imports its siblings by name
+    try:
+        import workloads
+    finally:
+        sys.path.remove(ledger)
+    return {
+        f"{workload.name}/{key}": config.with_(duration=6.0)
+        for workload in (workloads.Fig2Sweep(), workloads.AppsClosed())
+        for key, config in workload.configs(seed).items()
+    }
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_paper_artefact_cells_finish_on_batch(seed):
+    """All 18 + 6 cells resolve to batch and stay there: a guard trip
+    would show as ``result.engine == "object"``."""
+    cells = _paper_artefact_cells(seed)
+    assert len(cells) == 24
+    engines = {
+        key: (config.resolved_engine(), run_scenario(config).engine)
+        for key, config in cells.items()
+    }
+    assert engines == {key: ("batch", "batch") for key in cells}
 
 
 def test_hand_built_scenario_is_the_object_engine():
@@ -174,6 +208,7 @@ def test_guard_trip_falls_back_or_propagates(tmp_path):
     assert config.resolved_engine() == "batch"
     with pytest.raises(BatchTieError, match="cannot order"):
         run_scenario(config.with_(engine="batch"))
+    assert issubclass(BatchTieError, BatchGuardError)
     result = run_scenario(config)
     assert result.engine == "object"
     assert ScenarioMetrics.from_result(result) == ScenarioMetrics.from_result(
