@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Optional
 
 import numpy as np
 

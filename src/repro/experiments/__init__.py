@@ -13,7 +13,8 @@
 * :mod:`repro.experiments.cache` -- content-addressed on-disk result
   cache keyed by :meth:`ScenarioConfig.config_digest`.
 * :mod:`repro.experiments.runlog` -- JSONL progress telemetry.
-* :mod:`repro.experiments.figures` -- one function per paper figure.
+* :mod:`repro.experiments.figures` -- the sweep and figure spec tables
+  (one row per paper figure, one per sweep subcommand).
 * :mod:`repro.experiments.results` -- flat result records and rendering.
 * :mod:`repro.experiments.cli` -- the ``repro-tcp`` command-line tool.
 """
@@ -28,7 +29,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import Progress, RunLog, read_runlog
-from repro.experiments.runner import SweepRunner, run_sweep
+from repro.experiments.runner import SweepRunner
 from repro.experiments.scenario import Scenario, ScenarioResult, run_scenario
 from repro.experiments.sweep import run_many
 from repro.experiments.figures import (
@@ -65,7 +66,6 @@ __all__ = [
     "ScenarioResult",
     "SweepRunner",
     "read_runlog",
-    "run_sweep",
     "cwnd_trace_experiment",
     "figure2_cov",
     "figure3_throughput",

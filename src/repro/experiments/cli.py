@@ -8,14 +8,22 @@ Subcommands regenerate each paper artifact from the terminal::
     repro-tcp fig3 / fig4 / fig13
     repro-tcp cwnd --protocol vegas --clients 30
 
+The sweep subcommands (``fig2`` ... ``fig13``, ``all``, ``largen``,
+``fluid``, ``hybrid``, ``forensics --sweep``) are the rows of
+``repro.experiments.figures.SWEEPS``: one parser loop and one handler
+(:func:`_cmd_sweep`) serve them all, so a new sweep is a row there and
+no code here.  Likewise every flag that sets a ``ScenarioConfig`` field
+is a row of :data:`_CONFIG_FLAGS`, which builds both the parsers and
+the base config; a new knob is a row.
+
 Sweeps accept ``--csv PATH`` / ``--json PATH`` to persist results, plus
 execution-backbone flags: ``--jobs/-j`` (worker count), ``--schedule``
-(``cost`` longest-expected-first or ``fifo``), ``--cache-dir`` / ``--resume`` (content-addressed result
-cache; interrupted sweeps pick up where they stopped), ``--timeout`` /
-``--retries`` (kill and retry hung or crashed workers), and
-``--run-log`` / ``--progress`` (JSONL telemetry / live counters).
-``repro-tcp sweeplog RUN.jsonl`` folds a run log back into a makespan /
-worker-utilization report.
+(``cost`` longest-expected-first or ``fifo``), ``--cache-dir`` /
+``--resume`` (content-addressed result cache; interrupted sweeps pick
+up where they stopped), ``--timeout`` / ``--retries`` (kill and retry
+hung or crashed workers), and ``--run-log`` / ``--progress`` (JSONL
+telemetry / live counters).  ``repro-tcp sweeplog RUN.jsonl`` folds a
+run log back into a makespan / worker-utilization report.
 
 Observability (the flight recorder)::
 
@@ -54,30 +62,21 @@ from typing import List, Optional, Sequence
 from repro.analysis.io import results_to_csv, results_to_json
 from repro.analysis.asciiplot import ascii_step_plot
 from repro.analysis.tables import format_table
-from repro.experiments.config import WORKLOADS, paper_config, table1_rows
+from repro.experiments.config import (
+    _BATCH_ENVELOPE_WORDS,
+    WORKLOADS,
+    paper_config,
+    table1_rows,
+)
 from repro.experiments.figures import (
-    FLUID_CLIENT_COUNTS,
-    FORENSICS_CLIENT_COUNTS,
-    HYBRID_CLIENT_COUNTS,
-    LARGEN_CLIENT_COUNTS,
+    FIGURES,
+    SWEEPS,
     FigureData,
+    SweepSpec,
+    build_figure,
     cwnd_trace_experiment,
-    figure2_cov,
-    figure3_throughput,
-    figure3_throughput_per_flow,
-    figure4_drops_per_flow,
-    figure4_loss,
-    figure13_timeout_ratio,
     figure_burst_attribution,
-    figure_fluid_cov,
-    figure_forensics_sweep,
-    figure_hybrid_cov,
-    figure_largen_cov,
-    run_fluid_sweep,
-    run_forensics_sweep,
-    run_hybrid_sweep,
-    run_largen_sweep,
-    run_protocol_sweep,
+    run_spec,
 )
 from repro.experiments.replication import replicate
 from repro.experiments.results import ScenarioMetrics, metrics_table
@@ -118,52 +117,194 @@ def _non_negative_int(value: str) -> int:
     return parsed
 
 
+def _flag(flag: str, field: str, **kwargs) -> tuple:
+    """One :data:`_CONFIG_FLAGS` row."""
+    return flag, field, kwargs
+
+
+#: Every flag that sets a :class:`ScenarioConfig` field, said once: per
+#: group, rows of (flag, field, ``add_argument`` keywords).  The table
+#: builds the parsers (:func:`_add_config_flags`, one call per group a
+#: subcommand takes) and the base config (:func:`_base_config`: a flag
+#: that was given overrides its field, one that was not leaves the
+#: Table 1 default), so a new knob is a row here and nothing else.
+_CONFIG_FLAGS = {
+    "common": (
+        _flag("--duration", "duration", type=float, help="run length, s"),
+        _flag("--seed", "seed", type=int, help="root RNG seed"),
+        _flag(
+            "--backend",
+            "backend",
+            choices=["packet", "fluid", "hybrid"],
+            help="scenario solver: the discrete-event packet engine "
+            "(default), the mean-field fluid limit (reno/vegas x "
+            "fifo/red, cost independent of client count), or the hybrid "
+            "co-simulation (K packet-exact foreground flows against the "
+            "fluid background)",
+        ),
+        _flag(
+            "--hybrid-foreground",
+            "hybrid_foreground_flows",
+            type=int,
+            metavar="K",
+            help="hybrid backend: packet-exact foreground flows (default 10)",
+        ),
+        _flag(
+            "--hybrid-background",
+            "hybrid_background_flows",
+            type=int,
+            metavar="N_BG",
+            help="hybrid backend: fluid background flows "
+            "(default 0 = the ambient remainder, clients - K)",
+        ),
+        _flag(
+            "--hybrid-coupling-dt",
+            "hybrid_coupling_dt",
+            type=float,
+            metavar="SECONDS",
+            help="hybrid backend: fluid/packet coupling interval "
+            "(default 0 = every RK4 step)",
+        ),
+        _flag(
+            "--engine",
+            "engine",
+            choices=["object", "batch"],
+            # The envelope in words, from the table that defines it
+            # (tests/test_docs.py holds this and the README to it).
+            help=(
+                "force a flow-state engine: per-flow objects (the "
+                "reference) or the struct-of-arrays batch engine with fused "
+                "transport events.  Default: batch for cells inside its "
+                "envelope (protocols {protocols}, workloads {workloads} "
+                "with {traffic} open-loop sources, the {backends} backend, "
+                "no pacing), where results are identical, and objects for "
+                "the rest"
+            ).format(**_BATCH_ENVELOPE_WORDS),
+        ),
+    ),
+    # Closed-loop application workloads (see repro.apps).
+    "workload": (
+        _flag(
+            "--workload",
+            "workload",
+            choices=list(WORKLOADS),
+            help="application model: open-loop sources (default) or a "
+            "closed-loop rpc/bsp/bulk job",
+        ),
+        _flag(
+            "--rpc-request-packets",
+            "rpc_request_packets",
+            type=int,
+            help="request size, packets",
+        ),
+        _flag(
+            "--rpc-response-packets",
+            "rpc_response_packets",
+            type=int,
+            help="modeled response size, packets",
+        ),
+        _flag("--rpc-think", "rpc_think_time", type=float, help="mean think time, s"),
+        _flag(
+            "--rpc-outstanding",
+            "rpc_outstanding",
+            type=int,
+            help="concurrent requests per client",
+        ),
+        _flag(
+            "--bsp-shuffle-packets",
+            "bsp_shuffle_packets",
+            type=int,
+            help="shuffle volume per worker per superstep, packets",
+        ),
+        _flag(
+            "--bsp-compute", "bsp_compute_time", type=float, help="mean compute time, s"
+        ),
+        _flag(
+            "--bulk-job-packets", "bulk_job_packets", type=int, help="job size, packets"
+        ),
+        _flag(
+            "--bulk-job-gap",
+            "bulk_job_gap",
+            type=float,
+            help="mean gap between jobs, s",
+        ),
+        _flag(
+            "--workload-timeout",
+            "workload_timeout",
+            type=_positive_float,
+            help="abandon work units undelivered after this many seconds",
+        ),
+    ),
+    # The burst-forensics observer's knobs (see repro.forensics).
+    "forensics": (
+        _flag(
+            "--top",
+            "forensics_top_k",
+            type=int,
+            help="culprits ranked per burst (default 5)",
+        ),
+        _flag(
+            "--window",
+            "forensics_window",
+            type=float,
+            help="attribution window width, s (default: one round-trip "
+            "propagation delay)",
+        ),
+        _flag(
+            "--sketch",
+            "forensics_sketch_capacity",
+            type=int,
+            help="space-saving counters per window (default: 4 x top-k)",
+        ),
+    ),
+}
+
+
+def _add_config_flags(parser, group: str) -> None:
+    """Add one group of :data:`_CONFIG_FLAGS` to ``parser`` (a parser
+    or one of its argument groups)."""
+    for flag, _field, kwargs in _CONFIG_FLAGS[group]:
+        parser.add_argument(flag, default=None, **kwargs)
+
+
+def _base_config(args: argparse.Namespace):
+    """The Table 1 config under every :data:`_CONFIG_FLAGS` flag that
+    the subcommand takes and the user gave."""
+    given = vars(args)
+    overrides = {}
+    for rows in _CONFIG_FLAGS.values():
+        for flag, field, _ in rows:
+            value = given.get(flag.lstrip("-").replace("-", "_"))
+            if value is not None:
+                overrides[field] = value
+    return paper_config(**overrides)
+
+
+def _add_scenario(parser: argparse.ArgumentParser, clients: int) -> None:
+    """The one-scenario triple: which cell a single-run subcommand runs."""
+    parser.add_argument("--protocol", default="reno")
+    parser.add_argument("--queue", default="fifo")
+    parser.add_argument("--clients", type=int, default=clients)
+
+
+def _scenario_config(args: argparse.Namespace, **extra):
+    """:func:`_base_config` at the cell :func:`_add_scenario` named."""
+    return _base_config(args).with_(
+        protocol=args.protocol, queue=args.queue, n_clients=args.clients, **extra
+    )
+
+
+def _add_grid(
+    parser: argparse.ArgumentParser, spec: SweepSpec, flag: str = "--clients", **kwargs
+) -> None:
+    """The client-count axis of a sweep row (its defaults unless given)."""
+    kwargs.setdefault("default", list(spec.clients))
+    kwargs.setdefault("help", "client counts, as start:stop:step or a comma list")
+    parser.add_argument(flag, type=parse_range, **kwargs)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--duration", type=float, default=None, help="run length, s")
-    parser.add_argument("--seed", type=int, default=None, help="root RNG seed")
-    parser.add_argument(
-        "--backend",
-        choices=["packet", "fluid", "hybrid"],
-        default=None,
-        help="scenario solver: the discrete-event packet engine "
-        "(default), the mean-field fluid limit (reno/vegas x "
-        "fifo/red, cost independent of client count), or the hybrid "
-        "co-simulation (K packet-exact foreground flows against the "
-        "fluid background)",
-    )
-    parser.add_argument(
-        "--hybrid-foreground",
-        type=int,
-        default=None,
-        metavar="K",
-        help="hybrid backend: packet-exact foreground flows (default 10)",
-    )
-    parser.add_argument(
-        "--hybrid-background",
-        type=int,
-        default=None,
-        metavar="N_BG",
-        help="hybrid backend: fluid background flows "
-        "(default 0 = the ambient remainder, clients - K)",
-    )
-    parser.add_argument(
-        "--hybrid-coupling-dt",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="hybrid backend: fluid/packet coupling interval "
-        "(default 0 = every RK4 step)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=["object", "batch"],
-        default=None,
-        help="force a flow-state engine: per-flow objects (the "
-        "reference) or the struct-of-arrays batch engine with fused "
-        "transport events.  Default: batch for cells inside its "
-        "envelope (reno/vegas, open poisson or rpc, packet backend), "
-        "where results are identical, and objects for the rest",
-    )
+    _add_config_flags(parser, "common")
     parser.add_argument("--processes", type=int, default=None, help="worker count")
     parser.add_argument(
         "--jobs",
@@ -228,116 +369,31 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
         "cache": cache_dir,
         "timeout": args.timeout,
         "retries": args.retries,
-        "schedule": getattr(args, "schedule", "cost"),
+        "schedule": args.schedule,
     }
     if args.run_log or args.progress:
         kwargs["run_log"] = stderr_runlog(path=args.run_log, progress=args.progress)
     return kwargs
 
 
-def _add_workload(parser: argparse.ArgumentParser) -> None:
-    """Closed-loop application-workload flags (see repro.apps)."""
-    group = parser.add_argument_group("application workload")
-    group.add_argument(
-        "--workload",
-        choices=list(WORKLOADS),
-        default="open",
-        help="application model: open-loop sources (default) or a "
-        "closed-loop rpc/bsp/bulk job",
-    )
-    group.add_argument(
-        "--rpc-request-packets", type=int, default=None, help="request size, packets"
-    )
-    group.add_argument(
-        "--rpc-response-packets",
-        type=int,
-        default=None,
-        help="modeled response size, packets",
-    )
-    group.add_argument(
-        "--rpc-think", type=float, default=None, help="mean think time, s"
-    )
-    group.add_argument(
-        "--rpc-outstanding",
-        type=int,
-        default=None,
-        help="concurrent requests per client",
-    )
-    group.add_argument(
-        "--bsp-shuffle-packets",
-        type=int,
-        default=None,
-        help="shuffle volume per worker per superstep, packets",
-    )
-    group.add_argument(
-        "--bsp-compute", type=float, default=None, help="mean compute time, s"
-    )
-    group.add_argument(
-        "--bulk-job-packets", type=int, default=None, help="job size, packets"
-    )
-    group.add_argument(
-        "--bulk-job-gap", type=float, default=None, help="mean gap between jobs, s"
-    )
-    group.add_argument(
-        "--workload-timeout",
-        type=_positive_float,
-        default=None,
-        help="abandon work units undelivered after this many seconds",
-    )
+def _write_csv(rows, path: Optional[str]) -> None:
+    """``--csv``: write and say so, if the flag was given."""
+    if path:
+        results_to_csv(rows, path)
+        print(f"\nwrote {path}")
 
 
-def _workload_overrides(args: argparse.Namespace) -> dict:
-    """Map the workload CLI flags onto ScenarioConfig fields."""
-    mapping = {
-        "workload": "workload",
-        "rpc_request_packets": "rpc_request_packets",
-        "rpc_response_packets": "rpc_response_packets",
-        "rpc_think": "rpc_think_time",
-        "rpc_outstanding": "rpc_outstanding",
-        "bsp_shuffle_packets": "bsp_shuffle_packets",
-        "bsp_compute": "bsp_compute_time",
-        "bulk_job_packets": "bulk_job_packets",
-        "bulk_job_gap": "bulk_job_gap",
-        "workload_timeout": "workload_timeout",
-    }
-    overrides = {}
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None and value != "open":
-            overrides[field] = value
-    return overrides
+def _write_json(payload, path: Optional[str]) -> None:
+    """``--json``: write and say so, if the flag was given."""
+    if path:
+        results_to_json(payload, path)
+        print(f"\nwrote {path}")
 
 
-def _base_config(args: argparse.Namespace):
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "engine", None) is not None:
-        overrides["engine"] = args.engine
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "hybrid_foreground", None) is not None:
-        overrides["hybrid_foreground_flows"] = args.hybrid_foreground
-    if getattr(args, "hybrid_background", None) is not None:
-        overrides["hybrid_background_flows"] = args.hybrid_background
-    if getattr(args, "hybrid_coupling_dt", None) is not None:
-        overrides["hybrid_coupling_dt"] = args.hybrid_coupling_dt
-    overrides.update(_workload_overrides(args))
-    return paper_config(**overrides)
-
-
-def _emit_figure(figure: FigureData, args: argparse.Namespace) -> None:
+def _print_figure(figure: FigureData) -> None:
     print(figure.render_plot())
     print()
     print(figure.render_table())
-    if args.csv:
-        results_to_csv(figure.to_rows(), args.csv)
-        print(f"\nwrote {args.csv}")
-    if args.json:
-        results_to_json(figure.series, args.json)
-        print(f"\nwrote {args.json}")
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -432,7 +488,6 @@ def _run_attached(scenario_cls, config, args):
     the ns-2 trace writer, the forensics stream, each (re)starting its
     file -- and run it: ``(result, trace writer, stream)``."""
     scenario = scenario_cls(config)
-    stream_path = getattr(args, "forensics_stream", None)
     writer = stream = None
     with contextlib.ExitStack() as files:
         if args.trace_file:
@@ -442,8 +497,10 @@ def _run_attached(scenario_cls, config, args):
             writer = NsTraceWriter(handle).attach(
                 scenario.network.bottleneck_interface
             )
-        if stream_path:
-            handle = files.enter_context(open(stream_path, "w", encoding="utf-8"))
+        if args.forensics_stream:
+            handle = files.enter_context(
+                open(args.forensics_stream, "w", encoding="utf-8")
+            )
             stream = scenario.attach_forensics_stream(
                 handle, interval=args.forensics_stream_interval
             )
@@ -451,14 +508,12 @@ def _run_attached(scenario_cls, config, args):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    stream_path = getattr(args, "forensics_stream", None)
-    config = _base_config(args).with_(
-        protocol=args.protocol,
-        queue=args.queue,
-        n_clients=args.clients,
+    stream_path = args.forensics_stream
+    config = _scenario_config(
+        args,
         obs_trace=tuple(args.trace),
         obs_profile=bool(args.obs_dir),
-        forensics=bool(getattr(args, "forensics", False)) or bool(stream_path),
+        forensics=args.forensics or bool(stream_path),
     )
     stream = writer = None
     if args.trace_file and config.engine == "batch":
@@ -514,23 +569,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if result.obs.engine is not None:
             print()
             print(result.obs.engine.render_table())
-    if args.json:
-        results_to_json(metrics.as_dict(), args.json)
-        print(f"\nwrote {args.json}")
-    if args.csv:
-        results_to_csv([metrics.as_dict()], args.csv)
-        print(f"\nwrote {args.csv}")
+    _write_json(metrics.as_dict(), args.json)
+    _write_csv([metrics.as_dict()], args.csv)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run one scenario under the engine profiler and print the profile."""
-    config = _base_config(args).with_(
-        protocol=args.protocol,
-        queue=args.queue,
-        n_clients=args.clients,
-        obs_profile=True,
-    )
+    config = _scenario_config(args, obs_profile=True)
     result = run_scenario(config)
     profile = result.obs.engine if result.obs is not None else None
     assert profile is not None  # obs_profile=True guarantees it
@@ -544,67 +590,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         payload = profile.as_dict()
         payload["wall_time_total"] = result.wall_time
         payload["peak_rss_kb"] = result.peak_rss_kb
-        results_to_json(payload, args.json)
-        print(f"\nwrote {args.json}")
-    return 0
-
-
-def _cmd_forensics_sweep(args: argparse.Namespace) -> int:
-    """The forensics grid: burst rate and sync linkage vs N per
-    protocol x AQM, next to Figure 2's c.o.v. curve."""
-    # Match run_forensics_sweep's no-base default: a widened buffer so
-    # RED's early-drop region has headroom over its thresholds.
-    base = _base_config(args).with_(buffer_capacity=100)
-    sweep = run_forensics_sweep(
-        args.sweep,
-        base=base,
-        processes=args.processes,
-        **_runner_kwargs(args),
-    )
-    rate_figure = figure_forensics_sweep(sweep, "forensic_burst_rate")
-    linked_figure = figure_forensics_sweep(
-        sweep, "forensic_sync_linked_fraction"
-    )
-    cov_figure = figure2_cov(sweep, base)
-    for figure in (rate_figure, linked_figure, cov_figure):
-        print(figure.render_plot())
-        print()
-        print(figure.render_table())
-        print()
-    if args.json:
-        results_to_json(
-            {
-                "burst_rate": rate_figure.series,
-                "sync_linked_fraction": linked_figure.series,
-                "cov": cov_figure.series,
-            },
-            args.json,
-        )
-        print(f"wrote {args.json}")
-    if args.csv:
-        rows = [m.as_dict() for metrics in sweep.values() for m in metrics]
-        results_to_csv(rows, args.csv)
-        print(f"wrote {args.csv}")
+        _write_json(payload, args.json)
     return 0
 
 
 def _cmd_forensics(args: argparse.Namespace) -> int:
-    """Run one scenario under burst forensics and print the report."""
+    """Run one scenario under burst forensics and print the report
+    (``--sweep``: the forensics row of the sweep table instead)."""
     if args.sweep is not None:
-        return _cmd_forensics_sweep(args)
-    overrides = {"forensics": True}
-    if args.top is not None:
-        overrides["forensics_top_k"] = args.top
-    if args.window is not None:
-        overrides["forensics_window"] = args.window
-    if args.sketch is not None:
-        overrides["forensics_sketch_capacity"] = args.sketch
-    config = _base_config(args).with_(
-        protocol=args.protocol,
-        queue=args.queue,
-        n_clients=args.clients,
-        **overrides,
-    )
+        return _cmd_sweep(args, args.sweep)
+    config = _scenario_config(args, forensics=True)
     result = run_scenario(config)
     report = result.forensics
     assert report is not None  # forensics=True guarantees it
@@ -621,12 +616,8 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
     if args.obs_dir and result.obs is not None:
         for path in result.obs.export(args.obs_dir, fmt=args.obs_format):
             print(f"wrote {path}")
-    if args.json:
-        results_to_json(report.as_dict(), args.json)
-        print(f"\nwrote {args.json}")
-    if args.csv:
-        results_to_csv(figure.to_rows(), args.csv)
-        print(f"\nwrote {args.csv}")
+    _write_json(report.as_dict(), args.json)
+    _write_csv(figure.to_rows(), args.csv)
     return 0
 
 
@@ -658,74 +649,47 @@ def _cmd_sweeplog(args: argparse.Namespace) -> int:
         summary["per_worker"] = {
             str(worker): stats for worker, stats in summary["per_worker"].items()
         }
-        results_to_json(summary, args.json)
-        print(f"\nwrote {args.json}")
+        _write_json(summary, args.json)
     return 0
 
 
-def _cmd_sweep_figure(args: argparse.Namespace) -> int:
+def _run_sweep(args: argparse.Namespace, client_counts: Sequence[int]):
+    """Run ``args.spec``'s grid: ``(sweep, its figures in print order)``."""
     base = _base_config(args)
-    sweep = run_protocol_sweep(
-        args.clients, base=base, processes=args.processes, **_runner_kwargs(args)
-    )
-    builders = {
-        "fig2": lambda: figure2_cov(sweep, base),
-        "fig3": lambda: figure3_throughput(sweep),
-        "fig4": lambda: figure4_loss(sweep),
-        "fig13": lambda: figure13_timeout_ratio(sweep),
-    }
-    _emit_figure(builders[args.command](), args)
-    return 0
-
-
-def _cmd_largen(args: argparse.Namespace) -> int:
-    """The large-N c.o.v. sweep (Figure 2 out to N=500)."""
-    base = _base_config(args)
-    sweep = run_largen_sweep(
-        args.clients,
+    sweep = run_spec(
+        args.spec,
+        client_counts,
         base=base,
         processes=args.processes,
         **_runner_kwargs(args),
     )
-    _emit_figure(figure_largen_cov(sweep, base), args)
-    return 0
+    figures = [build_figure(FIGURES[name], sweep, base) for name in args.spec.figures]
+    return sweep, figures
 
 
-def _cmd_fluid(args: argparse.Namespace) -> int:
-    """The mean-field c.o.v. sweep (Figure 2 out to N=10^6)."""
-    base = _base_config(args)
-    sweep = run_fluid_sweep(
-        args.clients,
-        base=base,
-        processes=args.processes,
-        **_runner_kwargs(args),
-    )
-    _emit_figure(figure_fluid_cov(sweep, base), args)
-    return 0
+def _metric_rows(sweep) -> list:
+    """Every cell's full metrics record, one CSV row each."""
+    return [m.as_dict() for metrics in sweep.values() for m in metrics]
 
 
-def _cmd_hybrid(args: argparse.Namespace) -> int:
-    """The hybrid c.o.v. sweep: K packet-exact foreground flows against
-    ambient fluid backgrounds out to N=10^6, plus the per-flow
-    throughput/drop analogues of Figures 3 and 4."""
-    base = _base_config(args)
-    foreground = args.hybrid_foreground or base.hybrid_foreground_flows
-    sweep = run_hybrid_sweep(
-        args.clients,
-        base=base,
-        foreground=foreground,
-        processes=args.processes,
-        **_runner_kwargs(args),
-    )
-    _emit_figure(figure_hybrid_cov(sweep, base, foreground=foreground), args)
-    for figure in (
-        figure3_throughput_per_flow(sweep),
-        figure4_drops_per_flow(sweep),
-    ):
+def _cmd_sweep(
+    args: argparse.Namespace, client_counts: Optional[Sequence[int]] = None
+) -> int:
+    """Every sweep subcommand: run the row's grid, print its figures,
+    persist what ``--csv``/``--json`` ask for."""
+    spec = args.spec
+    sweep, figures = _run_sweep(args, client_counts or args.clients)
+    _print_figure(figures[0])
+    if not spec.export_keys:
+        _write_csv(figures[0].to_rows(), args.csv)
+        _write_json(figures[0].series, args.json)
+    for figure in figures[1:]:
         print()
-        print(figure.render_plot())
-        print()
-        print(figure.render_table())
+        _print_figure(figure)
+    if spec.export_keys:
+        series = [figure.series for figure in figures]
+        _write_json(dict(zip(spec.export_keys, series)), args.json)
+        _write_csv(_metric_rows(sweep), args.csv)
     return 0
 
 
@@ -734,8 +698,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
     import os
 
     os.makedirs(args.outdir, exist_ok=True)
-    base = _base_config(args)
-
     with open(os.path.join(args.outdir, "table1.txt"), "w") as handle:
         handle.write(
             format_table(
@@ -747,56 +709,34 @@ def _cmd_all(args: argparse.Namespace) -> int:
         )
 
     print(f"running the protocol sweep over clients={args.clients} ...")
-    sweep = run_protocol_sweep(
-        args.clients, base=base, processes=args.processes, **_runner_kwargs(args)
-    )
-    figures = {
-        "fig02_cov": figure2_cov(sweep, base),
-        "fig03_throughput": figure3_throughput(sweep),
-        "fig04_loss": figure4_loss(sweep),
-        "fig13_timeout_ratio": figure13_timeout_ratio(sweep),
-    }
-    for name, figure in figures.items():
+    sweep, figures = _run_sweep(args, args.clients)
+    for name, figure in zip(args.spec.figures, figures):
         results_to_csv(figure.to_rows(), os.path.join(args.outdir, f"{name}.csv"))
         with open(os.path.join(args.outdir, f"{name}.txt"), "w") as handle:
             handle.write(figure.render_plot() + "\n\n" + figure.render_table() + "\n")
         print(f"wrote {name}.csv / {name}.txt")
-    all_metrics = [m.as_dict() for metrics in sweep.values() for m in metrics]
+    all_metrics = _metric_rows(sweep)
     results_to_csv(all_metrics, os.path.join(args.outdir, "sweep_metrics.csv"))
     print(f"wrote sweep_metrics.csv ({len(all_metrics)} rows) to {args.outdir}")
     return 0
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    config = _base_config(args).with_(
-        protocol=args.protocol, queue=args.queue, n_clients=args.clients
-    )
     result = replicate(
-        config,
+        _scenario_config(args),
         n_replicas=args.replicas,
         base_seed=args.seed if args.seed is not None else 1,
         processes=args.processes,
         **_runner_kwargs(args),
     )
     print(result.render_table())
-    if args.json:
-        results_to_json(
-            {name: s.values for name, s in result.summaries.items()}, args.json
-        )
-        print(f"\nwrote {args.json}")
-    if args.csv:
-        results_to_csv([m.as_dict() for m in result.replicas], args.csv)
-        print(f"\nwrote {args.csv}")
+    _write_json({name: s.values for name, s in result.summaries.items()}, args.json)
+    _write_csv([m.as_dict() for m in result.replicas], args.csv)
     return 0
 
 
 def _cmd_dependence(args: argparse.Namespace) -> int:
-    config = _base_config(args).with_(
-        protocol=args.protocol,
-        queue=args.queue,
-        n_clients=args.clients,
-        record_flow_arrivals=True,
-    )
+    config = _scenario_config(args, record_flow_arrivals=True)
     result = run_scenario(config)
     report = result.dependence()
     print(
@@ -808,9 +748,7 @@ def _cmd_dependence(args: argparse.Namespace) -> int:
     print(report.describe())
     print(f"aggregate c.o.v. = {result.cov:.4f} "
           f"(analytic Poisson {result.analytic_cov:.4f})")
-    if args.json:
-        results_to_json(report, args.json)
-        print(f"\nwrote {args.json}")
+    _write_json(report, args.json)
     return 0
 
 
@@ -846,140 +784,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="print the Table 1 parameters")
+    def single_run(name: str, func, clients: int, help: str, workload: bool = False):
+        """A subcommand that runs one cell (or one cell under seeds)."""
+        run_parser = sub.add_parser(name, help=help)
+        run_parser.set_defaults(func=func)
+        _add_scenario(run_parser, clients)
+        _add_common(run_parser)
+        if workload:
+            _add_config_flags(
+                run_parser.add_argument_group("application workload"), "workload"
+            )
+        return run_parser
 
-    run_parser = sub.add_parser("run", help="run one scenario")
-    run_parser.add_argument("--protocol", default="reno")
-    run_parser.add_argument("--queue", default="fifo")
-    run_parser.add_argument("--clients", type=int, default=20)
-    _add_common(run_parser)
-    _add_workload(run_parser)
-    _add_obs(run_parser)
+    sub.add_parser("table1", help="print the Table 1 parameters").set_defaults(
+        func=_cmd_table1
+    )
+    _add_obs(single_run("run", _cmd_run, 20, "run one scenario", workload=True))
+    single_run(
+        "profile",
+        _cmd_profile,
+        20,
+        "profile the event engine over one scenario",
+        workload=True,
+    )
+    single_run("cwnd", _cmd_cwnd, 20, "congestion-window traces (Figures 5-12)")
+    single_run(
+        "replicate",
+        _cmd_replicate,
+        40,
+        "run one scenario under several seeds (mean +/- CI)",
+        workload=True,
+    ).add_argument("--replicas", type=int, default=5)
+    single_run(
+        "dependence",
+        _cmd_dependence,
+        40,
+        "cross-stream dependence diagnostics at the gateway",
+    )
 
-    profile_parser = sub.add_parser(
-        "profile", help="profile the event engine over one scenario"
+    # ``forensics`` runs one cell; its ``--sweep`` mode is a row of the
+    # sweep table, which lends it the grid default and the figures.
+    forensics = SWEEPS["forensics"]
+    forensics_parser = single_run(
+        forensics.name, _cmd_forensics, 40, forensics.help
     )
-    profile_parser.add_argument("--protocol", default="reno")
-    profile_parser.add_argument("--queue", default="fifo")
-    profile_parser.add_argument("--clients", type=int, default=20)
-    _add_common(profile_parser)
-    _add_workload(profile_parser)
-
-    for name, help_text in [
-        ("fig2", "c.o.v. vs clients (Figure 2)"),
-        ("fig3", "throughput vs clients (Figure 3)"),
-        ("fig4", "loss percentage vs clients (Figure 4)"),
-        ("fig13", "timeout/dupACK ratio vs clients (Figure 13)"),
-    ]:
-        figure_parser = sub.add_parser(name, help=help_text)
-        figure_parser.add_argument(
-            "--clients",
-            type=parse_range,
-            default=list(range(4, 61, 8)),
-            help="client counts, as start:stop:step or a comma list",
-        )
-        _add_common(figure_parser)
-
-    largen_parser = sub.add_parser(
-        "largen",
-        help="large-N c.o.v. sweep out to N=500 (timer-wheel fast path)",
-    )
-    largen_parser.add_argument(
-        "--clients",
-        type=parse_range,
-        default=list(LARGEN_CLIENT_COUNTS),
-        help="client counts, as start:stop:step or a comma list",
-    )
-    _add_common(largen_parser)
-
-    fluid_parser = sub.add_parser(
-        "fluid",
-        help="mean-field c.o.v. sweep out to N=1e6 (fluid backend)",
-    )
-    fluid_parser.add_argument(
-        "--clients",
-        type=parse_range,
-        default=list(FLUID_CLIENT_COUNTS),
-        help="client counts, as start:stop:step or a comma list",
-    )
-    _add_common(fluid_parser)
-
-    hybrid_parser = sub.add_parser(
-        "hybrid",
-        help="hybrid c.o.v. sweep: packet-exact foreground flows "
-        "against fluid ambient load out to N=1e6",
-    )
-    hybrid_parser.add_argument(
-        "--clients",
-        type=parse_range,
-        default=list(HYBRID_CLIENT_COUNTS),
-        help="ambient client counts, as start:stop:step or a comma list",
-    )
-    _add_common(hybrid_parser)
-
-    cwnd_parser = sub.add_parser("cwnd", help="congestion-window traces (Figures 5-12)")
-    cwnd_parser.add_argument("--protocol", default="reno")
-    cwnd_parser.add_argument("--queue", default="fifo")
-    cwnd_parser.add_argument("--clients", type=int, default=20)
-    _add_common(cwnd_parser)
-
-    all_parser = sub.add_parser(
-        "all", help="regenerate Table 1 and Figures 2/3/4/13 into a directory"
-    )
-    all_parser.add_argument("--outdir", default="results")
-    all_parser.add_argument(
-        "--clients",
-        type=parse_range,
-        default=list(range(4, 61, 8)),
-        help="client counts, as start:stop:step or a comma list",
-    )
-    _add_common(all_parser)
-
-    replicate_parser = sub.add_parser(
-        "replicate", help="run one scenario under several seeds (mean +/- CI)"
-    )
-    replicate_parser.add_argument("--protocol", default="reno")
-    replicate_parser.add_argument("--queue", default="fifo")
-    replicate_parser.add_argument("--clients", type=int, default=40)
-    replicate_parser.add_argument("--replicas", type=int, default=5)
-    _add_common(replicate_parser)
-    _add_workload(replicate_parser)
-
-    dependence_parser = sub.add_parser(
-        "dependence", help="cross-stream dependence diagnostics at the gateway"
-    )
-    dependence_parser.add_argument("--protocol", default="reno")
-    dependence_parser.add_argument("--queue", default="fifo")
-    dependence_parser.add_argument("--clients", type=int, default=40)
-    _add_common(dependence_parser)
-
-    forensics_parser = sub.add_parser(
-        "forensics",
-        help="burst forensics: episode segmentation, top-k flow "
-        "attribution, loss-synchronization linkage",
-    )
-    forensics_parser.add_argument("--protocol", default="reno")
-    forensics_parser.add_argument("--queue", default="fifo")
-    forensics_parser.add_argument("--clients", type=int, default=40)
-    forensics_parser.add_argument(
-        "--top",
-        type=int,
-        default=None,
-        help="culprits ranked per burst (default 5)",
-    )
-    forensics_parser.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        help="attribution window width, s (default: one round-trip "
-        "propagation delay)",
-    )
-    forensics_parser.add_argument(
-        "--sketch",
-        type=int,
-        default=None,
-        help="space-saving counters per window (default: 4 x top-k)",
-    )
+    forensics_parser.set_defaults(spec=forensics)
+    _add_config_flags(forensics_parser, "forensics")
     forensics_parser.add_argument(
         "--obs-dir",
         default=None,
@@ -992,25 +842,38 @@ def build_parser() -> argparse.ArgumentParser:
         default="jsonl",
         help="series export format (default jsonl)",
     )
-    forensics_parser.add_argument(
+    _add_grid(
+        forensics_parser,
+        forensics,
         "--sweep",
-        type=parse_range,
         default=None,
         nargs="?",
-        const=list(FORENSICS_CLIENT_COUNTS),
+        const=list(forensics.clients),
         metavar="CLIENTS",
         help="sweep mode: run the forensics grid (reno/vegas x "
         "fifo/red) over these client counts (start:stop:step or a "
         "comma list; default "
-        + ",".join(str(n) for n in FORENSICS_CLIENT_COUNTS)
+        + ",".join(str(n) for n in forensics.clients)
         + ") and plot burst rate / sync linkage / c.o.v. vs N",
     )
-    _add_common(forensics_parser)
+
+    # Every other row of the sweep table is a subcommand of its own.
+    for spec in SWEEPS.values():
+        if spec.name not in sub.choices:
+            sweep_parser = sub.add_parser(spec.name, help=spec.help)
+            sweep_parser.set_defaults(func=_cmd_sweep, spec=spec)
+            _add_grid(sweep_parser, spec)
+            _add_common(sweep_parser)
+    # ... and ``all`` prints nothing: it writes its figures to files.
+    all_parser = sub.choices["all"]
+    all_parser.set_defaults(func=_cmd_all)
+    all_parser.add_argument("--outdir", default="results")
 
     sweeplog_parser = sub.add_parser(
         "sweeplog",
         help="summarize a sweep run log (makespan, worker utilization)",
     )
+    sweeplog_parser.set_defaults(func=_cmd_sweeplog)
     sweeplog_parser.add_argument("path", help="JSONL run log (--run-log output)")
     sweeplog_parser.add_argument(
         "--json", default=None, help="write the summary as JSON"
@@ -1042,25 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "table1": _cmd_table1,
-        "run": _cmd_run,
-        "profile": _cmd_profile,
-        "fig2": _cmd_sweep_figure,
-        "fig3": _cmd_sweep_figure,
-        "fig4": _cmd_sweep_figure,
-        "fig13": _cmd_sweep_figure,
-        "largen": _cmd_largen,
-        "fluid": _cmd_fluid,
-        "hybrid": _cmd_hybrid,
-        "cwnd": _cmd_cwnd,
-        "all": _cmd_all,
-        "replicate": _cmd_replicate,
-        "dependence": _cmd_dependence,
-        "forensics": _cmd_forensics,
-        "sweeplog": _cmd_sweeplog,
-    }
-    return handlers[args.command](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

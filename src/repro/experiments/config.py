@@ -55,7 +55,6 @@ _DIGEST_EXCLUDED_FIELDS = frozenset(
         "forensics_burst_enter",
         "forensics_burst_exit",
         "forensics_sync_fraction",
-        "forensics_sketch",
         # Single-valued (see the field): never was physics, so caches
         # written when it read "heap" stay valid.
         "scheduler",
@@ -389,11 +388,6 @@ class ScenarioConfig:
     forensics_burst_enter: float = 0.6
     forensics_burst_exit: float = 0.3
     forensics_sync_fraction: float = 0.25
-    # Which bounded-memory sketch backs the per-window attribution:
-    # "spacesaving" (guaranteed-weight ranking, the default) or
-    # "countmin" (conservative-update count-min; see
-    # benchmarks/bench_forensics_sketch.py for the trade-off curves).
-    forensics_sketch: str = "spacesaving"
 
     # Single-valued enumeration shim: the performance ledger builds its
     # variant rows with config.with_(scheduler=s).  It selects nothing.
@@ -615,13 +609,6 @@ class ScenarioConfig:
             )
         if not 0 < self.forensics_sync_fraction <= 1:
             raise ValueError("forensics_sync_fraction must lie in (0, 1]")
-        from repro.forensics.windows import SKETCHES
-
-        if self.forensics_sketch not in SKETCHES:
-            raise ValueError(
-                f"unknown forensics sketch {self.forensics_sketch!r}; "
-                f"choose from {sorted(SKETCHES)}"
-            )
         from repro.sim.engine import SCHEDULERS
 
         if self.scheduler not in SCHEDULERS:

@@ -713,28 +713,3 @@ class SweepRunner:
                 worker.conn.close()
             except OSError:
                 pass
-
-
-def run_sweep(
-    configs: Sequence[ScenarioConfig],
-    processes: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    cache: Union[ResultCache, str, None] = None,
-    run_log: Optional[RunLog] = None,
-    **kwargs,
-) -> List[ScenarioMetrics]:
-    """One-call convenience wrapper around :class:`SweepRunner`.
-
-    Extra keyword arguments (``pool``, ``schedule``, ``start_method``,
-    ``backoff``, ...) pass through to the runner.
-    """
-    runner = SweepRunner(
-        processes=processes,
-        timeout=timeout,
-        retries=retries,
-        cache=cache,
-        run_log=run_log,
-        **kwargs,
-    )
-    return runner.run(configs)

@@ -58,7 +58,7 @@ from repro.transport.reno import RenoSender
 from repro.transport.sack import SackSender
 from repro.transport.sink import TcpSink, UdpSink
 from repro.transport.tahoe import TahoeSender
-from repro.transport.tcp_base import TcpParams, TcpSender, TcpSenderStats
+from repro.transport.tcp_base import TcpParams, TcpSenderStats
 from repro.transport.udp import UdpSender
 from repro.transport.vegas import VegasParams, VegasSender
 
@@ -243,7 +243,6 @@ class Scenario:
                 ForensicsParams.from_config(config),
                 n_flows=config.n_clients,
                 queue=self.network.bottleneck_queue,
-                sketch_kind=config.forensics_sketch,
             )
         self._build_flows()
         # Packet free-listing: after each executed event, packets that

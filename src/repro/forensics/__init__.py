@@ -40,8 +40,6 @@ from repro.forensics.sync import (
     link_bursts,
 )
 from repro.forensics.windows import (
-    SKETCHES,
-    CountMinSketch,
     FlowShare,
     SketchWindowAccountant,
     SpaceSavingSketch,
@@ -54,7 +52,6 @@ __all__ = [
     "BurstAttribution",
     "BurstDetector",
     "BurstEpisode",
-    "CountMinSketch",
     "FlowShare",
     "ForensicsParams",
     "ForensicsProbe",
@@ -64,7 +61,6 @@ __all__ = [
     "IncrementalSyncClusterer",
     "LOSS_STATES",
     "LossSyncDetector",
-    "SKETCHES",
     "SketchWindowAccountant",
     "SpaceSavingSketch",
     "SyncEvent",

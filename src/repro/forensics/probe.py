@@ -21,11 +21,7 @@ from typing import IO, TYPE_CHECKING, Dict, Optional, Union
 from repro.forensics.bursts import BurstDetector
 from repro.forensics.report import ForensicsReport, build_attributions
 from repro.forensics.sync import LossSyncDetector
-from repro.forensics.windows import (
-    SKETCHES,
-    SketchWindowAccountant,
-    WindowAccountant,
-)
+from repro.forensics.windows import SketchWindowAccountant, WindowAccountant
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import ScenarioConfig
@@ -102,22 +98,11 @@ class ForensicsProbe:
         params: ForensicsParams,
         n_flows: int,
         queue: Optional["PacketQueue"] = None,
-        sketch_kind: str = "spacesaving",
     ) -> None:
-        try:
-            factory = SKETCHES[sketch_kind]
-        except KeyError:
-            raise ValueError(
-                f"unknown forensics sketch {sketch_kind!r}; "
-                f"choose from {sorted(SKETCHES)}"
-            ) from None
         self.params = params
         self.n_flows = n_flows
-        self.sketch_kind = sketch_kind
         self.exact = WindowAccountant(params.window)
-        self.sketch = SketchWindowAccountant(
-            params.window, params.sketch_capacity, factory=factory
-        )
+        self.sketch = SketchWindowAccountant(params.window, params.sketch_capacity)
         self.bursts = BurstDetector(params.burst_enter, params.burst_exit)
         self.sync = LossSyncDetector(
             n_flows, params.sync_window, params.sync_fraction

@@ -217,170 +217,21 @@ class SpaceSavingSketch:
         return self.entries()[:k]
 
 
-class CountMinSketch:
-    """Conservative-update count-min, same interface as space-saving.
-
-    ``depth`` hash rows of ``capacity // depth`` byte counters each (so
-    the counter budget matches a space-saving sketch of the same
-    ``capacity``), plus a parallel packet-count array and a tracked
-    candidate set capped at ``capacity`` keys for top-k readout.  A
-    key's estimate is the minimum over its row counters; conservative
-    update raises each row counter only to ``estimate + weight``, never
-    past it, which keeps collision inflation far below plain count-min.
-    Estimates still only *overshoot* (``true <= estimate``) and no
-    per-key error floor is known, so ``entries()`` reports ``error=0``
-    and rankings use the raw estimate -- the trade-off
-    :func:`precision_at_k` quantifies against space-saving's
-    guaranteed-weight ranking in ``benchmarks/bench_forensics_sketch.py``.
-
-    Hashing is a fixed-multiplier universal family (no per-instance
-    randomness) so runs are reproducible bit-for-bit.
-    """
-
-    __slots__ = (
-        "capacity",
-        "depth",
-        "width",
-        "total_weight",
-        "_rows",
-        "_count_rows",
-        "_tracked",
-    )
-
-    # Fixed odd 64-bit multipliers (splitmix64 outputs), one per row.
-    _MULTIPLIERS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-    _MASK = (1 << 64) - 1
-
-    def __init__(
-        self, capacity: int, depth: int = 2, width: Optional[int] = None
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("sketch capacity must be at least 1")
-        if not 1 <= depth <= len(self._MULTIPLIERS):
-            raise ValueError("depth must be between 1 and 3")
-        if width is not None and width < 1:
-            raise ValueError("sketch width must be at least 1")
-        self.capacity = capacity
-        self.depth = min(depth, capacity)
-        self.width = width if width is not None else max(1, capacity // self.depth)
-        self.total_weight = 0
-        self._rows = [[0] * self.width for _ in range(self.depth)]
-        self._count_rows = [[0] * self.width for _ in range(self.depth)]
-        self._tracked: Dict[int, None] = {}
-
-    def __len__(self) -> int:
-        return len(self._tracked)
-
-    def _bucket(self, row: int, key: int) -> int:
-        # Range reduction via the product's HIGH bits ((h * w) >> 64):
-        # reducing mod width instead would read only the low bits of
-        # the product, which for power-of-two widths depend only on the
-        # low bits of the key (multiplication by an odd constant is a
-        # bijection mod 2^k) -- dense flow ids then alias badly.
-        mixed = ((key + 1) * self._MULTIPLIERS[row]) & self._MASK
-        return (mixed * self.width) >> 64
-
-    def update(self, key: int, weight: int = 1, count: int = 1) -> None:
-        """Add ``weight`` (bytes) and ``count`` (packets) for ``key``."""
-        self.total_weight += weight
-        buckets = [self._bucket(row, key) for row in range(self.depth)]
-        est = min(self._rows[r][b] for r, b in zip(range(self.depth), buckets))
-        cnt = min(
-            self._count_rows[r][b] for r, b in zip(range(self.depth), buckets)
-        )
-        new_est = est + weight
-        new_cnt = cnt + count
-        for r, b in zip(range(self.depth), buckets):
-            if self._rows[r][b] < new_est:
-                self._rows[r][b] = new_est
-            if self._count_rows[r][b] < new_cnt:
-                self._count_rows[r][b] = new_cnt
-        tracked = self._tracked
-        if key in tracked:
-            return
-        if len(tracked) < self.capacity:
-            tracked[key] = None
-            return
-        victim = min(tracked, key=lambda k: (self.estimate(k), k))
-        if new_est > self.estimate(victim):
-            del tracked[victim]
-            tracked[key] = None
-
-    def estimate(self, key: int) -> int:
-        """Estimated weight: min over this key's row counters."""
-        return min(
-            self._rows[row][self._bucket(row, key)]
-            for row in range(self.depth)
-        )
-
-    def _count_estimate(self, key: int) -> int:
-        return min(
-            self._count_rows[row][self._bucket(row, key)]
-            for row in range(self.depth)
-        )
-
-    def error(self, key: int) -> int:
-        """No per-key floor is known; count-min reports 0."""
-        return 0
-
-    def guaranteed(self, key: int) -> int:
-        """Best available figure: the (overshooting) estimate itself."""
-        return self.estimate(key)
-
-    @property
-    def max_error(self) -> float:
-        """Expected per-row collision mass: total_weight / width."""
-        return self.total_weight / self.width
-
-    def memory_words(self) -> int:
-        """Budgeted storage in machine words: byte + packet counter
-        arrays plus the tracked-candidate key budget."""
-        return 2 * self.depth * self.width + self.capacity
-
-    def entries(self) -> List[Tuple[int, int, int, int]]:
-        """``(key, weight, count, error=0)`` rows, best estimate first."""
-        return sorted(
-            (
-                (key, self.estimate(key), self._count_estimate(key), 0)
-                for key in self._tracked
-            ),
-            key=lambda row: (-row[1], row[0]),
-        )
-
-    def top_k(self, k: int) -> List[Tuple[int, int, int, int]]:
-        return self.entries()[:k]
-
-
-#: Sketch implementations selectable via the ``forensics_sketch`` knob.
-SKETCHES = {
-    "spacesaving": SpaceSavingSketch,
-    "countmin": CountMinSketch,
-}
-
-
 class SketchWindowAccountant:
     """Bounded-memory twin of :class:`WindowAccountant`.
 
-    One bounded sketch per tumbling window (space-saving by default,
-    any :data:`SKETCHES` factory): state while a window is open is
-    ``O(capacity)`` regardless of how many flows exist, which is the
-    deployability claim the cross-validation tests check against the
-    exact accountant.
+    One space-saving sketch per tumbling window: state while a window
+    is open is ``O(capacity)`` regardless of how many flows exist, which
+    is the deployability claim the cross-validation tests check against
+    the exact accountant.
     """
 
-    def __init__(
-        self,
-        window: float,
-        capacity: int,
-        start: float = 0.0,
-        factory=SpaceSavingSketch,
-    ) -> None:
+    def __init__(self, window: float, capacity: int, start: float = 0.0) -> None:
         if window <= 0:
             raise ValueError("window width must be positive")
         self.window = window
         self.capacity = capacity
         self.start = start
-        self.factory = factory
         self._windows: Dict[int, SpaceSavingSketch] = {}
 
     def window_index(self, time: float) -> int:
@@ -390,7 +241,7 @@ class SketchWindowAccountant:
         index = self.window_index(time)
         sketch = self._windows.get(index)
         if sketch is None:
-            sketch = self._windows[index] = self.factory(self.capacity)
+            sketch = self._windows[index] = SpaceSavingSketch(self.capacity)
         sketch.update(flow_id, nbytes)
 
     def windows(self) -> List[int]:

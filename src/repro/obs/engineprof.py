@@ -11,14 +11,14 @@ real time does the model run.
 
 Profiling costs two ``perf_counter`` calls per event, so it is opt-in;
 with no profiler attached the engine's run loop carries no timing code
-at all (see ``bench_obs_overhead.py`` for the measured cost).
+at all.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 
 def callback_category(callback: Callable[..., Any]) -> str:

@@ -10,6 +10,15 @@ from repro.net.packet import Packet, PacketFactory
 from repro.sim.engine import Simulator
 
 
+def subcommand_parsers() -> Dict[str, Any]:
+    """``{subcommand: its ArgumentParser}`` of the ``repro-tcp`` CLI."""
+    from repro.experiments.cli import build_parser
+
+    return next(
+        action for action in build_parser()._actions if action.dest == "command"
+    ).choices
+
+
 def physics_payload(metrics: ScenarioMetrics) -> Dict[str, Any]:
     """The record minus wall-clock telemetry (nondeterministic)."""
     return {

@@ -137,7 +137,6 @@ class TestDigestCompleteness:
         "forensics_burst_enter",
         "forensics_burst_exit",
         "forensics_sync_fraction",
-        "forensics_sketch",
     }
 
     def test_digest_covers_every_physics_field(self):
@@ -152,6 +151,12 @@ class TestDigestCompleteness:
         from repro.experiments.config import _DIGEST_EXCLUDED_FIELDS
 
         assert set(_DIGEST_EXCLUDED_FIELDS) == self.OBSERVATION_ONLY
+
+    def test_deleted_sketch_knob_is_rejected_by_name(self):
+        """Space-saving is the only sketch (DESIGN.md section 14); the
+        selector is gone, not ignored."""
+        with pytest.raises(TypeError, match="forensics_sketch"):
+            paper_config(forensics_sketch="countmin")
 
     def test_every_workload_knob_changes_the_digest(self):
         base = ScenarioConfig()

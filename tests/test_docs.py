@@ -32,17 +32,25 @@ class TestReadme:
 
 
     def test_batch_envelope_sentence_matches_the_table(self):
-        """The README says in words what ``BATCH_ENVELOPE`` says as
-        data; widening one without the other fails here."""
+        """The README and ``--engine``'s help say in words what
+        ``BATCH_ENVELOPE`` says as data; widening one without the
+        others fails here."""
         from repro.experiments.config import BATCH_ENVELOPE
+        from tests.helpers import subcommand_parsers
 
         section = read("README.md").split("## Vectorized flow-batch engine")[1]
         section = " ".join(section.split("\n## ")[0].split())
-        for feature in ("protocols", "workloads", "traffic"):
-            assert "/".join(BATCH_ENVELOPE[feature]) in section, feature
-        for backend in BATCH_ENVELOPE["backends"]:
-            assert f"the {backend} backend" in section
-        assert BATCH_ENVELOPE["pacing"] is False and "no pacing" in section
+        engine_help = next(
+            action.help
+            for action in subcommand_parsers()["run"]._actions
+            if "--engine" in action.option_strings
+        )
+        for text in (section, engine_help):
+            for feature in ("protocols", "workloads", "traffic"):
+                assert "/".join(BATCH_ENVELOPE[feature]) in text, feature
+            for backend in BATCH_ENVELOPE["backends"]:
+                assert f"the {backend} backend" in text
+            assert BATCH_ENVELOPE["pacing"] is False and "no pacing" in text
 
 
 class TestDesign:

@@ -187,5 +187,5 @@ def test_cov_within_band(comparisons, protocol, queue, n):
 def test_fluid_grid_is_orders_of_magnitude_cheaper(comparisons):
     """Sanity on the point of the backend: the whole 12-cell fluid grid
     must not have needed packet-engine-scale work.  (The real speedup
-    gate lives in benchmarks/bench_fluid_scaling.py.)"""
+    gate is the flow_s_per_s ratio in CI's ``ledger`` step.)"""
     assert len(comparisons) == len(CELLS)
