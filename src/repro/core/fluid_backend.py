@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -135,6 +135,9 @@ class FluidSolver:
             raise ValueError(f"fluid solver models reno/vegas, not {protocol!r}")
         if queue not in ("fifo", "red"):
             raise ValueError(f"fluid solver models fifo/red, not {queue!r}")
+        if loss_override is not None and not 0.0 <= loss_override <= 1.0:
+            # Reno's drift r (1 - p) / w is non-negative only for p <= 1.
+            raise ValueError(f"loss_override is a probability, not {loss_override!r}")
         self.protocol, self.queue = protocol, queue
         self.n = n_flows
         self.duration, self.warmup = duration, warmup
@@ -154,6 +157,12 @@ class FluidSolver:
             # across a bin) and capped well below the feedback delay.
             dt = min(0.4 * self.dw * self.rtt_prop, 0.25 * self.rtt_prop, 0.05)
         self.dt = dt
+        self.steps = int(round(duration / dt))
+        if self.steps < 1:
+            raise ValueError(
+                f"the fluid and hybrid backends integrate in RK4 steps of "
+                f"{dt:.4g} s: duration {duration!r} is shorter than one step"
+            )
         # Halving redistribution: mass at w_j lands at w_j / 2, linearly
         # interpolated between the two straddling bins.
         self.half_lo = np.zeros(self.M, dtype=int)
@@ -168,7 +177,32 @@ class FluidSolver:
             self.half_hi[j] = min(max(lo + 1, 0), self.M - 1)
             self.half_frac[j] = min(max(frac, 0.0), 1.0)
         self.to_mask = self.w < _TIMEOUT_WINDOW
-        # Timeout-return pipeline state (set per step by run()).
+        # Everything below is fixed for the solver's lifetime and used
+        # by every stage.  ``w`` increases, so the below-timeout bins
+        # are the prefix ``[:kto]``.
+        self._kto = kto = int(self.to_mask.sum())
+        # Droptail overflow clips whole windows at the full buffer,
+        # hitting large-window flows in synchronized bursts; RED's
+        # randomized early marks do not (sync factor 1).
+        self._sync = (
+            1.0 + 2.0 * np.clip((self.w - 1.0) / 2.0, 0.0, 1.0)
+            if queue != "red" else 1.0
+        )
+        # The halving scatter over the bins that stay (``[kto:]``): row
+        # 0 lands on half_lo, row 1 on half_hi; flattened, np.add.at
+        # walks all lo targets and then all hi targets, in bin order.
+        self._half_idx = np.concatenate([self.half_lo[kto:], self.half_hi[kto:]])
+        self._half_wt = np.stack([(1.0 - self.half_frac)[kto:], self.half_frac[kto:]])
+        self._half_val = np.empty(self._half_idx.size)
+        self._half_val2 = self._half_val.reshape(self._half_wt.shape)
+        # Stage scratch (rates, fluxes, halving), the four RK4 slopes,
+        # the stage state and the step accumulator.
+        self._r, self._f, self._g, self._h, self._ms, self._acc = np.empty((6, self.M))
+        self._k = tuple(np.empty((4, self.M)))
+        # Vegas's upwind masks, set per step by _prepare().  Reno's drift
+        # r (1 - p_fb) / w is never negative: it has no downward flux.
+        self._up = self._dn = None
+        # Timeout-return pipeline state (set per step by step_once()).
         self._to_return = 0.0
         self._to_entry = 0.0
         self._tau_now = min_rto
@@ -211,13 +245,56 @@ class FluidSolver:
             p_fb: float, q_fb: float):
         """Time derivatives of (m, z, q) plus diagnostics.
 
-        ``p_fb``/``q_fb`` are the one-RTT-delayed loss probability and
-        queue level the windows react to.  Probability mass is conserved
-        exactly: ``sum(dm) + dz == 0`` (the queue is not part of the
-        distribution).
+        ``p_fb``/``q_fb`` are the one-RTT-delayed loss probability (in
+        ``[0, 1]``) and queue level the windows react to.  Probability
+        mass is conserved exactly: ``sum(dm) + dz == 0`` (the queue is
+        not part of the distribution).  This is the one-off form of
+        what :meth:`step_once` evaluates four times per step.
+        """
+        self._prepare(p_fb, q_fb)
+        dm = np.empty(self.M)
+        return (dm, *self._stage(m, q, v, dm, report_fr=True))
+
+    def _prepare(self, p_fb: float, q_fb: float) -> None:
+        """Evaluate once what all four stages of a step share: every
+        term of the one-RTT-old feedback alone."""
+        self._grow = 1.0 - p_fb
+        self._sync_p = self._sync * p_fb
+        self._tau_now = self.min_rto * (1.0 + 2.0 * p_fb) / max(self._grow, 0.3) ** 2
+        if self.protocol == "vegas":
+            r_fb, rtt_fb = self.rates(q_fb)
+            backlog = r_fb * (rtt_fb - self.rtt_prop)
+            u = np.where(
+                backlog < self.alpha, 1.0,
+                np.where(backlog > self.beta, -1.0, 0.0),
+            )
+            # The drift is u / rtt with rtt the *stage's*; its upwind
+            # split max(u / rtt, 0), min(u / rtt, 0) is these masks
+            # (boundary fluxes zeroed) times the stage's 1 / rtt.
+            self._up = np.maximum(u, 0.0)
+            self._up[-1] = 0.0
+            dn = np.minimum(u, 0.0)
+            dn[0] = 0.0
+            # No shrinking bin: the downward flux is all (signed)
+            # zeros, and adding those changes nothing (see _stage).
+            self._dn = dn if dn.any() else None
+
+    def _stage(self, m: np.ndarray, q: float, v: float, dm: np.ndarray,
+               report_fr: bool = False):
+        """One right-hand-side evaluation at ``(m, q, v)`` under the
+        feedback :meth:`_prepare` froze; ``dm`` receives the density
+        derivative.  Returns ``(dz, dq, arrival, p, accepted, fr)``,
+        ``fr`` (the fast-retransmit rate) only when asked for.
+
+        Every float operation keeps the operands and the order of the
+        textbook form in ``tests/fluid_reference.py``; DESIGN.md
+        section 12 ("What a step costs") lists the rewrites allowed.
         """
         qc = min(max(q, 0.0), self.B)
-        r, rtt = self.rates(qc)
+        rtt = self.rtt_prop + qc / self.C
+        inv_rtt = 1.0 / rtt
+        r = np.divide(self.w, rtt, out=self._r)
+        np.minimum(self.lam, r, out=r)
         arrival = self.n * float(r @ m) + self.extra_arrival
         p = self.loss_probability(qc, v, arrival)
         accepted = arrival * (1.0 - p)
@@ -226,53 +303,50 @@ class FluidSolver:
             dq = 0.0
         if qc <= 1e-9 and dq < 0:
             dq = 0.0
-        # Window drift, reacting to one-RTT-old feedback.
-        r_fb, rtt_fb = self.rates(q_fb)
+        # Window drift, reacting to one-RTT-old feedback, and the
+        # first-order upwind advection of the density it drives.
+        f = self._f
         if self.protocol == "reno":
-            a = r * (1.0 - p_fb) / self.w
+            np.multiply(r, self._grow, out=f)
+            np.divide(f, self.w, out=f)
+            f[-1] = 0.0
         else:
-            backlog = r_fb * (rtt_fb - self.rtt_prop)
-            u = np.where(
-                backlog < self.alpha, 1.0,
-                np.where(backlog > self.beta, -1.0, 0.0),
-            )
-            a = u / rtt
-        dm = np.zeros(self.M)
-        # First-order upwind advection of the density.
-        ap = np.maximum(a, 0.0)
-        ap[-1] = 0.0
-        am = np.minimum(a, 0.0)
-        am[0] = 0.0
-        flux_up = ap * m / self.dw
-        flux_dn = am * m / self.dw
-        dm -= flux_up
-        dm[1:] += flux_up[:-1]
-        dm += flux_dn
-        dm[:-1] -= flux_dn[1:]
-        # Loss-driven halving.  Droptail overflow clips whole windows at
-        # the full buffer, hitting large-window flows in synchronized
-        # bursts; RED's randomized early marks do not (sync factor 1).
-        if self.queue != "red":
-            sync = 1.0 + 2.0 * np.clip((self.w - 1.0) / 2.0, 0.0, 1.0)
-        else:
-            sync = 1.0
-        mu = np.minimum(sync * p_fb * r, 1.0 / rtt)
-        h = mu * m
-        to_inflow = float(h[self.to_mask].sum())
-        h_stay = h.copy()
-        h_stay[self.to_mask] = 0.0
-        dm -= h
-        np.add.at(dm, self.half_lo, h_stay * (1.0 - self.half_frac))
-        np.add.at(dm, self.half_hi, h_stay * self.half_frac)
+            np.multiply(self._up, inv_rtt, out=f)
+        np.multiply(f, m, out=f)
+        np.divide(f, self.dw, out=f)
+        # 0.0 - f, not -f: no entry of dm is ever -0.0, which is what
+        # makes adding a +-0.0 to it (here and below) skippable.
+        np.subtract(0.0, f, out=dm)
+        upper = dm[1:]
+        upper += f[:-1]
+        if self._dn is not None:
+            g = np.multiply(self._dn, inv_rtt, out=self._g)
+            np.multiply(g, m, out=g)
+            np.divide(g, self.dw, out=g)
+            np.add(dm, g, out=dm)
+            lower = dm[:-1]
+            lower -= g[1:]
+        # Loss-driven halving; below the timeout window it feeds z.
+        h = np.multiply(self._sync_p, r, out=self._h)
+        np.minimum(h, inv_rtt, out=h)
+        np.multiply(h, m, out=h)
+        kto = self._kto
+        to_inflow = float(h[:kto].sum())
+        np.subtract(dm, h, out=dm)
+        np.multiply(h[kto:], self._half_wt, out=self._half_val2)
+        np.add.at(dm, self._half_idx, self._half_val)
         # Timeout compartment: inflow now, outflow from the delayed
-        # pipeline (computed by run() from the entry history).
-        tau = self.min_rto * (1.0 + 2.0 * p_fb) / max(1.0 - p_fb, 0.3) ** 2
+        # pipeline (computed by step_once() from the entry history).
         back = self._to_return
-        dz = to_inflow - back
         dm[0] += back
         self._to_entry = to_inflow
-        self._tau_now = tau
-        return dm, dz, dq, arrival, p, accepted, float(h_stay.sum())
+        fr = 0.0
+        if report_fr:
+            # Summed over the zero-prefixed full-length array: numpy's
+            # pairwise sum groups by length, so h[kto:].sum() differs.
+            h[:kto] = 0.0
+            fr = float(h.sum())
+        return to_inflow - back, dq, arrival, p, accepted, fr
 
     # ------------------------------------------------------------------
     def begin(self) -> None:
@@ -281,16 +355,16 @@ class FluidSolver:
         :meth:`run` is ``begin()`` followed by ``steps`` calls to
         ``step_once()``; the hybrid backend interleaves those steps with
         the discrete-event engine instead, adjusting
-        :attr:`extra_arrival` between coupling intervals.  The split
-        preserves the exact float-operation order of the original
-        monolithic loop, so pure-fluid trajectories are unchanged.
+        :attr:`extra_arrival` between coupling intervals.  The float
+        operations of a step, and their order, are those of the
+        textbook RK4 loop: ``tests/test_fluid_bitexact.py`` compares
+        every trajectory array with it bit for bit.
         """
         self._m = np.zeros(self.M)
         self._m[0] = 1.0  # every flow starts at w = 1 (slow start from cold)
         self._z, self._q, self._v = 0.0, 0.0, 0.0
-        steps = int(round(self.duration / self.dt))
-        self.steps = steps
-        self._t_arr = np.empty(steps)
+        steps = self.steps
+        self._t_arr = np.arange(steps) * self.dt
         self._A_arr = np.empty(steps)
         self._q_arr = np.empty(steps)
         self._p_arr = np.empty(steps)
@@ -305,37 +379,43 @@ class FluidSolver:
         self._to_return = 0.0
         self.step_index = 0
 
-    def step_once(self) -> None:
-        """Advance the system by one RK4 step of width ``dt``."""
+    def step_once(self) -> Tuple[float, float]:
+        """Advance the system by one RK4 step of width ``dt``; returns
+        the step's endpoint ``(q, p)``."""
         i = self.step_index
-        m, z, q, v = self._m, self._z, self._q, self._v
+        m, z, q, v, dt = self._m, self._z, self._q, self._v, self.dt
         rtt_now = self.rtt_prop + q / self.C
-        lag = max(int(round(rtt_now / self.dt)), 1)
+        lag = max(int(round(rtt_now / dt)), 1)
         j = max(i - lag, 0)
-        p_fb, q_fb = self._p_hist[j], self._q_hist[j]
+        self._prepare(float(self._p_hist[j]), float(self._q_hist[j]))
         # RK4 on (m, z, q); the RED average uses an exact EWMA
         # sub-step afterwards (operator splitting keeps the slow
-        # average from stiffening the stage equations).
-        k1 = self.rhs(m, z, q, v, p_fb, q_fb)
-        k2 = self.rhs(m + 0.5 * self.dt * k1[0], z + 0.5 * self.dt * k1[1],
-                      q + 0.5 * self.dt * k1[2], v, p_fb, q_fb)
-        k3 = self.rhs(m + 0.5 * self.dt * k2[0], z + 0.5 * self.dt * k2[1],
-                      q + 0.5 * self.dt * k2[2], v, p_fb, q_fb)
-        k4 = self.rhs(m + self.dt * k3[0], z + self.dt * k3[1],
-                      q + self.dt * k3[2], v, p_fb, q_fb)
-        m = m + self.dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        z = z + self.dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        q = q + self.dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        # average from stiffening the stage equations).  No stage reads
+        # z, so only its slopes are carried.
+        k1, k2, k3, k4 = self._k
+        ms, acc, half = self._ms, self._acc, 0.5 * dt
+        dz1, dq1, arrival, p, accepted, fr = self._stage(m, q, v, k1, report_fr=True)
+        np.add(m, np.multiply(k1, half, out=ms), out=ms)
+        dz2, dq2 = self._stage(ms, q + half * dq1, v, k2)[:2]
+        np.add(m, np.multiply(k2, half, out=ms), out=ms)
+        dz3, dq3 = self._stage(ms, q + half * dq2, v, k3)[:2]
+        np.add(m, np.multiply(k3, dt, out=ms), out=ms)
+        dz4, dq4 = self._stage(ms, q + dt * dq3, v, k4)[:2]
+        np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+        np.add(acc, np.multiply(k3, 2.0, out=ms), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(m, np.multiply(acc, dt / 6.0, out=acc), out=m)
+        z = z + dt / 6.0 * (dz1 + 2 * dz2 + 2 * dz3 + dz4)
+        q = q + dt / 6.0 * (dq1 + 2 * dq2 + 2 * dq3 + dq4)
         # Projection: clip and renormalize so (m, z) stays a
         # probability distribution and q stays in the buffer.
-        m = np.maximum(m, 0.0)
+        np.maximum(m, 0.0, out=m)
         q = min(max(q, 0.0), self.B)
         z = min(max(z, 0.0), 1.0)
-        total = m.sum() + z
+        total = float(m.sum()) + z
         if total > 0:
             m /= total
             z /= total
-        arrival, p, accepted = k1[3], k1[4], k1[5]
         self._p_hist[i] = p
         self._q_hist[i] = q
         self._in_hist[i] = self._to_entry
@@ -343,27 +423,27 @@ class FluidSolver:
         # 1.5 tau ago comes back now (spread return kernel -- the
         # coarse 500 ms timers quantize individual RTOs, but backoff
         # state disperses them across about one tau).
-        lag_lo = max(int(round(0.5 * self._tau_now / self.dt)), 1)
-        lag_hi = max(int(round(1.5 * self._tau_now / self.dt)), lag_lo + 1)
+        lag_lo = max(int(round(0.5 * self._tau_now / dt)), 1)
+        lag_hi = max(int(round(1.5 * self._tau_now / dt)), lag_lo + 1)
         jlo, jhi = max(i - lag_hi, 0), max(i - lag_lo, 0)
         self._to_return = (
             float(self._in_hist[jlo:jhi].mean()) if jhi > jlo and i >= lag_lo else 0.0
         )
         if self.queue == "red":
             k = self.red_weight * max(arrival, 1e-9)
-            v = q + (v - q) * math.exp(-k * self.dt)
-        self._t_arr[i] = i * self.dt
+            v = q + (v - q) * math.exp(-k * dt)
         self._A_arr[i] = arrival
         self._q_arr[i] = q
         self._p_arr[i] = p
         self._z_arr[i] = z
         self._s_arr[i] = self.C if q > 1e-9 else min(accepted, self.C)
-        self._fr_arr[i] = k1[6]
+        self._fr_arr[i] = fr
         self._to_arr[i] = self._to_entry
-        act = m.sum()
+        act = float(m.sum())
         self._w_arr[i] = float(self.w @ m) / act if act > 0 else 1.0
-        self._m, self._z, self._q, self._v = m, z, q, v
+        self._z, self._q, self._v = z, q, v
         self.step_index = i + 1
+        return q, p
 
     def trajectory(self) -> Dict[str, np.ndarray]:
         """The trajectory arrays accumulated so far (run() returns the
@@ -388,8 +468,8 @@ class FluidSolver:
             traj["t"], traj["A"], self.dt, bin_width,
             self.warmup, self.duration,
         )
-        mean = counts.mean()
-        var = counts.var()
+        mean = float(counts.mean())
+        var = float(counts.var())
         if sampling_floor:
             # The fluid rate is a point-process intensity: finite-rate
             # Poisson sampling adds var = mean on top of the

@@ -166,11 +166,7 @@ class HybridCoupler:
         self.foreground_arrivals = 0
         target = min(solver.step_index + self.k, solver.steps)
         while solver.step_index < target:
-            i = solver.step_index
-            solver.step_once()
-            self.trajectory.append(
-                float(solver._q_arr[i]), float(solver._p_arr[i])
-            )
+            self.trajectory.append(*solver.step_once())
         self.ticks += 1
         if solver.step_index < solver.steps:
             self._sim.schedule(self.interval, self._tick)

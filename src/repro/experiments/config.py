@@ -111,6 +111,7 @@ _BACKEND_CAPABILITIES = {
         "pacing": False,
         "obs": False,
         "forensics": False,
+        "min_advertised_window": 2,
     },
     "hybrid": {
         "protocols": ("reno", "vegas"),
@@ -120,6 +121,7 @@ _BACKEND_CAPABILITIES = {
         "pacing": False,
         "obs": True,
         "forensics": True,
+        "min_advertised_window": 2,
     },
 }
 
@@ -538,6 +540,13 @@ class ScenarioConfig:
             raise ValueError(
                 f"the {self.backend} backend does not support burst "
                 "forensics: no per-flow packets to attribute"
+            )
+        min_window = caps.get("min_advertised_window", 0)
+        if self.advertised_window < min_window:
+            raise ValueError(
+                f"the {self.backend} backend needs advertised_window >= "
+                f"{min_window} (its window density lives on [1, "
+                f"advertised_window]); got {self.advertised_window}"
             )
         if self.backend == "hybrid":
             if self.hybrid_foreground_flows < 1:

@@ -156,6 +156,11 @@ class TestBackendConfig:
         with pytest.raises(ValueError):
             FluidSolver(queue="drr")
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_solver_rejects_loss_override_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="loss_override"):
+            FluidSolver(loss_override=p)
+
 
 class TestFluidScenario:
     @pytest.fixture(scope="class")
@@ -177,6 +182,18 @@ class TestFluidScenario:
         assert 0.0 <= metrics.mean_queue_length <= 50.0
         assert metrics.perf_events_executed > 0  # RK4 steps
         assert math.isnan(metrics.fairness)
+
+    def test_scalar_metrics_are_builtin_floats(self, result):
+        """The packet backend returns ``float``; so does this one, not
+        ``np.float64`` (which prints as ``np.float64(0.76...)`` under
+        numpy 2).  ``np.float64`` is a ``float`` subclass and formats
+        identically, so the ``%.12g`` physics digests and cache JSON
+        are unchanged by construction."""
+        for name in ("cov", "throughput_pps", "mean_queue_length", "mean_latency"):
+            assert type(getattr(result, name)) is float, name
+        solver = FluidSolver(n_flows=200, duration=5.0)
+        solver.run()
+        assert type(solver._final_z) is float
 
     def test_bin_counts_cover_measurement_window(self, result):
         config = result.config

@@ -173,6 +173,15 @@ def test_direct_runner_rejects_other_backends():
         run_hybrid_scenario(paper_config(backend="packet", duration=1.0))
 
 
+@pytest.mark.parametrize("backend", ["fluid", "hybrid"])
+def test_duration_shorter_than_one_solver_step_is_rejected(backend):
+    """Zero RK4 steps would leave every trajectory array empty, i.e.
+    cov = mean_queue_length = nan: rejected before anything is built."""
+    config = paper_config(backend=backend, n_clients=20, duration=0.01)
+    with pytest.raises(ValueError, match=f"{backend}.*duration 0.01"):
+        run_scenario(config)
+
+
 # ----------------------------------------------------------------------
 # Capability table (per-backend validate() envelope)
 # ----------------------------------------------------------------------
@@ -196,6 +205,10 @@ REJECTED = [
     ("hybrid", {"hybrid_foreground_flows": 21}, "cannot exceed n_clients"),
     ("hybrid", {"hybrid_background_flows": -1}, "non-negative"),
     ("hybrid", {"hybrid_coupling_dt": -0.1}, "non-negative"),
+    # The window density lives on [1, advertised_window]: a one-packet
+    # window is a zero-width grid (dw == 0).
+    ("fluid", {"advertised_window": 1}, "fluid backend needs advertised_window"),
+    ("hybrid", {"advertised_window": 1}, "hybrid backend needs advertised_window"),
 ]
 
 
