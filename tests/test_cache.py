@@ -1,12 +1,15 @@
 """Tests for config content digests and the on-disk result cache."""
 
+import dataclasses
 import json
 import math
 import os
+import pathlib
+import shutil
 import subprocess
 import sys
 
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import CACHE_FORMAT_VERSION, ResultCache
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import run_scenario
@@ -165,3 +168,57 @@ class TestResultCache:
         first.put(tiny(), metrics)
         second = ResultCache(str(tmp_path))
         assert second.get(tiny()) == metrics
+
+
+GOLDEN_CACHE = pathlib.Path(__file__).parent / "goldens" / "cache"
+
+
+def golden_entry():
+    """A fixed (config, metrics) pair touching every kind of field an
+    entry holds: NaN floats, app and forensic fields, telemetry."""
+    config = tiny(
+        protocol="vegas", queue="red", n_clients=3, duration=2.5, seed=7,
+        workload="rpc", mean_gap=0.07, forensics=True,
+    )
+    metrics = dataclasses.replace(
+        ScenarioMetrics.failure(config, ""),  # every float NaN to start
+        cov=0.1 + 0.2,
+        analytic_cov=1.0 / 3.0,
+        throughput_packets=1234,
+        throughput_pps=493.6,
+        loss_percent=0.0,
+        timeouts=2,
+        measured_flows=3,
+        app_units_issued=40,
+        app_units_completed=39,
+        app_latency_p99=0.0421875,
+        perf_wall_time=0.0123,
+        perf_engine="batch",
+        perf_events_executed=4567,
+        perf_peak_rss_kb=45056.0,
+        forensic_bursts=2,
+        forensic_burst_rate=0.8,
+        forensic_top_flow=1,
+    )
+    return config, metrics
+
+
+class TestEntryBytes:
+    """The entry format is pinned to the byte: the file under
+    ``goldens/cache/`` was written by ``ResultCache.put`` at the commit
+    before put stopped going through ``json.dump`` and
+    ``dataclasses.asdict``, and is not regenerated."""
+
+    def test_put_writes_the_golden_bytes(self, tmp_path):
+        config, metrics = golden_entry()
+        assert CACHE_FORMAT_VERSION == 1 and CONFIG_SCHEMA_VERSION == 5
+        path = pathlib.Path(ResultCache(str(tmp_path)).put(config, metrics))
+        golden = GOLDEN_CACHE / path.name  # same digest, same file name
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_a_cache_written_before_is_a_hit(self, tmp_path):
+        config, metrics = golden_entry()
+        shutil.copytree(GOLDEN_CACHE, tmp_path / "cache")
+        served = ResultCache(str(tmp_path / "cache")).get(config)
+        assert served == metrics
+        assert repr(served) == repr(metrics)  # wall-clock fields too

@@ -1,0 +1,137 @@
+"""Pick order: the runner's pending-task structure against the full scan.
+
+``tests/pick_reference.py`` holds the scan the runner used while its
+pending tasks were one flat list.  Every case here replays one random
+script of the calls the pool loop makes -- pick, requeue with backoff,
+a cost-model observation, time passing -- against both, and requires
+the same task object out of every pick, and None from one exactly when
+the other returns None.
+
+The scripts are built to sit on the order's edges: at least three
+lanes, unit counts drawn from a handful of values so ties are the rule
+(within a lane and across lanes), observations interleaved between
+picks so the cross-lane order flips mid-sweep, requeued tasks that
+become launchable only after the clock has moved, and picks before the
+first observation.
+"""
+
+import random
+
+import pytest
+
+from repro.experiments.config import paper_config
+from repro.experiments.costmodel import CostModel
+from repro.experiments.runner import SweepRunner, _Task
+from tests import pick_reference as reference
+
+LANES = (
+    dict(protocol="reno", queue="fifo"),
+    dict(protocol="reno", queue="red"),
+    dict(protocol="vegas", queue="fifo"),
+    dict(protocol="udp", queue="fifo"),
+    dict(protocol="reno", queue="fifo", backend="fluid"),
+)
+#: Few values, many collisions: 2 x 3.0 == 3 x 2.0 == 6 x 1.0.
+CLIENTS = (2, 3, 6)
+DURATIONS = (1.0, 2.0, 3.0)
+
+
+class ProductionQueue:
+    """The runner's own pending tasks, behind the two calls the pool
+    loop makes on them."""
+
+    def __init__(self, tasks, cost):
+        self._runner = SweepRunner(schedule="fifo" if cost is None else "cost")
+        self._pending = list(tasks)
+        self._cost = cost
+
+    def add(self, task):
+        self._pending.append(task)
+
+    def pick(self, now):
+        return self._runner._pick_next(self._pending, self._cost, now)
+
+    def __len__(self):
+        return len(self._pending)
+
+
+def random_grid(rng, cells):
+    lanes = rng.sample(LANES, rng.randint(3, len(LANES)))
+    tasks = []
+    for index in range(cells):
+        config = paper_config(
+            n_clients=rng.choice(CLIENTS),
+            duration=rng.choice(DURATIONS),
+            seed=index,
+            **rng.choice(lanes),
+        )
+        tasks.append(_Task(index, config, digest=f"{index:04d}"))
+    return tasks
+
+
+def replay(seed, schedule):
+    """One random script; returns how many picks were compared."""
+    rng = random.Random(seed)
+    tasks = random_grid(rng, rng.randint(8, 60))
+    cost = CostModel() if schedule == "cost" else None
+    scan = list(tasks)
+    production = ProductionQueue(tasks, cost)
+    now = 100.0
+    popped = []
+    picks = 0
+    # Start with a few picks under no observation at all, then mix.
+    script = ["pick"] * rng.randint(1, 4)
+    script += rng.choices(
+        ["pick", "observe", "requeue", "tick"], weights=[6, 3, 2, 2],
+        k=6 * len(tasks),
+    )
+    for step in script:
+        if step == "pick":
+            expected = reference.pick_next(scan, cost, now)
+            got = production.pick(now)
+            assert got is expected, (seed, picks, got, expected)
+            assert len(production) == len(scan)
+            picks += 1
+            if got is not None:
+                popped.append(got)
+        elif step == "observe" and cost is not None:
+            # Wall times spread over decades, so a lane's alpha can
+            # overtake another's between two picks.
+            cost.observe(rng.choice(tasks).config, 10.0 ** rng.uniform(-3, 1))
+        elif step == "requeue" and popped:
+            task = popped.pop(rng.randrange(len(popped)))
+            # Mostly a backoff into the future; sometimes already due.
+            task.ready_at = now + rng.choice((0.0, 0.25, 0.5, 1.0, 5.0))
+            scan.append(task)
+            production.add(task)
+        elif step == "tick":
+            now += rng.choice((0.1, 0.3, 1.0))
+    # Drain: past every backoff, both must empty in the same order and
+    # then both report nothing launchable.
+    now += 10.0
+    while scan:
+        expected = reference.pick_next(scan, cost, now)
+        assert expected is not None
+        assert production.pick(now) is expected, (seed, "drain")
+        picks += 1
+    assert production.pick(now) is None
+    assert len(production) == 0
+    return picks
+
+
+@pytest.mark.parametrize("schedule", ["cost", "fifo"])
+@pytest.mark.parametrize("seed", range(40))
+def test_same_pop_sequence_as_the_full_scan(seed, schedule):
+    assert replay(seed, schedule) > 8
+
+
+def test_backing_off_tasks_are_not_launchable():
+    """None exactly while everything pending waits out its backoff."""
+    task = _Task(0, paper_config(n_clients=2, duration=1.0), digest="0")
+    task.ready_at = 50.0
+    for cost in (CostModel(), None):
+        production = ProductionQueue([task], cost)
+        assert production.pick(49.9) is None
+        assert len(production) == 1
+        assert production.pick(50.0) is task
+        assert production.pick(50.0) is None
