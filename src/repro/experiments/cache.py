@@ -36,18 +36,24 @@ class ResultCache:
         os.makedirs(self.directory, exist_ok=True)
 
     # ------------------------------------------------------------------
-    def path_for(self, config: ScenarioConfig) -> str:
-        """The entry path a configuration maps to."""
-        return os.path.join(self.directory, config.config_digest() + ".json")
+    def path_for(self, config: ScenarioConfig, digest: Optional[str] = None) -> str:
+        """The entry path a configuration maps to.  ``digest`` is its
+        ``config_digest()`` when the caller already holds it (hashing
+        the config costs more than the rest of a hit's bookkeeping)."""
+        return os.path.join(
+            self.directory, (digest or config.config_digest()) + ".json"
+        )
 
-    def get(self, config: ScenarioConfig) -> Optional[ScenarioMetrics]:
+    def get(
+        self, config: ScenarioConfig, digest: Optional[str] = None
+    ) -> Optional[ScenarioMetrics]:
         """The cached metrics for ``config``, or None on a miss.
 
         Error placeholders are never returned (a failed cell should be
         re-attempted on the next run, not resumed), and corrupt or
         incompatible entries read as misses.
         """
-        path = self.path_for(config)
+        path = self.path_for(config, digest)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -60,17 +66,23 @@ class ResultCache:
             return None
         return metrics
 
-    def put(self, config: ScenarioConfig, metrics: ScenarioMetrics) -> str:
+    def put(
+        self,
+        config: ScenarioConfig,
+        metrics: ScenarioMetrics,
+        digest: Optional[str] = None,
+    ) -> str:
         """Store ``metrics`` under ``config``'s digest; returns the path.
 
         The write is atomic: concurrent writers of the same cell leave
         one complete entry, never a torn file.
         """
-        path = self.path_for(config)
+        digest = digest or config.config_digest()
+        path = self.path_for(config, digest)
         payload = {
             "cache_format": CACHE_FORMAT_VERSION,
             "schema_version": CONFIG_SCHEMA_VERSION,
-            "digest": config.config_digest(),
+            "digest": digest,
             "config": config.digest_payload(),
             "metrics": metrics.as_dict(),
         }
@@ -83,7 +95,9 @@ class ResultCache:
         )
         try:
             with handle:
-                json.dump(payload, handle, sort_keys=True)
+                # dumps, not dump: one C-encoder pass instead of the
+                # pure-Python chunk iterator; the bytes are the same.
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(handle.name, path)
         except BaseException:
             try:

@@ -8,7 +8,7 @@ cheaply across worker processes and serializes to CSV/JSON directly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Sequence
 
 from repro.analysis.stats import jains_fairness_index
@@ -315,8 +315,10 @@ class ScenarioMetrics:
         )
 
     def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view (for CSV/JSON export)."""
-        return asdict(self)
+        """Plain-dict view (for CSV/JSON export and cache entries).
+        Every field is a str, int or float, so reading them off is what
+        ``dataclasses.asdict`` returns without its deep-copy recursion."""
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "ScenarioMetrics":
@@ -335,6 +337,9 @@ class ScenarioMetrics:
                     value = int(value)
                 kwargs[spec.name] = value
         return cls(**kwargs)
+
+
+_FIELD_NAMES = tuple(spec.name for spec in fields(ScenarioMetrics))
 
 
 def metrics_table(

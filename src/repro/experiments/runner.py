@@ -10,13 +10,15 @@ placeholders, content-addressed resume.  A worker that crashes or blows
 its deadline is killed and respawned *individually* — the rest of the
 pool keeps draining.  Workers persist successful results into the
 :class:`ResultCache` themselves (same atomic-rename, digest-keyed
-writes) and send only a slim ack over the pipe, so result payloads
-never serialize through the parent when a cache is configured.
+writes), so the parent never writes an entry a worker already wrote.
 
 The parent reaps events with :func:`multiprocessing.connection.wait`
 over the worker pipes (the wake-up is a pipe write, not a poll loop),
 with the wait timeout derived from the nearest deadline or retry
-backoff.
+backoff.  What it does per cell does not grow with the grid: the
+pending tasks sit in per-lane heaps (:class:`_PendingTasks`), and a
+worker on short cells holds one more task queued in its pipe, so it
+starts the next cell without waiting for the parent's round trip.
 
 Scheduling is ``schedule="cost"`` by default: longest-expected-first
 (LPT) order using a :class:`~repro.experiments.costmodel.CostModel`
@@ -32,6 +34,7 @@ Windows), so sweeps run on any CI runner.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import multiprocessing
@@ -44,7 +47,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.costmodel import SCHEDULES, CostModel, make_cost_model
+from repro.experiments.costmodel import (
+    SCHEDULES,
+    CostModel,
+    cell_units,
+    make_cost_model,
+)
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import RunLog, read_runlog
 from repro.experiments.scenario import run_scenario
@@ -82,10 +90,13 @@ def pick_start_method(preferred: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 # Worker entry point (module level: picklable under spawn)
 # ----------------------------------------------------------------------
-def _pool_heartbeats(send, index: int, stop: threading.Event, interval: float) -> None:
-    """Beat until ``stop`` is set (runs on a daemon thread in the worker)."""
+def _pool_heartbeats(send, running: list, stop: threading.Event, interval: float) -> None:
+    """Beat for the task in ``running[0]`` (None between tasks) until
+    ``stop`` is set: one daemon thread for the worker's whole life."""
     while not stop.wait(interval):
-        send(("hb", index))
+        index = running[0]
+        if index is not None:
+            send(("hb", index))
 
 
 def _pool_worker_main(
@@ -101,11 +112,13 @@ def _pool_worker_main(
     Protocol (worker -> parent): ``("ready", id)`` once after startup,
     ``("start", index)`` when a task begins, ``("hb", index)`` every
     ``heartbeat`` seconds while running, and ``("done", index, status,
-    payload, elapsed)`` per task.  On success with a configured cache
-    the worker persists the metrics itself (atomic rename under the
-    config digest) and sends ``payload=None`` — the slim ack — so the
-    record never pickles through the pipe; without a cache (or if the
-    write fails) the metrics travel in the payload.
+    payload, elapsed)`` per task: the metrics under ``"ok"`` or
+    ``"cached"``, the error text under ``"error"``.  ``"cached"`` says
+    the worker has persisted the metrics itself (atomic rename under
+    the config digest the task message carried), so the parent must
+    not write them again; they travel in the payload all the same,
+    which costs less than the parent reading the entry back.  The
+    parent may send a second task while one runs; it waits in the pipe.
     """
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     send_lock = threading.Lock()
@@ -117,6 +130,13 @@ def _pool_worker_main(
             except (OSError, ValueError):
                 pass  # parent went away; the next recv will end the loop
 
+    running: List[Optional[int]] = [None]
+    stop = threading.Event()
+    threading.Thread(
+        target=_pool_heartbeats,
+        args=(send, running, stop, heartbeat),
+        daemon=True,
+    ).start()
     send(("ready", worker_id))
     while True:
         try:
@@ -125,46 +145,40 @@ def _pool_worker_main(
             break
         if message[0] != "task":  # ("stop",) or anything unexpected
             break
-        _, index, _attempt, config = message
+        _, index, digest, config = message
         send(("start", index))
-        stop = threading.Event()
-        beater = threading.Thread(
-            target=_pool_heartbeats,
-            args=(send, index, stop, heartbeat),
-            daemon=True,
-        )
-        beater.start()
+        running[0] = index
         started = time.monotonic()
-        metrics: Optional[ScenarioMetrics] = None
         error: Optional[str] = None
         try:
             metrics = task(config)
+            if not isinstance(metrics, ScenarioMetrics):
+                raise TypeError(f"task returned {type(metrics).__name__}")
         except KeyboardInterrupt:
-            stop.set()
             break
         except BaseException as exc:  # noqa: BLE001 - isolate the cell
             error = f"{type(exc).__name__}: {exc}"
         elapsed = time.monotonic() - started
-        stop.set()
-        beater.join(timeout=4.0 * heartbeat)
+        running[0] = None
         if error is not None:
             send(("done", index, "error", error, elapsed))
             continue
-        payload: Optional[ScenarioMetrics] = metrics
-        if cache is not None and metrics is not None and not metrics.failed:
+        status = "ok"
+        if cache is not None and not metrics.failed:
             try:
-                cache.put(config, metrics)
-                payload = None  # slim ack: the parent reads the cache entry
+                cache.put(config, metrics, digest)
+                status = "cached"
             except Exception:
-                payload = metrics  # disk trouble: fall back to the pipe
-        send(("done", index, "ok", payload, elapsed))
+                pass  # disk trouble: the parent tries the write itself
+        send(("done", index, status, metrics, elapsed))
+    stop.set()
     try:
         conn.close()
     except OSError:
         pass
 
 
-@dataclass
+@dataclass(eq=False)  # identity: a generated __eq__ compares whole configs
 class _Task:
     """One grid cell's scheduling state."""
 
@@ -182,12 +196,77 @@ class _PoolWorker:
     id: int
     process: multiprocessing.process.BaseProcess
     conn: Connection
-    current: Optional[_Task] = None
-    started: float = 0.0
+    current: Optional[_Task] = None  # the cell it runs (or is about to)
+    queued: Optional[_Task] = None  # one more, waiting in its pipe
     deadline: Optional[float] = None
     last_beat: float = 0.0
     tasks_done: int = 0
     busy_time: float = 0.0
+
+
+class _PendingTasks:
+    """The tasks waiting for a worker, popped longest-expected-first.
+
+    ``estimate = alpha[lane] x units`` with one positive alpha per lane
+    at any instant, so inside a lane the order by estimate is the order
+    by units whatever the alphas do.  Each lane is a heap on (units
+    descending, enqueue sequence ascending) and a pick compares one
+    head per lane under the alphas as they are *now*: O(#lanes), and
+    the same pop sequence as a scan of one flat list in enqueue order
+    that recomputes every estimate per pick -- ties to the task
+    enqueued first included (``tests/pick_reference.py`` is that scan;
+    the one way to part from it is two unit counts a rounding apart
+    whose products with alpha round to one float).  Without a cost
+    model (fifo) every task shares one lane at zero units, which leaves
+    the enqueue sequence.  Tasks still backing off wait in a side list.
+    """
+
+    def __init__(self, tasks: Sequence[_Task], cost: Optional[CostModel]) -> None:
+        self._cost = cost
+        self._lanes: Dict[Any, List[tuple]] = {}
+        self._seq = itertools.count()
+        # (sequence, task), not yet in a lane: new or still backing off.
+        self._waiting = [(next(self._seq), task) for task in tasks]
+
+    def __len__(self) -> int:
+        return len(self._waiting) + sum(map(len, self._lanes.values()))
+
+    def add(self, task: _Task) -> None:
+        """Enqueue ``task`` behind everything already here."""
+        self._waiting.append((next(self._seq), task))
+
+    def next_ready(self) -> Optional[float]:
+        """When the earliest backing-off task becomes launchable; None
+        if none is.  Right after a :meth:`pick_next` that returned None
+        these are all the tasks there are."""
+        return min((task.ready_at for _, task in self._waiting), default=None)
+
+    def pick_next(self, now: float) -> Optional[_Task]:
+        """Pop the next launchable task: the longest-expected one under
+        the cost model, the first submitted under fifo; None if every
+        pending task is still backing off."""
+        cost = self._cost
+        if self._waiting:
+            backing_off = []
+            for entry in self._waiting:
+                seq, task = entry
+                if task.ready_at > now:
+                    backing_off.append(entry)
+                    continue
+                lane, units = None, 0.0
+                if cost is not None:
+                    lane, units = cost.lane(task.config), cell_units(task.config)
+                heapq.heappush(self._lanes.setdefault(lane, []), (-units, seq, task))
+            self._waiting = backing_off
+        best: Optional[List[tuple]] = None
+        best_key: tuple = ()
+        for heap in self._lanes.values():
+            if heap:
+                _, seq, task = heap[0]
+                key = (0.0 if cost is None else cost.estimate(task.config), -seq)
+                if best is None or key > best_key:
+                    best, best_key = heap, key
+        return heapq.heappop(best)[2] if best is not None else None
 
 
 class SweepRunner:
@@ -280,7 +359,7 @@ class SweepRunner:
             workers=workers,
             timeout=self.timeout,
             retries=self.retries,
-            cache_dir=self.cache.directory if self.cache else None,
+            cache_dir=self.cache.directory if self.cache is not None else None,
             pool=self.pool,
             schedule=self.schedule,
         )
@@ -288,7 +367,9 @@ class SweepRunner:
         pending: List[_Task] = []
         for index, config in enumerate(configs):
             digest = config.config_digest()
-            cached = self.cache.get(config) if self.cache else None
+            cached = (
+                self.cache.get(config, digest) if self.cache is not None else None
+            )
             if cached is not None:
                 results[index] = cached
                 self.log.cache_hit(index, digest)
@@ -337,7 +418,7 @@ class SweepRunner:
     ) -> None:
         results[task.index] = metrics
         if self.cache is not None and not already_cached and not metrics.failed:
-            self.cache.put(task.config, metrics)
+            self.cache.put(task.config, metrics, task.digest)
         forensic_extras: Dict[str, Any] = {}
         if math.isfinite(metrics.forensic_burst_rate):
             # A finite burst rate marks "forensics ran on this cell";
@@ -388,30 +469,9 @@ class SweepRunner:
         self.log.task_failed(task.index, task.digest, error=error)
         return None
 
-    def _requeue(self, task: _Task, delay: float, pending: List[_Task]) -> None:
+    def _requeue(self, task: _Task, delay: float, pending: _PendingTasks) -> None:
         task.ready_at = time.monotonic() + delay
-        pending.append(task)
-
-    def _pick_next(
-        self, pending: List[_Task], cost: Optional[CostModel], now: float
-    ) -> Optional[_Task]:
-        """Pop the next launchable task: the longest-expected one under
-        the cost model, the first submitted under fifo; None if every
-        pending task is still backing off."""
-        best_index = -1
-        best_estimate = float("-inf")
-        for i, task in enumerate(pending):
-            if task.ready_at > now:
-                continue
-            if cost is None:
-                return pending.pop(i)
-            estimate = cost.estimate(task.config)
-            if estimate > best_estimate:
-                best_estimate = estimate
-                best_index = i
-        if best_index >= 0:
-            return pending.pop(best_index)
-        return None
+        pending.add(task)
 
     # ------------------------------------------------------------------
     # In-process execution (no timeout enforcement, no crash isolation)
@@ -427,7 +487,11 @@ class SweepRunner:
         for task in tasks:
             # Re-check the cache per cell so duplicate grid entries (and
             # concurrent sweeps sharing the directory) coalesce.
-            cached = self.cache.get(task.config) if self.cache else None
+            cached = (
+                self.cache.get(task.config, task.digest)
+                if self.cache is not None
+                else None
+            )
             if cached is not None:
                 results[task.index] = cached
                 self.log.cache_hit(task.index, task.digest)
@@ -468,12 +532,12 @@ class SweepRunner:
             process.join(timeout=2.0)
 
     @staticmethod
-    def _wait_timeout(deadlines, pending) -> Optional[float]:
+    def _wait_timeout(deadlines, wake: Optional[float]) -> Optional[float]:
         """Seconds until the nearest deadline or backoff wake-up; None
         when there is nothing scheduled to happen (pure event wait)."""
         candidates = [d for d in deadlines if d is not None]
-        if pending:
-            candidates.append(min(task.ready_at for task in pending))
+        if wake is not None:
+            candidates.append(wake)
         if not candidates:
             return None
         return max(min(candidates) - time.monotonic(), 0.0)
@@ -496,20 +560,90 @@ class SweepRunner:
             last_beat=time.monotonic(),
         )
 
-    def _dispatch(self, worker: _PoolWorker, task: _Task) -> None:
-        self.log.task_start(
-            task.index, task.digest, task.config.label, task.attempt,
-            worker=worker.id, backend=task.config.backend,
-        )
-        worker.current = task
-        worker.started = time.monotonic()
+    def _arm_deadline(self, worker: _PoolWorker) -> None:
+        """Run the worker's wall-clock limit from now, for the cell it
+        has; no cell or no ``timeout``, no deadline."""
         worker.deadline = (
-            worker.started + self.timeout if self.timeout is not None else None
+            time.monotonic() + self.timeout
+            if self.timeout is not None and worker.current is not None
+            else None
         )
+
+    def _dispatch(self, worker: _PoolWorker, task: _Task) -> None:
+        """Send ``task`` down the worker's pipe: its running cell if it
+        has none, else the one queued behind it.  ``task_start`` is
+        logged when the worker reports the start."""
+        if worker.current is None:
+            worker.current = task
+            self._arm_deadline(worker)
+        else:
+            worker.queued = task
         try:
-            worker.conn.send(("task", task.index, task.attempt, task.config))
+            worker.conn.send(("task", task.index, task.digest, task.config))
         except (OSError, ValueError):
             pass  # worker already died; the wait loop reaps the EOF
+
+    def _next_uncached(
+        self,
+        pending: _PendingTasks,
+        results: List,
+        cost: Optional[CostModel],
+        now: float,
+    ) -> Optional[_Task]:
+        """Pop launchable tasks until one misses the cache: a duplicate
+        grid entry or a concurrent sweep sharing the directory may have
+        finished a cell since :meth:`run` looked."""
+        while True:
+            task = pending.pick_next(now)
+            if task is None or self.cache is None:
+                return task
+            cached = self.cache.get(task.config, task.digest)
+            if cached is None:
+                return task
+            results[task.index] = cached
+            self.log.cache_hit(task.index, task.digest)
+            if cost is not None:
+                cost.observe_metrics(task.config, cached)
+
+    def _feed(
+        self,
+        workers: List[_PoolWorker],
+        pending: _PendingTasks,
+        results: List,
+        cost: Optional[CostModel],
+    ) -> None:
+        """Give every idle worker a cell, then every worker on a short
+        cell one more, queued in its pipe, so it starts that one without
+        idling through the parent's done -> log -> pick -> send round
+        trip.  Breadth first: nobody holds two while anybody holds none.
+
+        Short means the cost model, from at least one observation,
+        expects the running cell to end within one ``heartbeat``: the
+        queued cell then waits at most about that long for a worker that
+        may have been free sooner (the tail loss), and behind a longer
+        cell the round trip saved is under 0.2 % of it (a millisecond
+        against a heartbeat) for an unbounded wait.  So nothing queues
+        before the first observation, under fifo, or behind a long cell.
+        """
+        now = time.monotonic()
+        for worker in workers:
+            if worker.current is None:
+                task = self._next_uncached(pending, results, cost, now)
+                if task is None:
+                    return
+                self._dispatch(worker, task)
+        if cost is None or not cost.observations:
+            return
+        for worker in workers:
+            if (
+                worker.queued is None
+                and worker.current is not None
+                and cost.estimate(worker.current.config) <= self.heartbeat
+            ):
+                task = self._next_uncached(pending, results, cost, now)
+                if task is None:
+                    return
+                self._dispatch(worker, task)
 
     def _run_pool(
         self,
@@ -520,39 +654,24 @@ class SweepRunner:
     ) -> None:
         context = multiprocessing.get_context(pick_start_method(self.start_method))
         cache_dir = self.cache.directory if self.cache is not None else None
-        pending: List[_Task] = list(tasks)
+        pending = _PendingTasks(tasks, cost)
         workers: List[_PoolWorker] = [
             self._spawn_worker(context, cache_dir)
-            for _ in range(max(1, min(workers_wanted, len(pending))))
+            for _ in range(max(1, min(workers_wanted, len(tasks))))
         ]
         try:
             while pending or any(w.current is not None for w in workers):
-                now = time.monotonic()
-                for worker in workers:
-                    while worker.current is None and pending:
-                        task = self._pick_next(pending, cost, now)
-                        if task is None:
-                            break
-                        cached = (
-                            self.cache.get(task.config) if self.cache else None
-                        )
-                        if cached is not None:
-                            results[task.index] = cached
-                            self.log.cache_hit(task.index, task.digest)
-                            if cost is not None:
-                                cost.observe_metrics(task.config, cached)
-                            continue  # slot still free; pick again
-                        self._dispatch(worker, task)
+                self._feed(workers, pending, results, cost)
                 if not any(w.current is not None for w in workers):
-                    if pending:  # everything is backing off
-                        wake = min(task.ready_at for task in pending)
+                    wake = pending.next_ready()
+                    if wake is not None:  # everything is backing off
                         time.sleep(max(wake - time.monotonic(), 0.0) + 1e-4)
                     continue
                 timeout = self._wait_timeout(
                     (w.deadline for w in workers if w.current is not None),
-                    pending
+                    pending.next_ready()
                     if any(w.current is None for w in workers)
-                    else (),
+                    else None,
                 )
                 ready = wait([w.conn for w in workers], timeout=timeout)
                 for conn in ready:
@@ -584,7 +703,7 @@ class SweepRunner:
         self,
         worker: _PoolWorker,
         workers: List[_PoolWorker],
-        pending: List[_Task],
+        pending: _PendingTasks,
         results: List,
         cost: Optional[CostModel],
         context,
@@ -611,53 +730,48 @@ class SweepRunner:
             kind = message[0]
             if kind in ("ready", "hb", "start"):
                 worker.last_beat = time.monotonic()
-                if kind == "start" and self.timeout is not None:
+                task = worker.current
+                if kind == "start" and task is not None and task.index == message[1]:
+                    self.log.task_start(
+                        task.index, task.digest, task.config.label, task.attempt,
+                        worker=worker.id, backend=task.config.backend,
+                    )
                     # Start the deadline clock when the task actually
-                    # begins, not at dispatch: under spawn the first
-                    # dispatch races worker startup (module imports).
-                    worker.deadline = worker.last_beat + self.timeout
+                    # begins, not when it was sent: under spawn the
+                    # first dispatch races worker startup (module
+                    # imports), and a queued task waits out its
+                    # predecessor.
+                    self._arm_deadline(worker)
                 continue
             if kind != "done":  # unknown message; ignore
                 continue
             _, index, status, payload, elapsed = message
             task = worker.current
-            worker.current = None
-            worker.deadline = None
+            # The worker is already receiving the task queued behind
+            # this one; its own start message re-arms the deadline.
+            worker.current, worker.queued = worker.queued, None
+            self._arm_deadline(worker)
             if task is None or task.index != index:
                 continue  # stale report from a task already written off
             worker.tasks_done += 1
             worker.busy_time += elapsed
-            if status == "ok":
-                already_cached = payload is None
-                metrics = payload
-                if metrics is None and self.cache is not None:
-                    metrics = self.cache.get(task.config)
-                if metrics is None:
-                    # The slim ack promised a cache entry we cannot read
-                    # back (deleted or corrupt): treat as a failure so
-                    # the retry path re-runs the cell.
-                    delay = self._record_failure(
-                        task, "worker-side cache entry unreadable", results
-                    )
-                    if delay is not None:
-                        self._requeue(task, delay, pending)
-                else:
-                    if cost is not None:
-                        cost.observe(task.config, elapsed)
-                    self._record_success(
-                        task, metrics, results, elapsed,
-                        worker=worker.id, already_cached=already_cached,
-                    )
-            else:
+            if status == "error":
                 delay = self._record_failure(task, str(payload), results)
                 if delay is not None:
                     self._requeue(task, delay, pending)
+            else:
+                if cost is not None:
+                    cost.observe(task.config, elapsed)
+                self._record_success(
+                    task, payload, results, elapsed,
+                    worker=worker.id, already_cached=status == "cached",
+                )
 
     def _retire_worker(
         self,
         worker: _PoolWorker,
         workers: List[_PoolWorker],
-        pending: List[_Task],
+        pending: _PendingTasks,
         results: List,
         error: str,
         reason: str,
@@ -668,10 +782,11 @@ class SweepRunner:
 
         Only this worker is replaced; the rest of the pool never stops
         draining.  Its in-flight task (if any) goes through the normal
-        retry/placeholder bookkeeping.
+        retry/placeholder bookkeeping; a task queued behind that one
+        never started, so it goes back to pending with no attempt spent.
         """
-        task = worker.current
-        worker.current = None
+        task, queued = worker.current, worker.queued
+        worker.current = worker.queued = None
         worker.deadline = None
         self._terminate(worker.process)
         try:
@@ -682,6 +797,8 @@ class SweepRunner:
             delay = self._record_failure(task, error, results)
             if delay is not None:
                 self._requeue(task, delay, pending)
+        if queued is not None:
+            pending.add(queued)
         slot = workers.index(worker)
         if pending:
             replacement = self._spawn_worker(context, cache_dir)

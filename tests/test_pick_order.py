@@ -21,7 +21,7 @@ import pytest
 
 from repro.experiments.config import paper_config
 from repro.experiments.costmodel import CostModel
-from repro.experiments.runner import SweepRunner, _Task
+from repro.experiments.runner import _PendingTasks, _Task
 from tests import pick_reference as reference
 
 LANES = (
@@ -36,23 +36,14 @@ CLIENTS = (2, 3, 6)
 DURATIONS = (1.0, 2.0, 3.0)
 
 
-class ProductionQueue:
-    """The runner's own pending tasks, behind the two calls the pool
-    loop makes on them."""
+class CountingModel(CostModel):
+    """A cost model that counts the estimates asked of it."""
 
-    def __init__(self, tasks, cost):
-        self._runner = SweepRunner(schedule="fifo" if cost is None else "cost")
-        self._pending = list(tasks)
-        self._cost = cost
+    calls = 0
 
-    def add(self, task):
-        self._pending.append(task)
-
-    def pick(self, now):
-        return self._runner._pick_next(self._pending, self._cost, now)
-
-    def __len__(self):
-        return len(self._pending)
+    def estimate(self, config):
+        self.calls += 1
+        return super().estimate(config)
 
 
 def random_grid(rng, cells):
@@ -73,9 +64,9 @@ def replay(seed, schedule):
     """One random script; returns how many picks were compared."""
     rng = random.Random(seed)
     tasks = random_grid(rng, rng.randint(8, 60))
-    cost = CostModel() if schedule == "cost" else None
+    cost = CountingModel() if schedule == "cost" else None
     scan = list(tasks)
-    production = ProductionQueue(tasks, cost)
+    production = _PendingTasks(tasks, cost)
     now = 100.0
     popped = []
     picks = 0
@@ -88,8 +79,11 @@ def replay(seed, schedule):
     for step in script:
         if step == "pick":
             expected = reference.pick_next(scan, cost, now)
-            got = production.pick(now)
+            asked = cost.calls if cost is not None else 0
+            got = production.pick_next(now)
             assert got is expected, (seed, picks, got, expected)
+            if cost is not None:  # one head per lane, not one per task
+                assert cost.calls - asked <= len(LANES)
             assert len(production) == len(scan)
             picks += 1
             if got is not None:
@@ -112,9 +106,9 @@ def replay(seed, schedule):
     while scan:
         expected = reference.pick_next(scan, cost, now)
         assert expected is not None
-        assert production.pick(now) is expected, (seed, "drain")
+        assert production.pick_next(now) is expected, (seed, "drain")
         picks += 1
-    assert production.pick(now) is None
+    assert production.pick_next(now) is None
     assert len(production) == 0
     return picks
 
@@ -130,8 +124,8 @@ def test_backing_off_tasks_are_not_launchable():
     task = _Task(0, paper_config(n_clients=2, duration=1.0), digest="0")
     task.ready_at = 50.0
     for cost in (CostModel(), None):
-        production = ProductionQueue([task], cost)
-        assert production.pick(49.9) is None
+        production = _PendingTasks([task], cost)
+        assert production.pick_next(49.9) is None
         assert len(production) == 1
-        assert production.pick(50.0) is task
-        assert production.pick(50.0) is None
+        assert production.pick_next(50.0) is task
+        assert production.pick_next(50.0) is None

@@ -9,10 +9,12 @@ the in-process path, under both schedules, produce byte-identical
 stable after a ``from_dict`` round-trip).
 """
 
+import collections
 import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -66,6 +68,74 @@ def _flaky_once(config):
             pass
         raise RuntimeError("first attempt fails")
     return run_one(config)
+
+
+def _return_nothing(config):
+    return None
+
+
+def _crash_slowly_on_seed_5(config):
+    if config.seed == 5:
+        time.sleep(0.3)  # time for the parent to queue a cell behind this one
+        os._exit(17)
+    return run_one(config)
+
+
+def _hang_on_seed_5(config):
+    if config.seed == 5:
+        time.sleep(300)
+    return run_one(config)
+
+
+def _instant(config):
+    """A finished cell for free: a well-formed, not-failed record."""
+    return ScenarioMetrics.failure(config, "")
+
+
+#: The SIGINT driver: argv = pool, seeds, the seed whose cell interrupts
+#: the parent, and how long that cell waits before it does.
+_INTERRUPT_DRIVER = (
+    "import multiprocessing, os, signal, sys, time\n"
+    "from repro.experiments.config import paper_config\n"
+    "from repro.experiments.runner import SweepRunner, run_one\n"
+    "\n"
+    "def interrupt_parent(config):\n"
+    "    if config.seed == int(sys.argv[3]):\n"
+    "        time.sleep(float(sys.argv[4]))\n"
+    "        os.kill(os.getppid(), signal.SIGINT)\n"
+    "        time.sleep(30)\n"
+    "    return run_one(config)\n"
+    "\n"
+    "configs = [paper_config(n_clients=2, duration=3.0, seed=s)\n"
+    "           for s in range(1, int(sys.argv[2]) + 1)]\n"
+    "runner = SweepRunner(processes=2, timeout=60,\n"
+    "                     pool=sys.argv[1], task=interrupt_parent)\n"
+    "try:\n"
+    "    runner.run(configs)\n"
+    "except KeyboardInterrupt:\n"
+    "    deadline = time.time() + 10\n"
+    "    while multiprocessing.active_children() and time.time() < deadline:\n"
+    "        time.sleep(0.05)\n"
+    "    sys.exit(0 if not multiprocessing.active_children() else 3)\n"
+    "sys.exit(4)  # the interrupt never arrived\n"
+)
+
+
+def run_interrupt_driver(tmp_path, pool, cells, interrupt_seed, wait):
+    driver = tmp_path / "driver.py"
+    driver.write_text(_INTERRUPT_DRIVER)
+    env = dict(os.environ)
+    src = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    )
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, str(driver), pool, str(cells), str(interrupt_seed), str(wait)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestFailureMatrix:
@@ -142,6 +212,18 @@ class TestFailureMatrix:
         # An in-worker exception is not a worker death: no respawns.
         assert log.progress.respawned == 0
 
+    def test_task_that_returns_no_metrics_is_a_failed_cell(self, tmp_path):
+        """With or without a cache to write to, the worker reports it
+        as the cell's error; nothing malformed reaches the parent."""
+        for cache in (None, str(tmp_path)):
+            runner = SweepRunner(
+                processes=1, timeout=60, retries=0, task=_return_nothing, cache=cache
+            )
+            (result,) = runner.run([tiny()])
+            assert result.failed
+            assert "task returned NoneType" in result.error
+            assert runner.log.progress.respawned == 0
+
     @EVERY_POOL
     def test_retry_attempt_recorded_in_task_done(self, pool, tmp_path, monkeypatch):
         """The attempt count of the eventual success is auditable."""
@@ -165,43 +247,7 @@ class TestFailureMatrix:
     def test_keyboard_interrupt_drains_workers(self, pool, tmp_path):
         """SIGINT mid-sweep propagates KeyboardInterrupt and leaves no
         orphan worker processes behind."""
-        driver = tmp_path / "driver.py"
-        driver.write_text(
-            "import multiprocessing, os, signal, sys, time\n"
-            "from repro.experiments.config import paper_config\n"
-            "from repro.experiments.runner import SweepRunner, run_one\n"
-            "\n"
-            "def interrupt_parent(config):\n"
-            "    if config.seed == 2:\n"
-            "        os.kill(os.getppid(), signal.SIGINT)\n"
-            "        time.sleep(30)\n"
-            "    return run_one(config)\n"
-            "\n"
-            "configs = [paper_config(n_clients=2, duration=3.0, seed=s)\n"
-            "           for s in (1, 2, 3, 4)]\n"
-            "runner = SweepRunner(processes=2, timeout=60,\n"
-            "                     pool=sys.argv[1], task=interrupt_parent)\n"
-            "try:\n"
-            "    runner.run(configs)\n"
-            "except KeyboardInterrupt:\n"
-            "    deadline = time.time() + 10\n"
-            "    while multiprocessing.active_children() and time.time() < deadline:\n"
-            "        time.sleep(0.05)\n"
-            "    sys.exit(0 if not multiprocessing.active_children() else 3)\n"
-            "sys.exit(4)  # the interrupt never arrived\n"
-        )
-        env = dict(os.environ)
-        src = os.path.abspath(
-            os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, str(driver), pool],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_interrupt_driver(tmp_path, pool, cells=4, interrupt_seed=2, wait=0)
         assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
     @EVERY_POOL
@@ -228,10 +274,184 @@ class TestFailureMatrix:
         assert [m.seed for m in second] == [1, 2, 3, 4]
 
 
+def spy_on_dispatch(runner):
+    """Record every dispatch as (worker id, task index, index of the
+    running cell the task was queued behind, or None for an idle
+    worker)."""
+    sent = []
+    dispatch = runner._dispatch
+
+    def spy(worker, task):
+        behind = worker.current.index if worker.current is not None else None
+        sent.append((worker.id, task.index, behind))
+        dispatch(worker, task)
+
+    runner._dispatch = spy
+    return sent
+
+
+def assert_log_is_consistent(events, workers):
+    """Every ``task_start`` precedes the row that ends that attempt, and
+    at no point are more cells started-and-unfinished than there are
+    workers (a queued cell is not started until its worker says so)."""
+    running = set()
+    for event in events:
+        kind = event["event"]
+        if kind == "task_start":
+            assert event["index"] not in running, event
+            running.add(event["index"])
+            assert len(running) <= workers, (sorted(running), event)
+        elif kind in ("task_done", "task_retry", "task_failed"):
+            assert event["index"] in running, event
+            running.remove(event["index"])
+    assert not running
+
+
+class TestQueueAhead:
+    """A worker on short cells holds one more task queued in its pipe.
+    Every case runs ``retries=0``, so a queued cell charged for its
+    predecessor's fate would come back a placeholder."""
+
+    CELLS = 16
+
+    def sweep(self, tmp_path, task, **kwargs):
+        configs = [tiny(seed=s) for s in range(1, self.CELLS + 1)]
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            runner = SweepRunner(
+                processes=2, retries=0, task=task, run_log=log, **kwargs
+            )
+            sent = spy_on_dispatch(runner)
+            results = runner.run(configs)
+        events = read_runlog(path)
+        assert_log_is_consistent(events, workers=2)
+        return results, sent, events
+
+    def test_crash_does_not_charge_the_queued_cell(self, tmp_path):
+        """The worker dies mid-cell with a task queued behind it: the
+        running cell is the only placeholder, the queued one runs
+        elsewhere on its first attempt."""
+        results, sent, events = self.sweep(
+            tmp_path, _crash_slowly_on_seed_5, timeout=60
+        )
+        assert [m.failed for m in results] == [m.seed == 5 for m in results]
+        assert "exit code 17" in results[4].error
+        behind_the_crash = [index for _, index, behind in sent if behind == 4]
+        assert behind_the_crash  # something was queued there
+        done = {e["index"]: e for e in events if e["event"] == "task_done"}
+        assert all(done[index]["attempt"] == 0 for index in behind_the_crash)
+        assert not any(e["event"] == "task_retry" for e in events)
+
+    def test_deadline_does_not_charge_the_queued_cell(self, tmp_path):
+        results, sent, events = self.sweep(tmp_path, _hang_on_seed_5, timeout=1.5)
+        assert [m.failed for m in results] == [m.seed == 5 for m in results]
+        assert "timeout after 1.5" in results[4].error
+        behind_the_hang = [index for _, index, behind in sent if behind == 4]
+        assert behind_the_hang
+        done = {e["index"]: e for e in events if e["event"] == "task_done"}
+        assert all(done[index]["attempt"] == 0 for index in behind_the_hang)
+        respawns = [e for e in events if e["event"] == "worker_respawn"]
+        assert len(respawns) == 1
+        assert respawns[0]["index"] == 4
+
+    def test_two_cells_on_two_workers_run_side_by_side(self, tmp_path):
+        """Breadth first, and nothing queued before an observation."""
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            run_many(
+                [tiny(seed=1), tiny(seed=2)], processes=2, timeout=60, run_log=log
+            )
+        events = read_runlog(path)
+        done = [e for e in events if e["event"] == "task_done"]
+        assert len({e["worker"] for e in done}) == 2
+        assert_log_is_consistent(events, workers=2)
+
+    def test_nothing_queues_behind_a_long_cell(self, tmp_path):
+        """One cell the model expects to run for minutes, 24 short ones:
+        the other worker drains the short ones while the long one hangs
+        to its deadline, and none waits behind it."""
+        long_cell = tiny(seed=99, n_clients=2, duration=5000.0)
+        short = [tiny(seed=s) for s in range(1, 25)]
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            runner = SweepRunner(
+                processes=2, timeout=2.0, retries=0, task=_hang_on_seed_99,
+                run_log=log,
+            )
+            sent = spy_on_dispatch(runner)
+            results = runner.run([long_cell] + short)
+        assert results[0].failed and not any(m.failed for m in results[1:])
+        assert sent[0][1:] == (0, None)  # longest first, to an idle worker
+        assert not [index for _, index, behind in sent if behind == 0]
+        # ... while short cells did get company.
+        assert [index for _, index, behind in sent if behind is not None]
+        events = read_runlog(path)
+        assert_log_is_consistent(events, workers=2)
+        # The same from the log alone: the long cell's worker started
+        # nothing else, and every short cell was done before it failed.
+        starts = [e for e in events if e["event"] == "task_start"]
+        assert [e["index"] for e in starts if e["worker"] == sent[0][0]] == [0]
+        kinds = [e["event"] for e in events if e["event"].startswith("task_")]
+        assert kinds[-1] == "task_failed"
+
+    @EVERY_POOL
+    def test_keyboard_interrupt_with_queued_tasks(self, pool, tmp_path):
+        """SIGINT while a worker holds a queued task behind the cell
+        that is running: still no orphan process."""
+        proc = run_interrupt_driver(
+            tmp_path, pool, cells=self.CELLS, interrupt_seed=9, wait=0.3
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+class TestPerCellCost:
+    def test_sweep_bookkeeping_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        """What the runner does per cell besides the cell is constant:
+        no directory listing or cache length (each is a pass over every
+        entry), and a bounded number of cost estimates per dispatch.
+        Counts, not clocks; the cells are free so only the runner runs."""
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(os, "listdir")
+        counted(ResultCache, "__len__")
+        counted(CostModel, "estimate")
+        lanes = ("reno", "vegas", "udp")
+        for cells in (64, 256):
+            configs = [
+                tiny(seed=s, protocol=lanes[s % 3], n_clients=2 + s % 4)
+                for s in range(cells)
+            ]
+            cache = ResultCache(str(tmp_path / f"cache{cells}"))
+            for expected_hits in (0, cells):  # cold, then warm
+                calls.clear()
+                log = RunLog()
+                runner = SweepRunner(
+                    processes=2, retries=0, cache=cache, task=_instant, run_log=log
+                )
+                results = runner.run(configs)
+                assert not any(m.failed for m in results)
+                assert log.progress.cached == expected_hits
+                assert calls["listdir"] == 0 and calls["__len__"] == 0, calls
+                # One estimate per lane head per pick, one per worker
+                # per feed for the queue-ahead rule: far under 4 a lane.
+                assert calls["estimate"] <= 4 * len(lanes) * (cells - expected_hits)
+            assert len(cache) == cells
+
+
 class TestWorkerSideCaching:
     def test_parent_never_writes_the_cache(self, tmp_path):
         """Under the pool with a cache, workers persist results
-        themselves and the parent only reads the entries back."""
+        themselves; the parent takes them off the pipe and writes
+        nothing."""
         cache = ResultCache(str(tmp_path))
         runner = SweepRunner(processes=2, timeout=60, pool="persistent", cache=cache)
 
@@ -246,7 +466,10 @@ class TestWorkerSideCaching:
 
     def test_cached_and_piped_results_are_identical(self, tmp_path):
         """A result recovered from a worker-side cache write equals the
-        same cell shipped over the pipe (no cache)."""
+        same cell shipped over the pipe (no cache) -- and the cold pass
+        that wrote the entries, the warm pass that read them back and
+        the in-process run all return that cell too, to the last digit
+        of every physics field."""
         configs = [tiny(seed=s) for s in (1, 2)]
         piped = run_many(configs, processes=2, timeout=60, pool="persistent")
         cached = run_many(
@@ -254,6 +477,24 @@ class TestWorkerSideCaching:
             cache=str(tmp_path),
         )
         assert piped == cached
+        log = RunLog()
+        warm = run_many(
+            configs, processes=2, timeout=60, pool="persistent",
+            cache=str(tmp_path), run_log=log,
+        )
+        assert log.progress.cached == len(configs)
+        in_process = run_many(configs, processes=1)
+        assert cached == warm == in_process
+
+        def physics(metrics):
+            return [
+                (spec.name, repr(getattr(metrics, spec.name)))
+                for spec in fields(metrics)
+                if spec.name not in ScenarioMetrics._WALL_CLOCK_FIELDS
+            ]
+
+        for others in (cached, warm, in_process):
+            assert [physics(m) for m in others] == [physics(m) for m in piped]
 
 
 class TestDifferentialMatrix:

@@ -190,6 +190,19 @@ class TestTelemetry:
         assert "task_start" in events
         assert "task_done" in events
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_sweep_start_names_a_fresh_cache_directory(self, tmp_path, processes):
+        """An empty cache is still a cache.  ``ResultCache`` has a
+        ``__len__``, so a runner that tests its truth logs ``null`` for
+        the first sweep into a new directory and the path for the next."""
+        cache_dir = str(tmp_path / "fresh")
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            run_many([tiny()], processes=processes, cache=cache_dir, run_log=log)
+        start = read_runlog(path)[0]
+        assert start["event"] == "sweep_start"
+        assert start["cache_dir"] == cache_dir
+
     def test_runlog_survives_torn_final_line(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunLog(str(path)) as log:
