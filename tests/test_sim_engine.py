@@ -246,3 +246,63 @@ def test_peek_time_reconciles_live_events():
     sim.peek_time()  # discards the cancelled head
     assert sim.pending_events == 1
     assert sim.live_events == 1
+
+
+def test_schedule_and_schedule_at_arm_equal_events():
+    """``schedule(d, f, a)`` is ``schedule_at(now + d, f, a)``: same
+    time, priority and args, consecutive sequence numbers."""
+    sim = Simulator(start_time=0.3)
+    fired = []
+    relative = sim.schedule(0.1, fired.append, "a")
+    absolute = sim.schedule_at(sim.now + 0.1, fired.append, "a")
+    assert relative is not absolute
+    assert relative.time == absolute.time == 0.3 + 0.1
+    assert relative.priority == absolute.priority == 0
+    assert absolute.seq == relative.seq + 1
+    assert relative.args == absolute.args == ("a",)
+    assert relative.callback == absolute.callback
+    low = sim.schedule(0.1, fired.append, "b", priority=2)
+    also_low = sim.schedule_at(sim.now + 0.1, fired.append, "b", priority=2)
+    assert low.priority == also_low.priority == 2
+    assert (low.seq, also_low.seq) == (absolute.seq + 1, absolute.seq + 2)
+    sim.run()
+    assert fired == ["a", "a", "b", "b"]
+    assert sim.now == 0.3 + 0.1
+
+
+def test_schedule_and_schedule_at_draw_on_one_event_pool():
+    """An event recycled after firing is reused by whichever arming
+    call comes next (skipped where the interpreter cannot pool)."""
+    for arm_again in (
+        lambda sim: sim.schedule(1.0, len, ()),
+        lambda sim: sim.schedule_at(sim.now + 1.0, len, ()),
+    ):
+        sim = Simulator()
+        sim.schedule(1.0, len, ())
+        sim.run()
+        if not sim._event_pool:  # pragma: no cover - non-CPython only
+            pytest.skip("no sys.getrefcount: event pooling is off")
+        (pooled,) = sim._event_pool
+        event = arm_again(sim)
+        assert event is pooled and not sim._event_pool
+        assert (event.time, event.seq, event.cancelled) == (2.0, 1, False)
+        assert event.owner is sim and event.pending
+
+
+def test_scheduling_errors_name_the_offending_value():
+    sim = Simulator(start_time=2.0)
+    with pytest.raises(SimulationError, match=r"negative delay -0\.25"):
+        sim.schedule(-0.25, lambda: None)
+    with pytest.raises(SimulationError, match=r"at 1\.5; clock is already at 2\.0"):
+        sim.schedule_at(1.5, lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_now_reads_until_after_run_drains_early():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    assert sim.run(until=4.0) == 4.0
+    assert sim.now == 4.0 and sim.pending_events == 0
+    # ... and an `until` already behind the clock does not rewind it.
+    assert sim.run(until=3.0) == 4.0
+    assert sim.now == 4.0
