@@ -90,6 +90,14 @@ def pick_start_method(preferred: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 # Worker entry point (module level: picklable under spawn)
 # ----------------------------------------------------------------------
+#: The parent's end of every live worker pipe in this process.  A forked
+#: worker is born holding a copy of each (its own pipe's included) and,
+#: until it closes them, can never see EOF on its own end -- so it would
+#: outlive a SIGKILLed parent, blocked in ``recv`` for good.  Under
+#: ``spawn`` the child imports this module afresh and the list is empty.
+_PARENT_CONNS: List[Connection] = []
+
+
 def _pool_heartbeats(send, running: list, stop: threading.Event, interval: float) -> None:
     """Beat for the task in ``running[0]`` (None between tasks) until
     ``stop`` is set: one daemon thread for the worker's whole life."""
@@ -120,6 +128,8 @@ def _pool_worker_main(
     which costs less than the parent reading the entry back.  The
     parent may send a second task while one runs; it waits in the pipe.
     """
+    while _PARENT_CONNS:  # inherited through fork: see _PARENT_CONNS
+        _PARENT_CONNS.pop().close()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     send_lock = threading.Lock()
 
@@ -532,6 +542,15 @@ class SweepRunner:
             process.join(timeout=2.0)
 
     @staticmethod
+    def _close_conn(worker: _PoolWorker) -> None:
+        """Close the parent's end of a stopped worker's pipe."""
+        _PARENT_CONNS.remove(worker.conn)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+
+    @staticmethod
     def _wait_timeout(deadlines, wake: Optional[float]) -> Optional[float]:
         """Seconds until the nearest deadline or backoff wake-up; None
         when there is nothing scheduled to happen (pure event wait)."""
@@ -550,6 +569,7 @@ class SweepRunner:
             args=(worker_id, self.task, cache_dir, child_conn, self.heartbeat),
             daemon=True,
         )
+        _PARENT_CONNS.append(parent_conn)
         process.start()
         child_conn.close()  # keep only the child's copy
         self.log.worker_spawn(worker_id)
@@ -789,10 +809,7 @@ class SweepRunner:
         worker.current = worker.queued = None
         worker.deadline = None
         self._terminate(worker.process)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        self._close_conn(worker)
         if task is not None:
             delay = self._record_failure(task, error, results)
             if delay is not None:
@@ -826,7 +843,4 @@ class SweepRunner:
             )
             if worker.process.is_alive():
                 self._terminate(worker.process)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            self._close_conn(worker)

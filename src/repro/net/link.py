@@ -79,20 +79,29 @@ class Interface:
         return self._busy
 
     def _pull(self) -> None:
-        packet = self.queue.dequeue(self._sim.now)
+        sim = self._sim
+        now = sim.now
+        packet = self.queue.dequeue(now)
         if packet is None:
             return
         self._busy = True
-        self._sim.schedule(self.transmission_time(packet), self._finish, packet)
+        # transmission_time(), in place; schedule()'s own now + delay.
+        sim.schedule_at(now + packet.size * 8.0 / self.rate_bps, self._finish, packet)
 
     def _finish(self, packet: Packet) -> None:
         self.packets_sent += 1
         self.bytes_sent += packet.size
+        sim = self._sim
+        now = sim.now
         # The wire pipelines: propagation proceeds while the transmitter
         # starts on the next queued packet.
-        self._sim.schedule(self.delay, self.dst_node.receive, packet)
-        self._busy = False
-        self._pull()
+        sim.schedule_at(now + self.delay, self.dst_node.receive, packet)
+        # _pull() in place: most departures leave an empty queue behind.
+        packet = self.queue.dequeue(now)
+        if packet is None:
+            self._busy = False
+        else:
+            sim.schedule_at(now + packet.size * 8.0 / self.rate_bps, self._finish, packet)
 
 
 class Link:

@@ -63,11 +63,24 @@ class Node:
     # Data path
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        """Entry point for packets arriving from a link."""
-        if packet.dst == self.name:
-            self._deliver(packet)
+        """Entry point for packets arriving from a link.
+
+        The per-hop path: :meth:`_deliver` / :meth:`forward` with the
+        lookups done in place, called only for the packet they raise on.
+        """
+        dst = packet.dst
+        if dst == self.name:
+            agent = self._agents.get(packet.flow_id)
+            if agent is None:
+                return self._deliver(packet)
+            self.packets_delivered += 1
+            agent.receive(packet)
         else:
-            self.forward(packet)
+            via = self._routes.get(dst, self._default_route)
+            if via is None:
+                return self.forward(packet)
+            self.packets_forwarded += 1
+            self.interfaces[via].send(packet)
 
     def forward(self, packet: Packet) -> None:
         """Send ``packet`` out the port its destination routes to."""

@@ -110,12 +110,16 @@ class PacketQueue:
         Returns True if admitted, False if dropped.
         """
         self._now = now
-        self.stats.arrivals += 1
-        self.stats.bytes_arrived += packet.size
+        stats = self.stats
+        stats.arrivals += 1
+        stats.bytes_arrived += packet.size
         self.last_drop_cause = "tail_overflow"
         if self._admit(packet, now):
-            self.stats.note_length(len(self._packets), now)
-            self._packets.append(packet)
+            packets = self._packets
+            # stats.note_length(len(packets), now), in place.
+            stats._occupancy_integral += len(packets) * (now - stats._last_change)
+            stats._last_change = now
+            packets.append(packet)
             for hook in self._enqueue_hooks:
                 hook(packet, now)
             return True
@@ -125,12 +129,16 @@ class PacketQueue:
     def dequeue(self, now: float) -> Optional[Packet]:
         """Remove and return the head packet, or None if empty."""
         self._now = now
-        if not self._packets:
+        packets = self._packets
+        if not packets:
             return None
-        self.stats.note_length(len(self._packets), now)
-        packet = self._packets.popleft()
-        self.stats.departures += 1
-        self.stats.bytes_departed += packet.size
+        stats = self.stats
+        # stats.note_length(len(packets), now), in place.
+        stats._occupancy_integral += len(packets) * (now - stats._last_change)
+        stats._last_change = now
+        packet = packets.popleft()
+        stats.departures += 1
+        stats.bytes_departed += packet.size
         self._on_dequeue(packet, now)
         for hook in self._dequeue_hooks:
             hook(packet, now)

@@ -109,16 +109,14 @@ class QueueProbe:
     def _on_change(self, packet: Packet, now: float) -> None:
         queue = self.queue
         length = len(queue)
-        self.occupancy.append(now, length, self._red_avg())
+        # The RED average where the queue keeps one, else the length.
+        self.occupancy.append(now, length, float(getattr(queue, "avg", length)))
         self.depth.max(length)
 
     def _on_drop(self, packet: Packet, now: float) -> None:
         cause = self.queue.last_drop_cause
         self.drops.append(now, packet.flow_id, packet.seqno, cause)
         self._registry.counter(f"drops.cause.{cause}").inc()
-
-    def _red_avg(self) -> float:
-        return float(getattr(self.queue, "avg", len(self.queue)))
 
     # ------------------------------------------------------------------
     # Results

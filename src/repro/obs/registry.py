@@ -87,7 +87,7 @@ class TimeSeries:
         if time - self._last_kept < self.min_interval:
             return
         self._last_kept = time
-        self.rows.append((time, *values))
+        self.rows.append((time,) + values)
 
     def __len__(self) -> int:
         return len(self.rows)

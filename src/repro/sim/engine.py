@@ -102,11 +102,15 @@ class Simulator:
 
     ``start_time`` must be non-negative (the wheel hashes absolute
     ticks); a negative one raises ``ValueError``.
+
+    ``now`` is the current simulated time in seconds: a plain attribute
+    (components read it a few times per packet), written by the run
+    loops alone and read-only to everything else by convention.
     """
 
     def __init__(self, start_time: float = 0.0, debug: bool = False) -> None:
-        self._now = float(start_time)
-        self._wheel = TimerWheel(start_time=self._now)
+        self.now = float(start_time)
+        self._wheel = TimerWheel(start_time=self.now)
         self._debug = bool(debug)
         self._seq = 0
         self._events_executed = 0
@@ -118,13 +122,8 @@ class Simulator:
         self._recycle_fn: Optional[Callable[[Any], None]] = None
 
     # ------------------------------------------------------------------
-    # Clock
+    # Counters
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (diagnostics)."""
@@ -210,7 +209,7 @@ class Simulator:
         for entry in self._wheel.entries():
             event = entry[3]
             event.callback = event.args = event.owner = None
-        self._wheel = TimerWheel(start_time=self._now)
+        self._wheel = TimerWheel(start_time=self.now)
         self._cancelled_pending = 0
         del self._event_pool[:]
         self._recycle_type = self._recycle_fn = None
@@ -225,10 +224,14 @@ class Simulator:
         *args: Any,
         priority: int = 0,
     ) -> Event:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
+        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
+
+        The arming itself is :meth:`schedule_at`'s; per-packet call
+        sites skip this wrapper and pass it ``now + delay`` themselves.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -238,9 +241,9 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to fire at absolute time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at {time!r}; clock is already at {self._now!r}"
+                f"cannot schedule event at {time!r}; clock is already at {self.now!r}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -282,7 +285,7 @@ class Simulator:
         event = entry[3]
         entry = None  # drop the tuple's reference before the refcount check
         event.owner = None
-        self._now = event.time
+        self.now = event.time
         self._events_executed += 1
         profiler = self._profiler
         if profiler is None:
@@ -389,19 +392,19 @@ class Simulator:
                     entry = peek()
                     ready = wheel._ready
             if entry is None:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
                 break
             time = entry[0]
             if until is not None and time > until:
-                self._now = until
+                self.now = until
                 break
             heappop(ready)
             wheel._size -= 1
             event = entry[3]
             entry = None
             event.owner = None
-            self._now = time
+            self.now = time
             self._events_executed += 1
             event.callback(*event.args)
             if recycle_type is not None:
@@ -417,7 +420,7 @@ class Simulator:
                 event.args = None
                 pool.append(event)
             executed += 1
-        return self._now
+        return self.now
 
     def _run_profiled(
         self, until: Optional[float], max_events: Optional[int]
@@ -437,7 +440,7 @@ class Simulator:
         recycle_type = self._recycle_type
         recycle = self._recycle_fn
         executed = 0
-        profiler.begin_run(self._now)
+        profiler.begin_run(self.now)
         loop_start = clock()
         try:
             while True:
@@ -468,19 +471,19 @@ class Simulator:
                         entry = peek()
                         ready = wheel._ready
                 if entry is None:
-                    if until is not None and until > self._now:
-                        self._now = until
+                    if until is not None and until > self.now:
+                        self.now = until
                     break
                 time = entry[0]
                 if until is not None and time > until:
-                    self._now = until
+                    self.now = until
                     break
                 heappop(ready)
                 wheel._size -= 1
                 event = entry[3]
                 entry = None
                 event.owner = None
-                self._now = time
+                self.now = time
                 self._events_executed += 1
                 depth = wheel._size
                 start = clock()
@@ -504,8 +507,8 @@ class Simulator:
                 executed += 1
         finally:
             profiler.add_run_wall(clock() - loop_start)
-            profiler.end_run(self._now)
-        return self._now
+            profiler.end_run(self.now)
+        return self.now
 
     # ------------------------------------------------------------------
     # Debug loop
@@ -521,16 +524,16 @@ class Simulator:
                 break
             next_time = self.peek_time()
             if next_time is None:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
                 break
             if until is not None and next_time > until:
-                self._now = until
+                self.now = until
                 break
             self.step()
             executed += 1
             self.check_invariants()
-        return self._now
+        return self.now
 
     def check_invariants(self) -> None:
         """Recount the queue and verify the O(1) event accounting.

@@ -59,12 +59,13 @@ class TrafficSource:
     def _tick(self, epoch: int) -> None:
         if epoch != self._epoch or not self._running:
             return
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         if self._stop_at is not None and now > self._stop_at:
             self._running = False
             return
         self._emit(1)
-        self.sim.schedule(self._next_gap(), self._tick, epoch)
+        sim.schedule_at(now + self._next_gap(), self._tick, epoch)
 
     def _emit(self, n_packets: int) -> None:
         self.generated += n_packets

@@ -474,18 +474,31 @@ class TestForensicsStreamFlag:
         )
         assert stream_path.read_text() == expected
 
-    @pytest.mark.parametrize("protocol", ["reno", "reno_delack", "udp"])
-    def test_observed_run_takes_the_dispatcher(self, protocol, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "protocol,queue",
+        [
+            pytest.param("reno", "fifo", id="reno"),
+            pytest.param("reno_delack", "fifo", id="reno_delack"),
+            pytest.param("udp", "fifo", id="udp"),
+            pytest.param("vegas", "fifo", id="vegas"),
+            # RED keeps the ``avg`` the queue probe records beside the length.
+            pytest.param("reno", "red", id="reno-red"),
+        ],
+    )
+    def test_observed_run_takes_the_dispatcher(self, protocol, queue, tmp_path, capsys):
         """``--obs-dir`` / ``--forensics-stream`` no longer mean the
         object engine: an in-envelope cell runs on batch, and every
         file it writes is byte-identical to the forced oracle's (all
-        but the engine profile, which is *about* the engine)."""
+        but the engine profile, which is *about* the engine).  Both
+        engines publish through the same probes, so this is also what
+        holds a probe change that is right for one and wrong for the
+        other."""
 
         def observed(tag, *extra):
             obs_dir, stream = tmp_path / f"obs-{tag}", tmp_path / f"{tag}.jsonl"
             assert main(
                 [
-                    "run", "--protocol", protocol, "--clients", "45",
+                    "run", "--protocol", protocol, "--queue", queue, "--clients", "45",
                     "--duration", "6", "--seed", "3", "--trace", "all",
                     "--obs-dir", str(obs_dir), "--forensics-stream", str(stream),
                     *extra,

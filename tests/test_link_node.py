@@ -166,6 +166,17 @@ def test_missing_route_raises():
         a.send(factory.data(0, "a", "nowhere", 1000, seqno=0, now=0.0))
 
 
+def test_missing_route_raises_for_a_received_packet():
+    """``receive`` looks the route up itself; the packet it cannot
+    place still gets ``forward``'s error, and is not counted."""
+    sim = Simulator()
+    a = Node(sim, "a")
+    Link(sim, a, Node(sim, "b"), 1e6, 0.0)
+    with pytest.raises(RoutingError, match="no route to 'nowhere'"):
+        a.receive(PacketFactory().data(0, "x", "nowhere", 1000, seqno=0, now=0.0))
+    assert a.packets_forwarded == 0
+
+
 def test_route_via_unknown_interface_raises():
     sim = Simulator()
     node = Node(sim, "a")

@@ -384,6 +384,33 @@ class TestQueueProbe:
             queue.enqueue(packet, float(i))
         assert len(probe.occupancy) == 1  # all arrivals inside 10 s
 
+    def test_hybrid_gateway_occupancy_includes_the_fluid_level(self):
+        """``len(queue)`` on the hybrid gateway is foreground packets
+        *plus* the fluid backlog, and that is what the probe records;
+        the queue's own time-weighted occupancy counts its packets only."""
+        import random
+        from types import SimpleNamespace
+
+        from repro.core.hybrid_backend import HybridGatewayQueue
+
+        coupler = SimpleNamespace(
+            solver=SimpleNamespace(queue="fifo"),
+            note_foreground_arrival=lambda now: None,
+            drop_probability=lambda now: 0.0,
+            queue_level=lambda now: 7 if now < 3.0 else 4,
+        )
+        queue = HybridGatewayQueue(16, coupler, random.Random(1))
+        probe = QueueProbe(MetricRegistry(categories=("queue",)), queue)
+        first, second = self._packets(2)
+        queue.enqueue(first, 0.0)
+        queue.enqueue(second, 1.0)
+        queue.dequeue(3.0)
+        assert probe.occupancy.column("length") == [8, 9, 5]
+        assert probe.occupancy.column("red_avg") == [8.0, 9.0, 5.0]
+        assert probe.depth.value == 9
+        # 1 packet over [0, 1), 2 over [1, 3): the fluid level is not in it.
+        assert queue.stats.mean_occupancy(1.0) == 1 * 1.0 + 2 * 2.0
+
 
 # ----------------------------------------------------------------------
 # Bundle export

@@ -32,7 +32,7 @@ from tests import export_reference as reference
 
 #: Rows the production writer encodes at a time (the per-row reference
 #: has no chunks; the sizes below straddle this either way).
-CHUNK = getattr(bundle, "_CHUNK_ROWS", 4096)
+CHUNK = bundle._CHUNK_ROWS
 
 
 def both(series_and_extras, writer="_write_jsonl"):
@@ -223,3 +223,13 @@ def test_row_counts_around_the_chunk_size_match(n_rows):
 def test_empty_series_touches_the_file_and_writes_nothing():
     production, expected = both([(series_of(("v",), []), {"a": 1})])
     assert production == expected == (b"", [0])
+
+
+@pytest.mark.parametrize("row", [(1.0,), (1.0, 2, 3, 4)], ids=["short", "long"])
+def test_a_row_that_does_not_fit_its_columns_is_refused(row, tmp_path):
+    """Where the two part on purpose: the per-row writer left a short
+    row's columns out and cut a long one, silently; transposed, one
+    such row would cut every row of its chunk, so the writer refuses."""
+    series = series_of(("a", "b"), [(0.0, 1, 2), row])
+    with pytest.raises(ValueError, match="does not fit its columns"):
+        bundle._write_jsonl(str(tmp_path / "out.jsonl"), series, {})

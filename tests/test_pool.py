@@ -10,7 +10,9 @@ stable after a ``from_dict`` round-trip).
 """
 
 import collections
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -121,17 +123,22 @@ _INTERRUPT_DRIVER = (
 )
 
 
-def run_interrupt_driver(tmp_path, pool, cells, interrupt_seed, wait):
-    driver = tmp_path / "driver.py"
-    driver.write_text(_INTERRUPT_DRIVER)
+def driver_env():
+    """The environment a driver script needs to import ``repro``."""
     env = dict(os.environ)
     src = os.path.abspath(
         os.path.join(os.path.dirname(__file__), os.pardir, "src")
     )
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_interrupt_driver(tmp_path, pool, cells, interrupt_seed, wait):
+    driver = tmp_path / "driver.py"
+    driver.write_text(_INTERRUPT_DRIVER)
     return subprocess.run(
         [sys.executable, str(driver), pool, str(cells), str(interrupt_seed), str(wait)],
-        env=env,
+        env=driver_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -402,6 +409,82 @@ class TestQueueAhead:
             tmp_path, pool, cells=self.CELLS, interrupt_seed=9, wait=0.3
         )
         assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+#: The SIGKILL driver: a 2-worker sweep of napping cells whose parent
+#: prints its workers' pids at the first ``task_start`` and dies on the
+#: spot, with no chance to stop anyone.
+_SIGKILL_DRIVER = (
+    "import multiprocessing, os, signal, time\n"
+    "from repro.experiments.config import paper_config\n"
+    "from repro.experiments.results import ScenarioMetrics\n"
+    "from repro.experiments.runlog import RunLog\n"
+    "from repro.experiments.runner import SweepRunner\n"
+    "\n"
+    "def nap(config):\n"
+    "    time.sleep(0.2)\n"
+    "    return ScenarioMetrics.failure(config, '')\n"
+    "\n"
+    "class DieAtFirstStart(RunLog):\n"
+    "    def task_start(self, *args, **kwargs):\n"
+    "        pids = [p.pid for p in multiprocessing.active_children()]\n"
+    "        print(*pids, flush=True)\n"
+    "        os.kill(os.getpid(), signal.SIGKILL)\n"
+    "\n"
+    "configs = [paper_config(n_clients=2, duration=3.0, seed=s)\n"
+    "           for s in range(1, 9)]\n"
+    "SweepRunner(processes=2, task=nap, start_method='fork',\n"
+    "            run_log=DieAtFirstStart()).run(configs)\n"
+)
+
+
+def _process_is_gone(pid):
+    """Exited -- reaped or not: in a container nothing may reap an
+    orphan, and a zombie runs nothing and holds nothing."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+    except OSError:  # no /proc here: alive is all os.kill can say
+        return False
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers inherit the parent's pipe ends only under fork",
+)
+def test_workers_do_not_outlive_a_sigkilled_parent(tmp_path):
+    """A forked worker holds a copy of the parent's end of its own pipe
+    (and of every earlier worker's); unless it closes them it never
+    sees EOF, and lingers in ``recv`` after the parent is killed."""
+    driver = tmp_path / "driver.py"
+    driver.write_text(_SIGKILL_DRIVER)
+    # Not communicate(): a lingering worker keeps stdout open, so
+    # waiting for EOF is waiting for the bug.
+    proc = subprocess.Popen(
+        [sys.executable, str(driver)],
+        env=driver_env(),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    pids = [int(pid) for pid in proc.stdout.readline().split()]
+    try:
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(map(_process_is_gone, pids)):
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _process_is_gone(pid)] == []
+    finally:
+        proc.stdout.close()
+        for pid in pids:
+            if not _process_is_gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestPerCellCost:
