@@ -10,6 +10,7 @@ stable after a ``from_dict`` round-trip).
 """
 
 import collections
+import functools
 import multiprocessing
 import os
 import signal
@@ -52,12 +53,6 @@ def _crash_on_seed_2(config):
     return run_one(config)
 
 
-def _hang_on_seed_99(config):
-    if config.seed == 99:
-        time.sleep(300)
-    return run_one(config)
-
-
 def _raise_always(config):
     raise RuntimeError("scripted failure")
 
@@ -76,22 +71,26 @@ def _return_nothing(config):
     return None
 
 
-def _crash_slowly_on_seed_5(config):
-    if config.seed == 5:
-        time.sleep(0.3)  # time for the parent to queue a cell behind this one
-        os._exit(17)
-    return run_one(config)
-
-
-def _hang_on_seed_5(config):
-    if config.seed == 5:
-        time.sleep(300)
-    return run_one(config)
-
-
 def _instant(config):
     """A finished cell for free: a well-formed, not-failed record."""
     return ScenarioMetrics.failure(config, "")
+
+
+def _scripted(config, nap, bad_seed, fate):
+    """A cell that costs a fixed sleep, whatever the host's speed: every
+    test that races a wall-clock deadline against the rest of the grid
+    takes its cells from here, never from the simulator.  The cell with
+    ``bad_seed`` hangs, or crashes after 0.3 s (time for the parent to
+    queue a cell behind it); the others nap and return."""
+    if config.seed == bad_seed:
+        time.sleep(300 if fate == "hang" else 0.3)
+        os._exit(17)
+    time.sleep(nap)
+    return _instant(config)
+
+
+def scripted(nap, bad_seed, fate="hang"):
+    return functools.partial(_scripted, nap=nap, bad_seed=bad_seed, fate=fate)
 
 
 #: The SIGINT driver: argv = pool, seeds, the seed whose cell interrupts
@@ -169,21 +168,16 @@ class TestFailureMatrix:
         """One hanging cell is killed at its deadline while the other
         worker keeps draining; exactly one respawn."""
         hang = tiny(seed=99, n_clients=2, duration=500.0)  # biggest estimate
-        normal = [
-            tiny(seed=s, n_clients=20, duration=10.0, engine="object")
-            for s in range(1, 25)
-        ]
+        normal = [tiny(seed=s) for s in range(1, 25)]
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
-            # Deadline calibration: a normal cell takes ~0.2 s alone (on
-            # the object engine, hence the pin; batch is ~3x quicker) but
-            # two workers timeslicing one loaded CI core can push it
-            # well past that, so the deadline needs contention headroom;
-            # it must also fire while normal cells are still queued
-            # (~0.2 s x 24 cells ~ 4+ s of drain) or the pool has
-            # nothing left to prove the respawned worker works on.
+            # The deadline must fire while normal cells are still queued,
+            # or the pool has nothing left to prove the respawned worker
+            # works on: 24 naps of 0.2 s on the one free worker are 4.8 s
+            # of drain against a 2-s deadline, on any host.
             runner = SweepRunner(
-                processes=2, timeout=2.0, retries=0, task=_hang_on_seed_99,
+                processes=2, timeout=2.0, retries=0,
+                task=scripted(nap=0.2, bad_seed=99),
                 pool=pool, run_log=log, heartbeat=0.1,
             )
             results = runner.run([hang] + normal)
@@ -339,7 +333,7 @@ class TestQueueAhead:
         running cell is the only placeholder, the queued one runs
         elsewhere on its first attempt."""
         results, sent, events = self.sweep(
-            tmp_path, _crash_slowly_on_seed_5, timeout=60
+            tmp_path, scripted(nap=0.01, bad_seed=5, fate="crash"), timeout=60
         )
         assert [m.failed for m in results] == [m.seed == 5 for m in results]
         assert "exit code 17" in results[4].error
@@ -350,7 +344,9 @@ class TestQueueAhead:
         assert not any(e["event"] == "task_retry" for e in events)
 
     def test_deadline_does_not_charge_the_queued_cell(self, tmp_path):
-        results, sent, events = self.sweep(tmp_path, _hang_on_seed_5, timeout=1.5)
+        results, sent, events = self.sweep(
+            tmp_path, scripted(nap=0.01, bad_seed=5), timeout=1.5
+        )
         assert [m.failed for m in results] == [m.seed == 5 for m in results]
         assert "timeout after 1.5" in results[4].error
         behind_the_hang = [index for _, index, behind in sent if behind == 4]
@@ -382,8 +378,8 @@ class TestQueueAhead:
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
             runner = SweepRunner(
-                processes=2, timeout=2.0, retries=0, task=_hang_on_seed_99,
-                run_log=log,
+                processes=2, timeout=2.0, retries=0,
+                task=scripted(nap=0.01, bad_seed=99), run_log=log,
             )
             sent = spy_on_dispatch(runner)
             results = runner.run([long_cell] + short)
