@@ -8,18 +8,24 @@ from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.experiments.config import ScenarioConfig, table1_rows
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import run_scenario
 
 
 def build_table():
+    """The table, and the gateway buffer of a scenario built from it
+    (read while the scenario is wired: it is released after its run)."""
     rows = table1_rows()
     config = ScenarioConfig(n_clients=4, duration=1.0)
-    scenario = Scenario(config)  # exercises the full construction path
-    return rows, scenario
+    buffers = []
+    run_scenario(
+        config,
+        attach=lambda s: buffers.append(s.network.bottleneck_queue.capacity),
+    )
+    return rows, buffers
 
 
 def test_table1_parameters(benchmark):
-    rows, scenario = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    rows, buffers = benchmark.pedantic(build_table, rounds=1, iterations=1)
     emit(
         format_table(
             ["Parameter", "Value"],
@@ -37,4 +43,4 @@ def test_table1_parameters(benchmark):
         )
     )
     assert len(rows) == 14
-    assert scenario.network.bottleneck_queue.capacity == 50
+    assert buffers == [50]

@@ -36,7 +36,13 @@ from repro.experiments.scenario import Scenario
 
 
 def streaming_demo(base) -> None:
-    """Tail the forensics stream while the simulation progresses."""
+    """Tail the forensics stream while the simulation progresses.
+
+    The one place a scenario is built by hand: the demo steps
+    ``scenario.sim`` in slices to read the stream between them, which
+    :func:`run_scenario` -- the way to run a cell everywhere else --
+    has no reason to offer.  A hand-built ``Scenario`` is always the
+    per-flow object engine."""
     scenario = Scenario(base)
     sink = io.StringIO()
     scenario.attach_forensics_stream(sink, interval=1.0)

@@ -10,8 +10,9 @@ analytic c.o.v. of the offered Poisson aggregate.
 Run:  python examples/quickstart.py
 """
 
-from repro import paper_config
-from repro.experiments.scenario import Scenario
+from repro import paper_config, run_scenario
+from repro.net.topology import DumbbellParams, build_dumbbell
+from repro.sim.engine import Simulator
 
 
 def main() -> None:
@@ -24,9 +25,16 @@ def main() -> None:
     )
 
     # Show the topology we are about to simulate (paper Figure 1).
-    scenario = Scenario(config)
+    topology = DumbbellParams(
+        n_clients=config.n_clients,
+        client_rate_bps=config.client_rate_bps,
+        client_delay=config.client_delay,
+        bottleneck_rate_bps=config.bottleneck_rate_bps,
+        bottleneck_delay=config.bottleneck_delay,
+        buffer_capacity=config.buffer_capacity,
+    )
     print("Network model (Figure 1):")
-    print(scenario.network.ascii_diagram())
+    print(build_dumbbell(Simulator(), topology).ascii_diagram())
     print()
     print(
         f"offered load: {config.n_clients} clients x "
@@ -37,7 +45,10 @@ def main() -> None:
     )
     print()
 
-    result = scenario.run()
+    # run_scenario is the one way to run a cell: it picks the engine
+    # (this Reno cell runs on the batch engine, bit-identical to the
+    # per-flow objects and several times faster), runs, and cleans up.
+    result = run_scenario(config)
 
     print(f"ran {result.events_executed} events over {config.duration:g} s")
     print()

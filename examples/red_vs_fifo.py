@@ -3,18 +3,18 @@
 
 Runs TCP Reno and TCP Vegas over a drop-tail FIFO gateway, a RED
 gateway, and the self-configuring Adaptive RED extension, at a heavily
-congested load.  Tracks the gateway queue over time to show RED holding
-the *average* queue low (its goal) while the burstier transported
-traffic loses throughput -- the paper's counter-intuitive finding.
+congested load.  Records the gateway queue over time (the flight
+recorder's ``queue`` trace) to show RED holding the *average* queue low
+(its goal) while the burstier transported traffic loses throughput --
+the paper's counter-intuitive finding.
 
 Run:  python examples/red_vs_fifo.py          (~30 s)
 """
 
+from repro import paper_config, run_scenario
 from repro.analysis.tables import format_table
+from repro.analysis.timeseries import step_mean
 from repro.core.fluid import vegas_equilibrium_queue
-from repro.experiments.config import paper_config
-from repro.experiments.scenario import Scenario
-from repro.net.monitor import QueueMonitor
 
 N_CLIENTS = 45
 DURATION = 40.0
@@ -22,28 +22,36 @@ DURATION = 40.0
 
 def run(protocol: str, queue: str):
     config = paper_config(
-        protocol=protocol, queue=queue, n_clients=N_CLIENTS, duration=DURATION, seed=1
+        protocol=protocol,
+        queue=queue,
+        n_clients=N_CLIENTS,
+        duration=DURATION,
+        seed=1,
+        obs_trace=("queue",),
     )
-    scenario = Scenario(config)
-    monitor = QueueMonitor(scenario.sim, scenario.network.bottleneck_queue, period=0.5)
-    result = scenario.run()
-    _times, lengths, averages = monitor.as_arrays()
-    return result, lengths, averages
+    result = run_scenario(config)
+    # One sample per queue-length change: the RED average where the
+    # gateway keeps one, else the instantaneous length.
+    occupancy = result.obs.queue.occupancy
+    red_avg = step_mean(
+        list(zip(occupancy.times(), occupancy.column("red_avg"))), 0.0, DURATION
+    )
+    return result, red_avg
 
 
 def main() -> None:
     rows = []
     for protocol in ("reno", "vegas"):
         for queue in ("fifo", "red", "ared"):
-            result, lengths, averages = run(protocol, queue)
+            result, red_avg = run(protocol, queue)
             rows.append(
                 [
                     result.config.label,
                     result.cov,
                     result.throughput_packets,
                     result.loss_percent,
-                    float(lengths.mean()),
-                    float(averages.mean()),
+                    result.mean_queue_length,
+                    red_avg,
                     result.timeouts,
                 ]
             )

@@ -212,6 +212,31 @@ class FluidSolver:
         #: non-negative aggregate), so pure-fluid runs are unchanged.
         self.extra_arrival = 0.0
 
+    @classmethod
+    def from_config(cls, config, n_flows: int) -> "FluidSolver":
+        """The solver for ``config``'s cell with ``n_flows`` flows in
+        the aggregate: every client under the fluid backend, the
+        background under the hybrid one."""
+        return cls(
+            protocol=config.protocol,
+            queue=config.queue,
+            n_flows=n_flows,
+            duration=config.duration,
+            warmup=config.warmup,
+            rtt_prop=config.rtt_prop,
+            capacity_pps=config.bottleneck_capacity_pps,
+            buffer_packets=config.buffer_capacity,
+            per_flow_rate=config.per_client_rate,
+            max_window=config.advertised_window,
+            vegas_alpha=config.vegas_alpha,
+            vegas_beta=config.vegas_beta,
+            red_min_th=config.red_min_th,
+            red_max_th=config.red_max_th,
+            red_max_p=config.red_max_p,
+            red_weight=config.red_weight,
+            min_rto=config.min_rto,
+        )
+
     # ------------------------------------------------------------------
     def loss_probability(self, q: float, v: float, arrival_rate: float) -> float:
         """Instantaneous loss probability from queue state.
@@ -523,25 +548,7 @@ def run_fluid_scenario(config) -> "ScenarioResult":  # noqa: F821
     from repro.obs.engineprof import peak_rss_kb
 
     config.validate()
-    solver = FluidSolver(
-        protocol=config.protocol,
-        queue=config.queue,
-        n_flows=config.n_clients,
-        duration=config.duration,
-        warmup=config.warmup,
-        rtt_prop=config.rtt_prop,
-        capacity_pps=config.bottleneck_capacity_pps,
-        buffer_packets=config.buffer_capacity,
-        per_flow_rate=config.per_client_rate,
-        max_window=config.advertised_window,
-        vegas_alpha=config.vegas_alpha,
-        vegas_beta=config.vegas_beta,
-        red_min_th=config.red_min_th,
-        red_max_th=config.red_max_th,
-        red_max_p=config.red_max_p,
-        red_weight=config.red_weight,
-        min_rto=config.min_rto,
-    )
+    solver = FluidSolver.from_config(config, config.n_clients)
     start = time.perf_counter()
     traj = solver.run()
     summary = solver.summarize(traj, config.effective_bin_width)

@@ -52,7 +52,11 @@ import random
 import numpy as np
 
 from repro.core.fluid_backend import FluidSolver
-from repro.experiments.scenario import Scenario, ScenarioResult
+from repro.experiments.scenario import (
+    Scenario,
+    ScenarioResult,
+    _run_and_release,
+)
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.net.queues import PacketQueue
@@ -269,24 +273,8 @@ class HybridScenario(Scenario):
         if config.backend != "hybrid":
             raise ValueError("HybridScenario requires backend='hybrid'")
         self.hybrid_config = config
-        self.solver = FluidSolver(
-            protocol=config.protocol,
-            queue=config.queue,
-            n_flows=config.hybrid_background_count,
-            duration=config.duration,
-            warmup=config.warmup,
-            rtt_prop=config.rtt_prop,
-            capacity_pps=config.bottleneck_capacity_pps,
-            buffer_packets=config.buffer_capacity,
-            per_flow_rate=config.per_client_rate,
-            max_window=config.advertised_window,
-            vegas_alpha=config.vegas_alpha,
-            vegas_beta=config.vegas_beta,
-            red_min_th=config.red_min_th,
-            red_max_th=config.red_max_th,
-            red_max_p=config.red_max_p,
-            red_weight=config.red_weight,
-            min_rto=config.min_rto,
+        self.solver = FluidSolver.from_config(
+            config, config.hybrid_background_count
         )
         self.coupler = HybridCoupler(self.solver, config.hybrid_coupling_dt)
         foreground = dataclasses.replace(
@@ -338,8 +326,9 @@ class HybridScenario(Scenario):
         )
 
 
-def run_hybrid_scenario(config) -> ScenarioResult:
-    """Run one hybrid scenario (the :func:`run_scenario` dispatch target).
+def run_hybrid_scenario(config, attach=None) -> ScenarioResult:
+    """Run one hybrid scenario (the :func:`run_scenario` dispatch target;
+    ``attach`` as there), releasing it afterwards.
 
     Returns the standard :class:`ScenarioResult`; foreground-scoped
     fields (``cov``, throughput, loss, ``per_flow``, recovery counters,
@@ -347,4 +336,4 @@ def run_hybrid_scenario(config) -> ScenarioResult:
     ``mean_queue_length``/``utilization`` come from the shared fluid
     gateway state and ``config`` is the full-N hybrid config.
     """
-    return HybridScenario(config).run()
+    return _run_and_release(HybridScenario(config), attach)

@@ -9,6 +9,14 @@ interrupted sweep re-run against the same cache directory resumes with
 instant hits for every finished cell, and regenerating a figure twice
 costs one sweep, not two.
 
+The observation knobs are not in the digest (watching a run does not
+change it), but what they record is in the entry.  So an entry answers a
+config only if it also carries what that config asks to observe: a
+``forensics=True`` lookup that finds a record written without forensics
+is a miss, and the re-run's ``put`` replaces the record with the fuller
+one.  The other way round stays a hit -- a plain config is satisfied by
+an entry with forensic columns filled in.
+
 The cache is safe against concurrent writers (atomic ``os.replace`` of
 a same-directory temp file) and against corruption (an unreadable or
 malformed entry is treated as a miss and overwritten on the next put).
@@ -17,6 +25,7 @@ malformed entry is treated as a miss and overwritten on the next put).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from typing import Iterator, Optional
@@ -50,8 +59,10 @@ class ResultCache:
         """The cached metrics for ``config``, or None on a miss.
 
         Error placeholders are never returned (a failed cell should be
-        re-attempted on the next run, not resumed), and corrupt or
-        incompatible entries read as misses.
+        re-attempted on the next run, not resumed), corrupt or
+        incompatible entries read as misses, and so does an entry
+        without the forensic columns when ``config`` asks for forensics
+        (a finite ``forensic_burst_rate`` marks a record that has them).
         """
         path = self.path_for(config, digest)
         try:
@@ -63,6 +74,8 @@ class ResultCache:
         except (OSError, ValueError, KeyError, TypeError):
             return None
         if metrics.failed:
+            return None
+        if config.forensics and not math.isfinite(metrics.forensic_burst_rate):
             return None
         return metrics
 

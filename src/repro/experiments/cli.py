@@ -17,12 +17,12 @@ is a row of :data:`_CONFIG_FLAGS`, which builds both the parsers and
 the base config; a new knob is a row.
 
 Sweeps accept ``--csv PATH`` / ``--json PATH`` to persist results, plus
-execution-backbone flags: ``--jobs/-j`` (worker count), ``--schedule``
-(``cost`` longest-expected-first or ``fifo``), ``--cache-dir`` /
-``--resume`` (content-addressed result cache; interrupted sweeps pick
-up where they stopped), ``--timeout`` / ``--retries`` (kill and retry
-hung or crashed workers), and ``--run-log`` / ``--progress`` (JSONL
-telemetry / live counters).  ``repro-tcp sweeplog RUN.jsonl`` folds a
+execution-backbone flags: ``--jobs/-j`` (worker count; cells launch
+longest-expected-first), ``--cache-dir`` / ``--resume``
+(content-addressed result cache; interrupted sweeps pick up where they
+stopped), ``--timeout`` / ``--retries`` (kill and retry hung or crashed
+workers), and ``--run-log`` / ``--progress`` (JSONL telemetry / live
+counters).  ``repro-tcp sweeplog RUN.jsonl`` folds a
 run log back into a makespan / worker-utilization report.
 
 Observability (the flight recorder)::
@@ -80,7 +80,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.replication import replicate
 from repro.experiments.results import ScenarioMetrics, metrics_table
-from repro.experiments.scenario import Scenario, run_scenario
+from repro.experiments.scenario import run_scenario
 from repro.obs.probes import parse_trace_spec
 
 
@@ -314,13 +314,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="worker count (alias for --processes)",
     )
-    parser.add_argument(
-        "--schedule",
-        choices=["cost", "fifo"],
-        default="cost",
-        help="cell ordering: longest-expected-first via the cost model "
-        "(default, minimizes makespan) or submission order",
-    )
     parser.add_argument("--csv", default=None, help="write results to CSV")
     parser.add_argument("--json", default=None, help="write results to JSON")
     parser.add_argument(
@@ -369,7 +362,6 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
         "cache": cache_dir,
         "timeout": args.timeout,
         "retries": args.retries,
-        "schedule": args.schedule,
     }
     if args.run_log or args.progress:
         kwargs["run_log"] = stderr_runlog(path=args.run_log, progress=args.progress)
@@ -483,30 +475,6 @@ def _engine_line(config, result, traced: bool = False) -> str:
     return f"engine: {result.engine} ({why})"
 
 
-def _run_attached(scenario_cls, config, args):
-    """Build ``scenario_cls(config)``, attach what ``args`` asks for --
-    the ns-2 trace writer, the forensics stream, each (re)starting its
-    file -- and run it: ``(result, trace writer, stream)``."""
-    scenario = scenario_cls(config)
-    writer = stream = None
-    with contextlib.ExitStack() as files:
-        if args.trace_file:
-            from repro.net.tracefile import NsTraceWriter
-
-            handle = files.enter_context(open(args.trace_file, "w", encoding="utf-8"))
-            writer = NsTraceWriter(handle).attach(
-                scenario.network.bottleneck_interface
-            )
-        if args.forensics_stream:
-            handle = files.enter_context(
-                open(args.forensics_stream, "w", encoding="utf-8")
-            )
-            stream = scenario.attach_forensics_stream(
-                handle, interval=args.forensics_stream_interval
-            )
-        return scenario.run(), writer, stream
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     stream_path = args.forensics_stream
     config = _scenario_config(
@@ -515,35 +483,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs_profile=bool(args.obs_dir),
         forensics=args.forensics or bool(stream_path),
     )
-    stream = writer = None
-    if args.trace_file and config.engine == "batch":
+    if args.trace_file and (config.engine == "batch" or config.backend == "fluid"):
         print(
             "error: --trace-file requires the object engine (the batch "
-            "engine fuses the bottleneck interface's per-hop events away); "
-            "drop --engine batch to record an ns-2 trace",
+            "engine fuses the bottleneck interface's per-hop events away, "
+            "the fluid backend has no packets); drop --engine batch / "
+            "--backend fluid to record an ns-2 trace",
             file=sys.stderr,
         )
         return 2
-    if args.obs_dir or args.trace_file or stream_path:
-        # Build the scenario by hand so pre-run attachments (the ns
-        # tracefile writer, the forensics stream) and post-run exports
-        # can reach inside it.  The engine is the one run_scenario
-        # would pick, with the same fallback -- except that an ns-2
-        # trace needs the bottleneck interface's per-hop events, which
-        # only the object engine has.
-        from repro.engine.batch import BatchGuardError, BatchScenario
+    stream = writer = None
+    with contextlib.ExitStack() as files:
 
-        scenario_cls = Scenario
-        if not args.trace_file and config.resolved_engine() == "batch":
-            scenario_cls = BatchScenario
-        try:
-            result, writer, stream = _run_attached(scenario_cls, config, args)
-        except BatchGuardError:
-            if config.engine is not None:
-                raise
-            result, writer, stream = _run_attached(Scenario, config, args)
-    else:
-        result = run_scenario(config)
+        def attach(scenario) -> None:
+            """Open what the flags ask for on a scenario run_scenario
+            built.  After a fallback this is the second scenario: the
+            abandoned attempt's files are closed first and started over."""
+            nonlocal writer, stream
+            files.close()
+            if args.trace_file:
+                from repro.net.tracefile import NsTraceWriter
+
+                handle = files.enter_context(
+                    open(args.trace_file, "w", encoding="utf-8")
+                )
+                writer = NsTraceWriter(handle).attach(
+                    scenario.network.bottleneck_interface
+                )
+            if stream_path:
+                handle = files.enter_context(open(stream_path, "w", encoding="utf-8"))
+                stream = scenario.attach_forensics_stream(
+                    handle, interval=args.forensics_stream_interval
+                )
+
+        # An ns-2 trace needs the bottleneck interface's per-hop events,
+        # which only the object engine has.
+        result = run_scenario(
+            config.with_(engine="object") if args.trace_file else config, attach
+        )
     metrics = ScenarioMetrics.from_result(result)
     print(metrics_table([metrics], title=f"Scenario: {config.label}, {config.n_clients} clients"))
     print(_engine_line(config, result, traced=bool(args.trace_file)))

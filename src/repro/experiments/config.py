@@ -42,7 +42,6 @@ _DIGEST_EXCLUDED_FIELDS = frozenset(
         "trace_cwnd_flows",
         "obs_trace",
         "obs_profile",
-        "obs_queue_sample_interval",
         # Burst forensics (repro.forensics): pure observers fed from the
         # gateway's hooks and the senders' state transitions, so the
         # knobs can never change a physics-derived metric (the
@@ -360,13 +359,11 @@ class ScenarioConfig:
 
     # Flight-recorder observability (see repro.obs).  ``obs_trace``
     # enables trace categories ("cwnd", "rtt", "state", "queue",
-    # "drops", or "all"); ``obs_profile`` attaches the engine profiler;
-    # ``obs_queue_sample_interval`` thins the queue-occupancy series
-    # (0 = keep every sample).  All observation-only: none affects the
-    # simulated dynamics or the config digest.
+    # "drops", or "all"); ``obs_profile`` attaches the engine profiler.
+    # Both observation-only: neither affects the simulated dynamics or
+    # the config digest.
     obs_trace: Tuple[str, ...] = ()
     obs_profile: bool = False
-    obs_queue_sample_interval: float = 0.0
 
     # Burst forensics (see repro.forensics): segment the gateway queue
     # into burst episodes, attribute each to its top-k contributing
@@ -602,8 +599,6 @@ class ScenarioConfig:
                 f"unknown obs_trace categories {sorted(unknown)}; "
                 f"choose from {TRACE_CATEGORIES}"
             )
-        if self.obs_queue_sample_interval < 0:
-            raise ValueError("obs_queue_sample_interval must be non-negative")
         if self.forensics_window < 0:
             raise ValueError("forensics_window must be non-negative")
         if self.forensics_top_k < 1:

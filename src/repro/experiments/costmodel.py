@@ -33,12 +33,9 @@ is still scheduled LPT-first on sane estimates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.experiments.config import ScenarioConfig
-
-#: The scheduling lanes a SweepRunner can run under.
-SCHEDULES = ("cost", "fifo")
 
 _Lane = Tuple[str, str, str, str]
 
@@ -151,20 +148,3 @@ class CostModel:
     def observations(self) -> int:
         """How many lanes have at least one observation."""
         return len(self._units)
-
-
-def make_cost_model(
-    schedule: str,
-    configs: Iterable[ScenarioConfig] = (),
-    runlog_events: Iterable[Mapping] = (),
-) -> Optional[CostModel]:
-    """A seeded :class:`CostModel` for ``schedule="cost"``, else None."""
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}; choose from {SCHEDULES}")
-    if schedule != "cost":
-        return None
-    model = CostModel()
-    if runlog_events:
-        by_digest = {config.config_digest(): config for config in configs}
-        model.seed_from_runlog(runlog_events, by_digest)
-    return model

@@ -21,9 +21,8 @@ CLI turns into a subcommand with no further code.  The ``figure*`` /
 ``run_*_sweep`` names below the tables are bindings to rows, kept for
 the benchmarks and tests that import them.
 
-What is genuinely unique stays a function: the forensics sweep's
-stale-cache backfill (:func:`run_forensics_sweep`), the
-congestion-window traces of Figures 5-12 from single traced runs
+What is genuinely unique stays a function: the congestion-window
+traces of Figures 5-12 from single traced runs
 (:func:`cwnd_trace_experiment`) and the stacked attribution timeline of
 one forensics report (:func:`figure_burst_attribution`).
 """
@@ -35,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -459,78 +457,8 @@ def figure_burst_attribution(
     return figure
 
 
-def run_forensics_sweep(
-    client_counts: Optional[Sequence[int]] = None,
-    base: Optional[ScenarioConfig] = None,
-    protocols: Mapping[str, Tuple[str, str]] = FORENSICS_PROTOCOLS,
-    processes: Optional[int] = None,
-    cache=None,
-    **runner_kwargs,
-) -> SweepData:
-    """The burstiness-forensics grid: protocol x AQM x client count.
-
-    Runs Figure 2's axes with forensics enabled so every cell carries
-    the sweep-grade burst summary (``forensic_burst_rate``,
-    ``forensic_sync_linked_fraction``, ...).  Forensics instruments the
-    packet engine, so the backend is pinned to ``packet``; without a
-    ``base`` the grid and the widened buffer are the ``forensics`` row's.
-
-    The forensics knobs are digest-excluded (enabling a pure observer
-    must not invalidate cached physics), which cuts both ways: a cache
-    populated by a forensics-free sweep satisfies these cells with
-    records that lack the forensic columns.  Cells whose cached metrics
-    carry no forensics marker (NaN ``forensic_burst_rate``) are
-    therefore re-run cache-blind and the refreshed record overwrites
-    the cache entry.
-    """
-    spec = SWEEPS["forensics"]
-    if client_counts is None:
-        client_counts = spec.clients
-    if base is None:
-        base = paper_config(**spec.overrides)
-    base = base.with_(backend="packet", forensics=True)
-    sweep = run_protocol_sweep(
-        client_counts,
-        base=base,
-        protocols=protocols,
-        processes=processes,
-        cache=cache,
-        **runner_kwargs,
-    )
-    if cache is None:
-        return sweep
-    # Backfill pass: refresh stale (pre-forensics) cache hits.
-    stale: List[Tuple[str, int, ScenarioConfig]] = []
-    for key, metrics in sweep.items():
-        protocol, queue = protocols[key]
-        for pos, metric in enumerate(metrics):
-            if metric.failed or math.isfinite(metric.forensic_burst_rate):
-                continue
-            stale.append(
-                (
-                    key,
-                    pos,
-                    base.with_(
-                        protocol=protocol,
-                        queue=queue,
-                        n_clients=metric.n_clients,
-                    ),
-                )
-            )
-    if not stale:
-        return sweep
-    refreshed = run_many(
-        [config for _, _, config in stale],
-        processes=processes,
-        cache=None,
-        **runner_kwargs,
-    )
-    for (key, pos, config), metric in zip(stale, refreshed):
-        sweep[key][pos] = metric
-        if not metric.failed:
-            cache.put(config, metric)
-    return sweep
-
+# Forensics instruments the packet engine.
+_FORENSICS_OVERRIDES = {"backend": "packet", "forensics": True}
 
 # The paper's grid (Figures 2-4 and 13).
 _PAPER_CLIENTS = tuple(range(4, 61, 8))
@@ -562,9 +490,6 @@ class SweepSpec:
     #: config digest, so e.g. fluid cells cache separately from packet
     #: cells of the same grid.
     overrides: Mapping[str, object] = field(default_factory=dict)
-    #: Runs the grid: :func:`run_protocol_sweep`, or a function taking
-    #: the same arguments.
-    runner: Callable[..., SweepData] = run_protocol_sweep
     #: When set, one key per figure: ``--json`` then holds every
     #: figure's series under these keys and ``--csv`` the per-cell
     #: metric rows, not the first figure alone.
@@ -620,8 +545,9 @@ _SWEEP_ROWS = (
         overrides={"backend": "hybrid"},
     ),
     # Client counts spanning the paper's knee, kept modest because
-    # forensics needs the packet backend; the buffer is widened to give
-    # RED's early-drop region headroom over its thresholds.
+    # forensics instruments the packet engine, so the backend is pinned;
+    # the buffer is widened to give RED's early-drop region headroom
+    # over its thresholds.
     SweepSpec(
         "forensics",
         "burst forensics: episode segmentation, top-k flow "
@@ -629,8 +555,7 @@ _SWEEP_ROWS = (
         ("forensics_burst_rate", "forensics_sync_linked", "fig02_cov"),
         clients=(20, 40, 60),
         protocols=FORENSICS_PROTOCOLS,
-        overrides={"buffer_capacity": 100},
-        runner=run_forensics_sweep,
+        overrides={"buffer_capacity": 100, **_FORENSICS_OVERRIDES},
         export_keys=("burst_rate", "sync_linked_fraction", "cov"),
     ),
 )
@@ -647,7 +572,7 @@ def run_spec(
     **runner_kwargs,
 ) -> SweepData:
     """Run one :data:`SWEEPS` row: its grid under its overrides."""
-    return spec.runner(
+    return run_protocol_sweep(
         spec.clients if client_counts is None else client_counts,
         base=(base or paper_config()).with_(**spec.overrides),
         protocols=spec.protocols,
@@ -670,6 +595,27 @@ def figure2_cov(
 figure3_throughput = partial(build_figure, FIGURES["fig03_throughput"])
 figure4_loss = partial(build_figure, FIGURES["fig04_loss"])
 figure13_timeout_ratio = partial(build_figure, FIGURES["fig13_timeout_ratio"])
+
+
+def run_forensics_sweep(
+    client_counts: Optional[Sequence[int]] = None,
+    base: Optional[ScenarioConfig] = None,
+    protocols: Mapping[str, Tuple[str, str]] = FORENSICS_PROTOCOLS,
+    **runner_kwargs,
+) -> SweepData:
+    """The burstiness-forensics grid (protocol x AQM x client count)
+    with forensics on, so every cell carries the sweep-grade burst
+    summary (``forensic_burst_rate``, ``forensic_sync_linked_fraction``,
+    ...).  Without a ``base`` the grid and the widened buffer are the
+    ``forensics`` row's; a given ``base`` keeps its own buffer."""
+    spec = SWEEPS["forensics"]
+    base = paper_config(**spec.overrides) if base is None else base
+    return run_protocol_sweep(
+        spec.clients if client_counts is None else client_counts,
+        base.with_(**_FORENSICS_OVERRIDES),
+        protocols,
+        **runner_kwargs,
+    )
 
 
 def figure_forensics_sweep(

@@ -94,8 +94,8 @@ def replicate(
 
     Seeds are ``base_seed, base_seed+1, ...``; each replica's scenario
     config differs only in its ``seed`` field.  Extra keyword arguments
-    (``cache``, ``timeout``, ``retries``, ``run_log``, ``schedule``,
-    ...) pass through to
+    (``cache``, ``timeout``, ``retries``, ``run_log``, ...) pass
+    through to
     :func:`repro.experiments.sweep.run_many`, so replicated runs cache,
     resume, and schedule (persistent pool, cost-model ordering) like
     any sweep.  Failed replicas (error-tagged placeholders) are

@@ -130,8 +130,8 @@ class ScenarioMetrics:
     # Sweep-grade burstiness summary (PR 8): compact per-cell scalars
     # the forensics sweep figures plot across N x protocol x AQM.
     # ``forensic_burst_rate`` is finite (0.0 with no bursts) whenever
-    # forensics ran and NaN otherwise -- the runner and the sweep
-    # backfill use that as the "this cell carries forensics" marker.
+    # forensics ran and NaN otherwise -- the runner and the result
+    # cache use that as the "this cell carries forensics" marker.
     forensic_burst_rate: float = float("nan")
     forensic_burst_duration_mean: float = float("nan")
     forensic_drop_share: float = float("nan")

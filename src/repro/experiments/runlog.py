@@ -8,17 +8,19 @@ one-line status the CLI prints.
 
 Events (all carry ``t`` = wall-clock seconds and ``event``):
 
-* ``sweep_start``    -- ``total`` cells, worker count, cache directory,
-  executor ``pool`` and ``schedule``.
+* ``sweep_start``    -- ``total`` cells, worker count, cache directory
+  and executor ``pool`` (logs written while a submission-order
+  ``schedule`` still existed also name the ``schedule`` here and a
+  ``lane`` per ``task_done``; :func:`summarize_runlog` still reads both).
 * ``task_start``     -- ``index``, ``digest``, ``label``, ``attempt``,
   the scenario ``backend`` (``packet``/``fluid``/``hybrid``), and
   (persistent
   pool) the ``worker`` id it was dispatched to.
 * ``task_done``      -- ``index``, ``digest``, ``elapsed``, ``attempt``
-  count, scheduling ``lane`` (``cost``/``fifo``), the scenario
-  ``backend``, ``worker`` id, the flow ``engine`` that actually ran
-  the cell (``object``/``batch``; absent on fluid cells and in logs
-  written before the default dispatch, when every cell was object),
+  count, the scenario ``backend``, ``worker`` id, the flow ``engine``
+  that actually ran the cell (``object``/``batch``; absent on fluid
+  cells and in logs written before the default dispatch, when every
+  cell was object),
   ``engine_fallback: true`` when that was the object engine answering
   a batch tie-guard trip, plus engine telemetry when available:
   ``events_executed``, ``sim_wall_ratio``, ``peak_rss_kb``.  The
@@ -178,7 +180,6 @@ class RunLog:
         sim_wall_ratio: Optional[float] = None,
         peak_rss_kb: Optional[float] = None,
         attempt: int = 0,
-        lane: str = "",
         worker: Optional[int] = None,
         backend: str = "",
         forensic_bursts: Optional[int] = None,
@@ -190,11 +191,10 @@ class RunLog:
     ) -> None:
         """Record one completed cell, with optional engine telemetry.
 
-        ``attempt`` is how many failed attempts preceded this success
-        and ``lane`` names the scheduling policy (``cost``/``fifo``)
-        that ordered the cell, so retries and makespan wins stay
-        auditable from the JSONL log.  ``backend`` tags the row with
-        the solver that produced it (``packet``/``fluid``/``hybrid``)
+        ``attempt`` is how many failed attempts preceded this success,
+        so retries stay auditable from the JSONL log.  ``backend`` tags
+        the row with the solver that produced it
+        (``packet``/``fluid``/``hybrid``)
         so cost models seeded from this log keep the wall-time regimes
         apart; ``engine`` is the flow engine the numbers came from and
         ``engine_fallback`` marks a cell the batch engine gave up on
@@ -215,8 +215,6 @@ class RunLog:
             extras["sim_wall_ratio"] = round(sim_wall_ratio, 3)
         if peak_rss_kb is not None and peak_rss_kb == peak_rss_kb:
             extras["peak_rss_kb"] = peak_rss_kb
-        if lane:
-            extras["lane"] = lane
         if worker is not None:
             extras["worker"] = worker
         if backend:
@@ -328,8 +326,9 @@ def read_runlog(path: str) -> List[Dict[str, Any]]:
 def summarize_runlog(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold an event stream into a sweep execution summary.
 
-    Returns totals, makespan, worker utilization, the scheduling lane,
-    per-worker busy time / cell counts, a per-backend breakdown
+    Returns totals, makespan, worker utilization, the ``schedule`` and
+    ``lanes`` of a log old enough to name them, per-worker busy time /
+    cell counts, a per-backend breakdown
     (cells, busy/mean/max seconds, failures -- failures attribute via
     the backend tag their ``task_start`` carried), the same per flow
     engine (with tie-guard fallbacks in place of failures), respawns, and the
@@ -474,6 +473,12 @@ def summarize_runlog(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     return summary
 
 
+def _schedule_token(summary: Dict[str, Any]) -> str:
+    """``schedule=... `` for a log that names one (written when there
+    were two orders to tell apart), nothing for a log that does not."""
+    return f"schedule={summary['schedule']} " if summary["schedule"] else ""
+
+
 def render_runlog_summary(events: List[Dict[str, Any]]) -> str:
     """A ``repro-tcp profile``-style text report of one run log."""
     from repro.analysis.tables import format_table
@@ -481,9 +486,8 @@ def render_runlog_summary(events: List[Dict[str, Any]]) -> str:
     summary = summarize_runlog(events)
     lines: List[str] = []
     pool = summary["pool"] or "?"
-    schedule = summary["schedule"] or "?"
     lines.append(
-        f"Sweep execution: pool={pool} schedule={schedule} "
+        f"Sweep execution: pool={pool} {_schedule_token(summary)}"
         f"workers={summary['workers']} "
         f"({summary['sweeps']} sweep(s), {summary['total']} cells)"
     )
@@ -652,7 +656,7 @@ def render_follow_snapshot(summary: Dict[str, Any]) -> str:
         f"sweep {finished}/{summary['total']} cells "
         f"(ok={summary['completed']} cached={summary['cached']} "
         f"failed={summary['failed']} retried={summary['retried']})",
-        f"pool={summary['pool'] or '?'} schedule={summary['schedule'] or '?'} "
+        f"pool={summary['pool'] or '?'} {_schedule_token(summary)}"
         f"workers={summary['workers']} "
         + (
             f"utilization={100.0 * utilization:.1f}% "

@@ -20,12 +20,11 @@ pending tasks sit in per-lane heaps (:class:`_PendingTasks`), and a
 worker on short cells holds one more task queued in its pipe, so it
 starts the next cell without waiting for the parent's round trip.
 
-Scheduling is ``schedule="cost"`` by default: longest-expected-first
-(LPT) order using a :class:`~repro.experiments.costmodel.CostModel`
-estimate per cell (``duration x n_clients``, refined online by observed
-wall times and seeded from the run log and cache), which minimizes
-makespan on heterogeneous grids.  ``schedule="fifo"`` keeps submission
-order.
+Cells launch longest-expected-first (LPT), by a
+:class:`~repro.experiments.costmodel.CostModel` estimate per cell
+(``duration x n_clients``, refined online by observed wall times and
+seeded from the run log and cache), which minimizes makespan on
+heterogeneous grids.
 
 Worker processes use the ``fork`` start method where the platform
 offers it (cheap) and fall back to ``spawn`` elsewhere (macOS default,
@@ -47,12 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.costmodel import (
-    SCHEDULES,
-    CostModel,
-    cell_units,
-    make_cost_model,
-)
+from repro.experiments.costmodel import CostModel, cell_units
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import RunLog, read_runlog
 from repro.experiments.scenario import run_scenario
@@ -226,12 +220,11 @@ class _PendingTasks:
     that recomputes every estimate per pick -- ties to the task
     enqueued first included (``tests/pick_reference.py`` is that scan;
     the one way to part from it is two unit counts a rounding apart
-    whose products with alpha round to one float).  Without a cost
-    model (fifo) every task shares one lane at zero units, which leaves
-    the enqueue sequence.  Tasks still backing off wait in a side list.
+    whose products with alpha round to one float).  Tasks still backing
+    off wait in a side list.
     """
 
-    def __init__(self, tasks: Sequence[_Task], cost: Optional[CostModel]) -> None:
+    def __init__(self, tasks: Sequence[_Task], cost: CostModel) -> None:
         self._cost = cost
         self._lanes: Dict[Any, List[tuple]] = {}
         self._seq = itertools.count()
@@ -252,9 +245,9 @@ class _PendingTasks:
         return min((task.ready_at for _, task in self._waiting), default=None)
 
     def pick_next(self, now: float) -> Optional[_Task]:
-        """Pop the next launchable task: the longest-expected one under
-        the cost model, the first submitted under fifo; None if every
-        pending task is still backing off."""
+        """Pop the next launchable task, the longest-expected one under
+        the cost model; None if every pending task is still backing
+        off."""
         cost = self._cost
         if self._waiting:
             backing_off = []
@@ -263,17 +256,17 @@ class _PendingTasks:
                 if task.ready_at > now:
                     backing_off.append(entry)
                     continue
-                lane, units = None, 0.0
-                if cost is not None:
-                    lane, units = cost.lane(task.config), cell_units(task.config)
-                heapq.heappush(self._lanes.setdefault(lane, []), (-units, seq, task))
+                heapq.heappush(
+                    self._lanes.setdefault(cost.lane(task.config), []),
+                    (-cell_units(task.config), seq, task),
+                )
             self._waiting = backing_off
         best: Optional[List[tuple]] = None
         best_key: tuple = ()
         for heap in self._lanes.values():
             if heap:
                 _, seq, task = heap[0]
-                key = (0.0 if cost is None else cost.estimate(task.config), -seq)
+                key = (cost.estimate(task.config), -seq)
                 if best is None or key > best_key:
                     best, best_key = heap, key
         return heapq.heappop(best)[2] if best is not None else None
@@ -299,8 +292,6 @@ class SweepRunner:
         start_method: multiprocessing start method override (None = fork
             where available, else spawn).
         pool: ``"persistent"``, the only executor (see ``POOLS``).
-        schedule: ``"cost"`` (longest-expected-first via the cost
-            model; default) or ``"fifo"`` (submission order).
         heartbeat: liveness beat period of busy pool workers, seconds.
     """
 
@@ -316,7 +307,6 @@ class SweepRunner:
         task: TaskFn = run_one,
         start_method: Optional[str] = None,
         pool: str = "persistent",
-        schedule: str = "cost",
         heartbeat: float = DEFAULT_HEARTBEAT,
     ) -> None:
         if retries < 0:
@@ -327,10 +317,6 @@ class SweepRunner:
             raise ValueError(
                 f"unknown pool {pool!r}; the persistent pool is the only "
                 f"executor (choose from {POOLS})"
-            )
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
             )
         if heartbeat <= 0:
             raise ValueError("heartbeat must be positive")
@@ -344,7 +330,6 @@ class SweepRunner:
         self.task = task
         self.start_method = start_method
         self.pool = pool
-        self.schedule = schedule
         self.heartbeat = heartbeat
         self._worker_seq = itertools.count()
 
@@ -371,9 +356,8 @@ class SweepRunner:
             retries=self.retries,
             cache_dir=self.cache.directory if self.cache is not None else None,
             pool=self.pool,
-            schedule=self.schedule,
         )
-        cost = self._make_cost_model(configs)
+        cost = self._seeded_cost_model(configs)
         pending: List[_Task] = []
         for index, config in enumerate(configs):
             digest = config.config_digest()
@@ -383,8 +367,7 @@ class SweepRunner:
             if cached is not None:
                 results[index] = cached
                 self.log.cache_hit(index, digest)
-                if cost is not None:
-                    cost.observe_metrics(config, cached)
+                cost.observe_metrics(config, cached)
             else:
                 pending.append(_Task(index, config, digest))
 
@@ -397,22 +380,19 @@ class SweepRunner:
         assert all(m is not None for m in results)
         return results  # type: ignore[return-value]
 
-    def _make_cost_model(
-        self, configs: Sequence[ScenarioConfig]
-    ) -> Optional[CostModel]:
-        """The LPT cost model (None under fifo), seeded from any prior
-        events already in this run log's JSONL file."""
-        events: Sequence = ()
-        if (
-            self.schedule == "cost"
-            and self.log.path is not None
-            and os.path.exists(self.log.path)
-        ):
+    def _seeded_cost_model(self, configs: Sequence[ScenarioConfig]) -> CostModel:
+        """The LPT cost model, seeded from any prior events already in
+        this run log's JSONL file."""
+        model = CostModel()
+        if self.log.path is not None and os.path.exists(self.log.path):
             try:
                 events = read_runlog(self.log.path)
             except OSError:
-                events = ()
-        return make_cost_model(self.schedule, configs, events)
+                events = []
+            if events:
+                by_digest = {config.config_digest(): config for config in configs}
+                model.seed_from_runlog(events, by_digest)
+        return model
 
     # ------------------------------------------------------------------
     # Outcome bookkeeping shared by all execution modes
@@ -449,7 +429,6 @@ class SweepRunner:
             sim_wall_ratio=metrics.perf_sim_wall_ratio,
             peak_rss_kb=metrics.perf_peak_rss_kb,
             attempt=task.attempt,
-            lane=self.schedule,
             worker=worker,
             backend=task.config.backend,
             engine=metrics.perf_engine,
@@ -487,13 +466,13 @@ class SweepRunner:
     # In-process execution (no timeout enforcement, no crash isolation)
     # ------------------------------------------------------------------
     def _run_in_process(
-        self, tasks: List[_Task], results: List, cost: Optional[CostModel]
+        self, tasks: List[_Task], results: List, cost: CostModel
     ) -> None:
-        if cost is not None:  # sequential makespan is order-free; keep
-            # the LPT order anyway so logs read identically across modes
-            tasks = sorted(
-                tasks, key=lambda task: cost.estimate(task.config), reverse=True
-            )
+        # Sequential makespan is order-free; keep the LPT order anyway
+        # so logs read identically across modes.
+        tasks = sorted(
+            tasks, key=lambda task: cost.estimate(task.config), reverse=True
+        )
         for task in tasks:
             # Re-check the cache per cell so duplicate grid entries (and
             # concurrent sweeps sharing the directory) coalesce.
@@ -525,8 +504,7 @@ class SweepRunner:
                     time.sleep(delay)
                 else:
                     elapsed = time.monotonic() - started
-                    if cost is not None:
-                        cost.observe(task.config, elapsed)
+                    cost.observe(task.config, elapsed)
                     self._record_success(task, metrics, results, elapsed)
                     break
 
@@ -607,7 +585,7 @@ class SweepRunner:
         self,
         pending: _PendingTasks,
         results: List,
-        cost: Optional[CostModel],
+        cost: CostModel,
         now: float,
     ) -> Optional[_Task]:
         """Pop launchable tasks until one misses the cache: a duplicate
@@ -622,15 +600,14 @@ class SweepRunner:
                 return task
             results[task.index] = cached
             self.log.cache_hit(task.index, task.digest)
-            if cost is not None:
-                cost.observe_metrics(task.config, cached)
+            cost.observe_metrics(task.config, cached)
 
     def _feed(
         self,
         workers: List[_PoolWorker],
         pending: _PendingTasks,
         results: List,
-        cost: Optional[CostModel],
+        cost: CostModel,
     ) -> None:
         """Give every idle worker a cell, then every worker on a short
         cell one more, queued in its pipe, so it starts that one without
@@ -643,7 +620,7 @@ class SweepRunner:
         may have been free sooner (the tail loss), and behind a longer
         cell the round trip saved is under 0.2 % of it (a millisecond
         against a heartbeat) for an unbounded wait.  So nothing queues
-        before the first observation, under fifo, or behind a long cell.
+        before the first observation or behind a long cell.
         """
         now = time.monotonic()
         for worker in workers:
@@ -652,7 +629,7 @@ class SweepRunner:
                 if task is None:
                     return
                 self._dispatch(worker, task)
-        if cost is None or not cost.observations:
+        if not cost.observations:
             return
         for worker in workers:
             if (
@@ -670,7 +647,7 @@ class SweepRunner:
         tasks: List[_Task],
         results: List,
         workers_wanted: int,
-        cost: Optional[CostModel],
+        cost: CostModel,
     ) -> None:
         context = multiprocessing.get_context(pick_start_method(self.start_method))
         cache_dir = self.cache.directory if self.cache is not None else None
@@ -725,7 +702,7 @@ class SweepRunner:
         workers: List[_PoolWorker],
         pending: _PendingTasks,
         results: List,
-        cost: Optional[CostModel],
+        cost: CostModel,
         context,
         cache_dir: Optional[str],
     ) -> None:
@@ -780,8 +757,7 @@ class SweepRunner:
                 if delay is not None:
                     self._requeue(task, delay, pending)
             else:
-                if cost is not None:
-                    cost.observe(task.config, elapsed)
+                cost.observe(task.config, elapsed)
                 self._record_success(
                     task, payload, results, elapsed,
                     worker=worker.id, already_cached=status == "cached",

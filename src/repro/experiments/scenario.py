@@ -231,9 +231,7 @@ class Scenario:
             )
         if self.registry.enabled("queue") or self.registry.enabled("drops"):
             self.queue_probe = QueueProbe(
-                self.registry,
-                self.network.bottleneck_queue,
-                sample_interval=config.obs_queue_sample_interval,
+                self.registry, self.network.bottleneck_queue
             )
         # Burst forensics: one probe on the gateway queue, also handed
         # to every TCP sender (in _build_flows) for cwnd-cut events.
@@ -686,8 +684,8 @@ class Scenario:
         )
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Build and run one scenario (the one-call public entry point).
+def run_scenario(config: ScenarioConfig, attach=None) -> ScenarioResult:
+    """Build and run one scenario: the one door into a cell.
 
     Dispatches on ``config.backend``: the discrete-event packet engine
     (default), the mean-field fluid solver
@@ -710,6 +708,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     backend uses the object machinery for its K foreground flows
     regardless of ``engine`` (the knob is digest-excluded and accepted
     as a no-op there).
+
+    ``attach(scenario)`` is called on every scenario built here, wired
+    and not yet run -- so a second time, on the object scenario, after
+    a fallback -- for what has to reach inside one (a trace writer on
+    the bottleneck interface, a forensics stream).  Every scenario is
+    released when its run ends; the fluid backend builds none.
     """
     if config.backend == "fluid":
         from repro.core.fluid_backend import run_fluid_scenario
@@ -718,20 +722,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     if config.backend == "hybrid":
         from repro.core.hybrid_backend import run_hybrid_scenario
 
-        return run_hybrid_scenario(config)
+        return run_hybrid_scenario(config, attach)
     if config.resolved_engine() == "batch":
         from repro.engine.batch import BatchGuardError, BatchScenario
 
         try:
-            return _run_and_release(BatchScenario(config))
+            return _run_and_release(BatchScenario(config), attach)
         except BatchGuardError:
             if config.engine is not None:
                 raise
-    return _run_and_release(Scenario(config))
+    return _run_and_release(Scenario(config), attach)
 
 
-def _run_and_release(scenario: Scenario) -> ScenarioResult:
+def _run_and_release(scenario: Scenario, attach=None) -> ScenarioResult:
     try:
+        if attach is not None:
+            attach(scenario)
         return scenario.run()
     finally:
         scenario.release()

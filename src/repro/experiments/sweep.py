@@ -32,7 +32,6 @@ def run_many(
     run_log: Optional[RunLog] = None,
     start_method: Optional[str] = None,
     pool: str = "persistent",
-    schedule: str = "cost",
 ) -> List[ScenarioMetrics]:
     """Run every configuration, preserving input order.
 
@@ -50,13 +49,12 @@ def run_many(
         start_method: multiprocessing start method (None = ``fork``
             where available, ``spawn`` elsewhere, e.g. macOS/Windows).
         pool: ``"persistent"``, the only executor (see ``runner.POOLS``).
-        schedule: ``"cost"`` (longest-expected-first, minimizing
-            makespan on heterogeneous grids; default) or ``"fifo"``
-            (submission order).
 
-    A cell that keeps failing is returned as an error-tagged
-    :class:`ScenarioMetrics` placeholder (``metrics.failed`` is True)
-    rather than aborting the rest of the grid.
+    Cells launch longest-expected-first, which minimizes makespan on
+    heterogeneous grids.  A cell that keeps failing is returned as an
+    error-tagged :class:`ScenarioMetrics` placeholder
+    (``metrics.failed`` is True) rather than aborting the rest of the
+    grid.
     """
     runner = SweepRunner(
         processes=processes,
@@ -66,7 +64,6 @@ def run_many(
         run_log=run_log,
         start_method=start_method,
         pool=pool,
-        schedule=schedule,
     )
     return runner.run(configs)
 

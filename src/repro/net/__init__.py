@@ -8,12 +8,7 @@ dumbbell/star topology builder matching the paper's Figure 1.
 
 from repro.net.fq import DRRQueue
 from repro.net.link import Interface, Link
-from repro.net.monitor import (
-    ArrivalMonitor,
-    FlowArrivalMonitor,
-    FlowStats,
-    QueueMonitor,
-)
+from repro.net.monitor import ArrivalMonitor, FlowArrivalMonitor, FlowStats
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketFactory, PacketType
 from repro.net.queues import DropTailQueue, PacketQueue, QueueStats
@@ -36,7 +31,6 @@ __all__ = [
     "PacketFactory",
     "PacketType",
     "PacketQueue",
-    "QueueMonitor",
     "QueueStats",
     "REDParams",
     "REDQueue",

@@ -3,8 +3,8 @@
 * :class:`ArrivalMonitor` -- counts packets offered to an output port in
   fixed-width time bins.  Binned by the round-trip propagation delay it
   yields exactly the counts whose c.o.v. the paper's Figure 2 plots.
-* :class:`QueueMonitor` -- periodic samples of a queue's length (and RED
-  average) for queue-dynamics plots.
+* :class:`FlowArrivalMonitor` -- per-flow arrival times at an output
+  port, for cross-stream dependence analysis.
 * :class:`FlowStats` -- per-flow delivery counters kept by sinks.
 """
 
@@ -17,9 +17,6 @@ import numpy as np
 
 from repro.net.link import Interface
 from repro.net.packet import Packet
-from repro.net.queues import PacketQueue
-from repro.obs.registry import MetricRegistry
-from repro.sim.engine import Simulator
 
 
 class ArrivalMonitor:
@@ -116,69 +113,6 @@ class FlowArrivalMonitor:
         if not packet.is_data or now < self.start_time:
             return
         self.times_by_flow.setdefault(packet.flow_id, []).append(now)
-
-
-class QueueMonitor:
-    """Sample a queue's occupancy (and RED average) on a fixed period.
-
-    Samples are stored in a flight-recorder time series
-    (:class:`repro.obs.registry.TimeSeries`).  Pass a shared
-    :class:`~repro.obs.registry.MetricRegistry` to publish the series
-    into a run's observability bundle; with no registry the monitor
-    keeps a private, always-enabled one (the pre-obs behaviour).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        queue: PacketQueue,
-        period: float,
-        registry: Optional[MetricRegistry] = None,
-    ) -> None:
-        if period <= 0:
-            raise ValueError("sampling period must be positive")
-        self._sim = sim
-        self._queue = queue
-        self.period = period
-        if registry is None:
-            registry = MetricRegistry()  # private, every category enabled
-        self.series = registry.series(
-            f"queue.sampled.{queue.name}", columns=("length", "red_avg")
-        )
-        sim.schedule(0.0, self._sample)
-
-    def _sample(self) -> None:
-        queue = self._queue
-        self.series.append(
-            self._sim.now,
-            len(queue),
-            float(getattr(queue, "avg", len(queue))),
-        )
-        self._sim.schedule(self.period, self._sample)
-
-    # Backwards-compatible list views over the underlying series.
-    @property
-    def times(self) -> List[float]:
-        """Sample times, in order."""
-        return self.series.times()
-
-    @property
-    def lengths(self) -> List[int]:
-        """Instantaneous queue lengths at each sample."""
-        return self.series.column("length")
-
-    @property
-    def averages(self) -> List[float]:
-        """RED EWMA at each sample (instantaneous length when no EWMA)."""
-        return self.series.column("red_avg")
-
-    def as_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """(times, instantaneous lengths, averaged lengths) as arrays."""
-        return (
-            np.asarray(self.times),
-            np.asarray(self.lengths, dtype=float),
-            np.asarray(self.averages, dtype=float),
-        )
 
 
 @dataclass

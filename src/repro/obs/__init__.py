@@ -36,7 +36,6 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricRegistry,
     TimeSeries,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "EngineProfiler",
     "FlowProbe",
     "Gauge",
-    "Histogram",
     "MetricRegistry",
     "NULL_METRIC",
     "NULL_REGISTRY",

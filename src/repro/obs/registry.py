@@ -1,4 +1,4 @@
-"""The metric registry: counters, gauges, time series, histograms.
+"""The metric registry: counters, gauges, time series.
 
 Components publish measurements through metric objects obtained from a
 :class:`MetricRegistry`.  The registry is organized around *categories*
@@ -13,8 +13,7 @@ Metric kinds:
 * :class:`Counter`   -- monotonically increasing event count;
 * :class:`Gauge`     -- last-write-wins instantaneous value;
 * :class:`TimeSeries`-- sampled ``(time, value...)`` rows, optionally
-  thinned to a minimum inter-sample interval;
-* :class:`Histogram` -- fixed-boundary frequency counts.
+  thinned to a minimum inter-sample interval.
 """
 
 from __future__ import annotations
@@ -104,46 +103,6 @@ class TimeSeries:
         return {"columns": ("time", *self.columns), "n_rows": len(self.rows)}
 
 
-class Histogram:
-    """Frequency counts over fixed boundaries.
-
-    ``bounds`` are the upper edges of each bin; values above the last
-    bound land in an implicit overflow bin.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "total", "sum")
-
-    def __init__(self, name: str, bounds: Sequence[float]) -> None:
-        self.name = name
-        self.bounds = tuple(sorted(bounds))
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        index = 0
-        for bound in self.bounds:
-            if value <= bound:
-                break
-            index += 1
-        self.counts[index] += 1
-        self.total += 1
-        self.sum += value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
-    def snapshot(self) -> Any:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "total": self.total,
-            "mean": self.mean,
-        }
-
-
 class _NullMetric:
     """Shared do-nothing stand-in for every metric kind.
 
@@ -155,8 +114,6 @@ class _NullMetric:
     name = "<null>"
     value = 0
     rows: List[Tuple[float, ...]] = []
-    total = 0
-    mean = 0.0
 
     def inc(self, n: int = 1) -> None:
         pass
@@ -168,9 +125,6 @@ class _NullMetric:
         pass
 
     def append(self, time: float, *values: Any) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
         pass
 
     def times(self) -> List[float]:
@@ -254,9 +208,6 @@ class MetricRegistry:
     ) -> TimeSeries:
         return self._get(name, lambda: TimeSeries(name, columns, min_interval))
 
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        return self._get(name, lambda: Histogram(name, bounds))
-
     # ------------------------------------------------------------------
     # Introspection and export
     # ------------------------------------------------------------------
@@ -272,7 +223,7 @@ class MetricRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict view of every scalar metric (counters/gauges get
-        their value, series/histograms a small summary)."""
+        their value, series a small summary)."""
         return {name: self._metrics[name].snapshot() for name in self.names()}
 
 

@@ -15,14 +15,12 @@ Public API:
 * :class:`~repro.sim.timers.Timer` -- a restartable one-shot timer.
 * :class:`~repro.sim.rng.RandomStreams` -- named, reproducible random
   number streams derived from a single root seed.
-* :class:`~repro.sim.trace.TraceRecorder` -- structured event tracing.
 """
 
 from repro.sim.engine import Simulator, SimulationError, SCHEDULERS
 from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import Timer
-from repro.sim.trace import TraceRecorder, TraceRow
 from repro.sim.wheel import TimerWheel
 
 __all__ = [
@@ -33,6 +31,4 @@ __all__ = [
     "Simulator",
     "Timer",
     "TimerWheel",
-    "TraceRecorder",
-    "TraceRow",
 ]

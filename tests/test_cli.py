@@ -354,22 +354,15 @@ class TestObservabilityFlags:
 
 
 class TestExecutorFlags:
-    """The sweep-executor CLI surface: --jobs, --schedule."""
+    """The sweep-executor CLI surface: --jobs."""
 
     def test_flags_parse(self):
-        args = build_parser().parse_args(
-            ["fig2", "--jobs", "4", "--schedule", "fifo"]
-        )
+        args = build_parser().parse_args(["fig2", "--jobs", "4"])
         assert args.processes == 4
-        assert args.schedule == "fifo"
 
     def test_jobs_short_flag_aliases_processes(self):
         args = build_parser().parse_args(["fig2", "-j", "2"])
         assert args.processes == 2
-
-    def test_defaults(self):
-        args = build_parser().parse_args(["fig2"])
-        assert args.schedule == "cost"
 
     def test_unknown_pool_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -382,10 +375,13 @@ class TestExecutorFlags:
             ["fig2", "--pool", "persistent"],
             ["run", "--scheduler", "heap"],
             ["largen", "--scheduler", "wheel"],
+            ["fig2", "--schedule", "fifo"],
+            ["replicate", "--schedule", "cost"],
         ],
     )
     def test_deleted_knob_flags_rejected(self, argv, capsys):
-        """One pool, one scheduler: the flags that chose are gone."""
+        """One pool, one scheduler, one order: the flags that chose are
+        gone."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -394,10 +390,10 @@ class TestExecutorFlags:
     def test_runner_kwargs_carry_executor_knobs(self):
         from repro.experiments.cli import _runner_kwargs
 
-        args = build_parser().parse_args(["fig2", "--schedule", "fifo"])
+        args = build_parser().parse_args(["fig2", "--retries", "3"])
         kwargs = _runner_kwargs(args)
-        assert "pool" not in kwargs
-        assert kwargs["schedule"] == "fifo"
+        assert "pool" not in kwargs and "schedule" not in kwargs
+        assert kwargs["retries"] == 3
 
 
 class TestSweeplog:
@@ -539,6 +535,73 @@ class TestForensicsStreamFlag:
         assert streams["default"][0] == streams["object"][0] != b""
         with pytest.raises(BatchGuardError):
             main(argv + ["--forensics-stream", str(stream), "--engine", "batch"])
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["stream", "trace+stream"])
+    def test_forced_fallback_leaves_only_the_object_runs_bytes(
+        self, traced, tmp_path, capsys, monkeypatch
+    ):
+        """The batch attempt streams half a run, then gives up: the
+        files a fallback leaves are the direct object run's, with no
+        byte of the abandoned attempt.  ``--trace-file`` never makes a
+        batch attempt at all (it forces the object engine through the
+        config), so nothing is there to abandon."""
+        from repro.engine.batch import BatchScenario
+
+        abandoned = []
+
+        def refuse_part_way(scenario):
+            scenario.sim.run(until=scenario.config.duration / 2)
+            abandoned.append((tmp_path / "default.jsonl").stat().st_size)
+            raise BatchGuardError("scripted guard trip")
+
+        monkeypatch.setattr(BatchScenario, "_execute", refuse_part_way)
+        argv = [
+            "run", "--clients", "45", "--duration", "6", "--seed", "3",
+            "--forensics-stream-interval", "0.5",
+        ]
+        files = {}
+        for tag, extra in (("default", []), ("object", ["--engine", "object"])):
+            stream, trace = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.tr"
+            flags = ["--forensics-stream", str(stream)]
+            if traced:
+                flags += ["--trace-file", str(trace)]
+            assert main(argv + flags + extra) == 0
+            out = capsys.readouterr().out
+            files[tag] = (stream.read_bytes(), trace.read_bytes() if traced else b"")
+            assert f"wrote {stream}" in out
+        assert files["default"] == files["object"]
+        assert files["default"][0] != b"" and (files["default"][1] != b"") == traced
+        if traced:
+            assert abandoned == []
+        else:
+            # The abandoned attempt had already streamed records.
+            assert len(abandoned) == 1 and abandoned[0] > 0
+
+    def test_observed_hybrid_run_is_the_hybrid_run(self, tmp_path, capsys):
+        """An attachment does not change which backend runs: the
+        hand-rolled dispatch this replaced built a plain packet
+        ``Scenario`` of all N clients whenever ``--obs-dir``,
+        ``--trace-file`` or ``--forensics-stream`` was given."""
+        import json
+
+        argv = [
+            "run", "--backend", "hybrid", "--clients", "300",
+            "--hybrid-foreground", "3", "--duration", "3",
+        ]
+        plain, observed = tmp_path / "plain.json", tmp_path / "observed.json"
+        assert main(argv + ["--json", str(plain)]) == 0
+        assert main(
+            argv
+            + ["--json", str(observed), "--obs-dir", str(tmp_path / "obs")]
+            + ["--trace-file", str(tmp_path / "run.tr")]
+            + ["--forensics-stream", str(tmp_path / "stream.jsonl")]
+        ) == 0
+        assert "engine: object (default:" in capsys.readouterr().out
+        plain, observed = (json.loads(p.read_text()) for p in (plain, observed))
+        assert plain["measured_flows"] == observed["measured_flows"] == 3
+        for name in ("cov", "throughput_packets", "gateway_drops", "perf_events_executed"):
+            assert plain[name] == observed[name], name
+        assert (tmp_path / "run.tr").read_text()
 
     def test_stream_implies_forensics(self):
         args = build_parser().parse_args(

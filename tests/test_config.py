@@ -127,7 +127,6 @@ class TestDigestCompleteness:
         "trace_cwnd_flows",
         "obs_trace",
         "obs_profile",
-        "obs_queue_sample_interval",
         "scheduler",
         "engine",
         "forensics",

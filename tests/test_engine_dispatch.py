@@ -9,22 +9,39 @@ here: which way every kind of cell the performance ledger builds goes
 (and that every cell of its two paper-artefact workloads, ``fig2_sweep``
 and ``apps_closed``, finishes on the batch engine), that the choice
 never changes a number or a cache key, what the fallback leaves behind
-in the run log, and that ``run_scenario`` frees what it built.
+in the run log, that ``run_scenario`` frees what it built, and that it
+is the one door: ``attach`` reaches every scenario it builds (the
+fallback's too, the hybrid foreground's too), and any packet cell the
+config tables can spell is either rejected up front or runs to finite
+numbers.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import sys
+import weakref
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import ENGINES
 from repro.engine.batch import BatchGuardError, BatchScenario, BatchTieError
 from repro.experiments.cache import ResultCache
-from repro.experiments.config import CONFIG_SCHEMA_VERSION, ScenarioConfig, paper_config
+from repro.experiments.config import (
+    BATCH_ENVELOPE,
+    CONFIG_SCHEMA_VERSION,
+    PROTOCOLS,
+    QUEUES,
+    WORKLOADS,
+    ScenarioConfig,
+    paper_config,
+)
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import (
     RunLog,
@@ -285,3 +302,123 @@ def test_hand_built_scenarios_are_not_released():
     assert len(scenario.senders) == SHORT["n_clients"]
     assert scenario.network.bottleneck_queue.stats.arrivals > 0
     assert scenario.sim.events_executed > 0
+
+
+# ----------------------------------------------------------------------
+# The door: run_scenario(config, attach=...)
+# ----------------------------------------------------------------------
+def _refuse_part_way(self):
+    """A ``BatchScenario._execute`` that gives the cell up half-way."""
+    self.sim.run(until=self.config.duration / 2)
+    raise BatchGuardError("scripted guard trip")
+
+
+@pytest.mark.parametrize(
+    "overrides,built",
+    [
+        pytest.param({}, BatchScenario, id="batch"),
+        pytest.param({"engine": "object"}, Scenario, id="object"),
+        pytest.param({"protocol": "tahoe"}, Scenario, id="outside-envelope"),
+    ],
+)
+def test_attach_sees_each_built_scenario_once(overrides, built):
+    seen = []
+    result = run_scenario(paper_config(**SHORT, **overrides), attach=seen.append)
+    assert [type(scenario) for scenario in seen] == [built]
+    assert result.engine == built.engine_name
+    assert ScenarioMetrics.from_result(result) == ScenarioMetrics.from_result(
+        run_scenario(paper_config(**SHORT, **overrides))
+    )
+
+
+def test_attach_is_called_again_on_the_fallback_scenario(monkeypatch):
+    monkeypatch.setattr(BatchScenario, "_execute", _refuse_part_way)
+    config = paper_config(**SHORT)
+    seen = []
+    result = run_scenario(config, attach=lambda s: seen.append(type(s)))
+    assert seen == [BatchScenario, Scenario]
+    assert result.engine == "object"
+    # Forced, the error still propagates -- after one attach, no second.
+    del seen[:]
+    with pytest.raises(BatchGuardError, match="scripted"):
+        run_scenario(config.with_(engine="batch"), attach=lambda s: seen.append(type(s)))
+    assert seen == [BatchScenario]
+
+
+def test_fluid_builds_no_scenario_to_attach_to():
+    seen = []
+    result = run_scenario(paper_config(backend="fluid", **SHORT), attach=seen.append)
+    assert seen == [] and result.engine == ""
+
+
+def test_hybrid_goes_through_the_door_and_is_released():
+    """The hybrid foreground is attached to, run and released like any
+    packet scenario: once the result is all that is held, plain
+    reference counting has freed the flows."""
+    config = paper_config(
+        backend="hybrid", hybrid_foreground_flows=3, n_clients=200,
+        duration=4.0, seed=3, obs_trace=("cwnd", "queue"), forensics=True,
+    )
+    from repro.core.hybrid_backend import HybridScenario
+
+    # What run_hybrid_scenario returned before it released: the same numbers.
+    by_hand = ScenarioMetrics.from_result(HybridScenario(config).run())
+    held = []
+
+    def attach(scenario):
+        assert type(scenario) is HybridScenario
+        held.append(weakref.ref(scenario))
+        held.append(weakref.ref(scenario.senders[0]))
+        held.append(weakref.ref(scenario.network.bottleneck_interface))
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()  # so a dead reference below is refcounting's doing
+    try:
+        result = run_scenario(config, attach=attach)
+        assert len(held) == 3 and all(ref() is None for ref in held)
+    finally:
+        if was_enabled:
+            gc.enable()
+    metrics = ScenarioMetrics.from_result(result)
+    for spec in fields(metrics):  # bit for bit: repr tells -0.0 from 0.0
+        if spec.name not in ScenarioMetrics._WALL_CLOCK_FIELDS:
+            assert repr(getattr(metrics, spec.name)) == repr(
+                getattr(by_hand, spec.name)
+            ), spec.name
+    assert result.obs.flows[0].cwnd.rows  # the result outlives the release
+    assert result.forensics is not None
+
+
+# One short cell of anything the packet backend's tables enumerate.
+_FRONT_DOOR_CELLS = st.fixed_dictionaries(
+    dict(
+        protocol=st.sampled_from(PROTOCOLS),
+        queue=st.sampled_from(QUEUES),
+        workload=st.sampled_from(WORKLOADS),
+        # The envelope's sources, and one from outside it.
+        traffic=st.sampled_from(BATCH_ENVELOPE["traffic"] + ("pareto_onoff",)),
+        pacing=st.booleans(),
+        n_clients=st.integers(1, 12),
+        duration=st.sampled_from((0.5, 1.0, 2.0)),
+        seed=st.integers(1, 50),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_FRONT_DOOR_CELLS)
+def test_every_packet_cell_is_rejected_up_front_or_runs_to_finite_metrics(cell):
+    """The front door over the packet backend's own tables: a cell
+    either fails ``validate()`` with a ValueError or runs to finite
+    numbers -- no mid-run exception, no silent NaN, and under default
+    dispatch no ``BatchGuardError`` gets out."""
+    config = paper_config(**cell)
+    try:
+        config.validate()
+    except ValueError:
+        return
+    result = run_scenario(config)
+    assert math.isfinite(result.cov), cell
+    assert math.isfinite(result.throughput_pps) and result.throughput_pps >= 0, cell
+    assert result.engine in ENGINES

@@ -293,6 +293,104 @@ class TestSweepColumns:
         # The cache entry was overwritten with the forensic columns.
         assert math.isfinite(cache.get(stale_config).forensic_burst_rate)
 
+    def test_forensics_sweep_refreshes_stale_cache_from_pool_workers(self, tmp_path):
+        """The same through ``-j 2``: the worker-side ``cache.put`` is
+        what replaces the stale entries."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        base = paper_config(duration=2.0, seed=3)
+        configs = [
+            base.with_(backend="packet", forensics=True, n_clients=n)
+            for n in (8, 10)
+        ]
+        for config in configs:
+            (plain,) = run_many([config.with_(forensics=False)], processes=1)
+            cache.put(config, plain)
+            assert config.with_(forensics=False) in cache and config not in cache
+        sweep = run_forensics_sweep(
+            client_counts=(8, 10), base=base, protocols={"reno": ("reno", "fifo")},
+            processes=2, timeout=60, cache=cache,
+        )
+        for config, refreshed in zip(configs, sweep["reno"]):
+            assert not refreshed.failed
+            assert math.isfinite(refreshed.forensic_burst_rate)
+            assert cache.get(config) == refreshed
+            assert math.isfinite(cache.get(config).forensic_burst_rate)
+
+
+class TestCacheHonoursWhatTheConfigObserves:
+    """The forensics knobs are digest-excluded, the ``forensic_*``
+    columns are cached: an entry written without forensics used to
+    satisfy a ``forensics=True`` lookup with NaN columns, silently,
+    for every caller but the forensics sweep's own backfill pass."""
+
+    CONFIG = paper_config(n_clients=10, duration=2.0, seed=3, forensics=True)
+
+    def warmed_plain(self, tmp_path, seeds):
+        cache = ResultCache(str(tmp_path / "cache"))
+        plain = [self.CONFIG.with_(forensics=False, seed=seed) for seed in seeds]
+        warmed = run_many(plain, processes=1, cache=cache)
+        assert all(math.isnan(m.forensic_burst_rate) for m in warmed)
+        assert len(cache) == len(seeds)
+        return cache
+
+    def hits(self, log_path):
+        events = [e["event"] for e in read_runlog(log_path)]
+        return events.count("cache_hit"), events.count("task_done")
+
+    def test_run_many_reruns_a_cell_cached_without_forensics(self, tmp_path):
+        cache = self.warmed_plain(tmp_path, seeds=(3,))
+        uncached = run_many([self.CONFIG], processes=1)[0]
+        assert math.isfinite(uncached.forensic_burst_rate)
+        first_log, second_log = str(tmp_path / "1.jsonl"), str(tmp_path / "2.jsonl")
+        with RunLog(first_log) as log:
+            (first,) = run_many([self.CONFIG], processes=1, cache=cache, run_log=log)
+        assert self.hits(first_log) == (0, 1)
+        assert first == uncached
+        assert first.forensic_burst_rate == uncached.forensic_burst_rate
+        assert first.forensic_bursts == uncached.forensic_bursts
+        # The refreshed entry stays: the same call again only reads.
+        assert cache.get(self.CONFIG) == first and len(cache) == 1
+        with RunLog(second_log) as log:
+            (second,) = run_many([self.CONFIG], processes=1, cache=cache, run_log=log)
+        assert self.hits(second_log) == (1, 0)
+        assert second.forensic_burst_rate == first.forensic_burst_rate
+
+    def test_replicate_reruns_replicas_cached_without_forensics(self, tmp_path):
+        from repro.experiments.replication import replicate
+
+        cache = self.warmed_plain(tmp_path, seeds=(3, 4, 5))
+        logs = [str(tmp_path / f"{i}.jsonl") for i in (1, 2)]
+        results = []
+        for path in logs:
+            with RunLog(path) as log:
+                results.append(
+                    replicate(
+                        self.CONFIG, n_replicas=3, base_seed=3,
+                        cache=cache, run_log=log,
+                    )
+                )
+        assert self.hits(logs[0]) == (0, 3) and self.hits(logs[1]) == (3, 0)
+        for result in results:
+            assert all(
+                math.isfinite(replica.forensic_burst_rate)
+                for replica in result.replicas
+            )
+        assert results[0].replicas == results[1].replicas
+
+    def test_a_plain_config_is_still_served_by_a_forensic_entry(self, tmp_path):
+        """The converse stays a hit: equal physics, more columns filled."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        (observed,) = run_many([self.CONFIG], processes=1, cache=cache)
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            (plain,) = run_many(
+                [self.CONFIG.with_(forensics=False)], processes=1,
+                cache=cache, run_log=log,
+            )
+        assert self.hits(path) == (1, 0)
+        assert plain == observed
+        assert plain.forensic_burst_rate == observed.forensic_burst_rate
+
 
 # ----------------------------------------------------------------------
 # The sweep figure: the paper's smoothing claim as a grid

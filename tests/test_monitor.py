@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.link import Link
-from repro.net.monitor import ArrivalMonitor, FlowStats, QueueMonitor
+from repro.net.monitor import ArrivalMonitor, FlowStats
 from repro.net.node import Node
 from repro.net.packet import PacketFactory
 from repro.net.queues import DropTailQueue
@@ -101,80 +101,8 @@ class TestArrivalMonitor:
         assert monitor.drops_seen == 1
 
 
-class TestQueueMonitor:
-    def test_periodic_samples(self):
-        sim = Simulator()
-        queue = DropTailQueue(10)
-        monitor = QueueMonitor(sim, queue, period=1.0)
-        factory = PacketFactory()
-        sim.schedule(0.5, lambda: queue.enqueue(data_packet(factory), 0.5))
-        sim.run(until=3.0)
-        times, lengths, averages = monitor.as_arrays()
-        assert list(times) == [0.0, 1.0, 2.0, 3.0]
-        assert list(lengths) == [0, 1, 1, 1]
-        # DropTail has no EWMA; averages mirror the instantaneous length.
-        assert list(averages) == [0.0, 1.0, 1.0, 1.0]
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            QueueMonitor(Simulator(), DropTailQueue(1), period=0.0)
-
-
 def test_flow_stats_defaults():
     stats = FlowStats(flow_id=7)
     assert stats.flow_id == 7
     assert stats.packets_received == 0
     assert stats.arrival_times == []
-
-
-class TestQueueMonitorOverRed:
-    """Satellite 4: QueueMonitor sampling a RED queue's EWMA average."""
-
-    def _fill(self, sim, queue, factory, rate=0.05, count=40):
-        def arrival(i):
-            queue.enqueue(data_packet(factory, i), sim.now)
-
-        for i in range(count):
-            sim.schedule(i * rate, arrival, i)
-
-    def test_red_average_diverges_from_instantaneous_length(self):
-        from repro.net.red import REDParams, REDQueue
-
-        sim = Simulator()
-        queue = REDQueue(
-            32, REDParams(min_th=5.0, max_th=15.0, weight=0.2), name="red"
-        )
-        monitor = QueueMonitor(sim, queue, period=0.5)
-        factory = PacketFactory()
-        self._fill(sim, queue, factory)
-        sim.run(until=2.0)
-        times, lengths, averages = monitor.as_arrays()
-        assert list(times) == [0.0, 0.5, 1.0, 1.5, 2.0]
-        # The EWMA lags the instantaneous length while the queue builds.
-        assert lengths[-1] > 0
-        assert 0.0 < averages[-1] < lengths[-1]
-
-    def test_shared_registry_publishes_series(self):
-        from repro.obs.registry import MetricRegistry
-
-        sim = Simulator()
-        registry = MetricRegistry(categories=("queue",))
-        queue = DropTailQueue(8, name="gw")
-        monitor = QueueMonitor(sim, queue, period=1.0, registry=registry)
-        factory = PacketFactory()
-        sim.schedule(0.5, lambda: queue.enqueue(data_packet(factory), 0.5))
-        sim.run(until=2.0)
-        # The monitor's series is the registry's series -- one store.
-        assert registry.series("queue.sampled.gw") is monitor.series
-        assert monitor.lengths == [0, 1, 1]
-
-    def test_disabled_registry_category_records_nothing(self):
-        from repro.obs.registry import MetricRegistry
-
-        sim = Simulator()
-        registry = MetricRegistry(categories=("cwnd",))  # queue is off
-        queue = DropTailQueue(8, name="gw")
-        monitor = QueueMonitor(sim, queue, period=1.0, registry=registry)
-        sim.run(until=3.0)
-        assert monitor.times == []
-        assert monitor.lengths == []

@@ -56,11 +56,6 @@ class TestRegistry:
         assert series.column("y") == [2, 4]
         assert len(series) == 2
 
-        hist = reg.histogram("a.h", bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1]
-        assert hist.total == 3
 
     def test_same_name_returns_same_object(self):
         reg = MetricRegistry()
@@ -80,7 +75,6 @@ class TestRegistry:
         NULL_METRIC.set(3.0)
         NULL_METRIC.max(3.0)
         NULL_METRIC.append(0.0, 1)
-        NULL_METRIC.observe(2.0)
         assert len(NULL_METRIC) == 0
         assert not NULL_METRIC
 

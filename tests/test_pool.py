@@ -4,7 +4,7 @@ Every behaviour of the robustness contract — crash isolation, deadline
 kill-and-respawn of only the stuck worker, retry-then-placeholder,
 KeyboardInterrupt draining, cache-hit resume — is asserted for every
 pool the runner exports.  The differential matrix proves the pool and
-the in-process path, under both schedules, produce byte-identical
+the in-process path produce byte-identical
 :class:`ScenarioMetrics` (same config digests, same metric values,
 stable after a ``from_dict`` round-trip).
 """
@@ -23,7 +23,7 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import paper_config
-from repro.experiments.costmodel import CostModel, cell_units, make_cost_model
+from repro.experiments.costmodel import CostModel, cell_units
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.cli import main as cli_main
 from repro.experiments.runlog import RunLog, read_runlog, summarize_runlog
@@ -242,7 +242,6 @@ class TestFailureMatrix:
         done = [e for e in read_runlog(path) if e["event"] == "task_done"]
         assert len(done) == 1
         assert done[0]["attempt"] == 1  # one failed attempt preceded it
-        assert done[0]["lane"] == "cost"
 
     @EVERY_POOL
     def test_keyboard_interrupt_drains_workers(self, pool, tmp_path):
@@ -585,19 +584,13 @@ class TestDifferentialMatrix:
         ]
 
     def test_executors_and_schedules_agree(self):
-        """In-process and pooled — under both schedules — produce
-        byte-identical metrics per cell."""
+        """In-process and pooled produce byte-identical metrics per
+        cell."""
         configs = self.grid()
         reference = run_many(configs, processes=1)
         for pool in POOLS:
-            for schedule in ("cost", "fifo"):
-                metrics = run_many(
-                    configs, processes=2, timeout=120, pool=pool,
-                    schedule=schedule,
-                )
-                assert metrics == reference, (
-                    f"{pool}/{schedule} diverged from in-process"
-                )
+            metrics = run_many(configs, processes=2, timeout=120, pool=pool)
+            assert metrics == reference, f"{pool} diverged from in-process"
 
     def test_round_trip_and_digests(self):
         """Results survive a from_dict round-trip byte-equal, and every
@@ -666,12 +659,6 @@ class TestCostModel:
         assert model.seed_from_runlog(events, {digest: oracle}) == 2
         assert model.estimate(oracle) == pytest.approx(5.5)
 
-    def test_make_cost_model(self):
-        assert make_cost_model("fifo") is None
-        assert make_cost_model("cost") is not None
-        with pytest.raises(ValueError):
-            make_cost_model("random")
-
     def test_runner_seeds_model_from_existing_runlog(self, tmp_path):
         """A prior sweep's task_done rows seed the next sweep's model
         through the shared JSONL file."""
@@ -681,8 +668,7 @@ class TestCostModel:
             run_many(configs, processes=1, run_log=log)
         with RunLog(path) as log:
             runner = SweepRunner(processes=1, run_log=log)
-            model = runner._make_cost_model(configs)
-        assert model is not None
+            model = runner._seeded_cost_model(configs)
         assert model.observations >= 1
 
 
@@ -693,15 +679,7 @@ class TestValidationAndKnobs:
             with pytest.raises(ValueError, match="persistent"):
                 SweepRunner(pool=pool)
         with pytest.raises(ValueError):
-            SweepRunner(schedule="random")
-        with pytest.raises(ValueError):
             SweepRunner(heartbeat=0)
-
-    def test_fifo_schedule_runs(self):
-        configs = [tiny(seed=s) for s in (1, 2)]
-        assert run_many(configs, processes=1, schedule="fifo") == run_many(
-            configs, processes=1
-        )
 
     def test_sweep_end_reports_utilization(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
