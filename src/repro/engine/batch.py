@@ -8,8 +8,9 @@ a handful of fused events per delivered packet:
 
 * **Access-hop fusion.**  A client's access link never drops within the
   batch envelope (TCP's in-flight is bounded by the advertised window,
-  far below the 1000-packet access queue; a UDP burst is checked against
-  it, :meth:`BatchScenario.access_room`), so its store-and-forward chain
+  far below the 1000-packet access queue; a UDP packet is checked
+  against it, :meth:`BatchScenario._transmit_checked`), so its
+  store-and-forward chain
   ``enqueue -> pull -> finish -> receive`` reduces to per-flow busy-time
   arithmetic: ``start = max(now, busy); finish = start + tx`` -- the
   exact additions :class:`repro.net.link.Interface` performs -- and one
@@ -58,33 +59,46 @@ a handful of fused events per delivered packet:
   the order those histories sort (:meth:`BatchScenario._pop_tied`);
   a group they cannot order raises :class:`BatchTieError`.
 
-Per-flow TCP state lives in :class:`repro.engine.flowbatch.FlowBatch`,
-per-flow UDP state in :class:`repro.engine.flowbatch.UdpFlowBatch`.
+**One state machine, three seams.**  The flows are the object engine's
+own ``RenoSender`` / ``VegasSender`` / ``UdpSender`` and ``TcpSink`` /
+``UdpSink``, built by the inherited ``Scenario._add_flow``; the fusions
+above live entirely in what those agents are handed.  An agent touches
+the world through a clock (``sim.now``), a node (``node.name`` /
+``node.send``) and, a TCP sender, its retransmit timer:
+
+* the *node* is a :class:`_BatchNode` whose ``send`` is the fused hop
+  for that direction (:meth:`BatchScenario.transmit` for a client,
+  :meth:`BatchScenario._route_ack` for the server);
+* the *timer* is a :class:`_RtxSlot`, one slot of the driver's deadline
+  array, so the timer cohort stays a vector scan;
+* the *clock* is the simulator, except for sinks run inline, which get
+  a settable :class:`_SinkClock`.  Senders never need one: a lazily
+  replayed arrival either finds the send buffer backlogged -- then it
+  is booked by ``TcpSender.app_arrival_bulk``, which takes the times
+  as data -- or finds it empty, and a flow with an empty buffer is
+  armed, so its arrival is replayed at the very instant it is due.
+
 :class:`BatchScenario` is a :class:`Scenario` subclass: construction
-order, workload construction (``_make_workload``), ``run()`` (profiler,
-timing) and metric collection are the base class's, so both engines
-produce the same :class:`ScenarioResult` shape from the same attribute
-names.
+order, flow and workload construction, ``run()`` (profiler, timing) and
+metric collection are the base class's, so both engines produce the
+same :class:`ScenarioResult` shape from the same attribute names.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from math import log as _log
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.engine.flowbatch import FLOW_BATCHES, UdpFlowBatch, VegasFlowBatch
 from repro.experiments.scenario import Scenario
 from repro.net.packet import Packet, PacketFactory
 from repro.net.queues import PacketQueue
 from repro.net.topology import DumbbellParams
-from repro.obs.probes import FlowProbe
 from repro.sim.engine import SimulationError
-from repro.transport.sink import TcpSink, UdpSink
-from repro.transport.vegas import VegasParams
 
 _INF = float("inf")
 
@@ -127,24 +141,58 @@ class _SinkClock:
         self.now = 0.0
 
 
-class _BatchServerNode:
-    """Node facade for the sinks: an ACK a sink emits -- from a
-    delivery or from its delayed-ACK timer -- goes straight onto the
-    fused reverse path, stamped with the sinks' clock."""
+class _BatchNode:
+    """Node facade: what an agent sees of the node it sits on -- a
+    name, and ``send``, here the driver's fused hop away from it.  The
+    driver reaches agents through its own lists, so binding is a no-op.
+    """
 
-    __slots__ = ("name", "agents", "_clock", "_route")
+    __slots__ = ("name", "send")
 
-    def __init__(self, clock, route: Callable[[Packet, float], None]) -> None:
-        self.name = "server"
-        self.agents: Dict[int, object] = {}
-        self._clock = clock
-        self._route = route
+    def __init__(self, name: str, send: Callable[[Packet], None]) -> None:
+        self.name = name
+        self.send = send
 
     def bind_flow(self, flow_id: int, agent) -> None:
-        self.agents[flow_id] = agent
+        pass
 
-    def send(self, packet: Packet) -> None:
-        self._route(packet, self._clock.now)
+
+class _RtxSlot:
+    """Timer facade: a sender's retransmit timer as one slot of the
+    driver's deadline array (``inf`` = disarmed).  Answers like
+    :class:`repro.sim.timers.Timer`; the expiry is the driver's
+    (:meth:`BatchScenario._timer_fire` calls the sender's ``_timeout``).
+    """
+
+    __slots__ = ("_driver", "_deadlines", "_index")
+
+    def __init__(self, driver: "BatchScenario", index: int) -> None:
+        self._driver = driver
+        self._deadlines = driver._rtx_deadline
+        self._index = index
+
+    @property
+    def pending(self) -> bool:
+        return self._deadlines[self._index] != _INF
+
+    def start(self, delay: float) -> None:
+        self._driver.timer_arm(self._index, delay)
+
+    restart = start
+
+    def cancel(self) -> None:
+        self._deadlines[self._index] = _INF
+
+
+class _TickTally:
+    """What metric collection reads off an open-loop source
+    (``generated``), kept for a UDP flow by :meth:`BatchScenario._udp_tick`.
+    """
+
+    __slots__ = ("generated",)
+
+    def __init__(self) -> None:
+        self.generated = 0
 
 
 class _BatchGateway:
@@ -174,69 +222,15 @@ class _BatchGateway:
         return self.queue
 
 
-class _FlowView:
-    """Per-flow facade over the flow-batch arrays: ``.app_arrival``,
-    the agent interface workloads drive."""
-
-    __slots__ = ("_scenario", "flow_id")
-
-    def __init__(self, scenario: "BatchScenario", flow_id: int) -> None:
-        self._scenario = scenario
-        self.flow_id = flow_id
-
-    def app_arrival(self, n_packets: int = 1) -> None:
-        scenario = self._scenario
-        # A workload event: pushed a think-time draw ago (see transmit).
-        scenario._trigger_pushed = None
-        scenario.flows.app_arrival(self.flow_id, n_packets, scenario.sim.now)
-
-
-class _BatchSenderView(_FlowView):
-    """Quacks like a TCP sender for the pieces metric collection
-    touches: ``.stats`` / ``.cwnd_log`` (and the window, for tests)."""
-
-    __slots__ = ()
-
-    @property
-    def stats(self):
-        return self._scenario.flows.stats[self.flow_id]
-
-    @property
-    def cwnd_log(self):
-        return self._scenario.flows.cwnd_log[self.flow_id]
-
-    @property
-    def cwnd(self) -> float:
-        return float(self._scenario.flows.cwnd[self.flow_id])
-
-    @property
-    def ssthresh(self) -> float:
-        return float(self._scenario.flows.ssthresh[self.flow_id])
-
-
-class _UdpSenderView(_FlowView):
-    """Quacks like a ``UdpSender`` (``.packets_sent``) and, open loop,
-    like the traffic source feeding it (``.generated``)."""
-
-    __slots__ = ()
-
-    @property
-    def packets_sent(self) -> int:
-        return self._scenario.flows.packets_sent[self.flow_id]
-
-    @property
-    def generated(self) -> int:
-        return self._scenario.flows.generated[self.flow_id]
-
-
 class BatchScenario(Scenario):
     """A fully wired batch-engine simulation, ready to run.
 
     Construction, ``run()`` and collection are :class:`Scenario`'s;
     this class substitutes the fused gateway for the topology
-    (:meth:`_build_network`), the struct-of-arrays flows for the sender
-    objects (:meth:`_build_flows`) and adds the end-of-horizon
-    catch-up to the timed part of the run (:meth:`_execute`).
+    (:meth:`_build_network`), hands the flows its node and timer
+    facades and starts their arrivals (:meth:`_build_flows`) and adds
+    the end-of-horizon catch-up to the timed part of the run
+    (:meth:`_execute`).
     """
 
     engine_name = "batch"
@@ -267,21 +261,20 @@ class BatchScenario(Scenario):
         self._inline_sink = self._open_mode and config.protocol != "reno_delack"
         self._mean_gap = config.mean_gap
         self._duration = config.duration
-        self._client_names = [f"client-{i}" for i in range(n)]
 
         gateway = _BatchGateway(self._make_bottleneck_queue(config, None))
         self.bottleneck_queue = gateway.queue
         self.packet_factory = gateway.packet_factory
         self._gw_send_hooks = gateway.send_hooks
 
-        # --- per-flow transport state ----------------------------------
+        # --- per-flow link state ---------------------------------------
         # Client->gateway access serializer: when it frees up (-inf =
         # never used, so the first packet is not mistaken for a tie).
         self._busy_fwd = [-_INF] * n
         # Seconds of serialization a UDP flow may have queued on it
         # before the access queue, which transmit treats as lossless,
-        # would be full (access_room; two packets of slack for the one
-        # in service and for rounding).
+        # would be full (_transmit_checked; two packets of slack, for
+        # the one in service and for rounding).
         self._access_tx = config.packet_size * 8.0 / self._client_rate
         self._access_backlog_cap = (
             DumbbellParams.access_queue_capacity - 2
@@ -321,11 +314,15 @@ class BatchScenario(Scenario):
         self._chain: List[tuple] = [()] * n
         self._chain_counter = 0
         # When the object engine pushed the event whose handler is
-        # running (None = not modelled: a Poisson tick or a workload
-        # event, pushed a random draw earlier).
+        # running: set by the ACK and timer handlers around their call
+        # into the sender, None otherwise (not modelled: a Poisson tick
+        # or a workload event, pushed a random draw earlier).
         self._trigger_pushed: Optional[float] = None
 
-        # Timer-cohort horizon (lazy: <= every armed rtx deadline).
+        # Timer cohort: every flow's retransmit deadline (inf =
+        # disarmed; written through the senders' _RtxSlot) and one
+        # horizon event (lazy: <= every armed deadline).
+        self._rtx_deadline = np.full(n, _INF)
         self._horizon_time = _INF
         self._horizon_event = None
         # Arming order, for firing same-deadline cohorts in the order
@@ -354,63 +351,18 @@ class BatchScenario(Scenario):
     def _build_flows(self) -> None:
         config = self.config
         udp = config.protocol == "udp"
-        if udp:
-            self.flows = UdpFlowBatch(config.n_clients, driver=self)
-        else:
-            batch_cls = FLOW_BATCHES[config.protocol]
-            kwargs = {}
-            if batch_cls is VegasFlowBatch:
-                kwargs["vegas_params"] = VegasParams(
-                    alpha=config.vegas_alpha,
-                    beta=config.vegas_beta,
-                    gamma=config.vegas_gamma,
-                )
-            self.flows = batch_cls(
-                config.n_clients,
-                self._tcp_params(),
-                driver=self,
-                trace_flows=config.trace_cwnd_flows,
-                **kwargs,
-            )
-            if self.forensics_probe is not None:
-                self.flows.forensics = self.forensics_probe
-
         # The sinks' clock: virtual when they run inline, else the
         # simulator itself (which a delayed-ACK timer schedules on).
         self._sink_clock = _SinkClock() if self._inline_sink else self.sim
-        self._server_node = _BatchServerNode(self._sink_clock, self._route_ack)
-        registry = self.registry
-        probe_flows = not udp and (
-            registry.enabled("cwnd")
-            or registry.enabled("rtt")
-            or registry.enabled("state")
-        )
+        server = _BatchNode("server", self._route_ack)
+        # No window bounds what a UDP flow has in flight, so each of
+        # its packets first asks the access queue for room.
+        transmit = self._transmit_checked if udp else self.transmit
         for index in range(config.n_clients):
-            if udp:
-                view = _UdpSenderView(self, index)
-                sink = UdpSink(
-                    self._sink_clock,
-                    self._server_node,
-                    index,
-                    self._client_names[index],
-                    self.packet_factory,
-                )
-            else:
-                view = _BatchSenderView(self, index)
-                sink = TcpSink(
-                    self._sink_clock,
-                    self._server_node,
-                    index,
-                    self._client_names[index],
-                    self.packet_factory,
-                    delayed_ack=(config.protocol == "reno_delack"),
-                    ack_delay=config.ack_delay,
-                    sack=False,
-                )
-            if probe_flows:
-                self.flow_probes[index] = self.flows.attach_probe(
-                    index, FlowProbe(registry, index)
-                )
+            client = _BatchNode(f"client-{index}", partial(transmit, index))
+            sender, sink = self._add_flow(index, client, server, self._sink_clock)
+            if not udp:
+                sender.rtx_timer = _RtxSlot(self, index)
             if self._lazy_arrivals:
                 # Arm the first Poisson arrival (the flow starts with
                 # an empty send buffer).
@@ -419,49 +371,30 @@ class BatchScenario(Scenario):
                 self.sim.schedule_at(
                     self._peek_arrival(index), self._udp_tick, index
                 )
-                self.sources.append(view)
+                self.sources.append(_TickTally())
             else:
-                app = self._make_workload(index, view, sink)
-                if self.offered_recorder is not None:
-                    self.offered_recorder.attach(app)
-                app.start(at=0.0, stop_at=config.duration)
-                self.apps.append(app)
-            self.senders.append(view)
-            self.sinks.append(sink)
+                self._start_workload(index, sender, sink)
         if self._lazy_arrivals and config.n_clients:
-            self.flows.next_arrival[:] = self._armed_at
             self._aim_arrival_horizon(float(self._armed_at.min()))
 
     # ------------------------------------------------------------------
-    # FlowBatch driver interface
+    # The fused hops and the timer cohort, as the facades call them
     # ------------------------------------------------------------------
-    def mint_data(self, i: int, seqno: int, now: float, is_retransmit: bool):
-        return self.packet_factory.data(
-            flow_id=i,
-            src=self._client_names[i],
-            dst="server",
-            size=self.config.packet_size,
-            seqno=seqno,
-            now=now,
-            is_retransmit=is_retransmit,
-        )
-
-    def access_room(self, i: int, n_packets: int, now: float) -> None:
-        """Refuse a burst the object engine's access queue would start
-        dropping from (asked by UDP flows; TCP's window, capped by the
-        envelope, makes the check static)."""
-        queued = self._busy_fwd[i] - now
-        if queued < 0.0:
-            queued = 0.0
-        if queued + n_packets * self._access_tx > self._access_backlog_cap:
+    def _transmit_checked(self, i: int, packet: Packet) -> None:
+        """:meth:`transmit`, after refusing a packet the object engine's
+        access queue might drop (asked by UDP flows; TCP's window,
+        capped by the envelope, makes the check static)."""
+        queued = self._busy_fwd[i] - self.sim.now
+        if queued + self._access_tx > self._access_backlog_cap:
             raise BatchGuardError(
-                f"flow {i} hands the access link {n_packets} packets at "
-                f"t={now!r} on top of {queued:.6g}s already queued: "
+                f"flow {i} hands the access link a packet at "
+                f"t={self.sim.now!r} on top of {queued:.6g}s already queued: "
                 "the access queue would overflow, and the batch engine's "
                 "access-hop fusion has no drops"
             )
+        self.transmit(i, packet)
 
-    def transmit(self, i: int, packet: Packet, now: float) -> None:
+    def transmit(self, i: int, packet: Packet) -> None:
         """Client access hop, fused: the exact Interface arithmetic.
 
         Also builds the packet's *history*, which orders it against
@@ -480,6 +413,7 @@ class BatchScenario(Scenario):
         simultaneous arrivals, the one whose history sorts lower was
         pushed first at the first level where they differ.
         """
+        now = self.sim.now
         busy = self._busy_fwd[i]
         waits = busy > now
         if busy == now:
@@ -518,11 +452,15 @@ class BatchScenario(Scenario):
             at, self._gw_arrival, packet, priority=self._prio_arrival
         )
 
-    def timer_arm(self, i: int, deadline: float) -> None:
-        self.flows.rtx_deadline[i] = deadline
+    def timer_arm(self, i: int, delay: float) -> None:
+        """(Re)start flow ``i``'s retransmit timer (its ``_RtxSlot``):
+        ``Timer.start``'s ``now + delay``, into the cohort."""
+        now = self.sim.now
+        deadline = now + delay
+        self._rtx_deadline[i] = deadline
         self._arm_seq[i] = self._arm_counter
         self._arm_counter += 1
-        self._arm_time[i] = self.sim.now
+        self._arm_time[i] = now
         if self._horizon_event is None or deadline < self._horizon_time:
             if self._horizon_event is not None:
                 self._horizon_event.cancel()
@@ -602,11 +540,14 @@ class BatchScenario(Scenario):
     def _server_arrival(self, packet: Packet) -> None:
         self.sinks[packet.flow_id].receive(packet)
 
-    def _route_ack(self, ack: Packet, now: float) -> None:
+    def _route_ack(self, ack: Packet) -> None:
         """Reverse path, fused: the two reverse output ports (server to
         gateway, shared; gateway to client) are FIFO links that never
         overflow, so each is the busy-time arithmetic of ``transmit``
-        -- queueing included -- and the four hops are additions."""
+        -- queueing included -- and the four hops are additions.  An
+        ACK a sink emits, from a delivery or from its delayed-ACK
+        timer, enters at the sinks' clock."""
+        now = self._sink_clock.now
         busy = self._busy_rev_server
         finish = (busy if busy > now else now) + ack.size * 8.0 / self._bn_rate
         self._busy_rev_server = finish
@@ -628,15 +569,15 @@ class BatchScenario(Scenario):
         # The object engine pushes the client's delivery as the ACK
         # finishes serializing at the gateway.
         self._trigger_pushed = left_gateway
-        self.flows.on_ack(i, ack.ackno, now)
+        self.senders[i].receive(ack)
+        self._trigger_pushed = None
         self._rearm_arrival(i)
 
     def _timer_fire(self) -> None:
         now = self.sim.now
         self._horizon_event = None
         self._horizon_time = _INF
-        flows = self.flows
-        deadlines = flows.rtx_deadline
+        deadlines = self._rtx_deadline
         # Fire same-deadline flows in arming order, matching the seq
         # order of the object engine's per-flow timer events.
         due = sorted(
@@ -647,7 +588,8 @@ class BatchScenario(Scenario):
             deadlines[i] = _INF
             self._catch_up(i, now)
             self._trigger_pushed = self._arm_time[i]
-            flows.on_timeout(i, now)
+            self.senders[i]._timeout()
+            self._trigger_pushed = None
             self._rearm_arrival(i)
         # Re-aim at the earliest remaining deadline (timer_arm calls in
         # the loop may already have armed a nearer horizon).
@@ -694,17 +636,17 @@ class BatchScenario(Scenario):
         # TrafficSource._tick's emit, then the push of the next tick.
         now = self.sim.now
         self._arr_pos[i] += 1
-        self.flows.generated[i] += 1
+        self.sources[i].generated += 1
         self._emit_arrival(i, now)
         self.sim.schedule_at(self._peek_arrival(i), self._udp_tick, i)
 
     def _emit_arrival(self, i: int, at: float) -> None:
         # Mirrors TrafficSource._emit: recorder hook, then app_arrival.
+        # ``at`` is now: a tick's own event, or a replay on an empty
+        # send buffer, which is armed and so served when due.
         if self.offered_recorder is not None:
             self.offered_recorder.on_generate(at, 1)
-        # A Poisson tick: pushed a random gap ago (see transmit).
-        self._trigger_pushed = None
-        self.flows.app_arrival(i, 1, at)
+        self.senders[i].app_arrival(1)
 
     def _catch_up(self, i: int, now: float) -> None:
         """Replay this flow's pending Poisson arrivals up to ``now``.
@@ -724,7 +666,7 @@ class BatchScenario(Scenario):
             return
         buf = self._arr_buf[i]
         pos = self._arr_pos[i]
-        flows = self.flows
+        sender = self.senders[i]
         bulk = None
         while True:
             if pos >= len(buf):
@@ -740,7 +682,7 @@ class BatchScenario(Scenario):
             # the replay (emissions only deepen the backlog), so every
             # remaining pending arrival is bulk bookkeeping: take them
             # a sorted-chunk slice at a time.
-            if bulk is None and flows.backlog(i) == 0:
+            if bulk is None and sender.send_buffer_backlog == 0:
                 pos += 1
                 self._emit_arrival(i, at)
                 continue
@@ -749,11 +691,10 @@ class BatchScenario(Scenario):
             bulk = seg if bulk is None else bulk + seg
             pos = cut
         self._arr_pos[i] = pos
-        flows.next_arrival[i] = at
         if bulk is not None:
             if self.offered_recorder is not None:
                 self.offered_recorder.on_generate_many(bulk)
-            flows.app_arrival_bulk(i, bulk)
+            sender.app_arrival_bulk(bulk)
 
     def _aim_arrival_horizon(self, at: float) -> None:
         if at >= _INF or (
@@ -775,7 +716,6 @@ class BatchScenario(Scenario):
         self._arr_horizon_event = None
         self._arr_horizon_time = _INF
         armed = self._armed_at
-        flows = self.flows
         due = (armed <= now).nonzero()[0]
         for index in due:
             i = int(index)
@@ -783,21 +723,18 @@ class BatchScenario(Scenario):
             self._catch_up(i, now)
             # Inline re-arm without aiming: one aim at the cohort
             # minimum below replaces a cancel/push pair per flow.
-            if flows.backlog(i) == 0:
-                at = self._peek_arrival(i)
-                flows.next_arrival[i] = at
-                armed[i] = at
+            if self.senders[i].send_buffer_backlog == 0:
+                armed[i] = self._peek_arrival(i)
         self._aim_arrival_horizon(float(armed.min()))
 
     def _rearm_arrival(self, i: int) -> None:
         if (
             not self._lazy_arrivals
             or self._armed_at[i] < _INF
-            or self.flows.backlog(i) != 0
+            or self.senders[i].send_buffer_backlog != 0
         ):
             return
         at = self._peek_arrival(i)
-        self.flows.next_arrival[i] = at
         self._armed_at[i] = at
         self._aim_arrival_horizon(at)
 

@@ -1,19 +1,17 @@
-"""Pure TCP state-transition arithmetic shared by both engines.
+"""Pure TCP state-transition arithmetic: the sixteen rules, as a list.
 
 Every window, RTT-estimator and retransmit-timer expression that the
-per-flow object senders (:mod:`repro.transport.tcp_base`,
-:mod:`repro.transport.reno`, :mod:`repro.transport.vegas`) evaluate is
-defined here *once* as a pure function of scalars, and both the object
-engine and the batch engine (:mod:`repro.engine.batch`) call these same
-functions.  Identical expressions evaluated in identical order on
-identical IEEE-754 doubles produce bit-identical results, so the
-differential harness can assert exact metric equality rather than a
-tolerance.
+senders (:mod:`repro.transport.tcp_base`, :mod:`repro.transport.reno`,
+:mod:`repro.transport.vegas`) evaluate is defined here *once* as a pure
+function of scalars.  The senders are the only callers -- both flow
+engines run those same sender classes -- so this module is not what
+keeps two implementations alike; it is the flat surface on which the
+rules can be read, property-tested and mutated one at a time.
 
-These functions are also the surface for the randomized property tests
-(``tests/test_tcp_transitions.py``): cwnd never below one packet,
-ssthresh halving never below two, additive increase monotone between
-loss events, RTO bounded by ``[min_rto, max_rto]``.
+The randomized property tests (``tests/test_tcp_transitions.py``) hold
+them to their invariants: cwnd never below one packet, ssthresh halving
+never below two, additive increase monotone between loss events, RTO
+bounded by ``[min_rto, max_rto]``.
 
 Keep these functions free of any engine state: scalars in, scalars out,
 no mutation, no clocks, no RNG.

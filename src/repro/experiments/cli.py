@@ -172,9 +172,10 @@ _CONFIG_FLAGS = {
             # The envelope in words, from the table that defines it
             # (tests/test_docs.py holds this and the README to it).
             help=(
-                "force a flow-state engine: per-flow objects (the "
-                "reference) or the struct-of-arrays batch engine with fused "
-                "transport events.  Default: batch for cells inside its "
+                "force a flow engine: the per-hop object graph (the "
+                "reference) or the batch engine, which runs the same "
+                "senders and sinks over fused transport events.  "
+                "Default: batch for cells inside its "
                 "envelope (protocols {protocols}, workloads {workloads} "
                 "with {traffic} open-loop sources, the {backends} backend, "
                 "no pacing), where results are identical, and objects for "

@@ -392,12 +392,12 @@ class ScenarioConfig:
     # variant rows with config.with_(scheduler=s).  It selects nothing.
     scheduler: str = "wheel"
 
-    # Flow-state engine.  Unset (the default), run_scenario picks per
-    # cell: "batch" (struct-of-arrays FlowBatch with fused transport
+    # Flow engine.  Unset (the default), run_scenario picks per cell:
+    # "batch" (the same sender and sink objects over fused transport
     # events; see repro.engine) when batch_envelope_violation() finds
-    # nothing to object to, else "object" (one sender object per flow:
-    # the full feature set, and the differential reference).  Setting
-    # it forces one -- "object" to run the oracle, "batch" to get an
+    # nothing to object to, else "object" (every hop an event on the
+    # topology: the full feature set, and the differential reference).
+    # Setting it forces one -- "object" to run the oracle, "batch" to get an
     # error rather than a silent fallback outside the envelope.
     # Digest-excluded: batch is pinned bit-identical to object on every
     # cell it accepts (tests/test_batch_differential.py), so the choice
@@ -640,7 +640,7 @@ class ScenarioConfig:
     def batch_envelope_violation(self) -> Optional[str]:
         """Why the batch engine cannot pin this cell, or None if it can.
 
-        The struct-of-arrays engine fuses the access hop and the reverse
+        The batch engine fuses the access hop and the reverse
         ACK path into closed-form arithmetic; those fusions are only
         bit-identical to the object engine inside the envelope that
         ``BATCH_ENVELOPE`` and ``_BATCH_ENVELOPE_ROWS`` spell out

@@ -58,7 +58,7 @@ from repro.transport.reno import RenoSender
 from repro.transport.sack import SackSender
 from repro.transport.sink import TcpSink, UdpSink
 from repro.transport.tahoe import TahoeSender
-from repro.transport.tcp_base import TcpParams, TcpSenderStats
+from repro.transport.tcp_base import TcpParams, TcpSender
 from repro.transport.udp import UdpSender
 from repro.transport.vegas import VegasParams, VegasSender
 
@@ -322,61 +322,8 @@ class Scenario:
     def _build_flows(self) -> None:
         config = self.config
         network = self.network
-        factory = network.packet_factory
         for index, client in enumerate(network.clients):
-            trace = index in config.trace_cwnd_flows
-            if config.protocol == "udp":
-                sender: Agent = UdpSender(
-                    self.sim,
-                    client,
-                    index,
-                    network.SERVER,
-                    factory,
-                    packet_size=config.packet_size,
-                )
-                sink: Agent = UdpSink(
-                    self.sim, network.server, index, client.name, factory
-                )
-            else:
-                sender_cls = _TCP_SENDERS[config.protocol]
-                kwargs = {}
-                if sender_cls is VegasSender:
-                    kwargs["vegas_params"] = VegasParams(
-                        alpha=config.vegas_alpha,
-                        beta=config.vegas_beta,
-                        gamma=config.vegas_gamma,
-                    )
-                sender = sender_cls(
-                    self.sim,
-                    client,
-                    index,
-                    network.SERVER,
-                    factory,
-                    params=self._tcp_params(),
-                    trace_cwnd=trace,
-                    **kwargs,
-                )
-                sink = TcpSink(
-                    self.sim,
-                    network.server,
-                    index,
-                    client.name,
-                    factory,
-                    delayed_ack=(config.protocol == "reno_delack"),
-                    ack_delay=config.ack_delay,
-                    sack=(config.protocol == "sack"),
-                )
-                registry = self.registry
-                if (
-                    registry.enabled("cwnd")
-                    or registry.enabled("rtt")
-                    or registry.enabled("state")
-                ):
-                    self.flow_probes[index] = sender.attach_probe(
-                        FlowProbe(registry, index)
-                    )
-                if self.forensics_probe is not None:
-                    sender.forensics = self.forensics_probe
+            sender, sink = self._add_flow(index, client, network.server, self.sim)
             if config.workload == "open":
                 source = self._make_source(index, sender)
                 if self.offered_recorder is not None:
@@ -384,13 +331,77 @@ class Scenario:
                 source.start(at=0.0, stop_at=config.duration)
                 self.sources.append(source)
             else:
-                app = self._make_workload(index, sender, sink)
-                if self.offered_recorder is not None:
-                    self.offered_recorder.attach(app)
-                app.start(at=0.0, stop_at=config.duration)
-                self.apps.append(app)
-            self.senders.append(sender)
-            self.sinks.append(sink)
+                self._start_workload(index, sender, sink)
+
+    def _add_flow(self, index: int, client, server, sink_sim) -> Tuple[Agent, Agent]:
+        """Build flow ``index``'s sender on ``client`` and its sink on
+        ``server``, probes attached: the one place a protocol name
+        becomes transport objects.  Both engines call it -- the object
+        engine with the topology's nodes, the batch engine with its node
+        facades (a node is a ``name``, ``bind_flow`` and ``send`` to an
+        agent) and, as ``sink_sim``, the clock its sinks run under."""
+        config = self.config
+        factory = self.network.packet_factory
+        if config.protocol == "udp":
+            sender: Agent = UdpSender(
+                self.sim,
+                client,
+                index,
+                server.name,
+                factory,
+                packet_size=config.packet_size,
+            )
+            sink: Agent = UdpSink(sink_sim, server, index, client.name, factory)
+        else:
+            sender_cls = _TCP_SENDERS[config.protocol]
+            kwargs = {}
+            if sender_cls is VegasSender:
+                kwargs["vegas_params"] = VegasParams(
+                    alpha=config.vegas_alpha,
+                    beta=config.vegas_beta,
+                    gamma=config.vegas_gamma,
+                )
+            sender = sender_cls(
+                self.sim,
+                client,
+                index,
+                server.name,
+                factory,
+                params=self._tcp_params(),
+                trace_cwnd=index in config.trace_cwnd_flows,
+                **kwargs,
+            )
+            sink = TcpSink(
+                sink_sim,
+                server,
+                index,
+                client.name,
+                factory,
+                delayed_ack=(config.protocol == "reno_delack"),
+                ack_delay=config.ack_delay,
+                sack=(config.protocol == "sack"),
+            )
+            registry = self.registry
+            if (
+                registry.enabled("cwnd")
+                or registry.enabled("rtt")
+                or registry.enabled("state")
+            ):
+                self.flow_probes[index] = sender.attach_probe(
+                    FlowProbe(registry, index)
+                )
+            if self.forensics_probe is not None:
+                sender.forensics = self.forensics_probe
+        self.senders.append(sender)
+        self.sinks.append(sink)
+        return sender, sink
+
+    def _start_workload(self, index: int, sender: Agent, sink: Agent) -> None:
+        app = self._make_workload(index, sender, sink)
+        if self.offered_recorder is not None:
+            self.offered_recorder.attach(app)
+        app.start(at=0.0, stop_at=self.config.duration)
+        self.apps.append(app)
 
     def _make_source(self, index: int, sender: Agent) -> TrafficSource:
         config = self.config
@@ -575,9 +586,7 @@ class Scenario:
         for index, (sender, sink) in enumerate(zip(self.senders, self.sinks)):
             delivered = sink.stats.unique_packets
             delivered_total += delivered
-            # Duck-typed so the batch engine's per-flow views (which
-            # expose the same TcpSenderStats) summarize identically.
-            if isinstance(getattr(sender, "stats", None), TcpSenderStats):
+            if isinstance(sender, TcpSender):
                 stats = sender.stats
                 timeouts += stats.timeouts
                 fast_retransmits += stats.fast_retransmits
@@ -607,7 +616,7 @@ class Scenario:
                     FlowSummary(
                         flow_id=index,
                         app_packets=generators[index].generated,
-                        packets_sent=getattr(sender, "packets_sent", 0),
+                        packets_sent=sender.packets_sent,
                         retransmits=0,
                         delivered_unique=delivered,
                         timeouts=0,

@@ -1,8 +1,9 @@
 """Differential harness: the batch engine against the object engine.
 
-The batch engine (``engine="batch"``, see ``repro.engine``) re-implements
-the scenario hot path as struct-of-arrays state plus fused transport
-events.  Its correctness claim is not "close" but *bit-identical*: on
+The batch engine (``engine="batch"``, see ``repro.engine``) runs the
+object engine's senders and sinks over fused transport events instead
+of the per-hop topology.  Its correctness claim is not "close" but
+*bit-identical*: on
 every supported cell it must produce the same :class:`ScenarioMetrics`,
 the same per-flow observability series, the same registry counters and
 the same forensics report as the per-flow object engine.

@@ -5,7 +5,11 @@ cover what they promise, and stay consistent with the code (e.g. the
 Table-1 values quoted in DESIGN.md match the config defaults).
 """
 
+import ast
+import importlib
+import inspect
 import pathlib
+import re
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,7 +42,7 @@ class TestReadme:
         from repro.experiments.config import BATCH_ENVELOPE
         from tests.helpers import subcommand_parsers
 
-        section = read("README.md").split("## Vectorized flow-batch engine")[1]
+        section = read("README.md").split("## Batch flow engine")[1]
         section = " ".join(section.split("\n## ")[0].split())
         engine_help = next(
             action.help
@@ -126,3 +130,60 @@ class TestBenchmarkCoverage:
             if not module.__doc__:
                 missing.append(module_info.name)
         assert missing == []
+
+
+class TestNamedThingsExist:
+    """Every ``repro.x.y`` dotted path and every backticked
+    ``pkg/file.py`` path that README.md, DESIGN.md or a module docstring
+    under ``src/`` names resolves to something that exists, so a module
+    deleted in code cannot live on in prose."""
+
+    DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+    FILE = re.compile(r"`([\w.-]+(?:/[\w.-]+)+\.py)(?:::[\w.]+)?`")
+
+    @staticmethod
+    def _prose():
+        for name in ("README.md", "DESIGN.md"):
+            yield name, read(name)
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            docstring = ast.get_docstring(ast.parse(path.read_text()))
+            if docstring:
+                yield str(path.relative_to(ROOT)), docstring
+
+    @staticmethod
+    def _resolves(dotted):
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                found = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            for attribute in parts[cut:]:
+                if hasattr(found, attribute):
+                    found = getattr(found, attribute)
+                else:
+                    # An instance attribute is only visible as an
+                    # assignment in the class's source.
+                    return inspect.isclass(found) and (
+                        f"self.{attribute} =" in inspect.getsource(found)
+                    )
+            return True
+        return False
+
+    def test_dotted_paths_and_file_paths_resolve(self):
+        dangling = []
+        for where, text in self._prose():
+            dangling += [
+                (where, dotted)
+                for dotted in sorted(set(self.DOTTED.findall(text)))
+                if not self._resolves(dotted)
+            ]
+            dangling += [
+                (where, path)
+                for path in sorted(set(self.FILE.findall(text)))
+                if not any(
+                    (base / path).exists()
+                    for base in (ROOT, ROOT / "src", ROOT / "src" / "repro")
+                )
+            ]
+        assert dangling == []

@@ -1,10 +1,9 @@
 """Property tests on the pure TCP transition functions.
 
 :mod:`repro.engine.transitions` is the single source of truth for the
-window, RTT-estimator and retransmit-timer arithmetic of *both* flow
-engines: the per-flow object senders and the struct-of-arrays batch
-engine call these same functions (that sharing is what lets
-``tests/test_batch_differential.py`` assert bit-identical metrics).
+window, RTT-estimator and retransmit-timer arithmetic: the senders
+under ``repro.transport``, which both flow engines run, call these
+functions and nothing else computes a window or a timeout.
 These tests pin the functions' invariants directly, with no engine
 running, so a future edit that breaks an invariant fails here first --
 in milliseconds, with a minimal counterexample.
