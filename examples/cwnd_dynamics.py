@@ -13,41 +13,16 @@ Run:  python examples/cwnd_dynamics.py          (~30 s)
 import numpy as np
 
 from repro.analysis.asciiplot import ascii_step_plot
-from repro.analysis.timeseries import sample_step_series, uniform_grid
+from repro.analysis.timeseries import (
+    all_decrease_events,
+    sample_step_series,
+    synchronization_fraction,
+    uniform_grid,
+)
 from repro.experiments.config import paper_config
 from repro.experiments.figures import cwnd_trace_experiment
 
 DURATION = 40.0
-
-
-def decrease_times(trace):
-    """Times at which the congestion window shrank."""
-    times = []
-    previous = None
-    for t, value in trace:
-        if previous is not None and value < previous:
-            times.append(t)
-        previous = value
-    return times
-
-
-def synchronization_score(traces, window=1.0, duration=DURATION):
-    """Fraction of window-decrease events shared by 2+ flows within
-    ``window`` seconds -- a direct measure of the coupling the paper
-    blames for aggregate burstiness."""
-    all_events = [decrease_times(trace) for trace in traces.values()]
-    flat = [(t, flow) for flow, events in enumerate(all_events) for t in events]
-    if not flat:
-        return 0.0, 0
-    flat.sort()
-    shared = 0
-    for t, flow in flat:
-        if any(
-            abs(t - other_t) <= window and other_flow != flow
-            for other_t, other_flow in flat
-        ):
-            shared += 1
-    return shared / len(flat), len(flat)
 
 
 def show(protocol: str, n_clients: int) -> None:
@@ -69,7 +44,11 @@ def show(protocol: str, n_clients: int) -> None:
             )
         )
         print()
-    score, events = synchronization_score(result.cwnd_traces)
+    # Loss synchronization (Section 3.2): the fraction of window
+    # decreases that another traced flow shares within one second --
+    # the coupling the paper blames for aggregate burstiness.
+    score = synchronization_fraction(result.cwnd_traces)
+    events = len(all_decrease_events(result.cwnd_traces))
     grid = uniform_grid(0.0, DURATION, 0.5)
     mean_windows = [
         float(np.mean(sample_step_series(tr, grid, initial=1.0)))

@@ -3,13 +3,15 @@
 Congestion-window logs are *step series*: (time, value) pairs recorded
 on change, with the value holding until the next record.  These helpers
 resample such series onto uniform grids (how Figures 5-12 are drawn)
-and compute time-weighted means.
+and compute time-weighted means, and read the congestion-control
+activity off a window trace: when it shrank, and how often another
+flow's window shrank at about the same time.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -69,3 +71,42 @@ def step_mean(
         last_time = time
     integral += value * (t_end - last_time)
     return integral / (t_end - t_start)
+
+
+def decrease_events(log: Sequence[Tuple[float, float]]) -> List[float]:
+    """Times at which a step series (a congestion window) shrank."""
+    times: List[float] = []
+    previous = None
+    for t, value in log:
+        if previous is not None and value < previous:
+            times.append(t)
+        previous = value
+    return times
+
+
+def all_decrease_events(
+    logs: Mapping[int, Sequence[Tuple[float, float]]]
+) -> List[Tuple[float, int]]:
+    """(time, flow) of every decrease across the traced flows, sorted."""
+    return sorted(
+        (t, flow) for flow, log in logs.items() for t in decrease_events(log)
+    )
+
+
+def synchronization_fraction(
+    logs: Mapping[int, Sequence[Tuple[float, float]]], window: float = 1.0
+) -> float:
+    """Fraction of decrease events with a decrease of *another* flow
+    within ``window`` seconds -- loss synchronization, quantified
+    (0 when nothing decreased)."""
+    events = all_decrease_events(logs)
+    if not events:
+        return 0.0
+    times = [t for t, _flow in events]
+    shared = 0
+    for t, flow in events:
+        lo = bisect.bisect_left(times, t - window)
+        hi = bisect.bisect_right(times, t + window)
+        if any(other != flow for _t, other in events[lo:hi]):
+            shared += 1
+    return shared / len(events)

@@ -35,18 +35,12 @@ from repro.experiments.sweep import run_many
 from repro.experiments.figures import (
     FIGURE2_PROTOCOLS,
     FORENSICS_PROTOCOLS,
-    WORKLOAD_PROTOCOLS,
     FigureData,
     cwnd_trace_experiment,
     figure2_cov,
-    figure3_throughput,
-    figure4_loss,
-    figure13_timeout_ratio,
     figure_forensics_sweep,
-    figure_workload_latency,
     run_forensics_sweep,
     run_protocol_sweep,
-    run_workload_sweep,
 )
 
 __all__ = [
@@ -57,7 +51,6 @@ __all__ = [
     "Progress",
     "QUEUES",
     "WORKLOADS",
-    "WORKLOAD_PROTOCOLS",
     "ResultCache",
     "RunLog",
     "Scenario",
@@ -68,15 +61,10 @@ __all__ = [
     "read_runlog",
     "cwnd_trace_experiment",
     "figure2_cov",
-    "figure3_throughput",
-    "figure4_loss",
-    "figure13_timeout_ratio",
     "figure_forensics_sweep",
-    "figure_workload_latency",
     "paper_config",
     "run_forensics_sweep",
     "run_many",
     "run_protocol_sweep",
     "run_scenario",
-    "run_workload_sweep",
 ]

@@ -7,6 +7,7 @@ Subcommands regenerate each paper artifact from the terminal::
     repro-tcp fig2 --clients 4:60:8 --duration 50
     repro-tcp fig3 / fig4 / fig13
     repro-tcp cwnd --protocol vegas --clients 30
+    repro-tcp claims --duration 200 --replicas 5   # EXPERIMENTS.md's tables
 
 The sweep subcommands (``fig2`` ... ``fig13``, ``all``, ``largen``,
 ``fluid``, ``hybrid``, ``forensics --sweep``) are the rows of
@@ -713,6 +714,39 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_claims(args: argparse.Namespace) -> int:
+    """Evaluate the claims table and print EXPERIMENTS.md's verdict
+    tables; non-zero when a row fails that is not a known deviation."""
+    from repro.experiments.claims import CLAIMS, evaluate_claims, render_claims
+
+    base = _base_config(args)
+    seeds = tuple(base.seed + i for i in range(args.replicas))
+    verdicts = evaluate_claims(
+        CLAIMS.values(), base, seeds, processes=args.processes, **_runner_kwargs(args)
+    )
+    print(
+        f"Evaluated at {base.duration:g} simulated seconds per cell under "
+        f"seeds {', '.join(map(str, seeds))}.\n"
+    )
+    print(render_claims(verdicts))
+    rows = [
+        {
+            "id": v.claim.id,
+            "verdict": v.verdict,
+            "gap": v.gap,
+            "spread": v.spread,
+            "left": list(v.left),
+            "right": list(v.right),
+        }
+        for v in verdicts.values()
+    ]
+    _write_json({row["id"]: row for row in rows}, args.json)
+    _write_csv(rows, args.csv)
+    return int(
+        any(v.verdict == "fails" and not v.claim.deviation for v in verdicts.values())
+    )
+
+
 def _cmd_dependence(args: argparse.Namespace) -> int:
     config = _scenario_config(args, record_flow_arrivals=True)
     result = run_scenario(config)
@@ -846,6 +880,15 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser = sub.choices["all"]
     all_parser.set_defaults(func=_cmd_all)
     all_parser.add_argument("--outdir", default="results")
+
+    claims_parser = sub.add_parser(
+        "claims",
+        help="evaluate every paper claim (the CLAIMS table) under several "
+        "seeds and print EXPERIMENTS.md's verdict tables",
+    )
+    claims_parser.set_defaults(func=_cmd_claims)
+    _add_common(claims_parser)
+    claims_parser.add_argument("--replicas", type=int, default=5)
 
     sweeplog_parser = sub.add_parser(
         "sweeplog",

@@ -569,6 +569,24 @@ class ScenarioConfig:
             raise ValueError("warmup must lie inside [0, duration)")
         if self.mean_gap <= 0 or self.packet_size <= 0:
             raise ValueError("workload parameters must be positive")
+        for name in ("client_rate_bps", "bottleneck_rate_bps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive; got {getattr(self, name)!r}"
+                )
+        for name in ("client_delay", "bottleneck_delay"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} cannot be negative; got {getattr(self, name)!r}"
+                )
+        if self.effective_bin_width <= 0:
+            raise ValueError(
+                f"bin_width must be positive; got {self.bin_width!r}"
+                if self.bin_width is not None
+                else "client_delay and bottleneck_delay cannot both be 0 "
+                "without a bin_width: the c.o.v. bin defaults to the "
+                "round-trip propagation delay"
+            )
         if self.traffic not in ("poisson", "cbr", "pareto_onoff"):
             raise ValueError(f"unknown traffic model {self.traffic!r}")
         if self.workload not in WORKLOADS:

@@ -17,9 +17,10 @@ figure or sweep from another is a row:
 
 A new y-column is a ``FIGURES`` row named in the ``figures`` of the
 sweeps that should print it; a new sweep is a ``SWEEPS`` row, which the
-CLI turns into a subcommand with no further code.  The ``figure*`` /
-``run_*_sweep`` names below the tables are bindings to rows, kept for
-the benchmarks and tests that import them.
+CLI turns into a subcommand with no further code.  The ``figure2_cov``
+and ``*_forensics_sweep`` names below the tables are bindings to rows,
+kept for the performance ledger, the examples and the tests that import
+them.
 
 What is genuinely unique stays a function: the congestion-window
 traces of Figures 5-12 from single traced runs
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -77,10 +77,6 @@ def _panel(*keys: str) -> Dict[str, Tuple[str, str]]:
 # The paper's Reno/Vegas headliners under both gateway disciplines: the
 # forensics grid, and the grid the fluid and hybrid backends model.
 FORENSICS_PROTOCOLS = _panel("reno", "reno_red", "vegas", "vegas_red")
-
-# The application-workload comparison (benchmarks/bench_app_workloads.py):
-# the headliners plus the uncontrolled UDP baseline.
-WORKLOAD_PROTOCOLS = _panel("udp", *FORENSICS_PROTOCOLS)
 
 
 @dataclass
@@ -362,26 +358,14 @@ FIGURES: Dict[str, FigureSpec] = {
     # loss-synchronization event.
     "forensics_burst_rate": forensics_figure("forensic_burst_rate"),
     "forensics_sync_linked": forensics_figure("forensic_sync_linked_fraction"),
-    # Each closed-loop workload's natural completion-time metric.
-    "workload_rpc": FigureSpec(
-        "Workload rpc",
-        "Application-level latency under the rpc workload",
-        "p99 request latency (s)",
-        "app_latency_p99",
-    ),
-    "workload_bsp": FigureSpec(
-        "Workload bsp",
-        "Application-level latency under the bsp workload",
-        "mean barrier stall (s)",
-        "app_barrier_stall_mean",
-    ),
-    "workload_bulk": FigureSpec(
-        "Workload bulk",
-        "Application-level latency under the bulk workload",
-        "mean job completion time (s)",
-        "app_job_time_mean",
-    ),
 }
+
+
+def default_traced_flows(n_clients: int) -> Tuple[int, ...]:
+    """The flows Figures 5-12 trace by default: the paper follows three
+    spread-out client streams per snapshot (e.g. clients 1, 10 and 20
+    of 20); we take the first, the middle and the last."""
+    return tuple(sorted({0, n_clients // 2, n_clients - 1}))
 
 
 def cwnd_trace_experiment(
@@ -392,15 +376,11 @@ def cwnd_trace_experiment(
     queue: str = "fifo",
     duration: Optional[float] = None,
 ) -> ScenarioResult:
-    """One run with congestion-window tracing (Figures 5-12).
-
-    The paper traces three spread-out client streams per snapshot
-    (e.g. clients 1, 10 and 20 of 20); by default we trace the first,
-    middle and last flow.
-    """
+    """One run with congestion-window tracing (Figures 5-12), of
+    ``flows`` or else :func:`default_traced_flows`."""
     base = base or paper_config()
     if flows is None:
-        flows = sorted({0, n_clients // 2, n_clients - 1})
+        flows = default_traced_flows(n_clients)
     config = base.with_(
         protocol=protocol,
         queue=queue,
@@ -582,19 +562,13 @@ def run_spec(
 
 
 # ----------------------------------------------------------------------
-# Bindings: the names benchmarks and tests import, each one row.
+# Bindings: the names the ledger, examples and tests import, each one row.
 # ----------------------------------------------------------------------
 def figure2_cov(
     sweep: SweepData, base: Optional[ScenarioConfig] = None
 ) -> FigureData:
     """Figure 2: c.o.v. of the aggregated traffic vs number of clients."""
     return build_figure(_FIGURE2, sweep, base)
-
-
-#: Figures 3, 4 and 13: ``figure(sweep, min_clients=30)``.
-figure3_throughput = partial(build_figure, FIGURES["fig03_throughput"])
-figure4_loss = partial(build_figure, FIGURES["fig04_loss"])
-figure13_timeout_ratio = partial(build_figure, FIGURES["fig13_timeout_ratio"])
 
 
 def run_forensics_sweep(
@@ -623,21 +597,3 @@ def figure_forensics_sweep(
 ) -> FigureData:
     """Burstiness forensics vs N, one series per protocol x AQM."""
     return build_figure(forensics_figure(attribute), sweep)
-
-
-def figure_workload_latency(sweep: SweepData, workload: str = "rpc") -> FigureData:
-    """Job-level latency vs client count for a closed-loop sweep."""
-    return build_figure(FIGURES[f"workload_{workload}"], sweep)
-
-
-def run_workload_sweep(
-    client_counts: Sequence[int],
-    workload: str,
-    base: Optional[ScenarioConfig] = None,
-    protocols: Mapping[str, Tuple[str, str]] = WORKLOAD_PROTOCOLS,
-    **runner_kwargs,
-) -> SweepData:
-    """The grid under a closed-loop ``workload`` ("rpc", "bsp" or
-    "bulk"): every cell's metrics carry the job-level ``app_*`` fields."""
-    base = (base or paper_config()).with_(workload=workload)
-    return run_protocol_sweep(client_counts, base, protocols, **runner_kwargs)

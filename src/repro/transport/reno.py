@@ -12,7 +12,7 @@ paper ties to Reno's induced burstiness (Section 3.4).
 
 from __future__ import annotations
 
-from repro.engine import transitions
+from repro.transport import transitions
 from repro.transport.tcp_base import TcpSender
 
 

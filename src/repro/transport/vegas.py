@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.engine import transitions
+from repro.transport import transitions
 from repro.transport.tcp_base import TcpSender
 
 

@@ -15,8 +15,11 @@ from repro.analysis.stats import (
 )
 from repro.analysis.tables import format_table
 from repro.analysis.timeseries import (
+    all_decrease_events,
+    decrease_events,
     sample_step_series,
     step_mean,
+    synchronization_fraction,
     uniform_grid,
 )
 
@@ -99,6 +102,27 @@ class TestTimeseries:
     def test_step_mean_invalid_window(self):
         with pytest.raises(ValueError):
             step_mean(self.LOG, 2.0, 2.0)
+
+    # Two sawtooths that collapse together at t=5, one that collapses
+    # alone at t=9, and a window that only ever grows.
+    WINDOWS = {
+        0: [(0.0, 1.0), (2.0, 8.0), (5.0, 4.0), (7.0, 6.0)],
+        1: [(0.0, 1.0), (3.0, 9.0), (5.5, 1.0), (9.0, 0.5)],
+        2: [(0.0, 1.0), (4.0, 2.0), (8.0, 3.0)],
+    }
+
+    def test_decrease_events_are_the_times_a_window_shrank(self):
+        assert decrease_events(self.WINDOWS[1]) == [5.5, 9.0]
+        assert decrease_events(self.WINDOWS[2]) == []
+        assert all_decrease_events(self.WINDOWS) == [(5.0, 0), (5.5, 1), (9.0, 1)]
+
+    def test_synchronization_counts_another_flows_decrease_nearby(self):
+        # 5.0 and 5.5 share a one-second window; 9.0 has only its own
+        # flow's 5.5 within reach of a wider one.
+        assert synchronization_fraction(self.WINDOWS) == pytest.approx(2 / 3)
+        assert synchronization_fraction(self.WINDOWS, window=0.25) == 0.0
+        assert synchronization_fraction(self.WINDOWS, window=4.0) == 1.0
+        assert synchronization_fraction({0: self.WINDOWS[2]}) == 0.0
 
 
 class TestAsciiPlot:

@@ -75,6 +75,30 @@ def test_validate_rejects(overrides):
         ScenarioConfig(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        # Each used to pass validate() and die inside the cell: a bare
+        # ZeroDivisionError in the envelope's tie row, a SimulationError
+        # part-way through a batch run, "link rates must be positive" /
+        # "bin width must be positive" from whichever layer met it first.
+        (dict(bottleneck_rate_bps=0.0), "bottleneck_rate_bps"),
+        (dict(client_rate_bps=-1.0), "client_rate_bps"),
+        (dict(client_delay=-0.001), "client_delay"),
+        (dict(bottleneck_delay=-0.1), "bottleneck_delay"),
+        (dict(bin_width=0.0), "bin_width"),
+        (dict(client_delay=0.0, bottleneck_delay=0.0), "bin_width"),
+    ],
+)
+def test_validate_names_the_mistyped_numeric_field(overrides, field):
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**overrides).validate()
+
+
+def test_zero_delays_are_fine_with_an_explicit_bin():
+    ScenarioConfig(client_delay=0.0, bottleneck_delay=0.0, bin_width=0.4).validate()
+
+
 def test_all_declared_protocol_queue_combinations_validate():
     for protocol in PROTOCOLS:
         for queue in QUEUES:

@@ -80,10 +80,15 @@ class TestDesign:
         assert config.buffer_capacity == 50
         assert config.bottleneck_rate_bps == 3e6
 
-    def test_design_lists_every_bench_ablation(self):
+    def test_design_names_a_claim_of_every_ablation(self):
+        from repro.experiments.claims import CLAIMS
+
         text = read("DESIGN.md")
-        for bench in (ROOT / "benchmarks").glob("bench_ablation_*.py"):
-            assert bench.name in text, f"DESIGN.md does not mention {bench.name}"
+        ablations = {c.artefact for c in CLAIMS.values() if c.artefact.startswith("ablation/")}
+        assert len(ablations) == 7
+        for artefact in ablations:
+            ids = [c.id for c in CLAIMS.values() if c.artefact == artefact]
+            assert any(f"`{claim_id}`" in text for claim_id in ids), artefact
 
 
 class TestExperiments:
@@ -104,17 +109,46 @@ class TestExperiments:
         text = read("EXPERIMENTS.md")
         assert "Deviations" in text
 
+    #: A verdict row as ``render_claims`` prints it: id, section, claim.
+    ROW = re.compile(r"^\| `([^`]+)` \| [^|]+ \| ([^|]+) \|", re.M)
+
+    def test_verdict_tables_are_the_claims_table(self):
+        """EXPERIMENTS.md's tables are ``repro-tcp claims`` output: every
+        ``CLAIMS`` id once, in order, with its sentence -- and no table
+        row without an id."""
+        from repro.experiments.claims import CLAIMS
+
+        text = read("EXPERIMENTS.md")
+        rows = self.ROW.findall(text)
+        assert [(i, sentence.strip()) for i, sentence in rows] == [
+            (claim.id, claim.claim) for claim in CLAIMS.values()
+        ]
+        table_lines = [
+            line for line in text.splitlines()
+            if line.startswith("|") and not line.startswith(("| id |", "|---"))
+        ]
+        assert len(table_lines) == len(rows)
+        for claim in CLAIMS.values():
+            if claim.deviation:
+                assert claim.deviation in text.split("## Deviations")[1], claim.id
+
 
 class TestBenchmarkCoverage:
-    def test_a_bench_exists_for_every_paper_artifact(self):
-        names = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
-        assert "bench_table1_parameters.py" in names
-        assert "bench_fig02_cov.py" in names
-        assert "bench_fig03_throughput.py" in names
-        assert "bench_fig04_loss.py" in names
-        assert "bench_fig05_09_reno_cwnd.py" in names
-        assert "bench_fig10_12_vegas_cwnd.py" in names
-        assert "bench_fig13_timeout_ratio.py" in names
+    def test_a_claim_exists_for_every_paper_artefact(self):
+        """Table 1, every figure, the dependence check, each ablation
+        and each closed-loop workload has at least one ``CLAIMS`` row."""
+        from repro.experiments.claims import ARTEFACTS, CLAIMS
+
+        covered = {claim.artefact for claim in CLAIMS.values()}
+        assert covered == set(ARTEFACTS)
+        assert {"T1", "F2", "F3", "F4", "F5–9", "F10–12", "F13", "dependence"} <= covered
+        assert {a for a in covered if a.startswith("ablation/")} == {
+            "ablation/buffer", "ablation/vegas", "ablation/red", "ablation/recovery",
+            "ablation/pacing", "ablation/fq", "ablation/heavytail",
+        }
+        assert {a for a in covered if a.startswith("workload/")} == {
+            "workload/rpc", "workload/bsp", "workload/bulk",
+        }
 
     def test_public_modules_have_docstrings(self):
         import importlib

@@ -27,7 +27,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ENGINES
@@ -408,6 +408,10 @@ _FRONT_DOOR_CELLS = st.fixed_dictionaries(
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_FRONT_DOOR_CELLS)
+# Two numeric fields validate() used to wave through into a mid-run
+# ZeroDivisionError (batch envelope's tie row) and SimulationError.
+@example(dict(n_clients=4, duration=2.0, bottleneck_rate_bps=0.0))
+@example(dict(n_clients=4, duration=2.0, client_delay=-0.001))
 def test_every_packet_cell_is_rejected_up_front_or_runs_to_finite_metrics(cell):
     """The front door over the packet backend's own tables: a cell
     either fails ``validate()`` with a ValueError or runs to finite

@@ -5,12 +5,11 @@ import pytest
 from repro.experiments.config import paper_config
 from repro.experiments.figures import (
     FIGURE2_PROTOCOLS,
+    FIGURES,
     FigureData,
+    build_figure,
     cwnd_trace_experiment,
     figure2_cov,
-    figure3_throughput,
-    figure4_loss,
-    figure13_timeout_ratio,
     run_protocol_sweep,
 )
 
@@ -68,18 +67,18 @@ class TestFigure2:
 
 class TestFigures3_4_13:
     def test_min_clients_filter(self, sweep):
-        figure = figure3_throughput(sweep, min_clients=4)
+        figure = build_figure(FIGURES["fig03_throughput"], sweep, min_clients=4)
         for _name, (xs, _ys) in figure.series.items():
             assert all(x >= 4 for x in xs)
 
     def test_udp_excluded_from_tcp_figures(self, sweep):
-        for builder in (figure3_throughput, figure4_loss, figure13_timeout_ratio):
-            figure = builder(sweep, min_clients=0)
+        for name in ("fig03_throughput", "fig04_loss", "fig13_timeout_ratio"):
+            figure = build_figure(FIGURES[name], sweep, min_clients=0)
             assert "UDP" not in figure.series
             assert "Reno" in figure.series
 
     def test_loss_values_are_percentages(self, sweep):
-        figure = figure4_loss(sweep, min_clients=0)
+        figure = build_figure(FIGURES["fig04_loss"], sweep, min_clients=0)
         for _name, (_xs, ys) in figure.series.items():
             assert all(0.0 <= y <= 100.0 for y in ys)
 

@@ -17,7 +17,7 @@ import sys
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.engine import transitions
+from repro.transport import transitions
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 cwnds = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
