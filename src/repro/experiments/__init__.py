@@ -38,8 +38,6 @@ from repro.experiments.figures import (
     FigureData,
     cwnd_trace_experiment,
     figure2_cov,
-    figure_forensics_sweep,
-    run_forensics_sweep,
     run_protocol_sweep,
 )
 
@@ -61,9 +59,7 @@ __all__ = [
     "read_runlog",
     "cwnd_trace_experiment",
     "figure2_cov",
-    "figure_forensics_sweep",
     "paper_config",
-    "run_forensics_sweep",
     "run_many",
     "run_protocol_sweep",
     "run_scenario",

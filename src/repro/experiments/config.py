@@ -574,7 +574,7 @@ class ScenarioConfig:
                 raise ValueError(
                     f"{name} must be positive; got {getattr(self, name)!r}"
                 )
-        for name in ("client_delay", "bottleneck_delay"):
+        for name in ("client_delay", "bottleneck_delay", "ack_delay"):
             if getattr(self, name) < 0:
                 raise ValueError(
                     f"{name} cannot be negative; got {getattr(self, name)!r}"
@@ -587,6 +587,29 @@ class ScenarioConfig:
                 "without a bin_width: the c.o.v. bin defaults to the "
                 "round-trip propagation delay"
             )
+        if int((self.duration - self.warmup) / self.effective_bin_width) < 1:
+            raise ValueError(
+                f"the measurement window [warmup, duration) = [{self.warmup!r}, "
+                f"{self.duration!r}) holds no whole bin of "
+                f"{self.effective_bin_width!r} s, so there is no c.o.v. to "
+                "take; lengthen duration, lower warmup or set a smaller bin_width"
+            )
+        if self.buffer_capacity < 1:
+            raise ValueError(
+                f"buffer_capacity must be at least 1 packet; "
+                f"got {self.buffer_capacity!r}"
+            )
+        if self.queue in ("red", "ared"):
+            if not 0 <= self.red_min_th < self.red_max_th:
+                raise ValueError(
+                    f"need 0 <= red_min_th < red_max_th; got red_min_th="
+                    f"{self.red_min_th!r}, red_max_th={self.red_max_th!r}"
+                )
+            for name in ("red_max_p", "red_weight"):
+                if not 0 < getattr(self, name) <= 1:
+                    raise ValueError(
+                        f"{name} must lie in (0, 1]; got {getattr(self, name)!r}"
+                    )
         if self.traffic not in ("poisson", "cbr", "pareto_onoff"):
             raise ValueError(f"unknown traffic model {self.traffic!r}")
         if self.workload not in WORKLOADS:

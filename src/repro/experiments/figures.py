@@ -17,10 +17,9 @@ figure or sweep from another is a row:
 
 A new y-column is a ``FIGURES`` row named in the ``figures`` of the
 sweeps that should print it; a new sweep is a ``SWEEPS`` row, which the
-CLI turns into a subcommand with no further code.  The ``figure2_cov``
-and ``*_forensics_sweep`` names below the tables are bindings to rows,
-kept for the performance ledger, the examples and the tests that import
-them.
+CLI turns into a subcommand with no further code.  ``figure2_cov``
+below the tables is a binding to a row, kept for the performance
+ledger, the examples and the tests that import it.
 
 What is genuinely unique stays a function: the congestion-window
 traces of Figures 5-12 from single traced runs
@@ -437,9 +436,6 @@ def figure_burst_attribution(
     return figure
 
 
-# Forensics instruments the packet engine.
-_FORENSICS_OVERRIDES = {"backend": "packet", "forensics": True}
-
 # The paper's grid (Figures 2-4 and 13).
 _PAPER_CLIENTS = tuple(range(4, 61, 8))
 
@@ -535,7 +531,7 @@ _SWEEP_ROWS = (
         ("forensics_burst_rate", "forensics_sync_linked", "fig02_cov"),
         clients=(20, 40, 60),
         protocols=FORENSICS_PROTOCOLS,
-        overrides={"buffer_capacity": 100, **_FORENSICS_OVERRIDES},
+        overrides={"buffer_capacity": 100, "backend": "packet", "forensics": True},
         export_keys=("burst_rate", "sync_linked_fraction", "cov"),
     ),
 )
@@ -562,38 +558,10 @@ def run_spec(
 
 
 # ----------------------------------------------------------------------
-# Bindings: the names the ledger, examples and tests import, each one row.
+# Binding: the name the ledger, examples and tests import, one row.
 # ----------------------------------------------------------------------
 def figure2_cov(
     sweep: SweepData, base: Optional[ScenarioConfig] = None
 ) -> FigureData:
     """Figure 2: c.o.v. of the aggregated traffic vs number of clients."""
     return build_figure(_FIGURE2, sweep, base)
-
-
-def run_forensics_sweep(
-    client_counts: Optional[Sequence[int]] = None,
-    base: Optional[ScenarioConfig] = None,
-    protocols: Mapping[str, Tuple[str, str]] = FORENSICS_PROTOCOLS,
-    **runner_kwargs,
-) -> SweepData:
-    """The burstiness-forensics grid (protocol x AQM x client count)
-    with forensics on, so every cell carries the sweep-grade burst
-    summary (``forensic_burst_rate``, ``forensic_sync_linked_fraction``,
-    ...).  Without a ``base`` the grid and the widened buffer are the
-    ``forensics`` row's; a given ``base`` keeps its own buffer."""
-    spec = SWEEPS["forensics"]
-    base = paper_config(**spec.overrides) if base is None else base
-    return run_protocol_sweep(
-        spec.clients if client_counts is None else client_counts,
-        base.with_(**_FORENSICS_OVERRIDES),
-        protocols,
-        **runner_kwargs,
-    )
-
-
-def figure_forensics_sweep(
-    sweep: SweepData, attribute: str = "forensic_burst_rate"
-) -> FigureData:
-    """Burstiness forensics vs N, one series per protocol x AQM."""
-    return build_figure(forensics_figure(attribute), sweep)

@@ -77,23 +77,16 @@ class QueueProbe:
     """Flight recorder for one packet queue.
 
     Registers itself on the queue's enqueue/dequeue/drop hooks; records
-    an occupancy sample on every queue-length change (thinned to
-    ``sample_interval`` if given) and one row per drop, labeled with the
-    queue's :attr:`~repro.net.queues.PacketQueue.last_drop_cause`.
+    an occupancy sample on every queue-length change and one row per
+    drop, labeled with the queue's
+    :attr:`~repro.net.queues.PacketQueue.last_drop_cause`.
     """
 
-    def __init__(
-        self,
-        registry: MetricRegistry,
-        queue: PacketQueue,
-        sample_interval: float = 0.0,
-    ) -> None:
+    def __init__(self, registry: MetricRegistry, queue: PacketQueue) -> None:
         self.queue = queue
         self._registry = registry
         self.occupancy = registry.series(
-            f"queue.occupancy.{queue.name}",
-            columns=("length", "red_avg"),
-            min_interval=sample_interval,
+            f"queue.occupancy.{queue.name}", columns=("length", "red_avg")
         )
         self.drops = registry.series(
             f"drops.events.{queue.name}", columns=("flow_id", "seqno", "cause")

@@ -60,32 +60,17 @@ class Gauge:
 
 
 class TimeSeries:
-    """Sampled ``(time, *values)`` rows, optionally interval-thinned.
+    """Sampled ``(time, *values)`` rows."""
 
-    ``min_interval`` drops samples arriving closer than the interval to
-    the previously kept one (first sample always kept), which bounds
-    memory on per-packet publishers without biasing slow dynamics.
-    """
+    __slots__ = ("name", "columns", "rows")
 
-    __slots__ = ("name", "columns", "rows", "min_interval", "_last_kept")
-
-    def __init__(
-        self,
-        name: str,
-        columns: Sequence[str] = ("value",),
-        min_interval: float = 0.0,
-    ) -> None:
+    def __init__(self, name: str, columns: Sequence[str] = ("value",)) -> None:
         self.name = name
         self.columns = tuple(columns)
         self.rows: List[Tuple[float, ...]] = []
-        self.min_interval = min_interval
-        self._last_kept = -float("inf")
 
     def append(self, time: float, *values: Any) -> None:
-        """Record one sample (dropped if inside the thinning interval)."""
-        if time - self._last_kept < self.min_interval:
-            return
-        self._last_kept = time
+        """Record one sample."""
         self.rows.append((time,) + values)
 
     def __len__(self) -> int:
@@ -200,13 +185,8 @@ class MetricRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, lambda: Gauge(name))
 
-    def series(
-        self,
-        name: str,
-        columns: Sequence[str] = ("value",),
-        min_interval: float = 0.0,
-    ) -> TimeSeries:
-        return self._get(name, lambda: TimeSeries(name, columns, min_interval))
+    def series(self, name: str, columns: Sequence[str] = ("value",)) -> TimeSeries:
+        return self._get(name, lambda: TimeSeries(name, columns))
 
     # ------------------------------------------------------------------
     # Introspection and export

@@ -21,11 +21,10 @@ callback; on interpreters without ``getrefcount`` pooling is disabled.
 
 Observability: an :class:`~repro.obs.engineprof.EngineProfiler` can be
 attached with :meth:`Simulator.attach_profiler`, after which every
-executed callback is timed and attributed to a category.  With no
-profiler attached, :meth:`Simulator.run` takes a fast loop that carries
-no timing code at all.  Constructing with ``debug=True`` swaps in a
-slow loop that recounts the live/pending-event invariants after every
-event (see :meth:`Simulator.check_invariants`).
+executed callback is timed and attributed to a category; with none
+attached the loop reads no clock.  Constructing with ``debug=True``
+makes the same loop recount the live/pending-event invariants after
+every event (see :meth:`Simulator.check_invariants`).
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class Simulator:
 
     ``now`` is the current simulated time in seconds: a plain attribute
     (components read it a few times per packet), written by the run
-    loops alone and read-only to everything else by convention.
+    loop alone and read-only to everything else by convention.
     """
 
     def __init__(self, start_time: float = 0.0, debug: bool = False) -> None:
@@ -167,7 +166,7 @@ class Simulator:
         return profiler
 
     def detach_profiler(self) -> None:
-        """Remove the profiler; the engine returns to the fast loop."""
+        """Remove the profiler; later runs time nothing."""
         self._profiler = None
 
     # NOTE: Event.cancel() increments ``_cancelled_pending`` directly
@@ -278,39 +277,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next live event.  Returns False if none remain."""
-        entry = self._head_live()
-        if entry is None:
-            return False
-        self._wheel.pop()
-        event = entry[3]
-        entry = None  # drop the tuple's reference before the refcount check
-        event.owner = None
-        self.now = event.time
-        self._events_executed += 1
-        profiler = self._profiler
-        if profiler is None:
-            event.callback(*event.args)
-        else:
-            clock = profiler.clock
-            start = clock()
-            event.callback(*event.args)
-            profiler.note_event(event.callback, clock() - start, self.pending_events)
-        recycle_type = self._recycle_type
-        if recycle_type is not None:
-            recycle = self._recycle_fn
-            for arg in event.args:
-                if type(arg) is recycle_type and _getrefcount(arg) == _ARG_BASELINE:
-                    recycle(arg)
-        pool = self._event_pool
-        if (
-            _POOL_BASELINE is not None
-            and len(pool) < _POOL_CAP
-            and _getrefcount(event) == _POOL_BASELINE
-        ):
-            event.callback = None
-            event.args = None
-            pool.append(event)
-        return True
+        before = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed != before
 
     def run(
         self,
@@ -321,30 +290,18 @@ class Simulator:
 
         Args:
             until: stop once the next event would fire strictly after this
-                time; the clock is advanced to ``until``.  If None, run
-                until the queue drains.
+                time; the clock is advanced to ``until`` (never moved
+                back: an ``until`` behind the clock executes nothing).
+                If None, run until the queue drains.
             max_events: optional safety valve on the number of events.
 
         Returns:
             The simulated time when the loop stopped.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        try:
-            if self._debug:
-                return self._run_debug(until, max_events)
-            if self._profiler is None:
-                return self._run_fast(until, max_events)
-            return self._run_profiled(until, max_events)
-        finally:
-            self._running = False
 
-    # ------------------------------------------------------------------
-    # Run loops
-    # ------------------------------------------------------------------
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """The un-instrumented loop: no timing code on the hot path.
+        The one loop has two per-event branches, both decided by locals
+        read once here: the callback is timed and reported only when a
+        profiler is attached, and :meth:`check_invariants` runs after
+        every event only under ``debug=True``.
 
         The wheel's peek/pop fast path is inlined: whenever the ready
         heap is non-empty its head *is* the global minimum (entries
@@ -353,82 +310,11 @@ class Simulator:
         called solely to refill.  ``_refill`` rebinds ``wheel._ready``,
         hence the local ``ready`` refresh after every ``peek()``.
         """
-        wheel = self._wheel
-        peek = wheel.peek
-        ready = wheel._ready
-        heappop = heapq.heappop
-        pool = self._event_pool
-        getrefcount = _getrefcount
-        baseline = _POOL_BASELINE
-        arg_baseline = _ARG_BASELINE
-        recycle_type = self._recycle_type
-        recycle = self._recycle_fn
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            if ready:
-                entry = ready[0]
-            else:
-                entry = peek()
-                ready = wheel._ready
-            while entry is not None and entry[3].cancelled:
-                heappop(ready)
-                wheel._size -= 1
-                self._cancelled_pending -= 1
-                dead = entry[3]
-                entry = None
-                if (
-                    baseline is not None
-                    and len(pool) < _POOL_CAP
-                    and getrefcount(dead) == baseline
-                ):
-                    dead.callback = None
-                    dead.args = None
-                    pool.append(dead)
-                if ready:
-                    entry = ready[0]
-                else:
-                    entry = peek()
-                    ready = wheel._ready
-            if entry is None:
-                if until is not None and until > self.now:
-                    self.now = until
-                break
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                break
-            heappop(ready)
-            wheel._size -= 1
-            event = entry[3]
-            entry = None
-            event.owner = None
-            self.now = time
-            self._events_executed += 1
-            event.callback(*event.args)
-            if recycle_type is not None:
-                for arg in event.args:
-                    if type(arg) is recycle_type and getrefcount(arg) == arg_baseline:
-                        recycle(arg)
-            if (
-                baseline is not None
-                and len(pool) < _POOL_CAP
-                and getrefcount(event) == baseline
-            ):
-                event.callback = None
-                event.args = None
-                pool.append(event)
-            executed += 1
-        return self.now
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> float:
-        """The profiled loop: every callback timed and categorized
-        (same inlined wheel fast path as :meth:`_run_fast`)."""
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
         profiler = self._profiler
-        clock = profiler.clock
+        clock = None if profiler is None else profiler.clock
+        debug = self._debug
         wheel = self._wheel
         peek = wheel.peek
         ready = wheel._ready
@@ -440,9 +326,13 @@ class Simulator:
         recycle_type = self._recycle_type
         recycle = self._recycle_fn
         executed = 0
-        profiler.begin_run(self.now)
-        loop_start = clock()
+        if clock is not None:
+            profiler.begin_run(self.now)
+            loop_start = clock()
+        self._running = True
         try:
+            if debug:
+                self.check_invariants()
             while True:
                 if max_events is not None and executed >= max_events:
                     break
@@ -455,6 +345,9 @@ class Simulator:
                     heappop(ready)
                     wheel._size -= 1
                     self._cancelled_pending -= 1
+                    # ``dead`` stays bound until the next discard, so the
+                    # event it names fails the guard below when it next
+                    # fires (tests/test_run_loop_modes.py pins this).
                     dead = entry[3]
                     entry = None
                     if (
@@ -470,25 +363,24 @@ class Simulator:
                     else:
                         entry = peek()
                         ready = wheel._ready
-                if entry is None:
+                if entry is None or (until is not None and entry[0] > until):
                     if until is not None and until > self.now:
                         self.now = until
-                    break
-                time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
                     break
                 heappop(ready)
                 wheel._size -= 1
                 event = entry[3]
                 entry = None
                 event.owner = None
-                self.now = time
+                self.now = event.time
                 self._events_executed += 1
-                depth = wheel._size
-                start = clock()
-                event.callback(*event.args)
-                profiler.note_event(event.callback, clock() - start, depth)
+                if clock is None:
+                    event.callback(*event.args)
+                else:
+                    depth = wheel._size
+                    start = clock()
+                    event.callback(*event.args)
+                    profiler.note_event(event.callback, clock() - start, depth)
                 if recycle_type is not None:
                     for arg in event.args:
                         if (
@@ -505,34 +397,13 @@ class Simulator:
                     event.args = None
                     pool.append(event)
                 executed += 1
+                if debug:
+                    self.check_invariants()
         finally:
-            profiler.add_run_wall(clock() - loop_start)
-            profiler.end_run(self.now)
-        return self.now
-
-    # ------------------------------------------------------------------
-    # Debug loop
-    # ------------------------------------------------------------------
-    def _run_debug(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> float:
-        """Slow loop for ``debug=True``: invariants after every event."""
-        self.check_invariants()
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            next_time = self.peek_time()
-            if next_time is None:
-                if until is not None and until > self.now:
-                    self.now = until
-                break
-            if until is not None and next_time > until:
-                self.now = until
-                break
-            self.step()
-            executed += 1
-            self.check_invariants()
+            self._running = False
+            if clock is not None:
+                profiler.add_run_wall(clock() - loop_start)
+                profiler.end_run(self.now)
         return self.now
 
     def check_invariants(self) -> None:
@@ -542,8 +413,8 @@ class Simulator:
         ``pending_events``/``live_events`` counters diverge from a full
         recount, or if the event free list holds an event that is still
         armed or still queued (a resurrected event).  Cheap enough for
-        tests, far too slow for real runs -- the ``debug=True`` loop
-        calls it after every event.
+        tests, far too slow for real runs -- under ``debug=True`` the
+        run loop calls it after every event.
         """
         queued = [entry[3] for entry in self._wheel.entries()]
         live = sum(1 for event in queued if not event.cancelled)

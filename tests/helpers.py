@@ -8,6 +8,7 @@ from repro.experiments.config import paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketFactory
+from repro.obs.engineprof import EngineProfiler
 from repro.sim.engine import Simulator
 
 
@@ -17,6 +18,18 @@ from repro.sim.engine import Simulator
 #: reads as burstiness for every TCP -- stays out of the c.o.v. bins.
 SLICE_BASE = paper_config(duration=30.0, warmup=10.0)
 SLICE_SEEDS = (11, 22, 33)
+
+
+#: The three modes of the kernel's one run loop.
+KERNEL_MODES = ("fast", "profiled", "debug")
+
+
+def kernel_in_mode(mode: str) -> Simulator:
+    """A simulator whose ``run`` is plain, profiled or invariant-checking."""
+    sim = Simulator(debug=(mode == "debug"))
+    if mode == "profiled":
+        sim.attach_profiler(EngineProfiler())
+    return sim
 
 
 def subcommand_parsers() -> Dict[str, Any]:

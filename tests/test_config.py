@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.experiments.config import (
+    BACKENDS,
     PROTOCOLS,
     QUEUES,
     ScenarioConfig,
@@ -93,6 +94,58 @@ def test_validate_rejects(overrides):
 def test_validate_names_the_mistyped_numeric_field(overrides, field):
     with pytest.raises(ValueError, match=field):
         ScenarioConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        # Each used to fail late or not at all: a SimulationError part-way
+        # through a delayed-ACK run; a ValueError out of a queue's
+        # constructor on the packet backend after validate() had passed,
+        # and a silent run on fluid; cov = nan from an empty window on
+        # packet, a number from fluid.
+        (dict(ack_delay=-0.1), "ack_delay"),
+        (dict(buffer_capacity=0), "buffer_capacity"),
+        (dict(queue="red", red_min_th=40.0, red_max_th=40.0), "red_min_th"),
+        (dict(queue="red", red_min_th=-1.0), "red_min_th"),
+        (dict(queue="red", red_max_p=0.0), "red_max_p"),
+        (dict(queue="red", red_max_p=1.5), "red_max_p"),
+        (dict(queue="red", red_weight=0.0), "red_weight"),
+        (dict(duration=0.3), "duration"),
+        (dict(duration=30.0, warmup=29.7), "warmup"),
+        (dict(duration=2.0, bin_width=2.5), "bin_width"),
+    ],
+)
+def test_validate_rejects_on_every_backend_naming_the_field(
+    backend, overrides, field, monkeypatch
+):
+    """...and before anything is built: no Scenario, solver or queue."""
+    import repro.experiments.scenario as scenario_module
+    from repro.core.fluid_backend import FluidSolver
+
+    def never_built(*args, **kwargs):
+        raise AssertionError("built before validate() rejected the config")
+
+    monkeypatch.setattr(scenario_module.Scenario, "_build_network", never_built)
+    monkeypatch.setattr(FluidSolver, "__init__", never_built)
+    config = paper_config(backend=backend, n_clients=20, **overrides)
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+    with pytest.raises(ValueError, match=field):
+        scenario_module.run_scenario(config)
+
+
+def test_red_thresholds_are_checked_only_where_red_runs():
+    ScenarioConfig(queue="fifo", red_min_th=40.0, red_max_th=40.0).validate()
+    with pytest.raises(ValueError, match="red_min_th"):
+        ScenarioConfig(queue="ared", red_min_th=40.0, red_max_th=40.0).validate()
+
+
+def test_one_whole_bin_is_enough():
+    ScenarioConfig(duration=0.41).validate()  # the default bin is 0.404 s
+    with pytest.raises(ValueError, match="no whole bin"):
+        ScenarioConfig(duration=0.40).validate()
 
 
 def test_zero_delays_are_fine_with_an_explicit_bin():

@@ -4,8 +4,9 @@ The simulator pops events in ascending ``(time, priority, seq)`` order,
 a total order, so its whole scheduling contract is stated by a sorted
 list of those keys.  The kernel-level test replays deterministic
 pseudo-random schedule and cancel traffic (far beyond the wheel
-horizon) through each of the three run loops and diffs the execution
-order against that model; the wheel-vs-model property tests live in
+horizon) through the run loop in each of its three modes (plain,
+profiler attached, ``debug=True``) and diffs the execution order
+against that model; the wheel-vs-model property tests live in
 tests/test_timer_wheel.py.
 
 The binary-heap scheduler the wheel replaced survives as a frozen
@@ -35,9 +36,8 @@ from repro.experiments.runlog import RunLog
 from repro.experiments.runner import SweepRunner, run_one
 from repro.experiments.scenario import Scenario
 from repro.net.tracefile import NsTraceWriter
-from repro.obs.engineprof import EngineProfiler
 from repro.sim.engine import SCHEDULERS, Simulator
-from tests.helpers import physics_payload
+from tests.helpers import KERNEL_MODES, kernel_in_mode, physics_payload
 
 ORACLE_DIR = Path(__file__).parent / "goldens" / "scheduler"
 ORACLE_PATH = ORACLE_DIR / "heap_oracle.json"
@@ -231,24 +231,17 @@ def _op_sequence(seed):
     return ops
 
 
-def _simulator(loop):
-    sim = Simulator(debug=(loop == "debug"))
-    if loop == "profiled":
-        sim.attach_profiler(EngineProfiler())
-    return sim
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_kernel_event_order_identical(seed):
     ops = _op_sequence(seed)
     expected = _model_order(ops)
-    for loop in ("fast", "profiled", "debug"):
-        sim = _simulator(loop)
+    for mode in KERNEL_MODES:
+        sim = kernel_in_mode(mode)
         log = []
         _drive(sim, ops, log)
         sim.run(until=150.0)
         sim.run()  # drain the far-future tail
-        assert log == expected, f"{loop} loop diverged from the sorted-list model"
+        assert log == expected, f"{mode} mode diverged from the sorted-list model"
         assert sim.now == max(150.0, expected[-1][0])
         assert sim.events_executed == len(expected)
         assert sim.live_events == 0

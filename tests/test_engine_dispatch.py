@@ -412,6 +412,15 @@ _FRONT_DOOR_CELLS = st.fixed_dictionaries(
 # ZeroDivisionError (batch envelope's tie row) and SimulationError.
 @example(dict(n_clients=4, duration=2.0, bottleneck_rate_bps=0.0))
 @example(dict(n_clients=4, duration=2.0, client_delay=-0.001))
+# What failed late or not at all until validate() named it: a negative
+# timer (SimulationError mid-run), a queue its constructor refuses, a
+# window too short for a c.o.v. (cov = nan).
+@example(dict(n_clients=4, duration=2.0, protocol="reno_delack", ack_delay=-0.1))
+@example(dict(n_clients=4, duration=2.0, buffer_capacity=0))
+@example(dict(n_clients=4, duration=2.0, queue="red", red_min_th=40.0))  # = max_th
+@example(dict(n_clients=4, duration=2.0, queue="ared", red_max_p=0.0))
+@example(dict(n_clients=4, duration=2.0, queue="red", red_weight=1.5))
+@example(dict(n_clients=4, duration=2.0, warmup=1.8))
 def test_every_packet_cell_is_rejected_up_front_or_runs_to_finite_metrics(cell):
     """The front door over the packet backend's own tables: a cell
     either fails ``validate()`` with a ValueError or runs to finite

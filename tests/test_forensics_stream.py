@@ -21,9 +21,11 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import paper_config
 from repro.experiments.figures import (
+    FORENSICS_PROTOCOLS,
+    build_figure,
     figure2_cov,
-    figure_forensics_sweep,
-    run_forensics_sweep,
+    forensics_figure,
+    run_protocol_sweep,
 )
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import (
@@ -284,8 +286,8 @@ class TestSweepColumns:
         cache.put(stale_config, plain)
         assert math.isnan(plain.forensic_burst_rate)
 
-        sweep = run_forensics_sweep(
-            client_counts=(10,), base=base, protocols=protocols,
+        sweep = run_protocol_sweep(
+            (10,), base.with_(backend="packet", forensics=True), protocols,
             processes=1, cache=cache,
         )
         refreshed = sweep["reno"][0]
@@ -306,9 +308,9 @@ class TestSweepColumns:
             (plain,) = run_many([config.with_(forensics=False)], processes=1)
             cache.put(config, plain)
             assert config.with_(forensics=False) in cache and config not in cache
-        sweep = run_forensics_sweep(
-            client_counts=(8, 10), base=base, protocols={"reno": ("reno", "fifo")},
-            processes=2, timeout=60, cache=cache,
+        sweep = run_protocol_sweep(
+            (8, 10), base.with_(backend="packet", forensics=True),
+            {"reno": ("reno", "fifo")}, processes=2, timeout=60, cache=cache,
         )
         for config, refreshed in zip(configs, sweep["reno"]):
             assert not refreshed.failed
@@ -396,13 +398,20 @@ class TestCacheHonoursWhatTheConfigObserves:
 # The sweep figure: the paper's smoothing claim as a grid
 # ----------------------------------------------------------------------
 class TestForensicsSweepFigure:
+    @staticmethod
+    def run_grid(cache):
+        base = paper_config(
+            duration=16.0, seed=1, buffer_capacity=200, backend="packet",
+            forensics=True,
+        )
+        return run_protocol_sweep(
+            (20, 40, 50), base, FORENSICS_PROTOCOLS, processes=1, cache=cache
+        )
+
     @pytest.fixture(scope="class")
     def sweep(self, tmp_path_factory):
         cache = ResultCache(str(tmp_path_factory.mktemp("forensics-sweep")))
-        base = paper_config(duration=16.0, seed=1).with_(buffer_capacity=200)
-        return cache, run_forensics_sweep(
-            client_counts=(20, 40, 50), base=base, processes=1, cache=cache
-        )
+        return cache, self.run_grid(cache)
 
     def test_droptail_rises_while_red_stays_flat(self, sweep):
         _, data = sweep
@@ -423,22 +432,19 @@ class TestForensicsSweepFigure:
 
     def test_figure_renders_from_cached_results(self, sweep):
         cache, data = sweep
-        base = paper_config(duration=16.0, seed=1).with_(buffer_capacity=200)
         # Same grid again: every cell must be a cache hit (and still
         # carry the forensic columns a re-render needs).
-        again = run_forensics_sweep(
-            client_counts=(20, 40, 50), base=base, processes=1, cache=cache
-        )
+        again = self.run_grid(cache)
         for key in data:
             assert again[key] == data[key]
-        figure = figure_forensics_sweep(again)
+        figure = build_figure(forensics_figure("forensic_burst_rate"), again)
         assert len(figure.series) == 4
         for xs, ys in figure.series.values():
             assert xs == [20.0, 40.0, 50.0]
             assert all(math.isfinite(y) for y in ys)
         assert "burst" in figure.render_plot()
-        linked = figure_forensics_sweep(
-            again, "forensic_sync_linked_fraction"
+        linked = build_figure(
+            forensics_figure("forensic_sync_linked_fraction"), again
         )
         assert linked.ylabel == "fraction of bursts sync-linked"
         # The c.o.v. companion renders from the very same sweep data.
@@ -447,7 +453,7 @@ class TestForensicsSweepFigure:
 
     def test_unknown_attribute_falls_back_to_its_name(self, sweep):
         _, data = sweep
-        figure = figure_forensics_sweep(data, "loss_percent")
+        figure = build_figure(forensics_figure("loss_percent"), data)
         assert figure.ylabel == "loss_percent"
 
 

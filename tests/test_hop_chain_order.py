@@ -89,7 +89,7 @@ def test_event_order_and_packet_trace_are_unchanged(cell, request):
 
 
 def test_stepping_executes_what_run_executes():
-    """The event list above is taken by stepping; the fast loop runs
+    """The event list above is taken by stepping; one ``run`` executes
     the same number of events and writes the same trace."""
     cell = "reno_delack-fifo-n6-buffer5"
     golden = json.loads(GOLDEN_PATH.read_text())[cell]

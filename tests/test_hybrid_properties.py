@@ -176,8 +176,12 @@ def test_direct_runner_rejects_other_backends():
 @pytest.mark.parametrize("backend", ["fluid", "hybrid"])
 def test_duration_shorter_than_one_solver_step_is_rejected(backend):
     """Zero RK4 steps would leave every trajectory array empty, i.e.
-    cov = mean_queue_length = nan: rejected before anything is built."""
-    config = paper_config(backend=backend, n_clients=20, duration=0.01)
+    cov = mean_queue_length = nan: rejected before anything is built.
+    (The bin is set so that the window passes ``validate()``, which
+    wants a whole bin, and it is the solver that objects.)"""
+    config = paper_config(
+        backend=backend, n_clients=20, duration=0.01, bin_width=0.004
+    )
     with pytest.raises(ValueError, match=f"{backend}.*duration 0.01"):
         run_scenario(config)
 

@@ -23,12 +23,7 @@ from repro.obs.probes import (
     QueueProbe,
     parse_trace_spec,
 )
-from repro.obs.registry import (
-    NULL_METRIC,
-    NULL_REGISTRY,
-    MetricRegistry,
-    TimeSeries,
-)
+from repro.obs.registry import NULL_METRIC, NULL_REGISTRY, MetricRegistry
 from repro.sim.engine import Simulator
 
 
@@ -93,13 +88,6 @@ class TestRegistry:
         snap = reg.snapshot()
         assert snap["c.n"] == 2
         assert snap["s.t"]["n_rows"] == 1
-
-    def test_series_min_interval_thins(self):
-        series = TimeSeries("s", min_interval=1.0)
-        series.append(0.0, 1)
-        series.append(0.5, 2)  # inside the interval: dropped
-        series.append(1.0, 3)
-        assert series.times() == [0.0, 1.0]
 
 
 class TestParseTraceSpec:
@@ -369,14 +357,6 @@ class TestQueueProbe:
         # occupancy rows carry the RED average alongside raw length.
         avgs = probe.occupancy.column("red_avg")
         assert any(avg > 0 for avg in avgs)
-
-    def test_sample_interval_thins_occupancy(self):
-        reg = MetricRegistry(categories=("queue",))
-        queue = DropTailQueue(64, name="q")
-        probe = QueueProbe(reg, queue, sample_interval=10.0)
-        for i, packet in enumerate(self._packets(5)):
-            queue.enqueue(packet, float(i))
-        assert len(probe.occupancy) == 1  # all arrivals inside 10 s
 
     def test_hybrid_gateway_occupancy_includes_the_fluid_level(self):
         """``len(queue)`` on the hybrid gateway is foreground packets

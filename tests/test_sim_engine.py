@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.obs.engineprof import EngineProfiler
 from repro.sim.engine import SimulationError, Simulator
+from tests.helpers import KERNEL_MODES, kernel_in_mode
 
 
 def test_clock_starts_at_zero():
@@ -306,3 +308,76 @@ def test_now_reads_until_after_run_drains_early():
     # ... and an `until` already behind the clock does not rewind it.
     assert sim.run(until=3.0) == 4.0
     assert sim.now == 4.0
+
+
+# ----------------------------------------------------------------------
+# The three modes of the one run loop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+def test_until_behind_the_clock_never_rewinds_it(mode):
+    """With a later event pending, ``run(until=t)`` for ``t < now`` used
+    to set ``now = t`` (the drained-queue branch alone had the guard),
+    after which ``schedule_at`` accepted times in the past."""
+    sim = kernel_in_mode(mode)
+    fired = []
+    sim.schedule_at(10.0, fired.append, 10)
+    sim.schedule_at(20.0, fired.append, 20)
+    assert sim.run(until=10.0) == 10.0
+    assert sim.run(until=5.0) == 10.0
+    assert sim.now == 10.0 and fired == [10]
+    assert sim.events_executed == 1 and sim.live_events == 1
+    with pytest.raises(SimulationError, match=r"at 7\.0; clock is already at 10\.0"):
+        sim.schedule_at(7.0, fired.append, 7)
+    # An event due at the clock itself is still behind such an `until`.
+    sim.schedule_at(10.0, fired.append, "now")
+    assert sim.run(until=5.0) == 10.0 and fired == [10]
+    assert sim.run(until=10.0) == 10.0 and fired == [10, "now"]
+    assert sim.run() == 20.0 and fired == [10, "now", 20]
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+def test_step_is_not_reentrant_either(mode):
+    sim = kernel_in_mode(mode)
+    errors = []
+
+    def nested():
+        try:
+            sim.step()
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.schedule(1.0, nested)
+    sim.schedule(2.0, lambda: None)
+    assert sim.step() is True
+    assert len(errors) == 1 and "not reentrant" in str(errors[0])
+    # The refused step consumed nothing.
+    assert sim.events_executed == 1 and sim.live_events == 1
+    assert sim.step() is True and sim.step() is False
+
+
+def test_profiled_step_notes_its_event_exactly_once():
+    class Recording(EngineProfiler):
+        def __init__(self):
+            super().__init__()
+            self.noted = []
+
+        def note_event(self, callback, elapsed, heap_depth):
+            self.noted.append((callback, heap_depth))
+            super().note_event(callback, elapsed, heap_depth)
+
+    sim = Simulator()
+    profiler = sim.attach_profiler(Recording())
+    first, second = (lambda: None), (lambda: None)
+    sim.schedule(1.0, first)
+    sim.schedule(2.0, second)
+    sim.schedule(1.5, lambda: None).cancel()
+    assert sim.step() is True
+    # Depth as in a profiled run: what is queued once the event is popped.
+    assert profiler.noted == [(first, 2)]
+    assert sim.step() is True
+    assert profiler.noted == [(first, 2), (second, 0)]
+    assert sim.step() is False
+    assert len(profiler.noted) == profiler.events == sim.events_executed == 2
+    profile = profiler.profile()
+    assert profile.sim_time == 2.0
+    assert profile.run_wall_time >= profile.wall_time > 0.0
