@@ -300,6 +300,38 @@ def test_scheduling_errors_name_the_offending_value():
     assert sim.pending_events == 0
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_times_are_refused_by_name(bad):
+    """NaN would slip past a plain ``time < now`` and corrupt the
+    calendar's order; both it and +inf are refused naming the value,
+    by ``schedule_at`` and by ``schedule`` through it."""
+    sim = Simulator(start_time=2.0)
+    message = rf"at {bad}: event times must be finite"
+    with pytest.raises(SimulationError, match=message):
+        sim.schedule_at(float(bad), lambda: None)
+    with pytest.raises(SimulationError, match=message):
+        sim.schedule(float(bad), lambda: None)
+    with pytest.raises(SimulationError, match=r"at -inf; clock is already at 2\.0"):
+        sim.schedule_at(float("-inf"), lambda: None)
+    assert sim.pending_events == 0 and sim.now == 2.0
+
+
+def test_run_until_nan_is_refused():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, 1)
+    with pytest.raises(SimulationError, match=r"until nan: not a time"):
+        sim.run(until=float("nan"))
+    assert fired == [] and sim.now == 0.0 and sim.live_events == 1
+    assert sim.run(until=2.0) == 2.0 and fired == [1]
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), -1.0])
+def test_start_time_must_be_non_negative_and_finite(start):
+    with pytest.raises(ValueError, match=rf"non-negative finite time, got {start!r}"):
+        Simulator(start_time=start)
+
+
 def test_now_reads_until_after_run_drains_early():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
