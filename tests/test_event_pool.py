@@ -15,20 +15,28 @@ import pytest
 from repro.net.packet import Packet, PacketFactory
 from repro.sim.engine import _POOL_CAP, SimulationError, Simulator
 from repro.sim.events import Event
-from repro.sim.wheel import TimerWheel
+
+#: Depth of the ``heap`` kernel's calendar before a test arms anything.
+_FILLERS = 1000
 
 
 @pytest.fixture(params=["heap", "wheel"])
 def sim(request):
-    """A kernel whose events ride the wheel's slots (``wheel``, the
-    default geometry) or its overflow heap (``heap``: a 2x2-slot wheel
-    spans 2 ms, so nearly every event below starts in the overflow heap
-    and cascades down) -- pooling and the invariant recount must not
-    care which tier an event travelled through."""
+    """A kernel with an empty calendar (``wheel``) or a deep one
+    (``heap``: ``_FILLERS`` far-future events, cancelled, whose handles
+    the fixture holds, so every event a test arms is filed among a
+    thousand others and the fillers are discarded -- never fired, never
+    pooled -- when a run reaches them).  Pooling and the invariant
+    recount must not care how deep the calendar is.  The ids are the
+    names of the calendar tiers these two kernels once exercised."""
     sim = Simulator()
+    fillers = []
     if request.param == "heap":
-        sim._wheel = TimerWheel(l0_slots=2, l1_slots=2)
-    return sim
+        fillers = [sim.schedule_at(1e6 + i, len, ()) for i in range(_FILLERS)]
+        for event in fillers:
+            event.cancel()
+    yield sim
+    assert all(event.cancelled for event in fillers)
 
 
 # ----------------------------------------------------------------------

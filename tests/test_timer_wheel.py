@@ -1,27 +1,25 @@
-"""Property tests: the timer wheel against a sorted-list model.
+"""Property tests: the simulator's event calendar against a sorted-list model.
 
-The :class:`~repro.sim.wheel.TimerWheel` promises exactly one thing:
-entries come out in ascending ``(time, priority, seq)`` order, identical
-to a sorted list of the same entries.  Hypothesis drives the wheel with
-generated push/pop interleavings whose times deliberately straddle all
-four tiers (ready, level 0, level 1, overflow) and cross block
-boundaries, then diffs every pop against the model.  Engine-level
-``live_events`` accounting under cancels is checked against a plain
-binary heap of the same keys, with debug-mode invariant recounts
-enabled.
+Whatever structure holds the pending events, the kernel promises one
+thing about them: live events fire in ascending ``(time, priority,
+seq)`` order, identical to a sorted list of the same keys.  Hypothesis
+drives :class:`~repro.sim.engine.Simulator` through its public API only
+-- ``schedule_at``, ``cancel``, ``run(until=...)``,
+``run(max_events=k)``, ``step``, ``pending_events``, ``live_events``
+and ``shutdown`` -- with times from the next instant to hundreds of
+seconds out, and diffs every firing, the clock and the counters
+against that model, with the invariant recount of ``debug=True`` after
+every event.  (The module keeps its name from the timer wheel it was
+first written for.)
 """
-
-import heapq
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Simulator
-from repro.sim.wheel import TimerWheel
+from repro.sim.engine import SimulationError, Simulator
 
-# Times spanning every wheel tier at the default geometry (0.5 ms
-# resolution: level 0 covers 128 ms, level 1 ~33.5 s).  Rounding to a
-# few decimals manufactures exact ties so the tie-break path is hit.
+# Times from the next instant out to far future.  Rounding to a few
+# decimals manufactures exact ties so the tie-break path is hit.
 _times = st.one_of(
     st.floats(0.0, 0.13, allow_nan=False),
     st.floats(0.0, 40.0, allow_nan=False).map(lambda t: round(t, 2)),
@@ -29,69 +27,98 @@ _times = st.one_of(
 )
 _pushes = st.lists(st.tuples(_times, st.integers(0, 2)), max_size=80)
 
+_script = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _times, st.integers(0, 2)),
+        st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("until"), st.floats(0.0, 600.0, allow_nan=False)),
+        st.tuples(st.just("max_events"), st.integers(0, 4)),
+    ),
+    max_size=120,
+)
+
 
 def _fill(pushes):
-    wheel = TimerWheel()
+    """Arm every push on a fresh kernel; return it, its firing log and
+    the model: the sorted ``(time, priority, seq)`` keys."""
+    sim = Simulator(debug=True)
+    fired = []
     model = []
     for seq, (time, priority) in enumerate(pushes):
-        entry = (time, priority, seq, object())
-        wheel.push(entry)
-        model.append(entry)
+        sim.schedule_at(time, fired.append, seq, priority=priority)
+        model.append((time, priority, seq))
     model.sort()
-    return wheel, model
+    return sim, fired, model
 
 
 @given(_pushes)
+@settings(deadline=None)
 def test_drains_in_model_order(pushes):
-    wheel, model = _fill(pushes)
-    assert wheel.size == len(model)
-    drained = []
-    while wheel.peek() is not None:
-        head = wheel.peek()
-        assert wheel.pop() is head
-        drained.append(head)
-    assert drained == model
-    assert wheel.size == 0 and wheel.peek() is None
+    sim, fired, model = _fill(pushes)
+    assert sim.pending_events == sim.live_events == len(model)
+    sim.run()
+    assert fired == [key[2] for key in model]
+    assert sim.events_executed == len(model)
+    assert sim.now == (model[-1][0] if model else 0.0)
+    assert sim.pending_events == 0 and sim.peek_time() is None
 
 
-@given(_pushes, st.lists(st.integers(0, 3), max_size=40))
-def test_interleaved_push_pop_matches_model(pushes, pop_counts):
-    """Pops interleaved with batches of pushes; new pushes never predate
-    the cursor (the engine's no-scheduling-into-the-past contract)."""
-    wheel = TimerWheel()
-    model = []
-    seq = 0
+@given(_script)
+@settings(deadline=None)
+def test_interleaved_push_pop_matches_model(script):
+    """Scheduling, cancels, ``run(until)`` and ``run(max_events=k)`` in
+    any interleaving; new events never predate the clock (the kernel's
+    no-scheduling-into-the-past contract)."""
+    sim = Simulator(debug=True)
+    fired, expected, model, handles = [], [], [], []
     now = 0.0
-    batches = iter(pop_counts + [len(pushes)] * (len(pushes) + 1))
-    remaining = list(reversed(pushes))
-    while remaining or model:
-        for _ in range(next(batches)):
-            if not remaining:
-                break
-            time, priority = remaining.pop()
-            entry = (max(time, now), priority, seq, object())
-            seq += 1
-            wheel.push(entry)
-            model.append(entry)
-        model.sort()
-        if model:
-            expected = model.pop(0)
-            head = wheel.peek()
-            assert head is expected
-            assert wheel.pop() is head
-            now = head[0]
-        assert wheel.size == len(model)
-    assert wheel.peek() is None
+    for op, *args in script:
+        if op == "at":
+            time, priority = max(args[0], now), args[1]
+            seq = len(handles)
+            handles.append(sim.schedule_at(time, fired.append, seq, priority=priority))
+            model.append((time, priority, seq))
+        elif op == "cancel":
+            if handles:
+                seq = args[0] % len(handles)
+                sim.cancel(handles[seq])  # a no-op once it has fired
+                model = [key for key in model if key[2] != seq]
+        else:
+            model.sort()
+            if op == "until":
+                due = sum(1 for key in model if key[0] <= args[0])
+                assert sim.run(until=args[0]) == max(now, args[0])
+                now = max(now, args[0])
+            else:
+                due = min(args[0], len(model))
+                sim.run(max_events=args[0])
+                if due:
+                    now = model[due - 1][0]
+            expected += [key[2] for key in model[:due]]
+            del model[:due]
+        assert fired == expected
+        assert sim.now == now
+        assert sim.live_events == len(model)
+        assert sim.pending_events >= len(model)
+    sim.run()
+    assert fired == expected + [key[2] for key in sorted(model)]
+    assert sim.live_events == sim.pending_events == 0
 
 
 @given(st.integers(2, 40), st.floats(0.0, 40.0, allow_nan=False))
+@settings(deadline=None)
 def test_fifo_tie_break_is_insertion_order(n, time):
-    """Equal (time, priority) entries drain strictly in push order."""
-    wheel = TimerWheel()
-    entries = [(time, 0, seq, object()) for seq in range(n)]
-    for entry in entries:
-        wheel.push(entry)
-    assert [wheel.pop() for _ in range(n) if wheel.peek()] == entries
+    """Equal (time, priority) events fire strictly in scheduling order,
+    one per ``step``."""
+    sim = Simulator()
+    fired = []
+    for seq in range(n):
+        sim.schedule_at(time, fired.append, seq)
+    steps = 0
+    while sim.step():
+        steps += 1
+        assert fired == list(range(steps))
+    assert steps == n and sim.now == time
 
 
 @given(
@@ -100,9 +127,9 @@ def test_fifo_tie_break_is_insertion_order(n, time):
 )
 @settings(deadline=None)
 def test_engine_live_events_accounting_matches_heap(schedule, horizon):
-    """Random schedule/cancel traffic: the engine and a plain binary
-    heap of ``(time, seq)`` keys agree on the fired sequence and the
-    live counter, with invariant recounts (``debug=True``) after every
+    """Random schedule/cancel traffic: the engine and a sorted list of
+    ``(time, seq)`` keys agree on the fired sequence and the live
+    counter, with invariant recounts (``debug=True``) after every
     event."""
     sim = Simulator(debug=True)
     log = []
@@ -113,9 +140,7 @@ def test_engine_live_events_accounting_matches_heap(schedule, horizon):
         if cancel_it and len(handles) >= 2:
             sim.cancel(handles[len(handles) // 2])
             cancelled.add(len(handles) // 2)
-    heap = [(time, seq) for seq, (time, _) in enumerate(schedule)]
-    heapq.heapify(heap)
-    expected = [heapq.heappop(heap) for _ in range(len(heap))]
+    expected = sorted((time, seq) for seq, (time, _) in enumerate(schedule))
     expected = [key for key in expected if key[1] not in cancelled]
     due = [key for key in expected if key[0] <= horizon]
 
@@ -130,20 +155,31 @@ def test_engine_live_events_accounting_matches_heap(schedule, horizon):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        TimerWheel(start_time=-1.0)
-    with pytest.raises(ValueError):
-        TimerWheel(resolution=0.0)
-    with pytest.raises(ValueError):
-        TimerWheel(l0_slots=1)
-    with pytest.raises(ValueError):
-        TimerWheel(l1_slots=1)
+    for start in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-negative"):
+            Simulator(start_time=start)
+    sim = Simulator(start_time=12.5)
+    assert sim.now == 12.5 and sim.pending_events == 0
+    with pytest.raises(SimulationError, match="clock is already at 12.5"):
+        sim.schedule_at(12.0, lambda: None)
+    fired = []
+    sim.schedule_at(12.5, fired.append, "start")
+    assert sim.run() == 12.5 and fired == ["start"]
 
 
 def test_entries_iterates_every_tier():
-    wheel = TimerWheel()
-    times = [0.0, 0.05, 1.0, 40.0, 500.0]  # ready, L0, L1, L1-edge, overflow
-    for seq, time in enumerate(times):
-        wheel.push((time, 0, seq, object()))
-    assert sorted(entry[0] for entry in wheel.entries()) == times
-    assert wheel.size == len(times)
+    """``pending_events`` counts every queued event, cancelled ones
+    included, wherever it is due; ``shutdown`` disarms each of them in
+    place and leaves nothing to run."""
+    sim = Simulator()
+    times = [0.0, 0.05, 1.0, 40.0, 500.0, 5e6]
+    handles = [sim.schedule_at(time, lambda: None) for time in times]
+    handles[2].cancel()
+    assert sim.pending_events == len(times)
+    assert sim.live_events == len(times) - 1
+    sim.shutdown()
+    assert sim.pending_events == sim.live_events == 0
+    for event in handles:
+        assert event.callback is None and event.args is None
+        assert event.owner is None
+    assert sim.run() == 0.0 and sim.events_executed == 0
