@@ -388,8 +388,9 @@ class ScenarioConfig:
     forensics_burst_exit: float = 0.3
     forensics_sync_fraction: float = 0.25
 
-    # Single-valued enumeration shim: the performance ledger builds its
-    # variant rows with config.with_(scheduler=s).  It selects nothing.
+    # A ledger row name, not a choice: the performance ledger builds its
+    # variant rows with config.with_(scheduler=s) and names them after
+    # it.  There is nothing left to select (the calendar is one heap).
     scheduler: str = "wheel"
 
     # Flow engine.  Unset (the default), run_scenario picks per cell:
@@ -658,8 +659,9 @@ class ScenarioConfig:
 
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; the timer wheel is "
-                f"the only scheduler (choose from {SCHEDULERS})"
+                f"unknown scheduler {self.scheduler!r}: the field is a ledger "
+                f"row name with nothing left to select (the event calendar "
+                f"is one binary heap); leave it at {SCHEDULERS[0]!r}"
             )
         from repro.engine import ENGINES
 

@@ -58,8 +58,8 @@ class EngineProfile:
     loop's end-to-end wall clock.  Their difference is the *engine
     overhead* -- pop/dispatch/recycle work between callbacks, i.e. the
     scheduler's own cost.  ``max_heap_depth`` is the deepest pending-event
-    count seen; the name predates the timer wheel and the performance
-    ledger reads it.
+    count seen -- the depth of the simulator's calendar heap, cancelled
+    entries included.
     """
 
     events_executed: int

@@ -8,10 +8,10 @@ original experiments.
 
 Public API:
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop.
+* :class:`~repro.sim.engine.Simulator` -- the event loop and its
+  calendar, one binary heap of pending events (the scheduler *ns*
+  defaults to).
 * :class:`~repro.sim.events.Event` -- a scheduled callback.
-* :class:`~repro.sim.wheel.TimerWheel` -- the simulator's pending-event
-  store.
 * :class:`~repro.sim.timers.Timer` -- a restartable one-shot timer.
 * :class:`~repro.sim.rng.RandomStreams` -- named, reproducible random
   number streams derived from a single root seed.
@@ -21,7 +21,6 @@ from repro.sim.engine import Simulator, SimulationError, SCHEDULERS
 from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import Timer
-from repro.sim.wheel import TimerWheel
 
 __all__ = [
     "Event",
@@ -30,5 +29,4 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timer",
-    "TimerWheel",
 ]

@@ -1,24 +1,26 @@
-"""Differential tests: the kernel against its spec, the wheel against the heap.
+"""Differential tests: the kernel against its spec and its frozen past.
 
 The simulator pops events in ascending ``(time, priority, seq)`` order,
 a total order, so its whole scheduling contract is stated by a sorted
 list of those keys.  The kernel-level test replays deterministic
-pseudo-random schedule and cancel traffic (far beyond the wheel
-horizon) through the run loop in each of its three modes (plain,
+pseudo-random schedule and cancel traffic (ties, cancels, far-future
+events) through the run loop in each of its three modes (plain,
 profiler attached, ``debug=True``) and diffs the execution order
-against that model; the wheel-vs-model property tests live in
+against that model; the calendar-vs-model property tests live in
 tests/test_timer_wheel.py.
 
-The binary-heap scheduler the wheel replaced survives as a frozen
-oracle: ``goldens/scheduler/heap_oracle.json`` holds, for a matrix of
-small congested scenarios (every transport x FIFO/RED x open-loop/RPC,
-plus a buffer-depth sweep), the event count and the digests of the
-:class:`ScenarioMetrics` and the ns trace file the heap produced at the
-last commit that had it.  Every cell must still reproduce them byte
+Two calendars ago the kernel ran on a binary heap of ``Event`` objects;
+what it produced survives as a frozen oracle:
+``goldens/scheduler/heap_oracle.json`` holds, for a matrix of small
+congested scenarios (every transport x FIFO/RED x open-loop/RPC, plus a
+buffer-depth sweep), the event count and the digests of the
+:class:`ScenarioMetrics` and the ns trace file that heap produced.  It
+held through the timer wheel that replaced it and now holds the tuple
+heap that replaced the wheel: every cell must still reproduce it byte
 for byte, and ``goldens/scheduler/heap_cache`` -- a result cache
 written under ``scheduler="heap"`` -- must still be a 100 % hit, which
 is the evidence behind ``scheduler`` never having entered the config
-digest.
+digest (today it is only a ledger row name).
 """
 
 import hashlib
@@ -154,7 +156,7 @@ def test_scheduler_does_not_change_config_digest(tmp_path):
     ).run(configs)
     assert log.progress.cached == len(configs)
     assert not any(metrics.failed for metrics in cached)
-    # ...and what the heap computed is what the wheel computes.
+    # ...and what the old heap computed is what the kernel computes.
     assert cached == [run_one(config) for config in configs]
 
 
@@ -212,17 +214,17 @@ def _model_order(ops):
 
 
 def _op_sequence(seed):
-    """Times spanning ready/L0/L1/overflow, plus ties and cancels."""
+    """Times from the next instant to far future, plus ties and cancels."""
     rng = random.Random(seed)
     ops = []
     for tag in range(400):
         bucket = rng.random()
         if bucket < 0.5:
-            time = rng.uniform(0.0, 0.12)  # level 0
+            time = rng.uniform(0.0, 0.12)  # transmission scale
         elif bucket < 0.8:
-            time = rng.uniform(0.12, 30.0)  # level 1
+            time = rng.uniform(0.12, 30.0)  # timer scale
         elif bucket < 0.95:
-            time = rng.uniform(30.0, 120.0)  # overflow
+            time = rng.uniform(30.0, 120.0)  # minutes out
         else:
             time = rng.choice([0.05, 1.0, 33.0, 2000.0])  # ties + far future
         ops.append(("at", (tag, time, rng.choice((0, 0, 0, 1)))))

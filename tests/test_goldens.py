@@ -6,9 +6,10 @@ paper's congestion knee -- the three Figure 2 curves (UDP, Reno,
 Reno/RED) plus Vegas/RED.  Any change to simulation physics, metric
 derivation, RNG consumption order, or scheduler behavior shows up as a
 field-level diff against the stored record.  The stored records were
-produced on the binary-heap scheduler the timer wheel replaced, so the
-fixtures double as end-to-end evidence, at paper-realistic load, that
-the replacement changed nothing.
+produced on an earlier binary-heap scheduler and held through the timer
+wheel that replaced it and the tuple heap that replaced the wheel, so
+the fixtures double as end-to-end evidence, at paper-realistic load,
+that neither replacement changed anything.
 
 To regenerate after an *intentional* behavior change::
 
