@@ -11,8 +11,9 @@ event (so a recycling decision that moves shows at the event after it),
 the final clock, counters and pool populations, and the digest of the
 ``category depth`` sequence the profiler was handed.  Captured at the
 commit before the fast, profiled and debug loops and ``step()`` became
-one loop (the debug row's pool fields excepted: see the last test);
-see tests/goldens/README.md before regenerating.
+one loop, except the three pool fields, which moved once since, on
+purpose (see the last test); see tests/goldens/README.md before
+regenerating.
 
 The kernel has no per-event hook without a profiler, so the executed
 order is taken by arming every callback inside a recording wrapper
@@ -134,10 +135,14 @@ def test_the_modes_differ_in_reporting_only():
     stepping.
 
     Before the loops were one, the debug loop ended this cell with 49
-    pooled events and 20 free packets against the other two's 32 and 13
-    (it discarded cancelled heads in a helper whose locals died on
-    return); its three pool fields in the golden are the only values
-    that changed when it became a mode of the fast loop.
+    pooled events and 20 free packets against the other two's 32 and 13:
+    it discarded cancelled heads in a helper whose locals died on
+    return, while the other two kept the last discarded event in a
+    local (``dead``) until the next discard, so that event failed the
+    refcount guard when it was re-armed and fired.  The one loop first
+    kept the 32 / 13; it now clears ``dead`` after each discard, and the
+    three pool fields of every row (event and packet pool sizes and the
+    per-event populations digest) are the old debug loop's again.
     """
     golden = json.loads(GOLDEN_PATH.read_text())
     hop_chain = json.loads(HOP_CHAIN_GOLDEN_PATH.read_text())[CELL]
