@@ -262,7 +262,7 @@ class TestLossSyncDetector:
         assert det.min_flows == 3
         for flow, t in [(1, 0.0), (2, 0.4), (3, 0.8)]:
             det.on_loss(flow, t)
-        events = det.finalize()
+        events = det.commit(math.inf)
         assert len(events) == 1
         assert events[0].flows == (1, 2, 3)
         assert (events[0].time, events[0].end) == (0.0, 0.8)
@@ -272,14 +272,14 @@ class TestLossSyncDetector:
         det = LossSyncDetector(n_flows=10, window=1.0, fraction=0.3)
         det.on_loss(1, 0.0)
         det.on_loss(2, 0.5)
-        assert det.finalize() == []
+        assert det.commit(math.inf) == []
 
     def test_repeat_cuts_by_one_flow_are_not_distinct(self):
         det = LossSyncDetector(n_flows=10, window=1.0, fraction=0.3)
         for t in (0.0, 0.2, 0.4, 0.6):
             det.on_loss(1, t)
         det.on_loss(2, 0.3)
-        assert det.finalize() == []
+        assert det.commit(math.inf) == []
 
     def test_separated_waves_are_separate_events(self):
         det = LossSyncDetector(n_flows=10, window=1.0, fraction=0.3)
@@ -287,7 +287,7 @@ class TestLossSyncDetector:
             det.on_loss(flow, t)
         for flow, t in [(4, 5.0), (5, 5.1), (6, 5.2)]:
             det.on_loss(flow, t)
-        events = det.finalize()
+        events = det.commit(math.inf)
         assert [e.flows for e in events] == [(1, 2, 3), (4, 5, 6)]
 
     def test_quorum_floor_is_two_flows(self):
