@@ -106,7 +106,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 def _positive_float(value: str) -> float:
     parsed = float(value)
-    if parsed <= 0:
+    if not parsed > 0:  # NaN too: every comparison with it is False
         raise argparse.ArgumentTypeError("must be positive")
     return parsed
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -497,6 +498,12 @@ class ScenarioConfig:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise ValueError on unknown protocol/queue or bad numbers."""
+        # Every range check below is a comparison, and every comparison
+        # with NaN is False, so NaN is refused first, by name.
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{item.name} must be a number; got nan")
         if self.protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"

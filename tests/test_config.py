@@ -1,6 +1,7 @@
 """Unit tests for scenario configuration (Table 1)."""
 
 import dataclasses
+import typing
 
 import pytest
 
@@ -94,6 +95,27 @@ def test_validate_rejects(overrides):
 def test_validate_names_the_mistyped_numeric_field(overrides, field):
     with pytest.raises(ValueError, match=field):
         ScenarioConfig(**overrides).validate()
+
+
+_HINTS = typing.get_type_hints(ScenarioConfig)
+#: Every numeric field of the config, read off the dataclass itself.
+NUMERIC_FIELDS = [
+    item.name
+    for item in dataclasses.fields(ScenarioConfig)
+    if _HINTS[item.name] in (int, float, typing.Optional[float])
+]
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_validate_refuses_nan_by_name(field):
+    """NaN passes every comparison-based range check.  Some fields then
+    died mid-run ("cannot schedule event at nan"), some ran to the end
+    on it, and some were refused by an ``int()`` that named no field."""
+    config = paper_config(**{field: float("nan")})
+    with pytest.raises(ValueError, match=f"^{field} must be a number; got nan$"):
+        config.validate()
+    if _HINTS[field] == typing.Optional[float]:
+        config.with_(**{field: None}).validate()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
