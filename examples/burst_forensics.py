@@ -18,13 +18,16 @@ gateway with an adequately provisioned physical buffer (so early drops,
 not overflows, do the work) shows the paper's smoothing claim
 per-episode: fewer bursts, and fewer of them sync-linked.
 
-A production gateway cannot wait for the run to end: the streaming mode
-(``repro-tcp run --forensics-stream``) flushes finalized windows, sync
-events, and burst attributions as JSONL *while the simulation runs*,
-keeping bounded state -- and the streamed file is byte-identical to a
-prefix of what offline mode would emit.  The demo drives the droptail
-scenario in sim-time slices and tails the stream between slices, the
-way an operator's dashboard would.
+A production gateway cannot wait for the run to end: attached to a file
+(``repro-tcp run --forensics-stream``), the stream every forensics run
+goes through flushes finalized windows, sync events, and burst
+attributions as JSONL *while the simulation runs*, keeping bounded
+state -- each record once no later event can change it, so the file at
+any instant is byte-identical to a prefix of the whole run's file.  The
+demo drives the droptail scenario in sim-time slices and tails the
+stream between slices, the way an operator's dashboard would; the
+droptail and RED reports after it are the same records, kept in a
+list because no file was attached.
 
 Run:  python examples/burst_forensics.py
 """
