@@ -4,11 +4,11 @@
 The fixed matrices in ``tests/test_batch_differential.py`` pin the batch
 engine on cells chosen by hand; this script looks for cells nobody
 chose.  It runs a seeded grid of paper-scale cells over the whole batch
-envelope -- seeds x {reno, vegas, reno_delack, udp} x {fifo, red} x
-clients x {open, rpc, bsp, bulk}, 512 cells by default -- once with
+envelope -- seeds x {reno, vegas, reno_delack} x {fifo, red} x
+clients x {open, rpc, bsp, bulk}, 384 cells by default -- once with
 ``engine="object"`` and once with ``engine="batch"`` and compares the
 full :class:`ScenarioMetrics` of each pair.  (Its reno/vegas x open/rpc
-quarter is the grid that found the same-instant gateway-arrival bug of
+third is the grid that found the same-instant gateway-arrival bug of
 DESIGN.md section 15: 3 of those 128 cells differed.)
 
 ``--set FIELD=VALUE`` moves every cell off the paper's parameters: a
@@ -17,8 +17,8 @@ the slice that violates it, count the differing cells -- how DESIGN.md
 section 15 decided ``packet_size >= 40`` and
 ``client_rate_bps >= bottleneck_rate_bps``).
 
-A forced ``engine="batch"`` propagates a ``BatchGuardError`` instead of
-falling back, so a cell a runtime guard gives up on shows here as a
+A forced ``engine="batch"`` propagates a ``BatchTieError`` instead of
+falling back, so a cell the tie guard gives up on shows here as a
 failed batch cell, not as a silent pass.
 
 Exit status 1 if any pair differs; ``--out`` receives the differing

@@ -1,8 +1,10 @@
 """The batch flow engine.
 
-This package holds the fast path for homogeneous TCP and UDP scenarios,
-which ``run_scenario`` takes by default for every cell inside the batch
-envelope (``repro.experiments.config.BATCH_ENVELOPE``):
+This package holds the fast path for homogeneous Reno, Vegas and
+delayed-ACK Reno scenarios, which ``run_scenario`` takes by default for
+every cell inside the batch envelope
+(``repro.experiments.config.BATCH_ENVELOPE``); UDP cells run on the
+object engine:
 
 * :mod:`repro.engine.batch` -- :class:`~repro.engine.batch.BatchScenario`,
   the fused event graph that replays the object engine's physics with a

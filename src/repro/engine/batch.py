@@ -8,9 +8,8 @@ a handful of fused events per delivered packet:
 
 * **Access-hop fusion.**  A client's access link never drops within the
   batch envelope (TCP's in-flight is bounded by the advertised window,
-  far below the 1000-packet access queue; a UDP packet is checked
-  against it, :meth:`BatchScenario._transmit_checked`), so its
-  store-and-forward chain
+  far below the 1000-packet access queue), so its store-and-forward
+  chain
   ``enqueue -> pull -> finish -> receive`` reduces to per-flow busy-time
   arithmetic: ``start = max(now, busy); finish = start + tx`` -- the
   exact additions :class:`repro.net.link.Interface` performs -- and one
@@ -30,21 +29,18 @@ a handful of fused events per delivered packet:
 * **Inline sink processing.**  When nothing at the server acts on its
   own -- open loop, no delayed-ACK timer -- the sink's processing
   commutes with any event between the gateway transmission and the
-  server delivery time, so the sink (TCP or UDP) runs inline under a
-  virtual clock.  Closed-loop runs and delayed-ACK sinks keep a real
+  server delivery time, so the sink runs inline under a virtual clock.  Closed-loop runs and delayed-ACK sinks keep a real
   ``SERVER_ARRIVAL`` event -- a workload's unit timeout or the sink's
   ACK timer may fire in that window -- and the sinks get the real
   simulator, on which the timer schedules itself.
-* **Lazy Poisson arrivals (TCP).**  A per-flow arrival event is armed
-  only while the flow has no send-buffer backlog.  A backlogged flow's
+* **Lazy Poisson arrivals.**  A per-flow arrival event is armed only
+  while the flow has no send-buffer backlog.  A backlogged flow's
   window is shut (``send_much`` drains until window or buffer runs
   out), so its ticks are pure bookkeeping; they are replayed -- with
   their original timestamps, consuming the same per-flow RNG stream --
   at the next event that touches the flow ("catch-up", always first in
   a handler).  This removes the dominant event class of the object
-  engine at large N.  A UDP flow never backlogs, so laziness buys it
-  nothing and the cohort's vector scan per arrival costs: it gets one
-  plain tick event per arrival, fed by the same chunked pre-draws.
+  engine at large N.
 * **Timer cohort.**  Retransmit deadlines live in one numpy array; a
   single lazily-maintained horizon event fires the due cohort and
   reschedules at the new minimum.
@@ -60,11 +56,11 @@ a handful of fused events per delivered packet:
   a group they cannot order raises :class:`BatchTieError`.
 
 **One state machine, three seams.**  The flows are the object engine's
-own ``RenoSender`` / ``VegasSender`` / ``UdpSender`` and ``TcpSink`` /
-``UdpSink``, built by the inherited ``Scenario._add_flow``; the fusions
-above live entirely in what those agents are handed.  An agent touches
-the world through a clock (``sim.now``), a node (``node.name`` /
-``node.send``) and, a TCP sender, its retransmit timer:
+own ``RenoSender`` / ``VegasSender`` and ``TcpSink``, built by the
+inherited ``Scenario._add_flow``; the fusions above live entirely in
+what those agents are handed.  An agent touches the world through a
+clock (``sim.now``), a node (``node.name`` / ``node.send``) and, a
+sender, its retransmit timer:
 
 * the *node* is a :class:`_BatchNode` whose ``send`` is the fused hop
   for that direction (:meth:`BatchScenario.transmit` for a client,
@@ -97,7 +93,6 @@ import numpy as np
 from repro.experiments.scenario import Scenario
 from repro.net.packet import Packet, PacketFactory
 from repro.net.queues import PacketQueue
-from repro.net.topology import DumbbellParams
 from repro.sim.engine import SimulationError
 
 _INF = float("inf")
@@ -115,17 +110,13 @@ ARRIVAL_CHUNK = 64
 _PRIO_TIMER = -2
 
 
-class BatchGuardError(SimulationError):
-    """The run met, part-way, a case the fusions do not reproduce bit
-    for bit.  Under the default engine dispatch
-    :func:`~repro.experiments.scenario.run_scenario` answers it by
-    running the cell on the object engine; a forced ``engine="batch"``
-    lets it propagate."""
-
-
-class BatchTieError(BatchGuardError):
+class BatchTieError(SimulationError):
     """Simultaneous events whose object-engine order the batch engine's
-    tie model cannot decide."""
+    tie model cannot decide: the one case, met part-way through a run,
+    that the fusions do not reproduce bit for bit.  Under the default
+    engine dispatch :func:`~repro.experiments.scenario.run_scenario`
+    answers it by running the cell on the object engine; a forced
+    ``engine="batch"`` lets it propagate."""
 
 
 class _SinkClock:
@@ -184,17 +175,6 @@ class _RtxSlot:
         self._deadlines[self._index] = _INF
 
 
-class _TickTally:
-    """What metric collection reads off an open-loop source
-    (``generated``), kept for a UDP flow by :meth:`BatchScenario._udp_tick`.
-    """
-
-    __slots__ = ("generated",)
-
-    def __init__(self) -> None:
-        self.generated = 0
-
-
 class _BatchGateway:
     """The fused dumbbell as the instrumentation sees it.
 
@@ -250,12 +230,7 @@ class BatchScenario(Scenario):
         self._bn_rate = float(config.bottleneck_rate_bps)
         self._client_delay = config.client_delay
         self._bn_delay = config.bottleneck_delay
-        udp = config.protocol == "udp"
         self._open_mode = config.workload == "open"
-        # Open-loop TCP arrivals are lazy (armed only while the flow is
-        # idle, replayed otherwise); a UDP flow never backlogs, so it
-        # gets a plain tick per arrival instead.
-        self._lazy_arrivals = self._open_mode and not udp
         # The sinks run inline at the bottleneck's tx-done when nothing
         # at the server can act in between: no workload, no ACK timer.
         self._inline_sink = self._open_mode and config.protocol != "reno_delack"
@@ -271,14 +246,6 @@ class BatchScenario(Scenario):
         # Client->gateway access serializer: when it frees up (-inf =
         # never used, so the first packet is not mistaken for a tie).
         self._busy_fwd = [-_INF] * n
-        # Seconds of serialization a UDP flow may have queued on it
-        # before the access queue, which transmit treats as lossless,
-        # would be full (_transmit_checked; two packets of slack, for
-        # the one in service and for rounding).
-        self._access_tx = config.packet_size * 8.0 / self._client_rate
-        self._access_backlog_cap = (
-            DumbbellParams.access_queue_capacity - 2
-        ) * self._access_tx
         self._busy_rev_client = [0.0] * n  # gateway->client ACK serializer
         self._busy_rev_server = 0.0  # server->gateway ACK serializer
         self._bn_busy = False
@@ -333,67 +300,37 @@ class BatchScenario(Scenario):
         self._arm_counter = 0
         self._arm_time = [0.0] * n
 
-        # Poisson arrival machinery (open loop): chunk-buffered pre-draws
-        # plus, for lazy arrivals, an armed-arrival cohort sharing one
-        # horizon event, so the calendar stays a handful of entries
-        # regardless of N.
+        # Poisson arrival machinery (open loop): chunk-buffered pre-draws,
+        # and whether the flow's next arrival is on the calendar (an
+        # idle flow's is, as an event of its own; see _rearm_arrival).
         self._arr_rng = [
             self.streams.stream(f"client-{i}/poisson") for i in range(n)
         ] if self._open_mode else []
         self._arr_buf: List[List[float]] = [[] for _ in range(n)]
         self._arr_pos = [0] * n
         self._arr_last = [0.0] * n  # last drawn absolute arrival time
-        self._armed_at = np.full(n if self._lazy_arrivals else 0, _INF)
-        self._arr_horizon_time = _INF
-        self._arr_horizon_event = None
+        self._armed = [False] * n
         return gateway
 
     def _build_flows(self) -> None:
         config = self.config
-        udp = config.protocol == "udp"
         # The sinks' clock: virtual when they run inline, else the
         # simulator itself (which a delayed-ACK timer schedules on).
         self._sink_clock = _SinkClock() if self._inline_sink else self.sim
         server = _BatchNode("server", self._route_ack)
-        # No window bounds what a UDP flow has in flight, so each of
-        # its packets first asks the access queue for room.
-        transmit = self._transmit_checked if udp else self.transmit
         for index in range(config.n_clients):
-            client = _BatchNode(f"client-{index}", partial(transmit, index))
+            client = _BatchNode(f"client-{index}", partial(self.transmit, index))
             sender, sink = self._add_flow(index, client, server, self._sink_clock)
-            if not udp:
-                sender.rtx_timer = _RtxSlot(self, index)
-            if self._lazy_arrivals:
-                # Arm the first Poisson arrival (the flow starts with
-                # an empty send buffer).
-                self._armed_at[index] = self._peek_arrival(index)
-            elif self._open_mode:
-                self.sim.schedule_at(
-                    self._peek_arrival(index), self._udp_tick, index
-                )
-                self.sources.append(_TickTally())
+            sender.rtx_timer = _RtxSlot(self, index)
+            if self._open_mode:
+                # The flow starts with an empty send buffer.
+                self._rearm_arrival(index)
             else:
                 self._start_workload(index, sender, sink)
-        if self._lazy_arrivals and config.n_clients:
-            self._aim_arrival_horizon(float(self._armed_at.min()))
 
     # ------------------------------------------------------------------
     # The fused hops and the timer cohort, as the facades call them
     # ------------------------------------------------------------------
-    def _transmit_checked(self, i: int, packet: Packet) -> None:
-        """:meth:`transmit`, after refusing a packet the object engine's
-        access queue might drop (asked by UDP flows; TCP's window,
-        capped by the envelope, makes the check static)."""
-        queued = self._busy_fwd[i] - self.sim.now
-        if queued + self._access_tx > self._access_backlog_cap:
-            raise BatchGuardError(
-                f"flow {i} hands the access link a packet at "
-                f"t={self.sim.now!r} on top of {queued:.6g}s already queued: "
-                "the access queue would overflow, and the batch engine's "
-                "access-hop fusion has no drops"
-            )
-        self.transmit(i, packet)
-
     def transmit(self, i: int, packet: Packet) -> None:
         """Client access hop, fused: the exact Interface arithmetic.
 
@@ -631,19 +568,10 @@ class BatchScenario(Scenario):
             self._refill(i)
         return self._arr_buf[i][self._arr_pos[i]]
 
-    def _udp_tick(self, i: int) -> None:
-        # One plain event per arrival, fed by the same chunked pre-draws:
-        # TrafficSource._tick's emit, then the push of the next tick.
-        now = self.sim.now
-        self._arr_pos[i] += 1
-        self.sources[i].generated += 1
-        self._emit_arrival(i, now)
-        self.sim.schedule_at(self._peek_arrival(i), self._udp_tick, i)
-
     def _emit_arrival(self, i: int, at: float) -> None:
         # Mirrors TrafficSource._emit: recorder hook, then app_arrival.
-        # ``at`` is now: a tick's own event, or a replay on an empty
-        # send buffer, which is armed and so served when due.
+        # ``at`` is now: a replay on an empty send buffer is an armed
+        # arrival, served by its own event when due.
         if self.offered_recorder is not None:
             self.offered_recorder.on_generate(at, 1)
         self.senders[i].app_arrival(1)
@@ -662,7 +590,7 @@ class BatchScenario(Scenario):
         arrival landing on an *empty* send buffer (the armed-event
         case) takes the full app_arrival path and may transmit.
         """
-        if not self._lazy_arrivals:
+        if not self._open_mode:
             return
         buf = self._arr_buf[i]
         pos = self._arr_pos[i]
@@ -696,47 +624,25 @@ class BatchScenario(Scenario):
                 self.offered_recorder.on_generate_many(bulk)
             sender.app_arrival_bulk(bulk)
 
-    def _aim_arrival_horizon(self, at: float) -> None:
-        if at >= _INF or (
-            self._arr_horizon_event is not None and at >= self._arr_horizon_time
-        ):
-            return
-        if self._arr_horizon_event is not None:
-            self._arr_horizon_event.cancel()
-        self._arr_horizon_time = at
-        self._arr_horizon_event = self.sim.schedule_at(at, self._arrival_fire)
-
-    def _arrival_fire(self) -> None:
-        # Armed-arrival cohort: one horizon event serves every idle
-        # flow, exactly as the timer cohort serves the rtx deadlines.
-        # Poisson times across independent streams never tie, so each
-        # fire almost surely serves one flow -- the same time/priority
-        # the per-flow event would have had.
-        now = self.sim.now
-        self._arr_horizon_event = None
-        self._arr_horizon_time = _INF
-        armed = self._armed_at
-        due = (armed <= now).nonzero()[0]
-        for index in due:
-            i = int(index)
-            armed[i] = _INF
-            self._catch_up(i, now)
-            # Inline re-arm without aiming: one aim at the cohort
-            # minimum below replaces a cancel/push pair per flow.
-            if self.senders[i].send_buffer_backlog == 0:
-                armed[i] = self._peek_arrival(i)
-        self._aim_arrival_horizon(float(armed.min()))
+    def _arrival_fire(self, i: int) -> None:
+        # Flow i's armed arrival is due: the same time and priority as
+        # the object engine's tick (Poisson times of independent
+        # streams never tie with anything else).
+        self._armed[i] = False
+        self._catch_up(i, self.sim.now)
+        self._rearm_arrival(i)
 
     def _rearm_arrival(self, i: int) -> None:
+        """Put an idle flow's next arrival on the calendar, as an event
+        of its own; a backlogged flow's arrivals wait for catch-up."""
         if (
-            not self._lazy_arrivals
-            or self._armed_at[i] < _INF
+            not self._open_mode
+            or self._armed[i]
             or self.senders[i].send_buffer_backlog != 0
         ):
             return
-        at = self._peek_arrival(i)
-        self._armed_at[i] = at
-        self._aim_arrival_horizon(at)
+        self._armed[i] = True
+        self.sim.schedule_at(self._peek_arrival(i), self._arrival_fire, i)
 
     # ------------------------------------------------------------------
     # Execution
@@ -747,6 +653,6 @@ class BatchScenario(Scenario):
         # Backlogged (lazy) flows still owe their bookkeeping ticks
         # up to the horizon; the object engine executed those as
         # real events.  Their send_much is a no-op (window shut).
-        if self._lazy_arrivals:
+        if self._open_mode:
             for i in range(config.n_clients):
                 self._catch_up(i, config.duration)

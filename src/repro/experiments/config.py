@@ -140,7 +140,7 @@ WORKLOADS = ("open", "rpc", "bsp", "bulk")
 #: from here and from the rows below.
 BATCH_ENVELOPE = {
     "backends": ("packet",),
-    "protocols": ("reno", "vegas", "reno_delack", "udp"),
+    "protocols": ("reno", "vegas", "reno_delack"),
     "workloads": WORKLOADS,
     "traffic": ("poisson",),
     "pacing": False,

@@ -708,10 +708,9 @@ def run_scenario(config: ScenarioConfig, attach=None) -> ScenarioResult:
     runs on :class:`repro.engine.batch.BatchScenario`, which is pinned
     bit-identical to the object engine by
     tests/test_batch_differential.py; every other cell runs on
-    :class:`Scenario`.  If the batch run meets a case its fusions do
-    not reproduce (:class:`~repro.engine.batch.BatchGuardError`: a
-    same-time tie its order model cannot decide, a UDP burst the access
-    queue would drop from), the cell is run again on the object engine -- ``result.engine``
+    :class:`Scenario`.  If the batch run meets a same-time tie its
+    order model cannot decide (:class:`~repro.engine.batch.BatchTieError`),
+    the cell is run again on the object engine -- ``result.engine``
     says which engine the numbers came from -- unless the config forced
     ``engine="batch"``, in which case the error propagates.  The hybrid
     backend uses the object machinery for its K foreground flows
@@ -733,11 +732,11 @@ def run_scenario(config: ScenarioConfig, attach=None) -> ScenarioResult:
 
         return run_hybrid_scenario(config, attach)
     if config.resolved_engine() == "batch":
-        from repro.engine.batch import BatchGuardError, BatchScenario
+        from repro.engine.batch import BatchScenario, BatchTieError
 
         try:
             return _run_and_release(BatchScenario(config), attach)
-        except BatchGuardError:
+        except BatchTieError:
             if config.engine is not None:
                 raise
     return _run_and_release(Scenario(config), attach)

@@ -13,10 +13,13 @@ stress cells chosen to exercise the regimes where an unfaithful fusion
 would diverge: deep overload (same-time event ties at the bottleneck
 port), tiny buffers (timeout/fast-retransmit storms) and RED's averaged
 occupancy.  A second matrix covers what the envelope gained after
-that: UDP and delayed-ACK Reno under all four workloads, BSP and bulk
-under Reno/Vegas, closed-loop UDP whose work units time out, and a
-delayed-ACK cell whose timer and arrival instants share one 10 ms
-grid.  The object engine is the oracle.
+that: delayed-ACK Reno under all four workloads, BSP and bulk under
+Reno/Vegas, and a delayed-ACK cell whose timer and arrival instants
+share one 10 ms grid.  The object engine is the oracle.  The same
+matrix's UDP cells, and closed-loop UDP whose work units time out, now
+hold the other side of the envelope: UDP left it (DESIGN.md section
+15's keep rule), so a UDP cell resolves to the object engine, a forced
+batch run refuses it by name, and the default run is the object run.
 
 Paper-scale cells follow: the three cells on which the batch engine
 once *did* differ (two flows' packets reaching the gateway at the
@@ -32,7 +35,6 @@ import random
 
 import pytest
 
-from repro.engine.batch import BatchGuardError
 from repro.experiments.config import ScenarioConfig, paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import run_scenario
@@ -265,15 +267,31 @@ def canonical_forensics(result) -> str:
     ids=[label for label, _ in MATRIX + WIDENED_MATRIX],
 )
 def test_batch_matches_object_everywhere(overrides):
-    """object vs batch: identical metrics, obs, forensics."""
+    """object vs the default: identical metrics, obs, forensics -- from
+    the batch engine inside its envelope, the object engine for UDP."""
     config = _cell_config(overrides)
     reference = run_scenario(config.with_(engine="object"))
-    run = run_scenario(config.with_(engine="batch"))
+    if config.protocol == "udp":
+        run = _default_run_outside_the_envelope(config)
+    else:
+        run = run_scenario(config.with_(engine="batch"))
+        # The fusion claim itself: same physics from fewer events.
+        assert run.events_executed < reference.events_executed
     assert ScenarioMetrics.from_result(run) == ScenarioMetrics.from_result(reference)
     assert canonical_obs(run) == canonical_obs(reference)
     assert canonical_forensics(run) == canonical_forensics(reference)
-    # The fusion claim itself: same physics from fewer events.
-    assert run.events_executed < reference.events_executed
+
+
+def _default_run_outside_the_envelope(config: ScenarioConfig):
+    """A UDP cell: it resolves to the object engine, a forced batch run
+    is refused by the envelope's protocol row, and the default run is
+    the object engine's (returned, for the caller to compare)."""
+    assert config.resolved_engine() == "object"
+    with pytest.raises(ValueError, match="only; got protocol 'udp'"):
+        run_scenario(config.with_(engine="batch"))
+    run = run_scenario(config)
+    assert run.engine == "object"
+    return run
 
 
 @pytest.mark.parametrize(
@@ -282,7 +300,7 @@ def test_batch_matches_object_everywhere(overrides):
 def test_closed_loop_udp_unit_timeouts_match_object(overrides):
     config = _cell_config(dict(protocol="udp", duration=8.0, seed=2, **overrides))
     reference = run_scenario(config.with_(engine="object"))
-    run = run_scenario(config.with_(engine="batch"))
+    run = _default_run_outside_the_envelope(config)
     assert reference.app.units_failed > 0  # the deadline did fire
     assert run.app == reference.app
     assert ScenarioMetrics.from_result(run) == ScenarioMetrics.from_result(reference)
@@ -292,20 +310,16 @@ def test_closed_loop_udp_unit_timeouts_match_object(overrides):
 
 def test_udp_burst_beyond_the_access_queue_is_guarded():
     """No window bounds a UDP flow: a job larger than the access queue
-    would be dropped from there, which the fused access hop cannot do,
-    so the run gives up (and the default dispatch falls back)."""
+    is dropped from there, which the fused access hop cannot do.  The
+    batch engine used to give such a run up part-way; since UDP left
+    its envelope the cell never reaches it."""
     config = paper_config(
         protocol="udp", workload="bulk", bulk_job_packets=1200, n_clients=3, duration=3.0
     )
-    with pytest.raises(BatchGuardError, match="access queue would overflow"):
-        run_scenario(config.with_(engine="batch"))
-    result = run_scenario(config)
-    assert result.engine == "object"
+    result = _default_run_outside_the_envelope(config)
     assert ScenarioMetrics.from_result(result) == ScenarioMetrics.from_result(
         run_scenario(config.with_(engine="object"))
     )
-    # Just under the queue's capacity it runs, and matches.
-    _assert_same_metrics(config.with_(bulk_job_packets=990))
 
 
 def _assert_same_metrics(config: ScenarioConfig) -> None:
@@ -380,13 +394,16 @@ def test_batch_envelope_rejections(overrides, match):
 
 
 def test_batch_accepts_the_paper_grid():
-    """The paper's own sweep cells all validate under the batch engine."""
+    """The paper's own TCP sweep cells all validate under the batch
+    engine; its UDP cells resolve to the object engine, and a forced
+    batch engine refuses them by protocol."""
     for protocol in ("reno", "vegas", "reno_delack", "udp"):
         for queue in ("fifo", "red"):
             for n_clients in (10, 100, 500):
-                paper_config(
-                    engine="batch",
-                    protocol=protocol,
-                    queue=queue,
-                    n_clients=n_clients,
-                ).validate()
+                config = paper_config(protocol=protocol, queue=queue, n_clients=n_clients)
+                if protocol != "udp":
+                    config.with_(engine="batch").validate()
+                    continue
+                assert config.resolved_engine() == "object"
+                with pytest.raises(ValueError, match="only; got protocol 'udp'"):
+                    config.with_(engine="batch").validate()

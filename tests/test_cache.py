@@ -219,6 +219,15 @@ class TestEntryBytes:
     def test_a_cache_written_before_is_a_hit(self, tmp_path):
         config, metrics = golden_entry()
         shutil.copytree(GOLDEN_CACHE, tmp_path / "cache")
-        served = ResultCache(str(tmp_path / "cache")).get(config)
+        cache = ResultCache(str(tmp_path / "cache"))
+        served = cache.get(config)
         assert served == metrics
         assert repr(served) == repr(metrics)  # wall-clock fields too
+        # Written by a UDP cell on the batch engine, before UDP left its
+        # envelope: the engine is digest-excluded, so it is still a hit,
+        # and its numbers are the object engine's.
+        udp = tiny(protocol="udp", seed=7)
+        assert udp.resolved_engine() == "object"
+        served = cache.get(udp)
+        assert served is not None and served.perf_engine == "batch"
+        assert served == tiny_metrics(protocol="udp", seed=7)

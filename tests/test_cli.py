@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.engine.batch import BatchGuardError
+from repro.engine.batch import BatchTieError
 from repro.experiments.cli import build_parser, main, parse_range
 
 
@@ -523,22 +523,43 @@ class TestForensicsStreamFlag:
             return capsys.readouterr().out, files
 
         out, default = observed("default")
-        assert "engine: batch (default: inside the batch envelope)" in out
-        assert "BatchScenario._gw_arrival" in out  # the exported profile
+        if protocol == "udp":  # outside the envelope: the default is object
+            assert (
+                "engine: object (default: the batch engine supports "
+                "reno/vegas/reno_delack only; got protocol 'udp')"
+            ) in out
+            with pytest.raises(ValueError, match="only; got protocol 'udp'"):
+                observed("batch", "--engine", "batch")
+        else:
+            assert "engine: batch (default: inside the batch envelope)" in out
+            assert "BatchScenario._gw_arrival" in out  # the exported profile
         out, forced = observed("object", "--engine", "object")
         assert "engine: object (forced by --engine)" in out
         assert default.keys() == forced.keys() and len(default) >= 4
         assert default == forced
 
-    def test_observed_run_falls_back_and_restarts_the_stream(self, tmp_path, capsys):
+    def test_observed_run_falls_back_and_restarts_the_stream(
+        self, tmp_path, capsys, monkeypatch
+    ):
         """A guard trip part-way re-runs the cell on the object engine,
         and the stream file holds that run only."""
-        # A UDP job larger than the access queue: the batch engine's
-        # overflow guard trips on the first job, some way into the run.
+        from repro.experiments.config import paper_config
+        from tests.test_engine_dispatch import TIE_CELL
+
+        # The dispatch suite's tie cell: no flag reaches a tie at the
+        # default rates, so its rates go in under the flags.
+        rates = {name: value for name, value in TIE_CELL.items() if name.endswith("_bps")}
+        monkeypatch.setattr(
+            "repro.experiments.cli.paper_config",
+            lambda **given: paper_config(**given, **rates),
+        )
         argv = [
-            "run", "--protocol", "udp", "--workload", "bulk",
-            "--bulk-job-packets", "1200", "--bulk-job-gap", "0.5",
-            "--clients", "3", "--duration", "3", "--forensics-stream-interval", "0.1",
+            "run", "--workload", TIE_CELL["workload"],
+            "--rpc-think", str(TIE_CELL["rpc_think_time"]),
+            "--clients", str(TIE_CELL["n_clients"]),
+            "--duration", str(TIE_CELL["duration"]),
+            "--seed", str(TIE_CELL["seed"]),
+            "--forensics-stream-interval", "0.1",
         ]
         streams = {}
         for tag, extra in (("default", []), ("object", ["--engine", "object"])):
@@ -547,7 +568,7 @@ class TestForensicsStreamFlag:
             streams[tag] = (stream.read_bytes(), capsys.readouterr().out)
         assert "engine: object (fallback:" in streams["default"][1]
         assert streams["default"][0] == streams["object"][0] != b""
-        with pytest.raises(BatchGuardError):
+        with pytest.raises(BatchTieError):
             main(argv + ["--forensics-stream", str(stream), "--engine", "batch"])
 
     @pytest.mark.parametrize("traced", [False, True], ids=["stream", "trace+stream"])
@@ -566,7 +587,7 @@ class TestForensicsStreamFlag:
         def refuse_part_way(scenario):
             scenario.sim.run(until=scenario.config.duration / 2)
             abandoned.append((tmp_path / "default.jsonl").stat().st_size)
-            raise BatchGuardError("scripted guard trip")
+            raise BatchTieError("scripted guard trip")
 
         monkeypatch.setattr(BatchScenario, "_execute", refuse_part_way)
         argv = [

@@ -32,6 +32,11 @@ CONGESTED = dict(n_clients=40, duration=8.0, seed=3)
 @pytest.mark.parametrize("protocol", ["reno", "reno_delack", "vegas", "udp"])
 def test_batch_flows_are_the_object_engines_classes(protocol):
     config = paper_config(protocol=protocol, n_clients=3, duration=1.0)
+    if protocol == "udp":  # outside the envelope: no batch flows to build
+        assert config.resolved_engine() == "object"
+        with pytest.raises(ValueError, match="only; got protocol 'udp'"):
+            BatchScenario(config)
+        return
     batch, reference = BatchScenario(config), Scenario(config)
     for attribute in ("senders", "sinks"):
         built, expected = getattr(batch, attribute), getattr(reference, attribute)

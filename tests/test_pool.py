@@ -658,6 +658,13 @@ class TestCostModel:
         model = CostModel()
         assert model.seed_from_runlog(events, {digest: oracle}) == 2
         assert model.estimate(oracle) == pytest.approx(5.5)
+        # A UDP cell an older log timed on batch now runs on object: the
+        # digest still matches, the seconds do not speak for it.
+        udp = tiny(protocol="udp")
+        assert udp.resolved_engine() == "object"
+        udp_done = {"event": "task_done", "digest": udp.config_digest(),
+                    "elapsed": 0.7, "engine": "batch"}
+        assert CostModel().seed_from_runlog([udp_done], {udp.config_digest(): udp}) == 0
 
     def test_runner_seeds_model_from_existing_runlog(self, tmp_path):
         """A prior sweep's task_done rows seed the next sweep's model
