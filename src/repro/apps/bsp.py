@@ -33,7 +33,6 @@ class BspCoordinator:
         self.release_delay = release_delay
         self.workers: List["BspWorkload"] = []
         self.supersteps_completed = 0
-        self.failed_shuffles = 0
         self._arrived: Dict[int, float] = {}  # worker index -> finish time
         self._started = False
         self._stop_at: Optional[float] = None
@@ -62,10 +61,8 @@ class BspCoordinator:
         for worker in self.workers:
             worker.begin_superstep()
 
-    def worker_done(self, index: int, time: float, failed: bool) -> None:
+    def worker_done(self, index: int, time: float) -> None:
         """A worker's shuffle was delivered (or written off)."""
-        if failed:
-            self.failed_shuffles += 1
         if index in self._arrived:  # pragma: no cover - defensive
             return
         self._arrived[index] = time
@@ -126,7 +123,7 @@ class BspWorkload(AppWorkload):
 
     def _on_unit_complete(self, unit: WorkUnit, time: float) -> None:
         self.shuffle_times.append(time - unit.issued_at)
-        self.coordinator.worker_done(self.index, time, failed=False)
+        self.coordinator.worker_done(self.index, time)
 
     def _on_unit_failed(self, unit: WorkUnit, time: float) -> None:
-        self.coordinator.worker_done(self.index, time, failed=True)
+        self.coordinator.worker_done(self.index, time)

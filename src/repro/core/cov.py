@@ -26,7 +26,9 @@ def bin_counts(
 
     Events outside the window are discarded.  Trailing empty bins up to
     ``t_end`` are included (an interval with no arrivals is still an
-    observation of the arrival process).
+    observation of the arrival process).  The window holds whole bins
+    only, and an event whose offset rounds up to the bin past the last
+    one (the last ulp before the window's end) counts in none.
     """
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
@@ -41,7 +43,7 @@ def bin_counts(
     window_end = t_start + n_bins * bin_width
     in_window = times[(times >= t_start) & (times < window_end)]
     indices = ((in_window - t_start) / bin_width).astype(int)
-    return np.bincount(indices, minlength=n_bins).astype(float)
+    return np.bincount(indices, minlength=n_bins)[:n_bins].astype(float)
 
 
 def coefficient_of_variation(counts: ArrayLike, ddof: int = 0) -> float:

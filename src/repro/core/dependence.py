@@ -22,6 +22,8 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
+from repro.core.cov import bin_counts
+
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 
@@ -131,7 +133,8 @@ def bin_flow_times(
     t_start: float,
     t_end: float,
 ) -> np.ndarray:
-    """Per-flow binned counts, shape (n_flows, n_bins), flows sorted by id."""
+    """Per-flow binned counts, shape (n_flows, n_bins), flows sorted by
+    id: a row of :func:`repro.core.cov.bin_counts` per flow."""
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
     n_bins = int((t_end - t_start) / bin_width)
@@ -139,12 +142,7 @@ def bin_flow_times(
         raise ValueError("window shorter than one bin")
     flows = sorted(times_by_flow)
     out = np.zeros((len(flows), n_bins))
-    window_end = t_start + n_bins * bin_width
     for row, flow in enumerate(flows):
-        times = np.asarray(list(times_by_flow[flow]), dtype=float)
-        if times.size == 0:
-            continue
-        in_window = times[(times >= t_start) & (times < window_end)]
-        indices = ((in_window - t_start) / bin_width).astype(int)
-        out[row] = np.bincount(indices, minlength=n_bins)[:n_bins]
+        times = np.asarray(times_by_flow[flow], dtype=float)
+        out[row] = bin_counts(times, bin_width, t_start, t_end)
     return out

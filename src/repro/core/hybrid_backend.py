@@ -133,7 +133,6 @@ class HybridCoupler:
         self.interval = self.k * solver.dt
         self.trajectory = FluidTrajectory(solver.dt, solver.steps)
         self.foreground_arrivals = 0
-        self.ticks = 0
 
     # ------------------------------------------------------------------
     # Packet-side queries
@@ -171,7 +170,6 @@ class HybridCoupler:
         target = min(solver.step_index + self.k, solver.steps)
         while solver.step_index < target:
             self.trajectory.append(*solver.step_once())
-        self.ticks += 1
         if solver.step_index < solver.steps:
             self._sim.schedule(self.interval, self._tick)
 

@@ -111,6 +111,13 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
+def _positive_int(value: str) -> int:
+    parsed = int(value)
+    if parsed < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return parsed
+
+
 def _non_negative_int(value: str) -> int:
     parsed = int(value)
     if parsed < 0:
@@ -606,7 +613,7 @@ def _cmd_sweeplog(args: argparse.Namespace) -> int:
     from repro.experiments.runlog import (
         follow_runlog,
         read_runlog,
-        render_runlog_summary,
+        render_summary,
         summarize_runlog,
     )
 
@@ -622,9 +629,9 @@ def _cmd_sweeplog(args: argparse.Namespace) -> int:
     if not events:
         print(f"no events in {args.path}")
         return 1
-    print(render_runlog_summary(events))
+    summary = summarize_runlog(events)
+    print(render_summary(summary))
     if args.json:
-        summary = summarize_runlog(events)
         summary["per_worker"] = {
             str(worker): stats for worker, stats in summary["per_worker"].items()
         }
@@ -826,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         40,
         "run one scenario under several seeds (mean +/- CI)",
         workload=True,
-    ).add_argument("--replicas", type=int, default=5)
+    ).add_argument("--replicas", type=_positive_int, default=5)
     single_run(
         "dependence",
         _cmd_dependence,
@@ -888,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     claims_parser.set_defaults(func=_cmd_claims)
     _add_common(claims_parser)
-    claims_parser.add_argument("--replicas", type=int, default=5)
+    claims_parser.add_argument("--replicas", type=_positive_int, default=5)
 
     sweeplog_parser = sub.add_parser(
         "sweeplog",

@@ -2,15 +2,16 @@
 
 The paper's figures aggregate hundreds of seed-deterministic scenario
 runs — an embarrassingly parallel, perfectly cacheable workload.  The
-executor is a pool of long-lived workers that import once, drain the
-task queue over a duplex pipe, and heartbeat while running, under one
-robustness contract: per-cell wall-clock deadline, capped-backoff
-retry, crash isolation via error-tagged :class:`ScenarioMetrics`
-placeholders, content-addressed resume.  A worker that crashes or blows
-its deadline is killed and respawned *individually* — the rest of the
-pool keeps draining.  Workers persist successful results into the
-:class:`ResultCache` themselves (same atomic-rename, digest-keyed
-writes), so the parent never writes an entry a worker already wrote.
+executor is a pool of long-lived workers that import once and drain
+the task queue over a duplex pipe, under one robustness contract:
+per-cell wall-clock deadline, capped-backoff retry, crash isolation via
+error-tagged :class:`ScenarioMetrics` placeholders, content-addressed
+resume.  A worker that crashes (its pipe reads EOF) or blows its
+deadline (armed when it reports the cell's start) is killed and
+respawned *individually* — the rest of the pool keeps draining.
+Workers persist successful results into the :class:`ResultCache`
+themselves (same atomic-rename, digest-keyed writes), so the parent
+never writes an entry a worker already wrote.
 
 The parent reaps events with :func:`multiprocessing.connection.wait`
 over the worker pipes (the wake-up is a pipe write, not a poll loop),
@@ -35,10 +36,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import multiprocessing
 import os
-import threading
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
@@ -54,8 +53,10 @@ from repro.experiments.scenario import run_scenario
 #: Backoff before retry attempt k is ``backoff * 2**(k-1)``, capped.
 DEFAULT_BACKOFF = 0.25
 DEFAULT_MAX_BACKOFF = 5.0
-#: Liveness beat period of a busy pool worker.
-DEFAULT_HEARTBEAT = 0.5
+#: A worker whose running cell the cost model expects to end within
+#: this many seconds gets one more cell queued in its pipe
+#: (:meth:`SweepRunner._feed`); it bounds that cell's extra wait.
+QUEUE_AHEAD_S = 0.5
 #: Single-valued enumeration shim: the performance ledger lists its
 #: pool rows from this tuple and passes ``pool=`` back.  It selects nothing.
 POOLS = ("persistent",)
@@ -92,56 +93,31 @@ def pick_start_method(preferred: Optional[str] = None) -> str:
 _PARENT_CONNS: List[Connection] = []
 
 
-def _pool_heartbeats(send, running: list, stop: threading.Event, interval: float) -> None:
-    """Beat for the task in ``running[0]`` (None between tasks) until
-    ``stop`` is set: one daemon thread for the worker's whole life."""
-    while not stop.wait(interval):
-        index = running[0]
-        if index is not None:
-            send(("hb", index))
-
-
 def _pool_worker_main(
-    worker_id: int,
-    task: TaskFn,
-    cache_dir: Optional[str],
-    conn: Connection,
-    heartbeat: float,
+    task: TaskFn, cache_dir: Optional[str], conn: Connection
 ) -> None:
-    """Pool child entry: import once, drain tasks until told
-    to stop.
+    """Pool child entry: import once, drain tasks until told to stop.
 
-    Protocol (worker -> parent): ``("ready", id)`` once after startup,
-    ``("start", index)`` when a task begins, ``("hb", index)`` every
-    ``heartbeat`` seconds while running, and ``("done", index, status,
-    payload, elapsed)`` per task: the metrics under ``"ok"`` or
-    ``"cached"``, the error text under ``"error"``.  ``"cached"`` says
-    the worker has persisted the metrics itself (atomic rename under
-    the config digest the task message carried), so the parent must
-    not write them again; they travel in the payload all the same,
-    which costs less than the parent reading the entry back.  The
-    parent may send a second task while one runs; it waits in the pipe.
+    Protocol (worker -> parent): ``("start", index)`` when a task
+    begins and ``("done", index, status, payload, elapsed)`` when it
+    ends: the metrics under ``"ok"`` or ``"cached"``, the error text
+    under ``"error"``.  ``"cached"`` says the worker has persisted the
+    metrics itself (atomic rename under the config digest the task
+    message carried), so the parent must not write them again; they
+    travel in the payload all the same, which costs less than the
+    parent reading the entry back.  The parent may send a second task
+    while one runs; it waits in the pipe.
     """
     while _PARENT_CONNS:  # inherited through fork: see _PARENT_CONNS
         _PARENT_CONNS.pop().close()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    send_lock = threading.Lock()
 
     def send(message: tuple) -> None:
-        with send_lock:  # the heartbeat thread shares this pipe
-            try:
-                conn.send(message)
-            except (OSError, ValueError):
-                pass  # parent went away; the next recv will end the loop
+        try:
+            conn.send(message)
+        except (OSError, ValueError):
+            pass  # parent went away; the next recv will end the loop
 
-    running: List[Optional[int]] = [None]
-    stop = threading.Event()
-    threading.Thread(
-        target=_pool_heartbeats,
-        args=(send, running, stop, heartbeat),
-        daemon=True,
-    ).start()
-    send(("ready", worker_id))
     while True:
         try:
             message = conn.recv()
@@ -151,7 +127,6 @@ def _pool_worker_main(
             break
         _, index, digest, config = message
         send(("start", index))
-        running[0] = index
         started = time.monotonic()
         error: Optional[str] = None
         try:
@@ -163,7 +138,6 @@ def _pool_worker_main(
         except BaseException as exc:  # noqa: BLE001 - isolate the cell
             error = f"{type(exc).__name__}: {exc}"
         elapsed = time.monotonic() - started
-        running[0] = None
         if error is not None:
             send(("done", index, "error", error, elapsed))
             continue
@@ -175,7 +149,6 @@ def _pool_worker_main(
             except Exception:
                 pass  # disk trouble: the parent tries the write itself
         send(("done", index, status, metrics, elapsed))
-    stop.set()
     try:
         conn.close()
     except OSError:
@@ -203,9 +176,6 @@ class _PoolWorker:
     current: Optional[_Task] = None  # the cell it runs (or is about to)
     queued: Optional[_Task] = None  # one more, waiting in its pipe
     deadline: Optional[float] = None
-    last_beat: float = 0.0
-    tasks_done: int = 0
-    busy_time: float = 0.0
 
 
 class _PendingTasks:
@@ -292,7 +262,6 @@ class SweepRunner:
         start_method: multiprocessing start method override (None = fork
             where available, else spawn).
         pool: ``"persistent"``, the only executor (see ``POOLS``).
-        heartbeat: liveness beat period of busy pool workers, seconds.
     """
 
     def __init__(
@@ -307,7 +276,6 @@ class SweepRunner:
         task: TaskFn = run_one,
         start_method: Optional[str] = None,
         pool: str = "persistent",
-        heartbeat: float = DEFAULT_HEARTBEAT,
     ) -> None:
         if retries < 0:
             raise ValueError("retries must be >= 0")
@@ -318,8 +286,6 @@ class SweepRunner:
                 f"unknown pool {pool!r}; the persistent pool is the only "
                 f"executor (choose from {POOLS})"
             )
-        if heartbeat <= 0:
-            raise ValueError("heartbeat must be positive")
         self.processes = processes
         self.timeout = timeout
         self.retries = retries
@@ -330,7 +296,6 @@ class SweepRunner:
         self.task = task
         self.start_method = start_method
         self.pool = pool
-        self.heartbeat = heartbeat
         self._worker_seq = itertools.count()
 
     # ------------------------------------------------------------------
@@ -349,16 +314,9 @@ class SweepRunner:
             workers = min(os.cpu_count() or 1, len(configs)) or 1
         results: List[Optional[ScenarioMetrics]] = [None] * len(configs)
 
-        self.log.sweep_start(
-            total=len(configs),
-            workers=workers,
-            timeout=self.timeout,
-            retries=self.retries,
-            cache_dir=self.cache.directory if self.cache is not None else None,
-            pool=self.pool,
-        )
         cost = self._seeded_cost_model(configs)
         pending: List[_Task] = []
+        hits: List[tuple] = []  # (index, digest), logged once the sweep starts
         for index, config in enumerate(configs):
             digest = config.config_digest()
             cached = (
@@ -366,16 +324,28 @@ class SweepRunner:
             )
             if cached is not None:
                 results[index] = cached
-                self.log.cache_hit(index, digest)
+                hits.append((index, digest))
                 cost.observe_metrics(config, cached)
             else:
                 pending.append(_Task(index, config, digest))
-
-        if pending:
-            if workers <= 1 and self.timeout is None:
-                self._run_in_process(pending, results, cost)
-            else:
-                self._run_pool(pending, results, max(workers, 1), cost)
+        in_process = workers <= 1 and self.timeout is None
+        # The pool the sweep runs on, which is what its utilization
+        # divides by: no more workers than cells left to run.
+        pool_size = min(1 if in_process else max(workers, 1), len(pending))
+        self.log.sweep_start(
+            total=len(configs),
+            workers=pool_size,
+            timeout=self.timeout,
+            retries=self.retries,
+            cache_dir=self.cache.directory if self.cache is not None else None,
+            pool=self.pool,
+        )
+        for index, digest in hits:
+            self.log.emit("cache_hit", index=index, digest=digest)
+        if in_process and pending:
+            self._run_in_process(pending, results, cost)
+        elif pending:
+            self._run_pool(pending, results, pool_size, cost)
         self.log.sweep_end()
         assert all(m is not None for m in results)
         return results  # type: ignore[return-value]
@@ -384,14 +354,10 @@ class SweepRunner:
         """The LPT cost model, seeded from any prior events already in
         this run log's JSONL file."""
         model = CostModel()
-        if self.log.path is not None and os.path.exists(self.log.path):
-            try:
-                events = read_runlog(self.log.path)
-            except OSError:
-                events = []
-            if events:
-                by_digest = {config.config_digest(): config for config in configs}
-                model.seed_from_runlog(events, by_digest)
+        events = read_runlog(self.log.path) if self.log.path is not None else []
+        if events:
+            by_digest = {config.config_digest(): config for config in configs}
+            model.seed_from_runlog(events, by_digest)
         return model
 
     # ------------------------------------------------------------------
@@ -409,34 +375,18 @@ class SweepRunner:
         results[task.index] = metrics
         if self.cache is not None and not already_cached and not metrics.failed:
             self.cache.put(task.config, metrics, task.digest)
-        forensic_extras: Dict[str, Any] = {}
-        if math.isfinite(metrics.forensic_burst_rate):
-            # A finite burst rate marks "forensics ran on this cell";
-            # the sweeplog dashboard and summary pick these up.
-            forensic_extras = {
-                "forensic_bursts": metrics.forensic_bursts,
-                "forensic_sync_linked": metrics.forensic_sync_linked,
-                "forensic_burst_rate": metrics.forensic_burst_rate,
-                "forensic_sync_linked_fraction": (
-                    metrics.forensic_sync_linked_fraction
-                ),
-            }
         self.log.task_done(
             task.index,
             task.digest,
-            elapsed=elapsed,
-            events_executed=metrics.perf_events_executed,
-            sim_wall_ratio=metrics.perf_sim_wall_ratio,
-            peak_rss_kb=metrics.perf_peak_rss_kb,
+            elapsed,
+            metrics,
             attempt=task.attempt,
             worker=worker,
             backend=task.config.backend,
-            engine=metrics.perf_engine,
             engine_fallback=(
                 metrics.perf_engine == "object"
                 and task.config.resolved_engine() == "batch"
             ),
-            **forensic_extras,
         )
 
     def _retry_delay(self, attempt: int) -> float:
@@ -450,13 +400,28 @@ class SweepRunner:
         task.attempt += 1
         if task.attempt <= self.retries:
             delay = self._retry_delay(task.attempt)
-            self.log.task_retry(
-                task.index, task.digest, task.attempt, error=error, delay=delay
+            self.log.emit(
+                "task_retry", index=task.index, digest=task.digest,
+                attempt=task.attempt, error=error, delay=delay,
             )
             return delay
         results[task.index] = ScenarioMetrics.failure(task.config, error)
-        self.log.task_failed(task.index, task.digest, error=error)
+        self.log.emit("task_failed", index=task.index, digest=task.digest, error=error)
         return None
+
+    def _take_cached(self, task: _Task, results: List, cost: CostModel) -> bool:
+        """Answer ``task`` from the cache if it is there now: a duplicate
+        grid entry or a concurrent sweep sharing the directory may have
+        finished the cell since :meth:`run` looked."""
+        cached = (
+            self.cache.get(task.config, task.digest) if self.cache is not None else None
+        )
+        if cached is None:
+            return False
+        results[task.index] = cached
+        self.log.emit("cache_hit", index=task.index, digest=task.digest)
+        cost.observe_metrics(task.config, cached)
+        return True
 
     def _requeue(self, task: _Task, delay: float, pending: _PendingTasks) -> None:
         task.ready_at = time.monotonic() + delay
@@ -474,16 +439,7 @@ class SweepRunner:
             tasks, key=lambda task: cost.estimate(task.config), reverse=True
         )
         for task in tasks:
-            # Re-check the cache per cell so duplicate grid entries (and
-            # concurrent sweeps sharing the directory) coalesce.
-            cached = (
-                self.cache.get(task.config, task.digest)
-                if self.cache is not None
-                else None
-            )
-            if cached is not None:
-                results[task.index] = cached
-                self.log.cache_hit(task.index, task.digest)
+            if self._take_cached(task, results, cost):
                 continue
             while True:
                 started = time.monotonic()
@@ -544,19 +500,14 @@ class SweepRunner:
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=_pool_worker_main,
-            args=(worker_id, self.task, cache_dir, child_conn, self.heartbeat),
+            args=(self.task, cache_dir, child_conn),
             daemon=True,
         )
         _PARENT_CONNS.append(parent_conn)
         process.start()
         child_conn.close()  # keep only the child's copy
-        self.log.worker_spawn(worker_id)
-        return _PoolWorker(
-            id=worker_id,
-            process=process,
-            conn=parent_conn,
-            last_beat=time.monotonic(),
-        )
+        self.log.emit("worker_spawn", worker=worker_id)
+        return _PoolWorker(id=worker_id, process=process, conn=parent_conn)
 
     def _arm_deadline(self, worker: _PoolWorker) -> None:
         """Run the worker's wall-clock limit from now, for the cell it
@@ -588,19 +539,11 @@ class SweepRunner:
         cost: CostModel,
         now: float,
     ) -> Optional[_Task]:
-        """Pop launchable tasks until one misses the cache: a duplicate
-        grid entry or a concurrent sweep sharing the directory may have
-        finished a cell since :meth:`run` looked."""
+        """Pop launchable tasks until one misses the cache."""
         while True:
             task = pending.pick_next(now)
-            if task is None or self.cache is None:
+            if task is None or not self._take_cached(task, results, cost):
                 return task
-            cached = self.cache.get(task.config, task.digest)
-            if cached is None:
-                return task
-            results[task.index] = cached
-            self.log.cache_hit(task.index, task.digest)
-            cost.observe_metrics(task.config, cached)
 
     def _feed(
         self,
@@ -615,12 +558,13 @@ class SweepRunner:
         trip.  Breadth first: nobody holds two while anybody holds none.
 
         Short means the cost model, from at least one observation,
-        expects the running cell to end within one ``heartbeat``: the
-        queued cell then waits at most about that long for a worker that
-        may have been free sooner (the tail loss), and behind a longer
-        cell the round trip saved is under 0.2 % of it (a millisecond
-        against a heartbeat) for an unbounded wait.  So nothing queues
-        before the first observation or behind a long cell.
+        expects the running cell to end within :data:`QUEUE_AHEAD_S`:
+        the queued cell then waits at most about that long for a worker
+        that may have been free sooner (the tail loss), and behind a
+        longer cell the round trip saved is under 0.2 % of it (a
+        millisecond against half a second) for an unbounded wait.  So
+        nothing queues before the first observation or behind a long
+        cell.
         """
         now = time.monotonic()
         for worker in workers:
@@ -635,7 +579,7 @@ class SweepRunner:
             if (
                 worker.queued is None
                 and worker.current is not None
-                and cost.estimate(worker.current.config) <= self.heartbeat
+                and cost.estimate(worker.current.config) <= QUEUE_AHEAD_S
             ):
                 task = self._next_uncached(pending, results, cost, now)
                 if task is None:
@@ -646,15 +590,14 @@ class SweepRunner:
         self,
         tasks: List[_Task],
         results: List,
-        workers_wanted: int,
+        pool_size: int,
         cost: CostModel,
     ) -> None:
         context = multiprocessing.get_context(pick_start_method(self.start_method))
         cache_dir = self.cache.directory if self.cache is not None else None
         pending = _PendingTasks(tasks, cost)
         workers: List[_PoolWorker] = [
-            self._spawn_worker(context, cache_dir)
-            for _ in range(max(1, min(workers_wanted, len(tasks))))
+            self._spawn_worker(context, cache_dir) for _ in range(pool_size)
         ]
         try:
             while pending or any(w.current is not None for w in workers):
@@ -725,10 +668,9 @@ class SweepRunner:
                 )
                 return
             kind = message[0]
-            if kind in ("ready", "hb", "start"):
-                worker.last_beat = time.monotonic()
+            if kind == "start":
                 task = worker.current
-                if kind == "start" and task is not None and task.index == message[1]:
+                if task is not None and task.index == message[1]:
                     self.log.task_start(
                         task.index, task.digest, task.config.label, task.attempt,
                         worker=worker.id, backend=task.config.backend,
@@ -750,8 +692,6 @@ class SweepRunner:
             self._arm_deadline(worker)
             if task is None or task.index != index:
                 continue  # stale report from a task already written off
-            worker.tasks_done += 1
-            worker.busy_time += elapsed
             if status == "error":
                 delay = self._record_failure(task, str(payload), results)
                 if delay is not None:
@@ -796,8 +736,9 @@ class SweepRunner:
         if pending:
             replacement = self._spawn_worker(context, cache_dir)
             workers[slot] = replacement
-            self.log.worker_respawn(
-                replacement.id,
+            self.log.emit(
+                "worker_respawn",
+                worker=replacement.id,
                 reason=reason,
                 index=task.index if task is not None else None,
                 replaced=worker.id,

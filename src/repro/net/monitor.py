@@ -125,5 +125,4 @@ class FlowStats:
     unique_packets: int = 0  # in-order progress (retransmit duplicates excluded)
     duplicates: int = 0
     out_of_order: int = 0
-    last_arrival: float = 0.0
     arrival_times: List[float] = field(default_factory=list)

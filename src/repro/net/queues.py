@@ -10,7 +10,7 @@ keeps its own statistics.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
 from repro.net.packet import Packet
@@ -31,7 +31,6 @@ class QueueStats:
     # Time-weighted queue-length integral, for mean occupancy.
     _occupancy_integral: float = 0.0
     _last_change: float = 0.0
-    _samples: List[int] = field(default_factory=list)
 
     def note_length(self, length: int, now: float) -> None:
         """Account occupancy up to ``now`` (call on every length change)."""

@@ -13,6 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.cov import bin_counts
 from repro.traffic.base import TrafficSource
 
 
@@ -48,16 +49,6 @@ class OfferedTrafficRecorder:
         self.times.extend(kept)
 
     def bin_counts(self, bin_width: float, until: Optional[float] = None) -> np.ndarray:
-        """Per-bin generation counts over ``[start_time, until)``."""
-        if bin_width <= 0:
-            raise ValueError("bin width must be positive")
-        times = np.asarray(self.times)
-        if until is None:
-            until = float(times.max()) + bin_width if len(times) else self.start_time
-        n_bins = int((until - self.start_time) / bin_width)
-        if n_bins <= 0:
-            return np.zeros(0)
-        in_window = times[(times >= self.start_time) & (times < self.start_time + n_bins * bin_width)]
-        indices = ((in_window - self.start_time) / bin_width).astype(int)
-        counts = np.bincount(indices, minlength=n_bins).astype(float)
-        return counts[:n_bins]
+        """Per-bin generation counts over ``[start_time, until)``
+        (:func:`repro.core.cov.bin_counts`)."""
+        return bin_counts(np.asarray(self.times), bin_width, self.start_time, until)

@@ -52,7 +52,6 @@ class UdpSink(Agent):
         stats.packets_received += 1
         stats.unique_packets += 1
         stats.bytes_received += packet.size
-        stats.last_arrival = self.sim.now
         if self._record_arrivals:
             stats.arrival_times.append(self.sim.now)
         for hook in self._delivery_hooks:
@@ -123,7 +122,6 @@ class TcpSink(Agent):
         stats = self.stats
         stats.packets_received += 1
         stats.bytes_received += packet.size
-        stats.last_arrival = now
         if self._record_arrivals:
             stats.arrival_times.append(now)
         if packet.ecn_ce:

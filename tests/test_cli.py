@@ -63,6 +63,14 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["replicate", "claims"])
+    def test_zero_replicas_is_a_usage_error(self, command, capsys):
+        """Not a ValueError traceback from the replication layer."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--replicas", "0"])
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestMain:
     def test_table1_prints_parameters(self, capsys):

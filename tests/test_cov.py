@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.cov import bin_counts, coefficient_of_variation, cov_from_times
+from repro.core.dependence import bin_flow_times
+from repro.traffic.recorder import OfferedTrafficRecorder
 
 
 class TestBinCounts:
@@ -45,6 +47,22 @@ class TestBinCounts:
     def test_t_end_before_t_start(self):
         with pytest.raises(ValueError):
             bin_counts([1.0], bin_width=1.0, t_start=2.0, t_end=1.0)
+
+    def test_last_ulp_before_the_end_adds_no_bin(self):
+        """16 s in bins of 1/3 s is 48 bins; an event one ulp before the
+        end divides to 48.0, the bin past the last one, and must not
+        grow the window to 49 (nor count in it)."""
+        counts = bin_counts([15.999999999999998], 1 / 3, 0.0, 16.0)
+        assert len(counts) == 48
+        assert counts.sum() == 0
+
+    def test_recorder_and_per_flow_bins_are_bin_counts(self):
+        times = [0.0, 0.2, 5.5, 15.999999999999998]
+        expected = bin_counts(times, 1 / 3, 0.0, 16.0).tolist()
+        recorder = OfferedTrafficRecorder()
+        recorder.on_generate_many(times)
+        assert recorder.bin_counts(1 / 3, until=16.0).tolist() == expected
+        assert bin_flow_times({0: times}, 1 / 3, 0.0, 16.0)[0].tolist() == expected
 
     def test_conservation(self):
         times = np.random.default_rng(0).uniform(0, 10, size=500)

@@ -14,6 +14,7 @@ the figures; and the ``sweeplog --follow`` dashboard.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -628,11 +629,12 @@ class TestRunlogForensics:
     def test_task_done_skips_nan_fractions(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
         log = RunLog(path=path)
-        log.task_done(
-            0, "d", elapsed=1.0, forensic_bursts=0,
-            forensic_sync_linked=0, forensic_burst_rate=0.0,
-            forensic_sync_linked_fraction=float("nan"),
+        metrics = dataclasses.replace(
+            ScenarioMetrics.failure(paper_config(), ""),
+            forensic_bursts=0, forensic_sync_linked=0,
+            forensic_burst_rate=0.0, forensic_sync_linked_fraction=float("nan"),
         )
+        log.task_done(0, "d", elapsed=1.0, metrics=metrics)
         event = read_runlog(path)[0]
         assert event["forensic_bursts"] == 0
         assert event["forensic_burst_rate"] == 0.0

@@ -11,6 +11,7 @@ stable after a ``from_dict`` round-trip).
 
 import collections
 import functools
+import json
 import multiprocessing
 import os
 import signal
@@ -178,7 +179,7 @@ class TestFailureMatrix:
             runner = SweepRunner(
                 processes=2, timeout=2.0, retries=0,
                 task=scripted(nap=0.2, bad_seed=99),
-                pool=pool, run_log=log, heartbeat=0.1,
+                pool=pool, run_log=log,
             )
             results = runner.run([hang] + normal)
         assert results[0].failed
@@ -685,8 +686,8 @@ class TestValidationAndKnobs:
         for pool in ("threads", "per-task"):
             with pytest.raises(ValueError, match="persistent"):
                 SweepRunner(pool=pool)
-        with pytest.raises(ValueError):
-            SweepRunner(heartbeat=0)
+        with pytest.raises(TypeError):
+            SweepRunner(heartbeat=0)  # no liveness-beat parameter
 
     def test_sweep_end_reports_utilization(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -704,6 +705,60 @@ class TestValidationAndKnobs:
         assert summary["pool"] == "persistent"
         assert summary["workers"] == 2
         assert summary["per_worker"]
+
+    def test_utilization_divides_by_the_pool_that_ran(self, tmp_path):
+        """Three cells, two of them cached, two processes asked for: one
+        worker spawns, ``sweep_start`` says so, and the sweep's
+        utilization is its busy time over its makespan on that worker."""
+        configs = [tiny(seed=s) for s in (1, 2, 3)]
+        cache = str(tmp_path / "cache")
+        run_many(configs[:2], processes=1, cache=cache)
+        path = str(tmp_path / "run.jsonl")
+        for processes, timeout in ((2, 60), (1, None)):  # pool, then in process
+            with RunLog(path) as log:
+                run_many(
+                    configs, processes=processes, timeout=timeout,
+                    cache=cache if timeout else None, run_log=log,
+                )
+        first, second = [e for e in read_runlog(path) if e["event"] == "sweep_start"]
+        assert first["workers"] == 1 and second["workers"] == 1
+        events = read_runlog(path)
+        assert [e["event"] for e in events].count("worker_spawn") == 1
+        for end in (e for e in events if e["event"] == "sweep_end"):
+            assert end["utilization"] == pytest.approx(
+                end["busy"] / end["makespan"], abs=1e-3
+            )
+        # Every cell a hit: no pool runs and no utilization is claimed.
+        with RunLog(path) as log:
+            run_many(configs, processes=2, timeout=60, cache=cache, run_log=log)
+        start, *_, end = read_runlog(path)[-5:]
+        assert start["event"] == "sweep_start" and start["workers"] == 0
+        assert "utilization" not in end
+
+    def test_live_progress_is_the_fold_of_the_file(self, tmp_path, monkeypatch):
+        """One fold: after a pooled sweep with a cache hit and a retry,
+        the live counters and a fold of the written log agree on every
+        key of the summary."""
+        monkeypatch.setenv(
+            "REPRO_TEST_POOL_SENTINEL", str(tmp_path / "sentinel")
+        )
+        configs = [tiny(seed=s) for s in (1, 2, 3)]
+        cache = str(tmp_path / "cache")
+        run_many(configs[:1], processes=1, cache=cache)
+        path = str(tmp_path / "run.jsonl")
+        with RunLog(path) as log:
+            SweepRunner(
+                processes=2, timeout=60, retries=1, backoff=0.02, cache=cache,
+                task=_flaky_once, run_log=log,
+            ).run(configs)
+        live = log.progress.summary()
+        read = summarize_runlog(read_runlog(path))
+        assert (live["cached"], live["retried"], live["completed"]) == (1, 1, 2)
+        assert live.keys() == read.keys()
+        for key in live:  # via JSON: NaN means equal NaN there
+            assert json.dumps(live[key], sort_keys=True) == json.dumps(
+                read[key], sort_keys=True
+            ), key
 
     def test_runlog_from_an_older_checkout_still_reads(self, tmp_path, capsys):
         """Version skew: a log written by the last checkout that had the
