@@ -40,16 +40,14 @@ GenerateHook = Callable[[float, int], None]
 class WorkUnit:
     """One in-flight application work unit (a batch of packets)."""
 
-    __slots__ = ("size", "boundary", "issued_at", "timeout_event", "token")
+    __slots__ = ("size", "boundary", "issued_at", "timeout_event")
 
-    def __init__(self, size: int, boundary: int, issued_at: float, token: object = None):
+    def __init__(self, size: int, boundary: int, issued_at: float):
         self.size = size
         #: cumulative issued-packet count at which this unit is complete
         self.boundary = boundary
         self.issued_at = issued_at
         self.timeout_event: Optional[Event] = None
-        #: opaque subclass payload (e.g. an RPC slot id)
-        self.token = token
 
 
 class AppWorkload:
@@ -125,7 +123,7 @@ class AppWorkload:
     # ------------------------------------------------------------------
     # Work-unit lifecycle
     # ------------------------------------------------------------------
-    def _issue_unit(self, size: int, token: object = None) -> WorkUnit:
+    def _issue_unit(self, size: int) -> WorkUnit:
         """Issue ``size`` packets as one unit; returns the unit."""
         if size < 1:
             raise ValueError("work units must carry at least one packet")
@@ -133,7 +131,6 @@ class AppWorkload:
             size=size,
             boundary=self.generated + size,
             issued_at=self.sim.now,
-            token=token,
         )
         self._pending.append(unit)
         self.units_issued += 1

@@ -78,18 +78,14 @@ def fluid_rate_cov(
     bin_width: float,
     warmup: float,
     duration: float,
-    sampling_floor: bool = True,
 ) -> np.ndarray:
     """Bin a continuous aggregate arrival-rate series into per-bin
     packet counts, the fluid analogue of the gateway arrival monitor.
 
     Returns the bin-count array; the caller computes c.o.v. from it.
-    When ``sampling_floor`` is set the counts are later combined with
-    the finite-rate Poisson sampling variance (``var + mean``), because
-    a fluid rate ``A(t)`` describes the *intensity* of a point process:
-    even a perfectly constant intensity yields ``var = mean`` packet
-    counts.  Without the floor the counts measure pure deterministic
-    modulation (the N -> infinity limit of c.o.v.).
+    The counts measure pure deterministic modulation (the N -> infinity
+    limit of c.o.v.); :meth:`FluidSolver.summarize` adds the sampling
+    floor.
     """
     mask = times >= warmup
     nb = max(int((duration - warmup) / bin_width), 1)
@@ -486,20 +482,18 @@ class FluidSolver:
         return self.trajectory()
 
     # ------------------------------------------------------------------
-    def summarize(self, traj: Dict[str, np.ndarray], bin_width: float,
-                  sampling_floor: bool = True) -> Dict[str, float]:
+    def summarize(self, traj: Dict[str, np.ndarray],
+                  bin_width: float) -> Dict[str, float]:
         """Fold a trajectory into the scalar metrics a sweep keeps."""
         counts = fluid_rate_cov(
             traj["t"], traj["A"], self.dt, bin_width,
             self.warmup, self.duration,
         )
         mean = float(counts.mean())
-        var = float(counts.var())
-        if sampling_floor:
-            # The fluid rate is a point-process intensity: finite-rate
-            # Poisson sampling adds var = mean on top of the
-            # deterministic modulation.
-            var = var + mean
+        # The fluid rate is a point-process intensity: finite-rate
+        # Poisson sampling adds var = mean on top of the deterministic
+        # modulation (even a constant intensity gives var = mean).
+        var = float(counts.var()) + mean
         cov = math.sqrt(var) / mean if mean > 0 else float("nan")
         throughput_pps = float(traj["s"].sum() * self.dt / self.duration)
         arrivals = float(traj["A"].sum() * self.dt)

@@ -257,8 +257,8 @@ class HybridScenario(Scenario):
     Construction: the fluid solver and coupler are built first (from
     the *full* config: the background aggregate is
     ``hybrid_background_count`` flows), then the base class wires an
-    ordinary K-client dumbbell -- the queue factory and the
-    ``_finalize_network`` hook swap in the coupled gateway before any
+    ordinary K-client dumbbell around the coupled gateway queue, and
+    :meth:`_build_network` swaps in the coupled interface before any
     monitor attaches or any flow starts.  Foreground clients reuse the
     packet backend's per-index RNG stream names, so flow ``i`` offers
     the same traffic here as in a pure packet run with the same seed --
@@ -281,15 +281,15 @@ class HybridScenario(Scenario):
         super().__init__(foreground)
 
     # ------------------------------------------------------------------
-    def _make_bottleneck_queue(self, params, rng) -> PacketQueue:
+    def _make_bottleneck_queue(self) -> PacketQueue:
         return HybridGatewayQueue(
-            params.buffer_capacity,
+            self.config.buffer_capacity,
             self.coupler,
             rng=self.streams.stream("hybrid/drop"),
         )
 
-    def _finalize_network(self) -> None:
-        network = self.network
+    def _build_network(self):
+        network = super()._build_network()
         old = network.bottleneck_interface
         coupled = FluidCoupledInterface(
             self.sim,
@@ -302,8 +302,9 @@ class HybridScenario(Scenario):
         )
         network.gateway.attach_interface(network.SERVER, coupled)
         # First tick at t=0, inserted before any source's first packet
-        # (equal-time events fire in insertion order on both schedulers).
+        # (equal-time events fire in insertion order).
         self.coupler.attach(self.sim)
+        return network
 
     # ------------------------------------------------------------------
     def _collect(self, wall_time: float = float("nan")) -> ScenarioResult:

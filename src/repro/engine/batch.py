@@ -237,7 +237,7 @@ class BatchScenario(Scenario):
         self._mean_gap = config.mean_gap
         self._duration = config.duration
 
-        gateway = _BatchGateway(self._make_bottleneck_queue(config, None))
+        gateway = _BatchGateway(self._make_bottleneck_queue())
         self.bottleneck_queue = gateway.queue
         self.packet_factory = gateway.packet_factory
         self._gw_send_hooks = gateway.send_hooks

@@ -11,7 +11,6 @@ duplicate-ACK counts, congestion-window traces).
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -200,11 +199,6 @@ class Scenario:
             self.profiler = EngineProfiler()
 
         self.network = self._build_network()
-        # Subclass hook: runs after the topology exists but before any
-        # monitor attaches or any flow is built, so a backend can swap
-        # gateway machinery (the hybrid backend replaces the bottleneck
-        # interface with its fluid-coupled port here).
-        self._finalize_network()
 
         self.monitor = ArrivalMonitor(
             bin_width=config.effective_bin_width, start_time=config.warmup
@@ -267,21 +261,19 @@ class Scenario:
             bottleneck_rate_bps=config.bottleneck_rate_bps,
             bottleneck_delay=config.bottleneck_delay,
             buffer_capacity=config.buffer_capacity,
-            queue_factory=self._make_bottleneck_queue,
         )
         return DumbbellNetwork(
-            self.sim, dumbbell_params, self.streams.stream("topology")
+            self.sim, dumbbell_params, self._make_bottleneck_queue()
         )
 
-    def _make_bottleneck_queue(
-        self, params: DumbbellParams, rng: random.Random
-    ) -> PacketQueue:
+    def _make_bottleneck_queue(self) -> PacketQueue:
+        """The gateway's discipline under study, built from the config."""
         config = self.config
         if config.queue == "fifo":
-            return DropTailQueue(params.buffer_capacity, name="q:gateway->server")
+            return DropTailQueue(config.buffer_capacity, name="q:gateway->server")
         if config.queue == "drr":
             return DRRQueue(
-                params.buffer_capacity,
+                config.buffer_capacity,
                 quantum=config.drr_quantum,
                 name="q:gateway->server",
             )
@@ -297,14 +289,11 @@ class Scenario:
         red_rng = self.streams.stream("red")
         if config.queue == "ared":
             return AdaptiveREDQueue(
-                params.buffer_capacity, red_params, red_rng, name="q:gateway->server"
+                config.buffer_capacity, red_params, red_rng, name="q:gateway->server"
             )
         return REDQueue(
-            params.buffer_capacity, red_params, red_rng, name="q:gateway->server"
+            config.buffer_capacity, red_params, red_rng, name="q:gateway->server"
         )
-
-    def _finalize_network(self) -> None:
-        """Post-topology hook for backend subclasses (no-op here)."""
 
     def _tcp_params(self) -> TcpParams:
         config = self.config

@@ -20,7 +20,7 @@ from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import RunLog
 from repro.experiments.runner import SweepRunner, run_one
 
-__all__ = ["run_one", "run_many", "client_grid"]
+__all__ = ["run_one", "run_many"]
 
 
 def run_many(
@@ -67,11 +67,3 @@ def run_many(
     )
     return runner.run(configs)
 
-
-def client_grid(
-    base: ScenarioConfig,
-    client_counts: Sequence[int],
-    **overrides,
-) -> List[ScenarioConfig]:
-    """Configs varying the client count (one sweep axis)."""
-    return [base.with_(n_clients=n, **overrides) for n in client_counts]

@@ -154,17 +154,17 @@ class SpaceSavingSketch:
     def __len__(self) -> int:
         return len(self._weights)
 
-    def update(self, key: int, weight: int = 1, count: int = 1) -> None:
-        """Add ``weight`` (bytes) and ``count`` (packets) for ``key``."""
+    def update(self, key: int, weight: int = 1) -> None:
+        """Add one packet of ``weight`` (bytes) for ``key``."""
         self.total_weight += weight
         weights = self._weights
         if key in weights:
             weights[key] += weight
-            self._counts[key] += count
+            self._counts[key] += 1
             return
         if len(weights) < self.capacity:
             weights[key] = weight
-            self._counts[key] = count
+            self._counts[key] = 1
             self._errors[key] = 0
             return
         # Evict the minimum-weight entry (ties by key, deterministic);
@@ -174,7 +174,7 @@ class SpaceSavingSketch:
         floor_count = self._counts.pop(victim)
         self._errors.pop(victim)
         weights[key] = floor_weight + weight
-        self._counts[key] = floor_count + count
+        self._counts[key] = floor_count + 1
         self._errors[key] = floor_weight
 
     def estimate(self, key: int) -> int:

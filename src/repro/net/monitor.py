@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -26,25 +26,16 @@ class ArrivalMonitor:
     not contribute to the forward aggregate the paper measures).
     """
 
-    def __init__(
-        self,
-        bin_width: float,
-        start_time: float = 0.0,
-        data_only: bool = True,
-    ) -> None:
+    def __init__(self, bin_width: float, start_time: float = 0.0) -> None:
         if bin_width <= 0:
             raise ValueError("bin width must be positive")
         self.bin_width = bin_width
         self.start_time = start_time
-        self.data_only = data_only
         self._counts: List[int] = []
-        self.total = 0
-        self.drops_seen = 0
 
     def attach(self, interface: Interface) -> "ArrivalMonitor":
         """Hook this monitor onto an output port; returns self."""
         interface.add_send_hook(self.on_packet)
-        interface.queue.add_drop_hook(self.on_drop)
         return self
 
     # ------------------------------------------------------------------
@@ -52,23 +43,13 @@ class ArrivalMonitor:
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet, now: float) -> None:
         """Record one arrival (send-hook signature)."""
-        if self.data_only and not packet.is_data:
-            return
-        if now < self.start_time:
+        if not packet.is_data or now < self.start_time:
             return
         index = int((now - self.start_time) / self.bin_width)
         counts = self._counts
         if index >= len(counts):
             counts.extend([0] * (index + 1 - len(counts)))
         counts[index] += 1
-        self.total += 1
-
-    def on_drop(self, packet: Packet, now: float) -> None:
-        """Count drops at the monitored port (drop-hook signature)."""
-        if self.data_only and not packet.is_data:
-            return
-        if now >= self.start_time:
-            self.drops_seen += 1
 
     # ------------------------------------------------------------------
     # Results
@@ -125,4 +106,3 @@ class FlowStats:
     unique_packets: int = 0  # in-order progress (retransmit duplicates excluded)
     duplicates: int = 0
     out_of_order: int = 0
-    arrival_times: List[float] = field(default_factory=list)

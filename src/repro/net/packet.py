@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 # A SACK block: an inclusive (first, last) range of received packets.
 SackBlock = Tuple[int, int]
@@ -51,8 +51,6 @@ class Packet:
         ecn_capable: ECT -- sender supports Explicit Congestion Notification.
         ecn_ce: CE -- congestion experienced, set by an ECN-marking queue.
         ecn_echo: ECE -- carried on ACKs back to the sender.
-        ts: sender timestamp option (echoed by the receiver for RTT taking).
-        ts_echo: receiver's echo of ``ts`` on ACKs.
         sack_blocks: selective-ACK option on ACKs -- up to three inclusive
             (first, last) ranges of out-of-order packets the receiver holds.
     """
@@ -71,8 +69,6 @@ class Packet:
         "ecn_capable",
         "ecn_ce",
         "ecn_echo",
-        "ts",
-        "ts_echo",
         "sack_blocks",
     )
 
@@ -91,8 +87,6 @@ class Packet:
         ecn_capable: bool = False,
         ecn_ce: bool = False,
         ecn_echo: bool = False,
-        ts: float = 0.0,
-        ts_echo: float = 0.0,
         sack_blocks: Tuple[SackBlock, ...] = (),
     ) -> None:
         self.uid = uid
@@ -108,8 +102,6 @@ class Packet:
         self.ecn_capable = ecn_capable
         self.ecn_ce = ecn_ce
         self.ecn_echo = ecn_echo
-        self.ts = ts
-        self.ts_echo = ts_echo
         self.sack_blocks = sack_blocks
 
     @property
@@ -173,7 +165,6 @@ class PacketFactory:
         now: float,
         is_retransmit: bool = False,
         ecn_capable: bool = False,
-        ts: Optional[float] = None,
     ) -> Packet:
         """Create a DATA packet."""
         free = self._free
@@ -192,8 +183,6 @@ class PacketFactory:
             packet.ecn_capable = ecn_capable
             packet.ecn_ce = False
             packet.ecn_echo = False
-            packet.ts = now if ts is None else ts
-            packet.ts_echo = 0.0
             packet.sack_blocks = ()
             return packet
         return Packet(
@@ -207,7 +196,6 @@ class PacketFactory:
             created_at=now,
             is_retransmit=is_retransmit,
             ecn_capable=ecn_capable,
-            ts=now if ts is None else ts,
         )
 
     def ack(
@@ -219,7 +207,6 @@ class PacketFactory:
         now: float,
         size: int = ACK_SIZE_BYTES,
         ecn_echo: bool = False,
-        ts_echo: float = 0.0,
         sack_blocks: Tuple[SackBlock, ...] = (),
     ) -> Packet:
         """Create an ACK packet."""
@@ -239,8 +226,6 @@ class PacketFactory:
             packet.ecn_capable = False
             packet.ecn_ce = False
             packet.ecn_echo = ecn_echo
-            packet.ts = 0.0
-            packet.ts_echo = ts_echo
             packet.sack_blocks = sack_blocks
             return packet
         return Packet(
@@ -253,6 +238,5 @@ class PacketFactory:
             ackno=ackno,
             created_at=now,
             ecn_echo=ecn_echo,
-            ts_echo=ts_echo,
             sack_blocks=sack_blocks,
         )

@@ -9,24 +9,14 @@ queueing discipline (FIFO or RED) with buffer size ``B``.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.net.link import Interface, Link
 from repro.net.node import Node
 from repro.net.packet import PacketFactory
 from repro.net.queues import DropTailQueue, PacketQueue
 from repro.sim.engine import Simulator
-
-QueueFactory = Callable[["DumbbellParams", random.Random], PacketQueue]
-
-
-def _default_bottleneck_queue(
-    params: "DumbbellParams", rng: random.Random
-) -> PacketQueue:
-    return DropTailQueue(params.buffer_capacity, name="q:gateway->server")
-
 
 @dataclass
 class DumbbellParams:
@@ -39,7 +29,6 @@ class DumbbellParams:
     bottleneck_delay: float = 0.020  # tau_s
     buffer_capacity: int = 50  # B, packets
     access_queue_capacity: int = 1000  # effectively lossless access ports
-    queue_factory: QueueFactory = field(default=_default_bottleneck_queue)
 
     @property
     def rtt_prop(self) -> float:
@@ -59,7 +48,11 @@ class DumbbellParams:
 
 
 class DumbbellNetwork:
-    """The constructed topology with named handles to its pieces."""
+    """The constructed topology with named handles to its pieces.
+
+    ``bottleneck_queue`` is the discipline under study on the gateway's
+    port toward the server (default: drop-tail of ``buffer_capacity``).
+    """
 
     GATEWAY = "gateway"
     SERVER = "server"
@@ -68,13 +61,12 @@ class DumbbellNetwork:
         self,
         sim: Simulator,
         params: DumbbellParams,
-        rng: Optional[random.Random] = None,
+        bottleneck_queue: Optional[PacketQueue] = None,
     ) -> None:
         params.validate()
         self.sim = sim
         self.params = params
         self.packet_factory = PacketFactory()
-        rng = rng or random.Random(0)
 
         self.gateway = Node(sim, self.GATEWAY)
         self.server = Node(sim, self.SERVER)
@@ -85,7 +77,10 @@ class DumbbellNetwork:
         # Bottleneck link; the gateway->server direction carries the
         # discipline under study, the reverse (ACK) direction a generous
         # drop-tail queue.
-        bottleneck_queue = params.queue_factory(params, rng)
+        if bottleneck_queue is None:
+            bottleneck_queue = DropTailQueue(
+                params.buffer_capacity, name="q:gateway->server"
+            )
         Link(
             sim,
             self.gateway,
@@ -158,9 +153,7 @@ class DumbbellNetwork:
 
 
 def build_dumbbell(
-    sim: Simulator,
-    params: Optional[DumbbellParams] = None,
-    rng: Optional[random.Random] = None,
+    sim: Simulator, params: Optional[DumbbellParams] = None
 ) -> DumbbellNetwork:
     """Convenience constructor with default (paper Table 1) parameters."""
-    return DumbbellNetwork(sim, params or DumbbellParams(), rng)
+    return DumbbellNetwork(sim, params or DumbbellParams())

@@ -36,11 +36,9 @@ class UdpSink(Agent):
         flow_id: int,
         peer: str,
         packet_factory: PacketFactory,
-        record_arrivals: bool = False,
     ) -> None:
         super().__init__(sim, node, flow_id, peer, packet_factory)
         self.stats = FlowStats(flow_id)
-        self._record_arrivals = record_arrivals
         self._delivery_hooks: List[DeliveryHook] = []
 
     def add_delivery_hook(self, hook: DeliveryHook) -> None:
@@ -52,8 +50,6 @@ class UdpSink(Agent):
         stats.packets_received += 1
         stats.unique_packets += 1
         stats.bytes_received += packet.size
-        if self._record_arrivals:
-            stats.arrival_times.append(self.sim.now)
         for hook in self._delivery_hooks:
             hook(self.sim.now, stats.unique_packets)
 
@@ -88,7 +84,6 @@ class TcpSink(Agent):
         delayed_ack: bool = False,
         ack_delay: float = 0.1,
         sack: bool = False,
-        record_arrivals: bool = False,
     ) -> None:
         super().__init__(sim, node, flow_id, peer, packet_factory)
         self.delayed_ack = delayed_ack
@@ -98,7 +93,6 @@ class TcpSink(Agent):
         self.stats = FlowStats(flow_id)
         self.next_expected = 0
         self.acks_sent = 0
-        self._record_arrivals = record_arrivals
         self._buffered: Set[int] = set()
         self._unacked_in_order = 0
         self._pending_ecn_echo = False
@@ -122,8 +116,6 @@ class TcpSink(Agent):
         stats = self.stats
         stats.packets_received += 1
         stats.bytes_received += packet.size
-        if self._record_arrivals:
-            stats.arrival_times.append(now)
         if packet.ecn_ce:
             self._pending_ecn_echo = True
 

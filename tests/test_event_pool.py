@@ -212,4 +212,4 @@ def test_recycled_packet_carries_no_stale_state():
     assert fresh.uid == uid + 1  # ...but a brand-new packet
     assert fresh.is_data and fresh.seqno == 5 and fresh.ackno == -1
     assert not fresh.ecn_ce and not fresh.ecn_echo and not fresh.ecn_capable
-    assert fresh.sack_blocks == () and fresh.ts_echo == 0.0
+    assert fresh.sack_blocks == ()

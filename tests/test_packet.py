@@ -24,17 +24,13 @@ def test_data_packet_fields():
     assert packet.seqno == 7
     assert packet.ackno == -1
     assert packet.created_at == 1.5
-    assert packet.ts == 1.5
     assert not packet.is_retransmit
 
 
 def test_data_packet_retransmit_flag_and_custom_ts():
     factory = PacketFactory()
-    packet = factory.data(
-        0, "a", "b", 1000, seqno=1, now=2.0, is_retransmit=True, ts=1.0
-    )
+    packet = factory.data(0, "a", "b", 1000, seqno=1, now=2.0, is_retransmit=True)
     assert packet.is_retransmit
-    assert packet.ts == 1.0
 
 
 def test_ack_packet_fields():
@@ -48,9 +44,8 @@ def test_ack_packet_fields():
 
 def test_ack_ecn_echo_and_ts_echo():
     factory = PacketFactory()
-    ack = factory.ack(0, "s", "c", ackno=1, now=1.0, ecn_echo=True, ts_echo=0.5)
+    ack = factory.ack(0, "s", "c", ackno=1, now=1.0, ecn_echo=True)
     assert ack.ecn_echo
-    assert ack.ts_echo == 0.5
 
 
 def test_ecn_capable_data():

@@ -139,11 +139,3 @@ class TestUdpSink:
         assert sink.stats.packets_received == 4
         assert sink.stats.unique_packets == 4
         assert node.transmitted == []  # sends nothing back
-
-    def test_records_arrivals_when_asked(self):
-        sim = Simulator()
-        node = CaptureNode(sim, "server")
-        factory = PacketFactory()
-        sink = UdpSink(sim, node, 0, "client", factory, record_arrivals=True)
-        sink.receive(factory.data(0, "client", "server", 1000, seqno=0, now=0.0))
-        assert sink.stats.arrival_times == [0.0]

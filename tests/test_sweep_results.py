@@ -4,7 +4,8 @@
 from repro.experiments.config import paper_config
 from repro.experiments.results import ScenarioMetrics, metrics_table
 from repro.experiments.scenario import run_scenario
-from repro.experiments.sweep import client_grid, run_many, run_one
+from repro.experiments.figures import run_protocol_sweep
+from repro.experiments.sweep import run_many, run_one
 
 
 def tiny(**overrides):
@@ -59,10 +60,16 @@ class TestRunMany:
 
 
 class TestClientGrid:
+    """The client-count axis every sweep figure runs over."""
+
     def test_builds_configs_per_count(self):
-        grid = client_grid(tiny(), [2, 4, 8])
-        assert [c.n_clients for c in grid] == [2, 4, 8]
+        sweep = run_protocol_sweep(
+            [4, 2, 3], tiny(duration=2.0), {"udp": ("udp", "fifo")}, processes=1
+        )
+        assert [m.n_clients for m in sweep["udp"]] == [2, 3, 4]
 
     def test_overrides_applied(self):
-        grid = client_grid(tiny(), [2], protocol="vegas")
-        assert grid[0].protocol == "vegas"
+        sweep = run_protocol_sweep(
+            [2], tiny(duration=2.0), {"v": ("vegas", "red")}, processes=1
+        )
+        assert [(m.protocol, m.queue) for m in sweep["v"]] == [("vegas", "red")]

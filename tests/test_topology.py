@@ -50,12 +50,10 @@ def test_invalid_params_rejected(kwargs):
 
 
 def test_custom_queue_factory_used_for_bottleneck():
-    def factory(params, rng):
-        return REDQueue(params.buffer_capacity, rng=rng)
-
-    params = DumbbellParams(n_clients=2, queue_factory=factory)
-    network = DumbbellNetwork(Simulator(), params)
-    assert isinstance(network.bottleneck_queue, REDQueue)
+    queue = REDQueue(50)
+    network = DumbbellNetwork(Simulator(), DumbbellParams(n_clients=2), queue)
+    assert network.bottleneck_queue is queue
+    assert network.bottleneck_interface.queue is queue
 
 
 def test_client_names_are_canonical():
