@@ -82,6 +82,10 @@ PROTOCOLS = (
 # Gateway queueing disciplines.
 QUEUES = ("fifo", "red", "ared", "drr")
 
+# Open-loop traffic models: the paper's Poisson sources, constant bit
+# rate, or heavy-tailed Pareto on/off.
+TRAFFIC = ("poisson", "cbr", "pareto_onoff")
+
 # Scenario backends: the discrete-event packet engine (ground truth at
 # any N it can afford), the mean-field fluid solver (the N -> infinity
 # limit system; cost independent of n_clients), or the hybrid
@@ -618,8 +622,10 @@ class ScenarioConfig:
                     raise ValueError(
                         f"{name} must lie in (0, 1]; got {getattr(self, name)!r}"
                     )
-        if self.traffic not in ("poisson", "cbr", "pareto_onoff"):
-            raise ValueError(f"unknown traffic model {self.traffic!r}")
+        if self.traffic not in TRAFFIC:
+            raise ValueError(
+                f"unknown traffic model {self.traffic!r}; choose from {TRAFFIC}"
+            )
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r}; choose from {WORKLOADS}"

@@ -9,6 +9,8 @@ from repro.experiments.config import (
     BACKENDS,
     PROTOCOLS,
     QUEUES,
+    TRAFFIC,
+    WORKLOADS,
     ScenarioConfig,
     paper_config,
     table1_rows,
@@ -75,6 +77,22 @@ def test_labels(protocol, queue, expected):
 def test_validate_rejects(overrides):
     with pytest.raises(ValueError):
         ScenarioConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "field,value,name,choices",
+    [
+        ("protocol", "quic", "protocol", PROTOCOLS),
+        ("queue", "codel", "queue", QUEUES),
+        ("traffic", "bursty", "traffic model", TRAFFIC),
+        ("workload", "mapreduce", "workload", WORKLOADS),
+    ],
+)
+def test_unknown_choice_names_the_choices(field, value, name, choices):
+    """Each enumerated field's error lists what it accepts."""
+    with pytest.raises(ValueError) as info:
+        ScenarioConfig(**{field: value}).validate()
+    assert str(info.value) == f"unknown {name} {value!r}; choose from {choices}"
 
 
 @pytest.mark.parametrize(
