@@ -59,13 +59,14 @@ def _raise_always(config):
 
 
 def _flaky_once(config):
-    """Fails the first time it is ever called, then behaves."""
-    sentinel = os.environ["REPRO_TEST_POOL_SENTINEL"]
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        raise RuntimeError("first attempt fails")
-    return run_one(config)
+    """Fails the first time it is ever called, then behaves.  The
+    sentinel is created exclusively, so of two workers that start at
+    once exactly one fails."""
+    try:
+        os.close(os.open(os.environ["REPRO_TEST_POOL_SENTINEL"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return run_one(config)
+    raise RuntimeError("first attempt fails")
 
 
 def _return_nothing(config):
