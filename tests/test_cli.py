@@ -27,6 +27,29 @@ class TestParseRange:
             parse_range(spec)
 
 
+_RUNNER_FLAGS = (
+    ["--processes", "2"],
+    ["--jobs", "2"],
+    ["-j", "2"],
+    ["--cache-dir", "c"],
+    ["--resume"],
+    ["--timeout", "5"],
+    ["--retries", "0"],
+    ["--run-log", "l.jsonl"],
+    ["--progress"],
+)
+_CSV, _JSON = ["--csv", "c.csv"], ["--json", "c.json"]
+#: Flags these subcommands once accepted and ignored: no handler of
+#: theirs calls ``_runner_kwargs`` or writes that file.
+_UNREAD_FLAGS = {
+    "run": _RUNNER_FLAGS,
+    "profile": _RUNNER_FLAGS + (_CSV,),
+    "cwnd": _RUNNER_FLAGS + (_CSV, _JSON),
+    "dependence": _RUNNER_FLAGS + (_CSV,),
+    "all": (_CSV, _JSON),
+}
+
+
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
@@ -62,6 +85,21 @@ class TestParser:
             build_parser().parse_args(argv + ["nan"])
         assert exit_info.value.code == 2
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            pytest.param(command, flag, id=f"{command}{flag[0]}")
+            for command, flags in _UNREAD_FLAGS.items()
+            for flag in flags
+        ],
+    )
+    def test_flag_no_handler_reads_is_a_usage_error(self, command, flag, capsys):
+        """Refused up front by name, not parsed and silently dropped."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["replicate", "claims"])
     def test_zero_replicas_is_a_usage_error(self, command, capsys):
