@@ -38,7 +38,6 @@ from repro.net.fq import DRRQueue
 from repro.obs.bundle import ObsBundle
 from repro.obs.engineprof import EngineProfiler, peak_rss_kb
 from repro.obs.probes import FlowProbe, QueueProbe
-from repro.obs.registry import NULL_REGISTRY, MetricRegistry
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, PacketQueue
 from repro.net.red import AdaptiveREDQueue, REDParams, REDQueue
@@ -184,14 +183,9 @@ class Scenario:
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
 
-        # Flight recorder: a category-gated registry shared by every
-        # probe.  With no categories enabled it is the null registry and
-        # probes are simply not attached, so the hot paths keep their
-        # bare ``is not None`` guards.
-        if config.obs_trace:
-            self.registry = MetricRegistry(categories=config.obs_trace)
-        else:
-            self.registry = NULL_REGISTRY
+        # Flight recorder: a probe is attached only where one of its
+        # trace categories is enabled, so the hot paths keep their bare
+        # ``is not None`` guards.
         self.flow_probes: Dict[int, FlowProbe] = {}
         self.queue_probe: Optional[QueueProbe] = None
         self.profiler: Optional[EngineProfiler] = None
@@ -223,9 +217,9 @@ class Scenario:
             self.bsp_coordinator = BspCoordinator(
                 self.sim, release_delay=config.reverse_path_delay(1)
             )
-        if self.registry.enabled("queue") or self.registry.enabled("drops"):
+        if "queue" in config.obs_trace or "drops" in config.obs_trace:
             self.queue_probe = QueueProbe(
-                self.registry, self.network.bottleneck_queue
+                self.network.bottleneck_queue, config.obs_trace
             )
         # Burst forensics: one probe on the gateway queue, also handed
         # to every TCP sender (in _build_flows) for cwnd-cut events.
@@ -370,14 +364,10 @@ class Scenario:
                 ack_delay=config.ack_delay,
                 sack=(config.protocol == "sack"),
             )
-            registry = self.registry
-            if (
-                registry.enabled("cwnd")
-                or registry.enabled("rtt")
-                or registry.enabled("state")
-            ):
+            trace = config.obs_trace
+            if "cwnd" in trace or "rtt" in trace or "state" in trace:
                 self.flow_probes[index] = sender.attach_probe(
-                    FlowProbe(registry, index)
+                    FlowProbe(index, trace)
                 )
             if self.forensics_probe is not None:
                 sender.forensics = self.forensics_probe
@@ -535,7 +525,6 @@ class Scenario:
             ),
             flows=dict(self.flow_probes),
             queue=self.queue_probe,
-            registry=self.registry,
             forensics=(
                 self.forensics_probe.finalize(self.config.duration)
                 if self.forensics_probe is not None

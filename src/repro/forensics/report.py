@@ -33,7 +33,7 @@ from repro.forensics.windows import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.forensics.probe import ForensicsParams
-    from repro.obs.registry import TimeSeries
+    from repro.obs.series import TimeSeries
 
 
 @dataclass
@@ -276,7 +276,7 @@ class ForensicsReport:
     def to_series(self) -> List[Tuple[str, "TimeSeries"]]:
         """``(name, series)`` pairs for :meth:`ObsBundle.export` (none
         when the records already went to a stream file)."""
-        from repro.obs.registry import TimeSeries
+        from repro.obs.series import TimeSeries
 
         if self.records is None:
             return []

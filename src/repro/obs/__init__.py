@@ -3,19 +3,19 @@
 One subsystem for everything the simulator can tell you about itself
 and about the protocols it runs:
 
-* :mod:`repro.obs.registry`   -- the metric registry (counters, gauges,
-  sampled time series, histograms) components publish into; disabled
-  categories resolve to shared null objects, so instrumentation is
-  near-free when off.
+* :mod:`repro.obs.series`     -- :class:`TimeSeries`, the sampled
+  ``(time, *values)`` rows every probe records into.
 * :mod:`repro.obs.engineprof` -- wall-clock profiling of the event
   engine (events/sec, per-callback-category time, heap depth,
   sim-time/wall-time ratio).
 * :mod:`repro.obs.probes`     -- per-flow TCP probes (cwnd / ssthresh /
   RTT estimate / state transitions) and queue probes (occupancy, RED
-  average, per-cause drops).
+  average, per-cause drops), each recording only the trace categories
+  it was built with.
 * :mod:`repro.obs.bundle`     -- :class:`ObsBundle`, the package of
   captured series a :class:`~repro.experiments.scenario.ScenarioResult`
-  carries, with JSONL/CSV export.
+  carries, with the scalar snapshot derived from them and JSONL/CSV
+  export.
 """
 
 from repro.obs.bundle import ObsBundle
@@ -31,24 +31,12 @@ from repro.obs.probes import (
     QueueProbe,
     parse_trace_spec,
 )
-from repro.obs.registry import (
-    NULL_METRIC,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    MetricRegistry,
-    TimeSeries,
-)
+from repro.obs.series import TimeSeries
 
 __all__ = [
-    "Counter",
     "EngineProfile",
     "EngineProfiler",
     "FlowProbe",
-    "Gauge",
-    "MetricRegistry",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
     "ObsBundle",
     "QueueProbe",
     "TRACE_CATEGORIES",

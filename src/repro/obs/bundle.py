@@ -1,9 +1,10 @@
 """The observability bundle a run carries out of the simulator.
 
 :class:`ObsBundle` packages everything the flight recorder captured in
-one scenario -- the engine profile, per-flow TCP series, queue series,
-and the registry's scalar metrics -- and knows how to export itself as
-JSONL (one object per sample, streaming-friendly) or CSV.
+one scenario -- the engine profile, per-flow TCP series, queue series
+and the forensics report -- derives a scalar snapshot from the series,
+and knows how to export itself as JSONL (one object per sample,
+streaming-friendly) or CSV.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.engineprof import EngineProfile
 from repro.obs.probes import FlowProbe, QueueProbe
-from repro.obs.registry import MetricRegistry, TimeSeries
+from repro.obs.series import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.forensics.report import ForensicsReport
@@ -93,11 +94,11 @@ class ObsBundle:
     """Everything one run's flight recorder captured.
 
     Attributes:
-        categories: the trace categories that were enabled.
+        categories: the trace categories that were enabled; they decide
+            which names :meth:`snapshot` reports.
         engine: engine profile summary (None when profiling was off).
         flows: per-flow probes keyed by flow id.
         queue: bottleneck-queue probe (None when queue tracing was off).
-        registry: the metric registry all probes published into.
         forensics: burst-forensics report (None when forensics was off).
     """
 
@@ -105,7 +106,6 @@ class ObsBundle:
     engine: Optional[EngineProfile] = None
     flows: Dict[int, FlowProbe] = field(default_factory=dict)
     queue: Optional[QueueProbe] = None
-    registry: Optional[MetricRegistry] = None
     forensics: Optional["ForensicsReport"] = None
 
     # ------------------------------------------------------------------
@@ -132,8 +132,33 @@ class ObsBundle:
         return len(self.queue.drops) if self.queue is not None else 0
 
     def snapshot(self) -> Dict[str, Any]:
-        """Scalar metrics (counters/gauges) from the registry."""
-        return self.registry.snapshot() if self.registry is not None else {}
+        """Scalar view of every enabled series, keyed by name.
+
+        Each series gets a ``{columns, n_rows}`` summary; three values
+        are derived from the rows: each flow's state-transition count,
+        the queue's largest occupancy length (0.0 when that is 0), and
+        its drop count per cause.
+        """
+        enabled = set(self.categories)
+        snapshot: Dict[str, Any] = {}
+        for flow_id, probe in self.flows.items():
+            for category, series in (
+                ("cwnd", probe.cwnd), ("rtt", probe.rtt), ("state", probe.states)
+            ):
+                if category in enabled:
+                    snapshot[series.name] = series.snapshot()
+            if "state" in enabled:
+                snapshot[f"state.transitions.flow.{flow_id}"] = len(probe.states)
+        queue = self.queue
+        if queue is not None and "queue" in enabled:
+            snapshot[queue.occupancy.name] = queue.occupancy.snapshot()
+            depth = max(queue.occupancy.column("length"), default=0)
+            snapshot[f"queue.max_depth.{queue.queue.name}"] = depth or 0.0
+        if queue is not None and "drops" in enabled:
+            snapshot[queue.drops.name] = queue.drops.snapshot()
+            for cause, count in queue.drop_causes.items():
+                snapshot[f"drops.cause.{cause}"] = count
+        return dict(sorted(snapshot.items()))
 
     # ------------------------------------------------------------------
     # Export
@@ -154,7 +179,7 @@ class ObsBundle:
           (exact and sketch rows side by side);
         * ``forensic_sync.<fmt>`` -- loss-synchronization events;
         * ``forensics.json``      -- the full forensics report payload;
-        * ``registry.json``       -- scalar metric snapshot.
+        * ``registry.json``       -- the scalar :meth:`snapshot`.
 
         Returns the list of paths written.
         """

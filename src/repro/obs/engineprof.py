@@ -169,7 +169,6 @@ class EngineProfiler:
 
     def __init__(self) -> None:
         self._stats: Dict[Any, CategoryStat] = {}
-        self._names: Dict[Any, str] = {}
         self.events = 0
         self.wall_time = 0.0
         self.run_wall_time = 0.0

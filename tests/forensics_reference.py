@@ -42,7 +42,7 @@ from repro.forensics.windows import (
     precision_at_k,
     ranked_shares,
 )
-from repro.obs.registry import TimeSeries
+from repro.obs.series import TimeSeries
 
 
 # ----------------------------------------------------------------------

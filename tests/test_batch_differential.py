@@ -5,7 +5,7 @@ object engine's senders and sinks over fused transport events instead
 of the per-hop topology.  Its correctness claim is not "close" but
 *bit-identical*: on
 every supported cell it must produce the same :class:`ScenarioMetrics`,
-the same per-flow observability series, the same registry counters and
+the same per-flow observability series, the same scalar snapshot and
 the same forensics report as the per-flow object engine.
 
 The matrix below covers Reno/Vegas x droptail/RED x open-loop/RPC plus
@@ -224,10 +224,10 @@ def _cell_config(overrides: dict) -> ScenarioConfig:
 def canonical_obs(result) -> dict:
     """Order-preserving, identity-free view of the obs bundle.
 
-    ``ObsBundle`` holds registry metric objects without ``__eq__`` and
-    series rows; this flattens everything to comparable values.  The
-    registry snapshot round-trips through JSON so NaN gauge values
-    compare equal (json serializes them to the same token).
+    ``ObsBundle`` holds probe objects without ``__eq__`` and series
+    rows; this flattens everything to comparable values.  The scalar
+    snapshot round-trips through JSON so NaN values compare equal (json
+    serializes them to the same token).
     """
     obs = result.obs
     flows = {
@@ -247,7 +247,7 @@ def canonical_obs(result) -> dict:
     return {
         "flows": flows,
         "queue": queue,
-        "registry": json.dumps(obs.registry.snapshot(), sort_keys=True),
+        "snapshot": json.dumps(obs.snapshot(), sort_keys=True),
     }
 
 

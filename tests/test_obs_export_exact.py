@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import run_scenario
 from repro.obs import bundle
-from repro.obs.registry import TimeSeries
+from repro.obs.series import TimeSeries
 from tests import export_reference as reference
 
 #: Rows the production writer encodes at a time (the per-row reference
