@@ -132,6 +132,20 @@ class FigureData:
 SweepData = Dict[str, List[ScenarioMetrics]]
 
 
+def protocol_grid(
+    client_counts: Sequence[int],
+    base: ScenarioConfig,
+    protocols: Mapping[str, Tuple[str, str]] = FIGURE2_PROTOCOLS,
+) -> List[Tuple[str, ScenarioConfig]]:
+    """The cells :func:`run_protocol_sweep` runs, in order: one
+    ``(series key, config)`` per protocol panel entry and client count."""
+    return [
+        (key, base.with_(protocol=protocol, queue=queue, n_clients=n))
+        for key, (protocol, queue) in protocols.items()
+        for n in client_counts
+    ]
+
+
 def run_protocol_sweep(
     client_counts: Sequence[int],
     base: Optional[ScenarioConfig] = None,
@@ -145,16 +159,12 @@ def run_protocol_sweep(
     ``run_log``, ...) pass through to :func:`run_many`, so figure sweeps
     resume from a cache directory and tolerate failing cells.
     """
-    base = base or paper_config()
-    keys: List[str] = []
-    configs: List[ScenarioConfig] = []
-    for key, (protocol, queue) in protocols.items():
-        for n in client_counts:
-            keys.append(key)
-            configs.append(base.with_(protocol=protocol, queue=queue, n_clients=n))
-    metrics = run_many(configs, processes=processes, **runner_kwargs)
+    grid = protocol_grid(client_counts, base or paper_config(), protocols)
+    metrics = run_many(
+        [config for _, config in grid], processes=processes, **runner_kwargs
+    )
     sweep: SweepData = {key: [] for key in protocols}
-    for key, metric in zip(keys, metrics):
+    for (key, _), metric in zip(grid, metrics):
         sweep[key].append(metric)
     for key in sweep:
         sweep[key].sort(key=lambda m: m.n_clients)

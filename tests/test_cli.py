@@ -109,6 +109,31 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["run", "--clients", "2", "--duration", "-1"], "duration"),
+            (["fig2", "--clients", "2", "--duration", "-1"], "duration"),
+            (
+                ["hybrid", "--clients", "50,1000", "--hybrid-foreground", "100"],
+                "hybrid_foreground_flows",
+            ),
+            (["fig2", "--clients", "2", "--jobs", "0"], "--jobs"),
+        ],
+        ids=["run-duration", "fig2-duration", "hybrid-foreground", "fig2-jobs"],
+    )
+    def test_invalid_value_is_a_usage_error(self, argv, field, capsys):
+        """Every config a subcommand would run is validated before any
+        runs: no traceback, no grid of error placeholders, no cell
+        silently dropped."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"repro-tcp {argv[0]}: error: " in captured.err
+        assert field in captured.err
+        assert captured.out == ""
+
 
 class TestMain:
     def test_table1_prints_parameters(self, capsys):
@@ -574,8 +599,10 @@ class TestForensicsStreamFlag:
                 "engine: object (default: the batch engine supports "
                 "reno/vegas/reno_delack only; got protocol 'udp')"
             ) in out
-            with pytest.raises(ValueError, match="only; got protocol 'udp'"):
+            with pytest.raises(SystemExit) as exit_info:
                 observed("batch", "--engine", "batch")
+            assert exit_info.value.code == 2
+            assert "only; got protocol 'udp'" in capsys.readouterr().err
         else:
             assert "engine: batch (default: inside the batch envelope)" in out
             assert "BatchScenario._gw_arrival" in out  # the exported profile

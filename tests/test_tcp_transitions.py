@@ -1,6 +1,6 @@
 """Property tests on the pure TCP transition functions.
 
-:mod:`repro.engine.transitions` is the single source of truth for the
+:mod:`repro.transport.transitions` is the single source of truth for the
 window, RTT-estimator and retransmit-timer arithmetic: the senders
 under ``repro.transport``, which both flow engines run, call these
 functions and nothing else computes a window or a timeout.
