@@ -20,9 +20,9 @@ unit marginally early -- an accepted approximation, documented in
 DESIGN.md).
 
 Workloads deliberately duck-type the :class:`TrafficSource` recording
-interface (``generated`` plus ``add_hook``) so the existing
-:class:`~repro.traffic.recorder.OfferedTrafficRecorder` measures the
-*offered* (application-level) process of a closed-loop run unchanged.
+interface (``generated`` plus ``add_hook``), so the scenario counts the
+*offered* (application-level) process of a closed-loop run through the
+same hook (:class:`repro.core.cov.BinCounter`) as an open-loop one.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class AppWorkload:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Recording surface (OfferedTrafficRecorder compatibility)
+    # Recording surface (the TrafficSource hook interface)
     # ------------------------------------------------------------------
     def add_hook(self, hook: GenerateHook) -> None:
         """Register ``hook(time, n_packets)`` called on each issue."""

@@ -1,7 +1,9 @@
 """The paper's analytical core: traffic burstiness and TCP modulation.
 
 * :mod:`repro.core.cov` -- the coefficient-of-variation measure of
-  Section 2.2 (std/mean of per-RTT packet counts at the gateway).
+  Section 2.2 (std/mean of per-RTT packet counts at the gateway), the
+  one binning rule (``bin_counts``) and the ``BinCounter`` that applies
+  it as times arrive.
 * :mod:`repro.core.theory` -- closed-form baselines: the c.o.v. of
   aggregated Poisson traffic and Central-Limit-Theorem smoothing.
 * :mod:`repro.core.burstiness` -- complementary burstiness measures
@@ -27,7 +29,6 @@ from repro.core.cov import bin_counts, coefficient_of_variation, cov_from_times
 from repro.core.dependence import (
     DependenceReport,
     autocorrelation,
-    bin_flow_times,
     dependence_report,
     mean_pairwise_correlation,
     pairwise_correlations,
@@ -56,7 +57,6 @@ __all__ = [
     "DependenceReport",
     "ModulationReport",
     "autocorrelation",
-    "bin_flow_times",
     "dependence_report",
     "mean_pairwise_correlation",
     "pairwise_correlations",

@@ -9,11 +9,14 @@ large c.o.v. means bursts.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[Sequence[float], np.ndarray, Iterable[float]]
+
+#: How many recorded times a :class:`BinCounter` holds before folding.
+FOLD_SIZE = 65536
 
 
 def bin_counts(
@@ -44,6 +47,49 @@ def bin_counts(
     in_window = times[(times >= t_start) & (times < window_end)]
     indices = ((in_window - t_start) / bin_width).astype(int)
     return np.bincount(indices, minlength=n_bins)[:n_bins].astype(float)
+
+
+class BinCounter:
+    """:func:`bin_counts` of every time recorded, in O(bins) memory.
+
+    Times wait in ``pending`` and are folded into the counts through
+    :func:`bin_counts` whenever :data:`FOLD_SIZE` of them wait, and on
+    :meth:`counts`.  A hot path may append to ``pending`` itself if it
+    calls :meth:`fold` once ``FOLD_SIZE`` times wait.
+    """
+
+    def __init__(self, bin_width: float, t_start: float, t_end: float) -> None:
+        self.bin_width = bin_width
+        self.t_start = t_start
+        self.t_end = t_end
+        self.pending: List[float] = []
+        self._counts = bin_counts((), bin_width, t_start, t_end)
+
+    def add(self, time: float, n: int = 1) -> None:
+        """Record ``n`` events at ``time`` (the ``TrafficSource.add_hook``
+        signature)."""
+        pending = self.pending
+        pending.extend([time] * n)
+        if len(pending) >= FOLD_SIZE:
+            self.fold()
+
+    def extend(self, times: Iterable[float]) -> None:
+        """Record one event per time."""
+        self.pending.extend(times)
+        if len(self.pending) >= FOLD_SIZE:
+            self.fold()
+
+    def fold(self) -> None:
+        """Bin the pending times into the counts and clear them."""
+        self._counts += bin_counts(
+            self.pending, self.bin_width, self.t_start, self.t_end
+        )
+        self.pending.clear()
+
+    def counts(self) -> np.ndarray:
+        """Per-bin counts over ``[t_start, t_end)`` of every time so far."""
+        self.fold()
+        return self._counts.copy()
 
 
 def coefficient_of_variation(counts: ArrayLike, ddof: int = 0) -> float:

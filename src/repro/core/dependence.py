@@ -18,11 +18,9 @@ this module measures the cause directly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
-
-from repro.core.cov import bin_counts
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -126,23 +124,3 @@ def dependence_report(per_flow_counts: np.ndarray) -> DependenceReport:
         aggregate_acf_lag1=float(acf[1]) if acf.size > 1 else 0.0,
     )
 
-
-def bin_flow_times(
-    times_by_flow: Dict[int, Sequence[float]],
-    bin_width: float,
-    t_start: float,
-    t_end: float,
-) -> np.ndarray:
-    """Per-flow binned counts, shape (n_flows, n_bins), flows sorted by
-    id: a row of :func:`repro.core.cov.bin_counts` per flow."""
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
-    n_bins = int((t_end - t_start) / bin_width)
-    if n_bins <= 0:
-        raise ValueError("window shorter than one bin")
-    flows = sorted(times_by_flow)
-    out = np.zeros((len(flows), n_bins))
-    for row, flow in enumerate(flows):
-        times = np.asarray(times_by_flow[flow], dtype=float)
-        out[row] = bin_counts(times, bin_width, t_start, t_end)
-    return out

@@ -569,11 +569,11 @@ class BatchScenario(Scenario):
         return self._arr_buf[i][self._arr_pos[i]]
 
     def _emit_arrival(self, i: int, at: float) -> None:
-        # Mirrors TrafficSource._emit: recorder hook, then app_arrival.
+        # Mirrors TrafficSource._emit: offered hook, then app_arrival.
         # ``at`` is now: a replay on an empty send buffer is an armed
         # arrival, served by its own event when due.
-        if self.offered_recorder is not None:
-            self.offered_recorder.on_generate(at, 1)
+        if self.offered is not None:
+            self.offered.add(at)
         self.senders[i].app_arrival(1)
 
     def _catch_up(self, i: int, now: float) -> None:
@@ -620,8 +620,8 @@ class BatchScenario(Scenario):
             pos = cut
         self._arr_pos[i] = pos
         if bulk is not None:
-            if self.offered_recorder is not None:
-                self.offered_recorder.on_generate_many(bulk)
+            if self.offered is not None:
+                self.offered.extend(bulk)
             sender.app_arrival_bulk(bulk)
 
     def _arrival_fire(self, i: int) -> None:

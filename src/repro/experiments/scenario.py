@@ -22,18 +22,14 @@ from repro.apps.bsp import BspCoordinator, BspWorkload
 from repro.apps.bulk import BulkTransferWorkload
 from repro.apps.metrics import AppMetrics
 from repro.apps.rpc import RpcClientWorkload
-from repro.core.cov import coefficient_of_variation
+from repro.core.cov import BinCounter, coefficient_of_variation
 from repro.core.modulation import ModulationReport, modulation_report
 from repro.core.theory import poisson_aggregate_cov
 from repro.experiments.config import ScenarioConfig
-from repro.core.dependence import (
-    DependenceReport,
-    bin_flow_times,
-    dependence_report,
-)
+from repro.core.dependence import DependenceReport, dependence_report
 from repro.forensics.probe import ForensicsParams, ForensicsProbe
 from repro.forensics.report import ForensicsReport
-from repro.net.monitor import ArrivalMonitor, FlowArrivalMonitor
+from repro.net.monitor import ArrivalMonitor
 from repro.net.fq import DRRQueue
 from repro.obs.bundle import ObsBundle
 from repro.obs.engineprof import EngineProfiler, peak_rss_kb
@@ -48,7 +44,6 @@ from repro.traffic.base import TrafficSource
 from repro.traffic.cbr import CbrSource
 from repro.traffic.onoff import ParetoOnOffSource
 from repro.traffic.poisson import PoissonSource
-from repro.traffic.recorder import OfferedTrafficRecorder
 from repro.transport.base import Agent
 from repro.transport.ecn import EcnRenoSender
 from repro.transport.newreno import NewRenoSender
@@ -119,7 +114,7 @@ class ScenarioResult:
     utilization: float
     events_executed: int
     modulation: Optional[ModulationReport] = None
-    per_flow_arrival_times: Optional[Dict[int, List[float]]] = None
+    per_flow_bin_counts: Optional[Dict[int, np.ndarray]] = None
     # Job-level application metrics (closed-loop workloads only).
     app: Optional[AppMetrics] = None
     # Flight-recorder telemetry (see repro.obs).  ``wall_time`` and
@@ -137,19 +132,12 @@ class ScenarioResult:
     engine: str = ""
 
     def dependence(self) -> Optional[DependenceReport]:
-        """Cross-stream dependence diagnostics (requires the scenario to
-        have been run with ``record_flow_arrivals=True``)."""
-        if not self.per_flow_arrival_times:
+        """Cross-stream dependence of the per-flow gateway counts, stacked
+        in flow-id order (None unless ``record_flow_arrivals`` saw two)."""
+        rows = self.per_flow_bin_counts
+        if not rows or len(rows) < 2:
             return None
-        counts = bin_flow_times(
-            self.per_flow_arrival_times,
-            self.config.effective_bin_width,
-            self.config.warmup,
-            self.config.duration,
-        )
-        if counts.shape[0] < 2:
-            return None
-        return dependence_report(counts)
+        return dependence_report(np.stack([rows[flow] for flow in sorted(rows)]))
 
     @property
     def timeout_dupack_ratio(self) -> float:
@@ -194,19 +182,14 @@ class Scenario:
 
         self.network = self._build_network()
 
+        window = (config.effective_bin_width, config.warmup, config.duration)
         self.monitor = ArrivalMonitor(
-            bin_width=config.effective_bin_width, start_time=config.warmup
+            *window, per_flow=config.record_flow_arrivals
         ).attach(self.network.bottleneck_interface)
-
-        self.offered_recorder: Optional[OfferedTrafficRecorder] = None
-        if config.record_offered:
-            self.offered_recorder = OfferedTrafficRecorder(start_time=config.warmup)
-
-        self.flow_monitor: Optional[FlowArrivalMonitor] = None
-        if config.record_flow_arrivals:
-            self.flow_monitor = FlowArrivalMonitor(start_time=config.warmup).attach(
-                self.network.bottleneck_interface
-            )
+        # The offered traffic: every source or workload hooks ``add``.
+        self.offered: Optional[BinCounter] = (
+            BinCounter(*window) if config.record_offered else None
+        )
 
         self.senders: List[Agent] = []
         self.sinks: List[Agent] = []
@@ -309,8 +292,8 @@ class Scenario:
             sender, sink = self._add_flow(index, client, network.server, self.sim)
             if config.workload == "open":
                 source = self._make_source(index, sender)
-                if self.offered_recorder is not None:
-                    self.offered_recorder.attach(source)
+                if self.offered is not None:
+                    source.add_hook(self.offered.add)
                 source.start(at=0.0, stop_at=config.duration)
                 self.sources.append(source)
             else:
@@ -377,8 +360,8 @@ class Scenario:
 
     def _start_workload(self, index: int, sender: Agent, sink: Agent) -> None:
         app = self._make_workload(index, sender, sink)
-        if self.offered_recorder is not None:
-            self.offered_recorder.attach(app)
+        if self.offered is not None:
+            app.add_hook(self.offered.add)
         app.start(at=0.0, stop_at=self.config.duration)
         self.apps.append(app)
 
@@ -534,7 +517,7 @@ class Scenario:
 
     def _collect(self, wall_time: float = float("nan")) -> ScenarioResult:
         config = self.config
-        counts = self.monitor.counts(until=config.duration)
+        counts = self.monitor.counts()
         cov = coefficient_of_variation(counts)
         # The closed-form reference applies to the open-loop Poisson
         # workload only (closed-loop arrivals are not Poisson).
@@ -545,10 +528,8 @@ class Scenario:
         else:
             analytic = float("nan")
 
-        if self.offered_recorder is not None:
-            offered_counts = self.offered_recorder.bin_counts(
-                config.effective_bin_width, until=config.duration
-            )
+        if self.offered is not None:
+            offered_counts = self.offered.counts()
             offered_cov = coefficient_of_variation(offered_counts)
         else:
             offered_counts = np.zeros(0)
@@ -653,11 +634,7 @@ class Scenario:
             utilization=throughput_pps / capacity_pps if capacity_pps else 0.0,
             events_executed=self.sim.events_executed,
             modulation=modulation,
-            per_flow_arrival_times=(
-                self.flow_monitor.times_by_flow
-                if self.flow_monitor is not None
-                else None
-            ),
+            per_flow_bin_counts=self.monitor.flow_counts(),
             app=app,
             wall_time=wall_time,
             peak_rss_kb=peak_rss_kb(),

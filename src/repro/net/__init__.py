@@ -8,7 +8,7 @@ dumbbell/star topology builder matching the paper's Figure 1.
 
 from repro.net.fq import DRRQueue
 from repro.net.link import Interface, Link
-from repro.net.monitor import ArrivalMonitor, FlowArrivalMonitor, FlowStats
+from repro.net.monitor import ArrivalMonitor, FlowStats
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketFactory, PacketType
 from repro.net.queues import DropTailQueue, PacketQueue, QueueStats
@@ -22,7 +22,6 @@ __all__ = [
     "DropTailQueue",
     "DumbbellNetwork",
     "DumbbellParams",
-    "FlowArrivalMonitor",
     "FlowStats",
     "Interface",
     "Link",

@@ -4,20 +4,19 @@ The paper's clients generate Poisson traffic: single packets handed to
 the transport stack with exponentially distributed inter-packet times
 (mean ``1/lambda``), independent of the congestion window.  This package
 also provides constant-bit-rate and heavy-tailed (Pareto on/off) sources
-used by the ablation studies, and a recorder that captures the *offered*
-(pre-TCP) traffic so its statistics can be compared against what TCP
-actually transmits.
+used by the ablation studies.  A :class:`repro.core.cov.BinCounter`
+hooked on the sources (``add_hook``) counts the *offered* (pre-TCP)
+traffic so its statistics can be compared against what TCP actually
+transmits.
 """
 
 from repro.traffic.base import TrafficSource
 from repro.traffic.cbr import CbrSource
 from repro.traffic.onoff import ParetoOnOffSource, pareto_scale_for_mean
 from repro.traffic.poisson import PoissonSource
-from repro.traffic.recorder import OfferedTrafficRecorder
 
 __all__ = [
     "CbrSource",
-    "OfferedTrafficRecorder",
     "ParetoOnOffSource",
     "PoissonSource",
     "TrafficSource",

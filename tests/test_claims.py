@@ -175,7 +175,7 @@ def test_an_observed_cell_measures_what_the_plain_cell_does():
     assert ScenarioMetrics.from_result(observed) == ScenarioMetrics.from_result(
         run_scenario(config)
     )
-    assert observed.cwnd_traces and observed.per_flow_arrival_times
+    assert observed.cwnd_traces and observed.per_flow_bin_counts
     # Every full-result statistic is taken from every observed run, a
     # windowless transport's included.
     udp = run_scenario(_observed(config.with_(protocol="udp")))

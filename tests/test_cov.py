@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.cov import bin_counts, coefficient_of_variation, cov_from_times
-from repro.core.dependence import bin_flow_times
-from repro.traffic.recorder import OfferedTrafficRecorder
+from repro.core.cov import (
+    BinCounter,
+    bin_counts,
+    coefficient_of_variation,
+    cov_from_times,
+)
+from repro.net.monitor import ArrivalMonitor
+from repro.net.packet import PacketFactory
 
 
 class TestBinCounts:
@@ -59,10 +64,16 @@ class TestBinCounts:
     def test_recorder_and_per_flow_bins_are_bin_counts(self):
         times = [0.0, 0.2, 5.5, 15.999999999999998]
         expected = bin_counts(times, 1 / 3, 0.0, 16.0).tolist()
-        recorder = OfferedTrafficRecorder()
-        recorder.on_generate_many(times)
-        assert recorder.bin_counts(1 / 3, until=16.0).tolist() == expected
-        assert bin_flow_times({0: times}, 1 / 3, 0.0, 16.0)[0].tolist() == expected
+        counter = BinCounter(1 / 3, 0.0, 16.0)
+        counter.extend(times)
+        assert counter.counts().tolist() == expected
+        monitor = ArrivalMonitor(1 / 3, 0.0, 16.0, per_flow=True)
+        packet = PacketFactory().data(0, "a", "b", 1000, seqno=0, now=0.0)
+        for time in times:
+            monitor.on_packet(packet, time)
+            monitor.on_flow_packet(packet, time)
+        assert monitor.counts().tolist() == expected
+        assert monitor.flow_counts()[0].tolist() == expected
 
     def test_conservation(self):
         times = np.random.default_rng(0).uniform(0, 10, size=500)

@@ -1,11 +1,12 @@
 """Unit tests for the cross-stream dependence diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.dependence import (
     autocorrelation,
-    bin_flow_times,
     dependence_report,
     mean_pairwise_correlation,
     pairwise_correlations,
@@ -105,29 +106,54 @@ class TestDependenceReport:
         assert report.variance_excess_ratio == 1.0
 
 
-class TestBinFlowTimes:
-    def test_bins_per_flow(self):
-        times = {0: [0.1, 0.2, 1.5], 2: [0.9]}
-        counts = bin_flow_times(times, 1.0, 0.0, 2.0)
-        assert counts.shape == (2, 2)
-        assert list(counts[0]) == [2, 1]
-        assert list(counts[1]) == [1, 0]
+def flow_rows(times_by_flow, bin_width, t_start, t_end):
+    """Per-flow gateway counts, as ``ArrivalMonitor(per_flow=True)``
+    keeps them, of DATA arrivals at the given times."""
+    from repro.net.monitor import ArrivalMonitor
+    from repro.net.packet import PacketFactory
 
-    def test_flows_sorted_by_id(self):
-        times = {5: [0.1], 1: [0.1, 0.2]}
-        counts = bin_flow_times(times, 1.0, 0.0, 1.0)
-        assert counts[0][0] == 2  # flow 1 first
-        assert counts[1][0] == 1
+    monitor = ArrivalMonitor(bin_width, t_start, t_end, per_flow=True)
+    factory = PacketFactory()
+    for flow, times in times_by_flow.items():
+        packet = factory.data(flow, "a", "b", 1000, seqno=0, now=0.0)
+        for time in times:
+            monitor.on_flow_packet(packet, time)
+    return monitor.flow_counts()
+
+
+class TestBinFlowTimes:
+    """The per-flow rows that ``ScenarioResult.dependence()`` stacks."""
+
+    def test_bins_per_flow(self):
+        rows = flow_rows({0: [0.1, 0.2, 1.5], 2: [0.9]}, 1.0, 0.0, 2.0)
+        assert sorted(rows) == [0, 2]
+        assert list(rows[0]) == [2, 1]
+        assert list(rows[2]) == [1, 0]
+
+    def test_flows_sorted_by_id(self, monkeypatch):
+        import repro.experiments.scenario as scenario
+        from repro.experiments.config import paper_config
+
+        result = scenario.run_scenario(
+            paper_config(protocol="reno", n_clients=2, duration=2.0)
+        )
+        rows = flow_rows({5: [0.1], 1: [0.1, 0.2]}, 1.0, 0.0, 1.0)
+        stacked = []
+        monkeypatch.setattr(scenario, "dependence_report", stacked.append)
+        dataclasses.replace(result, per_flow_bin_counts=rows).dependence()
+        assert stacked[0].tolist() == [[2.0], [1.0]]  # flow 1 first
 
     def test_empty_flow_all_zero(self):
-        counts = bin_flow_times({0: [], 1: [0.5]}, 1.0, 0.0, 1.0)
-        assert counts[0].sum() == 0
+        # Flow 0's one arrival is past the window's last whole bin.
+        rows = flow_rows({0: [1.2], 1: [0.5]}, 1.0, 0.0, 1.5)
+        assert rows[0].tolist() == [0]
+        assert rows[1].tolist() == [1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bin_flow_times({0: [0.1]}, 0.0, 0.0, 1.0)
+            flow_rows({0: [0.1]}, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            bin_flow_times({0: [0.1]}, 1.0, 0.0, 0.5)
+            flow_rows({0: [0.1]}, 1.0, 1.0, 0.5)
 
 
 class TestScenarioIntegration:

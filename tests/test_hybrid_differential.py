@@ -47,7 +47,6 @@ import numpy as np
 import pytest
 
 from repro.core.cov import coefficient_of_variation
-from repro.core.dependence import bin_flow_times
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import run_scenario
 
@@ -83,20 +82,17 @@ def _cell_config(protocol, queue, backend):
     )
     if backend == "hybrid":
         return config.with_(hybrid_foreground_flows=FOREGROUND)
-    # The packet reference records per-flow arrival times so the same
-    # ten foreground flows can be binned into their own c.o.v.
+    # The packet reference counts per-flow gateway arrivals so the same
+    # ten foreground flows can be summed into their own c.o.v.
     return config.with_(record_flow_arrivals=True)
 
 
 def _foreground_cov(result):
     """C.o.v. of the packet run's flows 0..K-1 at the gateway."""
-    times = {
-        flow: result.per_flow_arrival_times[flow] for flow in range(FOREGROUND)
-    }
-    counts = bin_flow_times(
-        times, result.config.effective_bin_width, WARMUP, DURATION
-    ).sum(axis=0)
-    return coefficient_of_variation(counts)
+    rows = result.per_flow_bin_counts
+    return coefficient_of_variation(
+        np.sum([rows[flow] for flow in range(FOREGROUND)], axis=0)
+    )
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.net.link import Link
-from repro.net.monitor import FlowArrivalMonitor
+from repro.net.monitor import ArrivalMonitor
 from repro.net.node import Node
 from repro.net.packet import PacketFactory
 from repro.sim.engine import Simulator
@@ -43,27 +43,45 @@ class TestPackageExports:
 
 
 class TestFlowArrivalMonitor:
+    """The per-flow counters of an ``ArrivalMonitor(per_flow=True)``."""
+
     def test_records_per_flow(self):
-        monitor = FlowArrivalMonitor()
+        monitor = ArrivalMonitor(1.0, 0.0, 4.0, per_flow=True)
         factory = PacketFactory()
-        monitor.on_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
-        monitor.on_packet(factory.data(2, "a", "b", 1000, seqno=0, now=0.0), 2.0)
-        monitor.on_packet(factory.data(0, "a", "b", 1000, seqno=1, now=0.0), 3.0)
-        assert monitor.times_by_flow == {0: [1.0, 3.0], 2: [2.0]}
+        monitor.on_flow_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
+        monitor.on_flow_packet(factory.data(2, "a", "b", 1000, seqno=0, now=0.0), 2.0)
+        monitor.on_flow_packet(factory.data(0, "a", "b", 1000, seqno=1, now=0.0), 3.0)
+        counts = monitor.flow_counts()
+        assert sorted(counts) == [0, 2]
+        assert counts[0].tolist() == [0, 1, 0, 1]
+        assert counts[2].tolist() == [0, 0, 1, 0]
 
     def test_ignores_acks_and_warmup(self):
-        monitor = FlowArrivalMonitor(start_time=5.0)
+        monitor = ArrivalMonitor(1.0, 5.0, 8.0, per_flow=True)
         factory = PacketFactory()
-        monitor.on_packet(factory.ack(0, "b", "a", ackno=0, now=0.0), 6.0)
-        monitor.on_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
-        assert monitor.times_by_flow == {}
+        monitor.on_flow_packet(factory.ack(0, "b", "a", ackno=0, now=0.0), 6.0)
+        monitor.on_flow_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
+        assert monitor.flow_counts() == {}
+
+    def test_a_flow_is_present_from_its_first_arrival_at_or_after_warmup(self):
+        """Even when that arrival lands past the last whole bin."""
+        monitor = ArrivalMonitor(1.0, 5.0, 6.5, per_flow=True)
+        factory = PacketFactory()
+        monitor.on_flow_packet(factory.data(1, "a", "b", 1000, seqno=0, now=0.0), 6.2)
+        monitor.on_flow_packet(factory.data(4, "a", "b", 1000, seqno=0, now=0.0), 5.0)
+        counts = monitor.flow_counts()
+        assert sorted(counts) == [1, 4]
+        assert counts[1].tolist() == [0]
+        assert counts[4].tolist() == [1]
 
     def test_attach_to_interface(self):
         sim = Simulator()
         a, b = Node(sim, "a"), Node(sim, "b")
         Link(sim, a, b, 1e6, 0.0)
         a.set_default_route("b")
-        monitor = FlowArrivalMonitor().attach(a.interfaces["b"])
+        monitor = ArrivalMonitor(1.0, 0.0, 1.0, per_flow=True).attach(
+            a.interfaces["b"]
+        )
         factory = PacketFactory()
         import repro.transport.base as base
 
@@ -73,7 +91,8 @@ class TestFlowArrivalMonitor:
 
         Sink(sim, b, 3, "a", factory)
         a.send(factory.data(3, "a", "b", 1000, seqno=0, now=0.0))
-        assert list(monitor.times_by_flow) == [3]
+        assert list(monitor.flow_counts()) == [3]
+        assert monitor.counts().tolist() == [1]
 
 
 class TestInterfaceState:

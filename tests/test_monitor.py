@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cov import FOLD_SIZE
 from repro.net.link import Link
 from repro.net.monitor import ArrivalMonitor, FlowStats
 from repro.net.node import Node
@@ -10,8 +11,8 @@ from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
 
 
-def make_monitor(**kwargs):
-    return ArrivalMonitor(bin_width=1.0, **kwargs)
+def make_monitor(t_end=4.0):
+    return ArrivalMonitor(1.0, 0.0, t_end)
 
 
 def data_packet(factory, seq=0):
@@ -38,48 +39,60 @@ class TestArrivalMonitor:
         assert monitor.counts().sum() == 2
 
     def test_acks_ignored_by_default(self):
-        monitor = make_monitor()
+        monitor = make_monitor(t_end=2.0)
         factory = PacketFactory()
         monitor.on_packet(ack_packet(factory), 0.5)
         monitor.on_packet(data_packet(factory), 1.5)
         assert list(monitor.counts()) == [0, 1]
 
     def test_warmup_discards_early_arrivals(self):
-        monitor = ArrivalMonitor(bin_width=1.0, start_time=10.0)
+        monitor = ArrivalMonitor(1.0, 10.0, 11.0)
         factory = PacketFactory()
         monitor.on_packet(data_packet(factory), 5.0)
         monitor.on_packet(data_packet(factory), 10.5)
         assert list(monitor.counts()) == [1]
 
     def test_counts_until_pads_trailing_empty_bins(self):
-        monitor = make_monitor()
+        """The window runs to ``t_end``: trailing empty bins count."""
+        monitor = make_monitor(t_end=5.0)
         factory = PacketFactory()
         monitor.on_packet(data_packet(factory), 0.5)
-        counts = monitor.counts(until=5.0)
+        counts = monitor.counts()
         assert len(counts) == 5
         assert counts.sum() == 1
 
     def test_counts_until_truncates(self):
-        monitor = make_monitor()
+        """Arrivals at or after ``t_end`` count in no bin."""
+        monitor = make_monitor(t_end=2.0)
         factory = PacketFactory()
-        for t in [0.5, 4.5]:
+        for t in [0.5, 2.0, 4.5]:
             monitor.on_packet(data_packet(factory), t)
-        assert list(monitor.counts(until=2.0)) == [1, 0]
+        assert list(monitor.counts()) == [1, 0]
 
     def test_counts_until_before_start_is_empty(self):
-        monitor = ArrivalMonitor(bin_width=1.0, start_time=10.0)
-        assert monitor.counts(until=5.0).size == 0
+        """A window shorter than one bin has no bins."""
+        monitor = ArrivalMonitor(1.0, 10.0, 10.5)
+        monitor.on_packet(data_packet(PacketFactory()), 10.2)
+        assert monitor.counts().size == 0
 
     def test_invalid_bin_width(self):
         with pytest.raises(ValueError):
-            ArrivalMonitor(bin_width=0.0)
+            ArrivalMonitor(0.0, 0.0, 1.0)
+
+    def test_hot_path_folds_at_the_fold_size(self):
+        monitor = make_monitor()
+        packet = data_packet(PacketFactory())
+        for _ in range(FOLD_SIZE + 3):
+            monitor.on_packet(packet, 2.5)
+        assert len(monitor.total.pending) == 3
+        assert list(monitor.counts()) == [0, 0, FOLD_SIZE + 3, 0]
 
     def test_attach_hooks_into_interface(self):
         sim = Simulator()
         a, b = Node(sim, "a"), Node(sim, "b")
         Link(sim, a, b, 1e6, 0.0, queue_ab=DropTailQueue(1))
         factory = PacketFactory()
-        monitor = ArrivalMonitor(bin_width=1.0).attach(a.interfaces["b"])
+        monitor = ArrivalMonitor(1.0, 0.0, 1.0).attach(a.interfaces["b"])
         a.set_default_route("b")
         # Three sends into a capacity-1 queue: 1 transmitted, 1 queued,
         # 1 dropped -- every one offered to the port is counted.

@@ -2,11 +2,12 @@
 
 import math
 
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.burstiness import aggregate_counts
-from repro.core.cov import bin_counts, coefficient_of_variation
+from repro.core.cov import FOLD_SIZE, BinCounter, bin_counts, coefficient_of_variation
 from repro.core.theory import poisson_aggregate_cov
 from repro.net.packet import PacketFactory
 from repro.net.queues import DropTailQueue
@@ -68,6 +69,60 @@ def test_bin_counts_conserve_events_in_window(times, width):
     in_window = sum(1 for t in times if t < n_bins * width)
     assert counts.sum() == in_window
     assert (counts >= 0).all()
+
+
+@st.composite
+def _counter_run(draw):
+    """A window ``[t_start, t_end)`` that need not hold whole bins, and
+    the add/extend calls to replay into a counter over it.  Times fall
+    inside and outside the window and on the float neighbours of its
+    edges; one call in a few records more than a fold's worth."""
+    width = draw(st.floats(min_value=0.01, max_value=2.0))
+    t_start = draw(st.floats(min_value=0.0, max_value=50.0))
+    n_bins = draw(st.integers(min_value=0, max_value=30))
+    window_end = t_start + n_bins * width
+    t_end = window_end + draw(st.floats(min_value=0.0, max_value=0.999)) * width
+    edges = []
+    for edge in (t_start, window_end, t_end):
+        edges += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    times = st.one_of(
+        st.sampled_from(edges),
+        st.floats(min_value=max(t_start - width, 0.0), max_value=t_end + width),
+    )
+    calls = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("add"),
+                    times,
+                    st.sampled_from([1, 1, 2, 7, FOLD_SIZE + 3]),
+                ),
+                st.tuples(st.just("extend"), st.lists(times, max_size=20)),
+            ),
+            max_size=12,
+        )
+    )
+    return width, t_start, t_end, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_counter_run())
+def test_bin_counter_is_bin_counts_of_every_time_recorded(run):
+    width, t_start, t_end, calls = run
+    counter = BinCounter(width, t_start, t_end)
+    recorded = []
+    for call in calls:
+        if call[0] == "add":
+            _, time, n = call
+            counter.add(time, n)
+            recorded += [time] * n
+        else:
+            counter.extend(call[1])
+            recorded += call[1]
+        assert len(counter.pending) < FOLD_SIZE
+    expected = bin_counts(recorded, width, t_start, t_end)
+    assert counter.counts().tolist() == expected.tolist()
+    assert counter.counts().dtype == expected.dtype
 
 
 @given(

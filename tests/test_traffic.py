@@ -1,17 +1,17 @@
-"""Unit tests for the traffic generators and the offered-traffic recorder."""
+"""Unit tests for the traffic generators and the offered-traffic counts."""
 
 import random
 
 import numpy as np
 import pytest
 
+from repro.core.cov import BinCounter
 from repro.net.packet import PacketFactory
 from repro.sim.engine import Simulator
 from repro.traffic.base import TrafficSource
 from repro.traffic.cbr import CbrSource
 from repro.traffic.onoff import ParetoOnOffSource, pareto_scale_for_mean, pareto_variate
 from repro.traffic.poisson import PoissonSource
-from repro.traffic.recorder import OfferedTrafficRecorder
 from repro.transport.udp import UdpSender
 
 from tests.helpers import CaptureNode
@@ -123,10 +123,11 @@ class TestPoisson:
         # The c.o.v. of exponential inter-arrival times is 1.
         sim, _node, sender = make_sender()
         source = PoissonSource(sim, sender, random.Random(3), mean_gap=0.01)
-        recorder = OfferedTrafficRecorder().attach(source)
+        times = []
+        source.add_hook(lambda t, n: times.append(t))
         source.start()
         sim.run(until=50.0)
-        gaps = np.diff(recorder.times)
+        gaps = np.diff(times)
         assert gaps.std() / gaps.mean() == pytest.approx(1.0, abs=0.1)
 
     def test_invalid_gap(self):
@@ -211,35 +212,37 @@ class TestHooksAndRecorder:
     def test_recorder_counts_and_bins(self):
         sim, _node, sender = make_sender()
         source = CbrSource(sim, sender, gap=0.25)
-        recorder = OfferedTrafficRecorder().attach(source)
+        counter = BinCounter(1.0, 0.0, 2.0)
+        source.add_hook(counter.add)
         source.start()
         sim.run(until=2.1)
-        assert recorder.total == 8
-        counts = recorder.bin_counts(1.0, until=2.0)
-        assert list(counts) == [3, 4]  # t=0.25..1.0 and 1.25..2.0
+        assert source.generated == 8
+        # t=0.25..0.75 and 1.0..1.75; t=2.0 is past the window.
+        assert list(counter.counts()) == [3, 4]
 
     def test_recorder_respects_start_time(self):
         sim, _node, sender = make_sender()
         source = CbrSource(sim, sender, gap=0.25)
-        recorder = OfferedTrafficRecorder(start_time=1.0).attach(source)
+        counter = BinCounter(0.5, 1.0, 2.5)
+        source.add_hook(counter.add)
         source.start()
         sim.run(until=2.1)
-        # Generations at 1.0, 1.25, 1.5, 1.75, 2.0 (t >= start_time).
-        assert recorder.total == 5
+        # Generations at 1.0, 1.25, 1.5, 1.75, 2.0 (t >= t_start).
+        assert list(counter.counts()) == [2, 2, 1]
 
     def test_recorder_multiple_sources_aggregate(self):
         sim, node, sender = make_sender()
-        recorder = OfferedTrafficRecorder()
+        counter = BinCounter(1.0, 0.0, 2.0)
         for gap in (0.5, 0.25):
             source = CbrSource(sim, sender, gap=gap)
-            recorder.attach(source)
+            source.add_hook(counter.add)
             source.start()
         sim.run(until=1.0)
-        assert recorder.total == 6  # 2 + 4
+        assert list(counter.counts()) == [4, 2]  # 2 + 4, two of them at 1.0
 
     def test_recorder_invalid_bin_width(self):
         with pytest.raises(ValueError):
-            OfferedTrafficRecorder().bin_counts(0.0)
+            BinCounter(0.0, 0.0, 1.0)
 
     def test_base_next_gap_abstract(self):
         sim, _node, sender = make_sender()
