@@ -84,6 +84,7 @@ from repro.experiments.figures import (
     SweepSpec,
     build_figure,
     cwnd_trace_experiment,
+    default_traced_flows,
     figure_burst_attribution,
     protocol_grid,
     run_spec,
@@ -815,10 +816,22 @@ def _cmd_dependence(args: argparse.Namespace) -> int:
 
 
 def _cmd_cwnd(args: argparse.Namespace) -> int:
+    base = _scenario_config(args)
+    if base.protocol == "udp" or base.backend == "fluid":
+        field = "protocol" if base.protocol == "udp" else "backend"
+        print(
+            f"repro-tcp cwnd: error: {field}={getattr(base, field)!r} "
+            "has no congestion window to trace",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    # A hybrid run's packet flows are its K foreground flows.
+    hybrid = base.backend == "hybrid"
     result = cwnd_trace_experiment(
         args.protocol,
         args.clients,
-        base=_scenario_config(args),
+        flows=default_traced_flows(base.hybrid_foreground_flows) if hybrid else None,
+        base=base,
         queue=args.queue,
     )
     for flow_id, trace in sorted(result.cwnd_traces.items()):

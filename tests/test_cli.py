@@ -1,6 +1,7 @@
 """Tests for the repro-tcp command-line interface."""
 
 import argparse
+import re
 
 import pytest
 
@@ -200,6 +201,29 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "cwnd of client" in out
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["--protocol", "udp", "--clients", "3"], "protocol"),
+            (["--backend", "fluid", "--clients", "30"], "backend"),
+            (["--backend", "hybrid", "--clients", "30"], None),
+        ],
+        ids=["udp", "fluid", "hybrid"],
+    )
+    def test_cwnd_traces_every_flow_it_names(self, argv, field, capsys):
+        """A cell with no window to trace is a usage error naming the
+        field; a hybrid cell traces its K=10 foreground flows."""
+        argv = ["cwnd", *argv, "--duration", "3"]
+        if field is not None:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"error: {field}=" in capsys.readouterr().err
+            return
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"cwnd of client (\d+)", out) == ["0", "5", "9"]
 
     def test_replicate_summarizes_seeds(self, capsys, tmp_path):
         json_path = tmp_path / "rep.json"
