@@ -112,6 +112,9 @@ class ScenarioMetrics:
     perf_events_executed: int = 0
     perf_events_per_sec: float = float("nan")
     perf_sim_wall_ratio: float = float("nan")
+    #: The process's RSS high-water mark when the cell ended, in kB --
+    #: a larger cell run earlier by the same process (a serial sweep,
+    #: a pooled worker) shows through, so it is not a per-cell peak.
     perf_peak_rss_kb: float = float("nan")
     obs_cwnd_samples: int = 0
     obs_rtt_samples: int = 0

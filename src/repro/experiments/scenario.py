@@ -120,6 +120,9 @@ class ScenarioResult:
     # Flight-recorder telemetry (see repro.obs).  ``wall_time`` and
     # ``peak_rss_kb`` are always measured; ``obs`` is populated when the
     # config enabled any trace category or the engine profiler.
+    # ``peak_rss_kb`` is the process's high-water mark when the cell
+    # ends (``obs.engineprof.peak_rss_kb``), not a per-cell peak: after
+    # a larger cell in the same process it reports that cell's peak.
     wall_time: float = field(default=float("nan"))
     peak_rss_kb: float = field(default=float("nan"))
     obs: Optional[ObsBundle] = None

@@ -239,6 +239,12 @@ class EngineProfiler:
 def peak_rss_kb() -> float:
     """Peak resident-set size of this process in kilobytes.
 
+    This is ``ru_maxrss``: the process's high-water mark so far, not the
+    peak of whatever ran last.  Read at the end of a cell, it is that
+    cell's own peak only if nothing larger ran earlier in the process --
+    in a serial sweep or a pooled worker, a small cell after a large one
+    reports the large one's peak.
+
     Returns NaN where the ``resource`` module is unavailable (Windows).
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; both are
     normalized to kB.
