@@ -51,7 +51,8 @@ def both(series_and_extras, writer="_write_jsonl"):
 
 def series_of(columns, rows):
     series = TimeSeries("s", columns=columns)
-    series.rows.extend(rows)  # as stored: no thinning, types untouched
+    for row in rows:
+        series.append(*row)  # all-"O" columns: types untouched
     return series
 
 
@@ -226,10 +227,15 @@ def test_empty_series_touches_the_file_and_writes_nothing():
 
 
 @pytest.mark.parametrize("row", [(1.0,), (1.0, 2, 3, 4)], ids=["short", "long"])
-def test_a_row_that_does_not_fit_its_columns_is_refused(row, tmp_path):
+def test_a_row_that_does_not_fit_its_columns_is_refused(row):
     """Where the two part on purpose: the per-row writer left a short
-    row's columns out and cut a long one, silently; transposed, one
-    such row would cut every row of its chunk, so the writer refuses."""
-    series = series_of(("a", "b"), [(0.0, 1, 2), row])
+    row's columns out and cut a long one, silently; stored a column at
+    a time, such a row would shift every later row, so the series
+    refuses it when it is appended and keeps what it had."""
+    series = series_of(("a", "b"), [(0.0, 1, 2)])
     with pytest.raises(ValueError, match="does not fit its columns"):
-        bundle._write_jsonl(str(tmp_path / "out.jsonl"), series, {})
+        series_of(("a", "b"), [(0.0, 1, 2), row])
+    with pytest.raises(ValueError, match="does not fit its columns"):
+        series.append(*row)
+    assert len(series) == 1
+    assert series.rows == [(0.0, 1, 2)]
