@@ -39,6 +39,18 @@ class TestRegistry:
         assert series.column("y") == [2, 4]
         assert len(series) == 2
 
+    def test_typed_columns_store_machine_words_and_refuse_the_rest(self):
+        series = TimeSeries("a.t", columns=("n", "x"), kinds="dqd")
+        series.append(0.5, 3, 1)
+        assert series.rows == [(0.5, 3, 1.0)]
+        assert [type(v) for v in series.rows[0]] == [float, int, float]
+        for bad in ((1.0, "3", 2.0), (1.0, 3, None), (1.0, 3)):
+            with pytest.raises((TypeError, ValueError)):
+                series.append(*bad)
+            assert series.rows == [(0.5, 3, 1.0)]
+        with pytest.raises(ValueError, match="kinds"):
+            TimeSeries("a.u", columns=("n",), kinds="d")
+
     def test_category_gating(self):
         probe = FlowProbe(0, ("cwnd",))
         probe.on_cwnd(1.0, 2.0, 64.0)
