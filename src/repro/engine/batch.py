@@ -628,7 +628,7 @@ class BatchScenario(Scenario):
             # the replay (emissions only deepen the backlog), so every
             # remaining pending arrival is bulk bookkeeping: take them
             # a sorted-chunk slice at a time.
-            if bulk is None and sender.send_buffer_backlog == 0:
+            if bulk is None and sender.app_total <= sender.t_seqno:
                 pos += 1
                 self._emit_arrival(i, at)
                 continue
@@ -653,10 +653,11 @@ class BatchScenario(Scenario):
     def _rearm_arrival(self, i: int) -> None:
         """Put an idle flow's next arrival on the calendar, as an event
         of its own; a backlogged flow's arrivals wait for catch-up."""
+        sender = self.senders[i]
         if (
             not self._open_mode
             or self._armed[i]
-            or self.senders[i].send_buffer_backlog != 0
+            or sender.app_total > sender.t_seqno
         ):
             return
         self._armed[i] = True

@@ -36,4 +36,4 @@ class NewRenoSender(RenoSender):
         self.output(ackno + 1)
         self._rtt_seq = None
         self.set_cwnd(self.cwnd - float(self.last_progress) + 1.0)
-        self.rtx_timer.restart(self.rto)
+        self.rtx_timer.restart(self._rto)

@@ -70,5 +70,5 @@ class RenoSender(TcpSender):
         self.output(self.last_ack + 1)
         self._rtt_seq = None  # Karn: never time a retransmission
         self.set_cwnd(transitions.reno_fast_recovery_entry_cwnd(self.ssthresh))
-        self.rtx_timer.restart(self.rto)
+        self.rtx_timer.restart(self._rto)
         self.send_much()

@@ -72,7 +72,7 @@ class SackSender(TcpSender):
         # pipe (Fall & Floyd decrement pipe by two).
         self.pipe = max(0, self.pipe - 2)
         self._send_from_scoreboard()
-        self.rtx_timer.restart(self.rto)
+        self.rtx_timer.restart(self._rto)
 
     def _on_dupack(self) -> None:
         if self.in_recovery:
@@ -117,7 +117,7 @@ class SackSender(TcpSender):
         self.pipe = max(0, self.outstanding - self.dupacks - len(self.scoreboard))
         self._send_from_scoreboard()
         self._rtt_seq = None  # Karn
-        self.rtx_timer.restart(self.rto)
+        self.rtx_timer.restart(self._rto)
 
     def _next_hole(self) -> int:
         """Smallest unSACKed, not-yet-retransmitted seq that is a

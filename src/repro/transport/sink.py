@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Set
 
 from repro.net.monitor import FlowStats
 from repro.net.node import Node
-from repro.net.packet import Packet, PacketFactory
+from repro.net.packet import ACK_SIZE_BYTES, Packet, PacketFactory, PacketType
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.transport.base import Agent
@@ -24,6 +24,8 @@ from repro.transport.base import Agent
 #: application workloads (:mod:`repro.apps`) use this to observe work-unit
 #: completions, so transport backpressure feeds back into offered load.
 DeliveryHook = Callable[[float, int], None]
+
+_DATA = PacketType.DATA
 
 
 class UdpSink(Agent):
@@ -110,7 +112,7 @@ class TcpSink(Agent):
     # Receive path
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        if not packet.is_data:
+        if packet.ptype is not _DATA:
             return
         now = self.sim.now
         stats = self.stats
@@ -120,18 +122,23 @@ class TcpSink(Agent):
             self._pending_ecn_echo = True
 
         seq = packet.seqno
-        if seq == self.next_expected:
-            stats.unique_packets += 1
-            self.next_expected += 1
+        expected = self.next_expected
+        if seq == expected:
+            expected += 1
             # Drain any previously buffered out-of-order packets.
-            while self.next_expected in self._buffered:
-                self._buffered.discard(self.next_expected)
-                stats.unique_packets += 1
-                self.next_expected += 1
+            buffered = self._buffered
+            while expected in buffered:
+                buffered.discard(expected)
+                expected += 1
+            stats.unique_packets += expected - seq
+            self.next_expected = expected
             for hook in self._delivery_hooks:
-                hook(now, self.next_expected)
-            self._in_order_ack()
-        elif seq > self.next_expected:
+                hook(now, expected)
+            if self.delayed_ack:
+                self._in_order_ack()
+            else:
+                self._send_ack()
+        elif seq > expected:
             if seq in self._buffered:
                 stats.duplicates += 1
             else:
@@ -154,9 +161,7 @@ class TcpSink(Agent):
         return self.next_expected - 1
 
     def _in_order_ack(self) -> None:
-        if not self.delayed_ack:
-            self._send_ack()
-            return
+        """Delayed ACK: every second in-order packet, or at the timer."""
         self._unacked_in_order += 1
         if self._unacked_in_order >= 2:
             self._send_ack()
@@ -199,15 +204,17 @@ class TcpSink(Agent):
         self._unacked_in_order = 0
         if self._delack_timer is not None:
             self._delack_timer.cancel()
+        node = self.node
         ack = self.packet_factory.ack(
-            flow_id=self.flow_id,
-            src=self.node.name,
-            dst=self.peer,
-            ackno=self.highest_in_order,
-            now=self.sim.now,
-            ecn_echo=self._pending_ecn_echo,
-            sack_blocks=self.sack_blocks() if self.sack else (),
+            self.flow_id,
+            node.name,
+            self.peer,
+            self.next_expected - 1,
+            self.sim.now,
+            ACK_SIZE_BYTES,
+            self._pending_ecn_echo,
+            self.sack_blocks() if self.sack else (),
         )
         self._pending_ecn_echo = False
         self.acks_sent += 1
-        self._transmit(ack)
+        node.send(ack)

@@ -31,7 +31,7 @@ class TahoeSender(TcpSender):
         self.t_seqno = self.last_ack + 1
         # Karn: the retransmission must not be timed.
         self._rtt_seq = None
-        self.rtx_timer.restart(self.rto)
+        self.rtx_timer.restart(self._rto)
         self.send_much()
 
     def _on_timeout_window(self) -> None:

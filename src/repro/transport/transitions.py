@@ -64,7 +64,8 @@ def slowstart_or_linear_next(cwnd: float, ssthresh: float) -> float:
 
 
 def halved_ssthresh(window: float) -> float:
-    """ssthresh <- max(flightsize/2, 2), per RFC 2581."""
+    """ssthresh <- max(window/2, 2): half the effective window (ns-2's
+    ``window()``), not RFC 2581's flightsize."""
     return max(window / 2.0, 2.0)
 
 

@@ -168,4 +168,4 @@ class VegasSender(TcpSender):
                     self.cwnd, self.MIN_CWND, self.LOSS_SHRINK
                 )
             )
-        self.rtx_timer.restart(self.rto)
+        self.rtx_timer.restart(self._rto)

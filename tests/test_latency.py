@@ -1,6 +1,7 @@
 """Tests for the application-to-ACK latency instrumentation."""
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ from repro.engine.batch import BatchScenario
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.transport.reno import RenoSender
-from repro.transport.tcp_base import TcpParams
+from repro.transport.tcp_base import _COMPACT_AT, TcpParams
 
 from tests.helpers import TcpHarness
 
@@ -167,3 +168,53 @@ def test_a_waiting_packet_costs_a_machine_float(scenario_cls):
     held_20, waiting_20 = _held_after(scenario_cls, 20.0)
     assert waiting_20 - waiting_10 > 5000
     assert (held_20 - held_10) / (waiting_20 - waiting_10) < 50
+
+
+#: One backlogged Reno flow on a short path: it ACKs 375 packets a
+#: second while the send buffer grows by 125.
+BACKLOGGED = dict(
+    protocol="reno",
+    n_clients=1,
+    seed=4,
+    mean_gap=0.002,
+    client_delay=0.001,
+    bottleneck_delay=0.01,
+    buffer_capacity=20,
+    advertised_window=40,
+)
+
+
+def _per_sequence_state_after(duration):
+    """Traced memory held by transport code at the end of the
+    backlogged cell, minus the generation times (8 B per waiting packet,
+    guarded above), and the packets ACKed."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scenario = BatchScenario(paper_config(duration=duration, **BACKLOGGED))
+        scenario._execute()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*/repro/transport/*")]
+        )
+    finally:
+        tracemalloc.stop()
+    (sender,) = scenario.senders
+    held = sum(stat.size for stat in snapshot.statistics("filename"))
+    held -= sys.getsizeof(sender._generation_times)
+    acked = sender.last_ack + 1
+    scenario.release()
+    return held, acked
+
+
+def test_per_sequence_state_is_window_plus_compaction_slack_per_sender():
+    """A sender's send times and transmit counts are arrays whose ACKed
+    prefix is deleted every ``_COMPACT_AT`` ACKs, so what they hold is
+    bounded by the window plus that slack however long the flow runs.
+    From 10 s to 20 s the flow ACKs several times that bound, which a
+    store that kept ACKed entries (12 B each) would add in full."""
+    slack = _COMPACT_AT + BACKLOGGED["advertised_window"]
+    held_10, acked_10 = _per_sequence_state_after(10.0)
+    held_20, acked_20 = _per_sequence_state_after(20.0)
+    assert acked_20 - acked_10 > 4 * slack
+    assert held_20 - held_10 < 16 * slack
