@@ -611,6 +611,23 @@ class ScenarioConfig:
                 f"buffer_capacity must be at least 1 packet; "
                 f"got {self.buffer_capacity!r}"
             )
+        if self.advertised_window < 1:
+            raise ValueError(
+                f"advertised_window must be at least 1 packet; "
+                f"got {self.advertised_window!r}"
+            )
+        for name in ("tcp_tick", "min_rto", "initial_rto"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive; got {getattr(self, name)!r}"
+                )
+        from repro.transport.tcp_base import TcpParams
+
+        if self.min_rto > TcpParams.max_rto:
+            raise ValueError(
+                f"min_rto cannot exceed the {TcpParams.max_rto!r}-s RTO "
+                f"ceiling; got {self.min_rto!r}"
+            )
         if self.queue in ("red", "ared"):
             if not 0 <= self.red_min_th < self.red_max_th:
                 raise ValueError(

@@ -176,6 +176,44 @@ def test_validate_rejects_on_every_backend_naming_the_field(
         scenario_module.run_scenario(config)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        # initial_rto=-1 ran silently (min_rto clamps the first RTO);
+        # the others passed validate() and failed inside the cell's
+        # TcpParams with messages that named no config field ("timer
+        # tick must be positive").
+        (dict(initial_rto=-1.0), "initial_rto"),
+        (dict(tcp_tick=0.0), "tcp_tick"),
+        (dict(min_rto=0.0), "min_rto"),
+        (dict(advertised_window=0), "advertised_window"),
+    ],
+)
+def test_validate_refuses_a_tcp_timer_or_window_field_by_name(
+    backend, overrides, field, monkeypatch
+):
+    import repro.experiments.scenario as scenario_module
+    from repro.core.fluid_backend import FluidSolver
+
+    def never_built(*args, **kwargs):
+        raise AssertionError("built before validate() rejected the config")
+
+    monkeypatch.setattr(scenario_module.Scenario, "_build_network", never_built)
+    monkeypatch.setattr(FluidSolver, "__init__", never_built)
+    config = paper_config(backend=backend, n_clients=20, **overrides)
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+    with pytest.raises(ValueError, match=field):
+        scenario_module.run_scenario(config)
+
+
+def test_min_rto_above_the_rto_ceiling_is_refused_by_name():
+    with pytest.raises(ValueError, match="^min_rto cannot exceed the 64.0-s"):
+        paper_config(min_rto=65.0).validate()
+    paper_config(min_rto=64.0).validate()
+
+
 def test_red_thresholds_are_checked_only_where_red_runs():
     ScenarioConfig(queue="fifo", red_min_th=40.0, red_max_th=40.0).validate()
     with pytest.raises(ValueError, match="red_min_th"):
