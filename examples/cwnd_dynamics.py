@@ -20,7 +20,7 @@ from repro.analysis.timeseries import (
     uniform_grid,
 )
 from repro.experiments.config import paper_config
-from repro.experiments.figures import cwnd_trace_experiment
+from repro.experiments.figures import cwnd_trace_experiment, default_traced_flows
 
 DURATION = 40.0
 
@@ -28,11 +28,12 @@ DURATION = 40.0
 def show(protocol: str, n_clients: int) -> None:
     base = paper_config(duration=DURATION, seed=1)
     result = cwnd_trace_experiment(protocol, n_clients, base=base)
+    traces = result.cwnd_traces(default_traced_flows(n_clients))
     title = f"{protocol.capitalize()}, {n_clients} clients"
     print("=" * 78)
     print(title)
     print("=" * 78)
-    for flow_id, trace in sorted(result.cwnd_traces.items()):
+    for flow_id, trace in sorted(traces.items()):
         print(
             ascii_step_plot(
                 trace,
@@ -47,12 +48,12 @@ def show(protocol: str, n_clients: int) -> None:
     # Loss synchronization (Section 3.2): the fraction of window
     # decreases that another traced flow shares within one second --
     # the coupling the paper blames for aggregate burstiness.
-    score = synchronization_fraction(result.cwnd_traces)
-    events = len(all_decrease_events(result.cwnd_traces))
+    score = synchronization_fraction(traces)
+    events = len(all_decrease_events(traces))
     grid = uniform_grid(0.0, DURATION, 0.5)
     mean_windows = [
         float(np.mean(sample_step_series(tr, grid, initial=1.0)))
-        for tr in result.cwnd_traces.values()
+        for tr in traces.values()
     ]
     print(
         f"window-decrease events: {events}; fraction synchronized across "

@@ -572,7 +572,6 @@ def run_fluid_scenario(config) -> "ScenarioResult":  # noqa: F821
         bin_counts=summary["bin_counts"],
         offered_bin_counts=np.zeros(0),
         per_flow=[],
-        cwnd_traces={},
         mean_queue_length=summary["mean_queue"],
         red_marks=0,
         utilization=summary["utilization"],

@@ -590,8 +590,7 @@ class BatchScenario(Scenario):
         # Mirrors TrafficSource._emit: offered hook, then app_arrival.
         # ``at`` is now: a replay on an empty send buffer is an armed
         # arrival, served by its own event when due.
-        if self.offered is not None:
-            self.offered.add(at)
+        self.offered.add(at)
         self.senders[i].app_arrival(1)
 
     def _catch_up(self, i: int, now: float) -> None:
@@ -638,8 +637,7 @@ class BatchScenario(Scenario):
             pos = cut
         self._arr_pos[i] = pos
         if bulk is not None:
-            if self.offered is not None:
-                self.offered.extend(bulk)
+            self.offered.extend(bulk)
             sender.app_arrival_bulk(bulk)
 
     def _arrival_fire(self, i: int) -> None:

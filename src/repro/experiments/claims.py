@@ -123,11 +123,17 @@ def _dependence(attribute: str) -> Callable[[ScenarioResult], float]:
     return measure
 
 
+def _traced(result: ScenarioResult) -> Dict[int, List[Tuple[float, float]]]:
+    """The window traces the statistics read: the first, middle and last
+    of the run's packet flows (:func:`default_traced_flows`)."""
+    return result.cwnd_traces(default_traced_flows(len(result.per_flow)))
+
+
 def _late_decreases(result: ScenarioResult) -> float:
     """Window decreases in the last quarter of the run: the paper's
     "never stabilizes", counted."""
     start = 0.75 * result.config.duration
-    return sum(1 for t, _flow in all_decrease_events(result.cwnd_traces) if t > start)
+    return sum(1 for t, _flow in all_decrease_events(_traced(result)) if t > start)
 
 
 def _steady_window_cov(result: ScenarioResult) -> float:
@@ -137,32 +143,29 @@ def _steady_window_cov(result: ScenarioResult) -> float:
     duration = result.config.duration
     grid = uniform_grid(duration / 2.0, duration, 0.25)
     covs = []
-    for trace in result.cwnd_traces.values():
+    for trace in _traced(result).values():
         values = sample_step_series(trace, grid, initial=1.0)
         covs.append(float(values.std() / values.mean()))
     return fmean(covs) if covs else float("nan")
 
 
 #: The statistics that read a full ``ScenarioResult``.  Their cells go
-#: through ``run_scenario`` in-process, recording per-flow arrivals and
-#: the default traced windows (:func:`_observed`), one run per cell for
-#: all of its statistics; everything else is a ``ScenarioMetrics`` column.
+#: through ``run_scenario`` in-process, recording every flow's window
+#: (:func:`_observed`), one run per cell for all of its statistics;
+#: everything else is a ``ScenarioMetrics`` column.
 RESULT_STATISTICS: Dict[str, Callable[[ScenarioResult], float]] = {
     "variance_excess": _dependence("variance_excess_ratio"),
     "mean_correlation": _dependence("mean_correlation"),
     "acf_lag1": _dependence("aggregate_acf_lag1"),
-    "cwnd_decreases": lambda r: len(all_decrease_events(r.cwnd_traces)),
+    "cwnd_decreases": lambda r: len(all_decrease_events(_traced(r))),
     "late_cwnd_decreases": _late_decreases,
-    "cwnd_synchrony": lambda r: synchronization_fraction(r.cwnd_traces),
+    "cwnd_synchrony": lambda r: synchronization_fraction(_traced(r)),
     "steady_window_cov": _steady_window_cov,
 }
 
 
 def _observed(config: ScenarioConfig) -> ScenarioConfig:
-    return config.with_(
-        record_flow_arrivals=True,
-        trace_cwnd_flows=default_traced_flows(config.n_clients),
-    )
+    return config.with_(obs_trace=("cwnd",))
 
 
 class Term(NamedTuple):

@@ -33,6 +33,11 @@ from typing import Any, Dict, List, Optional, Tuple
 #: must not satisfy v5 lookups.
 CONFIG_SCHEMA_VERSION = 5
 
+#: Deleted fields the digest covered (the offered and per-flow gateway
+#: counts are always recorded now), kept at their old defaults so that
+#: every existing digest, and every cache entry, is unchanged.
+_DELETED_FIELD_VALUES = {"record_offered": True, "record_flow_arrivals": False}
+
 #: Fields that only control *observation* (what gets traced), never the
 #: simulated dynamics or any physics-derived ScenarioMetrics value, and
 #: are therefore excluded from the content digest.  (The obs_* fields do
@@ -40,7 +45,6 @@ CONFIG_SCHEMA_VERSION = 5
 #: bookkeeping, not physics -- see tests/test_config.py.)
 _DIGEST_EXCLUDED_FIELDS = frozenset(
     {
-        "trace_cwnd_flows",
         "obs_trace",
         "obs_profile",
         # Burst forensics (repro.forensics): pure observers fed from the
@@ -356,11 +360,8 @@ class ScenarioConfig:
     # DRR fair-queueing gateway (extension; quantum in bytes).
     drr_quantum: int = 1000
 
-    # Measurement and tracing.
+    # Measurement.
     bin_width: Optional[float] = None  # None = the round-trip propagation delay
-    trace_cwnd_flows: Tuple[int, ...] = ()  # flow ids whose cwnd to log
-    record_offered: bool = True  # record application generation times
-    record_flow_arrivals: bool = False  # per-flow gateway arrival times
 
     # Flight-recorder observability (see repro.obs).  ``obs_trace``
     # enables trace categories ("cwnd", "rtt", "state", "queue",
@@ -761,6 +762,7 @@ class ScenarioConfig:
         does not invalidate cached metrics.
         """
         payload: Dict[str, Any] = {"schema_version": CONFIG_SCHEMA_VERSION}
+        payload.update(_DELETED_FIELD_VALUES)
         for spec in fields(self):
             if spec.name in _DIGEST_EXCLUDED_FIELDS:
                 continue

@@ -380,21 +380,15 @@ def default_traced_flows(n_clients: int) -> Tuple[int, ...]:
 def cwnd_trace_experiment(
     protocol: str,
     n_clients: int,
-    flows: Optional[Sequence[int]] = None,
     base: Optional[ScenarioConfig] = None,
     queue: str = "fifo",
     duration: Optional[float] = None,
 ) -> ScenarioResult:
-    """One run with congestion-window tracing (Figures 5-12), of
-    ``flows`` or else :func:`default_traced_flows`."""
-    base = base or paper_config()
-    if flows is None:
-        flows = default_traced_flows(n_clients)
-    config = base.with_(
-        protocol=protocol,
-        queue=queue,
-        n_clients=n_clients,
-        trace_cwnd_flows=tuple(flows),
+    """One run with every flow's congestion window recorded (Figures
+    5-12); ``result.cwnd_traces(default_traced_flows(n_clients))`` are
+    the three the paper follows."""
+    config = (base or paper_config()).with_(
+        protocol=protocol, queue=queue, n_clients=n_clients, obs_trace=("cwnd",)
     )
     if duration is not None:
         config = config.with_(duration=duration)

@@ -280,6 +280,8 @@ def test_batch_matches_object_everywhere(overrides):
     assert ScenarioMetrics.from_result(run) == ScenarioMetrics.from_result(reference)
     assert canonical_obs(run) == canonical_obs(reference)
     assert canonical_forensics(run) == canonical_forensics(reference)
+    for counts in ("per_flow_bin_counts", "offered_bin_counts"):
+        assert getattr(run, counts).tobytes() == getattr(reference, counts).tobytes()
 
 
 def _default_run_outside_the_envelope(config: ScenarioConfig):

@@ -45,13 +45,12 @@ class TestConfigDigest:
             dict(bottleneck_rate_bps=1.5e6),
             dict(buffer_capacity=25),
             dict(pacing=True),
-            dict(record_offered=False),
         ]:
             assert base.with_(**overrides).config_digest() != base.config_digest()
 
     def test_observation_only_fields_do_not_change_digest(self):
         base = tiny()
-        traced = base.with_(trace_cwnd_flows=(0, 1))
+        traced = base.with_(obs_trace=("cwnd",))
         assert traced.config_digest() == base.config_digest()
 
     def test_payload_carries_schema_version(self):

@@ -279,7 +279,6 @@ class TestDigestCompleteness:
     # silently alias.  (The obs_* knobs do affect the obs_* sample
     # counters, but those are bookkeeping about the recording itself.)
     OBSERVATION_ONLY = {
-        "trace_cwnd_flows",
         "obs_trace",
         "obs_profile",
         "scheduler",
@@ -297,7 +296,11 @@ class TestDigestCompleteness:
         config = ScenarioConfig()
         payload = config.digest_payload()
         field_names = {spec.name for spec in dataclasses.fields(config)}
-        covered = set(payload) - {"schema_version"}
+        # Two deleted fields stay in the payload at their old defaults,
+        # so digests written before their deletion still match.
+        deleted = {"record_offered": True, "record_flow_arrivals": False}
+        assert {name: payload[name] for name in deleted} == deleted
+        covered = set(payload) - {"schema_version", *deleted}
         assert covered == field_names - self.OBSERVATION_ONLY
         assert "schema_version" in payload
 
@@ -311,6 +314,15 @@ class TestDigestCompleteness:
         selector is gone, not ignored."""
         with pytest.raises(TypeError, match="forensics_sketch"):
             paper_config(forensics_sketch="countmin")
+
+    @pytest.mark.parametrize(
+        "knob", ["record_offered", "record_flow_arrivals", "trace_cwnd_flows"]
+    )
+    def test_deleted_recording_knobs_are_rejected_by_name(self, knob):
+        """Offered and per-flow counts are always recorded, and cwnd
+        traces are a view of the flight recorder's rows."""
+        with pytest.raises(TypeError, match=knob):
+            paper_config(**{knob: True})
 
     def test_every_workload_knob_changes_the_digest(self):
         base = ScenarioConfig()

@@ -1,10 +1,9 @@
 """Goldens for the per-bin arrival counts the paper's measure is taken over.
 
-``goldens/counts/counts.json`` holds, for twelve seeded cells run with
-``record_flow_arrivals=True``, the SHA-256 of the gateway's
-``bin_counts`` bytes and of the ``offered_bin_counts`` bytes, and every
-field of the ``dependence()`` report built from the per-flow gateway
-counts.  The cells span both flow engines (and the batch engine's
+``goldens/counts/counts.json`` holds, for twelve seeded cells, the
+SHA-256 of the gateway's ``bin_counts`` bytes and of the
+``offered_bin_counts`` bytes, and every field of the ``dependence()``
+report built from the per-flow gateway counts.  The cells span both flow engines (and the batch engine's
 bulk-replay path), the closed-loop workloads, Pareto traffic over DRR,
 the hybrid backend, and a warmup with a bin width that does not divide
 the window.  Captured while the gateway counts were binned live by the
@@ -20,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.cov import FOLD_SIZE
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import run_scenario
 
@@ -63,9 +63,7 @@ def _sha256(array):
 
 
 def _fingerprint(overrides):
-    config = paper_config(
-        duration=20.0, seed=3, record_flow_arrivals=True, **overrides
-    )
+    config = paper_config(duration=20.0, seed=3, **overrides)
     result = run_scenario(config)
     report = result.dependence()
     return {
@@ -88,3 +86,37 @@ def test_counts_and_dependence_are_unchanged(cell, request):
         return
     golden = json.loads(GOLDEN_PATH.read_text())
     assert fingerprint == golden[cell]
+
+
+#: Short cells for the conservation check: object, batch and hybrid,
+#: the warmup whose 0.07-s bins do not divide the window, and a UDP
+#: cell that offers the gateway more than ``FOLD_SIZE`` arrivals, so
+#: the monitor folds mid-run.
+CONSERVATION_CELLS = {
+    "reno-object-n10": dict(protocol="reno", engine="object", n_clients=10),
+    "reno-batch-n20": dict(protocol="reno", engine="batch", n_clients=20),
+    "hybrid-reno-k5-n200": CELLS["hybrid-reno-k5-n200"],
+    "reno-warmup-bin007-n20": CELLS["reno-warmup-bin007-n20"],
+    "udp-object-folds": dict(protocol="udp", n_clients=10, mean_gap=0.001),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(CONSERVATION_CELLS))
+def test_flow_rows_sum_to_the_aggregate(cell):
+    result = run_scenario(
+        paper_config(duration=7.0, seed=3, **CONSERVATION_CELLS[cell])
+    )
+    rows = result.per_flow_bin_counts
+    assert rows.shape == (len(result.per_flow), result.bin_counts.size)
+    assert rows.sum(axis=0).tobytes() == result.bin_counts.tobytes()
+    assert result.dependence() is not None
+    if cell == "udp-object-folds":
+        assert result.gateway_arrivals > FOLD_SIZE
+
+
+def test_dependence_once_two_flows_send():
+    one, two = (
+        run_scenario(paper_config(n_clients=n, duration=3.0, seed=3)) for n in (1, 2)
+    )
+    assert one.per_flow_bin_counts.shape[0] == 1 and one.dependence() is None
+    assert two.dependence().n_flows == 2

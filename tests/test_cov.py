@@ -67,13 +67,12 @@ class TestBinCounts:
         counter = BinCounter(1 / 3, 0.0, 16.0)
         counter.extend(times)
         assert counter.counts().tolist() == expected
-        monitor = ArrivalMonitor(1 / 3, 0.0, 16.0, per_flow=True)
+        monitor = ArrivalMonitor(1 / 3, 0.0, 16.0)
         packet = PacketFactory().data(0, "a", "b", 1000, seqno=0, now=0.0)
         for time in times:
             monitor.on_packet(packet, time)
-            monitor.on_flow_packet(packet, time)
         assert monitor.counts().tolist() == expected
-        assert monitor.flow_counts()[0].tolist() == expected
+        assert monitor.flow_counts().tolist() == [expected]
 
     def test_conservation(self):
         times = np.random.default_rng(0).uniform(0, 10, size=500)

@@ -107,28 +107,26 @@ class TestDependenceReport:
 
 
 def flow_rows(times_by_flow, bin_width, t_start, t_end):
-    """Per-flow gateway counts, as ``ArrivalMonitor(per_flow=True)``
-    keeps them, of DATA arrivals at the given times."""
+    """Per-flow gateway counts, as ``ArrivalMonitor`` keeps them, of
+    DATA arrivals at the given times."""
     from repro.net.monitor import ArrivalMonitor
     from repro.net.packet import PacketFactory
 
-    monitor = ArrivalMonitor(bin_width, t_start, t_end, per_flow=True)
+    monitor = ArrivalMonitor(bin_width, t_start, t_end)
     factory = PacketFactory()
     for flow, times in times_by_flow.items():
         packet = factory.data(flow, "a", "b", 1000, seqno=0, now=0.0)
         for time in times:
-            monitor.on_flow_packet(packet, time)
+            monitor.on_packet(packet, time)
     return monitor.flow_counts()
 
 
 class TestBinFlowTimes:
-    """The per-flow rows that ``ScenarioResult.dependence()`` stacks."""
+    """The per-flow rows that ``ScenarioResult.dependence()`` reads."""
 
     def test_bins_per_flow(self):
         rows = flow_rows({0: [0.1, 0.2, 1.5], 2: [0.9]}, 1.0, 0.0, 2.0)
-        assert sorted(rows) == [0, 2]
-        assert list(rows[0]) == [2, 1]
-        assert list(rows[2]) == [1, 0]
+        assert rows.tolist() == [[2, 1], [0, 0], [1, 0]]
 
     def test_flows_sorted_by_id(self, monkeypatch):
         import repro.experiments.scenario as scenario
@@ -141,7 +139,7 @@ class TestBinFlowTimes:
         stacked = []
         monkeypatch.setattr(scenario, "dependence_report", stacked.append)
         dataclasses.replace(result, per_flow_bin_counts=rows).dependence()
-        assert stacked[0].tolist() == [[2.0], [1.0]]  # flow 1 first
+        assert stacked[0].tolist() == [[0], [2], [0], [0], [0], [1]]  # row = flow id
 
     def test_empty_flow_all_zero(self):
         # Flow 0's one arrival is past the window's last whole bin.
@@ -161,21 +159,18 @@ class TestScenarioIntegration:
         from repro.experiments.config import paper_config
         from repro.experiments.scenario import run_scenario
 
-        result = run_scenario(
-            paper_config(
-                protocol="reno",
-                n_clients=4,
-                duration=8.0,
-                record_flow_arrivals=True,
-            )
-        )
+        result = run_scenario(paper_config(protocol="reno", n_clients=4, duration=8.0))
         report = result.dependence()
         assert report is not None
         assert report.n_flows == 4
 
     def test_dependence_none_without_recording(self):
+        """The fluid limit has no flows, so no per-flow counts."""
         from repro.experiments.config import paper_config
         from repro.experiments.scenario import run_scenario
 
-        result = run_scenario(paper_config(protocol="reno", n_clients=4, duration=5.0))
+        result = run_scenario(
+            paper_config(backend="fluid", n_clients=4, duration=5.0)
+        )
+        assert result.per_flow_bin_counts is None
         assert result.dependence() is None

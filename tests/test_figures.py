@@ -9,6 +9,7 @@ from repro.experiments.figures import (
     FigureData,
     build_figure,
     cwnd_trace_experiment,
+    default_traced_flows,
     figure2_cov,
     run_protocol_sweep,
 )
@@ -119,17 +120,17 @@ class TestCwndTraces:
         result = cwnd_trace_experiment(
             "reno", 6, base=paper_config(duration=5.0), duration=5.0
         )
-        assert set(result.cwnd_traces) == {0, 3, 5}
+        assert set(result.cwnd_traces()) == set(range(6))
+        assert set(result.cwnd_traces(default_traced_flows(6))) == {0, 3, 5}
 
     def test_explicit_flows(self):
-        result = cwnd_trace_experiment(
-            "vegas", 4, flows=[1], base=paper_config(duration=5.0)
-        )
-        assert set(result.cwnd_traces) == {1}
+        result = cwnd_trace_experiment("vegas", 4, base=paper_config(duration=5.0))
+        assert set(result.cwnd_traces([1])) == {1}
+        assert set(result.cwnd_traces([1, 7])) == {1}
 
     def test_trace_values_bounded_by_advertised_window(self):
         result = cwnd_trace_experiment(
             "reno", 4, base=paper_config(duration=5.0)
         )
-        for trace in result.cwnd_traces.values():
+        for trace in result.cwnd_traces().values():
             assert all(1.0 <= v <= 20.0 for _, v in trace)

@@ -170,7 +170,7 @@ class TestFluidScenario:
     def test_dispatches_to_fluid_backend(self, result):
         # No per-flow records in the mean-field limit.
         assert result.per_flow == []
-        assert result.cwnd_traces == {}
+        assert result.cwnd_traces() == {}
 
     def test_metrics_fields_populated(self, result):
         metrics = ScenarioMetrics.from_result(result)

@@ -36,7 +36,7 @@ def backlogged_config(protocol, **overrides):
         advertised_window=400,
         duration=120.0,
         seed=1,
-        trace_cwnd_flows=(0,),
+        obs_trace=("cwnd",),
         bottleneck_delay=BOTTLENECK_DELAY,
     )
     defaults.update(overrides)
@@ -45,7 +45,7 @@ def backlogged_config(protocol, **overrides):
 
 def steady_cwnd(result, t_start=60.0, t_end=120.0, step=0.25):
     grid = uniform_grid(t_start, t_end, step)
-    return sample_step_series(result.cwnd_traces[0], grid, initial=1.0)
+    return sample_step_series(result.cwnd_traces()[0], grid, initial=1.0)
 
 
 class TestVegasEquilibrium:
@@ -90,7 +90,7 @@ class TestRenoSawtooth:
         assert peak / 2.0 * 0.8 <= float(window.mean()) <= peak * 1.0
 
     def test_multiplicative_decrease_halves_the_window(self, result):
-        values = [v for _t, v in result.cwnd_traces[0]]
+        values = [v for _t, v in result.cwnd_traces()[0]]
         drops = [
             (prev, curr)
             for prev, curr in zip(values, values[1:])

@@ -82,16 +82,13 @@ def _cell_config(protocol, queue, backend):
     )
     if backend == "hybrid":
         return config.with_(hybrid_foreground_flows=FOREGROUND)
-    # The packet reference counts per-flow gateway arrivals so the same
-    # ten foreground flows can be summed into their own c.o.v.
-    return config.with_(record_flow_arrivals=True)
+    return config
 
 
 def _foreground_cov(result):
     """C.o.v. of the packet run's flows 0..K-1 at the gateway."""
-    rows = result.per_flow_bin_counts
     return coefficient_of_variation(
-        np.sum([rows[flow] for flow in range(FOREGROUND)], axis=0)
+        result.per_flow_bin_counts[:FOREGROUND].sum(axis=0)
     )
 
 

@@ -43,45 +43,45 @@ class TestPackageExports:
 
 
 class TestFlowArrivalMonitor:
-    """The per-flow counters of an ``ArrivalMonitor(per_flow=True)``."""
+    """The per-flow rows of an ``ArrivalMonitor``."""
 
     def test_records_per_flow(self):
-        monitor = ArrivalMonitor(1.0, 0.0, 4.0, per_flow=True)
+        monitor = ArrivalMonitor(1.0, 0.0, 4.0)
         factory = PacketFactory()
-        monitor.on_flow_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
-        monitor.on_flow_packet(factory.data(2, "a", "b", 1000, seqno=0, now=0.0), 2.0)
-        monitor.on_flow_packet(factory.data(0, "a", "b", 1000, seqno=1, now=0.0), 3.0)
-        counts = monitor.flow_counts()
-        assert sorted(counts) == [0, 2]
-        assert counts[0].tolist() == [0, 1, 0, 1]
-        assert counts[2].tolist() == [0, 0, 1, 0]
+        monitor.on_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
+        monitor.on_packet(factory.data(2, "a", "b", 1000, seqno=0, now=0.0), 2.0)
+        monitor.on_packet(factory.data(0, "a", "b", 1000, seqno=1, now=0.0), 3.0)
+        assert monitor.flow_counts().tolist() == [
+            [0, 1, 0, 1],
+            [0, 0, 0, 0],
+            [0, 0, 1, 0],
+        ]
+        assert monitor.counts().tolist() == [0, 1, 1, 1]
 
     def test_ignores_acks_and_warmup(self):
-        monitor = ArrivalMonitor(1.0, 5.0, 8.0, per_flow=True)
+        monitor = ArrivalMonitor(1.0, 5.0, 8.0)
         factory = PacketFactory()
-        monitor.on_flow_packet(factory.ack(0, "b", "a", ackno=0, now=0.0), 6.0)
-        monitor.on_flow_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
-        assert monitor.flow_counts() == {}
+        monitor.on_packet(factory.ack(0, "b", "a", ackno=0, now=0.0), 6.0)
+        monitor.on_packet(factory.data(0, "a", "b", 1000, seqno=0, now=0.0), 1.0)
+        assert monitor.flow_counts().shape == (0, 3)
+        assert monitor.counts().tolist() == [0, 0, 0]
 
     def test_a_flow_is_present_from_its_first_arrival_at_or_after_warmup(self):
-        """Even when that arrival lands past the last whole bin."""
-        monitor = ArrivalMonitor(1.0, 5.0, 6.5, per_flow=True)
+        """Every flow id up to the largest that arrived in the window
+        has a row; an arrival past the last whole bin counts in none."""
+        monitor = ArrivalMonitor(1.0, 5.0, 6.5)
         factory = PacketFactory()
-        monitor.on_flow_packet(factory.data(1, "a", "b", 1000, seqno=0, now=0.0), 6.2)
-        monitor.on_flow_packet(factory.data(4, "a", "b", 1000, seqno=0, now=0.0), 5.0)
-        counts = monitor.flow_counts()
-        assert sorted(counts) == [1, 4]
-        assert counts[1].tolist() == [0]
-        assert counts[4].tolist() == [1]
+        monitor.on_packet(factory.data(1, "a", "b", 1000, seqno=0, now=0.0), 6.2)
+        monitor.on_packet(factory.data(4, "a", "b", 1000, seqno=0, now=0.0), 5.0)
+        monitor.on_packet(factory.data(6, "a", "b", 1000, seqno=0, now=0.0), 4.9)
+        assert monitor.flow_counts().tolist() == [[0], [0], [0], [0], [1]]
 
     def test_attach_to_interface(self):
         sim = Simulator()
         a, b = Node(sim, "a"), Node(sim, "b")
         Link(sim, a, b, 1e6, 0.0)
         a.set_default_route("b")
-        monitor = ArrivalMonitor(1.0, 0.0, 1.0, per_flow=True).attach(
-            a.interfaces["b"]
-        )
+        monitor = ArrivalMonitor(1.0, 0.0, 1.0).attach(a.interfaces["b"])
         factory = PacketFactory()
         import repro.transport.base as base
 
@@ -91,7 +91,7 @@ class TestFlowArrivalMonitor:
 
         Sink(sim, b, 3, "a", factory)
         a.send(factory.data(3, "a", "b", 1000, seqno=0, now=0.0))
-        assert list(monitor.flow_counts()) == [3]
+        assert monitor.flow_counts().tolist() == [[0], [0], [0], [1]]
         assert monitor.counts().tolist() == [1]
 
 

@@ -84,8 +84,19 @@ class TestArrivalMonitor:
         packet = data_packet(PacketFactory())
         for _ in range(FOLD_SIZE + 3):
             monitor.on_packet(packet, 2.5)
-        assert len(monitor.total.pending) == 3
+        assert len(monitor.times) == len(monitor.flows) == 3
         assert list(monitor.counts()) == [0, 0, FOLD_SIZE + 3, 0]
+
+    def test_rows_grow_across_folds(self):
+        monitor = make_monitor()
+        factory = PacketFactory()
+        packet = data_packet(factory)
+        for _ in range(FOLD_SIZE):
+            monitor.on_packet(packet, 0.5)
+        monitor.on_packet(factory.data(3, "a", "b", 1000, seqno=0, now=0.0), 1.5)
+        rows = monitor.flow_counts()
+        assert rows.tolist() == [[FOLD_SIZE, 0, 0, 0], [0] * 4, [0] * 4, [0, 1, 0, 0]]
+        assert monitor.counts().tolist() == [FOLD_SIZE, 1, 0, 0]
 
     def test_attach_hooks_into_interface(self):
         sim = Simulator()

@@ -159,7 +159,7 @@ def test_a_replayed_arrival_that_can_transmit_runs_at_its_own_instant(
     """Why senders need no clock of their own under lazy arrivals: the
     replay takes the full ``app_arrival`` path only on an empty send
     buffer, and such a flow is armed, so that happens when the arrival
-    is due -- cwnd rows, ``cwnd_log`` and forensics state events are
+    is due -- cwnd rows and forensics state events are
     stamped by the simulator's clock with the arrival's own time, as
     the object engine's tick would stamp them."""
     emitted = []
@@ -174,13 +174,12 @@ def test_a_replayed_arrival_that_can_transmit_runs_at_its_own_instant(
         protocol=protocol,
         obs_trace=("cwnd", "state"),
         forensics=True,
-        trace_cwnd_flows=(0, 1),
         **CONGESTED,
     )
     run = run_scenario(config.with_(engine="batch"))
     assert len(emitted) > 100 and all(at == now for at, now in emitted)
     reference = run_scenario(config.with_(engine="object"))
-    assert run.cwnd_traces == reference.cwnd_traces
+    assert run.cwnd_traces() == reference.cwnd_traces()
     for flow, probe in reference.obs.flows.items():
         assert run.obs.flows[flow].cwnd.rows == probe.cwnd.rows
         assert run.obs.flows[flow].states.rows == probe.states.rows

@@ -107,17 +107,15 @@ class TestDeterminism:
 
 class TestTracing:
     def test_cwnd_traces_only_for_requested_flows(self):
-        result = run_scenario(
-            small_config(protocol="reno", trace_cwnd_flows=(0, 2))
-        )
-        assert set(result.cwnd_traces) == {0, 2}
-        for trace in result.cwnd_traces.values():
+        result = run_scenario(small_config(protocol="reno", obs_trace=("cwnd",)))
+        assert set(result.cwnd_traces((0, 2))) == {0, 2}
+        for trace in result.cwnd_traces((0, 2)).values():
             times = [t for t, _ in trace]
             assert times == sorted(times)
             assert all(1.0 <= v <= 20.0 for _, v in trace)
 
     def test_no_traces_by_default(self, reno_result):
-        assert reno_result.cwnd_traces == {}
+        assert reno_result.cwnd_traces() == {}
 
 
 class TestQueueDisciplines:

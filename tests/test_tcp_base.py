@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.config import PROTOCOLS, paper_config
 from repro.experiments.scenario import run_scenario
+from repro.obs.probes import FlowProbe
 from repro.transport import transitions
 from repro.transport.reno import RenoSender
 from repro.transport.tcp_base import _COMPACT_AT, TcpParams, TcpSender
@@ -377,18 +378,18 @@ class TestAckProcessing:
 
 class TestCwndTracing:
     def test_trace_records_changes(self):
-        h = TcpHarness(RenoSender, {"trace_cwnd": True})
+        h = make_harness()
+        probe = h.sender.attach_probe(FlowProbe(0, ("cwnd",)))
         h.give_app_packets(100)
         h.deliver_ack(0)
         h.deliver_ack(1)
-        values = [v for _, v in h.sender.cwnd_log]
-        assert values == [1.0, 2.0, 3.0]
+        assert probe.cwnd.column("cwnd") == [1.0, 2.0, 3.0]
 
     def test_no_trace_by_default(self):
         h = make_harness()
         h.give_app_packets(10)
         h.deliver_ack(0)
-        assert h.sender.cwnd_log == []
+        assert h.sender.obs is None
 
 
 class TestParamsValidation:
