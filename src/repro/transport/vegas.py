@@ -69,7 +69,6 @@ class VegasSender(TcpSender):
         self._ss_grow_this_epoch = True
         self._epoch_marker = 0  # epoch ends when last_ack reaches this seq
         self._last_reduction_time = -math.inf
-        self.diff_history = []  # (time, queued-packet estimate), diagnostics
 
     # ------------------------------------------------------------------
     # Policy hooks
@@ -111,7 +110,6 @@ class VegasSender(TcpSender):
         if rtt is None or rtt <= 0 or not math.isfinite(self.base_rtt):
             return
         diff = self.queue_estimate(rtt)
-        self.diff_history.append((self.sim.now, diff))
         vegas = self.vegas
         if self.in_slow_start:
             if diff > vegas.gamma:

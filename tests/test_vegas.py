@@ -217,12 +217,5 @@ class TestVegasEpochs:
         h.deliver_ack(marker - 2)
         assert h.sender.cwnd == cwnd
 
-    def test_diff_history_recorded(self):
-        h = make_harness()
-        h.give_app_packets(100)
-        ack_after(h, 0.5)
-        ack_after(h, 0.6)
-        assert len(h.sender.diff_history) >= 1
-
     def test_protocol_name(self):
         assert VegasSender.protocol_name == "vegas"
