@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.burstiness import aggregate_counts
 from repro.core.cov import FOLD_SIZE, BinCounter, bin_counts, coefficient_of_variation
 from repro.core.theory import poisson_aggregate_cov
+from repro.net.monitor import ArrivalMonitor
 from repro.net.packet import PacketFactory
 from repro.net.queues import DropTailQueue
 from repro.sim.engine import Simulator
@@ -123,6 +124,33 @@ def test_bin_counter_is_bin_counts_of_every_time_recorded(run):
     expected = bin_counts(recorded, width, t_start, t_end)
     assert counter.counts().tolist() == expected.tolist()
     assert counter.counts().dtype == expected.dtype
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_counter_run())
+def test_arrival_monitor_rows_are_bin_counts_of_each_flow(run):
+    """The same calls as gateway arrivals, call ``i`` from flow
+    ``i % 3``: row ``f`` is ``bin_counts`` of flow ``f``'s times, and the
+    aggregate is the column sums."""
+    width, t_start, t_end, calls = run
+    monitor = ArrivalMonitor(width, t_start, t_end)
+    factory = PacketFactory()
+    recorded = {0: [], 1: [], 2: []}
+    for index, call in enumerate(calls):
+        flow = index % 3
+        packet = factory.data(flow, "a", "b", 1000, seqno=0, now=0.0)
+        times = [call[1]] * call[2] if call[0] == "add" else call[1]
+        for time in times:
+            monitor.on_packet(packet, time)
+        recorded[flow] += times
+    rows = monitor.flow_counts()
+    for flow, times in recorded.items():
+        expected = bin_counts(times, width, t_start, t_end)
+        row = rows[flow] if flow < len(rows) else np.zeros_like(expected)
+        assert row.tolist() == expected.tolist()
+    assert monitor.counts().tolist() == bin_counts(
+        recorded[0] + recorded[1] + recorded[2], width, t_start, t_end
+    ).tolist()
 
 
 @given(
