@@ -54,13 +54,6 @@ class AppMetrics:
     offered_unit_rate: float = _NAN
     achieved_unit_rate: float = _NAN
 
-    @property
-    def completion_ratio(self) -> float:
-        """Fraction of issued units that completed (NaN if none issued)."""
-        if self.units_issued == 0:
-            return _NAN
-        return self.units_completed / self.units_issued
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

@@ -7,9 +7,8 @@
 * :mod:`repro.experiments.sweep` -- runs grids of scenarios, optionally
   across processes.
 * :mod:`repro.experiments.runner` -- fault-tolerant sweep executor:
-  persistent worker pool, timeouts, retries, and crash isolation.
-* :mod:`repro.experiments.costmodel` -- learned per-cell wall-time
-  model behind the longest-expected-first sweep schedule.
+  persistent worker pool launching cells largest first, timeouts,
+  retries, and crash isolation.
 * :mod:`repro.experiments.cache` -- content-addressed on-disk result
   cache keyed by :meth:`ScenarioConfig.config_digest`.
 * :mod:`repro.experiments.runlog` -- JSONL progress telemetry.

@@ -21,7 +21,7 @@ A subcommand takes only the flags its handler reads; any other is a
 usage error (exit 2), and so is a value ``ScenarioConfig.validate``
 refuses in any config the subcommand would run, checked before it runs
 any.  The runner flags -- ``--jobs/-j`` (worker
-count; cells launch longest-expected-first), ``--cache-dir`` /
+count; cells launch largest first), ``--cache-dir`` /
 ``--resume`` (content-addressed result cache; interrupted sweeps pick
 up where they stopped), ``--timeout`` / ``--retries`` (kill and retry
 hung or crashed workers), and ``--run-log`` / ``--progress`` (JSONL

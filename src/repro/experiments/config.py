@@ -640,10 +640,35 @@ class ScenarioConfig:
                     raise ValueError(
                         f"{name} must lie in (0, 1]; got {getattr(self, name)!r}"
                     )
+        if self.queue == "drr" and self.drr_quantum < 1:
+            raise ValueError(
+                f"drr_quantum must be at least 1 byte; got {self.drr_quantum!r}"
+            )
+        if self.protocol == "vegas":
+            if not 0 <= self.vegas_alpha <= self.vegas_beta:
+                raise ValueError(
+                    f"need 0 <= vegas_alpha <= vegas_beta; got vegas_alpha="
+                    f"{self.vegas_alpha!r}, vegas_beta={self.vegas_beta!r}"
+                )
+            if self.vegas_gamma < 0:
+                raise ValueError(
+                    f"vegas_gamma cannot be negative; got {self.vegas_gamma!r}"
+                )
         if self.traffic not in TRAFFIC:
             raise ValueError(
                 f"unknown traffic model {self.traffic!r}; choose from {TRAFFIC}"
             )
+        if self.traffic == "pareto_onoff":
+            if self.onoff_shape <= 1:
+                raise ValueError(
+                    "onoff_shape must exceed 1 (a Pareto mean needs shape "
+                    f"> 1); got {self.onoff_shape!r}"
+                )
+            for name in ("onoff_mean_on", "onoff_mean_off", "onoff_peak_gap"):
+                if getattr(self, name) <= 0:
+                    raise ValueError(
+                        f"{name} must be positive; got {getattr(self, name)!r}"
+                    )
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r}; choose from {WORKLOADS}"

@@ -45,11 +45,6 @@ class MetricSummary:
     ci_high: float
     values: List[float] = field(default_factory=list)
 
-    @property
-    def half_width(self) -> float:
-        """Half-width of the confidence interval."""
-        return (self.ci_high - self.ci_low) / 2.0
-
 
 @dataclass
 class ReplicationResult:

@@ -24,10 +24,9 @@ Events (all carry ``t`` = wall-clock seconds and ``event``):
 * ``task_done``      -- ``index``, ``digest``, ``elapsed``, ``attempt``
   count, ``backend``, ``worker`` id, ``engine_fallback: true`` when the
   object engine answered a batch tie-guard trip, and a key per row of
-  :data:`TASK_DONE_FIELDS`.  A later sweep's cost model learns a
-  wall-time alpha per backend from these rows and skips those timed on
-  another ``engine`` (absent on fluid cells, and in logs written before
-  the default dispatch, when every cell was object).
+  :data:`TASK_DONE_FIELDS`.  ``engine`` is absent on fluid cells, and
+  in logs written before the default dispatch, when every cell was
+  object.
 * ``task_retry``     -- ``index``, ``digest``, ``attempt``, ``error``,
   ``delay``.
 * ``task_failed``    -- ``index``, ``digest``, ``error`` (retries
@@ -393,9 +392,8 @@ class RunLog:
 
         ``attempt`` is how many failed attempts preceded this success,
         so retries stay auditable from the JSONL log.  ``backend`` tags
-        the row with the solver that produced it, so cost models seeded
-        from this log keep the wall-time regimes apart;
-        ``engine_fallback`` marks a cell the batch engine gave up on.
+        the row with the solver that produced it, whose wall-time
+        regimes differ by orders of magnitude; ``engine_fallback`` marks a cell the batch engine gave up on.
         """
         telemetry: Dict[str, Any] = {}
         if metrics is not None:

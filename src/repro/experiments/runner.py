@@ -17,15 +17,15 @@ The parent reaps events with :func:`multiprocessing.connection.wait`
 over the worker pipes (the wake-up is a pipe write, not a poll loop),
 with the wait timeout derived from the nearest deadline or retry
 backoff.  What it does per cell does not grow with the grid: the
-pending tasks sit in per-lane heaps (:class:`_PendingTasks`), and a
-worker on short cells holds one more task queued in its pipe, so it
-starts the next cell without waiting for the parent's round trip.
+pending tasks sit in one heap (:class:`_PendingTasks`), and a worker
+on short cells holds one more task queued in its pipe, so it starts
+the next cell without waiting for the parent's round trip.
 
-Cells launch longest-expected-first (LPT), by a
-:class:`~repro.experiments.costmodel.CostModel` estimate per cell
-(``duration x n_clients``, refined online by observed wall times and
-seeded from the run log and cache), which minimizes makespan on
-heterogeneous grids.
+Cells launch largest first by :func:`cell_units` (``duration x
+n_clients`` for packet cells), ties in grid order: longest processing
+time first with size standing in for time, which keeps the makespan of
+heterogeneous grids short without measuring anything (DESIGN.md §11
+compares it with true cell times).
 
 Worker processes use the ``fork`` start method where the platform
 offers it (cheap) and fall back to ``spawn`` elsewhere (macOS default,
@@ -41,20 +41,19 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.costmodel import CostModel, cell_units
 from repro.experiments.results import ScenarioMetrics
-from repro.experiments.runlog import RunLog, read_runlog
+from repro.experiments.runlog import RunLog
 from repro.experiments.scenario import run_scenario
 
 #: Backoff before retry attempt k is ``backoff * 2**(k-1)``, capped.
 DEFAULT_BACKOFF = 0.25
 DEFAULT_MAX_BACKOFF = 5.0
-#: A worker whose running cell the cost model expects to end within
-#: this many seconds gets one more cell queued in its pipe
+#: A worker whose running cell is expected to end within this many
+#: seconds gets one more cell queued in its pipe
 #: (:meth:`SweepRunner._feed`); it bounds that cell's extra wait.
 QUEUE_AHEAD_S = 0.5
 #: Single-valued enumeration shim: the performance ledger lists its
@@ -178,31 +177,44 @@ class _PoolWorker:
     deadline: Optional[float] = None
 
 
-class _PendingTasks:
-    """The tasks waiting for a worker, popped longest-expected-first.
+def cell_units(config: ScenarioConfig) -> float:
+    """A cell's size, the key of the launch order.
 
-    ``estimate = alpha[lane] x units`` with one positive alpha per lane
-    at any instant, so inside a lane the order by estimate is the order
-    by units whatever the alphas do.  Each lane is a heap on (units
-    descending, enqueue sequence ascending) and a pick compares one
-    head per lane under the alphas as they are *now*: O(#lanes), and
-    the same pop sequence as a scan of one flat list in enqueue order
-    that recomputes every estimate per pick -- ties to the task
-    enqueued first included (``tests/pick_reference.py`` is that scan;
-    the one way to part from it is two unit counts a rounding apart
-    whose products with alpha round to one float).  Tasks still backing
-    off wait in a side list.
+    Packet cells: simulated event count grows roughly linearly in both
+    the simulated duration and the number of clients, so their product
+    is the natural unit of work.  Fluid cells: the ODE solver's step
+    count depends on duration only (its state is a window density, not
+    N flows), so n_clients drops out.  Hybrid cells: event count tracks
+    the K packet-exact foreground flows, not the fluid ambient N.
+    """
+    units = max(config.duration, 1e-9)
+    if config.backend == "hybrid":
+        units *= max(config.hybrid_foreground_flows, 1)
+    elif config.backend != "fluid":
+        units *= max(config.n_clients, 1)
+    return units
+
+
+class _PendingTasks:
+    """The tasks waiting for a worker, popped largest first.
+
+    One heap on (:func:`cell_units` descending, enqueue sequence
+    ascending): the same pop sequence as a scan of one flat list in
+    enqueue order for the largest launchable task, ties to the one
+    enqueued first (``tests/pick_reference.py`` is that scan).  A
+    requeued task takes a fresh sequence number, so it goes behind the
+    tasks of its size already here.  Tasks not yet in the heap -- new,
+    or still backing off -- wait in a side list.
     """
 
-    def __init__(self, tasks: Sequence[_Task], cost: CostModel) -> None:
-        self._cost = cost
-        self._lanes: Dict[Any, List[tuple]] = {}
+    def __init__(self, tasks: Sequence[_Task]) -> None:
+        self._heap: List[tuple] = []
         self._seq = itertools.count()
-        # (sequence, task), not yet in a lane: new or still backing off.
+        # (sequence, task), not yet in the heap: new or still backing off.
         self._waiting = [(next(self._seq), task) for task in tasks]
 
     def __len__(self) -> int:
-        return len(self._waiting) + sum(map(len, self._lanes.values()))
+        return len(self._waiting) + len(self._heap)
 
     def add(self, task: _Task) -> None:
         """Enqueue ``task`` behind everything already here."""
@@ -215,10 +227,8 @@ class _PendingTasks:
         return min((task.ready_at for _, task in self._waiting), default=None)
 
     def pick_next(self, now: float) -> Optional[_Task]:
-        """Pop the next launchable task, the longest-expected one under
-        the cost model; None if every pending task is still backing
-        off."""
-        cost = self._cost
+        """Pop the largest launchable task; None if every pending task
+        is still backing off."""
         if self._waiting:
             backing_off = []
             for entry in self._waiting:
@@ -227,19 +237,10 @@ class _PendingTasks:
                     backing_off.append(entry)
                     continue
                 heapq.heappush(
-                    self._lanes.setdefault(cost.lane(task.config), []),
-                    (-cell_units(task.config), seq, task),
+                    self._heap, (-cell_units(task.config), seq, task)
                 )
             self._waiting = backing_off
-        best: Optional[List[tuple]] = None
-        best_key: tuple = ()
-        for heap in self._lanes.values():
-            if heap:
-                _, seq, task = heap[0]
-                key = (cost.estimate(task.config), -seq)
-                if best is None or key > best_key:
-                    best, best_key = heap, key
-        return heapq.heappop(best)[2] if best is not None else None
+        return heapq.heappop(self._heap)[2] if self._heap else None
 
 
 class SweepRunner:
@@ -297,6 +298,10 @@ class SweepRunner:
         self.start_method = start_method
         self.pool = pool
         self._worker_seq = itertools.count()
+        # Wall seconds and cell units of the cells this sweep's pool has
+        # finished: the queue-ahead rule's running rate (:meth:`_feed`).
+        self._finished_s = 0.0
+        self._finished_units = 0.0
 
     # ------------------------------------------------------------------
     def run(self, configs: Sequence[ScenarioConfig]) -> List[ScenarioMetrics]:
@@ -314,7 +319,6 @@ class SweepRunner:
             workers = min(os.cpu_count() or 1, len(configs)) or 1
         results: List[Optional[ScenarioMetrics]] = [None] * len(configs)
 
-        cost = self._seeded_cost_model(configs)
         pending: List[_Task] = []
         hits: List[tuple] = []  # (index, digest), logged once the sweep starts
         for index, config in enumerate(configs):
@@ -325,7 +329,6 @@ class SweepRunner:
             if cached is not None:
                 results[index] = cached
                 hits.append((index, digest))
-                cost.observe_metrics(config, cached)
             else:
                 pending.append(_Task(index, config, digest))
         in_process = workers <= 1 and self.timeout is None
@@ -343,22 +346,12 @@ class SweepRunner:
         for index, digest in hits:
             self.log.emit("cache_hit", index=index, digest=digest)
         if in_process and pending:
-            self._run_in_process(pending, results, cost)
+            self._run_in_process(pending, results)
         elif pending:
-            self._run_pool(pending, results, pool_size, cost)
+            self._run_pool(pending, results, pool_size)
         self.log.sweep_end()
         assert all(m is not None for m in results)
         return results  # type: ignore[return-value]
-
-    def _seeded_cost_model(self, configs: Sequence[ScenarioConfig]) -> CostModel:
-        """The LPT cost model, seeded from any prior events already in
-        this run log's JSONL file."""
-        model = CostModel()
-        events = read_runlog(self.log.path) if self.log.path is not None else []
-        if events:
-            by_digest = {config.config_digest(): config for config in configs}
-            model.seed_from_runlog(events, by_digest)
-        return model
 
     # ------------------------------------------------------------------
     # Outcome bookkeeping shared by all execution modes
@@ -409,7 +402,7 @@ class SweepRunner:
         self.log.emit("task_failed", index=task.index, digest=task.digest, error=error)
         return None
 
-    def _take_cached(self, task: _Task, results: List, cost: CostModel) -> bool:
+    def _take_cached(self, task: _Task, results: List) -> bool:
         """Answer ``task`` from the cache if it is there now: a duplicate
         grid entry or a concurrent sweep sharing the directory may have
         finished the cell since :meth:`run` looked."""
@@ -420,7 +413,6 @@ class SweepRunner:
             return False
         results[task.index] = cached
         self.log.emit("cache_hit", index=task.index, digest=task.digest)
-        cost.observe_metrics(task.config, cached)
         return True
 
     def _requeue(self, task: _Task, delay: float, pending: _PendingTasks) -> None:
@@ -430,16 +422,14 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # In-process execution (no timeout enforcement, no crash isolation)
     # ------------------------------------------------------------------
-    def _run_in_process(
-        self, tasks: List[_Task], results: List, cost: CostModel
-    ) -> None:
-        # Sequential makespan is order-free; keep the LPT order anyway
-        # so logs read identically across modes.
+    def _run_in_process(self, tasks: List[_Task], results: List) -> None:
+        # Sequential makespan is order-free; keep the pool's launch
+        # order anyway so logs read identically across modes.
         tasks = sorted(
-            tasks, key=lambda task: cost.estimate(task.config), reverse=True
+            tasks, key=lambda task: cell_units(task.config), reverse=True
         )
         for task in tasks:
-            if self._take_cached(task, results, cost):
+            if self._take_cached(task, results):
                 continue
             while True:
                 started = time.monotonic()
@@ -460,7 +450,6 @@ class SweepRunner:
                     time.sleep(delay)
                 else:
                     elapsed = time.monotonic() - started
-                    cost.observe(task.config, elapsed)
                     self._record_success(task, metrics, results, elapsed)
                     break
 
@@ -536,13 +525,12 @@ class SweepRunner:
         self,
         pending: _PendingTasks,
         results: List,
-        cost: CostModel,
         now: float,
     ) -> Optional[_Task]:
         """Pop launchable tasks until one misses the cache."""
         while True:
             task = pending.pick_next(now)
-            if task is None or not self._take_cached(task, results, cost):
+            if task is None or not self._take_cached(task, results):
                 return task
 
     def _feed(
@@ -550,38 +538,38 @@ class SweepRunner:
         workers: List[_PoolWorker],
         pending: _PendingTasks,
         results: List,
-        cost: CostModel,
     ) -> None:
         """Give every idle worker a cell, then every worker on a short
         cell one more, queued in its pipe, so it starts that one without
         idling through the parent's done -> log -> pick -> send round
         trip.  Breadth first: nobody holds two while anybody holds none.
 
-        Short means the cost model, from at least one observation,
-        expects the running cell to end within :data:`QUEUE_AHEAD_S`:
-        the queued cell then waits at most about that long for a worker
-        that may have been free sooner (the tail loss), and behind a
-        longer cell the round trip saved is under 0.2 % of it (a
-        millisecond against half a second) for an unbounded wait.  So
-        nothing queues before the first observation or behind a long
-        cell.
+        Short means the running cell's units, priced at the seconds per
+        unit of the cells this pool has finished, come to at most
+        :data:`QUEUE_AHEAD_S`: the queued cell then waits at most about
+        that long for a worker that may have been free sooner (the tail
+        loss), and behind a longer cell the round trip saved is under
+        0.2 % of it (a millisecond against half a second) for an
+        unbounded wait.  So nothing queues before the first cell
+        finishes or behind a long cell.
         """
         now = time.monotonic()
         for worker in workers:
             if worker.current is None:
-                task = self._next_uncached(pending, results, cost, now)
+                task = self._next_uncached(pending, results, now)
                 if task is None:
                     return
                 self._dispatch(worker, task)
-        if not cost.observations:
+        if not self._finished_units:
             return
+        rate = self._finished_s / self._finished_units
         for worker in workers:
             if (
                 worker.queued is None
                 and worker.current is not None
-                and cost.estimate(worker.current.config) <= QUEUE_AHEAD_S
+                and rate * cell_units(worker.current.config) <= QUEUE_AHEAD_S
             ):
-                task = self._next_uncached(pending, results, cost, now)
+                task = self._next_uncached(pending, results, now)
                 if task is None:
                     return
                 self._dispatch(worker, task)
@@ -591,17 +579,17 @@ class SweepRunner:
         tasks: List[_Task],
         results: List,
         pool_size: int,
-        cost: CostModel,
     ) -> None:
         context = multiprocessing.get_context(pick_start_method(self.start_method))
         cache_dir = self.cache.directory if self.cache is not None else None
-        pending = _PendingTasks(tasks, cost)
+        pending = _PendingTasks(tasks)
+        self._finished_s = self._finished_units = 0.0
         workers: List[_PoolWorker] = [
             self._spawn_worker(context, cache_dir) for _ in range(pool_size)
         ]
         try:
             while pending or any(w.current is not None for w in workers):
-                self._feed(workers, pending, results, cost)
+                self._feed(workers, pending, results)
                 if not any(w.current is not None for w in workers):
                     wake = pending.next_ready()
                     if wake is not None:  # everything is backing off
@@ -620,7 +608,7 @@ class SweepRunner:
                     )
                     if worker is not None:
                         self._drain_worker(
-                            worker, workers, pending, results, cost,
+                            worker, workers, pending, results,
                             context, cache_dir,
                         )
                 now = time.monotonic()
@@ -645,7 +633,6 @@ class SweepRunner:
         workers: List[_PoolWorker],
         pending: _PendingTasks,
         results: List,
-        cost: CostModel,
         context,
         cache_dir: Optional[str],
     ) -> None:
@@ -697,7 +684,8 @@ class SweepRunner:
                 if delay is not None:
                     self._requeue(task, delay, pending)
             else:
-                cost.observe(task.config, elapsed)
+                self._finished_s += elapsed
+                self._finished_units += cell_units(task.config)
                 self._record_success(
                     task, payload, results, elapsed,
                     worker=worker.id, already_cached=status == "cached",

@@ -50,8 +50,8 @@ def run_many(
             where available, ``spawn`` elsewhere, e.g. macOS/Windows).
         pool: ``"persistent"``, the only executor (see ``runner.POOLS``).
 
-    Cells launch longest-expected-first, which minimizes makespan on
-    heterogeneous grids.  A cell that keeps failing is returned as an
+    Cells launch largest first (``runner.cell_units``), which keeps
+    the makespan of heterogeneous grids short.  A cell that keeps failing is returned as an
     error-tagged :class:`ScenarioMetrics` placeholder
     (``metrics.failed`` is True) rather than aborting the rest of the
     grid.

@@ -208,6 +208,34 @@ def test_validate_refuses_a_tcp_timer_or_window_field_by_name(
         scenario_module.run_scenario(config)
 
 
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        # A packet cell used to pass validate() and raise inside the
+        # sender's or source's or queue's constructor, mid-build; the
+        # fluid backend ran alpha > beta silently.
+        (dict(protocol="vegas", vegas_alpha=5.0, vegas_beta=3.0), "vegas_alpha"),
+        (dict(protocol="vegas", vegas_alpha=-1.0), "vegas_alpha"),
+        (dict(protocol="vegas", vegas_gamma=-1.0), "vegas_gamma"),
+        (dict(traffic="pareto_onoff", onoff_shape=1.0), "onoff_shape"),
+        (dict(traffic="pareto_onoff", onoff_mean_on=0.0), "onoff_mean_on"),
+        (dict(traffic="pareto_onoff", onoff_mean_off=-1.0), "onoff_mean_off"),
+        (dict(traffic="pareto_onoff", onoff_peak_gap=0.0), "onoff_peak_gap"),
+        (dict(queue="drr", drr_quantum=0), "drr_quantum"),
+    ],
+)
+def test_validate_refuses_a_protocol_traffic_or_queue_field_by_name(
+    overrides, field
+):
+    config = paper_config(**overrides)
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+    # Checked only where it runs: the same value on another protocol,
+    # traffic model or queue is inert.
+    inert = dict(overrides, protocol="reno", traffic="poisson", queue="fifo")
+    paper_config(**inert).validate()
+
+
 def test_min_rto_above_the_rto_ceiling_is_refused_by_name():
     with pytest.raises(ValueError, match="^min_rto cannot exceed the 64.0-s"):
         paper_config(min_rto=65.0).validate()

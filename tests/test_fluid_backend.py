@@ -17,7 +17,7 @@ import pytest
 from repro.core.fluid import vegas_equilibrium_queue, vegas_equilibrium_window
 from repro.core.fluid_backend import FluidSolver, run_fluid_scenario
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, paper_config
-from repro.experiments.costmodel import CostModel, cell_units
+from repro.experiments.runner import cell_units
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import RunLog, summarize_runlog
 from repro.experiments.scenario import run_scenario
@@ -244,24 +244,6 @@ class TestSchedulingIntegration:
         assert cell_units(paper_config(n_clients=100)) == pytest.approx(
             2.0 * cell_units(paper_config(n_clients=50))
         )
-
-    def test_lane_separates_backends(self):
-        packet = paper_config()
-        fluid = packet.with_(backend="fluid")
-        assert CostModel.lane(packet) != CostModel.lane(fluid)
-
-    def test_cost_model_learns_separate_alphas(self):
-        model = CostModel()
-        # A packet cell: 200 sim-seconds x 20 clients in 40 wall-s.
-        model.observe(paper_config(), 40.0)
-        # A fluid cell at huge N: 200 sim-seconds in 0.5 wall-s.
-        model.observe(fluid_config(duration=200.0, n_clients=500_000), 0.5)
-        packet_estimate = model.estimate(paper_config())
-        fluid_estimate = model.estimate(
-            fluid_config(duration=200.0, n_clients=500_000)
-        )
-        assert packet_estimate == pytest.approx(40.0)
-        assert fluid_estimate == pytest.approx(0.5)
 
     def test_runlog_records_backend(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -18,7 +18,6 @@ Three layers:
   fluid backend.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -28,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.hybrid_backend import FluidTrajectory, run_hybrid_scenario
 from repro.engine import ENGINES
 from repro.experiments.config import paper_config
-from repro.experiments.costmodel import CostModel, cell_units
+from repro.experiments.runner import cell_units
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import run_scenario
 from repro.sim import SCHEDULERS
@@ -296,10 +295,3 @@ def test_cost_model_hybrid_lane_scales_with_foreground_not_ambient():
     huge = _hybrid_config(n_clients=100_000)
     assert cell_units(small) == cell_units(huge)
     assert cell_units(small) == small.duration * small.hybrid_foreground_flows
-    model = CostModel()
-    model.observe(small, 2.0)
-    # Hybrid observations land in their own lane, separate from packet.
-    packet = dataclasses.replace(small, backend="packet")
-    assert CostModel.lane(small)[0] == "hybrid"
-    assert CostModel.lane(packet)[0] == "packet"
-    assert model.estimate(huge) == pytest.approx(2.0)

@@ -3,16 +3,13 @@
 ``tests/pick_reference.py`` holds the scan the runner used while its
 pending tasks were one flat list.  Every case here replays one random
 script of the calls the pool loop makes -- pick, requeue with backoff,
-a cost-model observation, time passing -- against both, and requires
-the same task object out of every pick, and None from one exactly when
-the other returns None.
+time passing -- against both, and requires the same task object out of
+every pick, and None from one exactly when the other returns None.
 
-The scripts are built to sit on the order's edges: at least three
-lanes, unit counts drawn from a handful of values so ties are the rule
-(within a lane and across lanes), observations interleaved between
-picks so the cross-lane order flips mid-sweep, requeued tasks that
-become launchable only after the clock has moved, and picks before the
-first observation.
+The scripts are built to sit on the order's edges: unit counts drawn
+from a handful of values so ties are the rule (across protocols,
+queues and backends too), and requeued tasks that become launchable
+only after the clock has moved.
 """
 
 import random
@@ -20,11 +17,10 @@ import random
 import pytest
 
 from repro.experiments.config import paper_config
-from repro.experiments.costmodel import CostModel
-from repro.experiments.runner import _PendingTasks, _Task
+from repro.experiments.runner import _PendingTasks, _Task, cell_units
 from tests import pick_reference as reference
 
-LANES = (
+KINDS = (
     dict(protocol="reno", queue="fifo"),
     dict(protocol="reno", queue="red"),
     dict(protocol="vegas", queue="fifo"),
@@ -36,25 +32,15 @@ CLIENTS = (2, 3, 6)
 DURATIONS = (1.0, 2.0, 3.0)
 
 
-class CountingModel(CostModel):
-    """A cost model that counts the estimates asked of it."""
-
-    calls = 0
-
-    def estimate(self, config):
-        self.calls += 1
-        return super().estimate(config)
-
-
 def random_grid(rng, cells):
-    lanes = rng.sample(LANES, rng.randint(3, len(LANES)))
+    kinds = rng.sample(KINDS, rng.randint(3, len(KINDS)))
     tasks = []
     for index in range(cells):
         config = paper_config(
             n_clients=rng.choice(CLIENTS),
             duration=rng.choice(DURATIONS),
             seed=index,
-            **rng.choice(lanes),
+            **rng.choice(kinds),
         )
         tasks.append(_Task(index, config, digest=f"{index:04d}"))
     return tasks
@@ -64,34 +50,23 @@ def replay(seed):
     """One random script; returns how many picks were compared."""
     rng = random.Random(seed)
     tasks = random_grid(rng, rng.randint(8, 60))
-    cost = CountingModel()
     scan = list(tasks)
-    production = _PendingTasks(tasks, cost)
+    production = _PendingTasks(tasks)
     now = 100.0
     popped = []
     picks = 0
-    # Start with a few picks under no observation at all, then mix.
-    script = ["pick"] * rng.randint(1, 4)
-    script += rng.choices(
-        ["pick", "observe", "requeue", "tick"], weights=[6, 3, 2, 2],
-        k=6 * len(tasks),
+    script = rng.choices(
+        ["pick", "requeue", "tick"], weights=[6, 2, 2], k=6 * len(tasks)
     )
     for step in script:
         if step == "pick":
-            expected = reference.pick_next(scan, cost, now)
-            asked = cost.calls
+            expected = reference.pick_next(scan, now)
             got = production.pick_next(now)
             assert got is expected, (seed, picks, got, expected)
-            # One head per lane, not one per task.
-            assert cost.calls - asked <= len(LANES)
             assert len(production) == len(scan)
             picks += 1
             if got is not None:
                 popped.append(got)
-        elif step == "observe":
-            # Wall times spread over decades, so a lane's alpha can
-            # overtake another's between two picks.
-            cost.observe(rng.choice(tasks).config, 10.0 ** rng.uniform(-3, 1))
         elif step == "requeue" and popped:
             task = popped.pop(rng.randrange(len(popped)))
             # Mostly a backoff into the future; sometimes already due.
@@ -104,7 +79,7 @@ def replay(seed):
     # then both report nothing launchable.
     now += 10.0
     while scan:
-        expected = reference.pick_next(scan, cost, now)
+        expected = reference.pick_next(scan, now)
         assert expected is not None
         assert production.pick_next(now) is expected, (seed, "drain")
         picks += 1
@@ -125,8 +100,31 @@ def test_backing_off_tasks_are_not_launchable():
     """None exactly while everything pending waits out its backoff."""
     task = _Task(0, paper_config(n_clients=2, duration=1.0), digest="0")
     task.ready_at = 50.0
-    production = _PendingTasks([task], CostModel())
+    production = _PendingTasks([task])
     assert production.pick_next(49.9) is None
     assert len(production) == 1
     assert production.pick_next(50.0) is task
     assert production.pick_next(50.0) is None
+
+
+def test_benchmark_grid_pops_largest_first_ties_by_index():
+    """The ledger's ``grid_tiny1024`` shapes, cycled over 48 cells:
+    the pops are the grid sorted on (-units, index)."""
+    shapes = ((2, 0.8), (6, 1.6), (3, 3.2), (8, 0.8), (2, 2.4), (4, 1.6))
+    tasks = [
+        _Task(
+            index,
+            paper_config(
+                n_clients=shapes[index % 6][0],
+                duration=shapes[index % 6][1],
+                seed=1 + index,
+            ),
+            digest=f"{index:04d}",
+        )
+        for index in range(48)
+    ]
+    production = _PendingTasks(tasks)
+    popped = [production.pick_next(0.0) for _ in tasks]
+    expected = sorted(tasks, key=lambda t: (-cell_units(t.config), t.index))
+    assert [t.index for t in popped] == [t.index for t in expected]
+    assert production.pick_next(0.0) is None

@@ -11,6 +11,7 @@ stable after a ``from_dict`` round-trip).
 
 import collections
 import functools
+import heapq
 import json
 import multiprocessing
 import os
@@ -24,7 +25,6 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import paper_config
-from repro.experiments.costmodel import CostModel, cell_units
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.cli import main as cli_main
 from repro.experiments.runlog import RunLog, read_runlog, summarize_runlog
@@ -488,8 +488,8 @@ class TestPerCellCost:
     def test_sweep_bookkeeping_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
         """What the runner does per cell besides the cell is constant:
         no directory listing or cache length (each is a pass over every
-        entry), and a bounded number of cost estimates per dispatch.
-        Counts, not clocks; the cells are free so only the runner runs."""
+        entry), and one heap push and one pop per cell launched.  Counts,
+        not clocks; the cells are free so only the runner runs."""
         calls = collections.Counter()
 
         def counted(owner, name):
@@ -503,11 +503,12 @@ class TestPerCellCost:
 
         counted(os, "listdir")
         counted(ResultCache, "__len__")
-        counted(CostModel, "estimate")
-        lanes = ("reno", "vegas", "udp")
+        counted(heapq, "heappush")
+        counted(heapq, "heappop")
+        protocols = ("reno", "vegas", "udp")
         for cells in (64, 256):
             configs = [
-                tiny(seed=s, protocol=lanes[s % 3], n_clients=2 + s % 4)
+                tiny(seed=s, protocol=protocols[s % 3], n_clients=2 + s % 4)
                 for s in range(cells)
             ]
             cache = ResultCache(str(tmp_path / f"cache{cells}"))
@@ -521,9 +522,8 @@ class TestPerCellCost:
                 assert not any(m.failed for m in results)
                 assert log.progress.cached == expected_hits
                 assert calls["listdir"] == 0 and calls["__len__"] == 0, calls
-                # One estimate per lane head per pick, one per worker
-                # per feed for the queue-ahead rule: far under 4 a lane.
-                assert calls["estimate"] <= 4 * len(lanes) * (cells - expected_hits)
+                launched = cells - expected_hits
+                assert calls["heappush"] == calls["heappop"] == launched, calls
             assert len(cache) == cells
 
 
@@ -605,80 +605,6 @@ class TestDifferentialMatrix:
             assert config.config_digest()  # digest is stable and present
         digests = [c.config_digest() for c in configs]
         assert digests == [c.config_digest() for c in self.grid()]
-
-
-class TestCostModel:
-    def test_default_ordering_is_by_size(self):
-        model = CostModel()
-        small = tiny(n_clients=2, duration=1.0)
-        big = tiny(n_clients=40, duration=10.0)
-        assert model.estimate(big) > model.estimate(small)
-        assert cell_units(big) == 400.0
-
-    def test_lane_refinement(self):
-        """An observed lane predicts from its own wall times; an
-        unobserved lane falls back to the global rate."""
-        model = CostModel()
-        udp = tiny(protocol="udp")
-        reno = tiny(protocol="reno")
-        model.observe(udp, 0.6)  # 6 units -> alpha 0.1
-        assert model.estimate(udp) == pytest.approx(0.6)
-        # reno has no lane data: global alpha (0.1) applies.
-        assert model.estimate(reno) == pytest.approx(0.6)
-        model.observe(reno, 6.0)  # reno is 10x slower per unit
-        assert model.estimate(reno) == pytest.approx(6.0)
-        assert model.estimate(udp) == pytest.approx(0.6)
-
-    def test_nan_and_zero_observations_ignored(self):
-        model = CostModel()
-        model.observe(tiny(), float("nan"))
-        model.observe(tiny(), 0.0)
-        model.observe(tiny(), -1.0)
-        assert model.observations == 0
-
-    def test_seed_from_runlog(self):
-        config = tiny()
-        digest = config.config_digest()
-        assert config.resolved_engine() == "batch"
-        events = [
-            {"event": "task_done", "digest": digest, "elapsed": 1.2, "engine": "batch"},
-            {"event": "task_done", "digest": "unknown", "elapsed": 9.9},
-            {"event": "cache_hit", "digest": digest},
-            # Timed on the other engine (the engine is digest-excluded,
-            # so the digest still matches): says nothing about this cell.
-            {"event": "task_done", "digest": digest, "elapsed": 5.0, "engine": "object"},
-            # No tag: written before the default dispatch, i.e. object.
-            {"event": "task_done", "digest": digest, "elapsed": 6.0},
-        ]
-        model = CostModel()
-        seeded = model.seed_from_runlog(events, {digest: config})
-        assert seeded == 1
-        assert model.estimate(config) == pytest.approx(1.2)
-        # The same log read for the forced-object cell keeps exactly
-        # the rows the batch cell skipped.
-        oracle = config.with_(engine="object")
-        model = CostModel()
-        assert model.seed_from_runlog(events, {digest: oracle}) == 2
-        assert model.estimate(oracle) == pytest.approx(5.5)
-        # A UDP cell an older log timed on batch now runs on object: the
-        # digest still matches, the seconds do not speak for it.
-        udp = tiny(protocol="udp")
-        assert udp.resolved_engine() == "object"
-        udp_done = {"event": "task_done", "digest": udp.config_digest(),
-                    "elapsed": 0.7, "engine": "batch"}
-        assert CostModel().seed_from_runlog([udp_done], {udp.config_digest(): udp}) == 0
-
-    def test_runner_seeds_model_from_existing_runlog(self, tmp_path):
-        """A prior sweep's task_done rows seed the next sweep's model
-        through the shared JSONL file."""
-        path = str(tmp_path / "run.jsonl")
-        configs = [tiny(seed=s) for s in (1, 2)]
-        with RunLog(path) as log:
-            run_many(configs, processes=1, run_log=log)
-        with RunLog(path) as log:
-            runner = SweepRunner(processes=1, run_log=log)
-            model = runner._seeded_cost_model(configs)
-        assert model.observations >= 1
 
 
 class TestValidationAndKnobs:

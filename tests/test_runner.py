@@ -246,6 +246,19 @@ class TestStartMethod:
         with pytest.raises(ValueError):
             pick_start_method("no-such-method")
 
+    @pytest.mark.skipif(
+        "spawn" not in multiprocessing.get_all_start_methods(),
+        reason="no spawn start method on this platform",
+    )
+    def test_spawn_pool_matches_in_process(self):
+        """The path macOS and Windows take: workers start from a fresh
+        import, so the task and every config travel by pickle."""
+        configs = [tiny(seed=s, n_clients=2 + s) for s in (1, 2, 3)]
+        results = SweepRunner(
+            processes=2, start_method="spawn", retries=0
+        ).run(configs)
+        assert results == run_many(configs, processes=1)
+
 
 class TestIntegration:
     def test_run_many_parallel_matches_serial_with_runner(self):
