@@ -12,7 +12,7 @@ ScenarioMetrics` for sweeps, CSV/JSON export, and the figures layer.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
@@ -105,14 +105,6 @@ class AppMetrics:
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict view (for CSV/JSON export)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, Any]) -> "AppMetrics":
-        """Rebuild from :meth:`as_dict` output; unknown keys ignored."""
-        kwargs = {
-            spec.name: record[spec.name] for spec in fields(cls) if spec.name in record
-        }
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------
     # Rendering

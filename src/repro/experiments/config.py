@@ -33,10 +33,24 @@ from typing import Any, Dict, List, Optional, Tuple
 #: must not satisfy v5 lookups.
 CONFIG_SCHEMA_VERSION = 5
 
-#: Deleted fields the digest covered (the offered and per-flow gateway
-#: counts are always recorded now), kept at their old defaults so that
-#: every existing digest, and every cache entry, is unchanged.
-_DELETED_FIELD_VALUES = {"record_offered": True, "record_flow_arrivals": False}
+#: Deleted fields the digest covered, kept at their old payload values
+#: (floats as the ``repr`` strings digest_payload writes) so that every
+#: existing digest, and every cache entry, is unchanged.  The offered
+#: and per-flow gateway counts are always recorded now; the rest were
+#: knobs nothing varied, now constants at their one reader (the Pareto
+#: on/off source's and DRRQueue's defaults, Scenario._tcp_params' tick)
+#: or, for gentle RED, gone.
+_DELETED_FIELD_VALUES = {
+    "record_offered": True,
+    "record_flow_arrivals": False,
+    "onoff_peak_gap": "0.01",
+    "onoff_mean_on": "0.5",
+    "onoff_mean_off": "4.5",
+    "onoff_shape": "1.5",
+    "tcp_tick": "0.5",
+    "red_gentle": False,
+    "drr_quantum": 1000,
+}
 
 #: Fields that only control *observation* (what gets traced), never the
 #: simulated dynamics or any physics-derived ScenarioMetrics value, and
@@ -56,9 +70,6 @@ _DIGEST_EXCLUDED_FIELDS = frozenset(
         "forensics_window",
         "forensics_top_k",
         "forensics_sketch_capacity",
-        "forensics_burst_enter",
-        "forensics_burst_exit",
-        "forensics_sync_fraction",
         # Single-valued (see the field): never was physics, so caches
         # written when it read "heap" stay valid.
         "scheduler",
@@ -302,13 +313,6 @@ class ScenarioConfig:
     # Traffic model: "poisson" (the paper), "cbr", or "pareto_onoff"
     # (the heavy-tailed workload of the self-similarity literature).
     traffic: str = "poisson"
-    # Pareto on/off knobs (used only when traffic == "pareto_onoff");
-    # defaults keep the long-run mean rate equal to the Poisson rate:
-    # duty cycle mean_on/(mean_on+mean_off) = 0.1 at 100 pkt/s peak.
-    onoff_peak_gap: float = 0.01
-    onoff_mean_on: float = 0.5
-    onoff_mean_off: float = 4.5
-    onoff_shape: float = 1.5
 
     # Closed-loop application workload (extension; see repro.apps).
     # "open" keeps the paper's open-loop sources; "rpc"/"bsp"/"bulk"
@@ -335,12 +339,10 @@ class ScenarioConfig:
     # TCP (Table 1 + standard knobs).
     advertised_window: int = 20  # max advertised window, packets
     ack_delay: float = 0.1  # delayed-ACK timer for the DelAck variant
-    # BSD/ns-2-era coarse retransmission timers (500 ms granularity,
-    # 1 s floor): the timeout droughts and synchronized slow-start
-    # restarts they produce are part of the burstiness the paper measures.
+    # BSD/ns-2-era coarse retransmission timers (1 s floor; the 500 ms
+    # tick is a constant of Scenario._tcp_params).
     min_rto: float = 1.0
     initial_rto: float = 3.0
-    tcp_tick: float = 0.5
 
     # TCP pacing extension (not in the paper; see the pacing ablation).
     pacing: bool = False
@@ -355,10 +357,6 @@ class ScenarioConfig:
     red_max_th: float = 40.0
     red_max_p: float = 0.1
     red_weight: float = 0.002
-    red_gentle: bool = False
-
-    # DRR fair-queueing gateway (extension; quantum in bytes).
-    drr_quantum: int = 1000
 
     # Measurement.
     bin_width: Optional[float] = None  # None = the round-trip propagation delay
@@ -379,20 +377,12 @@ class ScenarioConfig:
     # is the attribution window width in seconds (0 = one round-trip
     # propagation delay, the paper's binning);
     # ``forensics_sketch_capacity`` is the sketch's counter budget
-    # (0 = 4 x top_k); the burst enter/exit thresholds are fractions of
-    # the buffer capacity (hysteresis: exit below enter); the sync
-    # fraction is the quorum of flows that must halve cwnd within one
-    # RTT to count as a synchronization event (a quarter of the
-    # population cutting together is already an unambiguous wave --
-    # demanding a strict majority misses waves that synchronize most
-    # but not all flows).
+    # (0 = 4 x top_k).  The burst thresholds and the sync quorum are
+    # constants of ForensicsParams.from_config.
     forensics: bool = False
     forensics_window: float = 0.0
     forensics_top_k: int = 5
     forensics_sketch_capacity: int = 0
-    forensics_burst_enter: float = 0.6
-    forensics_burst_exit: float = 0.3
-    forensics_sync_fraction: float = 0.25
 
     # A ledger row name, not a choice: the performance ledger builds its
     # variant rows with config.with_(scheduler=s) and names them after
@@ -617,7 +607,7 @@ class ScenarioConfig:
                 f"advertised_window must be at least 1 packet; "
                 f"got {self.advertised_window!r}"
             )
-        for name in ("tcp_tick", "min_rto", "initial_rto"):
+        for name in ("min_rto", "initial_rto"):
             if getattr(self, name) <= 0:
                 raise ValueError(
                     f"{name} must be positive; got {getattr(self, name)!r}"
@@ -640,10 +630,6 @@ class ScenarioConfig:
                     raise ValueError(
                         f"{name} must lie in (0, 1]; got {getattr(self, name)!r}"
                     )
-        if self.queue == "drr" and self.drr_quantum < 1:
-            raise ValueError(
-                f"drr_quantum must be at least 1 byte; got {self.drr_quantum!r}"
-            )
         if self.protocol == "vegas":
             if not 0 <= self.vegas_alpha <= self.vegas_beta:
                 raise ValueError(
@@ -658,17 +644,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown traffic model {self.traffic!r}; choose from {TRAFFIC}"
             )
-        if self.traffic == "pareto_onoff":
-            if self.onoff_shape <= 1:
-                raise ValueError(
-                    "onoff_shape must exceed 1 (a Pareto mean needs shape "
-                    f"> 1); got {self.onoff_shape!r}"
-                )
-            for name in ("onoff_mean_on", "onoff_mean_off", "onoff_peak_gap"):
-                if getattr(self, name) <= 0:
-                    raise ValueError(
-                        f"{name} must be positive; got {getattr(self, name)!r}"
-                    )
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r}; choose from {WORKLOADS}"
@@ -703,14 +678,6 @@ class ScenarioConfig:
             raise ValueError("forensics_top_k must be at least 1")
         if self.forensics_sketch_capacity < 0:
             raise ValueError("forensics_sketch_capacity must be non-negative")
-        if not 0 < self.forensics_burst_enter <= 1:
-            raise ValueError("forensics_burst_enter must lie in (0, 1]")
-        if not 0 <= self.forensics_burst_exit < self.forensics_burst_enter:
-            raise ValueError(
-                "forensics_burst_exit must lie in [0, forensics_burst_enter)"
-            )
-        if not 0 < self.forensics_sync_fraction <= 1:
-            raise ValueError("forensics_sync_fraction must lie in (0, 1]")
         from repro.sim.engine import SCHEDULERS
 
         if self.scheduler not in SCHEDULERS:

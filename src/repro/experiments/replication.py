@@ -92,9 +92,9 @@ def replicate(
     (``cache``, ``timeout``, ``retries``, ``run_log``, ...) pass
     through to
     :func:`repro.experiments.sweep.run_many`, so replicated runs cache,
-    resume, and schedule (persistent pool, cost-model ordering) like
-    any sweep.  Failed replicas (error-tagged placeholders) are
-    excluded from the summaries.
+    resume, and schedule (persistent pool, largest ``cell_units``
+    first) like any sweep.  Failed replicas (error-tagged placeholders)
+    are excluded from the summaries.
     """
     if n_replicas < 1:
         raise ValueError("need at least one replica")

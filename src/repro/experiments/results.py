@@ -8,7 +8,7 @@ cheaply across worker processes and serializes to CSV/JSON directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, List, Sequence
 
 from repro.analysis.stats import jains_fairness_index
@@ -284,9 +284,10 @@ class ScenarioMetrics:
 
     @classmethod
     def failure(cls, config: ScenarioConfig, error: str) -> "ScenarioMetrics":
-        """An error-tagged placeholder for a cell that could not run."""
-        nan = float("nan")
-        return cls(
+        """An error-tagged placeholder for a cell that could not run: the
+        config's identity fields, every other field at its default, or
+        NaN (float) / 0 (int) where it has none."""
+        kwargs: Dict[str, Any] = dict(
             protocol=config.protocol,
             queue=config.queue,
             label=config.label,
@@ -294,28 +295,13 @@ class ScenarioMetrics:
             n_clients=config.n_clients,
             seed=config.seed,
             duration=config.duration,
-            cov=nan,
-            offered_cov=nan,
-            analytic_cov=nan,
-            throughput_packets=0,
-            throughput_pps=nan,
-            utilization=nan,
-            loss_percent=nan,
-            gateway_arrivals=0,
-            gateway_drops=0,
-            timeouts=0,
-            fast_retransmits=0,
-            dupacks=0,
-            timeout_dupack_ratio=nan,
-            timeout_fastrtx_ratio=nan,
-            mean_queue_length=nan,
-            red_marks=0,
-            fairness=nan,
-            mean_latency=nan,
-            max_latency=nan,
             app_workload=config.workload if config.workload != "open" else "",
             error=error,
         )
+        for spec in fields(cls):
+            if spec.default is MISSING and spec.name not in kwargs:
+                kwargs[spec.name] = _BLANK[spec.type]
+        return cls(**kwargs)
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict view (for CSV/JSON export and cache entries).
@@ -343,6 +329,8 @@ class ScenarioMetrics:
 
 
 _FIELD_NAMES = tuple(spec.name for spec in fields(ScenarioMetrics))
+#: A failure placeholder's value for a field with no default, by type.
+_BLANK = {"float": float("nan"), "int": 0}
 
 
 def metrics_table(

@@ -584,16 +584,10 @@ def render_summary(summary: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def render_runlog_summary(events: List[Dict[str, Any]]) -> str:
-    """:func:`render_summary` of an event stream."""
-    return render_summary(summarize_runlog(events))
-
-
 def _render_frame(summary: Dict[str, Any]) -> str:
     """The multi-line live-dashboard frame for ``sweeplog --follow``,
-    with a cost-model ETA: remaining cells at the observed mean cell
-    cost, divided across the sweep's workers (cache hits count as
-    done)."""
+    with an ETA: remaining cells at the mean completed-cell time,
+    divided across the sweep's workers (cache hits count as done)."""
     finished = summary["completed"] + summary["cached"] + summary["failed"]
     remaining = max(summary["total"] - finished, 0)
     if not remaining:

@@ -265,17 +265,12 @@ class Scenario:
         if config.queue == "fifo":
             return DropTailQueue(config.buffer_capacity, name="q:gateway->server")
         if config.queue == "drr":
-            return DRRQueue(
-                config.buffer_capacity,
-                quantum=config.drr_quantum,
-                name="q:gateway->server",
-            )
+            return DRRQueue(config.buffer_capacity, name="q:gateway->server")
         red_params = REDParams(
             min_th=config.red_min_th,
             max_th=config.red_max_th,
             max_p=config.red_max_p,
             weight=config.red_weight,
-            gentle=config.red_gentle,
             ecn=(config.protocol == "reno_ecn"),
             idle_packet_time=config.packet_size * 8.0 / config.bottleneck_rate_bps,
         )
@@ -294,7 +289,11 @@ class Scenario:
             packet_size=config.packet_size,
             advertised_window=config.advertised_window,
             initial_ssthresh=float(config.advertised_window),
-            tick=config.tcp_tick,
+            # BSD/ns-2-era coarse retransmission timers (500 ms
+            # granularity, with config.min_rto's 1 s floor): the timeout
+            # droughts and synchronized slow-start restarts they produce
+            # are part of the burstiness the paper measures.
+            tick=0.5,
             min_rto=config.min_rto,
             initial_rto=config.initial_rto,
             ecn=(config.protocol == "reno_ecn"),
@@ -385,15 +384,13 @@ class Scenario:
                 self.sim, sender, gap=config.mean_gap, name=f"cbr-{index}"
             )
         if config.traffic == "pareto_onoff":
+            # The source's defaults keep the long-run mean rate equal to
+            # the paper's Poisson rate: duty cycle 0.5/(0.5+4.5) = 0.1 at
+            # a 100 pkt/s peak, i.e. 10 pkt/s as at mean_gap = 0.1.
             return ParetoOnOffSource(
                 self.sim,
                 sender,
                 rng=self.streams.stream(f"client-{index}/onoff"),
-                peak_gap=config.onoff_peak_gap,
-                mean_on=config.onoff_mean_on,
-                mean_off=config.onoff_mean_off,
-                shape_on=config.onoff_shape,
-                shape_off=config.onoff_shape,
                 name=f"onoff-{index}",
             )
         return PoissonSource(

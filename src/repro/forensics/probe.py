@@ -52,21 +52,24 @@ class ForensicsParams:
 
     @classmethod
     def from_config(cls, config: "ScenarioConfig") -> "ForensicsParams":
-        """Resolve the fractional ScenarioConfig knobs to packet units.
+        """Resolve the ScenarioConfig knobs to absolute units.
 
         Defaults: the attribution and sync windows are one round-trip
         propagation delay (the paper's binning); the sketch gets
         ``4 * top_k`` counters (comfortably above the space-saving
-        rule of thumb for recovering a top-k).
+        rule of thumb for recovering a top-k).  Fixed: a burst opens at
+        0.6 and closes below 0.3 of the buffer capacity (hysteresis:
+        exit below enter), and a synchronization event needs a quorum
+        of a quarter of the flows halving cwnd within one RTT (a quarter
+        of the population cutting together is already an unambiguous
+        wave -- demanding a strict majority misses waves that
+        synchronize most but not all flows).
         """
         window = config.forensics_window or config.rtt_prop
         top_k = config.forensics_top_k
         capacity = config.forensics_sketch_capacity or 4 * top_k
-        enter = max(
-            1, int(round(config.forensics_burst_enter * config.buffer_capacity))
-        )
-        exit_ = int(round(config.forensics_burst_exit * config.buffer_capacity))
-        exit_ = min(exit_, enter - 1)
+        enter = max(1, int(round(0.6 * config.buffer_capacity)))
+        exit_ = min(int(round(0.3 * config.buffer_capacity)), enter - 1)
         return cls(
             window=window,
             top_k=top_k,
@@ -74,7 +77,7 @@ class ForensicsParams:
             burst_enter=enter,
             burst_exit=max(exit_, 0),
             sync_window=config.rtt_prop,
-            sync_fraction=config.forensics_sync_fraction,
+            sync_fraction=0.25,
         )
 
     def as_dict(self) -> Dict[str, object]:

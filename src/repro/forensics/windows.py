@@ -194,11 +194,6 @@ class SpaceSavingSketch:
         """The sketch-wide guarantee: total_weight / capacity."""
         return self.total_weight / self.capacity
 
-    def memory_words(self) -> int:
-        """Budgeted storage in machine words: per tracked entry, one
-        key plus weight/count/error counters."""
-        return 4 * self.capacity
-
     def entries(self) -> List[Tuple[int, int, int, int]]:
         """``(key, weight, count, error)`` rows, best guarantee first.
 

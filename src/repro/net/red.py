@@ -13,7 +13,6 @@ inherited:
   inter-drop gaps are roughly uniform rather than geometric;
 * forced drop when the average exceeds ``max_th`` (plus physical
   tail drop at the buffer limit);
-* optional "gentle" ramp between ``max_th`` and ``2*max_th``;
 * optional ECN marking instead of dropping for ECN-capable packets.
 
 :class:`AdaptiveREDQueue` adds the self-configuring behaviour of Feng,
@@ -45,7 +44,6 @@ class REDParams:
     max_th: float = 40.0
     max_p: float = 0.1
     weight: float = 0.002
-    gentle: bool = False
     ecn: bool = False
     # Mean transmission time of one packet on the outgoing link, used for
     # idle-time compensation.  The topology builder fills this in from
@@ -99,8 +97,8 @@ class REDQueue(PacketQueue):
             self._count = -1
             return True
 
-        if self.avg >= self._hard_limit():
-            # Average beyond the (possibly gentle-extended) band.
+        if self.avg >= params.max_th:
+            # Average beyond the band.
             self._count = 0
             self.last_drop_cause = "red_forced"
             return self._mark_or_refuse(packet)
@@ -135,20 +133,9 @@ class REDQueue(PacketQueue):
             self.avg *= (1 - params.weight) ** m
             self._idle_since = None
 
-    def _hard_limit(self) -> float:
-        if self.params.gentle:
-            return 2 * self.params.max_th
-        return self.params.max_th
-
     def _drop_probability(self) -> float:
         """Instantaneous drop probability p_b from the average queue."""
         params = self.params
-        if params.gentle and self.avg >= params.max_th:
-            # Gentle RED: ramp from max_p at max_th to 1 at 2*max_th.
-            span = params.max_th
-            return params.max_p + (1 - params.max_p) * (
-                (self.avg - params.max_th) / span
-            )
         fraction = (self.avg - params.min_th) / (params.max_th - params.min_th)
         return params.max_p * fraction
 

@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from repro.experiments.cache import CACHE_FORMAT_VERSION, ResultCache
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, paper_config
 from repro.experiments.results import ScenarioMetrics
@@ -110,6 +112,55 @@ class TestMetricsRoundTrip:
         assert placeholder.n_clients == 7
         assert placeholder.label == config.label
         assert placeholder.failed
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(protocol="vegas", queue="red", n_clients=7),
+            dict(backend="fluid", n_clients=100000, duration=50.0),
+            dict(workload="rpc", seed=4),
+        ],
+        ids=["packet", "fluid", "rpc"],
+    )
+    def test_failure_placeholder_is_the_literal_it_replaced(self, overrides):
+        """failure() reads its blanks off the field types; this is the
+        field-by-field literal it replaced."""
+        config = tiny(**overrides)
+        nan = float("nan")
+        literal = ScenarioMetrics(
+            protocol=config.protocol,
+            queue=config.queue,
+            label=config.label,
+            backend=config.backend,
+            n_clients=config.n_clients,
+            seed=config.seed,
+            duration=config.duration,
+            cov=nan,
+            offered_cov=nan,
+            analytic_cov=nan,
+            throughput_packets=0,
+            throughput_pps=nan,
+            utilization=nan,
+            loss_percent=nan,
+            gateway_arrivals=0,
+            gateway_drops=0,
+            timeouts=0,
+            fast_retransmits=0,
+            dupacks=0,
+            timeout_dupack_ratio=nan,
+            timeout_fastrtx_ratio=nan,
+            mean_queue_length=nan,
+            red_marks=0,
+            fairness=nan,
+            mean_latency=nan,
+            max_latency=nan,
+            app_workload=config.workload if config.workload != "open" else "",
+            error="boom",
+        )
+        placeholder = ScenarioMetrics.failure(config, "boom")
+        # repr() spells NaN as nan, so equal reprs are equal values,
+        # types and key order.
+        assert repr(placeholder.as_dict()) == repr(literal.as_dict())
 
 
 class TestResultCache:

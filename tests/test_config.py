@@ -124,11 +124,46 @@ NUMERIC_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+#: The ten knobs that are constants at their one reader now (the Pareto
+#: on/off source's and DRRQueue's defaults, Scenario._tcp_params' tick,
+#: ForensicsParams.from_config's fractions; gentle RED is gone).  The
+#: validate() tests below keep their rows for them: a config naming one
+#: is refused by name before validate() could see its value.
+CONSTANT_KNOBS = frozenset(
+    {
+        "onoff_peak_gap",
+        "onoff_mean_on",
+        "onoff_mean_off",
+        "onoff_shape",
+        "tcp_tick",
+        "red_gentle",
+        "drr_quantum",
+        "forensics_burst_enter",
+        "forensics_burst_exit",
+        "forensics_sync_fraction",
+    }
+)
+
+
+def _refused_as_a_constant(overrides, field):
+    """For a constant knob, check that a config naming it is refused by
+    name at construction and return True; for a live field, False."""
+    if field not in CONSTANT_KNOBS:
+        return False
+    with pytest.raises(TypeError, match=field):
+        paper_config(**overrides)
+    return True
+
+
+@pytest.mark.parametrize(
+    "field", NUMERIC_FIELDS + sorted(CONSTANT_KNOBS - {"red_gentle"})
+)
 def test_validate_refuses_nan_by_name(field):
     """NaN passes every comparison-based range check.  Some fields then
     died mid-run ("cannot schedule event at nan"), some ran to the end
     on it, and some were refused by an ``int()`` that named no field."""
+    if _refused_as_a_constant({field: float("nan")}, field):
+        return
     config = paper_config(**{field: float("nan")})
     with pytest.raises(ValueError, match=f"^{field} must be a number; got nan$"):
         config.validate()
@@ -201,7 +236,10 @@ def test_validate_refuses_a_tcp_timer_or_window_field_by_name(
 
     monkeypatch.setattr(scenario_module.Scenario, "_build_network", never_built)
     monkeypatch.setattr(FluidSolver, "__init__", never_built)
-    config = paper_config(backend=backend, n_clients=20, **overrides)
+    overrides = dict(overrides, backend=backend, n_clients=20)
+    if _refused_as_a_constant(overrides, field):
+        return
+    config = paper_config(**overrides)
     with pytest.raises(ValueError, match=field):
         config.validate()
     with pytest.raises(ValueError, match=field):
@@ -227,6 +265,8 @@ def test_validate_refuses_a_tcp_timer_or_window_field_by_name(
 def test_validate_refuses_a_protocol_traffic_or_queue_field_by_name(
     overrides, field
 ):
+    if _refused_as_a_constant(overrides, field):
+        return
     config = paper_config(**overrides)
     with pytest.raises(ValueError, match=field):
         config.validate()
@@ -315,18 +355,26 @@ class TestDigestCompleteness:
         "forensics_window",
         "forensics_top_k",
         "forensics_sketch_capacity",
-        "forensics_burst_enter",
-        "forensics_burst_exit",
-        "forensics_sync_fraction",
     }
 
     def test_digest_covers_every_physics_field(self):
         config = ScenarioConfig()
         payload = config.digest_payload()
         field_names = {spec.name for spec in dataclasses.fields(config)}
-        # Two deleted fields stay in the payload at their old defaults,
-        # so digests written before their deletion still match.
-        deleted = {"record_offered": True, "record_flow_arrivals": False}
+        # Deleted fields stay in the payload at their old values (floats
+        # as the repr strings the payload writes), so digests written
+        # before their deletion still match.
+        deleted = {
+            "record_offered": True,
+            "record_flow_arrivals": False,
+            "onoff_peak_gap": "0.01",
+            "onoff_mean_on": "0.5",
+            "onoff_mean_off": "4.5",
+            "onoff_shape": "1.5",
+            "tcp_tick": "0.5",
+            "red_gentle": False,
+            "drr_quantum": 1000,
+        }
         assert {name: payload[name] for name in deleted} == deleted
         covered = set(payload) - {"schema_version", *deleted}
         assert covered == field_names - self.OBSERVATION_ONLY
@@ -344,13 +392,42 @@ class TestDigestCompleteness:
             paper_config(forensics_sketch="countmin")
 
     @pytest.mark.parametrize(
-        "knob", ["record_offered", "record_flow_arrivals", "trace_cwnd_flows"]
+        "knob",
+        [
+            "record_offered",
+            "record_flow_arrivals",
+            "trace_cwnd_flows",
+            "onoff_peak_gap",
+            "onoff_mean_on",
+            "onoff_mean_off",
+            "onoff_shape",
+            "tcp_tick",
+            "red_gentle",
+            "drr_quantum",
+            "forensics_burst_enter",
+            "forensics_burst_exit",
+            "forensics_sync_fraction",
+        ],
     )
     def test_deleted_recording_knobs_are_rejected_by_name(self, knob):
-        """Offered and per-flow counts are always recorded, and cwnd
-        traces are a view of the flight recorder's rows."""
+        """Offered and per-flow counts are always recorded, cwnd traces
+        are a view of the flight recorder's rows, and the ten knobs
+        nothing outside the tests varied are constants at their one
+        reader (gentle RED is gone)."""
         with pytest.raises(TypeError, match=knob):
             paper_config(**{knob: True})
+
+    def test_cells_that_read_the_deleted_knobs_keep_their_digests(self):
+        """Literal digests computed while the knobs were still fields: a
+        Pareto on/off DRR cell and a RED forensics cell."""
+        onoff_drr = paper_config(traffic="pareto_onoff", queue="drr")
+        assert onoff_drr.config_digest() == (
+            "305521db4221b175dff795903e6afefa807f0540c55e5629f6f32ba115f887de"
+        )
+        red = paper_config(queue="red", protocol="reno_ecn", forensics=True)
+        assert red.config_digest() == (
+            "76541d5756636e47ae0d20ba50595364f922beebd86dc846defacee520e0ee17"
+        )
 
     def test_every_workload_knob_changes_the_digest(self):
         base = ScenarioConfig()
@@ -369,3 +446,126 @@ class TestDigestCompleteness:
             assert base.with_(**overrides).config_digest() != base.config_digest(), (
                 overrides
             )
+
+
+#: Why each ScenarioConfig field is a field and not a constant at its
+#: one reader: the first thing outside the tests that sets it or reads
+#: it as a model input.  "decided" marks a field kept by a recorded
+#: decision with nothing to check it against.  A new field with no row
+#: here fails the test below: give it a reason, or make it a constant.
+FIELD_LEDGER = {
+    "protocol": "claims cell",
+    "queue": "claims cell",
+    "backend": "flag",
+    "n_clients": "claims cell",
+    "hybrid_foreground_flows": "flag",
+    "hybrid_background_flows": "flag",
+    "hybrid_coupling_dt": "flag",
+    "duration": "flag",
+    "warmup": "fluid solver input",
+    "seed": "flag",
+    "client_rate_bps": "table 1 row",
+    "client_delay": "table 1 row",
+    "bottleneck_rate_bps": "table 1 row",
+    "bottleneck_delay": "table 1 row",
+    "buffer_capacity": "claims cell",
+    "packet_size": "table 1 row",
+    "mean_gap": "table 1 row",
+    "traffic": "claims cell",
+    "workload": "flag",
+    "rpc_request_packets": "flag",
+    "rpc_response_packets": "flag",
+    "rpc_think_time": "flag",
+    "rpc_outstanding": "flag",
+    "bsp_shuffle_packets": "flag",
+    "bsp_compute_time": "flag",
+    "bulk_job_packets": "flag",
+    "bulk_job_gap": "flag",
+    "workload_timeout": "flag",
+    "advertised_window": "table 1 row",
+    "ack_delay": "batch envelope",
+    "min_rto": "batch envelope",
+    # The first RTO before any RTT sample (3 s against TcpParams' 1 s).
+    "initial_rto": "decided",
+    "pacing": "claims cell",
+    "vegas_alpha": "claims cell",
+    "vegas_beta": "claims cell",
+    "vegas_gamma": "table 1 row",
+    "red_min_th": "claims cell",
+    "red_max_th": "claims cell",
+    "red_max_p": "fluid solver input",
+    "red_weight": "fluid solver input",
+    # The c.o.v. bin: with warmup, the measurement window.
+    "bin_width": "decided",
+    "obs_trace": "observation toggle",
+    "obs_profile": "observation toggle",
+    "forensics": "sweep override",
+    "forensics_window": "flag",
+    "forensics_top_k": "flag",
+    "forensics_sketch_capacity": "flag",
+    "scheduler": "ledger shim",
+    "engine": "flag",
+}
+
+
+def _fields_by_reason():
+    """Each checkable FIELD_LEDGER reason -> the fields it covers, read
+    off the code that sets or reads them."""
+    import pathlib
+
+    from repro.core.fluid_backend import FluidSolver
+    from repro.experiments import claims, cli
+    from repro.experiments.config import (
+        _BATCH_ENVELOPE_ROWS,
+        _DIGEST_EXCLUDED_FIELDS,
+    )
+    from repro.experiments.figures import SWEEPS, protocol_grid
+
+    default = ScenarioConfig()
+
+    def varied(configs):
+        return {
+            item.name
+            for config in configs
+            for item in dataclasses.fields(config)
+            if getattr(config, item.name) != getattr(default, item.name)
+        }
+
+    def read_by(*functions):
+        return {name for function in functions for name in function.__code__.co_names}
+
+    claim_configs = claims.claim_cells(claims.CLAIMS.values(), default, seeds=(1, 2))
+    sweep_configs = [
+        config
+        for spec in SWEEPS.values()
+        for _key, config in protocol_grid(
+            spec.clients, default.with_(**spec.overrides), spec.protocols
+        )
+    ]
+    ledger_source = (
+        pathlib.Path(__file__).resolve().parent.parent
+        / "benchmarks" / "ledger" / "perlayer.py"
+    ).read_text()
+    return {
+        "flag": {
+            field for rows in cli._CONFIG_FLAGS.values() for _flag, field, _kw in rows
+        },
+        "claims cell": varied(claim_configs.values()),
+        "sweep override": varied(sweep_configs),
+        "table 1 row": read_by(table1_rows),
+        "batch envelope": read_by(*(row[1] for row in _BATCH_ENVELOPE_ROWS)),
+        "fluid solver input": read_by(FluidSolver.from_config),
+        "observation toggle": set(_DIGEST_EXCLUDED_FIELDS),
+        "ledger shim": {"scheduler"} if "scheduler=" in ledger_source else set(),
+    }
+
+
+def test_every_config_field_has_a_reason_in_the_ledger():
+    assert set(FIELD_LEDGER) == {item.name for item in dataclasses.fields(ScenarioConfig)}
+    by_reason = _fields_by_reason()
+    unbacked = {
+        name: reason
+        for name, reason in FIELD_LEDGER.items()
+        if reason != "decided" and name not in by_reason[reason]
+    }
+    assert unbacked == {}

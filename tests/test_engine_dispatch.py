@@ -46,7 +46,7 @@ from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import (
     RunLog,
     read_runlog,
-    render_runlog_summary,
+    render_summary,
     summarize_runlog,
 )
 from repro.experiments.scenario import Scenario, run_scenario
@@ -262,7 +262,8 @@ def test_guard_trip_falls_back_or_propagates(tmp_path):
     engines = summarize_runlog(read_runlog(log_path))["engines"]
     assert engines["object"]["cells"] == 1 and engines["object"]["fallbacks"] == 1
     assert engines["batch"]["cells"] == 1 and engines["batch"]["fallbacks"] == 0
-    assert "Per-engine breakdown" in render_runlog_summary(read_runlog(log_path))
+    summary = render_summary(summarize_runlog(read_runlog(log_path)))
+    assert "Per-engine breakdown" in summary
 
 
 def test_same_instant_arrivals_pop_in_history_order():

@@ -368,15 +368,17 @@ class TestForensicsConfig:
         assert params.sketch_capacity == 64
 
     def test_exit_clamped_below_enter(self):
-        config = paper_config(
-            forensics=True,
-            buffer_capacity=2,
-            forensics_burst_enter=0.5,
-            forensics_burst_exit=0.49,
+        # B = 2: 0.6 and 0.3 of it both round to 1 packet, so the exit
+        # threshold is clamped to one packet below the entry threshold;
+        # B = 1 rounds the entry threshold up to its floor of 1.
+        params = ForensicsParams.from_config(
+            paper_config(forensics=True, buffer_capacity=2)
         )
-        params = ForensicsParams.from_config(config)
-        assert params.burst_exit < params.burst_enter
-        assert params.burst_exit >= 0
+        assert (params.burst_enter, params.burst_exit) == (1, 0)
+        params = ForensicsParams.from_config(
+            paper_config(forensics=True, buffer_capacity=1)
+        )
+        assert (params.burst_enter, params.burst_exit) == (1, 0)
 
     def test_fluid_backend_rejected(self):
         # The capability table names the backend and the feature; the
@@ -391,11 +393,6 @@ class TestForensicsConfig:
             dict(forensics_window=-1.0),
             dict(forensics_top_k=0),
             dict(forensics_sketch_capacity=-1),
-            dict(forensics_burst_enter=0.0),
-            dict(forensics_burst_enter=1.5),
-            dict(forensics_burst_exit=0.9),  # >= enter
-            dict(forensics_sync_fraction=0.0),
-            dict(forensics_sync_fraction=1.5),
         ]:
             config = paper_config(forensics=True, **overrides)
             with pytest.raises(ValueError):
@@ -408,9 +405,6 @@ class TestForensicsConfig:
             forensics_top_k=9,
             forensics_window=0.1,
             forensics_sketch_capacity=128,
-            forensics_burst_enter=0.8,
-            forensics_burst_exit=0.1,
-            forensics_sync_fraction=0.5,
         )
         assert tweaked.config_digest() == base.config_digest()
         # Observation-only knobs never bump the schema themselves; the

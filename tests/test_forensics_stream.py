@@ -38,12 +38,12 @@ from repro.experiments.runlog import (
     RunLogTail,
     follow_runlog,
     read_runlog,
-    render_runlog_summary,
+    render_summary,
     summarize_runlog,
 )
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.experiments.sweep import run_many
-from repro.forensics import LossSyncDetector, SpaceSavingSketch, recall_at_k
+from repro.forensics import LossSyncDetector, recall_at_k
 from repro.forensics.stream import encode_record
 from repro.forensics.windows import FlowShare
 from tests import forensics_reference as reference
@@ -320,14 +320,10 @@ class TestReportMatchesReference:
 
 
 # ----------------------------------------------------------------------
-# The sketch's memory model and the strict recall measure.  (The class
-# keeps the name of the sketch comparison it used to hold, because test
-# ids are tracked across PRs.)
+# The strict recall measure.  (The class keeps the name of the sketch
+# comparison it used to hold, because test ids are tracked across PRs.)
 # ----------------------------------------------------------------------
 class TestCountMinSketch:
-    def test_memory_words_model(self):
-        assert SpaceSavingSketch(58).memory_words() == 4 * 58
-
     def test_recall_at_k_is_strict(self):
         exact = [
             FlowShare(flow_id=i, packets=1, bytes=100 - i, share=0.1)
@@ -613,7 +609,7 @@ class TestRunlogForensics:
         assert forensics["sync_linked_fraction_mean"] == pytest.approx(0.4)
 
     def test_render_summary_and_slowest_columns(self):
-        text = render_runlog_summary(_forensic_log_events())
+        text = render_summary(summarize_runlog(_forensic_log_events()))
         assert "forensics: 6 burst(s), 4 sync-linked across 2 cell(s)" in text
         assert "bursts" in text and "sync-linked" in text
         # The cell without forensic columns renders placeholders.
@@ -624,7 +620,7 @@ class TestRunlogForensics:
             e for e in _forensic_log_events()
             if "forensic_bursts" not in e
         ]
-        assert "forensics:" not in render_runlog_summary(events)
+        assert "forensics:" not in render_summary(summarize_runlog(events))
 
     def test_task_done_skips_nan_fractions(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
