@@ -279,11 +279,25 @@ _CONFIG_FLAGS = {
 }
 
 
-def _add_config_flags(parser, group: str) -> None:
+#: The ``common`` fields a sweep row that pins its backend does not
+#: read: its parser leaves their flags off (a usage error, exit 2), where
+#: they would lose to the pin silently or move the digest of an
+#: unchanged cell.  The forensics row shares its parser with the
+#: one-cell command, so ``forensics --sweep`` refuses ``--backend``
+#: in :func:`_run_sweep` instead.
+_UNREAD_BY_PINNED_BACKEND = {
+    "fluid": ("backend", "engine", "hybrid_foreground_flows",
+              "hybrid_background_flows", "hybrid_coupling_dt"),
+    "hybrid": ("backend", "engine"),
+}
+
+
+def _add_config_flags(parser, group: str, skip=()) -> None:
     """Add one group of :data:`_CONFIG_FLAGS` to ``parser`` (a parser
-    or one of its argument groups)."""
-    for flag, _field, kwargs in _CONFIG_FLAGS[group]:
-        parser.add_argument(flag, default=None, **kwargs)
+    or one of its argument groups), but none whose field is in ``skip``."""
+    for flag, field, kwargs in _CONFIG_FLAGS[group]:
+        if field not in skip:
+            parser.add_argument(flag, default=None, **kwargs)
 
 
 def _base_config(args: argparse.Namespace):
@@ -337,12 +351,13 @@ def _add_grid(
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, *outputs: str, runner: bool = False
+    parser: argparse.ArgumentParser, *outputs: str, runner: bool = False, skip=()
 ) -> None:
-    """The ``common`` config flags, the ``outputs`` (``--csv``/``--json``)
-    the handler writes and, with ``runner``, the flags
-    :func:`_runner_kwargs` reads: no flag the handler would ignore."""
-    _add_config_flags(parser, "common")
+    """The ``common`` config flags (but those of the fields in ``skip``),
+    the ``outputs`` (``--csv``/``--json``) the handler writes and, with
+    ``runner``, the flags :func:`_runner_kwargs` reads: no flag the
+    handler would ignore."""
+    _add_config_flags(parser, "common", skip)
     for flag in outputs:
         parser.add_argument(
             flag, default=None, help=f"write results to {flag[2:].upper()}"
@@ -676,6 +691,14 @@ def _cmd_sweeplog(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace, client_counts: Sequence[int]):
     """Run ``args.spec``'s grid: ``(sweep, its figures in print order)``."""
+    pinned = args.spec.overrides.get("backend")
+    if pinned and getattr(args, "backend", None) not in (None, pinned):
+        print(
+            f"repro-tcp {args.command}: error: --backend {args.backend}: the "
+            f"{args.spec.name} sweep runs the {pinned} backend only",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     base = _base_config(args)
     grid = protocol_grid(
         client_counts, base.with_(**args.spec.overrides), args.spec.protocols
@@ -945,7 +968,8 @@ def build_parser() -> argparse.ArgumentParser:
             sweep_parser.set_defaults(func=_cmd_sweep, spec=spec)
             _add_grid(sweep_parser, spec)
             outputs = () if spec.name == "all" else ("--csv", "--json")
-            _add_common(sweep_parser, *outputs, runner=True)
+            skip = _UNREAD_BY_PINNED_BACKEND.get(spec.overrides.get("backend"), ())
+            _add_common(sweep_parser, *outputs, runner=True, skip=skip)
     # ... and ``all`` prints nothing: it writes its figures to files.
     all_parser = sub.choices["all"]
     all_parser.set_defaults(func=_cmd_all)

@@ -40,14 +40,23 @@ _RUNNER_FLAGS = (
     ["--progress"],
 )
 _CSV, _JSON = ["--csv", "c.csv"], ["--json", "c.json"]
+_HYBRID_FLAGS = (
+    ["--hybrid-foreground", "5"],
+    ["--hybrid-background", "100"],
+    ["--hybrid-coupling-dt", "0.1"],
+)
 #: Flags these subcommands once accepted and ignored: no handler of
-#: theirs calls ``_runner_kwargs`` or writes that file.
+#: theirs calls ``_runner_kwargs`` or writes that file, and a sweep row
+#: that pins its backend reads neither ``--backend`` nor ``--engine``
+#: (nor, on fluid, the hybrid knobs).
 _UNREAD_FLAGS = {
     "run": _RUNNER_FLAGS,
     "profile": _RUNNER_FLAGS + (_CSV,),
     "cwnd": _RUNNER_FLAGS + (_CSV, _JSON),
     "dependence": _RUNNER_FLAGS + (_CSV,),
     "all": (_CSV, _JSON),
+    "fluid": (["--backend", "packet"], ["--engine", "object"]) + _HYBRID_FLAGS,
+    "hybrid": (["--backend", "fluid"], ["--engine", "batch"]),
 }
 
 
@@ -101,6 +110,18 @@ class TestParser:
             main([command, *flag])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["fluid", "hybrid"])
+    def test_forensics_sweep_refuses_another_backend(self, backend, capsys):
+        """The forensics row pins the packet engine; its parser is the
+        one-cell command's, which does read ``--backend``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["forensics", "--sweep", "20", "--backend", backend])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--backend {backend}" in captured.err
+        assert "packet backend" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["replicate", "claims"])
     def test_zero_replicas_is_a_usage_error(self, command, capsys):
