@@ -38,8 +38,8 @@ CONFIG_SCHEMA_VERSION = 5
 #: existing digest, and every cache entry, is unchanged.  The offered
 #: and per-flow gateway counts are always recorded now; the rest were
 #: knobs nothing varied, now constants at their one reader (the Pareto
-#: on/off source's and DRRQueue's defaults, Scenario._tcp_params' tick)
-#: or, for gentle RED, gone.
+#: on/off source's and DRRQueue's defaults, Scenario._tcp_params' tick
+#: and first RTO) or, for gentle RED, gone.
 _DELETED_FIELD_VALUES = {
     "record_offered": True,
     "record_flow_arrivals": False,
@@ -48,6 +48,7 @@ _DELETED_FIELD_VALUES = {
     "onoff_mean_off": "4.5",
     "onoff_shape": "1.5",
     "tcp_tick": "0.5",
+    "initial_rto": "3.0",
     "red_gentle": False,
     "drr_quantum": 1000,
 }
@@ -340,9 +341,8 @@ class ScenarioConfig:
     advertised_window: int = 20  # max advertised window, packets
     ack_delay: float = 0.1  # delayed-ACK timer for the DelAck variant
     # BSD/ns-2-era coarse retransmission timers (1 s floor; the 500 ms
-    # tick is a constant of Scenario._tcp_params).
+    # tick and the 3 s first RTO are constants of Scenario._tcp_params).
     min_rto: float = 1.0
-    initial_rto: float = 3.0
 
     # TCP pacing extension (not in the paper; see the pacing ablation).
     pacing: bool = False
@@ -607,11 +607,8 @@ class ScenarioConfig:
                 f"advertised_window must be at least 1 packet; "
                 f"got {self.advertised_window!r}"
             )
-        for name in ("min_rto", "initial_rto"):
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"{name} must be positive; got {getattr(self, name)!r}"
-                )
+        if self.min_rto <= 0:
+            raise ValueError(f"min_rto must be positive; got {self.min_rto!r}")
         from repro.transport.tcp_base import TcpParams
 
         if self.min_rto > TcpParams.max_rto:

@@ -290,12 +290,12 @@ class Scenario:
             advertised_window=config.advertised_window,
             initial_ssthresh=float(config.advertised_window),
             # BSD/ns-2-era coarse retransmission timers (500 ms
-            # granularity, with config.min_rto's 1 s floor): the timeout
-            # droughts and synchronized slow-start restarts they produce
-            # are part of the burstiness the paper measures.
+            # granularity, a 3 s first RTO, config.min_rto's 1 s floor):
+            # the timeout droughts and synchronized slow-start restarts
+            # they produce are part of the burstiness the paper measures.
             tick=0.5,
             min_rto=config.min_rto,
-            initial_rto=config.initial_rto,
+            initial_rto=3.0,
             ecn=(config.protocol == "reno_ecn"),
             pacing=config.pacing,
         )

@@ -124,9 +124,10 @@ NUMERIC_FIELDS = [
 ]
 
 
-#: The ten knobs that are constants at their one reader now (the Pareto
-#: on/off source's and DRRQueue's defaults, Scenario._tcp_params' tick,
-#: ForensicsParams.from_config's fractions; gentle RED is gone).  The
+#: The eleven knobs that are constants at their one reader now (the
+#: Pareto on/off source's and DRRQueue's defaults, Scenario._tcp_params'
+#: tick and first RTO, ForensicsParams.from_config's fractions; gentle
+#: RED is gone).  The
 #: validate() tests below keep their rows for them: a config naming one
 #: is refused by name before validate() could see its value.
 CONSTANT_KNOBS = frozenset(
@@ -136,6 +137,7 @@ CONSTANT_KNOBS = frozenset(
         "onoff_mean_off",
         "onoff_shape",
         "tcp_tick",
+        "initial_rto",
         "red_gentle",
         "drr_quantum",
         "forensics_burst_enter",
@@ -372,6 +374,7 @@ class TestDigestCompleteness:
             "onoff_mean_off": "4.5",
             "onoff_shape": "1.5",
             "tcp_tick": "0.5",
+            "initial_rto": "3.0",
             "red_gentle": False,
             "drr_quantum": 1000,
         }
@@ -402,6 +405,7 @@ class TestDigestCompleteness:
             "onoff_mean_off",
             "onoff_shape",
             "tcp_tick",
+            "initial_rto",
             "red_gentle",
             "drr_quantum",
             "forensics_burst_enter",
@@ -411,7 +415,7 @@ class TestDigestCompleteness:
     )
     def test_deleted_recording_knobs_are_rejected_by_name(self, knob):
         """Offered and per-flow counts are always recorded, cwnd traces
-        are a view of the flight recorder's rows, and the ten knobs
+        are a view of the flight recorder's rows, and the eleven knobs
         nothing outside the tests varied are constants at their one
         reader (gentle RED is gone)."""
         with pytest.raises(TypeError, match=knob):
@@ -485,8 +489,6 @@ FIELD_LEDGER = {
     "advertised_window": "table 1 row",
     "ack_delay": "batch envelope",
     "min_rto": "batch envelope",
-    # The first RTO before any RTT sample (3 s against TcpParams' 1 s).
-    "initial_rto": "decided",
     "pacing": "claims cell",
     "vegas_alpha": "claims cell",
     "vegas_beta": "claims cell",
