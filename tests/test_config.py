@@ -95,6 +95,12 @@ def test_unknown_choice_names_the_choices(field, value, name, choices):
     assert str(info.value) == f"unknown {name} {value!r}; choose from {choices}"
 
 
+def _row(number, overrides, field):
+    """One row of an ``overrides,field`` table, with its id written out
+    (``overrides<number>-<field>``): deleting a row renames no other."""
+    return pytest.param(overrides, field, id=f"overrides{number}-{field}")
+
+
 @pytest.mark.parametrize(
     "overrides,field",
     [
@@ -102,12 +108,12 @@ def test_unknown_choice_names_the_choices(field, value, name, choices):
         # ZeroDivisionError in the envelope's tie row, a SimulationError
         # part-way through a batch run, "link rates must be positive" /
         # "bin width must be positive" from whichever layer met it first.
-        (dict(bottleneck_rate_bps=0.0), "bottleneck_rate_bps"),
-        (dict(client_rate_bps=-1.0), "client_rate_bps"),
-        (dict(client_delay=-0.001), "client_delay"),
-        (dict(bottleneck_delay=-0.1), "bottleneck_delay"),
-        (dict(bin_width=0.0), "bin_width"),
-        (dict(client_delay=0.0, bottleneck_delay=0.0), "bin_width"),
+        _row(0, dict(bottleneck_rate_bps=0.0), "bottleneck_rate_bps"),
+        _row(1, dict(client_rate_bps=-1.0), "client_rate_bps"),
+        _row(2, dict(client_delay=-0.001), "client_delay"),
+        _row(3, dict(bottleneck_delay=-0.1), "bottleneck_delay"),
+        _row(4, dict(bin_width=0.0), "bin_width"),
+        _row(5, dict(client_delay=0.0, bottleneck_delay=0.0), "bin_width"),
     ],
 )
 def test_validate_names_the_mistyped_numeric_field(overrides, field):
@@ -182,16 +188,16 @@ def test_validate_refuses_nan_by_name(field):
         # constructor on the packet backend after validate() had passed,
         # and a silent run on fluid; cov = nan from an empty window on
         # packet, a number from fluid.
-        (dict(ack_delay=-0.1), "ack_delay"),
-        (dict(buffer_capacity=0), "buffer_capacity"),
-        (dict(queue="red", red_min_th=40.0, red_max_th=40.0), "red_min_th"),
-        (dict(queue="red", red_min_th=-1.0), "red_min_th"),
-        (dict(queue="red", red_max_p=0.0), "red_max_p"),
-        (dict(queue="red", red_max_p=1.5), "red_max_p"),
-        (dict(queue="red", red_weight=0.0), "red_weight"),
-        (dict(duration=0.3), "duration"),
-        (dict(duration=30.0, warmup=29.7), "warmup"),
-        (dict(duration=2.0, bin_width=2.5), "bin_width"),
+        _row(0, dict(ack_delay=-0.1), "ack_delay"),
+        _row(1, dict(buffer_capacity=0), "buffer_capacity"),
+        _row(2, dict(queue="red", red_min_th=40.0, red_max_th=40.0), "red_min_th"),
+        _row(3, dict(queue="red", red_min_th=-1.0), "red_min_th"),
+        _row(4, dict(queue="red", red_max_p=0.0), "red_max_p"),
+        _row(5, dict(queue="red", red_max_p=1.5), "red_max_p"),
+        _row(6, dict(queue="red", red_weight=0.0), "red_weight"),
+        _row(7, dict(duration=0.3), "duration"),
+        _row(8, dict(duration=30.0, warmup=29.7), "warmup"),
+        _row(9, dict(duration=2.0, bin_width=2.5), "bin_width"),
     ],
 )
 def test_validate_rejects_on_every_backend_naming_the_field(
@@ -221,10 +227,10 @@ def test_validate_rejects_on_every_backend_naming_the_field(
         # the others passed validate() and failed inside the cell's
         # TcpParams with messages that named no config field ("timer
         # tick must be positive").
-        (dict(initial_rto=-1.0), "initial_rto"),
-        (dict(tcp_tick=0.0), "tcp_tick"),
-        (dict(min_rto=0.0), "min_rto"),
-        (dict(advertised_window=0), "advertised_window"),
+        _row(0, dict(initial_rto=-1.0), "initial_rto"),
+        _row(1, dict(tcp_tick=0.0), "tcp_tick"),
+        _row(2, dict(min_rto=0.0), "min_rto"),
+        _row(3, dict(advertised_window=0), "advertised_window"),
     ],
 )
 def test_validate_refuses_a_tcp_timer_or_window_field_by_name(
@@ -254,14 +260,14 @@ def test_validate_refuses_a_tcp_timer_or_window_field_by_name(
         # A packet cell used to pass validate() and raise inside the
         # sender's or source's or queue's constructor, mid-build; the
         # fluid backend ran alpha > beta silently.
-        (dict(protocol="vegas", vegas_alpha=5.0, vegas_beta=3.0), "vegas_alpha"),
-        (dict(protocol="vegas", vegas_alpha=-1.0), "vegas_alpha"),
-        (dict(protocol="vegas", vegas_gamma=-1.0), "vegas_gamma"),
-        (dict(traffic="pareto_onoff", onoff_shape=1.0), "onoff_shape"),
-        (dict(traffic="pareto_onoff", onoff_mean_on=0.0), "onoff_mean_on"),
-        (dict(traffic="pareto_onoff", onoff_mean_off=-1.0), "onoff_mean_off"),
-        (dict(traffic="pareto_onoff", onoff_peak_gap=0.0), "onoff_peak_gap"),
-        (dict(queue="drr", drr_quantum=0), "drr_quantum"),
+        _row(0, dict(protocol="vegas", vegas_alpha=5.0, vegas_beta=3.0), "vegas_alpha"),
+        _row(1, dict(protocol="vegas", vegas_alpha=-1.0), "vegas_alpha"),
+        _row(2, dict(protocol="vegas", vegas_gamma=-1.0), "vegas_gamma"),
+        _row(3, dict(traffic="pareto_onoff", onoff_shape=1.0), "onoff_shape"),
+        _row(4, dict(traffic="pareto_onoff", onoff_mean_on=0.0), "onoff_mean_on"),
+        _row(5, dict(traffic="pareto_onoff", onoff_mean_off=-1.0), "onoff_mean_off"),
+        _row(6, dict(traffic="pareto_onoff", onoff_peak_gap=0.0), "onoff_peak_gap"),
+        _row(7, dict(queue="drr", drr_quantum=0), "drr_quantum"),
     ],
 )
 def test_validate_refuses_a_protocol_traffic_or_queue_field_by_name(
