@@ -98,9 +98,11 @@ from repro.sim.engine import SimulationError
 
 _INF = float("inf")
 
-#: Poisson gaps pre-drawn per refill (identical draws to the object
-#: engine's one-per-tick ``expovariate``; only the batching differs,
-#: which the per-flow dedicated RNG stream makes unobservable).
+#: Most Poisson gaps pre-drawn per refill.  A refill draws what the
+#: flow can still use before the horizon, plus a margin, up to this cap
+#: (identical draws to the object engine's one-per-tick ``expovariate``;
+#: only the batching differs, which the per-flow dedicated RNG stream
+#: makes unobservable).
 ARRIVAL_CHUNK = 256
 
 #: ``random.Random.random()``'s scale: 53 bits to a float in [0, 1).
@@ -556,15 +558,18 @@ class BatchScenario(Scenario):
         if pos:
             del buf[:pos]
             self._arr_pos[i] = 0
-        # ARRIVAL_CHUNK calls of random.Random.expovariate, vectorised
-        # exactly: the same ``-log(1 - random()) / lambd`` on the same
-        # dedicated per-flow stream as PoissonSource._next_gap, so the
-        # times are bit-identical to the object engine's.  random()
-        # builds a float from two 32-bit words (a, b) as below;
-        # getrandbits(64 * n) takes the same 2n words in the same order,
-        # least significant first, and leaves the stream where n
-        # random() calls would.
-        n = ARRIVAL_CHUNK
+        # n calls of random.Random.expovariate, vectorised exactly: the
+        # same ``-log(1 - random()) / lambd`` on the same dedicated
+        # per-flow stream as PoissonSource._next_gap, so the times are
+        # bit-identical to the object engine's.  random() builds a float
+        # from two 32-bit words (a, b) as below; getrandbits(64 * n)
+        # takes the same 2n words in the same order, least significant
+        # first, and leaves the stream where n random() calls would.
+        # n is what the flow can still use before the horizon (a quarter
+        # more, plus 16), at most ARRIVAL_CHUNK: a short cell draws the
+        # tens of gaps it uses, not a full chunk per flow.
+        ahead = 1.25 * (self._duration - self._arr_last[i]) / self._mean_gap
+        n = int(min(ARRIVAL_CHUNK - 16, max(0.0, ahead))) + 16
         words = np.frombuffer(
             self._arr_rng[i].getrandbits(64 * n).to_bytes(8 * n, "little"),
             dtype="<u4",
@@ -673,3 +678,6 @@ class BatchScenario(Scenario):
         if self._open_mode:
             for i in range(config.n_clients):
                 self._catch_up(i, config.duration)
+            # What is left of the pre-draws lies past the horizon and is
+            # never read: a finished cell holds none of it.
+            self._arr_buf.clear()

@@ -84,7 +84,13 @@ class FlowSummary:
 
 @dataclass
 class ScenarioResult:
-    """Every measurement of one run."""
+    """Every measurement of one run.
+
+    The reports derived from what it stores -- ``modulation``,
+    ``dependence()``, ``cwnd_traces()`` -- are built on call: a sweep
+    that keeps only :class:`~repro.experiments.results.ScenarioMetrics`
+    pays for none of them.
+    """
 
     config: ScenarioConfig
     # The paper's headline measure (Figure 2).
@@ -112,7 +118,6 @@ class ScenarioResult:
     red_marks: int
     utilization: float
     events_executed: int
-    modulation: Optional[ModulationReport] = None
     # Each flow's gateway counts, row = flow id, whose column sums are
     # ``bin_counts``; None for the fluid backend, which has no flows.
     per_flow_bin_counts: Optional[np.ndarray] = None
@@ -134,6 +139,16 @@ class ScenarioResult:
     # empty for the fluid backend, which has no flows).  Differs from
     # ``config.resolved_engine()`` only after a tie-guard fallback.
     engine: str = ""
+
+    @property
+    def modulation(self) -> Optional[ModulationReport]:
+        """Offered-vs-transported burstiness of this run's aggregate
+        counts, built on call (None for the fluid backend, which has no
+        per-flow matrix and so no transported counts of its own)."""
+        if self.per_flow_bin_counts is None:
+            return None
+        reference = self.analytic_cov if math.isfinite(self.analytic_cov) else None
+        return modulation_report(self.offered_bin_counts, self.bin_counts, reference)
 
     def dependence(self) -> Optional[DependenceReport]:
         """Cross-stream dependence of the per-flow gateway counts, in
@@ -595,9 +610,6 @@ class Scenario:
         capacity_pps = config.bottleneck_capacity_pps
         throughput_pps = delivered_total / duration
 
-        reference = analytic if math.isfinite(analytic) else None
-        modulation = modulation_report(offered_counts, counts, reference)
-
         app = None
         if self.apps:
             app = AppMetrics.from_workloads(
@@ -633,7 +645,6 @@ class Scenario:
             red_marks=queue.stats.marks,
             utilization=throughput_pps / capacity_pps if capacity_pps else 0.0,
             events_executed=self.sim.events_executed,
-            modulation=modulation,
             per_flow_bin_counts=self.monitor.flow_counts(),
             app=app,
             wall_time=wall_time,

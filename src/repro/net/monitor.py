@@ -76,7 +76,9 @@ class ArrivalMonitor:
         counts = np.bincount(keys, minlength=n_flows * width)
         rows = self._rows
         if n_flows > len(rows):
-            rows = self._rows = np.pad(rows, ((0, n_flows - len(rows)), (0, 0)))
+            grown = np.zeros((n_flows, n_bins))
+            grown[: len(rows)] = rows
+            rows = self._rows = grown
         rows[:n_flows] += counts.reshape(n_flows, width)[:, :n_bins]
 
     def flow_counts(self) -> np.ndarray:
