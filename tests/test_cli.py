@@ -141,8 +141,16 @@ class TestParser:
                 "hybrid_foreground_flows",
             ),
             (["fig2", "--clients", "2", "--jobs", "0"], "--jobs"),
+            (["run", "--hybrid-foreground", "5"], "hybrid_foreground_flows"),
+            (
+                ["fig2", "--clients", "2", "--hybrid-coupling-dt", "0.1"],
+                "hybrid_coupling_dt",
+            ),
         ],
-        ids=["run-duration", "fig2-duration", "hybrid-foreground", "fig2-jobs"],
+        ids=[
+            "run-duration", "fig2-duration", "hybrid-foreground", "fig2-jobs",
+            "run-hybrid-foreground-on-packet", "fig2-hybrid-coupling-dt-on-packet",
+        ],
     )
     def test_invalid_value_is_a_usage_error(self, argv, field, capsys):
         """Every config a subcommand would run is validated before any

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.hybrid_backend import FluidTrajectory, run_hybrid_scenario
 from repro.engine import ENGINES
-from repro.experiments.config import paper_config
+from repro.experiments.config import ScenarioConfig, paper_config
 from repro.experiments.runner import cell_units
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import run_scenario
@@ -208,6 +208,14 @@ REJECTED = [
     ("hybrid", {"hybrid_foreground_flows": 21}, "cannot exceed n_clients"),
     ("hybrid", {"hybrid_background_flows": -1}, "non-negative"),
     ("hybrid", {"hybrid_coupling_dt": -0.1}, "non-negative"),
+    # Off the hybrid backend nothing reads the hybrid knobs, and a set
+    # one would move the digest of an unchanged cell.
+    ("packet", {"hybrid_foreground_flows": 5}, "hybrid_foreground_flows is read only"),
+    ("packet", {"hybrid_background_flows": 100}, "hybrid_background_flows is read only"),
+    ("packet", {"hybrid_coupling_dt": 0.1}, "hybrid_coupling_dt is read only"),
+    ("fluid", {"hybrid_foreground_flows": 5}, "hybrid_foreground_flows is read only"),
+    ("fluid", {"hybrid_background_flows": 100}, "hybrid_background_flows is read only"),
+    ("fluid", {"hybrid_coupling_dt": 0.1}, "hybrid_coupling_dt is read only"),
     # The window density lives on [1, advertised_window]: a one-packet
     # window is a zero-width grid (dw == 0).
     ("fluid", {"advertised_window": 1}, "fluid backend needs advertised_window"),
@@ -280,7 +288,13 @@ def test_hybrid_knobs_are_digest_included():
     assert (
         base.config_digest() == base.with_(engine="batch").config_digest()
     )
-    assert base.config_digest() != base.with_(backend="packet").config_digest()
+    # The packet twin leaves the hybrid knobs at their defaults, as
+    # validate() requires off the hybrid backend.
+    packet = base.with_(
+        backend="packet", hybrid_foreground_flows=ScenarioConfig.hybrid_foreground_flows
+    )
+    packet.validate()
+    assert base.config_digest() != packet.config_digest()
 
 
 def test_hybrid_label_and_background_count():
