@@ -5,7 +5,8 @@
   one binning rule (``bin_counts``) and the ``BinCounter`` that applies
   it as times arrive.
 * :mod:`repro.core.theory` -- closed-form baselines: the c.o.v. of
-  aggregated Poisson traffic and Central-Limit-Theorem smoothing.
+  aggregated Poisson traffic, Central-Limit-Theorem smoothing, and the
+  c.o.v.'s exact split into per-flow dispersion and cross-flow coupling.
 * :mod:`repro.core.burstiness` -- complementary burstiness measures
   (index of dispersion, peak-to-mean, multi-scale profiles).
 * :mod:`repro.core.selfsimilar` -- Hurst-parameter estimators used by
@@ -30,6 +31,7 @@ from repro.core.dependence import (
     DependenceReport,
     autocorrelation,
     dependence_report,
+    dispersion_index,
     mean_pairwise_correlation,
     pairwise_correlations,
 )
@@ -41,6 +43,7 @@ from repro.core.selfsimilar import (
 )
 from repro.core.theory import (
     clt_smoothing_factor,
+    cov_from_dispersion,
     expected_bin_mean,
     poisson_aggregate_cov,
     poisson_cov_curve,
@@ -58,11 +61,13 @@ __all__ = [
     "ModulationReport",
     "autocorrelation",
     "dependence_report",
+    "dispersion_index",
     "mean_pairwise_correlation",
     "pairwise_correlations",
     "bin_counts",
     "clt_smoothing_factor",
     "coefficient_of_variation",
+    "cov_from_dispersion",
     "cov_from_times",
     "expected_bin_mean",
     "hurst_aggregate_variance",

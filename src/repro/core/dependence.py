@@ -13,6 +13,8 @@ this module measures the cause directly:
   ``var(sum) = sum(var)``; the excess ``var(sum) - sum(var)`` is twice
   the sum of the pairwise covariances -- positive when congestion
   decisions synchronize, and directly responsible for the c.o.v. gap.
+* the pooled index of dispersion ``D`` of the per-flow counts
+  (:func:`dispersion_index`), the other half of the c.o.v.'s split.
 """
 
 from __future__ import annotations
@@ -104,6 +106,23 @@ class DependenceReport:
                 f"aggregate ACF at lag 1  = {self.aggregate_acf_lag1:+.4f}",
             ]
         )
+
+
+def dispersion_index(per_flow_counts: np.ndarray) -> float:
+    """Pooled index of dispersion of per-flow binned counts,
+    ``D = sum(var_i) / sum(mean_i)``: 1 for Poisson flows, above 1 when
+    each flow's own sending swings (its window) spread its counts.
+
+    With :attr:`DependenceReport.variance_excess_ratio` ``R`` -- the
+    coupling *between* flows -- it splits the aggregate's c.o.v. exactly
+    (:func:`repro.core.theory.cov_from_dispersion`).  NaN when no flow
+    sent anything.
+    """
+    counts = np.asarray(per_flow_counts, dtype=float)
+    total_mean = float(counts.mean(axis=1).sum())
+    if total_mean == 0:
+        return float("nan")
+    return float(counts.var(axis=1).sum()) / total_mean
 
 
 def dependence_report(per_flow_counts: np.ndarray) -> DependenceReport:

@@ -72,6 +72,22 @@ def aggregate_cov_of_independent(covs: Sequence[float], means: Sequence[float]) 
     return total_std / total_mean
 
 
+def cov_from_dispersion(dispersion: float, excess_ratio: float, mean: float) -> float:
+    """The aggregate's c.o.v. from the paper's two mechanisms, exactly.
+
+    Per-flow counts with pooled index of dispersion ``D = sum(var_i) /
+    sum(mean_i)`` (each flow's own swing;
+    :func:`repro.core.dependence.dispersion_index`) and variance excess
+    ``R = var(sum) / sum(var_i)`` (the coupling between flows) sum to an
+    aggregate of mean ``mu = sum(mean_i)`` and variance ``D * R * mu``,
+    so ``c.o.v. = sqrt(D * R / mu)``.  Independent Poisson flows have
+    ``D = R = 1``: that is :func:`poisson_aggregate_cov`.
+    """
+    if mean <= 0:
+        raise ValueError("aggregate mean must be positive")
+    return math.sqrt(dispersion * excess_ratio / mean)
+
+
 def _validate(n_sources: int, rate_per_source: float, bin_width: float) -> None:
     if n_sources < 1:
         raise ValueError("need at least one source")
