@@ -72,7 +72,9 @@ from repro.analysis.io import results_to_csv, results_to_json
 from repro.analysis.asciiplot import ascii_step_plot
 from repro.analysis.tables import format_table
 from repro.experiments.config import (
-    _BATCH_ENVELOPE_WORDS,
+    BACKENDS,
+    BATCH_ENVELOPE,
+    UNREAD_FIELDS,
     WORKLOADS,
     paper_config,
     table1_rows,
@@ -153,7 +155,7 @@ _CONFIG_FLAGS = {
         _flag(
             "--backend",
             "backend",
-            choices=["packet", "fluid", "hybrid"],
+            choices=list(BACKENDS),
             help="scenario solver: the discrete-event packet engine "
             "(default), the mean-field fluid limit (reno/vegas x "
             "fifo/red, cost independent of client count), or the hybrid "
@@ -198,7 +200,7 @@ _CONFIG_FLAGS = {
                 "with {traffic} open-loop sources, the {backends} backend, "
                 "no pacing), where results are identical, and objects for "
                 "the rest"
-            ).format(**_BATCH_ENVELOPE_WORDS),
+            ).format(**{k: "/".join(v) for k, v in BATCH_ENVELOPE.items() if v}),
         ),
     ),
     # Closed-loop application workloads (see repro.apps).
@@ -279,19 +281,6 @@ _CONFIG_FLAGS = {
 }
 
 
-#: The ``common`` fields a sweep row that pins its backend does not
-#: read: its parser leaves their flags off (a usage error, exit 2), where
-#: they would lose to the pin silently or move the digest of an
-#: unchanged cell.  The forensics row shares its parser with the
-#: one-cell command, so ``forensics --sweep`` refuses ``--backend``
-#: in :func:`_run_sweep` instead.
-_UNREAD_BY_PINNED_BACKEND = {
-    "fluid": ("backend", "engine", "hybrid_foreground_flows",
-              "hybrid_background_flows", "hybrid_coupling_dt"),
-    "hybrid": ("backend", "engine"),
-}
-
-
 def _add_config_flags(parser, group: str, skip=()) -> None:
     """Add one group of :data:`_CONFIG_FLAGS` to ``parser`` (a parser
     or one of its argument groups), but none whose field is in ``skip``."""
@@ -320,6 +309,12 @@ def _add_scenario(parser: argparse.ArgumentParser, clients: int) -> None:
     parser.add_argument("--clients", type=int, default=clients)
 
 
+def _usage_error(args: argparse.Namespace, message: str) -> None:
+    """Refuse the command line: ``message`` on stderr, exit 2."""
+    print(f"repro-tcp {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _refuse_invalid(args: argparse.Namespace, configs) -> None:
     """Validate every config a subcommand will run before it runs any:
     an invalid one is a usage error (exit 2) naming the field."""
@@ -327,17 +322,21 @@ def _refuse_invalid(args: argparse.Namespace, configs) -> None:
         try:
             config.validate()
         except ValueError as exc:
-            print(f"repro-tcp {args.command}: error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(args, str(exc))
 
 
-def _scenario_config(args: argparse.Namespace, **extra):
+def _scenario_config(args: argparse.Namespace, needs: str = "", **extra):
     """:func:`_base_config` at the cell :func:`_add_scenario` named,
-    refused unless valid."""
+    refused unless valid and, if the command ``needs`` per-flow packets
+    (for what it names), unless its backend has them."""
     config = _base_config(args).with_(
         protocol=args.protocol, queue=args.queue, n_clients=args.clients, **extra
     )
     _refuse_invalid(args, [config])
+    if needs and not config.has_flows:
+        _usage_error(
+            args, f"backend={config.backend!r} has no per-flow packets, so no {needs}"
+        )
     return config
 
 
@@ -520,10 +519,14 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_line(config, result, traced: bool = False) -> str:
-    """Which flow engine the numbers came from, and why."""
-    if not result.engine:
+    """Which flow engine the numbers came from, and why: the backend's
+    engine rule, else the batch envelope."""
+    if not config.has_flows:
         return f"engine: none (the {config.backend} backend has no flows)"
-    if config.engine is not None:
+    if "engine" in UNREAD_FIELDS[config.backend]:
+        why = f"--engine {config.engine} is a no-op" if config.engine else "default"
+        why += f": the {config.backend} backend's foreground flows always run on the object engine"
+    elif config.engine is not None:
         why = "forced by --engine"
     elif result.engine == config.resolved_engine():
         why = f"default: {config.batch_envelope_violation() or 'inside the batch envelope'}"
@@ -541,16 +544,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs_trace=tuple(args.trace),
         obs_profile=bool(args.obs_dir),
         forensics=args.forensics or bool(stream_path),
+        needs="ns-2 trace to write" if args.trace_file else "",
     )
-    if args.trace_file and (config.engine == "batch" or config.backend == "fluid"):
-        print(
-            "error: --trace-file requires the object engine (the batch "
-            "engine fuses the bottleneck interface's per-hop events away, "
-            "the fluid backend has no packets); drop --engine batch / "
-            "--backend fluid to record an ns-2 trace",
-            file=sys.stderr,
+    if args.trace_file and config.engine and config.resolved_engine() == "batch":
+        _usage_error(
+            args,
+            "--trace-file requires the object engine (the batch engine fuses "
+            "the bottleneck interface's per-hop events away); drop --engine "
+            "batch to record an ns-2 trace",
         )
-        return 2
     stream = writer = None
     with contextlib.ExitStack() as files:
 
@@ -693,12 +695,11 @@ def _run_sweep(args: argparse.Namespace, client_counts: Sequence[int]):
     """Run ``args.spec``'s grid: ``(sweep, its figures in print order)``."""
     pinned = args.spec.overrides.get("backend")
     if pinned and getattr(args, "backend", None) not in (None, pinned):
-        print(
-            f"repro-tcp {args.command}: error: --backend {args.backend}: the "
-            f"{args.spec.name} sweep runs the {pinned} backend only",
-            file=sys.stderr,
+        _usage_error(
+            args,
+            f"--backend {args.backend}: the {args.spec.name} sweep runs the "
+            f"{pinned} backend only",
         )
-        raise SystemExit(2)
     base = _base_config(args)
     grid = protocol_grid(
         client_counts, base.with_(**args.spec.overrides), args.spec.protocols
@@ -822,14 +823,14 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 
 def _cmd_dependence(args: argparse.Namespace) -> int:
-    config = _scenario_config(args)
+    config = _scenario_config(args, needs="cross-stream dependence to measure")
     result = run_scenario(config)
     report = result.dependence()
     print(
         f"{config.label}, {config.n_clients} clients, {config.duration:g}s:"
     )
     if report is None:
-        print("(not enough flows with traffic to analyze)")
+        print("(not enough flows or bins to analyze)")
         return 1
     print(report.describe())
     print(f"aggregate c.o.v. = {result.cov:.4f} "
@@ -839,15 +840,9 @@ def _cmd_dependence(args: argparse.Namespace) -> int:
 
 
 def _cmd_cwnd(args: argparse.Namespace) -> int:
-    base = _scenario_config(args)
-    if base.protocol == "udp" or base.backend == "fluid":
-        field = "protocol" if base.protocol == "udp" else "backend"
-        print(
-            f"repro-tcp cwnd: error: {field}={getattr(base, field)!r} "
-            "has no congestion window to trace",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    base = _scenario_config(args, needs="congestion window to trace")
+    if base.protocol == "udp":
+        _usage_error(args, "protocol='udp' has no congestion window to trace")
     result = cwnd_trace_experiment(base.protocol, base.n_clients, base, base.queue)
     # A hybrid run's packet flows are its K foreground flows.
     flows = default_traced_flows(len(result.per_flow))
@@ -968,7 +963,10 @@ def build_parser() -> argparse.ArgumentParser:
             sweep_parser.set_defaults(func=_cmd_sweep, spec=spec)
             _add_grid(sweep_parser, spec)
             outputs = () if spec.name == "all" else ("--csv", "--json")
-            skip = _UNREAD_BY_PINNED_BACKEND.get(spec.overrides.get("backend"), ())
+            # A row that pins its backend takes no flag that backend never
+            # reads (``forensics --sweep`` refuses --backend in _run_sweep).
+            pinned = spec.overrides.get("backend")
+            skip = ("backend",) + UNREAD_FIELDS[pinned] if pinned else ()
             _add_common(sweep_parser, *outputs, runner=True, skip=skip)
     # ... and ``all`` prints nothing: it writes its figures to files.
     all_parser = sub.choices["all"]

@@ -111,38 +111,54 @@ TRAFFIC = ("poisson", "cbr", "pareto_onoff")
 # RED gateway under the open-loop workload; see _BACKEND_CAPABILITIES.
 BACKENDS = ("packet", "fluid", "hybrid")
 
-#: Per-backend capability table: which config features each scenario
-#: backend can honor.  validate() walks this table so every rejection
-#: names the backend and the unsupported feature, and widening a
-#: backend's envelope (or adding a backend) is a data edit here rather
-#: than another blanket check.  An absent key means "everything the
-#: packet engine accepts".  ``obs`` covers the flight recorder
-#: (obs_trace/obs_profile) and ``forensics`` the burst-forensics probe:
-#: the hybrid backend supports both because its foreground flows are
-#: real packet flows, while the pure fluid limit has no packets to
-#: observe or attribute.
+#: The paper's core grid: all the mean-field backends model.
+_CORE_GRID = {
+    "protocols": ("reno", "vegas"),
+    "queues": ("fifo", "red"),
+    "workloads": ("open",),
+    "traffic": ("poisson", "cbr"),
+    "pacing": False,
+    "min_advertised_window": 2,
+}
+
+#: Per-backend capability table: the one statement of what each backend
+#: reads and runs; validate() walks the rows _capability_rows() makes of
+#: it.  The lists name what a backend models (absent: all).  ``flows``:
+#: whether a run has per-flow packets, which the flight recorder,
+#: forensics, cwnd, dependence and ns-2 traces need.  ``fields``: the
+#: fields only this backend reads -> (least value, the field it may not
+#: exceed); any other backend refuses one off its default (the digest
+#: covers it).  ``engines``: for each ``engine`` value, whether the
+#: backend "honours" it, takes it as a "no-op" or "refuses" it.
 _BACKEND_CAPABILITIES = {
-    "packet": {},  # the reference engine: every feature is supported
+    "packet": {
+        "flows": True,
+        "engines": {"object": "honours", "batch": "honours"},
+    },
     "fluid": {
-        "protocols": ("reno", "vegas"),
-        "queues": ("fifo", "red"),
-        "workloads": ("open",),
-        "traffic": ("poisson", "cbr"),
-        "pacing": False,
-        "obs": False,
-        "forensics": False,
-        "min_advertised_window": 2,
+        **_CORE_GRID,
+        "flows": False,
+        "engines": {"object": "no-op", "batch": "refuses"},
     },
     "hybrid": {
-        "protocols": ("reno", "vegas"),
-        "queues": ("fifo", "red"),
-        "workloads": ("open",),
-        "traffic": ("poisson", "cbr"),
-        "pacing": False,
-        "obs": True,
-        "forensics": True,
-        "min_advertised_window": 2,
+        **_CORE_GRID,
+        "flows": True,
+        "fields": {
+            "hybrid_foreground_flows": (1, "n_clients"),
+            "hybrid_background_flows": (0, None),
+            "hybrid_coupling_dt": (0, None),
+        },
+        "engines": {"object": "no-op", "batch": "no-op"},
     },
+}
+
+#: Each backend -> the fields its cells never read: ``engine`` where it
+#: honours no engine value, and the fields only other backends read.
+UNREAD_FIELDS = {
+    backend: ("engine",) * ("honours" not in caps["engines"].values())
+    + tuple(field for other, other_caps in _BACKEND_CAPABILITIES.items()
+            if other != backend for field in other_caps.get("fields", ()))
+    for backend, caps in _BACKEND_CAPABILITIES.items()
 }
 
 # Application workloads: "open" is the paper's open-loop traffic (the
@@ -153,30 +169,97 @@ WORKLOADS = ("open", "rpc", "bsp", "bulk")
 #: The batch engine's envelope (DESIGN.md section 15), in the shape of
 #: a ``_BACKEND_CAPABILITIES`` row: the packet-backend cells whose
 #: per-hop event graph ``repro.engine.batch`` fuses into arithmetic
-#: bit-identically.  ``traffic`` applies to the open-loop workload
-#: only (closed-loop workloads have no source).  Everything that reads
-#: the envelope -- the dispatcher, the validator, the CLI's ``engine:``
-#: line, the README sentence tests/test_docs.py checks -- reads it
-#: from here and from the rows below.
+#: bit-identically.  Everything that reads the envelope -- the
+#: dispatcher, the validator, the CLI's ``engine:`` line, the README
+#: sentence tests/test_docs.py checks -- reads it from here and from
+#: the rows below.
 BATCH_ENVELOPE = {
-    "backends": ("packet",),
+    "backends": tuple(backend for backend, caps in _BACKEND_CAPABILITIES.items()
+                      if caps["engines"]["batch"] == "honours"),
     "protocols": ("reno", "vegas", "reno_delack"),
     "workloads": WORKLOADS,
     "traffic": ("poisson",),
     "pacing": False,
 }
 
-#: The feature lists as the messages below spell them.
-_BATCH_ENVELOPE_WORDS = {
-    feature: "/".join(allowed)
-    for feature, allowed in BATCH_ENVELOPE.items()
-    if isinstance(allowed, tuple)
-}
+
+def _capability_rows(subject, caps, says=None):
+    """The ``(name, violated, message)`` rows of the capability row
+    ``caps`` of ``subject`` (a backend, or "batch", whose ``says`` reword
+    the listed and pacing rows), in report order.  A message is formatted
+    with ``c`` = the config when its row is violated."""
+    rows = []
+
+    def row(name, violated, message, words=""):
+        if says is not None and name in says:
+            message = says[name].replace("{allowed}", words)
+        rows.append((name, violated, message))
+
+    for name, field, word in (
+        ("protocols", "protocol", "protocol"),
+        ("queues", "queue", "queue"),
+        ("workloads", "workload", "workload"),
+        ("traffic", "traffic", "traffic model"),
+        ("backends", "backend", "backend"),
+    ):
+        allowed = caps.get(name)
+        if allowed is not None:
+            words = "/".join(allowed)
+            # Only the open-loop workload has a traffic source.
+            row(name, lambda c, f=field, a=allowed: getattr(c, f) not in a
+                and (f != "traffic" or c.workload == "open"),
+                f"the {subject} backend does not support {word} "
+                f"{{c.{field}!r}} (supported: {words})", words)
+    if caps.get("pacing") is False:
+        row("pacing", lambda c: c.pacing,
+            f"the {subject} backend does not support pacing")
+    if caps.get("flows") is False:
+        row("obs", lambda c: bool(c.obs_trace or c.obs_profile),
+            f"the {subject} backend does not support the flight recorder "
+            "(obs_trace/obs_profile): the mean-field limit has no per-flow "
+            "packets to trace")
+        row("forensics", lambda c: c.forensics,
+            f"the {subject} backend does not support burst forensics: no "
+            "per-flow packets to attribute")
+    window = caps.get("min_advertised_window")
+    if window is not None:
+        row("min_advertised_window", lambda c: c.advertised_window < window,
+            f"the {subject} backend needs advertised_window >= {window} (its "
+            "window density lives on [1, advertised_window]); got "
+            "{c.advertised_window}")
+    for owner, owner_caps in _BACKEND_CAPABILITIES.items() if subject in BACKENDS else ():
+        for field, (least, most) in owner_caps.get("fields", {}).items():
+            default = getattr(ScenarioConfig, field)
+            if owner != subject:
+                row(field, lambda c, f=field, d=default: getattr(c, f) != d,
+                    f"{field} is read only by the {owner} backend; the "
+                    f"{subject} backend got {{c.{field}!r}} (leave it at "
+                    f"{default!r})")
+                continue
+            row(field, lambda c, f=field, m=least: getattr(c, f) < m,
+                f"{field} must be "
+                + (f"at least {least}" if least else "non-negative"))
+            if most is not None:
+                row(field, lambda c, f=field, m=most: getattr(c, f) > getattr(c, m),
+                    f"{field} cannot exceed {most} ({{c.{field}}} > {{c.{most}}})")
+    for engine, rule in caps.get("engines", {}).items():
+        if rule == "refuses":
+            honour = [b for b, o in _BACKEND_CAPABILITIES.items()
+                      if o["engines"][engine] == "honours"]
+            row("engine", lambda c, e=engine: c.engine == e,
+                f"engine={engine!r} applies to the {'/'.join(honour)} backend")
+        elif rule == "honours" and engine == "batch":
+            rows.extend(
+                (name, lambda c, v=violated: c.engine == "batch" and v(c), message)
+                for name, violated, message in _BATCH_ENVELOPE_ROWS
+            )
+    return tuple(rows)
+
 
 #: The envelope's rows, in the order they are reported: (name, whether
 #: the config violates it, the message -- formatted with ``c`` = the
-#: config and ``_BATCH_ENVELOPE_WORDS``).
-#: The first five read the table above; the rest are numeric.  The tie
+#: config).  The first five are generated from the table above; the
+#: rest are numeric and written out by hand.  The tie
 #: rows exist because the object engine orders simultaneous events by
 #: scheduling order, and each of its events is pushed a fixed lag
 #: before it fires, so a tie between two event kinds reduces to
@@ -193,36 +276,20 @@ _BATCH_ENVELOPE_WORDS = {
 #:    delivery;
 #:  * a sink's delayed-ACK timer (lag = ack_delay) against a data
 #:    delivery at the server (lag = bottleneck propagation delay).
-_BATCH_ENVELOPE_ROWS = (
-    (
-        "protocols",
-        lambda c: c.protocol not in BATCH_ENVELOPE["protocols"],
-        "the batch engine supports {protocols} only; "
+_BATCH_ENVELOPE_ROWS = _capability_rows(
+    "batch",
+    BATCH_ENVELOPE,
+    says={
+        "protocols": "the batch engine supports {allowed} only; "
         "got protocol {c.protocol!r}",
-    ),
-    (
-        "workloads",
-        lambda c: c.workload not in BATCH_ENVELOPE["workloads"],
-        "the batch engine supports {workloads} workloads only; "
+        "workloads": "the batch engine supports {allowed} workloads only; "
         "got workload {c.workload!r}",
-    ),
-    (
-        "traffic",
-        lambda c: c.workload == "open"
-        and c.traffic not in BATCH_ENVELOPE["traffic"],
-        "the batch engine models {traffic} open-loop sources only; "
-        "got traffic {c.traffic!r}",
-    ),
-    (
-        "pacing",
-        lambda c: c.pacing and not BATCH_ENVELOPE["pacing"],
-        "the batch engine does not model pacing",
-    ),
-    (
-        "backends",
-        lambda c: c.backend not in BATCH_ENVELOPE["backends"],
-        "engine='batch' applies to the {backends} backend",
-    ),
+        "traffic": "the batch engine models {allowed} open-loop sources "
+        "only; got traffic {c.traffic!r}",
+        "backends": "engine='batch' applies to the {allowed} backend",
+        "pacing": "the batch engine does not model pacing",
+    },
+) + (
     (
         "access_rate",
         lambda c: c.client_rate_bps < c.bottleneck_rate_bps,
@@ -472,10 +539,8 @@ class ScenarioConfig:
             "reno_ecn": "Reno/ECN",
         }
         base = names.get(self.protocol, self.protocol)
-        if self.backend == "fluid":
-            base = f"{base}~fluid"
-        elif self.backend == "hybrid":
-            base = f"{base}~hybrid"
+        if self.backend != "packet":
+            base = f"{base}~{self.backend}"
         if self.pacing:
             base = f"{base}/Paced"
         if self.workload != "open":
@@ -492,94 +557,25 @@ class ScenarioConfig:
     # Validation and variation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise ValueError on unknown protocol/queue or bad numbers."""
+        """Raise ValueError on an unknown name, a bad number or a
+        feature the backend (or the forced engine) cannot run."""
         # Every range check below is a comparison, and every comparison
         # with NaN is False, so NaN is refused first, by name.
         for item in fields(self):
             value = getattr(self, item.name)
             if isinstance(value, float) and math.isnan(value):
                 raise ValueError(f"{item.name} must be a number; got nan")
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
-            )
-        if self.queue not in QUEUES:
-            raise ValueError(f"unknown queue {self.queue!r}; choose from {QUEUES}")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        # Capability-table checks: the mean-field backends are derived
-        # for the paper's core grid; anything outside it silently
-        # running the wrong physics would be worse than an error.  Each
-        # rejection names the backend and the unsupported feature.
-        caps = _BACKEND_CAPABILITIES[self.backend]
-        for feature, name, value in (
-            ("protocols", "protocol", self.protocol),
-            ("queues", "queue", self.queue),
-            ("workloads", "workload", self.workload),
-            ("traffic", "traffic model", self.traffic),
+        for name, word, known in (
+            ("protocol", "protocol", PROTOCOLS),
+            ("queue", "queue", QUEUES),
+            ("backend", "backend", BACKENDS),
+            ("traffic", "traffic model", TRAFFIC),
+            ("workload", "workload", WORKLOADS),
         ):
-            allowed = caps.get(feature)
-            if allowed is not None and value not in allowed:
+            if getattr(self, name) not in known:
                 raise ValueError(
-                    f"the {self.backend} backend does not support "
-                    f"{name} {value!r} (supported: {'/'.join(allowed)})"
+                    f"unknown {word} {getattr(self, name)!r}; choose from {known}"
                 )
-        if self.pacing and not caps.get("pacing", True):
-            raise ValueError(
-                f"the {self.backend} backend does not support pacing"
-            )
-        if (self.obs_trace or self.obs_profile) and not caps.get("obs", True):
-            raise ValueError(
-                f"the {self.backend} backend does not support the flight "
-                "recorder (obs_trace/obs_profile): the mean-field limit "
-                "has no per-flow packets to trace"
-            )
-        if self.forensics and not caps.get("forensics", True):
-            raise ValueError(
-                f"the {self.backend} backend does not support burst "
-                "forensics: no per-flow packets to attribute"
-            )
-        min_window = caps.get("min_advertised_window", 0)
-        if self.advertised_window < min_window:
-            raise ValueError(
-                f"the {self.backend} backend needs advertised_window >= "
-                f"{min_window} (its window density lives on [1, "
-                f"advertised_window]); got {self.advertised_window}"
-            )
-        if self.backend == "hybrid":
-            if self.hybrid_foreground_flows < 1:
-                raise ValueError(
-                    "hybrid_foreground_flows must be at least 1"
-                )
-            if self.hybrid_foreground_flows > self.n_clients:
-                raise ValueError(
-                    "hybrid_foreground_flows cannot exceed n_clients "
-                    f"({self.hybrid_foreground_flows} > {self.n_clients})"
-                )
-            if self.hybrid_background_flows < 0:
-                raise ValueError(
-                    "hybrid_background_flows must be non-negative"
-                )
-            if self.hybrid_coupling_dt < 0:
-                raise ValueError("hybrid_coupling_dt must be non-negative")
-        else:
-            # Only the hybrid backend reads these, but the digest covers
-            # them on every backend: a set one would cache an unchanged
-            # cell under a new key.
-            for name in (
-                "hybrid_foreground_flows",
-                "hybrid_background_flows",
-                "hybrid_coupling_dt",
-            ):
-                value, default = getattr(self, name), getattr(ScenarioConfig, name)
-                if value != default:
-                    raise ValueError(
-                        f"{name} is read only by the hybrid backend; the "
-                        f"{self.backend} backend got {value!r} (leave it at "
-                        f"{default!r})"
-                    )
         if self.n_clients < 1:
             raise ValueError("need at least one client")
         if self.duration <= 0:
@@ -653,14 +649,6 @@ class ScenarioConfig:
                 raise ValueError(
                     f"vegas_gamma cannot be negative; got {self.vegas_gamma!r}"
                 )
-        if self.traffic not in TRAFFIC:
-            raise ValueError(
-                f"unknown traffic model {self.traffic!r}; choose from {TRAFFIC}"
-            )
-        if self.workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {self.workload!r}; choose from {WORKLOADS}"
-            )
         if min(
             self.rpc_request_packets,
             self.rpc_response_packets,
@@ -706,13 +694,11 @@ class ScenarioConfig:
                 f"unknown engine {self.engine!r}; choose from {ENGINES} "
                 "(or leave it unset to pick per cell)"
             )
-        # The hybrid backend runs its foreground through the object-flow
-        # scenario machinery regardless of the (digest-excluded) engine
-        # knob, so engine="batch" is accepted as a no-op there -- which
-        # is what pins hybrid metrics bit-identical across engines.  The
-        # other backends keep the strict envelope check.
-        if self.engine == "batch" and self.backend != "hybrid":
-            self.validate_batch_engine()
+        # The backend's capability rows: running the wrong physics
+        # silently would be worse than an error naming the feature.
+        for _name, violated, message in _BACKEND_ROWS[self.backend]:
+            if violated(self):
+                raise ValueError(message.format(c=self))
         if self.protocol == "reno_ecn" and self.queue == "fifo":
             raise ValueError("reno_ecn requires an ECN-marking (RED) gateway")
 
@@ -724,13 +710,12 @@ class ScenarioConfig:
         bit-identical to the object engine inside the envelope that
         ``BATCH_ENVELOPE`` and ``_BATCH_ENVELOPE_ROWS`` spell out
         (see DESIGN.md section 15): this is the first row the config
-        violates.  run_scenario's default dispatch sends every cell
-        with a violation to the object engine; validate_batch_engine()
-        raises it for an explicit ``engine="batch"``.
+        violates, and run_scenario's default dispatch sends every cell
+        with one to the object engine.
         """
         for _name, violated, message in _BATCH_ENVELOPE_ROWS:
             if violated(self):
-                return message.format(c=self, **_BATCH_ENVELOPE_WORDS)
+                return message.format(c=self)
         return None
 
     def validate_batch_engine(self) -> None:
@@ -741,15 +726,21 @@ class ScenarioConfig:
 
     def resolved_engine(self) -> str:
         """The flow engine run_scenario runs this cell on: the forced
-        one if ``engine`` is set, else batch inside its envelope.  The
-        hybrid backend's foreground is always object flows, and a fluid
+        one if the backend honours ``engine``, else batch inside its
+        envelope.  A backend that honours no engine value runs
+        "object": the hybrid foreground is object flows, and a fluid
         cell -- which has no flows at all -- reads "object" too, as its
         rows did before the run log named engines."""
-        if self.backend != "packet":
-            return "object"
-        if self.engine is not None:
+        if _BACKEND_CAPABILITIES[self.backend]["engines"].get(self.engine) == "honours":
             return self.engine
+        if "engine" in UNREAD_FIELDS[self.backend]:
+            return "object"
         return "object" if self.batch_envelope_violation() else "batch"
+
+    @property
+    def has_flows(self) -> bool:
+        """Whether the run has per-flow packets (the backend's ``flows``)."""
+        return _BACKEND_CAPABILITIES[self.backend]["flows"]
 
     def with_(self, **overrides) -> "ScenarioConfig":
         """A copy with the given fields replaced."""
@@ -792,6 +783,13 @@ class ScenarioConfig:
             self.digest_payload(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+#: Each backend's rows, built once: validate() walks them.
+_BACKEND_ROWS = {
+    backend: _capability_rows(backend, caps)
+    for backend, caps in _BACKEND_CAPABILITIES.items()
+}
 
 
 def paper_config(**overrides) -> ScenarioConfig:

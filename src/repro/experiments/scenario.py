@@ -152,9 +152,10 @@ class ScenarioResult:
 
     def dependence(self) -> Optional[DependenceReport]:
         """Cross-stream dependence of the per-flow gateway counts, in
-        flow-id order (None with fewer than two rows)."""
+        flow-id order (None with fewer than two rows, or fewer than two
+        bins: the autocorrelation needs two)."""
         rows = self.per_flow_bin_counts
-        if rows is None or len(rows) < 2:
+        if rows is None or len(rows) < 2 or len(self.bin_counts) < 2:
             return None
         return dependence_report(rows)
 

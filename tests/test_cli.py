@@ -309,6 +309,33 @@ class TestMain:
         assert "var(sum)/sum(var)" in out
         assert "aggregate c.o.v." in out
 
+    def test_dependence_refuses_a_backend_without_flows(self, capsys):
+        """The fluid limit has no per-flow packets to correlate: a usage
+        error naming the backend, as ``cwnd`` gives, not a run that ends
+        in "not enough flows or bins" (exit 1)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dependence", "--backend", "fluid", "--clients", "30"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "backend='fluid'" in captured.err
+        assert "no per-flow packets" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("engine", [[], ["--engine", "object"], ["--engine", "batch"]])
+    def test_hybrid_engine_line_gives_the_hybrid_reason(self, engine, capsys):
+        """The hybrid foreground always runs on the object engine, so
+        ``--engine`` forces nothing there and the line says why."""
+        argv = ["run", "--backend", "hybrid", "--clients", "40"]
+        argv += ["--hybrid-foreground", "3", "--duration", "2", *engine]
+        assert main(argv) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("engine:")
+        )
+        assert line.startswith("engine: object (")
+        assert "hybrid backend's foreground flows always run on the object" in line
+        assert "forced by --engine" not in line
+
 
 class TestRunnerFlags:
     def test_flags_parse(self):

@@ -216,6 +216,21 @@ class TestScenarioIntegration:
         assert report is not None
         assert report.n_flows == 4
 
+    def test_one_bin_window_has_no_report(self, capsys):
+        """A 0.5-s window holds one whole 0.404-s bin, which validate()
+        accepts; the autocorrelation needs two, so there is no report
+        and ``repro-tcp dependence`` says "not enough" and exits 1
+        instead of raising from ``autocorrelation``."""
+        from repro.experiments.cli import main
+        from repro.experiments.config import paper_config
+        from repro.experiments.scenario import run_scenario
+
+        result = run_scenario(paper_config(n_clients=3, duration=0.5))
+        assert len(result.bin_counts) == 1 and len(result.per_flow_bin_counts) == 3
+        assert result.dependence() is None
+        assert main(["dependence", "--clients", "3", "--duration", "0.5"]) == 1
+        assert "not enough" in capsys.readouterr().out
+
     def test_dependence_none_without_recording(self):
         """The fluid limit has no flows, so no per-flow counts."""
         from repro.experiments.config import paper_config
