@@ -1,6 +1,12 @@
-"""Assorted coverage: package exports, monitors, small API corners."""
+"""Assorted coverage: import paths, monitors, small API corners."""
 
+import ast
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,36 +16,94 @@ from repro.net.node import Node
 from repro.net.packet import PacketFactory
 from repro.sim.engine import Simulator
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-class TestPackageExports:
-    def test_top_level_api(self):
-        import repro
 
-        assert callable(repro.run_scenario)
-        assert callable(repro.paper_config)
-        assert callable(repro.coefficient_of_variation)
-        assert repro.__version__
+class TestOneImportPath:
+    """Every public name is imported from the module that defines it: a
+    package ``__init__`` is its docstring, so importing one module loads
+    that module's own imports and nothing else."""
 
-    def test_subpackage_all_importable(self):
-        import repro.analysis
-        import repro.core
-        import repro.experiments
-        import repro.net
-        import repro.sim
-        import repro.traffic
-        import repro.transport
+    #: What a package ``__init__`` may hold beside its docstring, as
+    #: ``(statement kind, name)``: the engine knob's values, and the
+    #: scheduler row names the benchmark ledger reads from ``repro.sim``.
+    INIT_EXTRAS = {
+        "repro.engine": [("assign", "ENGINES")],
+        "repro.sim": [("import", "SCHEDULERS"), ("assign", "__all__")],
+    }
 
-        for module in (
-            repro.analysis,
-            repro.core,
-            repro.experiments,
-            repro.net,
-            repro.sim,
-            repro.traffic,
-            repro.transport,
-        ):
-            for name in module.__all__:
-                assert hasattr(module, name), f"{module.__name__}.{name}"
+    @staticmethod
+    def _loaded_after(module):
+        """Every module in ``sys.modules`` after ``import module`` in a
+        fresh interpreter."""
+        code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return set(json.loads(done.stdout))
+
+    @staticmethod
+    def _modules():
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            yield ".".join(parts), path, ast.parse(path.read_text())
+
+    def test_importing_one_module_loads_only_its_own_imports(self):
+        engine = self._loaded_after("repro.sim.engine")
+        assert {name for name in engine if name.startswith("repro")} == {
+            "repro", "repro.sim", "repro.sim.engine", "repro.sim.events",
+        }
+        assert "numpy" not in engine
+        cov = self._loaded_after("repro.core.cov")
+        assert not [name for name in cov if name.startswith("repro.experiments")]
+        config = self._loaded_after("repro.experiments.config")
+        assert "numpy" not in config
+        assert "repro.experiments.scenario" not in config
+
+    def test_package_inits_hold_only_their_docstring(self):
+        found = {}
+        for name, path, tree in self._modules():
+            if path.name != "__init__.py":
+                continue
+            assert ast.get_docstring(tree), name
+            extras = []
+            for node in tree.body[1:]:
+                if isinstance(node, ast.ImportFrom):
+                    extras += [("import", alias.name) for alias in node.names]
+                elif isinstance(node, ast.Assign):
+                    extras += [("assign", target.id) for target in node.targets]
+                else:
+                    extras.append((type(node).__name__, ast.dump(node)))
+            if extras:
+                found[name] = extras
+        assert found == self.INIT_EXTRAS
+
+    def test_no_module_exports_a_name_it_imports(self):
+        reexported = []
+        for name, _path, tree in self._modules():
+            imported = {
+                (alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets
+                ):
+                    reexported += [
+                        (name, listed)
+                        for listed in ast.literal_eval(node.value)
+                        if listed in imported
+                    ]
+        assert reexported == [("repro.sim", "SCHEDULERS")]
 
 
 class TestFlowArrivalMonitor:
