@@ -34,8 +34,8 @@ Run:  python examples/burst_forensics.py
 
 import io
 
-from repro import paper_config, run_scenario
-from repro.experiments.scenario import Scenario
+from repro.experiments.config import paper_config
+from repro.experiments.scenario import Scenario, run_scenario
 
 
 def streaming_demo(base) -> None:

@@ -10,7 +10,8 @@ analytic c.o.v. of the offered Poisson aggregate.
 Run:  python examples/quickstart.py
 """
 
-from repro import paper_config, run_scenario
+from repro.experiments.config import paper_config
+from repro.experiments.scenario import run_scenario
 from repro.net.topology import DumbbellParams, build_dumbbell
 from repro.sim.engine import Simulator
 

@@ -11,7 +11,8 @@ the paper's counter-intuitive finding.
 Run:  python examples/red_vs_fifo.py          (~30 s)
 """
 
-from repro import paper_config, run_scenario
+from repro.experiments.config import paper_config
+from repro.experiments.scenario import run_scenario
 from repro.analysis.tables import format_table
 from repro.analysis.timeseries import step_mean
 from repro.core.fluid import vegas_equilibrium_queue

@@ -17,7 +17,8 @@ at the same offered workload.
 Run:  python examples/rpc_latency.py
 """
 
-from repro import paper_config, run_scenario
+from repro.experiments.config import paper_config
+from repro.experiments.scenario import run_scenario
 
 
 def main() -> None:

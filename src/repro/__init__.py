@@ -11,38 +11,10 @@ paper's evaluation.
 
 Quickstart::
 
-    from repro import paper_config, run_scenario
+    from repro.experiments.config import paper_config
+    from repro.experiments.scenario import run_scenario
 
     result = run_scenario(paper_config(protocol="reno", n_clients=40,
                                        duration=30.0))
     print(result.cov, result.analytic_cov, result.loss_percent)
 """
-
-from repro.apps import AppMetrics
-from repro.core import (
-    coefficient_of_variation,
-    modulation_report,
-    poisson_aggregate_cov,
-)
-from repro.experiments import (
-    ScenarioConfig,
-    ScenarioMetrics,
-    ScenarioResult,
-    paper_config,
-    run_scenario,
-)
-
-__version__ = "1.1.0"
-
-__all__ = [
-    "AppMetrics",
-    "ScenarioConfig",
-    "ScenarioMetrics",
-    "ScenarioResult",
-    "__version__",
-    "coefficient_of_variation",
-    "modulation_report",
-    "paper_config",
-    "poisson_aggregate_cov",
-    "run_scenario",
-]

@@ -4,22 +4,3 @@ Statistics helpers, time-series resampling (for congestion-window
 traces), ASCII rendering of figures and tables for terminal output, and
 CSV/JSON result persistence.
 """
-
-from repro.analysis.asciiplot import ascii_series_plot, ascii_step_plot
-from repro.analysis.stats import Summary, confidence_interval, summarize
-from repro.analysis.tables import format_table
-from repro.analysis.timeseries import sample_step_series, step_mean
-from repro.analysis.io import results_to_csv, results_to_json
-
-__all__ = [
-    "Summary",
-    "ascii_series_plot",
-    "ascii_step_plot",
-    "confidence_interval",
-    "format_table",
-    "results_to_csv",
-    "results_to_json",
-    "sample_step_series",
-    "step_mean",
-    "summarize",
-]

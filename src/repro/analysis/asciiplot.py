@@ -12,6 +12,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.timeseries import sample_step_series, uniform_grid
+
 _MARKERS = "o*x+#@%&"
 
 
@@ -92,8 +94,6 @@ def ascii_step_plot(
     title: str = "",
 ) -> str:
     """Render a step series (e.g. a cwnd trace) over a time window."""
-    from repro.analysis.timeseries import sample_step_series, uniform_grid
-
     times = uniform_grid(t_start, t_end, (t_end - t_start) / max(width, 1))
     values = sample_step_series(log, times)
     return ascii_series_plot(

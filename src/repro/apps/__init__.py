@@ -19,19 +19,3 @@ the offered load, as it does in a real distributed computing system.
 * :mod:`repro.apps.metrics` -- :class:`AppMetrics`, the job-level
   summary threaded into scenario results and sweeps.
 """
-
-from repro.apps.base import AppWorkload, WorkUnit
-from repro.apps.bsp import BspCoordinator, BspWorkload
-from repro.apps.bulk import BulkTransferWorkload
-from repro.apps.metrics import AppMetrics
-from repro.apps.rpc import RpcClientWorkload
-
-__all__ = [
-    "AppMetrics",
-    "AppWorkload",
-    "BspCoordinator",
-    "BspWorkload",
-    "BulkTransferWorkload",
-    "RpcClientWorkload",
-    "WorkUnit",
-]

@@ -19,69 +19,3 @@
   backend*: the N -> infinity cwnd-distribution + queue ODE system,
   solved as a drop-in replacement for the packet engine.
 """
-
-from repro.core.burstiness import (
-    BurstinessProfile,
-    index_of_dispersion,
-    multiscale_cov,
-    peak_to_mean,
-)
-from repro.core.cov import bin_counts, coefficient_of_variation, cov_from_times
-from repro.core.dependence import (
-    DependenceReport,
-    autocorrelation,
-    dependence_report,
-    dispersion_index,
-    mean_pairwise_correlation,
-    pairwise_correlations,
-)
-from repro.core.modulation import ModulationReport, modulation_report
-from repro.core.selfsimilar import (
-    hurst_aggregate_variance,
-    hurst_rescaled_range,
-    variance_time_plot,
-)
-from repro.core.theory import (
-    clt_smoothing_factor,
-    cov_from_dispersion,
-    expected_bin_mean,
-    poisson_aggregate_cov,
-    poisson_cov_curve,
-)
-from repro.core.fluid import (
-    reno_fluid_throughput,
-    reno_ideal_sawtooth_cov,
-    vegas_equilibrium_window,
-)
-from repro.core.fluid_backend import FluidSolver, run_fluid_scenario
-
-__all__ = [
-    "BurstinessProfile",
-    "DependenceReport",
-    "ModulationReport",
-    "autocorrelation",
-    "dependence_report",
-    "dispersion_index",
-    "mean_pairwise_correlation",
-    "pairwise_correlations",
-    "bin_counts",
-    "clt_smoothing_factor",
-    "coefficient_of_variation",
-    "cov_from_dispersion",
-    "cov_from_times",
-    "expected_bin_mean",
-    "hurst_aggregate_variance",
-    "hurst_rescaled_range",
-    "index_of_dispersion",
-    "modulation_report",
-    "multiscale_cov",
-    "peak_to_mean",
-    "poisson_aggregate_cov",
-    "poisson_cov_curve",
-    "FluidSolver",
-    "reno_fluid_throughput",
-    "reno_ideal_sawtooth_cov",
-    "run_fluid_scenario",
-    "variance_time_plot",
-    "vegas_equilibrium_window",
-]

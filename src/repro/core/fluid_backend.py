@@ -57,6 +57,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.theory import poisson_aggregate_cov
+from repro.experiments.scenario import ScenarioResult
+from repro.obs.engineprof import peak_rss_kb
 
 __all__ = ["FluidSolver", "run_fluid_scenario", "fluid_rate_cov"]
 
@@ -541,7 +543,7 @@ class FluidSolver:
         )
 
 
-def run_fluid_scenario(config) -> "ScenarioResult":  # noqa: F821
+def run_fluid_scenario(config) -> ScenarioResult:
     """Solve the mean-field system for one config and package the
     result as a :class:`~repro.experiments.scenario.ScenarioResult`
     with the same fields the packet engine fills, so sweeps, caching,
@@ -553,9 +555,6 @@ def run_fluid_scenario(config) -> "ScenarioResult":  # noqa: F821
     finite-rate Poisson sampling floor so it is directly comparable to
     the packet engine's binned-count c.o.v.
     """
-    from repro.experiments.scenario import ScenarioResult
-    from repro.obs.engineprof import peak_rss_kb
-
     config.validate()
     solver = FluidSolver.from_config(config, config.n_clients)
     start = time.perf_counter()

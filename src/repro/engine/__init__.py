@@ -18,10 +18,5 @@ engine cell by cell: identical :class:`ScenarioMetrics`, identical obs
 and forensics streams.
 """
 
-from repro.engine.batch import BatchScenario
-
 #: The engine knob's forcing values (unset = pick per cell).
 ENGINES = ("object", "batch")
-
-__all__ = ["BatchScenario", "ENGINES"]
-

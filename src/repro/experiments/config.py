@@ -15,6 +15,11 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engine import ENGINES
+from repro.obs.probes import TRACE_CATEGORIES
+from repro.sim.engine import SCHEDULERS
+from repro.transport.tcp_base import TcpParams
+
 #: Bumped whenever the meaning of a config field (or the simulator
 #: physics behind it) changes incompatibly, so stale cache entries from
 #: older code are never mistaken for current results.
@@ -621,8 +626,6 @@ class ScenarioConfig:
             )
         if self.min_rto <= 0:
             raise ValueError(f"min_rto must be positive; got {self.min_rto!r}")
-        from repro.transport.tcp_base import TcpParams
-
         if self.min_rto > TcpParams.max_rto:
             raise ValueError(
                 f"min_rto cannot exceed the {TcpParams.max_rto!r}-s RTO "
@@ -665,8 +668,6 @@ class ScenarioConfig:
             raise ValueError("workload times must be non-negative")
         if self.workload_timeout <= 0:
             raise ValueError("workload_timeout must be positive")
-        from repro.obs.probes import TRACE_CATEGORIES
-
         unknown = set(self.obs_trace) - set(TRACE_CATEGORIES)
         if unknown:
             raise ValueError(
@@ -679,16 +680,12 @@ class ScenarioConfig:
             raise ValueError("forensics_top_k must be at least 1")
         if self.forensics_sketch_capacity < 0:
             raise ValueError("forensics_sketch_capacity must be non-negative")
-        from repro.sim.engine import SCHEDULERS
-
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}: the field is a ledger "
                 f"row name with nothing left to select (the event calendar "
                 f"is one binary heap); leave it at {SCHEDULERS[0]!r}"
             )
-        from repro.engine import ENGINES
-
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {ENGINES} "

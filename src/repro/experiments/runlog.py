@@ -49,6 +49,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, TextIO
 
+from repro.analysis.tables import format_table
+
 if TYPE_CHECKING:
     from repro.experiments.results import ScenarioMetrics
 
@@ -520,8 +522,6 @@ def _by_worker(summary: Dict[str, Any]) -> List[tuple]:
 
 def render_summary(summary: Dict[str, Any]) -> str:
     """A ``repro-tcp profile``-style text report of one run-log summary."""
-    from repro.analysis.tables import format_table
-
     lines = [
         f"Sweep execution: {_pool_text(summary)} "
         f"({summary['sweeps']} sweep(s), {summary['total']} cells)",

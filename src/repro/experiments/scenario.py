@@ -690,6 +690,9 @@ def run_scenario(config: ScenarioConfig, attach=None) -> ScenarioResult:
     the bottleneck interface, a forensics stream).  Every scenario is
     released when its run ends; the fluid backend builds none.
     """
+    # The three backend imports stay here: each backend module imports
+    # this one (fluid builds a ScenarioResult; hybrid and batch subclass
+    # Scenario).
     if config.backend == "fluid":
         from repro.core.fluid_backend import run_fluid_scenario
 

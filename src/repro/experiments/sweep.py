@@ -18,9 +18,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import RunLog
-from repro.experiments.runner import SweepRunner, run_one
-
-__all__ = ["run_one", "run_many"]
+from repro.experiments.runner import SweepRunner
 
 
 def run_many(
@@ -30,7 +28,6 @@ def run_many(
     retries: int = 1,
     cache: Union[ResultCache, str, None] = None,
     run_log: Optional[RunLog] = None,
-    start_method: Optional[str] = None,
     pool: str = "persistent",
 ) -> List[ScenarioMetrics]:
     """Run every configuration, preserving input order.
@@ -46,8 +43,6 @@ def run_many(
             cells are stored under their config digest, and re-runs
             (including interrupted sweeps) resume with cache hits.
         run_log: optional :class:`RunLog` for JSONL progress telemetry.
-        start_method: multiprocessing start method (None = ``fork``
-            where available, ``spawn`` elsewhere, e.g. macOS/Windows).
         pool: ``"persistent"``, the only executor (see ``runner.POOLS``).
 
     Cells launch largest first (``runner.cell_units``), which keeps
@@ -62,7 +57,6 @@ def run_many(
         retries=retries,
         cache=cache,
         run_log=run_log,
-        start_method=start_method,
         pool=pool,
     )
     return runner.run(configs)

@@ -25,37 +25,3 @@ memory) or, with no file, kept in a list.
 records that a finished run carries out (tables, JSONL/CSV export,
 summary metrics).
 """
-
-from repro.forensics.bursts import BurstDetector, BurstEpisode
-from repro.forensics.probe import LOSS_STATES, ForensicsParams, ForensicsProbe
-from repro.forensics.report import BurstAttribution, ForensicsReport
-from repro.forensics.stream import ForensicsStream
-from repro.forensics.sync import LossSyncDetector, SyncEvent, link_bursts
-from repro.forensics.windows import (
-    FlowShare,
-    SketchWindowAccountant,
-    SpaceSavingSketch,
-    WindowAccountant,
-    precision_at_k,
-    recall_at_k,
-)
-
-__all__ = [
-    "BurstAttribution",
-    "BurstDetector",
-    "BurstEpisode",
-    "FlowShare",
-    "ForensicsParams",
-    "ForensicsProbe",
-    "ForensicsReport",
-    "ForensicsStream",
-    "LOSS_STATES",
-    "LossSyncDetector",
-    "SketchWindowAccountant",
-    "SpaceSavingSketch",
-    "SyncEvent",
-    "WindowAccountant",
-    "link_bursts",
-    "precision_at_k",
-    "recall_at_k",
-]

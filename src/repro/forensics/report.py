@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
+from repro.analysis.tables import format_table
 from repro.forensics.bursts import BurstEpisode
 from repro.forensics.sync import SyncEvent, link_bursts
 from repro.forensics.windows import (
@@ -30,10 +31,10 @@ from repro.forensics.windows import (
     precision_at_k,
     ranked_shares,
 )
+from repro.obs.series import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.forensics.probe import ForensicsParams
-    from repro.obs.series import TimeSeries
 
 
 @dataclass
@@ -273,11 +274,9 @@ class ForensicsReport:
             payload["sync_events"] = [s.as_dict() for s in self.sync_events]
         return payload
 
-    def to_series(self) -> List[Tuple[str, "TimeSeries"]]:
+    def to_series(self) -> List[Tuple[str, TimeSeries]]:
         """``(name, series)`` pairs for :meth:`ObsBundle.export` (none
         when the records already went to a stream file)."""
-        from repro.obs.series import TimeSeries
-
         if self.records is None:
             return []
         bursts = TimeSeries(
@@ -359,8 +358,6 @@ class ForensicsReport:
         """Text report: the summary, then the episode table, per-burst
         culprits and sync events (or, after a run streamed to a file,
         a pointer to the stream)."""
-        from repro.analysis.tables import format_table
-
         top = top if top is not None else self.params.top_k
         streamed = self.records is None
         lines: List[str] = []

@@ -17,31 +17,3 @@ and about the protocols it runs:
   carries, with the scalar snapshot derived from them and JSONL/CSV
   export.
 """
-
-from repro.obs.bundle import ObsBundle
-from repro.obs.engineprof import (
-    EngineProfile,
-    EngineProfiler,
-    callback_category,
-    peak_rss_kb,
-)
-from repro.obs.probes import (
-    TRACE_CATEGORIES,
-    FlowProbe,
-    QueueProbe,
-    parse_trace_spec,
-)
-from repro.obs.series import TimeSeries
-
-__all__ = [
-    "EngineProfile",
-    "EngineProfiler",
-    "FlowProbe",
-    "ObsBundle",
-    "QueueProbe",
-    "TRACE_CATEGORIES",
-    "TimeSeries",
-    "callback_category",
-    "parse_trace_spec",
-    "peak_rss_kb",
-]

@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.analysis.tables import format_table
+
 
 def callback_category(callback: Callable[..., Any]) -> str:
     """Human-readable category for one callback.
@@ -125,8 +127,6 @@ class EngineProfile:
 
     def render_table(self) -> str:
         """The profile as an aligned text table (hottest first)."""
-        from repro.analysis.tables import format_table
-
         rows: List[List[Any]] = []
         total = self.wall_time or 1.0
         for stat in self.categories:

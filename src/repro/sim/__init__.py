@@ -17,16 +17,6 @@ Public API:
   number streams derived from a single root seed.
 """
 
-from repro.sim.engine import Simulator, SimulationError, SCHEDULERS
-from repro.sim.events import Event
-from repro.sim.rng import RandomStreams
-from repro.sim.timers import Timer
+from repro.sim.engine import SCHEDULERS
 
-__all__ = [
-    "Event",
-    "RandomStreams",
-    "SCHEDULERS",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-]
+__all__ = ["SCHEDULERS"]

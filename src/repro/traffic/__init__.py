@@ -9,16 +9,3 @@ hooked on the sources (``add_hook``) counts the *offered* (pre-TCP)
 traffic so its statistics can be compared against what TCP actually
 transmits.
 """
-
-from repro.traffic.base import TrafficSource
-from repro.traffic.cbr import CbrSource
-from repro.traffic.onoff import ParetoOnOffSource, pareto_scale_for_mean
-from repro.traffic.poisson import PoissonSource
-
-__all__ = [
-    "CbrSource",
-    "ParetoOnOffSource",
-    "PoissonSource",
-    "TrafficSource",
-    "pareto_scale_for_mean",
-]

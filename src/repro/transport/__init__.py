@@ -13,31 +13,3 @@ which the paper used) of:
 plus receiving sinks with an optional delayed-ACK policy (the paper's
 "Reno/DelayAck" configuration).
 """
-
-from repro.transport.base import Agent
-from repro.transport.newreno import NewRenoSender
-from repro.transport.reno import RenoSender
-from repro.transport.sack import SackSender
-from repro.transport.sink import TcpSink, UdpSink
-from repro.transport.tahoe import TahoeSender
-from repro.transport.tcp_base import TcpParams, TcpSender, TcpSenderStats
-from repro.transport.udp import UdpSender
-from repro.transport.vegas import VegasParams, VegasSender
-from repro.transport.ecn import EcnRenoSender
-
-__all__ = [
-    "Agent",
-    "EcnRenoSender",
-    "NewRenoSender",
-    "RenoSender",
-    "SackSender",
-    "TahoeSender",
-    "TcpParams",
-    "TcpSender",
-    "TcpSenderStats",
-    "TcpSink",
-    "UdpSender",
-    "UdpSink",
-    "VegasParams",
-    "VegasSender",
-]

@@ -25,19 +25,15 @@ from repro.experiments.cli import main
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import run_scenario
-from repro.forensics import (
-    BurstDetector,
-    ForensicsParams,
-    LOSS_STATES,
-    LossSyncDetector,
+from repro.forensics.bursts import BurstDetector, BurstEpisode
+from repro.forensics.probe import LOSS_STATES, ForensicsParams
+from repro.forensics.sync import LossSyncDetector, SyncEvent, link_bursts
+from repro.forensics.windows import (
     SketchWindowAccountant,
     SpaceSavingSketch,
     WindowAccountant,
-    link_bursts,
     precision_at_k,
 )
-from repro.forensics.bursts import BurstEpisode
-from repro.forensics.sync import SyncEvent
 
 GOLDEN_DIR = Path(__file__).parent / "goldens" / "forensics"
 

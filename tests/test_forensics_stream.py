@@ -43,9 +43,9 @@ from repro.experiments.runlog import (
 )
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.experiments.sweep import run_many
-from repro.forensics import LossSyncDetector, recall_at_k
 from repro.forensics.stream import encode_record
-from repro.forensics.windows import FlowShare
+from repro.forensics.sync import LossSyncDetector
+from repro.forensics.windows import FlowShare, recall_at_k
 from tests import forensics_reference as reference
 
 BASE = dict(n_clients=40, duration=16.0, seed=7)

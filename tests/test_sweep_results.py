@@ -5,7 +5,8 @@ from repro.experiments.config import paper_config
 from repro.experiments.results import ScenarioMetrics, metrics_table
 from repro.experiments.scenario import run_scenario
 from repro.experiments.figures import run_protocol_sweep
-from repro.experiments.sweep import run_many, run_one
+from repro.experiments.runner import run_one
+from repro.experiments.sweep import run_many
 
 
 def tiny(**overrides):
