@@ -26,7 +26,7 @@ class DumbbellParams:
     client_rate_bps: float = 10e6  # mu_c
     client_delay: float = 0.002  # tau_c
     bottleneck_rate_bps: float = 3e6  # mu_s
-    bottleneck_delay: float = 0.020  # tau_s
+    bottleneck_delay: float = 0.200  # tau_s
     buffer_capacity: int = 50  # B, packets
     access_queue_capacity: int = 1000  # effectively lossless access ports
 

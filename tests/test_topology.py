@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.config import paper_config
 from repro.net.queues import DropTailQueue
 from repro.net.red import REDQueue
 from repro.net.topology import DumbbellNetwork, DumbbellParams, build_dumbbell
@@ -25,6 +26,13 @@ def test_default_build_matches_table1_topology():
     assert params.buffer_capacity == 50
     assert isinstance(network.bottleneck_queue, DropTailQueue)
     assert network.bottleneck_queue.capacity == 50
+
+
+
+def test_default_delays_are_table1s():
+    """The builder's defaults put the same propagation RTT on the wire
+    as the reconstructed Table 1 (tau_c = 2 ms, tau_s = 200 ms)."""
+    assert build_dumbbell(Simulator()).rtt_prop == paper_config().rtt_prop
 
 
 def test_rtt_prop():
