@@ -4,7 +4,7 @@
 *application* experienced in one run -- request latency percentiles,
 job completion times, barrier stalls, achieved vs. offered work rate --
 complementing the packet-level c.o.v./throughput/loss metrics the paper
-reports.  It is carried on :class:`~repro.experiments.scenario.
+reports.  It is carried on :class:`~repro.experiments.results.
 ScenarioResult` and flattened into :class:`~repro.experiments.results.
 ScenarioMetrics` for sweeps, CSV/JSON export, and the figures layer.
 """

@@ -57,7 +57,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.theory import poisson_aggregate_cov
-from repro.experiments.scenario import ScenarioResult
+from repro.experiments.results import ScenarioResult
 from repro.obs.engineprof import peak_rss_kb
 
 __all__ = ["FluidSolver", "run_fluid_scenario", "fluid_rate_cov"]
@@ -501,7 +501,9 @@ class FluidSolver:
     # ------------------------------------------------------------------
     def summarize(self, traj: Dict[str, np.ndarray],
                   bin_width: float) -> Dict[str, float]:
-        """Fold a trajectory into the scalar metrics a sweep keeps."""
+        """Fold a trajectory into the scalar metrics a sweep keeps, keyed
+        by the :class:`~repro.experiments.results.ScenarioResult` fields
+        they fill (``events_executed`` counts RK4 steps)."""
         counts = fluid_rate_cov(
             traj["t"], traj["A"], self.dt, bin_width,
             self.warmup, self.duration,
@@ -530,7 +532,7 @@ class FluidSolver:
             bin_counts=counts,
             throughput_pps=throughput_pps,
             throughput_packets=int(round(throughput_pps * self.duration)),
-            mean_queue=float(traj["q"].mean()),
+            mean_queue_length=float(traj["q"].mean()),
             loss_percent=100.0 * drops / arrivals if arrivals else 0.0,
             gateway_arrivals=int(round(arrivals)),
             gateway_drops=int(round(drops)),
@@ -539,13 +541,13 @@ class FluidSolver:
             fast_retransmits=int(round(fast_rtx)),
             mean_latency=mean_latency,
             max_latency=float(rtt_series.max()) if rtt_series.size else 0.0,
-            steps=int(traj["t"].size),
+            events_executed=int(traj["t"].size),
         )
 
 
 def run_fluid_scenario(config) -> ScenarioResult:
     """Solve the mean-field system for one config and package the
-    result as a :class:`~repro.experiments.scenario.ScenarioResult`
+    result as a :class:`~repro.experiments.results.ScenarioResult`
     with the same fields the packet engine fills, so sweeps, caching,
     figures, and the CLI work unchanged.
 
@@ -569,27 +571,14 @@ def run_fluid_scenario(config) -> ScenarioResult:
         analytic = float("nan")
     return ScenarioResult(
         config=config,
-        cov=summary["cov"],
+        **summary,
         # The fluid offered process is the exact Poisson superposition.
         offered_cov=analytic,
         analytic_cov=analytic,
-        throughput_packets=summary["throughput_packets"],
-        throughput_pps=summary["throughput_pps"],
-        loss_percent=summary["loss_percent"],
-        gateway_arrivals=summary["gateway_arrivals"],
-        gateway_drops=summary["gateway_drops"],
-        timeouts=summary["timeouts"],
-        fast_retransmits=summary["fast_retransmits"],
         dupacks=0,
-        mean_latency=summary["mean_latency"],
-        max_latency=summary["max_latency"],
-        bin_counts=summary["bin_counts"],
         offered_bin_counts=np.zeros(0),
         per_flow=[],
-        mean_queue_length=summary["mean_queue"],
         red_marks=0,
-        utilization=summary["utilization"],
-        events_executed=summary["steps"],
         wall_time=wall_time,
         peak_rss_kb=peak_rss_kb(),
     )

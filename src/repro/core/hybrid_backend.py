@@ -52,11 +52,8 @@ import random
 import numpy as np
 
 from repro.core.fluid_backend import FluidSolver
-from repro.experiments.scenario import (
-    Scenario,
-    ScenarioResult,
-    _run_and_release,
-)
+from repro.experiments.results import ScenarioResult
+from repro.experiments.scenario import Scenario
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.net.queues import PacketQueue
@@ -68,7 +65,6 @@ __all__ = [
     "HybridGatewayQueue",
     "FluidCoupledInterface",
     "HybridScenario",
-    "run_hybrid_scenario",
 ]
 
 
@@ -264,6 +260,13 @@ class HybridScenario(Scenario):
     the same traffic here as in a pure packet run with the same seed --
     the flow-by-flow differential in tests/test_hybrid_differential.py
     depends on this.
+
+    :meth:`run` returns the standard
+    :class:`~repro.experiments.results.ScenarioResult`: foreground-scoped
+    fields (``cov``, throughput, loss, ``per_flow``, recovery counters,
+    latency, forensics) describe the K packet-exact flows, while
+    ``mean_queue_length``/``utilization`` come from the shared fluid
+    gateway state and ``config`` is the full-N hybrid config.
     """
 
     def __init__(self, config) -> None:
@@ -324,15 +327,3 @@ class HybridScenario(Scenario):
             utilization=served / self.solver.C if self.solver.C else 0.0,
         )
 
-
-def run_hybrid_scenario(config, attach=None) -> ScenarioResult:
-    """Run one hybrid scenario (the :func:`run_scenario` dispatch target;
-    ``attach`` as there), releasing it afterwards.
-
-    Returns the standard :class:`ScenarioResult`; foreground-scoped
-    fields (``cov``, throughput, loss, ``per_flow``, recovery counters,
-    latency, forensics) describe the K packet-exact flows, while
-    ``mean_queue_length``/``utilization`` come from the shared fluid
-    gateway state and ``config`` is the full-N hybrid config.
-    """
-    return _run_and_release(HybridScenario(config), attach)

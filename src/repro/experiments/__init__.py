@@ -2,6 +2,8 @@
 
 * :mod:`repro.experiments.config` -- scenario configuration with the
   reconstructed Table 1 defaults.
+* :mod:`repro.experiments.results` -- what one cell returns: the full
+  result, its flat sweep record, and rendering.
 * :mod:`repro.experiments.scenario` -- builds and runs one client/server
   simulation and extracts every metric the paper reports.
 * :mod:`repro.experiments.sweep` -- runs grids of scenarios, optionally
@@ -14,6 +16,5 @@
 * :mod:`repro.experiments.runlog` -- JSONL progress telemetry.
 * :mod:`repro.experiments.figures` -- the sweep and figure spec tables
   (one row per paper figure, one per sweep subcommand).
-* :mod:`repro.experiments.results` -- flat result records and rendering.
 * :mod:`repro.experiments.cli` -- the ``repro-tcp`` command-line tool.
 """

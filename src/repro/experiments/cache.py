@@ -68,7 +68,10 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            if payload.get("schema_version") != CONFIG_SCHEMA_VERSION:
+            if (
+                not isinstance(payload, dict)
+                or payload.get("schema_version") != CONFIG_SCHEMA_VERSION
+            ):
                 return None
             metrics = ScenarioMetrics.from_dict(payload["metrics"])
         except (OSError, ValueError, KeyError, TypeError):

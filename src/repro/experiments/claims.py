@@ -53,8 +53,8 @@ from repro.analysis.timeseries import (
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURE2_PROTOCOLS, default_traced_flows
-from repro.experiments.results import ScenarioMetrics
-from repro.experiments.scenario import ScenarioResult, run_scenario
+from repro.experiments.results import ScenarioMetrics, ScenarioResult
+from repro.experiments.scenario import run_scenario
 from repro.experiments.sweep import run_many
 
 #: How many seed-to-seed spreads a gap must clear zero by to count.

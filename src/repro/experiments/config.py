@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.engine import ENGINES
 from repro.obs.probes import TRACE_CATEGORIES
 from repro.sim.engine import SCHEDULERS
-from repro.transport.tcp_base import TcpParams
+from repro.transport.transitions import TcpParams
 
 #: Bumped whenever the meaning of a config field (or the simulator
 #: physics behind it) changes incompatibly, so stale cache entries from

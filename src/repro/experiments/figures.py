@@ -48,8 +48,8 @@ from repro.analysis.asciiplot import ascii_series_plot
 from repro.analysis.tables import format_table
 from repro.core.theory import poisson_aggregate_cov
 from repro.experiments.config import ScenarioConfig, paper_config
-from repro.experiments.results import ScenarioMetrics
-from repro.experiments.scenario import ScenarioResult, run_scenario
+from repro.experiments.results import ScenarioMetrics, ScenarioResult
+from repro.experiments.scenario import run_scenario
 from repro.experiments.sweep import run_many
 
 # The protocol/queue combinations in Figure 2's legend, in legend order.

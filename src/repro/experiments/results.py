@@ -1,20 +1,159 @@
-"""Flat, picklable result records for sweeps, plus rendering helpers.
+"""What one cell returns: the full result and its flat sweep record.
 
-:class:`ScenarioResult` carries arrays and traces; sweeps over dozens of
-runs keep only :class:`ScenarioMetrics`, a flat summary that pickles
-cheaply across worker processes and serializes to CSV/JSON directly.
+:class:`ScenarioResult` carries arrays and traces -- every backend
+(packet, fluid, hybrid) returns one; sweeps over dozens of runs keep
+only :class:`ScenarioMetrics`, a flat summary that pickles cheaply
+across worker processes and serializes to CSV/JSON directly.  This
+module imports no engine, so the solvers, the result cache and the
+figure and claim readers sit above it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
-from typing import Any, Dict, List, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.stats import jains_fairness_index
 from repro.analysis.tables import format_table
+from repro.core.dependence import DependenceReport, dependence_report
+from repro.core.modulation import ModulationReport, modulation_report
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.scenario import ScenarioResult
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.apps.metrics import AppMetrics
+    from repro.forensics.report import ForensicsReport
+    from repro.obs.bundle import ObsBundle
+
+
+@dataclass
+class FlowSummary:
+    """Per-flow outcome: what one client's connection achieved."""
+
+    flow_id: int
+    app_packets: int
+    packets_sent: int
+    retransmits: int
+    delivered_unique: int
+    timeouts: int
+    fast_retransmits: int
+    dupacks: int
+    mean_latency: float = 0.0  # application-to-ACK, seconds
+    max_latency: float = 0.0
+
+
+@dataclass
+class ScenarioResult:
+    """Every measurement of one run.
+
+    The reports derived from what it stores -- ``modulation``,
+    ``dependence()``, ``cwnd_traces()`` -- are built on call: a sweep
+    that keeps only :class:`ScenarioMetrics` pays for none of them.
+    """
+
+    config: ScenarioConfig
+    # The paper's headline measure (Figure 2).
+    cov: float
+    offered_cov: float
+    analytic_cov: float
+    # Throughput and loss (Figures 3 and 4).
+    throughput_packets: int
+    throughput_pps: float
+    loss_percent: float
+    gateway_arrivals: int
+    gateway_drops: int
+    # Recovery accounting (Figure 13).
+    timeouts: int
+    fast_retransmits: int
+    dupacks: int
+    # Application-to-ACK latency aggregated over completed packets.
+    mean_latency: float
+    max_latency: float
+    # Derived artifacts.
+    bin_counts: np.ndarray
+    offered_bin_counts: np.ndarray
+    per_flow: List[FlowSummary]
+    mean_queue_length: float
+    red_marks: int
+    utilization: float
+    events_executed: int
+    # Each flow's gateway counts, row = flow id, whose column sums are
+    # ``bin_counts``; None for the fluid backend, which has no flows.
+    per_flow_bin_counts: Optional[np.ndarray] = None
+    # Job-level application metrics (closed-loop workloads only).
+    app: Optional[AppMetrics] = None
+    # Flight-recorder telemetry (see repro.obs).  ``wall_time`` and
+    # ``peak_rss_kb`` are always measured; ``obs`` is populated when the
+    # config enabled any trace category or the engine profiler.
+    # ``peak_rss_kb`` is the process's high-water mark when the cell
+    # ends (``obs.engineprof.peak_rss_kb``), not a per-cell peak: after
+    # a larger cell in the same process it reports that cell's peak.
+    wall_time: float = field(default=float("nan"))
+    peak_rss_kb: float = field(default=float("nan"))
+    obs: Optional[ObsBundle] = None
+    # Burst forensics report (see repro.forensics); populated when the
+    # config enabled ``forensics``.
+    forensics: Optional[ForensicsReport] = None
+    # The flow engine that produced this result ("object" or "batch";
+    # empty for the fluid backend, which has no flows).  Differs from
+    # ``config.resolved_engine()`` only after a tie-guard fallback.
+    engine: str = ""
+
+    @property
+    def modulation(self) -> Optional[ModulationReport]:
+        """Offered-vs-transported burstiness of this run's aggregate
+        counts, built on call (None for the fluid backend, which has no
+        per-flow matrix and so no transported counts of its own)."""
+        if self.per_flow_bin_counts is None:
+            return None
+        reference = self.analytic_cov if math.isfinite(self.analytic_cov) else None
+        return modulation_report(self.offered_bin_counts, self.bin_counts, reference)
+
+    def dependence(self) -> Optional[DependenceReport]:
+        """Cross-stream dependence of the per-flow gateway counts, in
+        flow-id order (None with fewer than two rows, or fewer than two
+        bins: the autocorrelation needs two)."""
+        rows = self.per_flow_bin_counts
+        if rows is None or len(rows) < 2 or len(self.bin_counts) < 2:
+            return None
+        return dependence_report(rows)
+
+    def cwnd_traces(
+        self, flows: Optional[Iterable[int]] = None
+    ) -> Dict[int, List[Tuple[float, float]]]:
+        """``{flow: [(time, cwnd), ...]}`` of ``flows`` (those the run
+        has; default every probed flow): the flight recorder's cwnd rows
+        where the window changed, built on call.  Empty unless
+        ``obs_trace`` has ``"cwnd"``."""
+        probes = self.obs.flows if self.obs is not None else {}
+        traces = {}
+        for flow in sorted(probes) if flows is None else flows:
+            if flow in probes and len(probes[flow].cwnd):
+                times, cwnds = (np.array(c) for c in probes[flow].cwnd.data[:2])
+                keep = np.r_[True, cwnds[1:] != cwnds[:-1]]
+                traces[flow] = list(zip(times[keep].tolist(), cwnds[keep].tolist()))
+        return traces
+
+    @property
+    def timeout_dupack_ratio(self) -> float:
+        """Figure 13's y-axis: timeouts per duplicate ACK received."""
+        if self.dupacks == 0:
+            return 0.0
+        return self.timeouts / self.dupacks
+
+    @property
+    def timeout_fastrtx_ratio(self) -> float:
+        """Timeout recoveries per fast-retransmit recovery."""
+        if self.fast_retransmits == 0:
+            return float("inf") if self.timeouts else 0.0
+        return self.timeouts / self.fast_retransmits
+
+    @property
+    def delivered_per_flow(self) -> np.ndarray:
+        """Unique packets delivered, per flow (fairness analysis)."""
+        return np.array([f.delivered_unique for f in self.per_flow], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -433,7 +433,8 @@ class RunLogTail:
     Keeps a byte offset and a partial-line buffer between polls, so a
     record written in two chunks is parsed once complete rather than
     dropped.  A missing file (the sweep has not started yet) reads as
-    no new events, and a torn or corrupt line is skipped.
+    no new events, and a torn or corrupt line, or one that is not a JSON
+    object, is skipped.
     """
 
     def __init__(self, path: str) -> None:
@@ -459,9 +460,11 @@ class RunLogTail:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except ValueError:
                 continue  # torn or corrupt line
+            if isinstance(event, dict):
+                events.append(event)
         return events
 
 

@@ -3,32 +3,27 @@
 :class:`Scenario` wires together the dumbbell topology, one transport
 sender per client with its sink at the server, Poisson traffic sources,
 and the gateway instrumentation; :func:`run_scenario` runs it and
-returns a :class:`ScenarioResult` carrying every metric the paper's
-evaluation reports (c.o.v., throughput, loss percentage, timeout /
-duplicate-ACK counts, congestion-window traces).
+returns a :class:`~repro.experiments.results.ScenarioResult` carrying
+every metric the paper's evaluation reports (c.o.v., throughput, loss
+percentage, timeout / duplicate-ACK counts, congestion-window traces).
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.base import AppWorkload
 from repro.apps.bsp import BspCoordinator, BspWorkload
 from repro.apps.bulk import BulkTransferWorkload
 from repro.apps.metrics import AppMetrics
 from repro.apps.rpc import RpcClientWorkload
+from repro.core import fluid_backend
 from repro.core.cov import BinCounter, coefficient_of_variation
-from repro.core.modulation import ModulationReport, modulation_report
 from repro.core.theory import poisson_aggregate_cov
 from repro.experiments.config import ScenarioConfig
-from repro.core.dependence import DependenceReport, dependence_report
+from repro.experiments.results import FlowSummary, ScenarioResult
 from repro.forensics.probe import ForensicsParams, ForensicsProbe
-from repro.forensics.report import ForensicsReport
 from repro.net.monitor import ArrivalMonitor
 from repro.net.fq import DRRQueue
 from repro.obs.bundle import ObsBundle
@@ -51,7 +46,8 @@ from repro.transport.reno import RenoSender
 from repro.transport.sack import SackSender
 from repro.transport.sink import TcpSink, UdpSink
 from repro.transport.tahoe import TahoeSender
-from repro.transport.tcp_base import TcpParams, TcpSender
+from repro.transport.tcp_base import TcpSender
+from repro.transport.transitions import TcpParams
 from repro.transport.udp import UdpSender
 from repro.transport.vegas import VegasParams, VegasSender
 
@@ -64,135 +60,6 @@ _TCP_SENDERS = {
     "vegas": VegasSender,
     "reno_ecn": EcnRenoSender,
 }
-
-
-@dataclass
-class FlowSummary:
-    """Per-flow outcome: what one client's connection achieved."""
-
-    flow_id: int
-    app_packets: int
-    packets_sent: int
-    retransmits: int
-    delivered_unique: int
-    timeouts: int
-    fast_retransmits: int
-    dupacks: int
-    mean_latency: float = 0.0  # application-to-ACK, seconds
-    max_latency: float = 0.0
-
-
-@dataclass
-class ScenarioResult:
-    """Every measurement of one run.
-
-    The reports derived from what it stores -- ``modulation``,
-    ``dependence()``, ``cwnd_traces()`` -- are built on call: a sweep
-    that keeps only :class:`~repro.experiments.results.ScenarioMetrics`
-    pays for none of them.
-    """
-
-    config: ScenarioConfig
-    # The paper's headline measure (Figure 2).
-    cov: float
-    offered_cov: float
-    analytic_cov: float
-    # Throughput and loss (Figures 3 and 4).
-    throughput_packets: int
-    throughput_pps: float
-    loss_percent: float
-    gateway_arrivals: int
-    gateway_drops: int
-    # Recovery accounting (Figure 13).
-    timeouts: int
-    fast_retransmits: int
-    dupacks: int
-    # Application-to-ACK latency aggregated over completed packets.
-    mean_latency: float
-    max_latency: float
-    # Derived artifacts.
-    bin_counts: np.ndarray
-    offered_bin_counts: np.ndarray
-    per_flow: List[FlowSummary]
-    mean_queue_length: float
-    red_marks: int
-    utilization: float
-    events_executed: int
-    # Each flow's gateway counts, row = flow id, whose column sums are
-    # ``bin_counts``; None for the fluid backend, which has no flows.
-    per_flow_bin_counts: Optional[np.ndarray] = None
-    # Job-level application metrics (closed-loop workloads only).
-    app: Optional[AppMetrics] = None
-    # Flight-recorder telemetry (see repro.obs).  ``wall_time`` and
-    # ``peak_rss_kb`` are always measured; ``obs`` is populated when the
-    # config enabled any trace category or the engine profiler.
-    # ``peak_rss_kb`` is the process's high-water mark when the cell
-    # ends (``obs.engineprof.peak_rss_kb``), not a per-cell peak: after
-    # a larger cell in the same process it reports that cell's peak.
-    wall_time: float = field(default=float("nan"))
-    peak_rss_kb: float = field(default=float("nan"))
-    obs: Optional[ObsBundle] = None
-    # Burst forensics report (see repro.forensics); populated when the
-    # config enabled ``forensics``.
-    forensics: Optional[ForensicsReport] = None
-    # The flow engine that produced this result ("object" or "batch";
-    # empty for the fluid backend, which has no flows).  Differs from
-    # ``config.resolved_engine()`` only after a tie-guard fallback.
-    engine: str = ""
-
-    @property
-    def modulation(self) -> Optional[ModulationReport]:
-        """Offered-vs-transported burstiness of this run's aggregate
-        counts, built on call (None for the fluid backend, which has no
-        per-flow matrix and so no transported counts of its own)."""
-        if self.per_flow_bin_counts is None:
-            return None
-        reference = self.analytic_cov if math.isfinite(self.analytic_cov) else None
-        return modulation_report(self.offered_bin_counts, self.bin_counts, reference)
-
-    def dependence(self) -> Optional[DependenceReport]:
-        """Cross-stream dependence of the per-flow gateway counts, in
-        flow-id order (None with fewer than two rows, or fewer than two
-        bins: the autocorrelation needs two)."""
-        rows = self.per_flow_bin_counts
-        if rows is None or len(rows) < 2 or len(self.bin_counts) < 2:
-            return None
-        return dependence_report(rows)
-
-    def cwnd_traces(
-        self, flows: Optional[Iterable[int]] = None
-    ) -> Dict[int, List[Tuple[float, float]]]:
-        """``{flow: [(time, cwnd), ...]}`` of ``flows`` (those the run
-        has; default every probed flow): the flight recorder's cwnd rows
-        where the window changed, built on call.  Empty unless
-        ``obs_trace`` has ``"cwnd"``."""
-        probes = self.obs.flows if self.obs is not None else {}
-        traces = {}
-        for flow in sorted(probes) if flows is None else flows:
-            if flow in probes and len(probes[flow].cwnd):
-                times, cwnds = (np.array(c) for c in probes[flow].cwnd.data[:2])
-                keep = np.r_[True, cwnds[1:] != cwnds[:-1]]
-                traces[flow] = list(zip(times[keep].tolist(), cwnds[keep].tolist()))
-        return traces
-
-    @property
-    def timeout_dupack_ratio(self) -> float:
-        """Figure 13's y-axis: timeouts per duplicate ACK received."""
-        if self.dupacks == 0:
-            return 0.0
-        return self.timeouts / self.dupacks
-
-    @property
-    def timeout_fastrtx_ratio(self) -> float:
-        """Timeout recoveries per fast-retransmit recovery."""
-        if self.fast_retransmits == 0:
-            return float("inf") if self.timeouts else 0.0
-        return self.timeouts / self.fast_retransmits
-
-    @property
-    def delivered_per_flow(self) -> np.ndarray:
-        """Unique packets delivered, per flow (fairness analysis)."""
-        return np.array([f.delivered_unique for f in self.per_flow], dtype=float)
 
 
 class Scenario:
@@ -667,8 +534,9 @@ def run_scenario(config: ScenarioConfig, attach=None) -> ScenarioResult:
     (default), the mean-field fluid solver
     (:func:`repro.core.fluid_backend.run_fluid_scenario`), or the
     hybrid fluid/packet co-simulation
-    (:func:`repro.core.hybrid_backend.run_hybrid_scenario`), all
-    returning the same :class:`ScenarioResult` shape.
+    (:class:`repro.core.hybrid_backend.HybridScenario`), all
+    returning the same :class:`~repro.experiments.results.ScenarioResult`
+    shape.
 
     Within the packet backend the flow engine follows from the input
     (``config.resolved_engine()``): a cell inside the batch envelope
@@ -690,17 +558,13 @@ def run_scenario(config: ScenarioConfig, attach=None) -> ScenarioResult:
     the bottleneck interface, a forensics stream).  Every scenario is
     released when its run ends; the fluid backend builds none.
     """
-    # The three backend imports stay here: each backend module imports
-    # this one (fluid builds a ScenarioResult; hybrid and batch subclass
-    # Scenario).
     if config.backend == "fluid":
-        from repro.core.fluid_backend import run_fluid_scenario
-
-        return run_fluid_scenario(config)
+        return fluid_backend.run_fluid_scenario(config)
+    # Imported here because both modules subclass Scenario.
     if config.backend == "hybrid":
-        from repro.core.hybrid_backend import run_hybrid_scenario
+        from repro.core.hybrid_backend import HybridScenario
 
-        return run_hybrid_scenario(config, attach)
+        return _run_and_release(HybridScenario(config), attach)
     if config.resolved_engine() == "batch":
         from repro.engine.batch import BatchScenario, BatchTieError
 

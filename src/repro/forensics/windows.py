@@ -353,20 +353,3 @@ def precision_at_k(
         1 for s in approx[:k] if exact_bytes.get(s.flow_id, 0) >= threshold
     )
     return hits / k
-
-
-def recall_at_k(
-    exact: List[FlowShare], approx: List[FlowShare], k: int
-) -> float:
-    """Fraction of the exact top-k flow ids the sketch's top-k found.
-
-    Stricter than :func:`precision_at_k`: no tie tolerance -- the
-    specific flows the exact ranking named must appear.  Returns 1.0
-    when there is nothing to rank.
-    """
-    if not exact:
-        return 1.0
-    k = min(k, len(exact))
-    wanted = {s.flow_id for s in exact[:k]}
-    found = {s.flow_id for s in approx[:k]}
-    return len(wanted & found) / k

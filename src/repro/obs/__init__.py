@@ -13,7 +13,7 @@ and about the protocols it runs:
   average, per-cause drops), each recording only the trace categories
   it was built with.
 * :mod:`repro.obs.bundle`     -- :class:`ObsBundle`, the package of
-  captured series a :class:`~repro.experiments.scenario.ScenarioResult`
+  captured series a :class:`~repro.experiments.results.ScenarioResult`
   carries, with the scalar snapshot derived from them and JSONL/CSV
   export.
 """

@@ -19,11 +19,13 @@ was built with; the series of any other category stays empty.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Collection, Iterable, Optional
+from typing import TYPE_CHECKING, Collection, Iterable, Optional
 
-from repro.net.packet import Packet
-from repro.net.queues import PacketQueue
 from repro.obs.series import TimeSeries
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.net.packet import Packet
+    from repro.net.queues import PacketQueue
 
 #: The trace categories the experiment layer understands (the valid
 #: values of ``ScenarioConfig.obs_trace`` and the CLI's ``--trace``).

@@ -13,7 +13,6 @@ CWR).
 from __future__ import annotations
 
 from repro.transport.reno import RenoSender
-from repro.transport.tcp_base import TcpParams
 
 
 class EcnRenoSender(RenoSender):
@@ -37,9 +36,3 @@ class EcnRenoSender(RenoSender):
         self.halve_ssthresh()
         self.set_cwnd(self.ssthresh)
 
-
-def ecn_tcp_params(**overrides) -> TcpParams:
-    """Convenience: TcpParams with ECN enabled plus overrides."""
-    params = TcpParams(**overrides)
-    params.ecn = True
-    return params

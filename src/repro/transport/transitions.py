@@ -1,4 +1,5 @@
-"""Pure TCP state-transition arithmetic: the sixteen rules, as a list.
+"""Pure TCP state-transition arithmetic: the sixteen rules, as a list,
+and the :class:`TcpParams` whose fields they read.
 
 Every window, RTT-estimator and retransmit-timer expression that the
 senders (:mod:`repro.transport.tcp_base`, :mod:`repro.transport.reno`,
@@ -20,9 +21,11 @@ no mutation, no clocks, no RNG.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
+    "TcpParams",
     "clamp_cwnd",
     "effective_window",
     "slowstart_or_linear_next",
@@ -40,6 +43,40 @@ __all__ = [
     "vegas_ca_next",
     "vegas_loss_window",
 ]
+
+
+@dataclass
+class TcpParams:
+    """Tunables shared by all TCP senders (paper Table 1 defaults)."""
+
+    packet_size: int = 1000  # bytes, headers included (ns-2 style)
+    advertised_window: int = 20  # packets; the flow-control cap
+    initial_cwnd: float = 1.0
+    initial_ssthresh: float = 20.0  # slow start probes up to the flow cap
+    # Retransmission timer.
+    tick: float = 0.1  # timer granularity (BSD/ns-2 coarse clock)
+    min_rto: float = 0.2
+    max_rto: float = 64.0
+    initial_rto: float = 1.0
+    max_backoff: float = 64.0
+    # ECN: senders mark packets ECN-capable and halve on echo.
+    ecn: bool = False
+    # Pacing: spread the window over the RTT instead of releasing
+    # send-buffer backlogs as back-to-back bursts.  Not in the paper --
+    # it is the natural fix its conclusions point at, used here for the
+    # pacing ablation.
+    pacing: bool = False
+
+    def validate(self) -> None:
+        """Raise ValueError on inconsistent settings."""
+        if self.packet_size <= 0:
+            raise ValueError("packet size must be positive")
+        if self.advertised_window < 1:
+            raise ValueError("advertised window must be at least 1 packet")
+        if self.min_rto <= 0 or self.max_rto < self.min_rto:
+            raise ValueError("need 0 < min_rto <= max_rto")
+        if self.tick <= 0:
+            raise ValueError("timer tick must be positive")
 
 
 # ----------------------------------------------------------------------

@@ -182,10 +182,12 @@ class TestResultCache:
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         config = tiny()
-        cache.put(config, tiny_metrics())
-        with open(cache.path_for(config), "w") as handle:
-            handle.write("{not json")
-        assert cache.get(config) is None
+        # Torn JSON, then valid JSON that is not an object.
+        for body in ("{not json", "null", "[]", "3", '"x"'):
+            cache.put(config, tiny_metrics())
+            with open(cache.path_for(config), "w") as handle:
+                handle.write(body)
+            assert cache.get(config) is None, body
 
     def test_schema_version_mismatch_is_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -135,15 +135,16 @@ class TestBinFlowTimes:
         assert rows.tolist() == [[2, 1], [0, 0], [1, 0]]
 
     def test_flows_sorted_by_id(self, monkeypatch):
-        import repro.experiments.scenario as scenario
+        import repro.experiments.results as results
         from repro.experiments.config import paper_config
+        from repro.experiments.scenario import run_scenario
 
-        result = scenario.run_scenario(
+        result = run_scenario(
             paper_config(protocol="reno", n_clients=2, duration=2.0)
         )
         rows = flow_rows({5: [0.1], 1: [0.1, 0.2]}, 1.0, 0.0, 1.0)
         stacked = []
-        monkeypatch.setattr(scenario, "dependence_report", stacked.append)
+        monkeypatch.setattr(results, "dependence_report", stacked.append)
         dataclasses.replace(result, per_flow_bin_counts=rows).dependence()
         assert stacked[0].tolist() == [[0], [2], [0], [0], [0], [1]]  # row = flow id
 

@@ -382,7 +382,7 @@ def test_hybrid_goes_through_the_door_and_is_released():
     )
     from repro.core.hybrid_backend import HybridScenario
 
-    # What run_hybrid_scenario returned before it released: the same numbers.
+    # The same cell run by hand and never released: the door must match it.
     by_hand = ScenarioMetrics.from_result(HybridScenario(config).run())
     held = []
 

@@ -45,7 +45,6 @@ from repro.experiments.scenario import Scenario, run_scenario
 from repro.experiments.sweep import run_many
 from repro.forensics.stream import encode_record
 from repro.forensics.sync import LossSyncDetector
-from repro.forensics.windows import FlowShare, recall_at_k
 from tests import forensics_reference as reference
 
 BASE = dict(n_clients=40, duration=16.0, seed=7)
@@ -317,24 +316,6 @@ class TestReportMatchesReference:
         assert json.dumps(expected.as_dict(), sort_keys=True) == json.dumps(
             golden, sort_keys=True
         )
-
-
-# ----------------------------------------------------------------------
-# The strict recall measure.  (The class keeps the name of the sketch
-# comparison it used to hold, because test ids are tracked across PRs.)
-# ----------------------------------------------------------------------
-class TestCountMinSketch:
-    def test_recall_at_k_is_strict(self):
-        exact = [
-            FlowShare(flow_id=i, packets=1, bytes=100 - i, share=0.1)
-            for i in range(5)
-        ]
-        approx = exact[:3] + [
-            FlowShare(flow_id=99, packets=1, bytes=1, share=0.0),
-            FlowShare(flow_id=98, packets=1, bytes=1, share=0.0),
-        ]
-        assert recall_at_k(exact, approx, 5) == pytest.approx(0.6)
-        assert recall_at_k([], approx, 5) == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hybrid_backend import FluidTrajectory, run_hybrid_scenario
+from repro.core.hybrid_backend import FluidTrajectory, HybridScenario
 from repro.engine import ENGINES
 from repro.experiments.config import ScenarioConfig, paper_config
 from repro.experiments.runner import cell_units
@@ -169,7 +169,7 @@ def test_hybrid_seed_changes_outcome():
 
 def test_direct_runner_rejects_other_backends():
     with pytest.raises(ValueError, match="hybrid"):
-        run_hybrid_scenario(paper_config(backend="packet", duration=1.0))
+        HybridScenario(paper_config(backend="packet", duration=1.0))
 
 
 @pytest.mark.parametrize("backend", ["fluid", "hybrid"])

@@ -10,7 +10,8 @@ from repro.engine.batch import BatchScenario
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.transport.reno import RenoSender
-from repro.transport.tcp_base import _COMPACT_AT, TcpParams
+from repro.transport.tcp_base import _COMPACT_AT
+from repro.transport.transitions import TcpParams
 
 from tests.helpers import TcpHarness
 

@@ -67,6 +67,32 @@ class TestOneImportPath:
         assert "numpy" not in config
         assert "repro.experiments.scenario" not in config
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.core.fluid_backend",
+            "repro.experiments.results",
+            "repro.experiments.cache",
+            "repro.experiments.config",
+        ],
+    )
+    def test_cell_types_and_their_readers_load_no_engine(self, module):
+        """A cell's config and result types sit below every engine, so
+        the fluid solver, the flat metrics and the result cache load no
+        packet machinery: no topology, traffic, app or forensics module,
+        no batch engine or packet scenario, and of the transport layer
+        only the rules and the parameters they read."""
+        assert sorted(filter(self._is_engine_part, self._loaded_after(module))) == []
+
+    @staticmethod
+    def _is_engine_part(name):
+        package = ".".join(name.split(".")[:2])
+        if package in ("repro.net", "repro.traffic", "repro.apps", "repro.forensics"):
+            return True
+        if package == "repro.transport":
+            return name not in ("repro.transport", "repro.transport.transitions")
+        return name in ("repro.engine.batch", "repro.experiments.scenario")
+
     def test_package_inits_hold_only_their_docstring(self):
         found = {}
         for name, path, tree in self._modules():
@@ -192,7 +218,7 @@ class TestVegasEdgeCases:
         assert math.isinf(h.sender.base_rtt)
 
     def test_epoch_reset_after_timeout(self):
-        from repro.transport.tcp_base import TcpParams
+        from repro.transport.transitions import TcpParams
         from repro.transport.vegas import VegasSender
 
         from tests.helpers import TcpHarness

@@ -9,7 +9,7 @@ from repro.net.fq import DRRQueue
 from repro.net.packet import PacketFactory
 from repro.net.red import REDParams, REDQueue
 from repro.transport.sack import SackSender
-from repro.transport.tcp_base import TcpParams
+from repro.transport.transitions import TcpParams
 
 from tests.helpers import TcpHarness
 

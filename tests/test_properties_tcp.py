@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.transport.newreno import NewRenoSender
 from repro.transport.reno import RenoSender
 from repro.transport.tahoe import TahoeSender
-from repro.transport.tcp_base import TcpParams
+from repro.transport.transitions import TcpParams
 from repro.transport.vegas import VegasSender
 
 from tests.helpers import TcpHarness

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.transport.reno import RenoSender
-from repro.transport.tcp_base import TcpParams
+from repro.transport.transitions import TcpParams
 
 from tests.helpers import TcpHarness
 

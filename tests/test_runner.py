@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import paper_config
 from repro.experiments.replication import replicate
-from repro.experiments.runlog import Progress, RunLog, read_runlog
+from repro.experiments.runlog import Progress, RunLog, read_runlog, summarize_runlog
 from repro.experiments.runner import SweepRunner, pick_start_method, run_one
 from repro.experiments.sweep import run_many
 
@@ -211,6 +211,16 @@ class TestTelemetry:
             handle.write('{"event": "task_do')  # killed mid-write
         events = read_runlog(str(path))
         assert [e["event"] for e in events] == ["sweep_start"]
+
+    def test_runlog_skips_lines_that_are_not_objects(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with RunLog(str(path)) as log:
+            log.sweep_start(total=1)
+        with open(path, "a") as handle:
+            handle.write("null\n[1, 2]\n3\n")
+        events = read_runlog(str(path))
+        assert [e["event"] for e in events] == ["sweep_start"]
+        assert summarize_runlog(events)["total"] == 1
 
     def test_progress_render(self):
         progress = Progress(total=40, completed=9, cached=3, failed=0, retried=2)

@@ -6,7 +6,7 @@ from repro.net.packet import PacketFactory
 from repro.sim.engine import Simulator
 from repro.transport.sack import SackSender
 from repro.transport.sink import TcpSink
-from repro.transport.tcp_base import TcpParams
+from repro.transport.transitions import TcpParams
 
 from tests.helpers import CaptureNode, TcpHarness
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.transport.newreno import NewRenoSender
 from repro.transport.tahoe import TahoeSender
-from repro.transport.tcp_base import TcpParams
+from repro.transport.transitions import TcpParams
 
 from tests.helpers import TcpHarness
 

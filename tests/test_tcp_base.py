@@ -7,7 +7,8 @@ from repro.experiments.scenario import run_scenario
 from repro.obs.probes import FlowProbe
 from repro.transport import transitions
 from repro.transport.reno import RenoSender
-from repro.transport.tcp_base import _COMPACT_AT, TcpParams, TcpSender
+from repro.transport.tcp_base import _COMPACT_AT, TcpSender
+from repro.transport.transitions import TcpParams
 
 from tests.helpers import TcpHarness
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.transport.ecn import EcnRenoSender, ecn_tcp_params
-from repro.transport.tcp_base import TcpParams
+from repro.transport.ecn import EcnRenoSender
+from repro.transport.transitions import TcpParams
 from repro.transport.udp import UdpSender
 
 from tests.helpers import CaptureNode, TcpHarness
@@ -88,8 +88,3 @@ class TestEcnReno:
     def test_protocol_name(self):
         assert EcnRenoSender.protocol_name == "reno-ecn"
 
-
-def test_ecn_tcp_params_helper():
-    params = ecn_tcp_params(packet_size=500)
-    assert params.ecn
-    assert params.packet_size == 500
