@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import run_scenario
-from repro.net.topology import DumbbellParams, build_dumbbell
+from repro.net.topology import build_dumbbell
 from repro.sim.engine import Simulator
 
 
@@ -26,16 +26,8 @@ def main() -> None:
     )
 
     # Show the topology we are about to simulate (paper Figure 1).
-    topology = DumbbellParams(
-        n_clients=config.n_clients,
-        client_rate_bps=config.client_rate_bps,
-        client_delay=config.client_delay,
-        bottleneck_rate_bps=config.bottleneck_rate_bps,
-        bottleneck_delay=config.bottleneck_delay,
-        buffer_capacity=config.buffer_capacity,
-    )
     print("Network model (Figure 1):")
-    print(build_dumbbell(Simulator(), topology).ascii_diagram())
+    print(build_dumbbell(Simulator(), config).ascii_diagram())
     print()
     print(
         f"offered load: {config.n_clients} clients x "

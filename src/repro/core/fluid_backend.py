@@ -52,13 +52,16 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.theory import poisson_aggregate_cov
 from repro.experiments.results import ScenarioResult
 from repro.obs.engineprof import peak_rss_kb
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ScenarioConfig
 
 __all__ = ["FluidSolver", "run_fluid_scenario", "fluid_rate_cov"]
 
@@ -96,39 +99,27 @@ def fluid_rate_cov(
 
 
 class FluidSolver:
-    """The discretized mean-field system for one scenario.
+    """The discretized mean-field system for ``n_flows`` flows of
+    ``config``'s cell: every client under the fluid backend, the
+    background under the hybrid one.
 
-    Parameters mirror the physics fields of
-    :class:`~repro.experiments.config.ScenarioConfig`;
-    :func:`run_fluid_scenario` maps a config onto them.  ``loss_override``
-    pins the loss probability to a constant (bypassing the queue/RED
-    coupling) for property tests of the density dynamics alone.
+    The physics is read off the config; the keywords are test seams.
+    ``n_bins`` and ``dt`` set the grid (``dt`` defaults to a CFL-limited
+    step), and ``loss_override`` pins the loss probability to a constant
+    (bypassing the queue/RED coupling) for property tests of the density
+    dynamics alone.
     """
 
     def __init__(
         self,
+        config: ScenarioConfig,
+        n_flows: int,
         *,
-        protocol: str = "reno",
-        queue: str = "fifo",
-        n_flows: int = 50,
-        duration: float = 60.0,
-        warmup: float = 0.0,
-        rtt_prop: float = 0.404,
-        capacity_pps: float = 375.0,
-        buffer_packets: float = 50.0,
-        per_flow_rate: float = 10.0,
-        max_window: float = 20.0,
-        vegas_alpha: float = 1.0,
-        vegas_beta: float = 3.0,
-        red_min_th: float = 10.0,
-        red_max_th: float = 40.0,
-        red_max_p: float = 0.1,
-        red_weight: float = 0.002,
-        min_rto: float = 1.0,
         n_bins: int = 96,
         dt: Optional[float] = None,
         loss_override: Optional[float] = None,
     ) -> None:
+        protocol, queue, duration = config.protocol, config.queue, config.duration
         if protocol not in ("reno", "vegas"):
             raise ValueError(f"fluid solver models reno/vegas, not {protocol!r}")
         if queue not in ("fifo", "red"):
@@ -138,16 +129,17 @@ class FluidSolver:
             raise ValueError(f"loss_override is a probability, not {loss_override!r}")
         self.protocol, self.queue = protocol, queue
         self.n = n_flows
-        self.duration, self.warmup = duration, warmup
-        self.rtt_prop, self.C, self.B = rtt_prop, capacity_pps, float(buffer_packets)
-        self.lam = per_flow_rate
-        self.alpha, self.beta = vegas_alpha, vegas_beta
-        self.red_min, self.red_max = red_min_th, red_max_th
-        self.red_maxp, self.red_weight = red_max_p, red_weight
-        self.min_rto = min_rto
+        self.duration, self.warmup = duration, config.warmup
+        self.rtt_prop, self.C = config.rtt_prop, config.bottleneck_capacity_pps
+        self.B = float(config.buffer_capacity)
+        self.lam = config.per_client_rate
+        self.alpha, self.beta = config.vegas_alpha, config.vegas_beta
+        self.red_min, self.red_max = config.red_min_th, config.red_max_th
+        self.red_maxp, self.red_weight = config.red_max_p, config.red_weight
+        self.min_rto = config.min_rto
         self.loss_override = loss_override
         self.M = n_bins
-        self.wlo, self.whi = 1.0, float(max_window)
+        self.wlo, self.whi = 1.0, float(config.advertised_window)
         self.dw = (self.whi - self.wlo) / self.M
         self.w = self.wlo + (np.arange(self.M) + 0.5) * self.dw
         if dt is None:
@@ -176,7 +168,7 @@ class FluidSolver:
             self.half_frac[j] = min(max(frac, 0.0), 1.0)
         self.to_mask = self.w < _TIMEOUT_WINDOW
         # Timeout-return pipeline state (set per step by step_once()).
-        self._to_return, self._to_entry, self._tau_now = 0.0, 0.0, min_rto
+        self._to_return, self._to_entry, self._tau_now = 0.0, 0.0, self.min_rto
         #: Exogenous arrival rate (packets/s) added to the aggregate the
         #: queue sees -- the hybrid backend's foreground feedback term.
         #: The default 0.0 is exact (x + 0.0 is bit-identical for the
@@ -188,31 +180,6 @@ class FluidSolver:
         self._slopes = [(k, k[1:], k[:-1], c)
                         for k, c in zip(self._k, (0.5 * dt, 0.5 * dt, dt, None))]
         self._stages = self._bind()
-
-    @classmethod
-    def from_config(cls, config, n_flows: int) -> "FluidSolver":
-        """The solver for ``config``'s cell with ``n_flows`` flows in
-        the aggregate: every client under the fluid backend, the
-        background under the hybrid one."""
-        return cls(
-            protocol=config.protocol,
-            queue=config.queue,
-            n_flows=n_flows,
-            duration=config.duration,
-            warmup=config.warmup,
-            rtt_prop=config.rtt_prop,
-            capacity_pps=config.bottleneck_capacity_pps,
-            buffer_packets=config.buffer_capacity,
-            per_flow_rate=config.per_client_rate,
-            max_window=config.advertised_window,
-            vegas_alpha=config.vegas_alpha,
-            vegas_beta=config.vegas_beta,
-            red_min_th=config.red_min_th,
-            red_max_th=config.red_max_th,
-            red_max_p=config.red_max_p,
-            red_weight=config.red_weight,
-            min_rto=config.min_rto,
-        )
 
     # ------------------------------------------------------------------
     def loss_probability(self, q: float, v: float, arrival_rate: float) -> float:
@@ -558,7 +525,7 @@ def run_fluid_scenario(config) -> ScenarioResult:
     the packet engine's binned-count c.o.v.
     """
     config.validate()
-    solver = FluidSolver.from_config(config, config.n_clients)
+    solver = FluidSolver(config, config.n_clients)
     start = time.perf_counter()
     traj = solver.run()
     summary = solver.summarize(traj, config.effective_bin_width)

@@ -274,9 +274,7 @@ class HybridScenario(Scenario):
         if config.backend != "hybrid":
             raise ValueError("HybridScenario requires backend='hybrid'")
         self.hybrid_config = config
-        self.solver = FluidSolver.from_config(
-            config, config.hybrid_background_count
-        )
+        self.solver = FluidSolver(config, config.hybrid_background_count)
         self.coupler = HybridCoupler(self.solver, config.hybrid_coupling_dt)
         foreground = dataclasses.replace(
             config, n_clients=config.hybrid_foreground_flows

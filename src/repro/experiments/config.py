@@ -171,6 +171,11 @@ UNREAD_FIELDS = {
 # distributed-computing jobs of :mod:`repro.apps`.
 WORKLOADS = ("open", "rpc", "bsp", "bulk")
 
+#: Depth in packets of every drop-tail port of the dumbbell but the
+#: gateway's port toward the server: the access ports both ways and the
+#: server's reverse (ACK) port, effectively lossless.
+ACCESS_QUEUE_PACKETS = 1000
+
 #: The batch engine's envelope (DESIGN.md section 15), in the shape of
 #: a ``_BACKEND_CAPABILITIES`` row: the packet-backend cells whose
 #: per-hop event graph ``repro.engine.batch`` fuses into arithmetic
@@ -305,9 +310,9 @@ _BATCH_ENVELOPE_ROWS = _capability_rows(
     ),
     (
         "access_queue",
-        lambda c: c.advertised_window >= 1000,
+        lambda c: c.advertised_window >= ACCESS_QUEUE_PACKETS,
         "the batch engine assumes the access queue never "
-        "overflows (advertised_window < 1000)",
+        f"overflows (advertised_window < {ACCESS_QUEUE_PACKETS})",
     ),
     (
         "tie_bottleneck_serialization",
@@ -582,14 +587,14 @@ class ScenarioConfig:
                     f"unknown {word} {getattr(self, name)!r}; choose from {known}"
                 )
         if self.n_clients < 1:
-            raise ValueError("need at least one client")
+            raise ValueError(f"n_clients must be at least 1; got {self.n_clients!r}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if not 0 <= self.warmup < self.duration:
             raise ValueError("warmup must lie inside [0, duration)")
-        if self.mean_gap <= 0 or self.packet_size <= 0:
-            raise ValueError("workload parameters must be positive")
-        for name in ("client_rate_bps", "bottleneck_rate_bps"):
+        for name in (
+            "mean_gap", "packet_size", "client_rate_bps", "bottleneck_rate_bps"
+        ):
             if getattr(self, name) <= 0:
                 raise ValueError(
                     f"{name} must be positive; got {getattr(self, name)!r}"
@@ -652,20 +657,22 @@ class ScenarioConfig:
                 raise ValueError(
                     f"vegas_gamma cannot be negative; got {self.vegas_gamma!r}"
                 )
-        if min(
-            self.rpc_request_packets,
-            self.rpc_response_packets,
-            self.rpc_outstanding,
-            self.bsp_shuffle_packets,
-            self.bulk_job_packets,
-        ) < 1:
-            raise ValueError("workload sizes/windows must be at least 1")
-        if min(
-            self.rpc_think_time,
-            self.bsp_compute_time,
-            self.bulk_job_gap,
-        ) < 0:
-            raise ValueError("workload times must be non-negative")
+        for name in (
+            "rpc_request_packets",
+            "rpc_response_packets",
+            "rpc_outstanding",
+            "bsp_shuffle_packets",
+            "bulk_job_packets",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1; got {getattr(self, name)!r}"
+                )
+        for name in ("rpc_think_time", "bsp_compute_time", "bulk_job_gap"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} cannot be negative; got {getattr(self, name)!r}"
+                )
         if self.workload_timeout <= 0:
             raise ValueError("workload_timeout must be positive")
         unknown = set(self.obs_trace) - set(TRACE_CATEGORIES)

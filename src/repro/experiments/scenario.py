@@ -32,7 +32,7 @@ from repro.obs.probes import FlowProbe, QueueProbe
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, PacketQueue
 from repro.net.red import AdaptiveREDQueue, REDParams, REDQueue
-from repro.net.topology import DumbbellNetwork, DumbbellParams
+from repro.net.topology import DumbbellNetwork
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.base import TrafficSource
@@ -129,18 +129,7 @@ class Scenario:
         """The topology: anything with ``bottleneck_interface``,
         ``bottleneck_queue`` and ``packet_factory`` (the batch engine
         substitutes its fused gateway)."""
-        config = self.config
-        dumbbell_params = DumbbellParams(
-            n_clients=config.n_clients,
-            client_rate_bps=config.client_rate_bps,
-            client_delay=config.client_delay,
-            bottleneck_rate_bps=config.bottleneck_rate_bps,
-            bottleneck_delay=config.bottleneck_delay,
-            buffer_capacity=config.buffer_capacity,
-        )
-        return DumbbellNetwork(
-            self.sim, dumbbell_params, self._make_bottleneck_queue()
-        )
+        return DumbbellNetwork(self.sim, self.config, self._make_bottleneck_queue())
 
     def _make_bottleneck_queue(self) -> PacketQueue:
         """The gateway's discipline under study, built from the config."""

@@ -4,47 +4,21 @@
 link (``mu_c``, ``tau_c``); the gateway connects to the single server
 over the bottleneck full-duplex link (``mu_s``, ``tau_s``).  The
 gateway's output port toward the server carries the configurable
-queueing discipline (FIFO or RED) with buffer size ``B``.
+queueing discipline (FIFO or RED) with buffer size ``B``.  Every
+parameter is read off the cell's
+:class:`~repro.experiments.config.ScenarioConfig`, Table 1's one home.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.experiments.config import ACCESS_QUEUE_PACKETS, ScenarioConfig, paper_config
 from repro.net.link import Interface, Link
 from repro.net.node import Node
 from repro.net.packet import PacketFactory
 from repro.net.queues import DropTailQueue, PacketQueue
 from repro.sim.engine import Simulator
-
-@dataclass
-class DumbbellParams:
-    """Physical parameters of the dumbbell (paper's Table 1 symbols)."""
-
-    n_clients: int = 20
-    client_rate_bps: float = 10e6  # mu_c
-    client_delay: float = 0.002  # tau_c
-    bottleneck_rate_bps: float = 3e6  # mu_s
-    bottleneck_delay: float = 0.200  # tau_s
-    buffer_capacity: int = 50  # B, packets
-    access_queue_capacity: int = 1000  # effectively lossless access ports
-
-    @property
-    def rtt_prop(self) -> float:
-        """Round-trip propagation delay (the c.o.v. binning window)."""
-        return 2.0 * (self.client_delay + self.bottleneck_delay)
-
-    def validate(self) -> None:
-        """Raise ValueError on nonsensical parameters."""
-        if self.n_clients < 1:
-            raise ValueError("need at least one client")
-        if self.client_rate_bps <= 0 or self.bottleneck_rate_bps <= 0:
-            raise ValueError("link rates must be positive")
-        if self.client_delay < 0 or self.bottleneck_delay < 0:
-            raise ValueError("delays cannot be negative")
-        if self.buffer_capacity < 1:
-            raise ValueError("gateway buffer must hold at least one packet")
 
 
 class DumbbellNetwork:
@@ -60,18 +34,18 @@ class DumbbellNetwork:
     def __init__(
         self,
         sim: Simulator,
-        params: DumbbellParams,
+        config: ScenarioConfig,
         bottleneck_queue: Optional[PacketQueue] = None,
     ) -> None:
-        params.validate()
+        config.validate()
         self.sim = sim
-        self.params = params
+        self.config = config
         self.packet_factory = PacketFactory()
 
         self.gateway = Node(sim, self.GATEWAY)
         self.server = Node(sim, self.SERVER)
         self.clients: List[Node] = [
-            Node(sim, self.client_name(i)) for i in range(params.n_clients)
+            Node(sim, self.client_name(i)) for i in range(config.n_clients)
         ]
 
         # Bottleneck link; the gateway->server direction carries the
@@ -79,18 +53,16 @@ class DumbbellNetwork:
         # drop-tail queue.
         if bottleneck_queue is None:
             bottleneck_queue = DropTailQueue(
-                params.buffer_capacity, name="q:gateway->server"
+                config.buffer_capacity, name="q:gateway->server"
             )
         Link(
             sim,
             self.gateway,
             self.server,
-            params.bottleneck_rate_bps,
-            params.bottleneck_delay,
+            config.bottleneck_rate_bps,
+            config.bottleneck_delay,
             queue_ab=bottleneck_queue,
-            queue_ba=DropTailQueue(
-                params.access_queue_capacity, name="q:server->gateway"
-            ),
+            queue_ba=DropTailQueue(ACCESS_QUEUE_PACKETS, name="q:server->gateway"),
         )
 
         # Access links.
@@ -99,13 +71,13 @@ class DumbbellNetwork:
                 sim,
                 client,
                 self.gateway,
-                params.client_rate_bps,
-                params.client_delay,
+                config.client_rate_bps,
+                config.client_delay,
                 queue_ab=DropTailQueue(
-                    params.access_queue_capacity, name=f"q:{client.name}->gateway"
+                    ACCESS_QUEUE_PACKETS, name=f"q:{client.name}->gateway"
                 ),
                 queue_ba=DropTailQueue(
-                    params.access_queue_capacity, name=f"q:gateway->{client.name}"
+                    ACCESS_QUEUE_PACKETS, name=f"q:gateway->{client.name}"
                 ),
             )
             # Static routes: clients send everything via the gateway ...
@@ -136,11 +108,11 @@ class DumbbellNetwork:
     @property
     def rtt_prop(self) -> float:
         """Round-trip propagation delay between a client and the server."""
-        return self.params.rtt_prop
+        return self.config.rtt_prop
 
     def ascii_diagram(self) -> str:
         """Render the Figure-1 topology for terminal output."""
-        p = self.params
+        p = self.config
         lines = [
             "client-0   \\",
             f"client-1    \\   mu_c={p.client_rate_bps/1e6:g} Mbps",
@@ -153,7 +125,7 @@ class DumbbellNetwork:
 
 
 def build_dumbbell(
-    sim: Simulator, params: Optional[DumbbellParams] = None
+    sim: Simulator, config: Optional[ScenarioConfig] = None
 ) -> DumbbellNetwork:
-    """Convenience constructor with default (paper Table 1) parameters."""
-    return DumbbellNetwork(sim, params or DumbbellParams())
+    """Convenience constructor; ``config`` defaults to Table 1's."""
+    return DumbbellNetwork(sim, config or paper_config())

@@ -283,11 +283,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None if the queue is drained."""
-        entry = self._head_live()
-        return None if entry is None else entry[0]
-
     def step(self) -> bool:
         """Execute the next live event.  Returns False if none remain."""
         before = self._events_executed
@@ -432,24 +427,3 @@ class Simulator:
         for event in queued:
             if id(event) in pooled:
                 raise SimulationError(f"queued event is also pooled: {event!r}")
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _head_live(self) -> Optional[Any]:
-        """The calendar's head entry, lazily discarding (and pooling)
-        cancelled ones on the way."""
-        heap = self._heap
-        pool = self._event_pool
-        while heap and heap[0][3].cancelled:
-            self._cancelled_pending -= 1
-            dead = heappop(heap)[3]
-            if (
-                _POOL_BASELINE is not None
-                and len(pool) < _POOL_CAP
-                and _getrefcount(dead) == _POOL_BASELINE
-            ):
-                dead.callback = None
-                dead.args = None
-                pool.append(dead)
-        return heap[0] if heap else None

@@ -114,6 +114,11 @@ def _row(number, overrides, field):
         _row(3, dict(bottleneck_delay=-0.1), "bottleneck_delay"),
         _row(4, dict(bin_width=0.0), "bin_width"),
         _row(5, dict(client_delay=0.0, bottleneck_delay=0.0), "bin_width"),
+        _row(6, dict(n_clients=0), "n_clients"),
+        _row(7, dict(mean_gap=0.0), "mean_gap"),
+        _row(8, dict(packet_size=0), "packet_size"),
+        _row(9, dict(workload="rpc", rpc_outstanding=0), "rpc_outstanding"),
+        _row(10, dict(workload="bsp", bsp_compute_time=-1.0), "bsp_compute_time"),
     ],
 )
 def test_validate_names_the_mistyped_numeric_field(overrides, field):
@@ -562,7 +567,7 @@ def _fields_by_reason():
         "sweep override": varied(sweep_configs),
         "table 1 row": read_by(table1_rows),
         "batch envelope": read_by(*(row[1] for row in _BATCH_ENVELOPE_ROWS)),
-        "fluid solver input": read_by(FluidSolver.from_config),
+        "fluid solver input": read_by(FluidSolver.__init__),
         "observation toggle": set(_DIGEST_EXCLUDED_FIELDS),
         "ledger shim": {"scheduler"} if "scheduler=" in ledger_source else set(),
     }

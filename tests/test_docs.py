@@ -170,7 +170,9 @@ class TestNamedThingsExist:
     """Every ``repro.x.y`` dotted path and every backticked
     ``pkg/file.py`` path that README.md, DESIGN.md or a module docstring
     under ``src/`` names resolves to something that exists, so a module
-    deleted in code cannot live on in prose."""
+    deleted in code cannot live on in prose.  A class or function
+    resolves only under the module that defines it, not under one that
+    imports it (one import path per name)."""
 
     DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
     FILE = re.compile(r"`([\w.-]+(?:/[\w.-]+)+\.py)(?:::[\w.]+)?`")
@@ -192,9 +194,16 @@ class TestNamedThingsExist:
                 found = importlib.import_module(".".join(parts[:cut]))
             except ImportError:
                 continue
-            for attribute in parts[cut:]:
+            module = found.__name__
+            for depth, attribute in enumerate(parts[cut:]):
                 if hasattr(found, attribute):
                     found = getattr(found, attribute)
+                    if (
+                        depth == 0
+                        and (inspect.isclass(found) or inspect.isfunction(found))
+                        and found.__module__ != module
+                    ):
+                        return False
                 else:
                     # An instance attribute is only visible as an
                     # assignment in the class's source.
@@ -203,6 +212,10 @@ class TestNamedThingsExist:
                     )
             return True
         return False
+
+    def test_a_name_resolves_only_at_its_home(self):
+        assert not self._resolves("repro.experiments.scenario.ScenarioResult")
+        assert self._resolves("repro.experiments.results.ScenarioResult")
 
     def test_dotted_paths_and_file_paths_resolve(self):
         dangling = []

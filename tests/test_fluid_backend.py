@@ -44,7 +44,7 @@ class TestMassConservation:
         """sum(dm) + dz == 0 for arbitrary (valid) states: advection,
         halving redistribution, and the timeout pipeline only move mass
         around, never create or destroy it."""
-        solver = FluidSolver(protocol="reno", queue="fifo", n_flows=200)
+        solver = FluidSolver(paper_config(protocol="reno", queue="fifo"), 200)
         rng = np.random.default_rng(7)
         for trial in range(5):
             z = float(rng.uniform(0.0, 0.3))
@@ -60,7 +60,7 @@ class TestMassConservation:
     ])
     def test_full_run_stays_normalized(self, protocol, queue):
         solver = FluidSolver(
-            protocol=protocol, queue=queue, n_flows=200, duration=20.0
+            paper_config(protocol=protocol, queue=queue, duration=20.0), 200
         )
         traj = solver.run()
         assert solver._final_m.sum() + solver._final_z == pytest.approx(1.0, abs=1e-9)
@@ -102,21 +102,25 @@ class TestRunState:
     second ``run()``, a ``begin()`` after a partial run and a ``rhs()``
     after a run all give a fresh solver's bytes."""
 
-    CELL = dict(n_flows=200, duration=20.0)
+    @staticmethod
+    def solver(protocol, queue):
+        return FluidSolver(
+            paper_config(protocol=protocol, queue=queue, duration=20.0), 200
+        )
 
     @pytest.mark.parametrize("protocol,queue", PROTOCOL_QUEUE)
     def test_run_twice_matches_a_fresh_solver(self, protocol, queue):
-        fresh = FluidSolver(protocol=protocol, queue=queue, **self.CELL)
+        fresh = self.solver(protocol, queue)
         want = run_bytes(fresh, fresh.run())
-        solver = FluidSolver(protocol=protocol, queue=queue, **self.CELL)
+        solver = self.solver(protocol, queue)
         assert run_bytes(solver, solver.run()) == want
         assert run_bytes(solver, solver.run()) == want
 
     @pytest.mark.parametrize("protocol,queue", PROTOCOL_QUEUE)
     def test_begin_after_a_partial_run_matches_a_fresh_solver(self, protocol, queue):
-        fresh = FluidSolver(protocol=protocol, queue=queue, **self.CELL)
+        fresh = self.solver(protocol, queue)
         want = run_bytes(fresh, fresh.run())
-        solver = FluidSolver(protocol=protocol, queue=queue, **self.CELL)
+        solver = self.solver(protocol, queue)
         solver.begin()
         for _ in range(solver.steps // 3):
             solver.step_once()
@@ -127,11 +131,11 @@ class TestRunState:
 
     @pytest.mark.parametrize("protocol,queue", PROTOCOL_QUEUE)
     def test_rhs_is_the_same_before_and_after_a_run(self, protocol, queue):
-        solver = FluidSolver(protocol=protocol, queue=queue, **self.CELL)
+        solver = self.solver(protocol, queue)
         before = rhs_bytes(solver)
         solver.run()
         assert rhs_bytes(solver) == before
-        fresh = FluidSolver(protocol=protocol, queue=queue, **self.CELL)
+        fresh = self.solver(protocol, queue)
         assert rhs_bytes(fresh) == before
 
 
@@ -156,7 +160,7 @@ class TestStepWork:
     @pytest.mark.parametrize("protocol,queue", PROTOCOL_QUEUE)
     def test_python_calls_of_one_step(self, protocol, queue):
         solver = FluidSolver(
-            protocol=protocol, queue=queue, n_flows=100_000, duration=30.0
+            paper_config(protocol=protocol, queue=queue, duration=30.0), 100_000
         )
         solver.begin()
         for _ in range(200):
@@ -191,8 +195,9 @@ class TestMonotoneThroughput:
         throughputs = []
         for p in (0.02, 0.05, 0.1, 0.2):
             solver = FluidSolver(
-                protocol="reno", queue="fifo", n_flows=20,
-                duration=60.0, warmup=10.0, loss_override=p,
+                paper_config(protocol="reno", queue="fifo", duration=60.0, warmup=10.0),
+                20,
+                loss_override=p,
             )
             summary = solver.summarize(solver.run(), 0.404)
             throughputs.append(summary["throughput_pps"])
@@ -208,8 +213,11 @@ class TestVegasFixedPoint:
         # 25 effectively backlogged Vegas flows: fair rate 15 pps each,
         # equilibrium backlog between alpha and beta packets per flow.
         solver = FluidSolver(
-            protocol="vegas", queue="fifo", n_flows=25,
-            per_flow_rate=100.0, duration=120.0, warmup=60.0,
+            paper_config(
+                protocol="vegas", queue="fifo", mean_gap=0.01,
+                duration=120.0, warmup=60.0,
+            ),
+            25,
         )
         return solver, solver.run()
 
@@ -266,14 +274,14 @@ class TestBackendConfig:
 
     def test_solver_rejects_unmodeled_protocols(self):
         with pytest.raises(ValueError):
-            FluidSolver(protocol="sack")
+            FluidSolver(paper_config(protocol="sack"), 50)
         with pytest.raises(ValueError):
-            FluidSolver(queue="drr")
+            FluidSolver(paper_config(queue="drr"), 50)
 
     @pytest.mark.parametrize("p", [-0.1, 1.5])
     def test_solver_rejects_loss_override_outside_unit_interval(self, p):
         with pytest.raises(ValueError, match="loss_override"):
-            FluidSolver(loss_override=p)
+            FluidSolver(paper_config(), 50, loss_override=p)
 
 
 class TestFluidScenario:
@@ -305,7 +313,7 @@ class TestFluidScenario:
         are unchanged by construction."""
         for name in ("cov", "throughput_pps", "mean_queue_length", "mean_latency"):
             assert type(getattr(result, name)) is float, name
-        solver = FluidSolver(n_flows=200, duration=5.0)
+        solver = FluidSolver(paper_config(duration=5.0), 200)
         solver.run()
         assert type(solver._final_z) is float
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.fluid_backend import FluidSolver
+from repro.experiments.config import paper_config
 from tests import fluid_reference as reference
 
 TRAJECTORY_KEYS = ("t", "A", "q", "p", "s", "w", "z", "fr", "to")
@@ -34,14 +35,19 @@ def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-def run_pair(schedule=None, **kwargs):
-    """Step a production solver and the reference in lockstep.
+def run_pair(n_flows, schedule=None, n_bins=96, loss_override=None, **fields):
+    """Step a production solver and the reference in lockstep, both
+    for ``n_flows`` flows of ``paper_config(**fields)``.
 
     ``schedule(i)``, when given, returns the ``extra_arrival`` to set
     on both before step ``i`` (the way ``HybridCoupler._tick`` does) or
     None to leave it alone.
     """
-    solver, ref = FluidSolver(**kwargs), FluidSolver(**kwargs)
+    config = paper_config(**fields)
+    solver, ref = (
+        FluidSolver(config, n_flows, n_bins=n_bins, loss_override=loss_override)
+        for _ in range(2)
+    )
     solver.begin()
     reference.begin(ref)
     assert solver.steps == ref.steps > 0
@@ -79,7 +85,7 @@ class TestTrajectories:
         """Uncongested (N=20), limit-cycling (N=200) and saturated
         (N=10^5) regimes on the default 96-bin grid."""
         assert_bit_identical(*run_pair(
-            protocol=protocol, queue=queue, n_flows=n_flows, duration=30.0,
+            n_flows, protocol=protocol, queue=queue, duration=30.0,
         ))
 
     @pytest.mark.parametrize("protocol,queue", PROTOCOL_QUEUE)
@@ -87,26 +93,26 @@ class TestTrajectories:
         """A pinned loss probability bypasses the queue coupling, so the
         halving/timeout terms run at full strength from step 0."""
         assert_bit_identical(*run_pair(
-            protocol=protocol, queue=queue, n_flows=200, duration=20.0,
+            200, protocol=protocol, queue=queue, duration=20.0,
             loss_override=0.05,
         ))
 
     @pytest.mark.parametrize("protocol,queue", PROTOCOL_QUEUE)
     def test_non_default_grid(self, protocol, queue):
         assert_bit_identical(*run_pair(
-            protocol=protocol, queue=queue, n_flows=200, duration=30.0,
-            n_bins=64, max_window=40,
+            200, protocol=protocol, queue=queue, duration=30.0,
+            n_bins=64, advertised_window=40,
         ))
 
-    @pytest.mark.parametrize("n_bins,max_window", [(8, 2), (8, 3), (2, 20)])
+    @pytest.mark.parametrize("n_bins,advertised_window", [(8, 2), (8, 3), (2, 20)])
     @pytest.mark.parametrize("protocol,queue", [("reno", "fifo"), ("vegas", "red")])
-    def test_degenerate_grids(self, protocol, queue, n_bins, max_window):
-        """``max_window`` 2 and 3 put every bin below the timeout window
+    def test_degenerate_grids(self, protocol, queue, n_bins, advertised_window):
+        """``advertised_window`` 2 and 3 put every bin below the timeout window
         (the halving scatter is empty: all loss goes to ``z``); the
         2-bin grid puts none there (the timeout prefix is empty)."""
         solver, ref = run_pair(
-            protocol=protocol, queue=queue, n_flows=200, duration=20.0,
-            n_bins=n_bins, max_window=max_window,
+            200, protocol=protocol, queue=queue, duration=20.0,
+            n_bins=n_bins, advertised_window=advertised_window,
         )
         assert int(solver.to_mask.sum()) == (0 if n_bins == 2 else n_bins)
         assert_bit_identical(solver, ref)
@@ -117,8 +123,7 @@ class TestTrajectories:
         exceeds ``beta``; a faster source makes large windows shrink,
         which is the only way the downward flux is non-zero."""
         solver, ref = run_pair(
-            protocol="vegas", queue=queue, n_flows=50, duration=30.0,
-            per_flow_rate=40.0,
+            50, protocol="vegas", queue=queue, duration=30.0, mean_gap=0.025,
         )
         r_fb, rtt_fb = solver.rates(float(solver.trajectory()["q"].max()))
         assert (r_fb * (rtt_fb - solver.rtt_prop)).max() > solver.beta
@@ -130,15 +135,14 @@ class TestTrajectories:
         (a packet count over the coupling interval); nothing the solver
         hoists may depend on the value it had a step ago."""
         rng = np.random.default_rng(11)
-        dt = FluidSolver(protocol=protocol, queue=queue).dt
+        dt = FluidSolver(paper_config(protocol=protocol, queue=queue), 50).dt
         counts = rng.integers(0, 6, size=4096)
 
         def schedule(i):
             return float(counts[i // 3]) / (3 * dt) if i % 3 == 0 else None
 
         assert_bit_identical(*run_pair(
-            schedule, protocol=protocol, queue=queue, n_flows=100_000,
-            duration=20.0,
+            100_000, schedule, protocol=protocol, queue=queue, duration=20.0,
         ))
 
 
@@ -148,8 +152,8 @@ class TestRhs:
     def test_rhs_matches_reference_on_random_states(self, protocol, queue, p_fb):
         """The public one-off ``rhs()`` on the random states
         ``test_rhs_conserves_probability_mass`` draws."""
-        solver = FluidSolver(protocol=protocol, queue=queue, n_flows=200)
-        ref = FluidSolver(protocol=protocol, queue=queue, n_flows=200)
+        config = paper_config(protocol=protocol, queue=queue)
+        solver, ref = FluidSolver(config, 200), FluidSolver(config, 200)
         rng = np.random.default_rng(7)
         for _ in range(5):
             z = float(rng.uniform(0.0, 0.3))

@@ -13,6 +13,7 @@ from repro.core.fluid import (
 )
 from repro.core.fluid_backend import FluidSolver
 from repro.core.modulation import modulation_report
+from repro.experiments.config import paper_config
 
 
 class TestRenoFluid:
@@ -47,8 +48,8 @@ class TestRenoFluid:
         and must not be confused with (or asserted equal to) the ideal
         sawtooth constant."""
         solver = FluidSolver(
-            protocol="reno", queue="fifo", n_flows=50,
-            duration=30.0, warmup=5.0,
+            paper_config(protocol="reno", queue="fifo", duration=30.0, warmup=5.0),
+            50,
         )
         summary = solver.summarize(solver.run(), 0.404)
         measured = summary["cov"]

@@ -60,7 +60,9 @@ def _fingerprint(overrides):
     config, sim = scenario.config, scenario.sim
     executed = []
     while True:
-        entry = sim._head_live()
+        # The live entry the step below executes, after discarding
+        # (and pooling) every cancelled one ahead of it.
+        entry = min((e for e in sim._heap if not e[3].cancelled), default=None)
         if entry is None or entry[0] > config.duration:
             break
         time, _, seq, event = entry

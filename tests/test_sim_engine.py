@@ -169,14 +169,6 @@ def test_step_returns_false_when_drained():
     assert sim.step() is False
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    event.cancel()
-    assert sim.peek_time() == 2.0
-
-
 def test_run_is_not_reentrant():
     sim = Simulator()
     errors = []
@@ -237,16 +229,6 @@ def test_cancel_is_idempotent_for_live_events():
     sim.schedule(2.0, lambda: None)
     event.cancel()
     event.cancel()
-    assert sim.live_events == 1
-
-
-def test_peek_time_reconciles_live_events():
-    sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    event.cancel()
-    sim.peek_time()  # discards the cancelled head
-    assert sim.pending_events == 1
     assert sim.live_events == 1
 
 

@@ -60,7 +60,7 @@ def test_drains_in_model_order(pushes):
     assert fired == [key[2] for key in model]
     assert sim.events_executed == len(model)
     assert sim.now == (model[-1][0] if model else 0.0)
-    assert sim.pending_events == 0 and sim.peek_time() is None
+    assert sim.pending_events == 0
 
 
 @given(_script)

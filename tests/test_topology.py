@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.config import paper_config
 from repro.net.queues import DropTailQueue
 from repro.net.red import REDQueue
-from repro.net.topology import DumbbellNetwork, DumbbellParams, build_dumbbell
+from repro.net.topology import DumbbellNetwork, build_dumbbell
 from repro.sim.engine import Simulator
 from repro.transport.base import Agent
 
@@ -21,9 +21,9 @@ class RecordingAgent(Agent):
 
 def test_default_build_matches_table1_topology():
     network = build_dumbbell(Simulator())
-    params = network.params
-    assert len(network.clients) == params.n_clients
-    assert params.buffer_capacity == 50
+    config = network.config
+    assert len(network.clients) == config.n_clients
+    assert config.buffer_capacity == 50
     assert isinstance(network.bottleneck_queue, DropTailQueue)
     assert network.bottleneck_queue.capacity == 50
 
@@ -36,9 +36,8 @@ def test_default_delays_are_table1s():
 
 
 def test_rtt_prop():
-    params = DumbbellParams(client_delay=0.002, bottleneck_delay=0.2)
-    assert params.rtt_prop == pytest.approx(0.404)
-    network = DumbbellNetwork(Simulator(), params)
+    config = paper_config(client_delay=0.002, bottleneck_delay=0.2)
+    network = DumbbellNetwork(Simulator(), config)
     assert network.rtt_prop == pytest.approx(0.404)
 
 
@@ -54,25 +53,25 @@ def test_rtt_prop():
 )
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
-        DumbbellParams(**kwargs).validate()
+        DumbbellNetwork(Simulator(), paper_config(**kwargs))
 
 
 def test_custom_queue_factory_used_for_bottleneck():
     queue = REDQueue(50)
-    network = DumbbellNetwork(Simulator(), DumbbellParams(n_clients=2), queue)
+    network = DumbbellNetwork(Simulator(), paper_config(n_clients=2), queue)
     assert network.bottleneck_queue is queue
     assert network.bottleneck_interface.queue is queue
 
 
 def test_client_names_are_canonical():
     assert DumbbellNetwork.client_name(3) == "client-3"
-    network = build_dumbbell(Simulator(), DumbbellParams(n_clients=2))
+    network = build_dumbbell(Simulator(), paper_config(n_clients=2))
     assert [c.name for c in network.clients] == ["client-0", "client-1"]
 
 
 def test_client_to_server_path_end_to_end():
     sim = Simulator()
-    network = DumbbellNetwork(sim, DumbbellParams(n_clients=3))
+    network = DumbbellNetwork(sim, paper_config(n_clients=3))
     factory = network.packet_factory
     agent = RecordingAgent(sim, network.server, 1, "client-1", factory)
     packet = factory.data(1, "client-1", "server", 1000, seqno=0, now=0.0)
@@ -83,7 +82,7 @@ def test_client_to_server_path_end_to_end():
 
 def test_server_to_client_reverse_path():
     sim = Simulator()
-    network = DumbbellNetwork(sim, DumbbellParams(n_clients=3))
+    network = DumbbellNetwork(sim, paper_config(n_clients=3))
     factory = network.packet_factory
     agent = RecordingAgent(sim, network.clients[2], 2, "server", factory)
     ack = factory.ack(2, "server", "client-2", ackno=0, now=0.0)
@@ -94,7 +93,7 @@ def test_server_to_client_reverse_path():
 
 def test_forward_path_traverses_bottleneck_queue():
     sim = Simulator()
-    network = DumbbellNetwork(sim, DumbbellParams(n_clients=1))
+    network = DumbbellNetwork(sim, paper_config(n_clients=1))
     factory = network.packet_factory
     RecordingAgent(sim, network.server, 0, "client-0", factory)
     network.clients[0].send(
@@ -111,7 +110,7 @@ def test_bottleneck_interface_is_gateway_to_server():
 
 
 def test_ascii_diagram_mentions_parameters():
-    network = build_dumbbell(Simulator(), DumbbellParams(n_clients=4))
+    network = build_dumbbell(Simulator(), paper_config(n_clients=4))
     diagram = network.ascii_diagram()
     assert "gateway" in diagram
     assert "server" in diagram
