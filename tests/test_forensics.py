@@ -20,6 +20,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.cli import main
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, paper_config
@@ -142,6 +144,39 @@ class TestSpaceSavingSketch:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SpaceSavingSketch(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 5),
+        updates=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(1, 3)), max_size=60
+        ),
+    )
+    def test_evicts_the_min_weight_then_min_key(self, capacity, updates):
+        """Each eviction takes ``min(weights, key=lambda k: (weights[k],
+        k))`` of the weights before it, ties included (weights 1-3 over
+        12 keys tie often)."""
+        sketch = SpaceSavingSketch(capacity)
+        weights, counts, errors = {}, {}, {}
+        for key, weight in updates:
+            if key in weights:
+                weights[key] += weight
+                counts[key] += 1
+            elif len(weights) < capacity:
+                weights[key], counts[key], errors[key] = weight, 1, 0
+            else:
+                victim = min(weights, key=lambda k: (weights[k], k))
+                floor = weights.pop(victim)
+                floor_count = counts.pop(victim)
+                del errors[victim]
+                weights[key] = floor + weight
+                counts[key] = floor_count + 1
+                errors[key] = floor
+            sketch.update(key, weight)
+            assert sketch.entries() == sorted(
+                ((k, weights[k], counts[k], errors[k]) for k in weights),
+                key=lambda row: (-(row[1] - row[3]), row[0]),
+            )
 
 
 class TestSketchWindowAccountant:

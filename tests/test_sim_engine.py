@@ -395,3 +395,28 @@ def test_profiled_step_notes_its_event_exactly_once():
     profile = profiler.profile()
     assert profile.sim_time == 2.0
     assert profile.run_wall_time >= profile.wall_time > 0.0
+
+
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+def test_events_executed_is_exact_after_max_events_step_and_a_raise(mode):
+    """The count covers every callback the loop entered: a bounded run,
+    a step, and a callback that raised part-way through a run."""
+    sim = kernel_in_mode(mode)
+    fired = []
+    for i in range(6):
+        sim.schedule(float(i + 1), fired.append, i)
+    sim.schedule(3.5, lambda: None).cancel()
+    assert sim.run(max_events=3) == 3.0
+    assert sim.events_executed == 3 and fired == [0, 1, 2]
+    assert sim.step() is True
+    assert sim.events_executed == 4 and fired == [0, 1, 2, 3]
+
+    def boom():
+        raise KeyError("boom")
+
+    sim.schedule_at(4.5, boom)
+    with pytest.raises(KeyError, match="boom"):
+        sim.run()
+    assert sim.events_executed == 5 and sim.now == 4.5
+    assert sim.run() == 6.0
+    assert sim.events_executed == 7 and fired == [0, 1, 2, 3, 4, 5]

@@ -1,6 +1,8 @@
 """Unit tests for restartable timers."""
 
-from repro.sim.engine import Simulator
+import pytest
+
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.timers import Timer
 
 
@@ -87,3 +89,15 @@ def test_timer_restart_from_callback():
     timer.start(1.0)
     sim.run()
     assert count == [1.0, 2.0, 3.0]
+
+
+def test_negative_delay_is_refused_by_name_and_leaves_the_timer_disarmed():
+    sim = Simulator()
+    timer, fired = make(sim)
+    timer.start(2.0)
+    with pytest.raises(SimulationError, match=r"negative delay -0\.5"):
+        timer.start(-0.5)
+    # The refused start had already cancelled the expiry it replaced.
+    assert not timer.pending and timer.expiry is None
+    sim.run()
+    assert fired == [] and sim.live_events == 0
