@@ -159,25 +159,25 @@ class _RtxSlot:
     driver's deadline array (``inf`` = disarmed).  Answers like
     :class:`repro.sim.timers.Timer`; the expiry is the driver's
     (:meth:`BatchScenario._timer_fire` calls the sender's ``_timeout``).
+
+    The sender reads ``pending`` and calls ``start`` / ``restart`` once
+    a packet or an ACK, so none of them is a Python frame: ``pending``
+    is a plain slot that every write of the deadline keeps equal to
+    ``deadline != inf`` (:meth:`BatchScenario.timer_arm`, :meth:`cancel`,
+    :meth:`BatchScenario._timer_fire`), and ``start`` / ``restart`` are
+    ``partial(driver.timer_arm, index)``.
     """
 
-    __slots__ = ("_driver", "_deadlines", "_index")
+    __slots__ = ("pending", "start", "restart", "_deadlines", "_index")
 
     def __init__(self, driver: "BatchScenario", index: int) -> None:
-        self._driver = driver
+        self.pending = False
+        self.start = self.restart = partial(driver.timer_arm, index)
         self._deadlines = driver._rtx_deadline
         self._index = index
 
-    @property
-    def pending(self) -> bool:
-        return self._deadlines[self._index] != _INF
-
-    def start(self, delay: float) -> None:
-        self._driver.timer_arm(self._index, delay)
-
-    restart = start
-
     def cancel(self) -> None:
+        self.pending = False
         self._deadlines[self._index] = _INF
 
 
@@ -296,6 +296,7 @@ class BatchScenario(Scenario):
         # disarmed; written through the senders' _RtxSlot) and one
         # horizon event (lazy: <= every armed deadline).
         self._rtx_deadline = np.full(n, _INF)
+        self._rtx_slots: List[_RtxSlot] = []
         self._horizon_time = _INF
         self._horizon_event = None
         # Arming order, for firing same-deadline cohorts in the order
@@ -330,6 +331,7 @@ class BatchScenario(Scenario):
             client = _BatchNode(f"client-{index}", partial(self.transmit, index))
             sender, sink = self._add_flow(index, client, server, self._sink_clock)
             sender.rtx_timer = _RtxSlot(self, index)
+            self._rtx_slots.append(sender.rtx_timer)
             if self._open_mode:
                 # The flow starts with an empty send buffer.
                 self._rearm_arrival(index)
@@ -403,6 +405,7 @@ class BatchScenario(Scenario):
         now = self.sim.now
         deadline = now + delay
         self._rtx_deadline[i] = deadline
+        self._rtx_slots[i].pending = True
         self._arm_seq[i] = self._arm_counter
         self._arm_counter += 1
         self._arm_time[i] = now
@@ -478,9 +481,19 @@ class BatchScenario(Scenario):
             # timer may fire in this window, so the delivery needs a
             # real event.
             self.sim.schedule_at(arrival, self._server_arrival, packet)
-        self._bn_busy = False
-        if len(self.bottleneck_queue):
-            self._bn_pull(now)
+        # _bn_pull in place: the transmitter stays busy while the queue
+        # holds a packet (an empty queue's dequeue answers None and
+        # changes nothing).
+        packet = self.bottleneck_queue.dequeue(now)
+        if packet is None:
+            self._bn_busy = False
+        else:
+            self.sim.schedule_at(
+                now + packet.size * 8.0 / self._bn_rate,
+                self._gw_tx_done,
+                packet,
+                priority=self._prio_txdone,
+            )
 
     def _server_arrival(self, packet: Packet) -> None:
         self.sinks[packet.flow_id].receive(packet)
@@ -510,13 +523,23 @@ class BatchScenario(Scenario):
     def _ack_arrival(self, ack: Packet, left_gateway: float) -> None:
         now = self.sim.now
         i = ack.flow_id
-        self._catch_up(i, now)
+        open_mode = self._open_mode
+        # _catch_up and _rearm_arrival are called only when they have
+        # work: an arrival due by now (or a buffer to refill), an idle
+        # flow with none on the calendar -- their own early exits.
+        if open_mode:
+            buf = self._arr_buf[i]
+            pos = self._arr_pos[i]
+            if pos >= len(buf) or buf[pos] <= now:
+                self._catch_up(i, now)
         # The object engine pushes the client's delivery as the ACK
         # finishes serializing at the gateway.
         self._trigger_pushed = left_gateway
-        self.senders[i].receive(ack)
+        sender = self.senders[i]
+        sender.receive(ack)
         self._trigger_pushed = None
-        self._rearm_arrival(i)
+        if open_mode and not self._armed[i] and sender.app_total <= sender.t_seqno:
+            self._rearm_arrival(i)
 
     def _timer_fire(self) -> None:
         now = self.sim.now
@@ -531,6 +554,7 @@ class BatchScenario(Scenario):
         )
         for i in due:
             deadlines[i] = _INF
+            self._rtx_slots[i].pending = False
             self._catch_up(i, now)
             self._trigger_pushed = self._arm_time[i]
             self.senders[i]._timeout()

@@ -140,13 +140,17 @@ class ForensicsProbe:
         self.exact.record(packet.flow_id, now, packet.size)
         self.sketch.record(packet.flow_id, now, packet.size)
         self.bursts.on_sample(now, len(self.queue))
-        if self.stream is not None:
-            self.stream.maybe_flush(now)
+        # The stream is called only at a checkpoint (its own test, in
+        # place: these hooks run once a packet).
+        stream = self.stream
+        if stream is not None and now >= stream.next_flush:
+            stream.maybe_flush(now)
 
     def _on_dequeue(self, packet: "Packet", now: float) -> None:
         self.bursts.on_sample(now, len(self.queue))
-        if self.stream is not None:
-            self.stream.maybe_flush(now)
+        stream = self.stream
+        if stream is not None and now >= stream.next_flush:
+            stream.maybe_flush(now)
 
     def _on_drop(self, packet: "Packet", now: float) -> None:
         self.bursts.on_drop(now, self.queue.last_drop_cause)

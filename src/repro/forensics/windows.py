@@ -93,7 +93,9 @@ class WindowAccountant:
 
     def record(self, flow_id: int, time: float, nbytes: int) -> None:
         """Charge one admitted packet to its (window, flow) cell."""
-        counts = self._windows.setdefault(self.window_index(time), {})
+        # window_index(time), in place: this runs once a packet.
+        index = int((time - self.start) // self.window)
+        counts = self._windows.setdefault(index, {})
         entry = counts.get(flow_id)
         if entry is None:
             counts[flow_id] = [1, nbytes]
@@ -168,8 +170,10 @@ class SpaceSavingSketch:
             self._errors[key] = 0
             return
         # Evict the minimum-weight entry (ties by key, deterministic);
-        # the newcomer inherits its weight floor as error.
-        victim = min(weights, key=lambda k: (weights[k], k))
+        # the newcomer inherits its weight floor as error.  The
+        # (weight, key) pairs are compared in C: a key function would
+        # be a Python call per tracked key.
+        victim = min(zip(weights.values(), weights.keys()))[1]
         floor_weight = weights.pop(victim)
         floor_count = self._counts.pop(victim)
         self._errors.pop(victim)
@@ -235,7 +239,8 @@ class SketchWindowAccountant:
         return int((time - self.start) // self.window)
 
     def record(self, flow_id: int, time: float, nbytes: int) -> None:
-        index = self.window_index(time)
+        # window_index(time), in place: this runs once a packet.
+        index = int((time - self.start) // self.window)
         sketch = self._windows.get(index)
         if sketch is None:
             sketch = self._windows[index] = SpaceSavingSketch(self.capacity)

@@ -17,7 +17,9 @@ import numpy as np
 
 from repro.core.cov import FOLD_SIZE, bin_counts, window_bins
 from repro.net.link import Interface
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketType
+
+_DATA = PacketType.DATA
 
 
 class ArrivalMonitor:
@@ -52,7 +54,7 @@ class ArrivalMonitor:
 
     def on_packet(self, packet: Packet, now: float) -> None:
         """Record one arrival (send-hook signature)."""
-        if packet.is_data:
+        if packet.ptype is _DATA:
             times = self.times
             times.append(now)
             self.flows.append(packet.flow_id)

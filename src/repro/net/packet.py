@@ -9,7 +9,7 @@ packets, advertised window in packets).
 At large N packet allocation is one of the simulator's hottest paths, so
 :class:`Packet` is a ``__slots__`` class (no instance dict) and
 :class:`PacketFactory` keeps a free list: delivered packets that nothing
-references any more are handed back via :meth:`PacketFactory.recycle`
+references any more are handed back via ``PacketFactory.recycle``
 (the engine's arg-recycler hook does this; see
 :meth:`repro.sim.engine.Simulator.set_arg_recycler`) and reused by the
 next mint.  Both mint paths reinitialize *every* field, so a recycled
@@ -126,34 +126,31 @@ class Packet:
 # Size of a pure acknowledgement, in bytes (TCP/IP headers only).
 ACK_SIZE_BYTES = 40
 
-#: Free-list bound; beyond this, retired packets go to the allocator.
-_FREE_LIST_CAP = 4096
-
 
 class PacketFactory:
     """Mints packets with unique ids.
 
     One factory per simulation keeps uids dense and runs reproducible.
-    Retired packets handed to :meth:`recycle` are reused by the next
-    mint; recycling is purely an allocation optimization -- a recycled
-    packet is indistinguishable from a fresh one because the mint paths
-    assign every field.
+    Retired packets handed to ``recycle(packet)`` are reused by the
+    next mint; recycling is purely an allocation optimization -- a
+    recycled packet is indistinguishable from a fresh one because the
+    mint paths assign every field.  The caller asserts nothing
+    references the packet any more (the engine's arg-recycler proves
+    this with a refcount check).
+
+    ``recycle`` is the free list's own ``append``: the engine calls it
+    after every event that carried a packet, and a bound C method
+    enters no Python frame.  The list needs no bound of its own: a mint
+    allocates only when it is empty, so it never holds more packets
+    than were alive at once earlier in the run.
     """
 
-    __slots__ = ("_counter", "_free")
+    __slots__ = ("_counter", "_free", "recycle")
 
     def __init__(self) -> None:
         self._counter = itertools.count()
         self._free: List[Packet] = []
-
-    def recycle(self, packet: Packet) -> None:
-        """Return a retired packet to the free list.
-
-        The caller asserts nothing references ``packet`` any more (the
-        engine's arg-recycler proves this with a refcount check).
-        """
-        if len(self._free) < _FREE_LIST_CAP:
-            self._free.append(packet)
+        self.recycle = self._free.append
 
     def data(
         self,

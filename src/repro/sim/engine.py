@@ -133,7 +133,11 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def events_executed(self) -> int:
-        """Number of events executed so far (diagnostics)."""
+        """Number of events executed so far (diagnostics).
+
+        The run loop counts in a local and adds it here when it returns
+        or raises, so a callback reading this mid-run sees the count as
+        of that run's start."""
         return self._events_executed
 
     @property
@@ -192,7 +196,9 @@ class Simulator:
         After each executed event, any argument whose concrete type is
         exactly ``arg_type`` and whose refcount proves the engine holds
         the last reference is handed to ``recycle`` for reuse (the
-        scenario wires the packet factory's free list here).  Payloads
+        scenario wires the packet factory's free list here: its
+        ``recycle`` is the list's own ``append``, so the hand-over
+        enters no Python frame).  Payloads
         still referenced anywhere -- a retransmission buffer, a trace, a
         test fixture -- are never recycled.  No-op on interpreters
         without ``sys.getrefcount``.
@@ -361,7 +367,9 @@ class Simulator:
                 event = heappop(heap)[3]
                 event.owner = None
                 self.now = event.time
-                self._events_executed += 1
+                # Counted before the callback runs, so a callback that
+                # raises is counted too; written back in ``finally``.
+                executed += 1
                 if clock is None:
                     event.callback(*event.args)
                 else:
@@ -384,10 +392,10 @@ class Simulator:
                     event.callback = None
                     event.args = None
                     pool.append(event)
-                executed += 1
                 if debug:
                     self.check_invariants()
         finally:
+            self._events_executed += executed
             self._running = False
             if clock is not None:
                 profiler.add_run_wall(clock() - loop_start)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
 
 
@@ -35,7 +35,8 @@ class Timer:
     @property
     def pending(self) -> bool:
         """True if the timer is armed and has not yet fired."""
-        return self._event is not None and self._event.pending
+        event = self._event
+        return event is not None and not event.cancelled
 
     @property
     def expiry(self) -> Optional[float]:
@@ -46,13 +47,21 @@ class Timer:
         return None
 
     def start(self, delay: float) -> None:
-        """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
+        """Arm (or re-arm) the timer to fire ``delay`` seconds from now.
 
-    def restart(self, delay: float) -> None:
-        """Alias of :meth:`start`, for call sites that read better this way."""
-        self.start(delay)
+        :meth:`cancel` and :meth:`Simulator.schedule`, in place: a
+        sender re-arms its retransmit timer on nearly every ACK."""
+        event = self._event
+        if event is not None:
+            event.cancel()
+            self._event = None
+        if delay < 0:
+            raise SimulationError(f"cannot schedule with negative delay {delay!r}")
+        sim = self._sim
+        self._event = sim.schedule_at(sim.now + delay, self._fire)
+
+    #: Alias of :meth:`start`, for call sites that read better this way.
+    restart = start
 
     def cancel(self) -> None:
         """Disarm the timer (idempotent)."""

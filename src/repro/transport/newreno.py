@@ -10,6 +10,7 @@ an extension/baseline beyond the paper's protocol set.
 
 from __future__ import annotations
 
+from repro.transport import transitions
 from repro.transport.reno import RenoSender
 
 
@@ -20,7 +21,7 @@ class NewRenoSender(RenoSender):
 
     def _on_new_ack_window(self, ackno: int) -> None:
         if not self.in_recovery:
-            self.slowstart_or_linear_increase()
+            self.set_cwnd(transitions.slowstart_or_linear_next(self.cwnd, self.ssthresh))
             return
         if ackno >= self._recover:
             # Full ACK: recovery is complete; deflate.

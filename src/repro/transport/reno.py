@@ -39,7 +39,7 @@ class RenoSender(TcpSender):
             self.note_state("recovery_exit")
             self.set_cwnd(self.ssthresh)
             return
-        self.slowstart_or_linear_increase()
+        self.set_cwnd(transitions.slowstart_or_linear_next(self.cwnd, self.ssthresh))
 
     def _on_dupack(self) -> None:
         if self.in_recovery:

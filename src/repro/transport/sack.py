@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Set
 
 from repro.net.packet import Packet
+from repro.transport import transitions
 from repro.transport.tcp_base import TcpSender
 
 
@@ -57,7 +58,7 @@ class SackSender(TcpSender):
     def _on_new_ack_window(self, ackno: int) -> None:
         self.scoreboard = {seq for seq in self.scoreboard if seq > ackno}
         if not self.in_recovery:
-            self.slowstart_or_linear_increase()
+            self.set_cwnd(transitions.slowstart_or_linear_next(self.cwnd, self.ssthresh))
             return
         if ackno >= self._recover:
             # Full ACK: recovery complete.

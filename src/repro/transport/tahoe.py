@@ -8,6 +8,7 @@ against which Reno's fast recovery is defined.
 
 from __future__ import annotations
 
+from repro.transport import transitions
 from repro.transport.tcp_base import TcpSender
 
 
@@ -18,7 +19,7 @@ class TahoeSender(TcpSender):
     DUPACK_THRESHOLD = 3
 
     def _on_new_ack_window(self, ackno: int) -> None:
-        self.slowstart_or_linear_increase()
+        self.set_cwnd(transitions.slowstart_or_linear_next(self.cwnd, self.ssthresh))
 
     def _on_dupack(self) -> None:
         if self.dupacks != self.DUPACK_THRESHOLD:
