@@ -129,7 +129,9 @@ class Scenario:
         """The topology: anything with ``bottleneck_interface``,
         ``bottleneck_queue`` and ``packet_factory`` (the batch engine
         substitutes its fused gateway)."""
-        return DumbbellNetwork(self.sim, self.config, self._make_bottleneck_queue())
+        return DumbbellNetwork.of_validated(
+            self.sim, self.config, self._make_bottleneck_queue()
+        )
 
     def _make_bottleneck_queue(self) -> PacketQueue:
         """The gateway's discipline under study, built from the config."""

@@ -38,6 +38,28 @@ class DumbbellNetwork:
         bottleneck_queue: Optional[PacketQueue] = None,
     ) -> None:
         config.validate()
+        self._wire(sim, config, bottleneck_queue)
+
+    @classmethod
+    def of_validated(
+        cls,
+        sim: Simulator,
+        config: ScenarioConfig,
+        bottleneck_queue: Optional[PacketQueue] = None,
+    ) -> "DumbbellNetwork":
+        """The same network for a config its caller has validated: a
+        :class:`~repro.experiments.scenario.Scenario` validates its
+        config before it builds anything, once a cell."""
+        network = cls.__new__(cls)
+        network._wire(sim, config, bottleneck_queue)
+        return network
+
+    def _wire(
+        self,
+        sim: Simulator,
+        config: ScenarioConfig,
+        bottleneck_queue: Optional[PacketQueue],
+    ) -> None:
         self.sim = sim
         self.config = config
         self.packet_factory = PacketFactory()
