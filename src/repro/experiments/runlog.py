@@ -27,8 +27,9 @@ Events (all carry ``t`` = wall-clock seconds and ``event``):
   :data:`TASK_DONE_FIELDS`.  ``engine`` is absent on fluid cells, and
   in logs written before the default dispatch, when every cell was
   object.
-* ``task_retry``     -- ``index``, ``digest``, ``attempt``, ``error``,
-  ``delay``.
+* ``task_retry``     -- ``index``, ``digest``, ``attempt``, ``error``;
+  the cell is queued again at once (logs written while the runner
+  still backed off also carry the ``delay`` it waited).
 * ``task_failed``    -- ``index``, ``digest``, ``error`` (retries
   exhausted).
 * ``worker_spawn``   -- ``worker`` id (pool).

@@ -4,22 +4,24 @@ The paper's figures aggregate hundreds of seed-deterministic scenario
 runs — an embarrassingly parallel, perfectly cacheable workload.  The
 executor is a pool of long-lived workers that import once and drain
 the task queue over a duplex pipe, under one robustness contract:
-per-cell wall-clock deadline, capped-backoff retry, crash isolation via
+per-cell wall-clock deadline, retry at once, crash isolation via
 error-tagged :class:`ScenarioMetrics` placeholders, content-addressed
-resume.  A worker that crashes (its pipe reads EOF) or blows its
-deadline (armed when it reports the cell's start) is killed and
-respawned *individually* — the rest of the pool keeps draining.
+resume.  A failed cell goes back to the queue as soon as its failure
+is seen: a cell is seed-deterministic, so there is no fault outside the
+program to wait out.  A worker that crashes (its pipe reads EOF) or
+blows its deadline (armed when it reports the cell's start) is killed
+and respawned *individually* — the rest of the pool keeps draining.
 Workers persist successful results into the :class:`ResultCache`
 themselves (same atomic-rename, digest-keyed writes), so the parent
 never writes an entry a worker already wrote.
 
 The parent reaps events with :func:`multiprocessing.connection.wait`
 over the worker pipes (the wake-up is a pipe write, not a poll loop),
-with the wait timeout derived from the nearest deadline or retry
-backoff.  What it does per cell does not grow with the grid: the
-pending tasks sit in one heap (:class:`_PendingTasks`), and a worker
-on short cells holds one more task queued in its pipe, so it starts
-the next cell without waiting for the parent's round trip.
+with the wait timeout derived from the nearest deadline.  What it
+does per cell does not grow with the grid: the pending tasks sit in one
+heap (:class:`_PendingTasks`), and a worker on short cells holds one
+more task queued in its pipe, so it starts the next cell without
+waiting for the parent's round trip.
 
 Cells launch largest first by :func:`cell_units` (``duration x
 n_clients`` for packet cells), ties in grid order: longest processing
@@ -49,9 +51,6 @@ from repro.experiments.results import ScenarioMetrics
 from repro.experiments.runlog import RunLog
 from repro.experiments.scenario import run_scenario
 
-#: Backoff before retry attempt k is ``backoff * 2**(k-1)``, capped.
-DEFAULT_BACKOFF = 0.25
-DEFAULT_MAX_BACKOFF = 5.0
 #: A worker whose running cell is expected to end within this many
 #: seconds gets one more cell queued in its pipe
 #: (:meth:`SweepRunner._feed`); it bounds that cell's extra wait.
@@ -162,7 +161,6 @@ class _Task:
     config: ScenarioConfig
     digest: str
     attempt: int = 0  # completed attempts so far
-    ready_at: float = 0.0  # monotonic time before which it must not launch
 
 
 @dataclass
@@ -200,46 +198,29 @@ class _PendingTasks:
 
     One heap on (:func:`cell_units` descending, enqueue sequence
     ascending): the same pop sequence as a scan of one flat list in
-    enqueue order for the largest launchable task, ties to the one
-    enqueued first (``tests/pick_reference.py`` is that scan).  A
-    requeued task takes a fresh sequence number, so it goes behind the
-    tasks of its size already here.  Tasks not yet in the heap -- new,
-    or still backing off -- wait in a side list.
+    enqueue order for the largest task, ties to the one enqueued first
+    (``tests/pick_reference.py`` is that scan).  A requeued task takes
+    a fresh sequence number, so it goes behind the tasks of its size
+    already here.
     """
 
     def __init__(self, tasks: Sequence[_Task]) -> None:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
-        # (sequence, task), not yet in the heap: new or still backing off.
-        self._waiting = [(next(self._seq), task) for task in tasks]
+        for task in tasks:
+            self.add(task)
 
     def __len__(self) -> int:
-        return len(self._waiting) + len(self._heap)
+        return len(self._heap)
 
     def add(self, task: _Task) -> None:
-        """Enqueue ``task`` behind everything already here."""
-        self._waiting.append((next(self._seq), task))
+        """Enqueue ``task`` behind everything of its size already here."""
+        heapq.heappush(
+            self._heap, (-cell_units(task.config), next(self._seq), task)
+        )
 
-    def next_ready(self) -> Optional[float]:
-        """When the earliest backing-off task becomes launchable; None
-        if none is.  Right after a :meth:`pick_next` that returned None
-        these are all the tasks there are."""
-        return min((task.ready_at for _, task in self._waiting), default=None)
-
-    def pick_next(self, now: float) -> Optional[_Task]:
-        """Pop the largest launchable task; None if every pending task
-        is still backing off."""
-        if self._waiting:
-            backing_off = []
-            for entry in self._waiting:
-                seq, task = entry
-                if task.ready_at > now:
-                    backing_off.append(entry)
-                    continue
-                heapq.heappush(
-                    self._heap, (-cell_units(task.config), seq, task)
-                )
-            self._waiting = backing_off
+    def pop(self) -> Optional[_Task]:
+        """Pop the largest task; None if there is none."""
         return heapq.heappop(self._heap)[2] if self._heap else None
 
 
@@ -254,8 +235,8 @@ class SweepRunner:
         timeout: per-scenario wall-clock limit in seconds (None = no
             limit).  Enforced by terminating the worker process and
             respawning only that worker.
-        retries: extra attempts per cell after the first failure.
-        backoff / max_backoff: capped exponential delay between attempts.
+        retries: extra attempts per cell after the first failure, each
+            queued again as soon as the failure is seen.
         cache: a :class:`ResultCache`, a cache directory path, or None.
         run_log: a :class:`RunLog` for telemetry (None = counters only).
         task: the per-config callable (default :func:`run_one`); must be
@@ -270,8 +251,6 @@ class SweepRunner:
         processes: Optional[int] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
-        backoff: float = DEFAULT_BACKOFF,
-        max_backoff: float = DEFAULT_MAX_BACKOFF,
         cache: Union[ResultCache, str, None] = None,
         run_log: Optional[RunLog] = None,
         task: TaskFn = run_one,
@@ -290,8 +269,6 @@ class SweepRunner:
         self.processes = processes
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
         self.cache = ResultCache(cache) if isinstance(cache, str) else cache
         self.log = run_log if run_log is not None else RunLog()
         self.task = task
@@ -382,25 +359,19 @@ class SweepRunner:
             ),
         )
 
-    def _retry_delay(self, attempt: int) -> float:
-        return min(self.backoff * (2.0 ** (attempt - 1)), self.max_backoff)
-
-    def _record_failure(
-        self, task: _Task, error: str, results: List
-    ) -> Optional[float]:
-        """Requeue with backoff if attempts remain; else write the
-        placeholder.  Returns the retry delay, or None when final."""
+    def _record_failure(self, task: _Task, error: str, results: List) -> bool:
+        """Log a retry if attempts remain; else write the placeholder.
+        Returns whether to run ``task`` again."""
         task.attempt += 1
         if task.attempt <= self.retries:
-            delay = self._retry_delay(task.attempt)
             self.log.emit(
                 "task_retry", index=task.index, digest=task.digest,
-                attempt=task.attempt, error=error, delay=delay,
+                attempt=task.attempt, error=error,
             )
-            return delay
+            return True
         results[task.index] = ScenarioMetrics.failure(task.config, error)
         self.log.emit("task_failed", index=task.index, digest=task.digest, error=error)
-        return None
+        return False
 
     def _take_cached(self, task: _Task, results: List) -> bool:
         """Answer ``task`` from the cache if it is there now: a duplicate
@@ -414,10 +385,6 @@ class SweepRunner:
         results[task.index] = cached
         self.log.emit("cache_hit", index=task.index, digest=task.digest)
         return True
-
-    def _requeue(self, task: _Task, delay: float, pending: _PendingTasks) -> None:
-        task.ready_at = time.monotonic() + delay
-        pending.add(task)
 
     # ------------------------------------------------------------------
     # In-process execution (no timeout enforcement, no crash isolation)
@@ -442,12 +409,10 @@ class SweepRunner:
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:  # noqa: BLE001 - isolate the cell
-                    delay = self._record_failure(
+                    if not self._record_failure(
                         task, f"{type(exc).__name__}: {exc}", results
-                    )
-                    if delay is None:
+                    ):
                         break
-                    time.sleep(delay)
                 else:
                     elapsed = time.monotonic() - started
                     self._record_success(task, metrics, results, elapsed)
@@ -474,15 +439,13 @@ class SweepRunner:
             pass
 
     @staticmethod
-    def _wait_timeout(deadlines, wake: Optional[float]) -> Optional[float]:
-        """Seconds until the nearest deadline or backoff wake-up; None
-        when there is nothing scheduled to happen (pure event wait)."""
-        candidates = [d for d in deadlines if d is not None]
-        if wake is not None:
-            candidates.append(wake)
-        if not candidates:
+    def _wait_timeout(deadlines) -> Optional[float]:
+        """Seconds until the nearest deadline; None when there is none
+        (pure event wait)."""
+        nearest = min((d for d in deadlines if d is not None), default=None)
+        if nearest is None:
             return None
-        return max(min(candidates) - time.monotonic(), 0.0)
+        return max(nearest - time.monotonic(), 0.0)
 
     def _spawn_worker(self, context, cache_dir: Optional[str]) -> _PoolWorker:
         worker_id = next(self._worker_seq)
@@ -522,14 +485,11 @@ class SweepRunner:
             pass  # worker already died; the wait loop reaps the EOF
 
     def _next_uncached(
-        self,
-        pending: _PendingTasks,
-        results: List,
-        now: float,
+        self, pending: _PendingTasks, results: List
     ) -> Optional[_Task]:
-        """Pop launchable tasks until one misses the cache."""
+        """Pop tasks until one misses the cache."""
         while True:
-            task = pending.pick_next(now)
+            task = pending.pop()
             if task is None or not self._take_cached(task, results):
                 return task
 
@@ -553,10 +513,9 @@ class SweepRunner:
         unbounded wait.  So nothing queues before the first cell
         finishes or behind a long cell.
         """
-        now = time.monotonic()
         for worker in workers:
             if worker.current is None:
-                task = self._next_uncached(pending, results, now)
+                task = self._next_uncached(pending, results)
                 if task is None:
                     return
                 self._dispatch(worker, task)
@@ -569,7 +528,7 @@ class SweepRunner:
                 and worker.current is not None
                 and rate * cell_units(worker.current.config) <= QUEUE_AHEAD_S
             ):
-                task = self._next_uncached(pending, results, now)
+                task = self._next_uncached(pending, results)
                 if task is None:
                     return
                 self._dispatch(worker, task)
@@ -591,15 +550,9 @@ class SweepRunner:
             while pending or any(w.current is not None for w in workers):
                 self._feed(workers, pending, results)
                 if not any(w.current is not None for w in workers):
-                    wake = pending.next_ready()
-                    if wake is not None:  # everything is backing off
-                        time.sleep(max(wake - time.monotonic(), 0.0) + 1e-4)
-                    continue
+                    continue  # the last pops were all cache hits
                 timeout = self._wait_timeout(
-                    (w.deadline for w in workers if w.current is not None),
-                    pending.next_ready()
-                    if any(w.current is None for w in workers)
-                    else None,
+                    w.deadline for w in workers if w.current is not None
                 )
                 ready = wait([w.conn for w in workers], timeout=timeout)
                 for conn in ready:
@@ -680,9 +633,8 @@ class SweepRunner:
             if task is None or task.index != index:
                 continue  # stale report from a task already written off
             if status == "error":
-                delay = self._record_failure(task, str(payload), results)
-                if delay is not None:
-                    self._requeue(task, delay, pending)
+                if self._record_failure(task, str(payload), results):
+                    pending.add(task)
             else:
                 self._finished_s += elapsed
                 self._finished_units += cell_units(task.config)
@@ -714,10 +666,8 @@ class SweepRunner:
         worker.deadline = None
         self._terminate(worker.process)
         self._close_conn(worker)
-        if task is not None:
-            delay = self._record_failure(task, error, results)
-            if delay is not None:
-                self._requeue(task, delay, pending)
+        if task is not None and self._record_failure(task, error, results):
+            pending.add(task)
         if queued is not None:
             pending.add(queued)
         slot = workers.index(worker)

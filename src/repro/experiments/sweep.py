@@ -1,9 +1,9 @@
 """Running grids of scenarios, optionally in parallel.
 
 This module is the stable, minimal sweep API; the heavy lifting —
-the worker pool, wall-clock timeouts, retries with capped
-backoff, crash isolation, content-addressed result caching, and JSONL
-progress telemetry — lives in :mod:`repro.experiments.runner`.
+the worker pool, wall-clock timeouts, immediate retries, crash
+isolation, content-addressed result caching, and JSONL progress
+telemetry — lives in :mod:`repro.experiments.runner`.
 
 Workers receive a :class:`ScenarioConfig` (picklable dataclass) and
 return a flat :class:`ScenarioMetrics`; the heavyweight arrays never

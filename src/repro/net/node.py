@@ -65,7 +65,7 @@ class Node:
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving from a link.
 
-        The per-hop path: :meth:`_deliver` / :meth:`forward` with the
+        The per-hop path: :meth:`_deliver` / :meth:`send` with the
         lookups done in place, called only for the packet they raise on.
         """
         dst = packet.dst
@@ -78,21 +78,18 @@ class Node:
         else:
             via = self._routes.get(dst, self._default_route)
             if via is None:
-                return self.forward(packet)
+                return self.send(packet)
             self.packets_forwarded += 1
             self.interfaces[via].send(packet)
 
-    def forward(self, packet: Packet) -> None:
-        """Send ``packet`` out the port its destination routes to."""
+    def send(self, packet: Packet) -> None:
+        """Send ``packet`` out the port its destination routes to: the
+        origination path of local transport agents."""
         via = self._routes.get(packet.dst, self._default_route)
         if via is None:
             raise RoutingError(f"{self.name}: no route to {packet.dst!r}")
         self.packets_forwarded += 1
         self.interfaces[via].send(packet)
-
-    def send(self, packet: Packet) -> None:
-        """Origination path used by local transport agents."""
-        self.forward(packet)
 
     def _deliver(self, packet: Packet) -> None:
         agent = self._agents.get(packet.flow_id)

@@ -38,10 +38,6 @@ from repro.sim.events import Event
 
 _getrefcount = getattr(sys, "getrefcount", None)
 
-#: Free-list bound: events are tiny, but a drained queue should not pin
-#: an unbounded pile of dead objects.
-_POOL_CAP = 4096
-
 #: A ledger row name, not a choice: the performance ledger names its
 #: ``variant.<engine>.<scheduler>.wall_s`` rows from this tuple, and
 #: there is nothing left to select (the calendar is one binary heap).
@@ -348,11 +344,7 @@ class Simulator:
                 while heap and heap[0][3].cancelled:
                     self._cancelled_pending -= 1
                     dead = heappop(heap)[3]
-                    if (
-                        baseline is not None
-                        and len(pool) < _POOL_CAP
-                        and getrefcount(dead) == baseline
-                    ):
+                    if baseline is not None and getrefcount(dead) == baseline:
                         dead.callback = None
                         dead.args = None
                         pool.append(dead)
@@ -384,11 +376,7 @@ class Simulator:
                             and getrefcount(arg) == arg_baseline
                         ):
                             recycle(arg)
-                if (
-                    baseline is not None
-                    and len(pool) < _POOL_CAP
-                    and getrefcount(event) == baseline
-                ):
+                if baseline is not None and getrefcount(event) == baseline:
                     event.callback = None
                     event.args = None
                     pool.append(event)

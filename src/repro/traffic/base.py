@@ -14,8 +14,9 @@ class TrafficSource:
     """Base class: generates application packets into a transport agent.
 
     Subclasses implement :meth:`_next_gap`, the time until the next
-    packet generation; the base class runs the generation loop between
-    :meth:`start` and the optional stop time.
+    packet generation; the base class runs the generation loop from
+    :meth:`start` to the optional stop time.  A source runs one loop:
+    it starts once and is never restarted.
     """
 
     def __init__(self, sim: Simulator, agent: Agent, name: str = "source") -> None:
@@ -24,30 +25,19 @@ class TrafficSource:
         self.name = name
         self.generated = 0
         self._hooks: List[GenerateHook] = []
-        self._running = False
+        self._started = False
         self._stop_at: Optional[float] = None
-        # Generation token: every start() begins a new epoch, so a tick
-        # scheduled by an earlier (stopped) generation loop can never
-        # revive and run a second loop alongside the new one.
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
     def start(self, at: float = 0.0, stop_at: Optional[float] = None) -> None:
         """Begin generating at absolute time ``at`` (until ``stop_at``)."""
-        if self._running:
+        if self._started:
             raise RuntimeError(f"source {self.name!r} already started")
-        self._running = True
+        self._started = True
         self._stop_at = stop_at
-        self._epoch += 1
-        self.sim.schedule_at(
-            max(at, self.sim.now) + self._next_gap(), self._tick, self._epoch
-        )
-
-    def stop(self) -> None:
-        """Stop generating (takes effect at the next scheduled tick)."""
-        self._running = False
+        self.sim.schedule_at(max(at, self.sim.now) + self._next_gap(), self._tick)
 
     def add_hook(self, hook: GenerateHook) -> None:
         """Register ``hook(time, n_packets)`` called on each generation."""
@@ -56,16 +46,13 @@ class TrafficSource:
     # ------------------------------------------------------------------
     # Generation loop
     # ------------------------------------------------------------------
-    def _tick(self, epoch: int) -> None:
-        if epoch != self._epoch or not self._running:
-            return
+    def _tick(self) -> None:
         sim = self.sim
         now = sim.now
         if self._stop_at is not None and now > self._stop_at:
-            self._running = False
             return
         self._emit(1)
-        sim.schedule_at(now + self._next_gap(), self._tick, epoch)
+        sim.schedule_at(now + self._next_gap(), self._tick)
 
     def _emit(self, n_packets: int) -> None:
         self.generated += n_packets

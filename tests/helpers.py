@@ -57,7 +57,7 @@ class CaptureNode(Node):
         super().__init__(sim, name)
         self.transmitted: List[Packet] = []
 
-    def forward(self, packet: Packet) -> None:  # overrides routing entirely
+    def send(self, packet: Packet) -> None:  # overrides routing entirely
         self.transmitted.append(packet)
 
     def data_seqnos(self) -> List[int]:

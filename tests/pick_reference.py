@@ -4,8 +4,8 @@ This is ``SweepRunner._pick_next`` as it stood while the pending tasks
 of a sweep were one flat list -- a full scan per dispatch -- moved here
 with ``self`` dropped, and ranking by :func:`cell_units` since cells
 launch by size alone.  It defines the pop order the production
-structure must reproduce: the largest launchable task, ties to the one
-enqueued first; None while every pending task is still backing off.
+structure must reproduce: the largest task, ties to the one enqueued
+first; None when nothing is pending.
 ``tests/test_pick_order.py`` holds the runner to it pop for pop.
 
 ``pending`` is the list in enqueue order: the grid's uncached cells by
@@ -18,14 +18,12 @@ say so; a change that claims the same order must not.
 from repro.experiments.runner import cell_units
 
 
-def pick_next(pending, now):
-    """Pop the next launchable task, the largest by cell units; None
-    if every pending task is still backing off."""
+def pick_next(pending):
+    """Pop the next task, the largest by cell units; None if nothing
+    is pending."""
     best_index = -1
     best_units = float("-inf")
     for i, task in enumerate(pending):
-        if task.ready_at > now:
-            continue
         units = cell_units(task.config)
         if units > best_units:
             best_units = units

@@ -13,7 +13,7 @@ per-event check) is itself tested against hand-corrupted state.
 import pytest
 
 from repro.net.packet import Packet, PacketFactory
-from repro.sim.engine import _POOL_CAP, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event
 
 #: Depth of the ``heap`` kernel's calendar before a test arms anything.
@@ -108,12 +108,17 @@ def test_step_discards_cancelled_head_and_pools_it(sim):
     assert len(sim._event_pool) == 2
 
 
-def test_pool_respects_cap(sim):
-    n = _POOL_CAP + 64
-    for i in range(n):
-        sim.schedule(i * 1e-4, lambda: None)
-    sim.run()
-    assert len(sim._event_pool) == _POOL_CAP
+def test_pool_after_a_drain_is_the_most_events_scheduled_at_once(sim):
+    """A new event is built only when the pool is empty, so the pool
+    never holds more events than were out of it at once -- and, with
+    no cap, holds that many after the drain, however many it is."""
+    most = 0
+    for wave in (64, 5000, 10):
+        for i in range(wave):
+            sim.schedule(i * 1e-4, lambda: None)
+        most = max(most, wave)
+        sim.run()
+        assert len(sim._event_pool) == most
 
 
 def test_pool_reuse_resets_all_scheduling_fields(sim):

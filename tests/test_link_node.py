@@ -168,7 +168,7 @@ def test_missing_route_raises():
 
 def test_missing_route_raises_for_a_received_packet():
     """``receive`` looks the route up itself; the packet it cannot
-    place still gets ``forward``'s error, and is not counted."""
+    place still gets ``send``'s error, and is not counted."""
     sim = Simulator()
     a = Node(sim, "a")
     Link(sim, a, Node(sim, "b"), 1e6, 0.0)

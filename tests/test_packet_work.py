@@ -52,9 +52,9 @@ CELLS = {
 FRAMES = {
     "batch-reno-fifo": (3603, 110468),
     "batch-vegas-red": (3432, 110617),
-    "object-reno-fifo": (3603, 224052),
-    "object-udp-fifo": (3984, 110266),
-    "object-reno-fifo-observed": (3603, 282133),
+    "object-reno-fifo": (3603, 217082),
+    "object-udp-fifo": (3984, 106281),
+    "object-reno-fifo-observed": (3603, 275163),
 }
 
 #: Comprehension frames, which Python 3.12 no longer creates.

@@ -2,14 +2,14 @@
 
 ``tests/pick_reference.py`` holds the scan the runner used while its
 pending tasks were one flat list.  Every case here replays one random
-script of the calls the pool loop makes -- pick, requeue with backoff,
-time passing -- against both, and requires the same task object out of
+script of the calls the pool loop makes -- pick, and requeue of a task
+it picked -- against both, and requires the same task object out of
 every pick, and None from one exactly when the other returns None.
 
 The scripts are built to sit on the order's edges: unit counts drawn
 from a handful of values so ties are the rule (across protocols,
-queues and backends too), and requeued tasks that become launchable
-only after the clock has moved.
+queues and backends too), and requeued tasks that tie with tasks
+enqueued long before them.
 """
 
 import random
@@ -52,16 +52,13 @@ def replay(seed):
     tasks = random_grid(rng, rng.randint(8, 60))
     scan = list(tasks)
     production = _PendingTasks(tasks)
-    now = 100.0
     popped = []
     picks = 0
-    script = rng.choices(
-        ["pick", "requeue", "tick"], weights=[6, 2, 2], k=6 * len(tasks)
-    )
+    script = rng.choices(["pick", "requeue"], weights=[6, 2], k=6 * len(tasks))
     for step in script:
         if step == "pick":
-            expected = reference.pick_next(scan, now)
-            got = production.pick_next(now)
+            expected = reference.pick_next(scan)
+            got = production.pop()
             assert got is expected, (seed, picks, got, expected)
             assert len(production) == len(scan)
             picks += 1
@@ -69,21 +66,16 @@ def replay(seed):
                 popped.append(got)
         elif step == "requeue" and popped:
             task = popped.pop(rng.randrange(len(popped)))
-            # Mostly a backoff into the future; sometimes already due.
-            task.ready_at = now + rng.choice((0.0, 0.25, 0.5, 1.0, 5.0))
             scan.append(task)
             production.add(task)
-        elif step == "tick":
-            now += rng.choice((0.1, 0.3, 1.0))
-    # Drain: past every backoff, both must empty in the same order and
-    # then both report nothing launchable.
-    now += 10.0
+    # Drain: both must empty in the same order and then both report
+    # nothing pending.
     while scan:
-        expected = reference.pick_next(scan, now)
+        expected = reference.pick_next(scan)
         assert expected is not None
-        assert production.pick_next(now) is expected, (seed, "drain")
+        assert production.pop() is expected, (seed, "drain")
         picks += 1
-    assert production.pick_next(now) is None
+    assert production.pop() is None
     assert len(production) == 0
     return picks
 
@@ -94,17 +86,6 @@ def replay(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_same_pop_sequence_as_the_full_scan(seed, schedule):
     assert replay(seed) > 8
-
-
-def test_backing_off_tasks_are_not_launchable():
-    """None exactly while everything pending waits out its backoff."""
-    task = _Task(0, paper_config(n_clients=2, duration=1.0), digest="0")
-    task.ready_at = 50.0
-    production = _PendingTasks([task])
-    assert production.pick_next(49.9) is None
-    assert len(production) == 1
-    assert production.pick_next(50.0) is task
-    assert production.pick_next(50.0) is None
 
 
 def test_benchmark_grid_pops_largest_first_ties_by_index():
@@ -124,7 +105,7 @@ def test_benchmark_grid_pops_largest_first_ties_by_index():
         for index in range(48)
     ]
     production = _PendingTasks(tasks)
-    popped = [production.pick_next(0.0) for _ in tasks]
+    popped = [production.pop() for _ in tasks]
     expected = sorted(tasks, key=lambda t: (-cell_units(t.config), t.index))
     assert [t.index for t in popped] == [t.index for t in expected]
-    assert production.pick_next(0.0) is None
+    assert production.pop() is None

@@ -204,7 +204,7 @@ class TestFailureMatrix:
         """retries=2 means three attempts, then an error placeholder."""
         log = RunLog()
         runner = SweepRunner(
-            processes=1, timeout=60, retries=2, backoff=0.02,
+            processes=1, timeout=60, retries=2,
             task=_raise_always, pool=pool, run_log=log,
         )
         results = runner.run([tiny()])
@@ -236,7 +236,7 @@ class TestFailureMatrix:
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
             runner = SweepRunner(
-                processes=1, timeout=60, retries=2, backoff=0.02,
+                processes=1, timeout=60, retries=2,
                 task=_flaky_once, pool=pool, run_log=log,
             )
             results = runner.run([tiny()])
@@ -675,7 +675,7 @@ class TestValidationAndKnobs:
         path = str(tmp_path / "run.jsonl")
         with RunLog(path) as log:
             SweepRunner(
-                processes=2, timeout=60, retries=1, backoff=0.02, cache=cache,
+                processes=2, timeout=60, retries=1, cache=cache,
                 task=_flaky_once, run_log=log,
             ).run(configs)
         live = log.progress.summary()

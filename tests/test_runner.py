@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
+from repro.experiments import runner as runner_module
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import paper_config
 from repro.experiments.replication import replicate
@@ -58,7 +60,7 @@ def _flaky_once(config):
 class TestTimeoutRetryPlaceholder:
     def test_hanging_worker_times_out_and_is_recorded(self):
         runner = SweepRunner(
-            processes=1, timeout=0.3, retries=1, backoff=0.05, task=_hang_forever
+            processes=1, timeout=0.3, retries=1, task=_hang_forever
         )
         start = time.monotonic()
         results = runner.run([tiny()])
@@ -85,24 +87,45 @@ class TestTimeoutRetryPlaceholder:
             "REPRO_TEST_FLAKY_SENTINEL", str(tmp_path / "sentinel")
         )
         runner = SweepRunner(
-            processes=1, timeout=60, retries=2, backoff=0.05, task=_flaky_once
+            processes=1, timeout=60, retries=2, task=_flaky_once
         )
         results = runner.run([tiny()])
         assert not results[0].failed
         assert runner.log.progress.retried == 1
         assert runner.log.progress.completed == 1
 
+    @pytest.mark.parametrize(
+        "timeout", [None, 60], ids=["in_process", "one_worker_pool"]
+    )
+    def test_retry_never_sleeps(self, timeout, tmp_path, monkeypatch):
+        """A failed cell runs again as soon as its failure is seen: the
+        runner's clock may be read but never slept on."""
+
+        def refuse(seconds):
+            raise AssertionError(f"the runner slept {seconds!r} s")
+
+        monkeypatch.setattr(
+            runner_module,
+            "time",
+            types.SimpleNamespace(monotonic=time.monotonic, sleep=refuse),
+        )
+        monkeypatch.setenv(
+            "REPRO_TEST_FLAKY_SENTINEL", str(tmp_path / "sentinel")
+        )
+        log = RunLog()
+        runner = SweepRunner(
+            processes=1, timeout=timeout, retries=1, task=_flaky_once,
+            run_log=log,
+        )
+        (result,) = runner.run([tiny()])
+        assert not result.failed
+        assert (log.progress.retried, log.progress.completed) == (1, 1)
+
     def test_in_process_exception_becomes_placeholder(self):
-        runner = SweepRunner(processes=1, retries=1, backoff=0.01, task=_raise_always)
+        runner = SweepRunner(processes=1, retries=1, task=_raise_always)
         results = runner.run([tiny()])
         assert results[0].failed
         assert "scripted failure" in results[0].error
-
-    def test_backoff_is_capped(self):
-        runner = SweepRunner(backoff=1.0, max_backoff=3.0)
-        assert runner._retry_delay(1) == 1.0
-        assert runner._retry_delay(2) == 2.0
-        assert runner._retry_delay(5) == 3.0
 
 
 class TestCachingAndResume:

@@ -56,48 +56,12 @@ class TestCbr:
         sim.run(until=10.0)
         assert len(node.transmitted) == 5
 
-    def test_stop_method(self):
-        sim, node, sender = make_sender()
-        source = CbrSource(sim, sender, gap=0.1)
-        source.start()
-        sim.schedule(0.35, source.stop)
-        sim.run(until=10.0)
-        assert len(node.transmitted) == 3
-
     def test_double_start_raises(self):
         sim, _node, sender = make_sender()
         source = CbrSource(sim, sender, gap=0.1)
         source.start()
         with pytest.raises(RuntimeError):
             source.start()
-
-    def test_restart_does_not_revive_stale_tick(self):
-        # Regression: a tick scheduled by the first generation loop must
-        # not come back to life after stop()+start() and run a second
-        # loop alongside the new one (which doubled the rate).
-        sim, node, sender = make_sender()
-        source = CbrSource(sim, sender, gap=0.1)
-        source.start()
-        sim.run(until=0.25)  # ticks fired at 0.1, 0.2; one pending at 0.3
-        source.stop()
-        source.start(at=0.25)  # new loop: ticks at 0.35, 0.45, ...
-        sim.run(until=1.04)
-        # 2 from the first loop + 7 from the restart (0.35 .. 0.95 would
-        # be 7; a revived stale tick would add ~8 more).
-        assert source.generated == 2 + 7
-        assert len(node.transmitted) == 2 + 7
-
-    def test_restart_after_stop_at_expiry(self):
-        # stop_at ends the loop; a later start() must run exactly one
-        # fresh loop.
-        sim, node, sender = make_sender()
-        source = CbrSource(sim, sender, gap=0.1)
-        source.start(stop_at=0.25)
-        sim.run(until=0.5)
-        assert len(node.transmitted) == 2
-        source.start(at=0.5, stop_at=0.95)
-        sim.run(until=2.0)
-        assert len(node.transmitted) == 2 + 4
 
 
 class TestPoisson:
