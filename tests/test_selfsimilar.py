@@ -82,3 +82,51 @@ class TestRescaledRange:
         h_rs = hurst_rescaled_range(series)
         assert h_av > 0.6
         assert h_rs > 0.6
+
+
+#: ``variance_time_plot``'s variances and both Hurst estimates on three
+#: fixed series, as ``float.hex`` strings: any change to how the block
+#: means are taken must reproduce them bit for bit.
+PINNED_SERIES = {
+    "poisson": (
+        lambda: np.random.default_rng(11).poisson(20.0, size=4096),
+        [
+            "0x1.4b1ecdf000000p+4", "0x1.532a9be000000p+3", "0x1.567e37c000000p+2",
+            "0x1.3ce36f8000000p+1", "0x1.4adddf0000000p+0", "0x1.6ee4be0000000p-1",
+            "0x1.96667c0000000p-2",
+        ],
+        "0x1.09b9502cdfc04p-1",
+        "0x1.1ee0bff3cea41p-1",
+    ),
+    "fgn": (
+        lambda: fgn_like_series(0.85, n=4096, seed=8),
+        [
+            "0x1.0000000000000p+0", "0x1.8f1458fa00854p-1", "0x1.34387471ce2fep-1",
+            "0x1.e4b843c6e8f84p-2", "0x1.7bce8ddedbbbbp-2", "0x1.1cbe561bd2a08p-2",
+            "0x1.95870b3a6bd65p-3",
+        ],
+        "0x1.9e5696a605cb2p-1",
+        "0x1.9c20ad898c6c6p-1",
+    ),
+    "ramp": (
+        lambda: (np.arange(3000) % 37) * 0.7 + 3.0,
+        [
+            "0x1.bf914666242f8p+5", "0x1.9be6144a8fc62p+5", "0x1.69b2eb23de39ep+5",
+            "0x1.15249da4cf660p+5", "0x1.249ebaba6df72p+4", "0x1.06c7155260d17p+0",
+            "0x1.734a435319cdap-1",
+        ],
+        "0x1.c19f13b4b3e0cp-2",
+        "0x1.f6a8957de2880p-2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SERIES))
+def test_estimates_pinned_bit_for_bit(name):
+    make, variances, h_var, h_rs = PINNED_SERIES[name]
+    series = make()
+    ms, got = variance_time_plot(series)
+    assert ms.tolist() == [1, 2, 4, 8, 16, 32, 64]
+    assert [v.hex() for v in got.tolist()] == variances
+    assert hurst_aggregate_variance(series).hex() == h_var
+    assert hurst_rescaled_range(series).hex() == h_rs
