@@ -17,8 +17,11 @@ Run:  python examples/selfsimilarity.py          (~1 minute)
 """
 
 from repro.analysis.tables import format_table
-from repro.core.burstiness import multiscale_cov
-from repro.core.selfsimilar import hurst_aggregate_variance, hurst_rescaled_range
+from repro.core.selfsimilar import (
+    hurst_aggregate_variance,
+    hurst_rescaled_range,
+    multiscale_cov,
+)
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import run_scenario
 

@@ -50,14 +50,6 @@ def pairwise_correlations(per_flow_counts: np.ndarray) -> np.ndarray:
     return upper
 
 
-def mean_pairwise_correlation(per_flow_counts: np.ndarray) -> float:
-    """Mean pairwise correlation (0 for independent streams)."""
-    correlations = pairwise_correlations(per_flow_counts)
-    if correlations.size == 0:
-        return 0.0
-    return float(correlations.mean())
-
-
 def autocorrelation(counts: ArrayLike, max_lag: int = 20) -> np.ndarray:
     """Autocorrelation function of a count series, lags 0..max_lag."""
     series = np.asarray(counts, dtype=float)

@@ -22,7 +22,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.burstiness import BurstinessProfile
 from repro.core.cov import coefficient_of_variation
 
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -35,8 +34,6 @@ class ModulationReport:
     offered_cov: float
     transported_cov: float
     analytic_cov: Optional[float]
-    offered_profile: BurstinessProfile
-    transported_profile: BurstinessProfile
 
     @property
     def modulation_ratio(self) -> float:
@@ -80,12 +77,8 @@ def modulation_report(
     analytic_cov: Optional[float] = None,
 ) -> ModulationReport:
     """Build a :class:`ModulationReport` from per-bin count series."""
-    offered = np.asarray(offered_counts, dtype=float)
-    transported = np.asarray(transported_counts, dtype=float)
     return ModulationReport(
-        offered_cov=coefficient_of_variation(offered),
-        transported_cov=coefficient_of_variation(transported),
+        offered_cov=coefficient_of_variation(offered_counts),
+        transported_cov=coefficient_of_variation(transported_counts),
         analytic_cov=analytic_cov,
-        offered_profile=BurstinessProfile.from_counts(offered),
-        transported_profile=BurstinessProfile.from_counts(transported),
     )

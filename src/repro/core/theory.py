@@ -1,4 +1,4 @@
-"""Closed-form baselines from Section 2.2 of the paper.
+"""Closed-form baselines: Section 2.2's Poisson curve and fluid steady states.
 
 The unmodulated aggregate of ``N`` independent Poisson sources of rate
 ``lambda`` observed over windows of width ``T`` is Poisson with mean
@@ -9,14 +9,23 @@ The unmodulated aggregate of ``N`` independent Poisson sources of rate
 This is the smooth reference curve of Figure 2 ("the traffic generated
 from the application layer becomes smoother as the number of sources
 increases"), an instance of Central-Limit-Theorem smoothing.
+
+The module also holds the steady-state closed forms of the fluid
+analyses (reference [1] of the paper, Bonald's comparison of Reno and
+Vegas via fluid approximation) that the solvers are checked against:
+
+* Reno: with loss probability ``p`` per packet the long-run throughput
+  is about ``sqrt(3/2) / (rtt * sqrt(p))`` packets/s (the Mathis et al.
+  square-root law);
+* Vegas: the loss-free window settles where the backlogged-packet
+  estimate sits between alpha and beta, i.e. at ``W = rate * base_rtt +
+  q`` with ``alpha <= q <= beta``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import Tuple
 
 
 def expected_bin_mean(n_sources: int, rate_per_source: float, bin_width: float) -> float:
@@ -33,45 +42,6 @@ def poisson_aggregate_cov(
     return 1.0 / math.sqrt(mean)
 
 
-def poisson_cov_curve(
-    client_counts: Sequence[int], rate_per_source: float, bin_width: float
-) -> np.ndarray:
-    """The Figure-2 reference curve over a grid of client counts."""
-    return np.array(
-        [poisson_aggregate_cov(n, rate_per_source, bin_width) for n in client_counts]
-    )
-
-
-def clt_smoothing_factor(n_sources: int) -> float:
-    """Relative spread reduction from aggregating ``n`` i.i.d. sources.
-
-    For any finite-mean, finite-variance source, the c.o.v. of the sum
-    of ``n`` independent copies is the single-source c.o.v. divided by
-    ``sqrt(n)`` -- the Central Limit Theorem argument of Section 2.2.
-    """
-    if n_sources < 1:
-        raise ValueError("need at least one source")
-    return 1.0 / math.sqrt(n_sources)
-
-
-def aggregate_cov_of_independent(covs: Sequence[float], means: Sequence[float]) -> float:
-    """c.o.v. of a sum of independent sources with given per-source stats.
-
-    var(sum) = sum(var_i) = sum((cov_i * mean_i)**2); mean(sum) = sum(mean_i).
-    TCP's modulation breaks exactly the independence this formula needs --
-    measured aggregate c.o.v. above this value indicates induced coupling.
-    """
-    covs = np.asarray(covs, dtype=float)
-    means = np.asarray(means, dtype=float)
-    if covs.shape != means.shape or covs.size == 0:
-        raise ValueError("covs and means must be equal-length, non-empty")
-    total_mean = means.sum()
-    if total_mean <= 0:
-        raise ValueError("aggregate mean must be positive")
-    total_std = math.sqrt(float(((covs * means) ** 2).sum()))
-    return total_std / total_mean
-
-
 def cov_from_dispersion(dispersion: float, excess_ratio: float, mean: float) -> float:
     """The aggregate's c.o.v. from the paper's two mechanisms, exactly.
 
@@ -86,6 +56,48 @@ def cov_from_dispersion(dispersion: float, excess_ratio: float, mean: float) -> 
     if mean <= 0:
         raise ValueError("aggregate mean must be positive")
     return math.sqrt(dispersion * excess_ratio / mean)
+
+
+def reno_fluid_throughput(rtt: float, loss_probability: float) -> float:
+    """Mathis square-root-law throughput in packets/second."""
+    if rtt <= 0:
+        raise ValueError("rtt must be positive")
+    if not 0 < loss_probability <= 1:
+        raise ValueError("loss probability must be in (0, 1]")
+    return math.sqrt(1.5) / (rtt * math.sqrt(loss_probability))
+
+
+def vegas_equilibrium_window(
+    fair_rate: float, base_rtt: float, alpha: float = 1.0, beta: float = 3.0
+) -> Tuple[float, float]:
+    """The (min, max) equilibrium window of a Vegas flow.
+
+    At equilibrium a Vegas flow keeps between ``alpha`` and ``beta``
+    packets queued at the bottleneck, so its window is its fair share of
+    the bandwidth-delay product plus that backlog:
+
+        W in [fair_rate * base_rtt + alpha, fair_rate * base_rtt + beta].
+    """
+    if fair_rate <= 0 or base_rtt <= 0:
+        raise ValueError("rate and base RTT must be positive")
+    if alpha < 0 or beta < alpha:
+        raise ValueError("need 0 <= alpha <= beta")
+    bdp = fair_rate * base_rtt
+    return (bdp + alpha, bdp + beta)
+
+
+def vegas_equilibrium_queue(n_flows: int, alpha: float = 1.0, beta: float = 3.0) -> Tuple[float, float]:
+    """Aggregate gateway backlog bounds with ``n`` Vegas flows.
+
+    Section 3.4's argument: with 40 streams and (alpha, beta) = (1, 3),
+    Vegas keeps 40..120 packets queued -- beyond a RED gateway's
+    ``max_th`` of 40, so RED drops continuously.
+    """
+    if n_flows < 1:
+        raise ValueError("need at least one flow")
+    if alpha < 0 or beta < alpha:
+        raise ValueError("need 0 <= alpha <= beta")
+    return (n_flows * alpha, n_flows * beta)
 
 
 def _validate(n_sources: int, rate_per_source: float, bin_width: float) -> None:

@@ -569,7 +569,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     open(args.trace_file, "w", encoding="utf-8")
                 )
                 writer = NsTraceWriter(handle).attach(
-                    scenario.network.bottleneck_interface
+                    scenario.network.bottleneck_queue
                 )
             if stream_path:
                 handle = files.enter_context(open(stream_path, "w", encoding="utf-8"))

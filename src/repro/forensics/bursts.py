@@ -63,10 +63,6 @@ class BurstDetector:
         self._open: Optional[BurstEpisode] = None
 
     @property
-    def in_burst(self) -> bool:
-        return self._open is not None
-
-    @property
     def open_start(self) -> Optional[float]:
         """Start time of the episode currently open, if any."""
         return self._open.start if self._open is not None else None

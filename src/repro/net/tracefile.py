@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Optional
 
-from repro.net.link import Interface
 from repro.net.packet import Packet, PacketType
 from repro.net.queues import PacketQueue
 
@@ -56,15 +55,8 @@ class NsTraceWriter:
         self.dst_node = dst_node
         self.lines_written = 0
 
-    def attach(self, interface: Interface) -> "NsTraceWriter":
-        """Record +/-/d events of the interface's queue; returns self."""
-        interface.queue.add_enqueue_hook(self._hook("+"))
-        interface.queue.add_dequeue_hook(self._hook("-"))
-        interface.queue.add_drop_hook(self._hook("d"))
-        return self
-
-    def attach_queue(self, queue: PacketQueue) -> "NsTraceWriter":
-        """Record +/-/d events of a bare queue; returns self."""
+    def attach(self, queue: PacketQueue) -> "NsTraceWriter":
+        """Record the queue's +/-/d events; returns self."""
         queue.add_enqueue_hook(self._hook("+"))
         queue.add_dequeue_hook(self._hook("-"))
         queue.add_drop_hook(self._hook("d"))

@@ -76,14 +76,6 @@ class ParetoOnOffSource(TrafficSource):
         self._on_until = 0.0
         self.on_periods = 0
 
-    @property
-    def mean_rate(self) -> float:
-        """Long-run average rate in packets/second."""
-        mean_on = self.scale_on * self.shape_on / (self.shape_on - 1.0)
-        mean_off = self.scale_off * self.shape_off / (self.shape_off - 1.0)
-        duty = mean_on / (mean_on + mean_off)
-        return duty / self.peak_gap
-
     def _next_gap(self) -> float:
         # Still inside the current ON period: emit at peak rate.
         if self.sim.now + self.peak_gap <= self._on_until:

@@ -155,11 +155,6 @@ class TcpSink(Agent):
     # ------------------------------------------------------------------
     # ACK generation
     # ------------------------------------------------------------------
-    @property
-    def highest_in_order(self) -> int:
-        """The sequence number the next ACK will carry (-1 if none)."""
-        return self.next_expected - 1
-
     def _in_order_ack(self) -> None:
         """Delayed ACK: every second in-order packet, or at the timer."""
         self._unacked_in_order += 1

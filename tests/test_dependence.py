@@ -13,7 +13,6 @@ from repro.core.dependence import (
     autocorrelation,
     dependence_report,
     dispersion_index,
-    mean_pairwise_correlation,
     pairwise_correlations,
 )
 from repro.core.theory import cov_from_dispersion
@@ -59,7 +58,7 @@ class TestPairwiseCorrelations:
 
     def test_mean_helper_zero_when_no_active_pairs(self):
         counts = np.array([[5.0, 5.0], [7.0, 7.0]])
-        assert mean_pairwise_correlation(counts) == 0.0
+        assert dependence_report(counts).mean_correlation == 0.0
 
 
 class TestAutocorrelation:

@@ -79,7 +79,7 @@ def _fingerprint(config):
     """Event count plus digests of the metrics record and the ns trace."""
     scenario = Scenario(config)
     stream = io.StringIO()
-    NsTraceWriter(stream).attach(scenario.network.bottleneck_interface)
+    NsTraceWriter(stream).attach(scenario.network.bottleneck_queue)
     result = scenario.run()
     trace = stream.getvalue()
     assert trace  # the cell actually pushed traffic through

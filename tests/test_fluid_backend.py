@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.fluid import vegas_equilibrium_queue, vegas_equilibrium_window
 from repro.core.fluid_backend import FluidSolver, run_fluid_scenario
+from repro.core.theory import vegas_equilibrium_queue, vegas_equilibrium_window
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, paper_config
 from repro.experiments.runner import cell_units
 from repro.experiments.results import ScenarioMetrics

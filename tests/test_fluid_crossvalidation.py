@@ -16,7 +16,7 @@ it).
 import pytest
 
 from repro.analysis.timeseries import sample_step_series, uniform_grid
-from repro.core.fluid import reno_fluid_throughput, vegas_equilibrium_window
+from repro.core.theory import reno_fluid_throughput, vegas_equilibrium_window
 from repro.experiments.config import paper_config
 from repro.experiments.scenario import run_scenario
 

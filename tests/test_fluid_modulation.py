@@ -4,16 +4,12 @@ import math
 
 import pytest
 
-from repro.core.fluid import (
+from repro.core.modulation import modulation_report
+from repro.core.theory import (
     reno_fluid_throughput,
-    reno_ideal_sawtooth_cov,
-    reno_sawtooth_period,
     vegas_equilibrium_queue,
     vegas_equilibrium_window,
 )
-from repro.core.fluid_backend import FluidSolver
-from repro.core.modulation import modulation_report
-from repro.experiments.config import paper_config
 
 
 class TestRenoFluid:
@@ -36,37 +32,6 @@ class TestRenoFluid:
         with pytest.raises(ValueError):
             reno_fluid_throughput(0.4, 1.5)
 
-    def test_sawtooth_cov_value(self):
-        # Uniform ramp on [W/2, W]: cov = 4 / (3*sqrt(48)) ~ 0.19245.
-        assert reno_ideal_sawtooth_cov() == pytest.approx(0.19245, abs=1e-4)
-
-    def test_ideal_sawtooth_is_not_the_backend_cov(self):
-        """The renamed closed form is valid only for one backlogged flow
-        under perfectly periodic loss.  Cross-check against the
-        mean-field backend: its measured aggregate rate c.o.v. for the
-        paper's rate-limited many-flow scenario is a different quantity
-        and must not be confused with (or asserted equal to) the ideal
-        sawtooth constant."""
-        solver = FluidSolver(
-            paper_config(protocol="reno", queue="fifo", duration=30.0, warmup=5.0),
-            50,
-        )
-        summary = solver.summarize(solver.run(), 0.404)
-        measured = summary["cov"]
-        ideal = reno_ideal_sawtooth_cov()
-        assert measured > 0.0
-        # Same order of magnitude (both describe AIMD burstiness)...
-        assert 0.1 * ideal < measured < 10.0 * ideal
-        # ...but not the same number: the aggregate c.o.v. depends on N,
-        # queue coupling, and the sampling floor, none of which enter
-        # the single-flow closed form.
-        assert measured != pytest.approx(ideal, abs=1e-6)
-
-    def test_sawtooth_period(self):
-        # W/2 RTTs of additive increase.
-        assert reno_sawtooth_period(0.4, 20.0) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            reno_sawtooth_period(-0.1, 20.0)
 
 
 class TestVegasFluid:
@@ -117,8 +82,3 @@ class TestModulationReport:
     def test_describe_without_analytic(self):
         report = modulation_report([3, 5], [2, 6])
         assert "analytic" not in report.describe()
-
-    def test_profiles_attached(self):
-        report = modulation_report([3, 5, 4], [2, 6, 4])
-        assert report.offered_profile.mean == pytest.approx(4.0)
-        assert report.transported_profile.mean == pytest.approx(4.0)

@@ -237,11 +237,11 @@ class TestBurstDetector:
         det = BurstDetector(enter=10, exit=4)
         det.on_sample(0.0, 5)  # below enter: nothing
         det.on_sample(1.0, 10)  # opens
-        assert det.in_burst
+        assert det.open_start == 1.0
         det.on_sample(2.0, 7)  # between exit and enter: stays open
         det.on_sample(3.0, 12)  # new peak
         det.on_sample(4.0, 4)  # closes
-        assert not det.in_burst
+        assert det.open_start is None
         episodes = det.finalize(10.0)
         assert len(episodes) == 1
         ep = episodes[0]

@@ -51,7 +51,7 @@ def _traced_scenario(overrides):
     )
     scenario = Scenario(config)
     trace = io.StringIO()
-    NsTraceWriter(trace).attach(scenario.network.bottleneck_interface)
+    NsTraceWriter(trace).attach(scenario.network.bottleneck_queue)
     return scenario, trace
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,43 @@ class TestOneImportPath:
     INIT_EXTRAS = {
         "repro.engine": [("assign", "ENGINES")],
         "repro.sim": [("import", "SCHEDULERS"), ("assign", "__all__")],
+    }
+
+    #: Public names in ``src/repro`` that nothing outside the tests
+    #: references, each with the reason it stays:
+    #: ``{qualified name: reason}``.  A new test-only helper needs a row.
+    TEST_ONLY_NAMES = {
+        "repro.core.dependence.dispersion_index": (
+            "the pooled D of the c.o.v.'s exact split; ROADMAP item 2(b) consumes it"
+        ),
+        "repro.core.theory.cov_from_dispersion": (
+            "the c.o.v. from D and R, exactly; ROADMAP item 2(b) consumes it"
+        ),
+        "repro.core.theory.reno_fluid_throughput": (
+            "analytic oracle test_fluid_crossvalidation checks the solver against"
+        ),
+        "repro.core.theory.vegas_equilibrium_window": (
+            "analytic oracle test_fluid_crossvalidation checks the solver against"
+        ),
+        "repro.forensics.windows.SpaceSavingSketch.estimate": (
+            "the space-saving guarantee tests read the sketch's estimate"
+        ),
+        "repro.forensics.windows.SpaceSavingSketch.guaranteed": (
+            "the space-saving guarantee tests read the guaranteed count"
+        ),
+        "repro.forensics.windows.SpaceSavingSketch.max_error": (
+            "the space-saving guarantee tests read the error bound"
+        ),
+        "repro.net.tracefile.read_trace": (
+            "the ns-2 reader DESIGN section 5 promises; reads back what the writer wrote"
+        ),
+        "repro.net.tracefile.arrival_times": (
+            "the ns-2 reader DESIGN section 5 promises; reads back what the writer wrote"
+        ),
+        "repro.sim.timers.Timer.expiry": "the tests' only window onto a timer's deadline",
+        "repro.transport.tcp_base.TcpSender.send_buffer_backlog": (
+            "the tests' only window onto a sender's backlog"
+        ),
     }
 
     @staticmethod
@@ -130,6 +168,58 @@ class TestOneImportPath:
                         if listed in imported
                     ]
         assert reexported == [("repro.sim", "SCHEDULERS")]
+
+    @staticmethod
+    def _references(tree):
+        """Every name ``tree`` refers to: names, attribute names,
+        imported names, and string constants (the ``getattr`` case)."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+    @staticmethod
+    def _public_defs(tree):
+        """``(qualified name, node)`` of every public top-level function
+        and class, and of every public method and property of a public
+        class."""
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield node.name, node
+                if isinstance(node, ast.ClassDef):
+                    for member in node.body:
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                            yield f"{node.name}.{member.name}", member
+
+    def test_every_public_name_has_a_caller_outside_the_tests(self):
+        """A public name passes when something other than its own
+        ``def`` or ``class`` statement refers to it in ``src/``,
+        ``examples/`` or ``benchmarks/``; every other one is a row of
+        :attr:`TEST_ONLY_NAMES`, and every row is such a name.
+
+        The match is by bare name, so this is necessary but not
+        sufficient: a method passes when any object anywhere has an
+        attribute of that name, and a string equal to it counts."""
+        modules = list(self._modules())
+        callers = Counter(
+            ref for _name, _path, tree in modules for ref in self._references(tree)
+        )
+        for folder in ("examples", "benchmarks"):
+            for path in sorted((SRC.parent / folder).rglob("*.py")):
+                callers.update(self._references(ast.parse(path.read_text())))
+        test_only = [
+            f"{module}.{qualname}"
+            for module, _path, tree in modules
+            for qualname, node in self._public_defs(tree)
+            if callers[node.name] == sum(ref == node.name for ref in self._references(node))
+        ]
+        assert sorted(test_only) == sorted(self.TEST_ONLY_NAMES)
+        assert all(self.TEST_ONLY_NAMES.values())
 
 
 class TestFlowArrivalMonitor:

@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.burstiness import aggregate_counts
 from repro.core.cov import FOLD_SIZE, BinCounter, bin_counts, coefficient_of_variation
+from repro.core.selfsimilar import aggregate_counts
 from repro.core.theory import poisson_aggregate_cov
 from repro.net.monitor import ArrivalMonitor
 from repro.net.packet import PacketFactory

@@ -54,7 +54,6 @@ def test_stats_counters():
     assert stats.arrivals == 4
     assert stats.drops == 2
     assert stats.departures == 1
-    assert stats.loss_fraction == 0.5
     assert stats.bytes_arrived == 4000
     assert stats.bytes_departed == 1000
 
@@ -67,13 +66,6 @@ def test_drop_hook_called_with_packet_and_time():
     queue.enqueue(packets[0], 0.0)
     queue.enqueue(packets[1], 2.5)
     assert dropped == [(1, 2.5)]
-
-
-def test_byte_length():
-    queue = DropTailQueue(10)
-    for packet in make_packets(3, size=500):
-        queue.enqueue(packet, 0.0)
-    assert queue.byte_length == 1500
 
 
 def test_mean_occupancy_time_weighted():
@@ -89,10 +81,6 @@ def test_mean_occupancy_time_weighted():
 
 def test_mean_occupancy_zero_duration():
     assert DropTailQueue(1).stats.mean_occupancy(0.0) == 0.0
-
-
-def test_loss_fraction_empty():
-    assert DropTailQueue(1).stats.loss_fraction == 0.0
 
 
 def test_conservation_arrivals_equals_departures_plus_drops_plus_queued():

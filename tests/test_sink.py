@@ -73,8 +73,9 @@ class TestTcpSink:
         assert sink.stats.duplicates == 1
 
     def test_nothing_received_ackno_is_minus_one(self):
-        _sim, _node, _factory, sink = make_sink()
-        assert sink.highest_in_order == -1
+        _sim, node, factory, sink = make_sink()
+        send_data(sink, factory, 3)
+        assert [ack.ackno for ack in node.transmitted] == [-1]
 
     def test_acks_ignore_non_data(self):
         sim, node, factory, sink = make_sink()

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.theory import (
-    aggregate_cov_of_independent,
-    clt_smoothing_factor,
+    cov_from_dispersion,
     expected_bin_mean,
     poisson_aggregate_cov,
-    poisson_cov_curve,
 )
 
 
@@ -28,12 +26,6 @@ def test_cov_decreases_with_sources():
     assert covs == sorted(covs, reverse=True)
     # Exactly like 1/sqrt(n): quadrupling n halves the cov.
     assert covs[1] == pytest.approx(covs[0] / 2)
-
-
-def test_poisson_cov_curve_matches_scalar():
-    curve = poisson_cov_curve([10, 20], 10.0, 0.4)
-    assert curve[0] == pytest.approx(poisson_aggregate_cov(10, 10.0, 0.4))
-    assert curve[1] == pytest.approx(poisson_aggregate_cov(20, 10.0, 0.4))
 
 
 def test_cov_against_simulated_poisson():
@@ -54,30 +46,20 @@ def test_invalid_inputs(args):
         poisson_aggregate_cov(*args)
 
 
-def test_clt_smoothing_factor():
-    assert clt_smoothing_factor(1) == 1.0
-    assert clt_smoothing_factor(100) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        clt_smoothing_factor(0)
-
-
 class TestAggregateCovOfIndependent:
+    """Independent sources have no coupling (R = 1), so the aggregate's
+    c.o.v. is :func:`cov_from_dispersion` of their pooled dispersion."""
+
+    @staticmethod
+    def _cov(covs, means):
+        means = np.asarray(means, dtype=float)
+        variances = (np.asarray(covs) * means) ** 2
+        return cov_from_dispersion(variances.sum() / means.sum(), 1.0, means.sum())
+
     def test_identical_sources_follow_clt(self):
         # n identical independent sources: cov / sqrt(n).
-        covs = [0.5] * 4
-        means = [10.0] * 4
-        assert aggregate_cov_of_independent(covs, means) == pytest.approx(0.25)
+        assert self._cov([0.5] * 4, [10.0] * 4) == pytest.approx(0.25)
 
     def test_heterogeneous_sources(self):
-        covs = [1.0, 0.0]
-        means = [1.0, 9.0]
         # std = 1, mean = 10.
-        assert aggregate_cov_of_independent(covs, means) == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            aggregate_cov_of_independent([], [])
-        with pytest.raises(ValueError):
-            aggregate_cov_of_independent([0.1], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            aggregate_cov_of_independent([0.1], [0.0])
+        assert self._cov([1.0, 0.0], [1.0, 9.0]) == pytest.approx(0.1)

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.core.cov import cov_from_times
+from repro.core.cov import bin_counts, coefficient_of_variation
 from repro.net.packet import PacketFactory
 from repro.net.queues import DropTailQueue
 from repro.net.tracefile import (
@@ -18,7 +18,7 @@ from repro.net.tracefile import (
 def traced_queue(capacity=2):
     stream = io.StringIO()
     queue = DropTailQueue(capacity)
-    writer = NsTraceWriter(stream).attach_queue(queue)
+    writer = NsTraceWriter(stream).attach(queue)
     return stream, queue, writer
 
 
@@ -69,7 +69,7 @@ def test_read_trace_file(tmp_path):
     path = tmp_path / "out.tr"
     with open(path, "w") as handle:
         queue = DropTailQueue(5)
-        NsTraceWriter(handle).attach_queue(queue)
+        NsTraceWriter(handle).attach(queue)
         factory = PacketFactory()
         for i in range(3):
             queue.enqueue(factory.data(0, "a", "b", 1000, seqno=i, now=0.0), float(i))
@@ -99,12 +99,12 @@ def test_trace_drives_cov_pipeline_end_to_end(tmp_path):
     scenario = Scenario(config)
     path = tmp_path / "gateway.tr"
     with open(path, "w") as handle:
-        NsTraceWriter(handle).attach(scenario.network.bottleneck_interface)
+        NsTraceWriter(handle).attach(scenario.network.bottleneck_queue)
         result = scenario.run()
 
     records = read_trace(str(path))
     times = arrival_times(records)
-    offline_cov = cov_from_times(
-        times, config.effective_bin_width, 0.0, config.duration
+    offline_cov = coefficient_of_variation(
+        bin_counts(times, config.effective_bin_width, 0.0, config.duration)
     )
     assert offline_cov == pytest.approx(result.cov, rel=1e-9)

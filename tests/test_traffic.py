@@ -145,18 +145,6 @@ class TestPareto:
         rate = source.generated / 60.0
         assert 0 < rate < 100.0
 
-    def test_onoff_mean_rate_property(self):
-        sim, _node, sender = make_sender()
-        source = ParetoOnOffSource(
-            sim,
-            sender,
-            random.Random(0),
-            peak_gap=0.01,
-            mean_on=1.0,
-            mean_off=3.0,
-        )
-        assert source.mean_rate == pytest.approx(25.0)
-
     def test_invalid_peak_gap(self):
         sim, _node, sender = make_sender()
         with pytest.raises(ValueError):
