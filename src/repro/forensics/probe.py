@@ -113,6 +113,7 @@ class ForensicsProbe:
     def attach(self, queue: "PacketQueue") -> "ForensicsProbe":
         """Register on the queue's enqueue/dequeue/drop hooks."""
         self.queue = queue
+        self._length = queue.read_length
         queue.add_enqueue_hook(self._on_enqueue)
         queue.add_dequeue_hook(self._on_dequeue)
         queue.add_drop_hook(self._on_drop)
@@ -139,7 +140,7 @@ class ForensicsProbe:
     def _on_enqueue(self, packet: "Packet", now: float) -> None:
         self.exact.record(packet.flow_id, now, packet.size)
         self.sketch.record(packet.flow_id, now, packet.size)
-        self.bursts.on_sample(now, len(self.queue))
+        self.bursts.on_sample(now, self._length())
         # The stream is called only at a checkpoint (its own test, in
         # place: these hooks run once a packet).
         stream = self.stream
@@ -147,7 +148,7 @@ class ForensicsProbe:
             stream.maybe_flush(now)
 
     def _on_dequeue(self, packet: "Packet", now: float) -> None:
-        self.bursts.on_sample(now, len(self.queue))
+        self.bursts.on_sample(now, self._length())
         stream = self.stream
         if stream is not None and now >= stream.next_flush:
             stream.maybe_flush(now)

@@ -95,6 +95,7 @@ class QueueProbe:
 
     def __init__(self, queue: PacketQueue, categories: Collection[str]) -> None:
         self.queue = queue
+        self._length = queue.read_length
         self.occupancy = TimeSeries(
             f"queue.occupancy.{queue.name}", ("length", "red_avg"), "dqd"
         )
@@ -113,14 +114,13 @@ class QueueProbe:
     # Hook bodies
     # ------------------------------------------------------------------
     def _on_change(self, packet: Packet, now: float) -> None:
-        queue = self.queue
-        length = len(queue)
+        length = self._length()
         at, lengths, averages = self._occupancy
         at(now)
         lengths(length)
         # The RED average where the queue keeps one, else the length
         # (the "d" column stores either as a float).
-        averages(getattr(queue, "avg", length))
+        averages(getattr(self.queue, "avg", length))
 
     def _on_drop(self, packet: Packet, now: float) -> None:
         at, flow_ids, seqnos, causes = self._drops

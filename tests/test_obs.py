@@ -8,6 +8,8 @@ import pytest
 from repro.experiments.config import paper_config
 from repro.experiments.results import ScenarioMetrics
 from repro.experiments.scenario import Scenario, run_scenario
+from repro.forensics.probe import ForensicsParams, ForensicsProbe
+from repro.net.fq import DRRQueue
 from repro.net.packet import PacketFactory
 from repro.net.queues import DropTailQueue
 from repro.net.red import REDParams, REDQueue
@@ -370,6 +372,77 @@ class TestQueueProbe:
         assert _snapshot(probe, "queue")["queue.max_depth.q:gateway->server"] == 9
         # 1 packet over [0, 1), 2 over [1, 3): the fluid level is not in it.
         assert queue.stats.mean_occupancy(1.0) == 1 * 1.0 + 2 * 2.0
+
+
+
+def _scripted_cell(make_queue):
+    """A bare queue under both probes and a script of arrivals from
+    four flows, with a departure after every third arrival."""
+
+    def build():
+        queue = make_queue()
+        obs = QueueProbe(queue, ("queue",))
+        params = ForensicsParams.from_config(paper_config(forensics=True))
+        forensics = ForensicsProbe(params, n_flows=4, queue=queue)
+        factory = PacketFactory()
+
+        def run():
+            for i in range(60):
+                now = 0.01 * i
+                queue.enqueue(factory.data(i % 4, "a", "b", 1000, seqno=i, now=now), now)
+                if i % 3 == 2:
+                    queue.dequeue(now)
+
+        return queue, obs, forensics, run
+
+    return build
+
+
+def _hybrid_cell():
+    from repro.core.hybrid_backend import HybridScenario
+
+    scenario = HybridScenario(
+        paper_config(
+            protocol="reno", backend="hybrid", n_clients=200,
+            hybrid_foreground_flows=3, duration=3.0, warmup=0.0,
+            obs_trace=("queue",), forensics=True,
+        )
+    )
+    return (
+        scenario.network.bottleneck_queue,
+        scenario.queue_probe,
+        scenario.forensics_probe,
+        scenario.run,
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _scripted_cell(lambda: DropTailQueue(8, name="q")),
+        _scripted_cell(
+            lambda: REDQueue(8, REDParams(min_th=1.0, max_th=3.0, weight=0.5))
+        ),
+        _scripted_cell(lambda: DRRQueue(8)),
+        _hybrid_cell,
+    ],
+    ids=["droptail", "red", "drr", "hybrid"],
+)
+def test_probes_record_len_of_the_queue_at_every_hook(build):
+    """Both queue probes read the length the queue's class decided once
+    (``queue.read_length``); at every hook that is ``len(queue)``,
+    whichever ``__len__`` the class has."""
+    queue, obs, forensics, run = build()
+    sampled = []
+    forensics.bursts.on_sample = lambda now, length: sampled.append(length)
+    # Registered after both probes, so each call sees the same state.
+    truth = []
+    queue.add_enqueue_hook(lambda packet, now: truth.append(len(queue)))
+    queue.add_dequeue_hook(lambda packet, now: truth.append(len(queue)))
+    run()
+    assert len(truth) > 20
+    assert obs.occupancy.column("length") == truth
+    assert sampled == truth
 
 
 # ----------------------------------------------------------------------

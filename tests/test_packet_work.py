@@ -54,7 +54,7 @@ FRAMES = {
     "batch-vegas-red": (3432, 110617),
     "object-reno-fifo": (3603, 217082),
     "object-udp-fifo": (3984, 106281),
-    "object-reno-fifo-observed": (3603, 275163),
+    "object-reno-fifo-observed": (3603, 261305),
 }
 
 #: Comprehension frames, which Python 3.12 no longer creates.
